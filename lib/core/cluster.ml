@@ -189,35 +189,35 @@ let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + durati
 let total_completed t =
   Array.fold_left (fun acc c -> acc + Client.completed c) 0 t.clients
 
-let agreement_ok t =
+let agreement ~last_executed ~committed_block ~state_digest replicas =
   (* Compare committed blocks across replicas at every height any
-     replica committed, and state digests at equal executed heights. *)
+     replica executed, and state digests at equal executed heights. *)
   let ok = ref true in
-  let n = num_replicas t in
-  let max_committed =
-    Array.fold_left (fun acc r -> max acc (Replica.last_executed r)) 0 t.replicas
-  in
-  for seq = 1 to max_committed do
+  let n = Array.length replicas in
+  let max_executed = Array.fold_left (fun acc r -> max acc (last_executed r)) 0 replicas in
+  for seq = 1 to max_executed do
     let blocks =
-      Array.to_list t.replicas
-      |> List.filter_map (fun r -> Replica.committed_block r seq)
-      |> List.map (fun reqs ->
-             List.map (fun (r : Types.request) -> r.Types.op) reqs)
+      Array.to_list replicas
+      |> List.filter_map (fun r -> committed_block r seq)
+      |> List.map (List.map (fun (r : Types.request) -> r.Types.op))
     in
     match blocks with
     | [] -> ()
     | first :: rest ->
         if not (List.for_all (List.equal String.equal first) rest) then ok := false
   done;
-  (* Digest agreement at matching executed heights. *)
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let ri = t.replicas.(i) and rj = t.replicas.(j) in
+      let ri = replicas.(i) and rj = replicas.(j) in
       if
-        Int.equal (Replica.last_executed ri) (Replica.last_executed rj)
-        && Replica.last_executed ri > 0
-        && not (String.equal (Replica.state_digest ri) (Replica.state_digest rj))
+        Int.equal (last_executed ri) (last_executed rj)
+        && last_executed ri > 0
+        && not (String.equal (state_digest ri) (state_digest rj))
       then ok := false
     done
   done;
   !ok
+
+let agreement_ok t =
+  agreement ~last_executed:Replica.last_executed ~committed_block:Replica.committed_block
+    ~state_digest:Replica.state_digest t.replicas

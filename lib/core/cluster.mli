@@ -90,3 +90,12 @@ val agreement_ok : t -> bool
 (** All replicas that executed a given sequence number executed the same
     block, and state digests agree at equal heights (the paper's safety
     property, checked post-hoc). *)
+
+val agreement :
+  last_executed:('r -> int) ->
+  committed_block:('r -> int -> Types.request list option) ->
+  state_digest:('r -> string) ->
+  'r array ->
+  bool
+(** The {!agreement_ok} check over any replica implementation (the PBFT
+    baseline shares it). *)

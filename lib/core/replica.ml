@@ -29,7 +29,7 @@ type st_pending = {
   mutable st_timer : Engine.timer option;
 }
 
-(* A share stash: the assoc list handed to [combine_shares] plus an
+(* A share stash: the assoc list handed to [combine_stash] plus an
    O(1) membership byte-set and running count.  Collectors at paper
    scale accept k = 3f+c+1 = 129 shares per slot; the previous
    [List.mem_assoc] / [List.length] on every arrival made share
@@ -93,8 +93,8 @@ type slot = {
   mutable executed : bool;
   (* pending proofs waiting for the block content *)
   mutable pp_at : Engine.time; (* when the pre-prepare was accepted *)
-  mutable pending_fast : (int * Field.t) option; (* view, σ *)
-  mutable pending_slow : (int * Field.t * Field.t) option; (* view, τ, ττ *)
+  mutable pending_fast : (int * Types.block_cert) option; (* view, σ *)
+  mutable pending_slow : (int * Types.block_cert) option; (* view, τ and ττ *)
   (* execution collector state: shares bucketed by claimed digest so a
      Byzantine replica announcing a bogus digest first cannot block the
      honest bucket from reaching its threshold *)
@@ -190,7 +190,6 @@ type t = {
       (* gray-failure knob: degraded-disk multiplier applied to the WAL
          group-commit flush charge (1.0 = healthy) *)
   (* metrics *)
-  mutable n_committed : int;
   mutable n_executed_blocks : int;
   mutable n_fast : int;
   mutable n_slow : int;
@@ -242,7 +241,6 @@ let create ~env ~my ~store ~(durable : durable) =
     fast_eta = float_of_int (env.keys.Keys.config.Config.fast_path_timeout / 2);
     byz = Honest;
     fsync_scale = 1.0;
-    n_committed = 0;
     n_executed_blocks = 0;
     n_fast = 0;
     n_slow = 0;
@@ -258,13 +256,11 @@ let last_executed t = Sbft_store.Auth_store.last_executed t.store
 let last_stable t = t.stable
 let state_digest t = Sbft_store.Auth_store.digest t.store
 let store t = t.store
-let blocks_committed t = t.n_committed
 let blocks_executed t = t.n_executed_blocks
 let view_changes_completed t = t.n_view_changes
 let fast_commits t = t.n_fast
 let slow_commits t = t.n_slow
 let set_byzantine t b = t.byz <- b
-let byzantine t = t.byz
 let wal t = t.wal
 let set_fsync_scale t s = t.fsync_scale <- Float.max 1.0 s
 
@@ -282,7 +278,6 @@ let set_fsync_scale t s = t.fsync_scale <- Float.max 1.0 s
 let obs_view t = t.view
 let obs_last_executed t = last_executed t
 let obs_last_stable t = t.stable
-let obs_next_seq t = t.next_seq
 let obs_in_view_change t = t.in_view_change
 
 (* Share counts an adversary's colluding collector would see arriving
@@ -304,19 +299,20 @@ let certified_checkpoints t =
 let client_last_timestamp t ~client =
   Option.map (fun (ts, _, _, _) -> ts) (Hashtbl.find_opt t.client_table client)
 
+(* Ledger decoding: the requests of a persisted block.  Client
+   signatures are not persisted; the block's commit certificate is. *)
+let ledger_reqs (e : Sbft_store.Block_store.entry) =
+  List.map
+    (fun (o : Sbft_store.Block_store.op) ->
+      { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
+    e.Sbft_store.Block_store.ops
+
 let committed_block t seq =
   match Hashtbl.find_opt t.slots seq with
   | Some s -> s.committed
-  | None -> (
-      match Sbft_store.Block_store.find t.blocks seq with
-      | Some e ->
-          (* Reconstructed from the persisted ledger after GC. *)
-          Some
-            (List.map
-               (fun (o : Sbft_store.Block_store.op) ->
-                 { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-               e.Sbft_store.Block_store.ops)
-      | None -> None)
+  | None ->
+      (* Reconstructed from the persisted ledger after GC. *)
+      Option.map ledger_reqs (Sbft_store.Block_store.find t.blocks seq)
 
 let slot t seq =
   match Hashtbl.find_opt t.slots seq with
@@ -352,6 +348,23 @@ let client_table_rows t =
         ce_index = index;
       })
     (Det.sorted_bindings ~compare:Int.compare t.client_table)
+
+(* Client-row adoption: replace the client table with a checkpoint's
+   rows (the snapshot's state already reflects those executions). *)
+let adopt_client_rows t rows =
+  Hashtbl.reset t.client_table;
+  List.iter
+    (fun (ce : Sbft_store.Block_store.client_entry) ->
+      Hashtbl.replace t.client_table ce.ce_client
+        (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
+    rows
+
+(* The exactly-once test: the client table already records [client]'s
+   request [timestamp], or a later one, as executed. *)
+let executed_before t ~client ~timestamp =
+  match Hashtbl.find_opt t.client_table client with
+  | Some (ts, _, _, _) -> ts >= timestamp
+  | None -> false
 
 let broadcast_replicas t ctx msg =
   for r = 0 to num_replicas t - 1 do
@@ -396,7 +409,7 @@ let clear_outstanding t (r : Types.request) =
 (* ------------------------------------------------------------------ *)
 (* Collector-side share combination (§IV linearity).
 
-   [combine_shares] is the single entry point every collector site
+   [combine_stash] is the single entry point every collector site
    (σ/τ/ττ/π) goes through.  With [Config.optimistic_combine] it runs
    the combine-then-verify fast path: interpolate the k shares without
    any per-share check, verify the one combined signature, and only on
@@ -406,48 +419,159 @@ let clear_outstanding t (r : Types.request) =
    shows up in measured throughput.  With the knob off it charges the
    pessimistic batch-verify-every-share baseline.
 
-   Returns the combined signature (if any) and the signers identified
-   as invalid — the caller must evict those from its share stash so the
-   next attempt combines a clean set. *)
+   Returns the combined signature, if any.  Signers identified as
+   invalid are evicted from [stash], so the next attempt combines a
+   clean set.  The caller checks the quorum (R14 pairs each threshold
+   comparison with its [Sanitizer.check_quorum] in one function). *)
 
-let combine_shares t ctx ~scheme ~k ~group ~msg shares =
+let combine_stash t ctx ~scheme ~k ~group ~msg stash =
   let tally = Cost_model.Tally.note in
   let combine_cost cached =
     if group then Cost_model.group_combine k
     else if cached then Cost_model.bls_combine_cached k
     else Cost_model.bls_combine k
   in
-  if (cfg t).Config.optimistic_combine then begin
-    let o = Threshold.combine_verified scheme ~msg shares in
-    Engine.charge ctx (tally "combine" (combine_cost o.Threshold.coeffs_cached));
-    Engine.charge ctx (tally "combined_verify" Cost_model.bls_verify);
-    if o.Threshold.fallback then begin
-      t.failures_observed <- true;
-      Engine.charge ctx
-        (tally "share_identify" (Cost_model.bls_identify o.Threshold.fresh_checks));
-      (* The recombination over the surviving shares, when one was
-         possible (its constituents are all individually verified, so
-         no second combined check is needed). *)
-      match o.Threshold.signature with
-      | Some _ -> Engine.charge ctx (tally "combine" (combine_cost o.Threshold.recombine_cached))
-      | None -> ()
-    end;
-    (o.Threshold.signature, o.Threshold.bad_signers)
-  end
-  else begin
-    Engine.charge ctx (tally "share_batch_verify" (Cost_model.bls_batch_verify k));
-    Engine.charge ctx (tally "combine" (combine_cost false));
-    (Threshold.combine scheme ~msg shares, [])
-  end
-
-(* Drop shares from the signers [combine_shares] identified as bad. *)
-let evict_bad bad stash =
-  match bad with
-  | [] -> stash
+  let shares = List.map snd stash.items in
+  let signature, bad =
+    if (cfg t).Config.optimistic_combine then begin
+      let o = Threshold.combine_verified scheme ~msg shares in
+      Engine.charge ctx (tally "combine" (combine_cost o.Threshold.coeffs_cached));
+      Engine.charge ctx (tally "combined_verify" Cost_model.bls_verify);
+      if o.Threshold.fallback then begin
+        t.failures_observed <- true;
+        Engine.charge ctx
+          (tally "share_identify" (Cost_model.bls_identify o.Threshold.fresh_checks));
+        (* The recombination over the surviving shares, when one was
+           possible (its constituents are all individually verified, so
+           no second combined check is needed). *)
+        match o.Threshold.signature with
+        | Some _ ->
+            Engine.charge ctx (tally "combine" (combine_cost o.Threshold.recombine_cached))
+        | None -> ()
+      end;
+      (o.Threshold.signature, o.Threshold.bad_signers)
+    end
+    else begin
+      Engine.charge ctx (tally "share_batch_verify" (Cost_model.bls_batch_verify k));
+      Engine.charge ctx (tally "combine" (combine_cost false));
+      (Threshold.combine scheme ~msg shares, [])
+    end
+  in
+  (match bad with
+  | [] -> ()
   | _ ->
-      List.filter
-        (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) bad))
-        stash
+      stash_set stash
+        (List.filter
+           (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) bad))
+           stash.items));
+  signature
+
+(* ------------------------------------------------------------------ *)
+(* Commit certificates (§V): every block commits under exactly one —
+   σ(h) on the fast path, or τ(h) plus τ(τ(h)) on the slow path. *)
+
+(* The one verification of a certificate against its block hash [h]. *)
+let cert_verifies t ctx ~h = function
+  | Types.Cert_fast sigma ->
+      Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
+      Threshold.verify (keys t).Keys.sigma ~msg:h sigma
+  | Types.Cert_slow (tau, tau_tau) ->
+      Engine.charge ctx (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
+      Threshold.verify (keys t).Keys.tau ~msg:h tau
+      && Threshold.verify (keys t).Keys.tau ~msg:(Types.tau2_message tau) tau_tau
+
+(* The certificate as the ledger persists it (signature bytes), and
+   back. *)
+let stored_cert = function
+  | Types.Cert_fast sigma -> Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma)
+  | Types.Cert_slow (tau, tau_tau) ->
+      let bytes = Threshold.signature_bytes in
+      Sbft_store.Block_store.Slow { tau = bytes tau; tau_tau = bytes tau_tau }
+
+let ledger_cert = function
+  | Sbft_store.Block_store.Fast sigma -> Types.Cert_fast (Field.of_bytes sigma)
+  | Sbft_store.Block_store.Slow s ->
+      Types.Cert_slow (Field.of_bytes s.tau, Field.of_bytes s.tau_tau)
+
+(* ------------------------------------------------------------------ *)
+(* Sign-share emission (§V-D).
+
+   [sign_block] signs h with this replica's σ and τ key shares and keeps
+   the σ share as the slot's highest pre-prepare for view changes.
+   [corrupt] lets a [Corrupt_shares] replica lie about a block it has
+   just accepted from the primary. *)
+
+let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
+  sl.sent_sign_share <- true;
+  Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
+  let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
+  let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
+  let sigma_share, tau_share =
+    match t.byz with
+    | Corrupt_shares when corrupt ->
+        ( Threshold.forge_invalid_share ~signer:(t.id + 1),
+          Threshold.forge_invalid_share ~signer:(t.id + 1) )
+    | _ -> (sigma_share, tau_share)
+  in
+  sl.highest_preprepare <- Some (view, sigma_share, reqs);
+  (sigma_share, tau_share)
+
+let send_sign_shares t ctx ~seq ~view (sigma_share, tau_share) =
+  let config = cfg t in
+  List.iter
+    (fun c ->
+      send t ctx ~dst:c
+        (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
+    (Collectors.slow_path_collectors ~config ~view ~seq)
+
+(* A fresh promise: sign, persist the accepted block, then send. *)
+let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
+  let seq = sl.seq in
+  let shares = sign_block t ctx sl ~view ~reqs ~h ~corrupt in
+  (* The sign share is a promise: persist the accepted block
+     before the network can observe it. *)
+  wal_log t ctx
+    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
+  wal_sync t ctx;
+  send_sign_shares t ctx ~seq ~view shares
+
+(* ------------------------------------------------------------------ *)
+(* Block application, shared by in-order execution and recovery replay.
+
+   Exactly-once execution: a request re-proposed across a view change
+   may appear in two committed blocks; the second occurrence
+   deterministically degrades to a no-op (every replica shares the same
+   client table state).  Returns the per-request outputs. *)
+
+let execute_once t ctx sl reqs =
+  Sanitizer.record_execute t.san ~seq:sl.seq;
+  sl.executed <- true;
+  Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
+  let ops =
+    List.map
+      (fun (r : Types.request) ->
+        if r.client >= 0 && executed_before t ~client:r.client ~timestamp:r.timestamp
+        then ""
+        else r.op)
+      reqs
+  in
+  Sbft_store.Auth_store.execute_block t.store ~seq:sl.seq ~ops
+
+(* Record each first execution in the client table (retransmitted
+   requests are answered from it).  [log] persists the new rows;
+   recovery replays blocks whose rows the WAL already holds. *)
+let record_client_rows t ctx ~seq reqs outputs ~log =
+  List.iteri
+    (fun index ((r : Types.request), value) ->
+      if r.client >= 0 && not (executed_before t ~client:r.client ~timestamp:r.timestamp)
+      then begin
+        Hashtbl.replace t.client_table r.client (r.timestamp, value, seq, index);
+        if log then
+          wal_log t ctx
+            (Sbft_store.Wal.Client_row
+               { client = r.client; timestamp = r.timestamp; value; seq; index })
+      end)
+    (List.combine reqs outputs)
 
 (* ------------------------------------------------------------------ *)
 (* Forward declarations via mutual recursion: the handler graph is
@@ -465,11 +589,11 @@ let rec on_message t ctx ~src msg =
       | Types.Sign_share { seq; view; sigma_share; tau_share; replica } ->
           on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica
       | Types.Full_commit_proof { seq; view; sigma } ->
-          on_full_commit_proof t ctx ~seq ~view ~sigma
+          on_commit_proof t ctx ~seq ~view (Types.Cert_fast sigma)
       | Types.Prepare { seq; view; tau } -> on_prepare t ctx ~seq ~view ~tau
       | Types.Commit { seq; view; share } -> on_commit t ctx ~seq ~view ~share
       | Types.Full_commit_proof_slow { seq; view; tau; tau_tau } ->
-          on_full_commit_proof_slow t ctx ~seq ~view ~tau ~tau_tau
+          on_commit_proof t ctx ~seq ~view (Types.Cert_slow (tau, tau_tau))
       | Types.Sign_state { seq; digest; share } -> on_sign_state t ctx ~seq ~digest ~share
       | Types.Full_execute_proof { seq; digest; pi } ->
           on_full_execute_proof t ctx ~seq ~digest ~pi ~src
@@ -614,30 +738,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
       sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
       List.iter (mark_outstanding t) real_reqs;
-      if not sl.sent_sign_share then begin
-        sl.sent_sign_share <- true;
-        Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-        let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-        let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-        let sigma_share, tau_share =
-          match t.byz with
-          | Corrupt_shares ->
-              ( Threshold.forge_invalid_share ~signer:(t.id + 1),
-                Threshold.forge_invalid_share ~signer:(t.id + 1) )
-          | _ -> (sigma_share, tau_share)
-        in
-        sl.highest_preprepare <- Some (view, sigma_share, reqs);
-        (* The sign share is a promise: persist the accepted block
-           before the network can observe it. *)
-        wal_log t ctx
-          (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
-        wal_sync t ctx;
-        List.iter
-          (fun c ->
-            send t ctx ~dst:c
-              (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-          (Collectors.slow_path_collectors ~config ~view ~seq)
-      end;
+      if not sl.sent_sign_share then promise_block t ctx sl ~view ~reqs ~h ~corrupt:true;
       (* A commit proof may have arrived before the block. *)
       try_pending_proofs t ctx sl
     end
@@ -683,12 +784,10 @@ and collector_check t ctx sl ~view =
                   ~count:sl.sigma_shares.count;
                 let k = Config.sigma_threshold config in
                 let group = config.Config.use_group_sig && not t.failures_observed in
-                let sigma_opt, bad =
-                  combine_shares t ctx ~scheme:(keys t).Keys.sigma ~k ~group ~msg:h
-                    (List.map snd sl.sigma_shares.items)
-                in
-                stash_set sl.sigma_shares (evict_bad bad sl.sigma_shares.items);
-                match sigma_opt with
+                match
+                  combine_stash t ctx ~scheme:(keys t).Keys.sigma ~k ~group ~msg:h
+                    sl.sigma_shares
+                with
                 | Some sigma ->
                     trace t ctx "send:full-commit-proof" (Printf.sprintf "seq=%d" seq);
                     broadcast_replicas t ctx
@@ -741,13 +840,10 @@ and collector_check t ctx sl ~view =
                 Sanitizer.check_quorum t.san Sanitizer.Tau
                   ~count:sl.tau_shares.count;
                 let k = Config.tau_threshold config in
-                let tau_opt, bad =
-                  combine_shares t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
-                    ~msg:h
-                    (List.map snd sl.tau_shares.items)
-                in
-                stash_set sl.tau_shares (evict_bad bad sl.tau_shares.items);
-                match tau_opt with
+                match
+                  combine_stash t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
+                    ~msg:h sl.tau_shares
+                with
                 | Some tau ->
                     trace t ctx "send:prepare" (Printf.sprintf "seq=%d" seq);
                     broadcast_replicas t ctx (Types.Prepare { seq; view; tau })
@@ -759,22 +855,32 @@ and collector_check t ctx sl ~view =
         | Some _ -> ()
       end)
 
-and on_full_commit_proof t ctx ~seq ~view ~sigma =
+(* A full commit proof, fast (σ) or slow (τ, ττ). *)
+and on_commit_proof t ctx ~seq ~view cert =
   let sl = slot t seq in
   if sl.committed = None then begin
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
-        Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-        if Threshold.verify (keys t).Keys.sigma ~msg:h sigma then begin
-          sl.fast_cert <- Some (sigma, view, reqs);
-          commit t ctx sl ~reqs ~view ~fast:true
-            ~cert:(Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
-        end
+        if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view cert
     | _ ->
         (* Proof before block: stash it and fetch the block. *)
-        sl.pending_fast <- Some (view, sigma);
+        (match cert with
+        | Types.Cert_fast _ -> sl.pending_fast <- Some (view, cert)
+        | Types.Cert_slow _ -> sl.pending_slow <- Some (view, cert));
         request_block t ctx seq
   end
+
+and try_pending_proofs t ctx sl =
+  (match sl.pending_fast with
+  | Some (view, cert) when sl.committed = None ->
+      sl.pending_fast <- None;
+      on_commit_proof t ctx ~seq:sl.seq ~view cert
+  | _ -> ());
+  match sl.pending_slow with
+  | Some (view, cert) when sl.committed = None ->
+      sl.pending_slow <- None;
+      on_commit_proof t ctx ~seq:sl.seq ~view cert
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Linear-PBFT path: prepare -> commit -> full-commit-proof-slow *)
@@ -827,13 +933,10 @@ and on_commit t ctx ~seq ~view ~share =
             Sanitizer.check_quorum t.san Sanitizer.Tau
               ~count:sl.commit_shares.count;
             let k = Config.tau_threshold config in
-            let tau_tau_opt, bad =
-              combine_shares t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
-                ~msg:(Types.tau2_message tau)
-                (List.map snd sl.commit_shares.items)
-            in
-            stash_set sl.commit_shares (evict_bad bad sl.commit_shares.items);
-            (match tau_tau_opt with
+            (match
+               combine_stash t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
+                 ~msg:(Types.tau2_message tau) sl.commit_shares
+             with
             | Some tau_tau ->
                 trace t ctx "send:full-commit-proof-slow" (Printf.sprintf "seq=%d" seq);
                 broadcast_replicas t ctx
@@ -844,52 +947,27 @@ and on_commit t ctx ~seq ~view ~share =
     end
   end
 
-and on_full_commit_proof_slow t ctx ~seq ~view ~tau ~tau_tau =
-  let sl = slot t seq in
-  if sl.committed = None then begin
-    match sl.pp with
-    | Some (v, reqs, h) when Int.equal v view ->
-        Engine.charge ctx (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-        if
-          Threshold.verify (keys t).Keys.tau ~msg:h tau
-          && Threshold.verify (keys t).Keys.tau ~msg:(Types.tau2_message tau) tau_tau
-        then begin
-          sl.slow_cert <- Some (tau, tau_tau, view, reqs);
-          commit t ctx sl ~reqs ~view ~fast:false
-            ~cert:
-              (Sbft_store.Block_store.Slow
-                 {
-                   tau = Threshold.signature_bytes tau;
-                   tau_tau = Threshold.signature_bytes tau_tau;
-                 })
-        end
-    | _ ->
-        sl.pending_slow <- Some (view, tau, tau_tau);
-        request_block t ctx seq
-  end
-
-and try_pending_proofs t ctx sl =
-  (match sl.pending_fast with
-  | Some (view, sigma) when sl.committed = None ->
-      sl.pending_fast <- None;
-      on_full_commit_proof t ctx ~seq:sl.seq ~view ~sigma
-  | _ -> ());
-  match sl.pending_slow with
-  | Some (view, tau, tau_tau) when sl.committed = None ->
-      sl.pending_slow <- None;
-      on_full_commit_proof_slow t ctx ~seq:sl.seq ~view ~tau ~tau_tau
-  | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Commit and in-order execution *)
 
-and commit t ctx sl ~reqs ~view ~fast ~cert =
+(* Commit [reqs] at [sl] under [cert], which the caller verified (or a
+   new view decided).  The certificate is recorded for view-change
+   reports even when the slot already committed. *)
+and commit t ctx sl ~reqs ~view cert =
+  let fast =
+    match cert with
+    | Types.Cert_fast sigma ->
+        sl.fast_cert <- Some (sigma, view, reqs);
+        true
+    | Types.Cert_slow (tau, tau_tau) ->
+        sl.slow_cert <- Some (tau, tau_tau, view, reqs);
+        false
+  in
   if sl.committed = None then begin
     Sanitizer.record_commit t.san ~seq:sl.seq ~view
       ~digest:(Types.block_hash ~seq:sl.seq ~view ~reqs);
     sl.committed <- Some reqs;
     (match sl.fast_timer with Some tm -> Engine.cancel_timer tm | None -> ());
-    t.n_committed <- t.n_committed + 1;
     if fast then t.n_fast <- t.n_fast + 1 else t.n_slow <- t.n_slow + 1;
     (* Network profiling for the adaptive fallback timer. *)
     (if fast && sl.pp_at > 0 then begin
@@ -913,7 +991,7 @@ and commit t ctx sl ~reqs ~view ~fast ~cert =
             (fun (r : Types.request) ->
               { Sbft_store.Block_store.client = r.client; timestamp = r.timestamp; op = r.op })
             reqs;
-        cert;
+        cert = stored_cert cert;
       }
     in
     Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Sbft_store.Block_store.entry_size entry)));
@@ -935,49 +1013,12 @@ and try_execute t ctx =
     let next = last_executed t + 1 in
     match Hashtbl.find_opt t.slots next with
     | Some ({ committed = Some reqs; executed = false; _ } as sl) -> begin
-        Sanitizer.record_execute t.san ~seq:next;
-        sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
-        (* Exactly-once execution: a request re-proposed across a view
-           change may appear in two committed blocks; the second
-           occurrence deterministically degrades to a no-op (every
-           replica shares the same client table state). *)
-        let is_duplicate (r : Types.request) =
-          r.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.client with
-          | Some (ts, _, _, _) -> ts >= r.timestamp
-          | None -> false
-        in
-        let ops =
-          List.map
-            (fun (r : Types.request) -> if is_duplicate r then "" else r.op)
-            reqs
-        in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
+        let outputs = execute_once t ctx sl reqs in
         let digest = Sbft_store.Auth_store.digest t.store in
         t.n_executed_blocks <- t.n_executed_blocks + 1;
         note_progress t ctx;
-        (* Record replies for retransmission handling. *)
-        List.iteri
-          (fun index ((r : Types.request), value) ->
-            clear_outstanding t r;
-            if r.client >= 0 then begin
-              match Hashtbl.find_opt t.client_table r.client with
-              | Some (ts, _, _, _) when ts >= r.timestamp -> ()
-              | _ ->
-                  Hashtbl.replace t.client_table r.client (r.timestamp, value, next, index);
-                  wal_log t ctx
-                    (Sbft_store.Wal.Client_row
-                       {
-                         client = r.client;
-                         timestamp = r.timestamp;
-                         value;
-                         seq = next;
-                         index;
-                       })
-            end)
-          (List.combine reqs outputs);
+        List.iter (clear_outstanding t) reqs;
+        record_client_rows t ctx ~seq:next reqs outputs ~log:true;
         (* Periodic checkpoint snapshot for state transfer.  The client
            table rides along: resuming dedup is part of resuming state. *)
         if next mod Config.checkpoint_interval config = 0 then
@@ -1079,13 +1120,10 @@ and on_sign_state t ctx ~seq ~digest ~share =
           if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
             Sanitizer.check_quorum t.san Sanitizer.Pi ~count:bucket.count;
             let k = Config.pi_threshold config in
-            let pi_opt, bad =
-              combine_shares t ctx ~scheme:(keys t).Keys.pi ~k ~group:false
-                ~msg:(Types.pi_message ~seq ~digest)
-                (List.map snd bucket.items)
-            in
-            stash_set bucket (evict_bad bad bucket.items);
-            match pi_opt with
+            match
+              combine_stash t ctx ~scheme:(keys t).Keys.pi ~k ~group:false
+                ~msg:(Types.pi_message ~seq ~digest) bucket
+            with
             | Some pi ->
                 sl.exec_proof_sent <- true;
                 Hashtbl.replace t.checkpoint_pis seq (pi, digest);
@@ -1315,20 +1353,12 @@ and on_get_state t ctx ~upto ~replica =
         if not !stop then
           match Sbft_store.Block_store.find t.blocks s with
           | Some e ->
-              let reqs =
-                List.map
-                  (fun (o : Sbft_store.Block_store.op) ->
-                    { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-                  e.Sbft_store.Block_store.ops
-              in
-              let cert =
-                match e.Sbft_store.Block_store.cert with
-                | Sbft_store.Block_store.Fast sigma ->
-                    Types.Cert_fast (Field.of_bytes sigma)
-                | Sbft_store.Block_store.Slow { tau; tau_tau } ->
-                    Types.Cert_slow (Field.of_bytes tau, Field.of_bytes tau_tau)
-              in
-              blocks := (s, e.Sbft_store.Block_store.view, reqs, cert) :: !blocks
+              blocks :=
+                ( s,
+                  e.Sbft_store.Block_store.view,
+                  ledger_reqs e,
+                  ledger_cert e.Sbft_store.Block_store.cert )
+                :: !blocks
           | None -> stop := true
       done;
       List.rev !blocks
@@ -1386,36 +1416,9 @@ and adopt_block_suffix t ctx blocks =
       if !ok && Int.equal s (last_executed t + 1) then begin
         let sl = slot t s in
         if sl.committed = None then begin
-          let h = Types.block_hash ~seq:s ~view ~reqs in
-          match cert with
-          | Types.Cert_fast sigma ->
-              Engine.charge ctx
-                (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-              if Threshold.verify (keys t).Keys.sigma ~msg:h sigma then begin
-                sl.fast_cert <- Some (sigma, view, reqs);
-                commit t ctx sl ~reqs ~view ~fast:true
-                  ~cert:
-                    (Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
-              end
-              else ok := false
-          | Types.Cert_slow (tau, tau_tau) ->
-              Engine.charge ctx
-                (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-              if
-                Threshold.verify (keys t).Keys.tau ~msg:h tau
-                && Threshold.verify (keys t).Keys.tau
-                     ~msg:(Types.tau2_message tau) tau_tau
-              then begin
-                sl.slow_cert <- Some (tau, tau_tau, view, reqs);
-                commit t ctx sl ~reqs ~view ~fast:false
-                  ~cert:
-                    (Sbft_store.Block_store.Slow
-                       {
-                         tau = Threshold.signature_bytes tau;
-                         tau_tau = Threshold.signature_bytes tau_tau;
-                       })
-              end
-              else ok := false
+          if cert_verifies t ctx ~h:(Types.block_hash ~seq:s ~view ~reqs) cert then
+            commit t ctx sl ~reqs ~view cert
+          else ok := false
         end
         else try_execute t ctx
       end)
@@ -1463,16 +1466,10 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
           if snap_seq > t.stable then t.stable <- snap_seq;
           if snap_seq > t.ls then t.ls <- snap_seq;
           Hashtbl.replace t.checkpoint_pis snap_seq (pi, digest);
-          (* Adopt the sender's client table as of the snapshot: the
-             snapshot's state already reflects those executions, and
-             without the rows this replica would re-execute retried
-             requests (at-most-once violation) once it resumes. *)
-          Hashtbl.reset t.client_table;
-          List.iter
-            (fun (ce : Sbft_store.Block_store.client_entry) ->
-              Hashtbl.replace t.client_table ce.ce_client
-                (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
-            table;
+          (* Adopt the sender's client table as of the snapshot: without
+             the rows this replica would re-execute retried requests
+             (at-most-once violation) once it resumes. *)
+          adopt_client_rows t table;
           (* Persist the transferred state: the snapshot becomes this
              replica's own durable checkpoint (blocks before it are not
              in our ledger, so recovery must restart from here), and the
@@ -1674,29 +1671,24 @@ and on_new_view t ctx ~view ~proofs =
         (fun (seq, decision) ->
           if seq > t.ls then begin
             let sl = slot t seq in
+            (* A decided slot commits under the certificate the proofs
+               carry (validated with them). *)
+            let decided cert ~reqs ~pview =
+              sl.pp <- Some (pview, reqs, Types.block_hash ~seq ~view:pview ~reqs);
+              commit t ctx sl ~reqs ~view:pview cert
+            in
             match decision with
             | View_change.Decide_fast { sigma; reqs; view = pview } ->
-                let h = Types.block_hash ~seq ~view:pview ~reqs in
-                sl.pp <- Some (pview, reqs, h);
-                sl.fast_cert <- Some (sigma, pview, reqs);
-                commit t ctx sl ~reqs ~view:pview ~fast:true
-                  ~cert:(Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma))
+                decided (Types.Cert_fast sigma) ~reqs ~pview
             | View_change.Decide_slow { tau; tau_tau; reqs; view = pview } ->
-                let h = Types.block_hash ~seq ~view:pview ~reqs in
-                sl.pp <- Some (pview, reqs, h);
-                sl.slow_cert <- Some (tau, tau_tau, pview, reqs);
-                commit t ctx sl ~reqs ~view:pview ~fast:false
-                  ~cert:
-                    (Sbft_store.Block_store.Slow
-                       {
-                         tau = Threshold.signature_bytes tau;
-                         tau_tau = Threshold.signature_bytes tau_tau;
-                       })
+                decided (Types.Cert_slow (tau, tau_tau)) ~reqs ~pview
             | (View_change.Adopt _ | View_change.Fill_null)
               when sl.committed = None ->
                 (* Adopt as a pre-prepare of the new view. *)
-                adopt_pre_prepare t ctx ~seq ~view
-                  ~reqs:(View_change.decision_reqs decision)
+                let reqs = View_change.decision_reqs decision in
+                let h = Types.block_hash ~seq ~view ~reqs in
+                sl.pp <- Some (view, reqs, h);
+                promise_block t ctx sl ~view ~reqs ~h ~corrupt:false
             | View_change.Adopt _ | View_change.Fill_null -> ()
           end)
         decisions;
@@ -1710,25 +1702,6 @@ and on_new_view t ctx ~view ~proofs =
       end
     end
   end
-
-and adopt_pre_prepare t ctx ~seq ~view ~reqs =
-  let sl = slot t seq in
-  let h = Types.block_hash ~seq ~view ~reqs in
-  sl.pp <- Some (view, reqs, h);
-  sl.sent_sign_share <- true;
-  Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-  let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-  let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-  sl.highest_preprepare <- Some (view, sigma_share, reqs);
-  wal_log t ctx
-    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
-  wal_sync t ctx;
-  let config = cfg t in
-  List.iter
-    (fun c ->
-      send t ctx ~dst:c
-        (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-    (Collectors.slow_path_collectors ~config ~view ~seq)
 
 and enter_view t ctx ~view =
   if view > t.view then begin
@@ -1844,11 +1817,7 @@ let recover t ctx =
       | Ok () ->
           Sanitizer.record_state_transfer t.san ~seq:cp_seq;
           if cp_seq > t.ls then t.ls <- cp_seq;
-          List.iter
-            (fun (ce : Sbft_store.Block_store.client_entry) ->
-              Hashtbl.replace t.client_table ce.ce_client
-                (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
-            cp_table
+          adopt_client_rows t cp_table
       | Error _ -> () (* corrupt local checkpoint: state transfer heals *))
   | _ -> ());
   (* 2. WAL pass one: views and certified checkpoints. *)
@@ -1875,48 +1844,26 @@ let recover t ctx =
   end;
   (* 3. Ledger replay: quiet re-commit + re-execution of the contiguous
      run above the checkpoint (no network sends, no new WAL records). *)
+  let restore_commit seq (e : Sbft_store.Block_store.entry) =
+    let reqs = ledger_reqs e in
+    let view = e.Sbft_store.Block_store.view in
+    let h = Types.block_hash ~seq ~view ~reqs in
+    let sl = slot t seq in
+    if sl.committed = None then begin
+      Sanitizer.record_commit t.san ~seq ~view ~digest:h;
+      sl.pp <- Some (view, reqs, h);
+      sl.committed <- Some reqs
+    end;
+    (sl, reqs)
+  in
   let replaying = ref true in
   while !replaying do
     let next = last_executed t + 1 in
     match Sbft_store.Block_store.find t.blocks next with
     | Some e ->
-        let reqs =
-          List.map
-            (fun (o : Sbft_store.Block_store.op) ->
-              { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-            e.Sbft_store.Block_store.ops
-        in
-        let view = e.Sbft_store.Block_store.view in
-        let h = Types.block_hash ~seq:next ~view ~reqs in
-        Sanitizer.record_commit t.san ~seq:next ~view ~digest:h;
-        Sanitizer.record_execute t.san ~seq:next;
-        let sl = slot t next in
-        sl.pp <- Some (view, reqs, h);
-        sl.committed <- Some reqs;
-        sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
-        let is_duplicate (r : Types.request) =
-          r.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.client with
-          | Some (ts, _, _, _) -> ts >= r.timestamp
-          | None -> false
-        in
-        let ops =
-          List.map
-            (fun (r : Types.request) -> if is_duplicate r then "" else r.op)
-            reqs
-        in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
-        List.iteri
-          (fun index ((r : Types.request), value) ->
-            if r.client >= 0 then
-              match Hashtbl.find_opt t.client_table r.client with
-              | Some (ts, _, _, _) when ts >= r.timestamp -> ()
-              | _ ->
-                  Hashtbl.replace t.client_table r.client
-                    (r.timestamp, value, next, index))
-          (List.combine reqs outputs)
+        let sl, reqs = restore_commit next e in
+        let outputs = execute_once t ctx sl reqs in
+        record_client_rows t ctx ~seq:next reqs outputs ~log:false
     | None -> replaying := false
   done;
   (* Blocks beyond a gap (committed while we were down, fetched before
@@ -1926,21 +1873,7 @@ let recover t ctx =
     (fun s ->
       if s > last_executed t then
         match Sbft_store.Block_store.find t.blocks s with
-        | Some e ->
-            let reqs =
-              List.map
-                (fun (o : Sbft_store.Block_store.op) ->
-                  { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-                e.Sbft_store.Block_store.ops
-            in
-            let view = e.Sbft_store.Block_store.view in
-            let h = Types.block_hash ~seq:s ~view ~reqs in
-            let sl = slot t s in
-            if sl.committed = None then begin
-              Sanitizer.record_commit t.san ~seq:s ~view ~digest:h;
-              sl.pp <- Some (view, reqs, h);
-              sl.committed <- Some reqs
-            end
+        | Some e -> ignore (restore_commit s e)
         | None -> ())
     (Sbft_store.Block_store.sorted_seqs t.blocks);
   (* 4. WAL pass two: open-slot promises and pruned-block client rows. *)
@@ -1948,10 +1881,9 @@ let recover t ctx =
   List.iter
     (fun (r : Sbft_store.Wal.record) ->
       match r with
-      | Sbft_store.Wal.Client_row { client; timestamp; value; seq; index } -> (
-          match Hashtbl.find_opt t.client_table client with
-          | Some (ts, _, _, _) when ts >= timestamp -> ()
-          | _ -> Hashtbl.replace t.client_table client (timestamp, value, seq, index))
+      | Sbft_store.Wal.Client_row { client; timestamp; value; seq; index } ->
+          if not (executed_before t ~client ~timestamp) then
+            Hashtbl.replace t.client_table client (timestamp, value, seq, index)
       | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
           if seq > !promised_seq then promised_seq := seq;
           if Int.equal view t.view && seq > last_executed t then begin
@@ -1968,17 +1900,8 @@ let recover t ctx =
               (* Honour the logged promise by re-issuing the identical
                  (deterministic) sign share — safe, and keeps the slot
                  live rather than silently abstaining. *)
-              sl.sent_sign_share <- true;
-              Engine.charge ctx
-                (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-              let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-              let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
-              sl.highest_preprepare <- Some (view, sigma_share, reqs);
-              List.iter
-                (fun c ->
-                  send t ctx ~dst:c
-                    (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-                (Collectors.slow_path_collectors ~config ~view ~seq)
+              send_sign_shares t ctx ~seq ~view
+                (sign_block t ctx sl ~view ~reqs ~h ~corrupt:false)
             end
           end
       | Sbft_store.Wal.Accepted_prepare { seq; view; tau } ->

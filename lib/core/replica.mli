@@ -52,7 +52,6 @@ val retire : t -> unit
 
 val id : t -> int
 val view : t -> int
-val is_primary : t -> bool
 val last_executed : t -> int
 val last_stable : t -> int
 val state_digest : t -> string
@@ -73,7 +72,6 @@ val committed_block : t -> int -> Types.request list option
 val sanitizer : t -> Sanitizer.t
 (** The replica's protocol-invariant sanitizer (see {!Config.sanitize}). *)
 
-val blocks_committed : t -> int
 val blocks_executed : t -> int
 val view_changes_completed : t -> int
 val fast_commits : t -> int
@@ -110,7 +108,6 @@ val set_fsync_scale : t -> float -> unit
 val obs_view : t -> int
 val obs_last_executed : t -> int
 val obs_last_stable : t -> int
-val obs_next_seq : t -> int
 val obs_in_view_change : t -> bool
 
 val obs_slot_shares : t -> int -> int * int * int
@@ -137,6 +134,3 @@ type byzantine =
       (** Sends view-change messages with stale/partial information. *)
 
 val set_byzantine : t -> byzantine -> unit
-
-val byzantine : t -> byzantine
-(** Current behaviour (property oracles exclude non-honest replicas). *)

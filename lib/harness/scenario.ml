@@ -118,73 +118,138 @@ let arm_primary_crash engine = function
   | None -> ()
   | Some at -> Engine.schedule engine ~at (fun () -> Engine.crash engine 0)
 
-(* One run with tracing on, returning the raw event stream instead of a
-   measurement point — the input to the R8 replay-divergence checker. *)
-let run_traced t =
+(* Either protocol stack behind one record: the construction steps the
+   scenario drives, then the outputs [run] measures and [run_traced]
+   reads. *)
+type stack = {
+  engine : Engine.t;
+  network : Network.t;
+  trace : Trace.t;
+  latency : Stats.Latency.t;
+  throughput : Stats.Throughput.t;
+  n : int;
+  crash : int list -> unit;
+  start_clients : requests_per_client:int -> make_op:(client:int -> int -> string) -> unit;
+  run_for : Engine.time -> unit;
+  completed : unit -> int;
+  fast_fraction : unit -> float;
+  view_changes : unit -> int;
+  agreement : unit -> bool;
+}
+
+let pbft_stack ~trace ~config ~topology ~service t =
+  let open Sbft_pbft in
+  let c =
+    Pbft_cluster.create ~trace ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
+      ~num_clients:t.num_clients ~topology ~service ()
+  in
+  {
+    engine = c.Pbft_cluster.engine;
+    network = c.Pbft_cluster.network;
+    trace = c.Pbft_cluster.trace;
+    latency = c.Pbft_cluster.latency;
+    throughput = c.Pbft_cluster.throughput;
+    n = Config.n c.Pbft_cluster.config;
+    crash = Pbft_cluster.crash_replicas c;
+    start_clients = Pbft_cluster.start_clients c;
+    run_for = Pbft_cluster.run_for c;
+    completed = (fun () -> Pbft_cluster.total_completed c);
+    fast_fraction = (fun () -> 0.0);
+    view_changes =
+      (fun () ->
+        Array.fold_left
+          (fun acc r -> max acc (Pbft_replica.view_changes_completed r))
+          0 c.Pbft_cluster.replicas);
+    agreement = (fun () -> Pbft_cluster.agreement_ok c);
+  }
+
+let sbft_stack ~trace ~config ~topology ~service t =
+  let c =
+    Cluster.create ~trace ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
+      ~num_clients:t.num_clients ~topology ~service ()
+  in
+  {
+    engine = c.Cluster.engine;
+    network = c.Cluster.network;
+    trace = c.Cluster.trace;
+    latency = c.Cluster.latency;
+    throughput = c.Cluster.throughput;
+    n = Config.n c.Cluster.config;
+    crash = Cluster.crash_replicas c;
+    start_clients = Cluster.start_clients c;
+    run_for = Cluster.run_for c;
+    completed = (fun () -> Cluster.total_completed c);
+    fast_fraction =
+      (fun () ->
+        let fast, slow =
+          Array.fold_left
+            (fun (f_, s) r ->
+              if Engine.is_crashed c.Cluster.engine (Replica.id r) then (f_, s)
+              else (f_ + Replica.fast_commits r, s + Replica.slow_commits r))
+            (0, 0) c.Cluster.replicas
+        in
+        if fast + slow = 0 then 0.0 else float_of_int fast /. float_of_int (fast + slow));
+    view_changes =
+      (fun () ->
+        Array.fold_left
+          (fun acc r -> max acc (Replica.view_changes_completed r))
+          0 c.Cluster.replicas);
+    agreement = (fun () -> Cluster.agreement_ok c);
+  }
+
+(* The construction sequence both [run] and [run_traced] use: cluster,
+   crashed backups, primary crash, clients, then the whole horizon. *)
+let build_and_run ~trace t =
   let config = config_of t in
   let topology = topology_of t.topology in
   let service = service_of t.workload in
-  let horizon = t.warmup + t.duration in
-  match t.protocol with
-  | PBFT ->
-      let open Sbft_pbft in
-      let cluster =
-        Pbft_cluster.create ~trace:true ~seed:t.seed ~cpu_scale:t.cpu_scale
-          ~config ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Pbft_cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n cluster.Pbft_cluster.config) ~failures:t.failures);
-      arm_primary_crash cluster.Pbft_cluster.engine t.crash_primary_at;
-      Pbft_cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Pbft_cluster.run_for cluster horizon;
-      Trace.records cluster.Pbft_cluster.trace
-  | _ ->
-      let cluster =
-        Cluster.create ~trace:true ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n config) ~failures:t.failures);
-      arm_primary_crash cluster.Cluster.engine t.crash_primary_at;
-      Cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Cluster.run_for cluster horizon;
-      Trace.records cluster.Cluster.trace
+  let s =
+    match t.protocol with
+    | PBFT -> pbft_stack ~trace ~config ~topology ~service t
+    | Linear_PBFT | Linear_PBFT_fast | SBFT _ -> sbft_stack ~trace ~config ~topology ~service t
+  in
+  s.crash (crash_set ~n:s.n ~failures:t.failures);
+  arm_primary_crash s.engine t.crash_primary_at;
+  s.start_clients ~requests_per_client:t.requests_per_client ~make_op:(make_op_of t.workload);
+  s.run_for (t.warmup + t.duration);
+  s
+
+(* One run with tracing on, returning the raw event stream instead of a
+   measurement point — the input to the R8 replay-divergence checker. *)
+let run_traced t = Trace.records (build_and_run ~trace:true t).trace
 
 let run t =
   let host0 = Sys.time () in
   let minor0 = Gc.minor_words () in
-  let config = config_of t in
-  let topology = topology_of t.topology in
-  let service = service_of t.workload in
+  let s = build_and_run ~trace:false t in
   let horizon = t.warmup + t.duration in
-  let point ~engine ~throughput ~latency ~completed ~messages ~bytes
-      ~fast_fraction ~view_changes ~agreement =
-    (* A finite-request run drains before the horizon; its measurement
-       window ends at the last completion, not at the idle tail. *)
-    let until =
-      if t.requests_per_client = max_int then horizon
-      else
-        match Stats.Throughput.last_at throughput with
-        | Some at when at > t.warmup -> at
-        | _ -> horizon
-    in
-    let reqs_per_sec =
-      Stats.Throughput.rate throughput ~from_:t.warmup ~until
-    in
-    let host_seconds = Sys.time () -. host0 in
-    let events = Engine.events_executed engine in
+  (* A finite-request run drains before the horizon; its measurement
+     window ends at the last completion, not at the idle tail. *)
+  let until =
+    if t.requests_per_client = max_int then horizon
+    else
+      match Stats.Throughput.last_at s.throughput with
+      | Some at when at > t.warmup -> at
+      | _ -> horizon
+  in
+  let reqs_per_sec = Stats.Throughput.rate s.throughput ~from_:t.warmup ~until in
+  let agreement = s.agreement () in
+  let view_changes = s.view_changes () in
+  let fast_fraction = s.fast_fraction () in
+  let completed_requests = s.completed () in
+  let host_seconds = Sys.time () -. host0 in
+  let events = Engine.events_executed s.engine in
+  let p : point =
     {
       scenario = t;
       throughput_ops = reqs_per_sec *. float_of_int (ops_per_request t.workload);
-      median_latency_ms = Stats.Latency.median_ms latency;
-      mean_latency_ms = Stats.Latency.mean_ms latency;
-      p90_latency_ms = Stats.Latency.percentile_ms latency 0.9;
-      p99_latency_ms = Stats.Latency.percentile_ms latency 0.99;
-      completed_requests = completed;
-      messages;
-      bytes;
+      median_latency_ms = Stats.Latency.median_ms s.latency;
+      mean_latency_ms = Stats.Latency.mean_ms s.latency;
+      p90_latency_ms = Stats.Latency.percentile_ms s.latency 0.9;
+      p99_latency_ms = Stats.Latency.percentile_ms s.latency 0.99;
+      completed_requests;
+      messages = Network.messages_sent s.network;
+      bytes = Network.bytes_sent s.network;
       fast_fraction;
       view_changes;
       agreement;
@@ -193,70 +258,9 @@ let run t =
       events_per_sec =
         (if host_seconds > 0. then float_of_int events /. host_seconds else 0.);
       minor_words = Gc.minor_words () -. minor0;
-      profile = Engine.profile engine;
+      profile = Engine.profile s.engine;
     }
   in
-  match t.protocol with
-  | PBFT ->
-      let open Sbft_pbft in
-      let cluster =
-        Pbft_cluster.create ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Pbft_cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n cluster.Pbft_cluster.config) ~failures:t.failures);
-      arm_primary_crash cluster.Pbft_cluster.engine t.crash_primary_at;
-      Pbft_cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Pbft_cluster.run_for cluster horizon;
-      point ~engine:cluster.Pbft_cluster.engine
-        ~throughput:cluster.Pbft_cluster.throughput
-        ~latency:cluster.Pbft_cluster.latency
-        ~completed:(Pbft_cluster.total_completed cluster)
-        ~messages:(Network.messages_sent cluster.Pbft_cluster.network)
-        ~bytes:(Network.bytes_sent cluster.Pbft_cluster.network)
-        ~fast_fraction:0.0
-        ~view_changes:
-          (Array.fold_left
-             (fun acc r -> max acc (Pbft_replica.view_changes_completed r))
-             0 cluster.Pbft_cluster.replicas)
-        ~agreement:(Pbft_cluster.agreement_ok cluster)
-      |> fun p ->
-      log_point t p;
-      Gc.compact ();
-      p
-  | _ ->
-      let cluster =
-        Cluster.create ~seed:t.seed ~cpu_scale:t.cpu_scale ~config
-          ~num_clients:t.num_clients ~topology ~service ()
-      in
-      Cluster.crash_replicas cluster
-        (crash_set ~n:(Config.n config) ~failures:t.failures);
-      arm_primary_crash cluster.Cluster.engine t.crash_primary_at;
-      Cluster.start_clients cluster ~requests_per_client:t.requests_per_client
-        ~make_op:(make_op_of t.workload);
-      Cluster.run_for cluster horizon;
-      let fast, slow =
-        Array.fold_left
-          (fun (f_, s) r ->
-            if Engine.is_crashed cluster.Cluster.engine (Replica.id r) then (f_, s)
-            else (f_ + Replica.fast_commits r, s + Replica.slow_commits r))
-          (0, 0) cluster.Cluster.replicas
-      in
-      point ~engine:cluster.Cluster.engine
-        ~throughput:cluster.Cluster.throughput ~latency:cluster.Cluster.latency
-        ~completed:(Cluster.total_completed cluster)
-        ~messages:(Network.messages_sent cluster.Cluster.network)
-        ~bytes:(Network.bytes_sent cluster.Cluster.network)
-        ~fast_fraction:
-          (if fast + slow = 0 then 0.0
-           else float_of_int fast /. float_of_int (fast + slow))
-        ~view_changes:
-          (Array.fold_left
-             (fun acc r -> max acc (Replica.view_changes_completed r))
-             0 cluster.Cluster.replicas)
-        ~agreement:(Cluster.agreement_ok cluster)
-      |> fun p ->
-      log_point t p;
-      Gc.compact ();
-      p
+  log_point t p;
+  Gc.compact ();
+  p

@@ -88,30 +88,6 @@ let total_completed t =
   Array.fold_left (fun acc c -> acc + Pbft_client.completed c) 0 t.clients
 
 let agreement_ok t =
-  let ok = ref true in
-  let max_exec =
-    Array.fold_left (fun acc r -> max acc (Pbft_replica.last_executed r)) 0 t.replicas
-  in
-  for seq = 1 to max_exec do
-    let blocks =
-      Array.to_list t.replicas
-      |> List.filter_map (fun r -> Pbft_replica.committed_block r seq)
-      |> List.map (List.map (fun (r : Sbft_core.Types.request) -> r.Sbft_core.Types.op))
-    in
-    match blocks with
-    | [] -> ()
-    | first :: rest ->
-        if not (List.for_all (List.equal String.equal first) rest) then ok := false
-  done;
-  Array.iter
-    (fun ri ->
-      Array.iter
-        (fun rj ->
-          if
-            Int.equal (Pbft_replica.last_executed ri) (Pbft_replica.last_executed rj)
-            && Pbft_replica.last_executed ri > 0
-            && not (String.equal (Pbft_replica.state_digest ri) (Pbft_replica.state_digest rj))
-          then ok := false)
-        t.replicas)
-    t.replicas;
-  !ok
+  Cluster.agreement ~last_executed:Pbft_replica.last_executed
+    ~committed_block:Pbft_replica.committed_block ~state_digest:Pbft_replica.state_digest
+    t.replicas

@@ -58,7 +58,6 @@ type t = {
   mutable vc_backoff : int;
   mutable sent_vc_for : int;
   vc_msgs : (int, (int, (int * int * Types.request list) list) Hashtbl.t) Hashtbl.t;
-  mutable n_committed : int;
   mutable n_view_changes : int;
   mutable retired : bool;
 }
@@ -94,7 +93,6 @@ let create ~env ~id ~store =
     vc_backoff = 0;
     sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
-    n_committed = 0;
     n_view_changes = 0;
     retired = false;
   }
@@ -105,16 +103,7 @@ let primary_of t v = v mod n_replicas t
 let is_primary t = Int.equal (primary_of t t.view) t.id
 let last_executed t = Sbft_store.Auth_store.last_executed t.store
 let state_digest t = Sbft_store.Auth_store.digest t.store
-let blocks_committed t = t.n_committed
 let view_changes_completed t = t.n_view_changes
-
-(* Adversary observation surface — same restricted namespace as the
-   SBFT replica so the schedule fuzzer's attacker sees both systems
-   through one lens (see Replica's obs_* block for the rationale). *)
-let obs_view t = t.view
-let obs_last_executed t = last_executed t
-let obs_next_seq t = t.next_seq
-let obs_frontier t = Hashtbl.fold (fun seq _ acc -> max seq acc) t.slots 0
 
 let committed_block t seq =
   match Hashtbl.find_opt t.slots seq with Some s -> s.committed | None -> None
@@ -329,7 +318,6 @@ and check_committed t ctx sl =
         ~count:(Hashtbl.length sl.commits);
       Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest;
       sl.committed <- Some reqs;
-      t.n_committed <- t.n_committed + 1;
       note_progress t ctx;
       Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
       trace t ctx "commit" (Printf.sprintf "seq=%d" sl.seq);

@@ -23,24 +23,8 @@ val id : t -> int
 val view : t -> int
 val last_executed : t -> int
 val state_digest : t -> string
-val blocks_committed : t -> int
 val view_changes_completed : t -> int
 val committed_block : t -> int -> Pbft_types.request list option
-
-(** {2 Adversary observation surface}
-
-    Mirrors {!Sbft_core.Replica}'s [obs_*] namespace: view/progress
-    counters and the highest active slot.  Results are attacker-visible
-    by definition — the R6 taint lint bars protocol handlers from
-    consuming them. *)
-
-val obs_view : t -> int
-val obs_last_executed : t -> int
-val obs_next_seq : t -> int
-
-(** Highest slot with any protocol activity at this replica. *)
-val obs_frontier : t -> int
-
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Pbft_types.msg -> unit
 val start : t -> Sbft_sim.Engine.ctx -> unit
 

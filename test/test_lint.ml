@@ -460,8 +460,8 @@ let test_replica_baseline () =
     (List.map Lint.pp_finding kept)
 
 (* R9: drop the wal_sync between logging Accepted_pre_prepare and
-   sending the Sign_share (the first occurrence is on_pre_prepare; the
-   second is adopt_pre_prepare on the view-change path). *)
+   sending the Sign_share (in promise_block, which both on_pre_prepare
+   and the new-view adoption path reach). *)
 let test_mutation_r9_sign_share () =
   let mutated =
     mutate (read_file replica_path)

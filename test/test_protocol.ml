@@ -283,6 +283,55 @@ let test_forged_state_resp_rejected () =
     (Replica.client_last_timestamp victim ~client:999 = None);
   check "agreement" true (Cluster.agreement_ok cluster)
 
+let test_forged_cert_during_transfer_rejected () =
+  (* Right after an amnesia restart the victim has a state transfer
+     outstanding (conservative rejoin probes a peer).  A Byzantine peer
+     answers first, blocks-only, with the very block the victim needs
+     next — carrying operations that were never agreed on, under a
+     forged commit certificate: slow-path τ/ττ in one run, fast-path σ
+     in the other.  The suffix certificate check must refuse it, and the
+     victim must still catch up from an honest peer. *)
+  let forged_req =
+    { Types.client = 999; timestamp = 42; op = put ~client:999 1; signature = "" }
+  in
+  List.iter
+    (fun (name, forged_cert) ->
+      let cluster = make ~num_clients:4 () in
+      let engine = cluster.Cluster.engine in
+      Cluster.start_clients cluster ~requests_per_client:30 ~make_op:put;
+      Engine.schedule engine ~at:(Engine.ms 50) (fun () -> Cluster.crash_amnesia cluster 2);
+      Engine.schedule engine ~at:(Engine.sec 5) (fun () ->
+          Cluster.recover_replica cluster 2;
+          let victim = cluster.Cluster.replicas.(2) in
+          (* Queued behind the recovery on the victim's CPU. *)
+          Engine.dispatch engine ~dst:2 ~at:(Engine.now engine) (fun ctx ->
+              let next = Replica.last_executed victim + 1 in
+              Replica.on_message victim ctx ~src:3
+                (Types.State_resp
+                   {
+                     snapshot = "";
+                     snap_seq = 0;
+                     pi = Sbft_crypto.Field.zero;
+                     digest = "";
+                     blocks = [ (next, Replica.view victim, [ forged_req ], forged_cert) ];
+                     table = [];
+                   })));
+      Cluster.run_for cluster (Engine.sec 90);
+      let victim = cluster.Cluster.replicas.(2) and r1 = cluster.Cluster.replicas.(1) in
+      check_int (name ^ ": all done") 120 (Cluster.total_completed cluster);
+      check (name ^ ": agreement") true (Cluster.agreement_ok cluster);
+      check (name ^ ": no forged client-table row") true
+        (Replica.client_last_timestamp victim ~client:999 = None);
+      check_int (name ^ ": victim caught up") (Replica.last_executed r1)
+        (Replica.last_executed victim);
+      check (name ^ ": digest matches") true
+        (String.equal (Replica.state_digest r1) (Replica.state_digest victim)))
+    [
+      ( "slow",
+        Types.Cert_slow (Sbft_crypto.Field.of_int 0xdead, Sbft_crypto.Field.of_int 0xbeef) );
+      ("fast", Types.Cert_fast (Sbft_crypto.Field.of_int 0xdead));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash-amnesia: volatile state wiped, durable WAL + ledger survive *)
 
@@ -504,6 +553,8 @@ let () =
             test_state_transfer_catches_up;
           Alcotest.test_case "forged blocks-only response rejected" `Quick
             test_forged_state_resp_rejected;
+          Alcotest.test_case "forged suffix certificate rejected" `Quick
+            test_forged_cert_during_transfer_rejected;
         ] );
       ( "crash-amnesia",
         [
