@@ -17,7 +17,17 @@ type cache_value = {
   c_ops_root : string;
 }
 
-type cache = (int * string * string, cache_value) Hashtbl.t
+(* Keyed by (seq, pre-state root, ops) under structural equality: the
+   key is exact, so no two op lists can share an entry.  A digest of the
+   concatenated ops lets ["x"] and ["x"; ""] collide — duplicate requests
+   degraded to no-ops ("") make such pairs reachable, and the hit hands
+   back an outputs array of the wrong length (found by the schedule
+   fuzzer, see test/corpus/weak-sigma-agreement.schedule).
+   [Hashtbl.hash] stops after a bounded number of the key's values (seq,
+   root, the first few ops), and on a hit [compare] short-circuits on
+   the op strings the replicas share physically, so a lookup costs far
+   less than a SHA-256 of the block's payload. *)
+type cache = (int * string * string list, cache_value) Hashtbl.t
 
 let new_cache () : cache = Hashtbl.create 1024
 
@@ -109,18 +119,6 @@ let execute_uncached t ~seq ~ops =
   t.last_ops_root <- ops_root;
   record
 
-(* Length-prefixed: plain concatenation would let ["x"] and ["x"; ""]
-   collide, and duplicate requests degraded to no-ops ("") make such
-   pairs reachable — a collision hands back a cached outputs array of
-   the wrong length.  Found by the schedule fuzzer (see
-   test/corpus/weak-sigma-agreement.schedule). *)
-let ops_digest ops =
-  let w = Codec.Writer.create () in
-  Codec.Writer.str w "sbft-ops";
-  Codec.Writer.u32 w (List.length ops);
-  List.iter (fun op -> Codec.Writer.str w op) ops;
-  Sha256.digest (Codec.Writer.contents w)
-
 let execute_block t ~seq ~ops =
   if seq <> t.last_executed + 1 then
     invalid_arg
@@ -129,7 +127,7 @@ let execute_block t ~seq ~ops =
   match t.cache with
   | None -> Array.to_list (execute_uncached t ~seq ~ops).outputs
   | Some cache -> (
-      let key = (seq, Merkle_map.root t.map, ops_digest ops) in
+      let key = (seq, Merkle_map.root t.map, ops) in
       match Hashtbl.find_opt cache key with
       | Some v ->
           t.map <- v.c_map;

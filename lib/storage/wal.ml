@@ -3,12 +3,15 @@
    Replicas append protocol-critical transitions (view entries, accepted
    pre-prepares/prepares, commit certificates, stable checkpoints,
    client-table rows) and group-commit them with [sync]: appends land in
-   a pending buffer and only become durable once synced, so a
+   a pending list and only become durable once synced, so a
    crash-amnesia restart loses exactly the unsynced tail — the same
    window a real fsync-based log exposes.  The store is byte-faithful:
-   records are framed (varint length + FNV-1a checksum + payload) into a
-   single buffer so that replay can tolerate a torn tail, and tests can
-   corrupt trailing bytes to exercise that path.
+   each record is framed once (varint length + FNV-1a checksum +
+   payload) and kept as a list of frame strings plus a byte count, so
+   appends and syncs never copy the log.  Replay, compaction, rollback
+   and [corrupt_tail] concatenate the frames into the log's byte image,
+   so replay tolerates a torn tail and tests can corrupt trailing bytes
+   to exercise that path.
 
    This module is pure storage: it never touches the simulator clock.
    Callers charge [Cost_model.wal_append]/[wal_fsync] for the bytes and
@@ -36,8 +39,12 @@ type record =
     }
 
 type t = {
-  durable : Buffer.t;  (** synced frames; survives crash-amnesia *)
-  pending : Buffer.t;  (** appended but not yet synced; lost on crash *)
+  mutable durable : string list;
+      (** synced bytes, newest chunk first; survives crash-amnesia *)
+  mutable durable_len : int;
+  mutable pending : string list;
+      (** frames appended but not yet synced, newest first; lost on crash *)
+  mutable pending_len : int;
   mutable appends : int;
   mutable syncs : int;
   mutable trunc_seq : int;
@@ -55,8 +62,10 @@ let initial_watermark = 1 lsl 16
 
 let create () =
   {
-    durable = Buffer.create 1024;
-    pending = Buffer.create 256;
+    durable = [];
+    durable_len = 0;
+    pending = [];
+    pending_len = 0;
     appends = 0;
     syncs = 0;
     trunc_seq = 0;
@@ -156,9 +165,9 @@ let parse_payload r =
 (* FNV-1a over the payload, folded to 32 bits. *)
 let checksum s =
   let h = ref 0x811C9DC5 in
-  String.iter
-    (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
 let frame record =
@@ -166,27 +175,40 @@ let frame record =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w (String.length p);
   Codec.Writer.u32 w (checksum p);
-  Codec.Writer.raw w p;
-  Codec.Writer.contents w
+  Codec.Writer.contents w ^ p
 
 let append t record =
   let f = frame record in
-  Buffer.add_string t.pending f;
+  t.pending <- f :: t.pending;
+  t.pending_len <- t.pending_len + String.length f;
   t.appends <- t.appends + 1;
   String.length f
 
-let dirty t = Buffer.length t.pending > 0
+let dirty t = t.pending_len > 0
+
+let drop_pending t =
+  t.pending <- [];
+  t.pending_len <- 0
 
 let sync t =
   if dirty t then begin
-    Buffer.add_buffer t.durable t.pending;
-    Buffer.clear t.pending;
+    t.durable <- t.pending @ t.durable;
+    t.durable_len <- t.durable_len + t.pending_len;
+    drop_pending t;
     t.syncs <- t.syncs + 1;
     true
   end
   else false
 
-let drop_pending t = Buffer.clear t.pending
+(* The durable log's byte image, for the rare paths that parse or
+   rewrite it. *)
+let durable_image t = String.concat "" (List.rev t.durable)
+
+(* Replace the durable log by freshly framed [records]. *)
+let rewrite_durable t records =
+  t.durable <- List.rev_map frame records;
+  t.durable_len <-
+    List.fold_left (fun n f -> n + String.length f) 0 t.durable
 
 let replay_string bytes =
   let r = Codec.Reader.of_string bytes in
@@ -220,7 +242,7 @@ let record_seq = function
    wins at replay) and the latest [Stable_checkpoint] at or below [seq],
    which moves to the front.  Shared by [replay] and the physical
    rewrite so the replayed history is identical whether or not the dead
-   prefix has been dropped from the buffer yet. *)
+   prefix has been dropped from the log yet. *)
 let compact_records ~seq records =
   if seq <= 0 then records
   else begin
@@ -252,30 +274,27 @@ let compact_records ~seq records =
 
 (* Only the synced prefix exists after a crash, so only it replays. *)
 let replay t =
-  compact_records ~seq:t.trunc_seq (replay_string (Buffer.contents t.durable))
+  compact_records ~seq:t.trunc_seq (replay_string (durable_image t))
 
 (* Logical truncation is just a horizon bump; the O(log-size) physical
-   rewrite runs only once the durable buffer outgrows its watermark.
+   rewrite runs only once the durable log outgrows its watermark.
    Callers may therefore truncate on every stable-checkpoint advance
    without turning the log into an O(n^2) hot spot (it did: at paper
    scale every certified slot rewrote every replica's full log). *)
 let truncate_below t ~seq =
   if seq > t.trunc_seq then t.trunc_seq <- seq;
-  if Buffer.length t.durable >= t.compact_watermark then begin
-    let records = replay t in
-    Buffer.clear t.durable;
-    List.iter (fun r -> Buffer.add_string t.durable (frame r)) records;
-    t.compact_watermark <- max initial_watermark (2 * Buffer.length t.durable)
+  if t.durable_len >= t.compact_watermark then begin
+    rewrite_durable t (replay t);
+    t.compact_watermark <- max initial_watermark (2 * t.durable_len)
   end
 
-let durable_bytes t = Buffer.length t.durable
-let pending_bytes t = Buffer.length t.pending
+let durable_bytes t = t.durable_len
 let appends t = t.appends
 let syncs t = t.syncs
 
 let reset t =
-  Buffer.clear t.durable;
-  Buffer.clear t.pending;
+  rewrite_durable t [];
+  drop_pending t;
   t.appends <- 0;
   t.syncs <- 0;
   t.trunc_seq <- 0;
@@ -293,8 +312,8 @@ let reset t =
    no checkpoint qualifies (the log rolls back to empty — a factory
    restore). *)
 let rollback_to_checkpoint t ~before =
-  Buffer.clear t.pending;
-  let records = replay_string (Buffer.contents t.durable) in
+  drop_pending t;
+  let records = replay_string (durable_image t) in
   let cut = ref (-1) in
   let cp = ref 0 in
   List.iteri
@@ -309,18 +328,15 @@ let rollback_to_checkpoint t ~before =
     if !cut < 0 then []
     else List.filteri (fun i _ -> i <= !cut) records
   in
-  Buffer.clear t.durable;
-  List.iter (fun r -> Buffer.add_string t.durable (frame r)) kept;
+  rewrite_durable t kept;
   t.trunc_seq <- 0;
-  t.compact_watermark <- max initial_watermark (2 * Buffer.length t.durable);
+  t.compact_watermark <- max initial_watermark (2 * t.durable_len);
   !cp
 
 (* Test helper: simulate a torn write by overwriting the last [bytes]
    durable bytes with garbage. *)
 let corrupt_tail t ~bytes =
-  let s = Buffer.contents t.durable in
+  let s = durable_image t in
   let n = String.length s in
   let k = min bytes n in
-  Buffer.clear t.durable;
-  Buffer.add_string t.durable (String.sub s 0 (n - k));
-  Buffer.add_string t.durable (String.make k '\xFF')
+  t.durable <- [ String.sub s 0 (n - k) ^ String.make k '\xFF' ]

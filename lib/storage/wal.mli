@@ -1,7 +1,7 @@
 (** Simulated write-ahead log for crash-amnesia recovery.
 
-    Appends land in a pending buffer; [sync] group-commits them to the
-    durable buffer.  A crash-amnesia restart keeps only the durable
+    Appends land in a pending list of frames; [sync] group-commits them
+    to the durable log.  A crash-amnesia restart keeps only the durable
     prefix ([drop_pending] models the lost tail), and [replay] tolerates
     a torn/corrupt tail by stopping at the first bad frame.
 
@@ -60,7 +60,7 @@ val truncate_below : t -> seq:int -> unit
 (** Checkpoint-time compaction: logically drop records whose sequence
     number is below [seq], keeping view records and the latest stable
     checkpoint at or below [seq].  The horizon bump is O(1); the
-    physical rewrite is deferred until the durable buffer outgrows a
+    physical rewrite is deferred until the durable log outgrows a
     doubling watermark, so callers may truncate on every
     stable-checkpoint advance without quadratic rewriting. *)
 
@@ -68,8 +68,6 @@ val durable_bytes : t -> int
 (** Physical durable size; may include logically-dead frames not yet
     compacted away. *)
 
-
-val pending_bytes : t -> int
 val appends : t -> int
 val syncs : t -> int
 
@@ -79,7 +77,7 @@ val reset : t -> unit
 
 val rollback_to_checkpoint : t -> before:int -> int
 (** Rollback-attack helper for the schedule fuzzer: discard the pending
-    buffer and truncate the durable log to the prefix ending at the
+    frames and truncate the durable log to the prefix ending at the
     newest [Stable_checkpoint] whose seq is ≤ [before] — the disk image
     an attacker restores from an old backup.  Later view records and
     accepted pre-prepare/prepare promises vanish, so a recovery from

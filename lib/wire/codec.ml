@@ -33,7 +33,6 @@ module Writer = struct
     List.iter f xs
 
   let contents = Buffer.contents
-  let length = Buffer.length
 end
 
 module Reader = struct
@@ -61,16 +60,21 @@ module Reader = struct
     let lo = u32 r in
     (hi lsl 32) lor lo
 
+  (* [Writer.varint] emits at most 9 bytes (63 bits) and never a
+     negative value; anything longer or negative is hostile input, and
+     would otherwise reach [List.init]/[String.sub] as a negative count. *)
   let varint r =
     let rec go shift acc =
+      if shift > 56 then raise Truncated;
       let b = u8 r in
       let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 = 0 then if acc < 0 then raise Truncated else acc
+      else go (shift + 7) acc
     in
     go 0 0
 
   let raw r n =
-    if r.pos + n > String.length r.data then raise Truncated;
+    if n < 0 || n > String.length r.data - r.pos then raise Truncated;
     let s = String.sub r.data r.pos n in
     r.pos <- r.pos + n;
     s

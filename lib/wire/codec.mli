@@ -24,13 +24,14 @@ module Writer : sig
       through the provided function). *)
 
   val contents : t -> string
-  val length : t -> int
 end
 
 module Reader : sig
   type t
 
   exception Truncated
+  (** Raised on reading past the end, and on a varint longer than 9
+      bytes or decoding to a negative value. *)
 
   val of_string : string -> t
   val u8 : t -> int

@@ -38,6 +38,33 @@ let test_codec_truncated () =
        false
      with Codec.Reader.Truncated -> true)
 
+(* Length fields [Writer.varint] can never emit: a 9-byte varint with
+   the sign bit set (decodes to -1), a 10-byte varint, and max_int (a
+   length that overflows [pos + n]). *)
+let neg_len = String.make 8 '\xFF' ^ "\x7F"
+let long_len = String.make 9 '\x80' ^ "\x01"
+let huge_len = String.make 8 '\xFF' ^ "\x3F"
+
+let truncated f =
+  match f () with
+  | _ -> false
+  | exception Codec.Reader.Truncated -> true
+
+let test_codec_hostile_lengths () =
+  let rd s = Codec.Reader.of_string s in
+  check "negative varint" true (truncated (fun () -> Codec.Reader.varint (rd neg_len)));
+  check "10-byte varint" true (truncated (fun () -> Codec.Reader.varint (rd long_len)));
+  check "negative raw" true (truncated (fun () -> Codec.Reader.raw (rd "abc") (-1)));
+  check "negative str" true (truncated (fun () -> Codec.Reader.str (rd (neg_len ^ "abc"))));
+  check "overflowing str" true
+    (truncated (fun () -> Codec.Reader.str (rd (huge_len ^ "abc"))));
+  check "negative list" true
+    (truncated (fun () -> Codec.Reader.list (rd neg_len) Codec.Reader.u8));
+  let w = Codec.Writer.create () in
+  Codec.Writer.varint w max_int;
+  check_int "max_int still decodes" max_int
+    (Codec.Reader.varint (rd (Codec.Writer.contents w)))
+
 let test_codec_list () =
   let w = Codec.Writer.create () in
   Codec.Writer.list w (fun x -> Codec.Writer.u32 w x) [ 1; 2; 3 ];
@@ -73,6 +100,14 @@ let test_kv_op_roundtrip () =
     cases;
   check "garbage decode" true (Kv_op.decode "\xFFgarbage" = None);
   check "empty decode" true (Kv_op.decode "" = None)
+
+let test_kv_op_hostile () =
+  check "negative batch count" true (Kv_op.decode ("\x03" ^ neg_len) = None);
+  check "negative key length" true (Kv_op.decode ("\x01" ^ neg_len ^ "k") = None);
+  check "overflowing key length" true (Kv_op.decode ("\x02" ^ huge_len ^ "k") = None);
+  let m = Sbft_crypto.Merkle_map.empty in
+  check "apply degrades to a no-op" true
+    (Kv_service.apply m ("\x03" ^ neg_len) = (m, ""))
 
 (* ------------------------------------------------------------------ *)
 (* Auth_store *)
@@ -258,6 +293,101 @@ let test_auth_store_snapshot_checked () =
   | Ok () -> Alcotest.fail "malformed snapshot accepted");
   check_int "store untouched after parse failure" 1 (Auth_store.last_executed st3)
 
+(* Crafted length fields in a client-visible proof or a state-transfer
+   snapshot must be rejected, not crash the receiver. *)
+let test_hostile_proofs_and_snapshots () =
+  let root = String.make 32 'r' and digest = String.make 32 'd' in
+  check "merkle proof, negative path length" true
+    (Sbft_crypto.Merkle.decode_proof ("\x00\x00\x00\x00" ^ neg_len) = None);
+  check "merkle-map proof, negative sibling count" true
+    (Sbft_crypto.Merkle_map.decode_proof neg_len = None);
+  check "op proof, negative inner length" false
+    (Auth_store.verify_op_proof ~digest ~seq:1 ~index:0 ~op:"o" ~value:"v"
+       ~proof:("\x01" ^ root ^ neg_len));
+  check "op proof, negative path length" false
+    (Auth_store.verify_op_proof ~digest ~seq:1 ~index:0 ~op:"o" ~value:"v"
+       ~proof:("\x01" ^ root ^ "\x0d\x00\x00\x00\x00" ^ neg_len));
+  check "query proof, negative inner length" false
+    (Auth_store.verify_query_proof ~digest ~seq:1 ~key:"k" ~value:"v"
+       ~proof:("\x02" ^ root ^ neg_len));
+  let st = fresh () in
+  let snap_with entry =
+    "SNAP" ^ String.make 8 '\x00' ^ root ^ "\x00\x00\x00\x01" ^ entry
+  in
+  List.iter
+    (fun (name, entry) ->
+      check name true
+        (match Auth_store.load_snapshot_checked st (snap_with entry) ~expect:digest with
+        | Error _ -> true
+        | Ok () -> false))
+    [
+      ("snapshot, negative key length", neg_len ^ "k");
+      ("snapshot, overflowing value length", "\x01k" ^ huge_len ^ "v");
+    ]
+
+(* Valid encodings of every decoder's input, for the robustness
+   property below. *)
+let decoder_inputs =
+  let st = fresh () in
+  ignore
+    (Auth_store.execute_block st ~seq:1
+       ~ops:
+         [
+           Kv_service.put ~key:"a" ~value:"1";
+           Kv_service.add ~key:"b" ~delta:5;
+           Kv_service.get ~key:"a";
+         ]);
+  let batch =
+    Kv_op.encode
+      (Kv_op.Batch
+         [ Kv_op.Put { key = "k"; value = "v" }; Kv_op.Get { key = "k" }; Kv_op.Noop ])
+  in
+  [
+    batch;
+    Option.get (Auth_store.prove_op st ~seq:1 ~index:1);
+    snd (Option.get (Auth_store.prove_query st ~key:"a"));
+    Auth_store.snapshot st;
+    Sbft_crypto.Merkle.encode_proof
+      (Sbft_crypto.Merkle.prove (Sbft_crypto.Merkle.build [ "a"; "b"; "c" ]) 1);
+    Sbft_crypto.Merkle_map.encode_proof
+      (Option.get (Sbft_crypto.Merkle_map.prove (Auth_store.state st) "a"));
+  ]
+
+(* QCheck fails a property that raises, so returning at all is the check. *)
+let decoders_never_raise s =
+  ignore (Kv_op.decode s);
+  ignore (Sbft_crypto.Merkle.decode_proof s);
+  ignore (Sbft_crypto.Merkle_map.decode_proof s);
+  ignore
+    (Auth_store.verify_op_proof ~digest:"" ~seq:1 ~index:1 ~op:"" ~value:"" ~proof:s);
+  ignore (Auth_store.load_snapshot_checked (fresh ()) s ~expect:"");
+  true
+
+let decoder_props =
+  let n = List.length decoder_inputs in
+  [
+    qtest "decoders never raise on arbitrary, cut or flipped input"
+      QCheck2.Gen.(
+        quad (int_bound n) (int_bound 2) nat (string_size (int_bound 16)))
+      (fun (which, mode, pos, junk) ->
+        if which = n then decoders_never_raise junk
+        else begin
+          let base = List.nth decoder_inputs which in
+          let cut = pos mod (String.length base + 1) in
+          let prefix = String.sub base 0 cut in
+          match mode with
+          | 0 -> decoders_never_raise prefix
+          | 1 -> decoders_never_raise (prefix ^ junk)
+          | _ ->
+              let flipped =
+                String.mapi
+                  (fun i ch -> if i >= cut then Char.chr (Char.code ch lxor 0xFF) else ch)
+                  base
+              in
+              decoders_never_raise flipped
+        end);
+  ]
+
 let auth_store_props =
   [
     qtest "two replicas stay digest-identical under random workloads"
@@ -318,7 +448,43 @@ let test_shared_exec_cache () =
   let rr = Auth_store.execute_block rogue ~seq:2 ~ops:reads in
   check "reads see divergent states" true (ra = [ "v" ] && rr = [ "EVIL" ]);
   check "still different" false
-    (String.equal (Auth_store.digest rogue) (Auth_store.digest a))
+    (String.equal (Auth_store.digest rogue) (Auth_store.digest a));
+  (* The key is the op list itself, so lists that a concatenating
+     digest would merge stay apart: [""] is what a duplicate request
+     degrades to. *)
+  let cache = Auth_store.new_cache () in
+  let one = fresh () and two = fresh () in
+  List.iter (fun st -> Auth_store.set_cache st cache) [ one; two ];
+  check_int "[x] gets one output" 1
+    (List.length (Auth_store.execute_block one ~seq:1 ~ops:[ "x" ]));
+  check_int "[x; \"\"] gets two outputs" 2
+    (List.length (Auth_store.execute_block two ~seq:1 ~ops:[ "x"; "" ]));
+  (* A counting service shows which lookups hit. *)
+  let applied = ref 0 in
+  let counting () =
+    let st =
+      Auth_store.create
+        ~apply:(fun m op ->
+          incr applied;
+          Kv_service.apply m op)
+        ()
+    in
+    Auth_store.set_cache st cache;
+    st
+  in
+  let p = counting () and q = counting () and r = counting () in
+  let ops = [ Kv_service.put ~key:"k" ~value:"v"; Kv_service.get ~key:"k" ] in
+  let copies = List.map (fun op -> Bytes.to_string (Bytes.of_string op)) ops in
+  check "copies are separate strings" false (List.hd ops == List.hd copies);
+  let op_ = Auth_store.execute_block p ~seq:1 ~ops in
+  let oq = Auth_store.execute_block q ~seq:1 ~ops:copies in
+  check "equal copies hit the cache" true (op_ = oq && !applied = 2);
+  let other = [ Kv_service.put ~key:"k" ~value:"w" ] in
+  let or_ = Auth_store.execute_block r ~seq:1 ~ops:other in
+  check "different ops at the same seq and pre-state execute" true
+    (or_ = [ "ok" ] && !applied = 3);
+  check "and land in a different state" false
+    (String.equal (Auth_store.digest r) (Auth_store.digest p))
 
 let test_clone_independent () =
   let a = fresh () in
@@ -520,6 +686,110 @@ let test_wal_truncate_amortized () =
   check "sub-watermark log still replays truncated" true
     (Wal.replay small = [ Wal.Commit_cert { seq = 2; view = 1; fast = true } ])
 
+(* A log holding [records], synced after every [batch] appends. *)
+let synced_in_batches ~batch records =
+  let w = Wal.create () in
+  List.iteri
+    (fun i r ->
+      ignore (Wal.append w r);
+      if (i + 1) mod batch = 0 then ignore (Wal.sync w))
+    records;
+  ignore (Wal.sync w);
+  w
+
+let synced_once records =
+  let w = Wal.create () in
+  List.iter (fun r -> ignore (Wal.append w r)) records;
+  ignore (Wal.sync w);
+  w
+
+let test_wal_bytes_across_syncs () =
+  let w = Wal.create () in
+  (* varint length + 4-byte checksum + payload (tag, zigzag varints) *)
+  check_int "View_entered frame" 7 (Wal.append w (Wal.View_entered 2));
+  check_int "pending bytes are not durable" 0 (Wal.durable_bytes w);
+  check "first sync" true (Wal.sync w);
+  check_int "durable after sync 1" 7 (Wal.durable_bytes w);
+  check_int "Commit_cert frame" 9
+    (Wal.append w (Wal.Commit_cert { seq = 4; view = 2; fast = false }));
+  let big = Wal.Client_row { client = 1; timestamp = 2; value = String.make 200 'v'; seq = 3; index = 0 } in
+  (* 7 bytes of tag and small ints, a 2-byte length prefix on the
+     200-byte value, then a 2-byte frame length and the checksum *)
+  check_int "Client_row frame" 213 (Wal.append w big);
+  check "second sync" true (Wal.sync w);
+  check_int "durable after sync 2" (7 + 9 + 213) (Wal.durable_bytes w);
+  check "clean sync changes nothing" false (Wal.sync w);
+  check_int "durable after clean sync" 229 (Wal.durable_bytes w);
+  let lens = List.map (Wal.append w) wal_records in
+  check "third sync" true (Wal.sync w);
+  check_int "durable after sync 3"
+    (229 + List.fold_left ( + ) 0 lens)
+    (Wal.durable_bytes w);
+  check_int "syncs" 3 (Wal.syncs w);
+  check_int "appends" (3 + List.length wal_records) (Wal.appends w)
+
+let test_wal_corrupt_across_syncs () =
+  let head = [ Wal.View_entered 1; Wal.Commit_cert { seq = 1; view = 1; fast = true } ] in
+  let last = Wal.Accepted_prepare { seq = 2; view = 1; tau = "tau" } in
+  let build () =
+    let w = synced_once head in
+    let len = Wal.append w last in
+    ignore (Wal.sync w);
+    (w, len)
+  in
+  let w, len = build () in
+  Wal.corrupt_tail w ~bytes:len;
+  check "last frame garbled: one record lost" true (Wal.replay w = head);
+  let w, len = build () in
+  Wal.corrupt_tail w ~bytes:(len + 1);
+  check "one byte into the previous sync: two records lost" true
+    (Wal.replay w = [ Wal.View_entered 1 ])
+
+let test_wal_compaction_across_syncs () =
+  let value = String.make 512 'x' in
+  let records =
+    List.concat
+      (List.init 160 (fun i ->
+           let seq = i + 1 in
+           [
+             Wal.Client_row { client = 1; timestamp = i; value; seq; index = 0 };
+             Wal.Commit_cert { seq; view = 0; fast = i mod 2 = 0 };
+           ]
+           @ if seq mod 16 = 0 then
+               [ Wal.Stable_checkpoint { seq; digest = "d"; pi = "p" } ]
+             else []))
+  in
+  let batched = synced_in_batches ~batch:5 records in
+  let once = synced_once records in
+  check "same replay before truncation" true (Wal.replay batched = Wal.replay once);
+  (* The first truncation crosses the compaction watermark and rewrites
+     the log; the second only moves the horizon. *)
+  List.iter
+    (fun (seq, rewrites) ->
+      let before = Wal.durable_bytes once in
+      Wal.truncate_below batched ~seq;
+      Wal.truncate_below once ~seq;
+      check
+        (Printf.sprintf "truncate_below %d rewrites: %b" seq rewrites)
+        rewrites
+        (Wal.durable_bytes once < before);
+      check_int
+        (Printf.sprintf "same bytes after truncate_below %d" seq)
+        (Wal.durable_bytes once) (Wal.durable_bytes batched);
+      check
+        (Printf.sprintf "same replay after truncate_below %d" seq)
+        true
+        (Wal.replay batched = Wal.replay once))
+    [ (100, true); (120, false) ];
+  let batched = synced_in_batches ~batch:7 records in
+  let once = synced_once records in
+  let cb = Wal.rollback_to_checkpoint batched ~before:90 in
+  let co = Wal.rollback_to_checkpoint once ~before:90 in
+  check_int "same checkpoint kept" 80 cb;
+  check_int "same checkpoint kept (one sync)" 80 co;
+  check "same replay after rollback" true (Wal.replay batched = Wal.replay once);
+  check_int "same bytes after rollback" (Wal.durable_bytes once) (Wal.durable_bytes batched)
+
 let wal_props =
   [
     qtest "random record sequences replay exactly"
@@ -575,9 +845,14 @@ let () =
           Alcotest.test_case "scalars" `Quick test_codec_scalars;
           Alcotest.test_case "truncated" `Quick test_codec_truncated;
           Alcotest.test_case "list" `Quick test_codec_list;
+          Alcotest.test_case "hostile lengths" `Quick test_codec_hostile_lengths;
         ]
         @ codec_props );
-      ("kv_op", [ Alcotest.test_case "roundtrip" `Quick test_kv_op_roundtrip ]);
+      ( "kv_op",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_kv_op_roundtrip;
+          Alcotest.test_case "hostile lengths" `Quick test_kv_op_hostile;
+        ] );
       ( "auth_store",
         [
           Alcotest.test_case "execute" `Quick test_auth_store_execute;
@@ -589,11 +864,13 @@ let () =
           Alcotest.test_case "outputs and gc" `Quick test_auth_store_outputs_and_gc;
           Alcotest.test_case "snapshot" `Quick test_auth_store_snapshot;
           Alcotest.test_case "snapshot checked" `Quick test_auth_store_snapshot_checked;
+          Alcotest.test_case "hostile proofs and snapshots" `Quick
+            test_hostile_proofs_and_snapshots;
           Alcotest.test_case "shared exec cache" `Quick test_shared_exec_cache;
           Alcotest.test_case "clone" `Quick test_clone_independent;
           Alcotest.test_case "bootstrap" `Quick test_bootstrap;
         ]
-        @ auth_store_props );
+        @ auth_store_props @ decoder_props );
       ("block_store", [ Alcotest.test_case "basics" `Quick test_block_store ]);
       ( "wal",
         [
@@ -602,6 +879,10 @@ let () =
           Alcotest.test_case "corrupt tail tolerated" `Quick test_wal_corrupt_tail;
           Alcotest.test_case "truncate below checkpoint" `Quick test_wal_truncate_below;
           Alcotest.test_case "truncation amortized" `Quick test_wal_truncate_amortized;
+          Alcotest.test_case "byte counts across syncs" `Quick test_wal_bytes_across_syncs;
+          Alcotest.test_case "corrupt tail across syncs" `Quick test_wal_corrupt_across_syncs;
+          Alcotest.test_case "compaction across syncs" `Quick
+            test_wal_compaction_across_syncs;
         ]
         @ wal_props );
     ]
