@@ -1,54 +1,26 @@
-(* Driver for the sbft lint pass: walks the given source trees, runs
-   every AST rule (R1-R7 per-function, R9-R11 protocol discipline,
-   R12-R15 quorum soundness) over each .ml file, applies the
-   allowlist, prints the surviving findings, and exits non-zero when
-   any remain.  Stale allowlist entries are hard errors unless
-   --stale-allow-warn is given.  --json FILE also emits a
-   machine-readable report; --obligations FILE writes the R12 quorum
-   obligation report CI uploads; under GITHUB_ACTIONS findings are
-   echoed as workflow annotations.  Wired into the build as
-   [dune build @lint] (and into [dune runtest]). *)
+(* Driver for the sbft lint pass: walks the given source trees, parses
+   each .ml file once and runs every rule on it through
+   Discipline.check_file (R1-R7 per-function, R5, R9-R11 protocol
+   discipline, R12-R15 quorum soundness), applies the allowlist,
+   prints the surviving findings, and exits non-zero when any remain.
+   Stale allowlist entries are hard errors unless --stale-allow-warn
+   is given; a listed directory that does not exist exits 2.  --json
+   FILE also emits a machine-readable report; --obligations FILE
+   writes the R12 quorum obligation report CI uploads; under
+   GITHUB_ACTIONS findings are echoed as workflow annotations.  Wired
+   into the build as [dune build @lint] (and into [dune runtest]). *)
 
 module Lint = Sbft_analysis.Lint
 module Discipline = Sbft_analysis.Discipline
-module Quorum = Sbft_analysis.Quorum
-module Msgflow = Sbft_analysis.Msgflow
 module Json = Sbft_harness.Report.Json
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Skip hidden and build directories (.objs, _build, ...) and the lint
-   self-test corpus (linted by test_lint against its own golden file,
-   where the deliberate positives belong). *)
-let skip_entry name =
-  String.length name = 0
-  || Char.equal name.[0] '.'
-  || Char.equal name.[0] '_'
-  || String.equal name "lint_fixtures"
-
-let rec walk acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc entry ->
-           if skip_entry entry then acc else walk acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
 
 let usage () =
   prerr_endline
     "usage: sbft_lint [--root DIR] [--allow FILE] [--json FILE]\n\
     \                 [--obligations FILE] [--stale-allow-warn] [DIR ...]\n\
      Lints every .ml under the given directories\n\
-     (default: lib bin bench test examples).";
+     (default: lib bin bench test examples perfbench).";
   exit 2
-
-let severity_str = function Lint.Error -> "error" | Lint.Warning -> "warning"
 
 let json_report ~files ~kept ~allowed ~stale =
   Json.Obj
@@ -62,7 +34,7 @@ let json_report ~files ~kept ~allowed ~stale =
                Json.Obj
                  [
                    ("rule", Json.Str f.Lint.rule);
-                   ("severity", Json.Str (severity_str f.Lint.severity));
+                   ("severity", Json.Str "error");
                    ("file", Json.Str f.Lint.file);
                    ("line", Json.Num (float_of_int f.Lint.line));
                    ("message", Json.Str f.Lint.message);
@@ -76,9 +48,8 @@ let json_report ~files ~kept ~allowed ~stale =
    PR points at the exact site.  Newlines in messages would break the
    single-line command format, but pp messages are single-line. *)
 let annotate (f : Lint.finding) =
-  Printf.printf "::%s file=%s,line=%d::[%s] %s\n"
-    (severity_str f.Lint.severity)
-    f.Lint.file f.Lint.line f.Lint.rule f.Lint.message
+  Printf.printf "::error file=%s,line=%d::[%s] %s\n" f.Lint.file f.Lint.line
+    f.Lint.rule f.Lint.message
 
 let () =
   let root = ref "." in
@@ -115,52 +86,38 @@ let () =
   Sys.chdir !root;
   let dirs =
     match List.rev !dirs with
-    | [] -> [ "lib"; "bin"; "bench"; "test"; "examples" ]
+    | [] -> [ "lib"; "bin"; "bench"; "test"; "examples"; "perfbench" ]
     | ds -> ds
   in
+  (* A missing directory would silently shrink the gate's scope. *)
+  List.iter
+    (fun dir ->
+      if not (Sys.file_exists dir) then begin
+        Printf.eprintf "sbft-lint: no such directory: %s\n" dir;
+        exit 2
+      end)
+    dirs;
   let allow =
-    if Sys.file_exists !allow_file then Lint.Allow.parse (read_file !allow_file)
+    if Sys.file_exists !allow_file then Lint.Allow.parse (Lint.read_file !allow_file)
     else Lint.Allow.empty
   in
   let files =
-    List.fold_left walk [] (List.filter Sys.file_exists dirs)
-    |> List.sort String.compare
+    List.map
+      (fun path -> (path, Lint.parse ~path (Lint.read_file path)))
+      (Lint.ml_files dirs)
   in
-  (* Pre-pass for the quorum rules: extract the threshold definitions
-     from the tree's config.ml so comparison sites in every other file
-     resolve against what is actually defined. *)
+  (* Comparison sites in every file resolve against the threshold
+     definitions the tree's config.ml actually makes. *)
   let defs =
-    let config_path = "lib/core/config.ml" in
-    if List.exists (String.equal config_path) files then
-      match Msgflow.parse ~path:config_path (read_file config_path) with
-      | Some structure -> (
-          match Quorum.extract_defs ~path:config_path structure with
-          | Some defs -> defs
-          | None -> Quorum.default_defs)
-      | None -> Quorum.default_defs
-    else Quorum.default_defs
+    match List.assoc_opt "lib/core/config.ml" files with
+    | Some parsed -> Discipline.config_defs parsed
+    | None -> Discipline.default_defs
   in
   let findings =
     List.concat_map
-      (fun path ->
-        let source = read_file path in
-        let ast = Lint.lint_source ~path source in
-        let disc =
-          Discipline.lint_source ~path source
-          @ Quorum.lint_source ~defs ~path source
-        in
-        let mli_exists = Sys.file_exists (path ^ "i") in
-        let r5 =
-          match Lint.missing_mli ~path ~mli_exists with
-          | Some f -> [ f ]
-          | None -> []
-        in
-        List.sort
-          (fun (a : Lint.finding) b ->
-            match Int.compare a.Lint.line b.Lint.line with
-            | 0 -> String.compare a.Lint.rule b.Lint.rule
-            | n -> n)
-          (r5 @ ast @ disc))
+      (fun (path, parsed) ->
+        Discipline.check_file ~defs ~path
+          ~mli_exists:(Sys.file_exists (path ^ "i")) parsed)
       files
   in
   let kept, allowed = Lint.filter allow findings in
@@ -191,7 +148,7 @@ let () =
       let oc = open_out_bin file in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Quorum.obligation_report defs))
+        (fun () -> output_string oc (Discipline.obligation_report defs))
   | None -> ());
   Printf.printf "sbft-lint: %d file(s), %d finding(s), %d allowlisted, %d stale allow\n"
     (List.length files) (List.length kept) (List.length allowed)

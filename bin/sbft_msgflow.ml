@@ -3,32 +3,24 @@
    stdout.  Wired into the build as [dune build @msgflow], which diffs
    the output against analysis/msgflow.expected. *)
 
+module Lint = Sbft_analysis.Lint
 module Msgflow = Sbft_analysis.Msgflow
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let ml_files dir =
-  Sys.readdir dir |> Array.to_list |> List.sort String.compare
-  |> List.filter (fun f -> Filename.check_suffix f ".ml")
-  |> List.map (fun f -> dir ^ "/" ^ f)
+let parse path = Lint.parse ~path (Lint.read_file path)
 
 let section (name, types_file) =
   let universe =
-    match Msgflow.parse ~path:types_file (read_file types_file) with
-    | Some structure -> Msgflow.msg_constructors structure
-    | None -> []
+    match parse types_file with
+    | Ok structure -> Msgflow.msg_constructors structure
+    | Error _ -> []
   in
   let files =
     List.filter_map
       (fun path ->
-        match Msgflow.parse ~path (read_file path) with
-        | Some structure -> Some (Msgflow.summarize ~path structure)
-        | None -> None)
-      (ml_files name)
+        match parse path with
+        | Ok structure -> Some (Msgflow.summarize ~path structure)
+        | Error _ -> None)
+      (Lint.ml_files [ name ])
   in
   { Msgflow.sec_name = name; sec_universe = universe; sec_files = files }
 

@@ -1,14 +1,26 @@
-type severity = Error | Warning
-
 type finding = {
   rule : string;
-  severity : severity;
   file : string;
   line : int;
   message : string;
 }
 
 let pp_finding f = Printf.sprintf "%s:%d: [%s] %s" f.file f.line f.rule f.message
+
+let by_line_rule a b =
+  match Int.compare a.line b.line with
+  | 0 -> String.compare a.rule b.rule
+  | n -> n
+
+let sort_findings findings = List.sort by_line_rule findings
+
+let dedup findings =
+  List.sort_uniq
+    (fun a b ->
+      match by_line_rule a b with
+      | 0 -> String.compare a.message b.message
+      | n -> n)
+    findings
 
 (* ------------------------------------------------------------------ *)
 (* Path scoping *)
@@ -21,17 +33,12 @@ let normalize path =
   in
   String.map (fun ch -> if Char.equal ch '\\' then '/' else ch) path
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
+let under prefixes path =
+  List.exists (fun prefix -> String.starts_with ~prefix path) prefixes
 
-let protocol_scope path =
-  List.exists
-    (fun prefix -> has_prefix ~prefix path)
-    [ "lib/core/"; "lib/pbft/"; "lib/crypto/" ]
-
+let protocol_scope = under [ "lib/core/"; "lib/pbft/"; "lib/crypto/" ]
 let config_file path = String.equal path "lib/core/config.ml"
-let lib_scope path = has_prefix ~prefix:"lib/" path
+let lib_scope = under [ "lib/" ]
 
 (* Files blessed to use the constructs the determinism rules ban:
    [lib/sim/rng.ml] is the one home for randomness, [lib/sim/det.ml]
@@ -39,12 +46,65 @@ let lib_scope path = has_prefix ~prefix:"lib/" path
 let rng_file path = String.equal path "lib/sim/rng.ml"
 let det_file path = String.equal path "lib/sim/det.ml"
 
-(* R6 runs over the message-handler layers only: the modules that turn
-   network input into protocol state. *)
-let handler_scope path =
-  List.exists
-    (fun prefix -> has_prefix ~prefix path)
-    [ "lib/core/"; "lib/pbft/" ]
+(* R6 and R9-R15 run over the message-handler layers only: the modules
+   that turn network input into protocol state. *)
+let handler_scope = under [ "lib/core/"; "lib/pbft/" ]
+
+(* ------------------------------------------------------------------ *)
+(* Source files *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Skip hidden and build directories (.objs, _build, ...) and the lint
+   self-test corpus (linted by test_lint against its own golden file,
+   where the deliberate positives belong). *)
+let skip_entry name =
+  String.length name = 0
+  || Char.equal name.[0] '.'
+  || Char.equal name.[0] '_'
+  || String.equal name "lint_fixtures"
+
+let ml_files roots =
+  let rec walk acc path =
+    if Sys.is_directory path then
+      Sys.readdir path |> Array.to_list
+      |> List.fold_left
+           (fun acc entry ->
+             if skip_entry entry then acc else walk acc (Filename.concat path entry))
+           acc
+    else if Filename.check_suffix path ".ml" then normalize path :: acc
+    else acc
+  in
+  List.sort String.compare (List.fold_left walk [] roots)
+
+let line_of (loc : Location.t) = loc.loc_start.pos_lnum
+
+let parse ~path source =
+  let path = normalize path in
+  let lexbuf = Lexing.from_string source in
+  Lexing.set_filename lexbuf path;
+  match Parse.implementation lexbuf with
+  | structure -> Ok structure
+  | exception Syntaxerr.Error _ ->
+      Error { rule = "parse"; file = path; line = 1; message = "file does not parse" }
+  | exception Lexer.Error (_, loc) ->
+      Error
+        { rule = "parse"; file = path; line = line_of loc; message = "file does not lex" }
+
+let structure_bindings structure =
+  List.concat_map
+    (fun (si : Parsetree.structure_item) ->
+      match si.pstr_desc with Pstr_value (_, vbs) -> vbs | _ -> [])
+    structure
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  m = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
 (* AST predicates *)
@@ -114,10 +174,10 @@ let catch_all_case (case : case) =
 (* ------------------------------------------------------------------ *)
 (* R7: determinism predicates *)
 
-let last_component : Longident.t -> string = function
+let rec last_component : Longident.t -> string = function
   | Lident f -> f
   | Ldot (_, f) -> f
-  | Lapply _ -> ""
+  | Lapply (_, l) -> last_component l
 
 let random_ident : Longident.t -> bool = function
   | Ldot (Lident "Random", _)
@@ -210,7 +270,7 @@ module Taint = struct
   let sink_kind cfg lid =
     let name = last_component lid in
     if List.exists (String.equal name) cfg.sink_names then Some name
-    else if List.exists (fun p -> has_prefix ~prefix:p name) cfg.sink_prefixes
+    else if List.exists (fun prefix -> String.starts_with ~prefix name) cfg.sink_prefixes
     then Some name
     else None
 
@@ -285,7 +345,7 @@ let source_call cfg e =
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, _)
             when Option.is_none !found
                  && List.exists
-                      (fun p -> has_prefix ~prefix:p (last_component txt))
+                      (fun prefix -> String.starts_with ~prefix (last_component txt))
                       cfg.Taint.source_call_prefixes ->
               found := Some (last_component txt, loc.loc_start.pos_lnum)
           | _ -> ());
@@ -526,7 +586,7 @@ let taint_analysis ~cfg ~report structure =
   let handle_binding vb =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt = name; _ }
-      when List.exists (fun p -> has_prefix ~prefix:p name) cfg.source_prefixes ->
+      when List.exists (fun prefix -> String.starts_with ~prefix name) cfg.source_prefixes ->
         analyze_handler name vb
     | Ppat_var _ ->
         (* Source calls — the obs_ accessors — taint values in any
@@ -545,13 +605,11 @@ let taint_analysis ~cfg ~report structure =
 (* ------------------------------------------------------------------ *)
 (* The pass *)
 
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-
 let lint_structure ?(taint = Taint.default) ~path structure =
   let findings = ref [] in
   let report ~rule ~loc message =
     findings :=
-      { rule; severity = Error; file = path; line = line_of loc; message }
+      { rule; file = path; line = line_of loc; message }
       :: !findings
   in
   let r1 = protocol_scope path in
@@ -690,37 +748,21 @@ let lint_structure ?(taint = Taint.default) ~path structure =
   let iterator = { default_iterator with expr = iter_expr } in
   iterator.structure iterator structure;
   if handler_scope path then taint_analysis ~cfg:taint ~report structure;
-  List.sort
-    (fun a b ->
-      match Int.compare a.line b.line with
-      | 0 -> String.compare a.rule b.rule
-      | n -> n)
-    !findings
-
-let parse_implementation ~path source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
+  sort_findings !findings
 
 let lint_source ?taint ~path source =
   let path = normalize path in
-  match parse_implementation ~path source with
-  | structure -> lint_structure ?taint ~path structure
-  | exception Syntaxerr.Error _ ->
-      [ { rule = "parse"; severity = Error; file = path; line = 1;
-          message = "file does not parse" } ]
-  | exception Lexer.Error (_, loc) ->
-      [ { rule = "parse"; severity = Error; file = path; line = line_of loc;
-          message = "file does not lex" } ]
+  match parse ~path source with
+  | Ok structure -> lint_structure ?taint ~path structure
+  | Error parse_failure -> [ parse_failure ]
 
 let missing_mli ~path ~mli_exists =
   let path = normalize path in
-  if mli_exists || not (has_prefix ~prefix:"lib/" path) then None
+  if mli_exists || not (lib_scope path) then None
   else
     Some
       {
         rule = "R5";
-        severity = Error;
         file = path;
         line = 1;
         message =
@@ -784,7 +826,4 @@ end
 let filter allow findings =
   List.partition (fun f -> not (Allow.is_allowed allow f)) findings
 
-let exit_code kept =
-  if List.exists (fun f -> match f.severity with Error -> true | Warning -> false) kept
-  then 1
-  else 0
+let exit_code kept = match kept with [] -> 0 | _ -> 1

@@ -38,14 +38,17 @@
     (R8, the replay-divergence checker, is the runtime twin of R7 and
     lives in [lib/sim/replay.ml], not here.)
 
-    Findings carry [file:line] locations and a severity; vetted
-    exceptions live in a [lint.allow] file at the repo root. *)
+    This module also owns what every analysis pass shares: the finding
+    type and its order, path scoping, source-file reading and parsing,
+    and the Longident/structure helpers.  {!Discipline.check_file} is
+    the one per-file entry that runs every rule.
 
-type severity = Error | Warning
+    Findings carry [file:line] locations; every kept finding is an
+    error.  Vetted exceptions live in a [lint.allow] file at the repo
+    root. *)
 
 type finding = {
-  rule : string;  (** "R1" .. "R7", or "parse" for unparseable input *)
-  severity : severity;
+  rule : string;  (** "R1" .. "R15", or "parse" for unparseable input *)
   file : string;  (** root-relative path, forward slashes *)
   line : int;
   message : string;
@@ -53,6 +56,43 @@ type finding = {
 
 val pp_finding : finding -> string
 (** ["file:line: [rule] message"] — one line, no trailing newline. *)
+
+val sort_findings : finding list -> finding list
+(** Stable sort by line, then rule: the order every report uses. *)
+
+val dedup : finding list -> finding list
+(** Sort by line, rule and message, dropping exact repeats (a site
+    reached through several inlined paths is reported once). *)
+
+(** {2 Shared helpers} *)
+
+val normalize : string -> string
+(** Root-relative form of a path: a leading ["./"] stripped and
+    backslashes turned into forward slashes.  Every rule scopes on
+    normalized paths. *)
+
+val handler_scope : string -> bool
+(** [lib/core/] and [lib/pbft/]: the scope of R6 and R9-R15. *)
+
+val contains_sub : string -> string -> bool
+(** [contains_sub s sub]: does [sub] occur in [s]? *)
+
+val last_component : Longident.t -> string
+(** The final name of a long identifier ([A.B.f] -> ["f"]). *)
+
+val structure_bindings : Parsetree.structure -> Parsetree.value_binding list
+(** Every top-level [let] binding, in source order. *)
+
+val read_file : string -> string
+
+val ml_files : string list -> string list
+(** Every [.ml] file under the given paths, normalized and sorted.
+    Hidden and [_]-prefixed entries and [lint_fixtures] directories are
+    skipped. *)
+
+val parse : path:string -> string -> (Parsetree.structure, finding) result
+(** Parse source text attributed to [path]; a syntax or lexer error is
+    a single ["parse"] finding. *)
 
 (** Configuration of the R6 taint analysis. *)
 module Taint : sig
@@ -83,11 +123,15 @@ module Taint : sig
   val default : t
 end
 
+val lint_structure : ?taint:Taint.t -> path:string -> Parsetree.structure -> finding list
+(** Run R1-R4, R6 and R7 over a parsed file attributed to the
+    normalized [path], keeping the rules whose scope includes it.
+    Findings are sorted by line, then rule.  [taint] configures R6
+    (default {!Taint.default}). *)
+
 val lint_source : ?taint:Taint.t -> path:string -> string -> finding list
-(** Parse the given source text (attributed to root-relative [path]) and run every
-    AST rule whose scope includes [path].  Findings are sorted by line.
-    A file that does not parse yields a single ["parse"] error.
-    [taint] configures R6 (default {!Taint.default}). *)
+(** {!parse} then {!lint_structure}; a file that does not parse yields
+    its single ["parse"] finding. *)
 
 val missing_mli : path:string -> mli_exists:bool -> finding option
 (** R5: [Some finding] when [path] is a [lib/] module without a
@@ -121,4 +165,4 @@ val filter : Allow.t -> finding list -> finding list * finding list
 (** [filter allow findings] is [(kept, allowed)]. *)
 
 val exit_code : finding list -> int
-(** 1 when any kept finding is an [Error], 0 otherwise. *)
+(** 1 when any finding is kept, 0 otherwise. *)

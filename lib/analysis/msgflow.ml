@@ -5,7 +5,7 @@
    sends/broadcasts, cost charges, priced crypto calls, and calls to
    other local functions — each tagged with enough syntactic context
    (nesting region, guard names, iteration variables) for the
-   discipline rules (R9-R11, see Discipline) to reason about ordering,
+   discipline rules (R9-R15, see Discipline) to reason about ordering,
    coverage, and rate-limiting.  The same summaries drive the
    [@msgflow] graph artifact: which `on_*` handler can emit which
    message constructor and log which WAL record, resolved through local
@@ -84,24 +84,7 @@ type section = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-let parse ~path source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> Some structure
-  | exception Syntaxerr.Error _ -> None
-  | exception Lexer.Error (_, _) -> None
-
-(* ------------------------------------------------------------------ *)
 (* Longident / expression helpers *)
-
-let rec last_component (lid : Longident.t) =
-  match lid with
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> last_component l
 
 (* Last module component (if any) and final name: [Engine.charge] ->
    (Some "Engine", "charge"); [Sbft_store.Wal.append] -> (Some "Wal",
@@ -109,19 +92,19 @@ let rec last_component (lid : Longident.t) =
 let last2 (lid : Longident.t) =
   match lid with
   | Longident.Lident f -> (None, f)
-  | Longident.Ldot (prefix, f) -> (Some (last_component prefix), f)
-  | Longident.Lapply (_, l) -> (None, last_component l)
+  | Longident.Ldot (prefix, f) -> (Some (Lint.last_component prefix), f)
+  | Longident.Lapply (_, l) -> (None, Lint.last_component l)
 
 let rec head_name (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> Some (last2 txt)
-  | Pexp_field (_, { txt; _ }) -> Some (None, last_component txt)
+  | Pexp_field (_, { txt; _ }) -> Some (None, Lint.last_component txt)
   | Pexp_constraint (e, _) | Pexp_open (_, e) -> head_name e
   | _ -> None
 
 let rec construct_name (e : Parsetree.expression) =
   match e.pexp_desc with
-  | Pexp_construct ({ txt; _ }, _) -> Some (last_component txt)
+  | Pexp_construct ({ txt; _ }, _) -> Some (Lint.last_component txt)
   | Pexp_constraint (e, _) | Pexp_open (_, e) -> construct_name e
   | _ -> None
 
@@ -165,7 +148,7 @@ let cond_names e =
       expr =
         (fun it ex ->
           (match ex.Parsetree.pexp_desc with
-          | Pexp_ident { txt; _ } -> acc := last_component txt :: !acc
+          | Pexp_ident { txt; _ } -> acc := Lint.last_component txt :: !acc
           | _ -> ());
           Ast_iterator.default_iterator.expr it ex);
     }
@@ -206,17 +189,13 @@ let charge_info args =
 (* ------------------------------------------------------------------ *)
 (* Quorum-threshold extraction (R12/R13/R14 raw material) *)
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec go i = i + ls <= l && (String.equal (String.sub s i ls) sub || go (i + 1)) in
-  go 0
-
 (* A callee that plausibly computes a quorum threshold: the Config
    accessors (sigma_threshold, quorum_vc, ...) and local aliases like
    pbft's [let quorum t = ...].  The analyzer resolves the name against
    the definitions it extracted; an unresolvable name is an R12
    finding, not a silent pass. *)
-let is_threshold_name f = contains ~sub:"threshold" f || contains ~sub:"quorum" f
+let is_threshold_name f =
+  Lint.contains_sub f "threshold" || Lint.contains_sub f "quorum"
 
 let int_const (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -238,8 +217,8 @@ let rec linear_of_expr (e : Parsetree.expression) : Quorum_props.linear option =
   match e.pexp_desc with
   | Pexp_constant (Pconst_integer (s, None)) ->
       Option.map (fun base -> { base; fk = 0; ck = 0 }) (int_of_string_opt s)
-  | Pexp_ident { txt; _ } -> var (last_component txt)
-  | Pexp_field (_, { txt; _ }) -> var (last_component txt)
+  | Pexp_ident { txt; _ } -> var (Lint.last_component txt)
+  | Pexp_field (_, { txt; _ }) -> var (Lint.last_component txt)
   | Pexp_constraint (e, _) | Pexp_open (_, e) -> linear_of_expr e
   | Pexp_apply (h, [ (_, a); (_, b) ]) -> (
       match head_name h with
@@ -348,8 +327,8 @@ let lambda_guard_names args =
         expr =
           (fun it ex ->
             (match ex.Parsetree.pexp_desc with
-            | Pexp_ident { txt; _ } -> toks := last_component txt :: !toks
-            | Pexp_field (_, { txt; _ }) -> toks := last_component txt :: !toks
+            | Pexp_ident { txt; _ } -> toks := Lint.last_component txt :: !toks
+            | Pexp_field (_, { txt; _ }) -> toks := Lint.last_component txt :: !toks
             | _ -> ());
             Ast_iterator.default_iterator.expr it ex);
       }
@@ -421,10 +400,6 @@ let iter_names =
 let is_iter_combinator m f =
   List.exists (String.equal m) iter_modules
   && List.exists (String.equal f) iter_names
-
-let has_pfx ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
 
 (* ------------------------------------------------------------------ *)
 (* The walker *)
@@ -557,12 +532,12 @@ and apply st c line attrs head args =
   | Some (_, "wal_sync") ->
       emit st c Sync line;
       walk_args st c args
-  | Some (_, f) when String.equal f "send" || has_pfx ~prefix:"broadcast" f ->
+  | Some (_, f) when String.equal f "send" || String.starts_with ~prefix:"broadcast" f ->
       emit st c
         (Send
            {
              ctor = first_construct args;
-             bcast = has_pfx ~prefix:"broadcast" f;
+             bcast = String.starts_with ~prefix:"broadcast" f;
            })
         line;
       walk_args st c args
@@ -602,12 +577,6 @@ let rec peel_params acc (e : Parsetree.expression) =
   | Pexp_constraint (e, _) -> peel_params acc e
   | _ -> (acc, e)
 
-let structure_bindings structure =
-  List.concat_map
-    (fun (si : Parsetree.structure_item) ->
-      match si.pstr_desc with Pstr_value (_, vbs) -> vbs | _ -> [])
-    structure
-
 (* Constructor names matched anywhere inside [on_message]'s patterns;
    intersected with the message universe by the renderer, so binder
    patterns like [Some]/[None] wash out. *)
@@ -620,7 +589,7 @@ let handled_ctors structure =
         (fun it p ->
           (match p.Parsetree.ppat_desc with
           | Ppat_construct ({ txt; _ }, _) ->
-              acc := last_component txt :: !acc
+              acc := Lint.last_component txt :: !acc
           | _ -> ());
           Ast_iterator.default_iterator.pat it p);
     }
@@ -630,11 +599,11 @@ let handled_ctors structure =
       match pat_var_names vb.pvb_pat with
       | [ "on_message" ] -> it.value_binding it vb
       | _ -> ())
-    (structure_bindings structure);
+    (Lint.structure_bindings structure);
   List.sort_uniq String.compare !acc
 
 let summarize ~path structure =
-  let bindings = structure_bindings structure in
+  let bindings = Lint.structure_bindings structure in
   let locals = Hashtbl.create 64 in
   List.iter
     (fun (vb : Parsetree.value_binding) ->
@@ -714,7 +683,7 @@ let reachable_events funcs start =
   in
   go [] [] [ start ]
 
-let is_handler name = has_pfx ~prefix:"on_" name
+let is_handler name = String.starts_with ~prefix:"on_" name
 
 (* ------------------------------------------------------------------ *)
 (* Rendering the @msgflow artifact *)

@@ -7,7 +7,7 @@
     context: a nesting region path, whether the event sits inside a
     guard condition, the identifiers of enclosing iteration
     collections, and the identifiers of enclosing guard conditions.
-    The {!Discipline} rules consume these summaries; {!render} turns
+    The {!Discipline} rules (R9-R15) consume these summaries; {!render} turns
     them into the deterministic message-flow artifact diffed against
     [analysis/msgflow.expected]. *)
 
@@ -74,9 +74,6 @@ type section = {
   sec_universe : string list;
   sec_files : file list;
 }
-
-val parse : path:string -> string -> Parsetree.structure option
-(** [None] on a syntax or lexer error (Lint reports those). *)
 
 val linear_of_expr : Parsetree.expression -> Quorum_props.linear option
 (** Symbolic linear form of an expression over the parameters [f] and

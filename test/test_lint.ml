@@ -11,13 +11,15 @@
 
 module Lint = Sbft_analysis.Lint
 module Discipline = Sbft_analysis.Discipline
-module Quorum = Sbft_analysis.Quorum
-module Msgflow = Sbft_analysis.Msgflow
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let lint ~path source = Lint.lint_source ~path source
+
+(* The per-file entry sbft_lint runs: every rule over one source. *)
+let check_file ?(defs = Discipline.default_defs) ?(mli_exists = true) ~path source =
+  Discipline.check_file ~defs ~path ~mli_exists (Lint.parse ~path source)
 
 let has_rule r findings =
   List.exists (fun (f : Lint.finding) -> String.equal f.Lint.rule r) findings
@@ -128,13 +130,31 @@ let test_r5_missing_mli () =
 let test_parse_error () =
   let fs = lint ~path:"lib/core/foo.ml" "let let let" in
   check_int "single finding" 1 (List.length fs);
-  check "parse rule" true (has_rule "parse" fs)
+  check "parse rule" true (has_rule "parse" fs);
+  let fs = check_file ~path:"lib/core/foo.ml" "let let let" in
+  check_int "single finding from the per-file entry" 1 (List.length fs);
+  check "parse rule from the per-file entry" true (has_rule "parse" fs)
+
+(* A "./"-prefixed path names the same file: R9-R15 scope on the
+   normalized path and attribute their findings to it. *)
+let test_dot_slash_path () =
+  let source = Lint.read_file "lint_fixtures/lib/core/r09_pos.ml" in
+  let dotted = check_file ~path:"./lib/core/r09_pos.ml" source in
+  check "R9 reported" true (has_rule "R9" dotted);
+  check "attributed to the normalized path" true
+    (List.for_all
+       (fun (f : Lint.finding) -> String.equal f.Lint.file "lib/core/r09_pos.ml")
+       dotted);
+  Alcotest.(check (list string))
+    "same findings as the plain path"
+    (List.map Lint.pp_finding (check_file ~path:"lib/core/r09_pos.ml" source))
+    (List.map Lint.pp_finding dotted)
 
 (* ------------------------------------------------------------------ *)
 (* Allowlist *)
 
 let finding_at ~rule ~file ~line =
-  { Lint.rule; severity = Lint.Error; file; line; message = "test" }
+  { Lint.rule; file; line; message = "test" }
 
 let test_allowlist () =
   let allow =
@@ -170,12 +190,7 @@ let test_allowlist () =
 let test_exit_code () =
   check_int "no findings -> 0" 0 (Lint.exit_code []);
   check_int "error -> 1" 1
-    (Lint.exit_code [ finding_at ~rule:"R1" ~file:"lib/core/foo.ml" ~line:1 ]);
-  let warning =
-    { Lint.rule = "R9"; severity = Lint.Warning; file = "lib/core/foo.ml";
-      line = 1; message = "advisory" }
-  in
-  check_int "warning alone -> 0" 0 (Lint.exit_code [ warning ])
+    (Lint.exit_code [ finding_at ~rule:"R1" ~file:"lib/core/foo.ml" ~line:1 ])
 
 (* ------------------------------------------------------------------ *)
 (* A multi-violation source is fully reported, sorted by line *)
@@ -214,18 +229,15 @@ let has_finding ~rule ~needle findings =
 (* ------------------------------------------------------------------ *)
 (* R12: symbolic extractor + bounded-enumeration prover.  Definitions
    are extracted from synthetic config-like sources and the shared
-   obligation list is discharged (or not) by Quorum.lint_defs. *)
-
-let quorum ~path source =
-  Quorum.lint_source ~defs:Quorum.default_defs ~path source
+   obligation list is discharged (or not) by Discipline.lint_defs. *)
 
 let defs_findings source =
-  match Msgflow.parse ~path:"lib/core/config.ml" source with
-  | None -> Alcotest.fail "definition source failed to parse"
-  | Some structure -> (
-      match Quorum.extract_defs ~path:"lib/core/config.ml" structure with
+  match Lint.parse ~path:"lib/core/config.ml" source with
+  | Error _ -> Alcotest.fail "definition source failed to parse"
+  | Ok structure -> (
+      match Discipline.extract_defs ~path:"lib/core/config.ml" structure with
       | None -> Alcotest.fail "no threshold definitions extracted"
-      | Some defs -> Quorum.lint_defs defs)
+      | Some defs -> Discipline.lint_defs defs)
 
 let canonical_defs_src =
   "let n t = (3 * t.f) + (2 * t.c) + 1\n\
@@ -317,11 +329,11 @@ let test_r12_adjust_annotation () =
   in
   check "unannotated adjustment flagged" true
     (has_finding ~rule:"R12" ~needle:"[@quorum.adjust 1]"
-       (quorum ~path:"lib/pbft/foo.ml" (src "")));
+       (check_file ~path:"lib/pbft/foo.ml" (src "")));
   Alcotest.(check (list string))
     "annotated adjustment is clean" []
     (List.map Lint.pp_finding
-       (quorum ~path:"lib/pbft/foo.ml" (src " [@quorum.adjust 1]")))
+       (check_file ~path:"lib/pbft/foo.ml" (src " [@quorum.adjust 1]")))
 
 let test_r15_cost_model_scope () =
   (* Every top-level variant table in cost_model.ml is a price table:
@@ -329,14 +341,14 @@ let test_r15_cost_model_scope () =
   let src = "let price = function Add -> 3 | _ -> 5\n" in
   check "wildcard price table flagged" true
     (has_finding ~rule:"R15" ~needle:"wildcard case in price"
-       (quorum ~path:"lib/core/cost_model.ml" src));
-  clean (quorum ~path:"lib/core/cost_model.ml"
+       (check_file ~path:"lib/core/cost_model.ml" src));
+  clean (check_file ~path:"lib/core/cost_model.ml"
            "let price = function Add -> 3 | Mul -> 5\n");
   (* The same table outside cost_model.ml is not wire-accounting. *)
-  clean (quorum ~path:"lib/core/foo.ml" src)
+  clean (check_file ~path:"lib/core/foo.ml" src)
 
 let test_r12_obligation_report () =
-  let report = Quorum.obligation_report Quorum.default_defs in
+  let report = Discipline.obligation_report Discipline.default_defs in
   let contains needle =
     match index_from report 0 needle with Some _ -> true | None -> false
   in
@@ -349,55 +361,22 @@ let test_r12_obligation_report () =
    prefix stripped so rule scoping sees lib/core/...) and the findings
    are diffed against the committed golden file. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let rec walk_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left (fun acc e -> walk_ml acc (Filename.concat path e)) acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let by_line_rule (a : Lint.finding) (b : Lint.finding) =
-  match Int.compare a.Lint.line b.Lint.line with
-  | 0 -> String.compare a.Lint.rule b.Lint.rule
-  | n -> n
-
 let lint_fixture disk_path =
   let prefix = "lint_fixtures/" in
   let lint_path =
     String.sub disk_path (String.length prefix)
       (String.length disk_path - String.length prefix)
   in
-  let source = read_file disk_path in
   (* Only the r05_* fixtures exercise the missing-mli rule; no other
      fixture ships an interface on purpose. *)
-  let r5 =
-    if starts_with ~prefix:"r05" (Filename.basename disk_path) then
-      match
-        Lint.missing_mli ~path:lint_path
-          ~mli_exists:(Sys.file_exists (disk_path ^ "i"))
-      with
-      | Some f -> [ f ]
-      | None -> []
-    else []
+  let mli_exists =
+    (not (String.starts_with ~prefix:"r05" (Filename.basename disk_path)))
+    || Sys.file_exists (disk_path ^ "i")
   in
-  List.sort by_line_rule
-    (r5
-    @ Lint.lint_source ~path:lint_path source
-    @ Discipline.lint_source ~path:lint_path source
-    @ Quorum.lint_source ~defs:Quorum.default_defs ~path:lint_path source)
+  check_file ~mli_exists ~path:lint_path (Lint.read_file disk_path)
 
 let test_fixture_golden () =
-  let files = walk_ml [] "lint_fixtures" |> List.sort String.compare in
+  let files = Lint.ml_files [ "lint_fixtures" ] in
   Alcotest.(check bool) "corpus present" true (List.length files > 20);
   let actual =
     String.concat ""
@@ -406,7 +385,7 @@ let test_fixture_golden () =
            List.map (fun f -> Lint.pp_finding f ^ "\n") (lint_fixture disk_path))
          files)
   in
-  let expected = read_file "lint_fixtures/expected.txt" in
+  let expected = Lint.read_file "lint_fixtures/expected.txt" in
   Alcotest.(check string) "fixture findings match golden" expected actual
 
 (* ------------------------------------------------------------------ *)
@@ -423,12 +402,12 @@ let config_path = "../lib/core/config.ml"
 let types_path = "../lib/core/types.ml"
 
 let lint_real ~path source =
-  let findings =
-    Lint.lint_source ~path source
-    @ Discipline.lint_source ~path source
-    @ Quorum.lint_source ~defs:Quorum.default_defs ~path source
+  let defs =
+    Discipline.config_defs
+      (Lint.parse ~path:"lib/core/config.ml" (Lint.read_file config_path))
   in
-  let allow = Lint.Allow.parse (read_file "../lint.allow") in
+  let findings = check_file ~defs ~path source in
+  let allow = Lint.Allow.parse (Lint.read_file "../lint.allow") in
   let kept, _ = Lint.filter allow findings in
   kept
 
@@ -454,7 +433,7 @@ let mutate source ~after ~needle ~repl =
             ])
 
 let test_replica_baseline () =
-  let kept = lint_replica (read_file replica_path) in
+  let kept = lint_replica (Lint.read_file replica_path) in
   Alcotest.(check (list string))
     "no unvetted findings in pristine replica.ml" []
     (List.map Lint.pp_finding kept)
@@ -464,7 +443,7 @@ let test_replica_baseline () =
    and the new-view adoption path reach). *)
 let test_mutation_r9_sign_share () =
   let mutated =
-    mutate (read_file replica_path)
+    mutate (Lint.read_file replica_path)
       ~after:"Accepted_pre_prepare { seq; view; ops = wal_ops reqs });"
       ~needle:"wal_sync t ctx;" ~repl:""
   in
@@ -476,7 +455,7 @@ let test_mutation_r9_sign_share () =
    after logging View_change_started, before the View_change vote. *)
 let test_mutation_r9_view_change () =
   let mutated =
-    mutate (read_file replica_path)
+    mutate (Lint.read_file replica_path)
       ~after:"View_change_started target_view);"
       ~needle:"wal_sync t ctx;" ~repl:""
   in
@@ -488,7 +467,7 @@ let test_mutation_r9_view_change () =
    Wal.append call unpriced. *)
 let test_mutation_r10_wal_append () =
   let mutated =
-    mutate (read_file replica_path) ~after:"let wal_log t ctx record ="
+    mutate (Lint.read_file replica_path) ~after:"let wal_log t ctx record ="
       ~needle:
         "Engine.charge ctx (Cost_model.Tally.note \"wal_append\" (Cost_model.wal_append bytes))"
       ~repl:"ignore bytes"
@@ -501,7 +480,7 @@ let test_mutation_r10_wal_append () =
    Get_state floods back into State_resp floods. *)
 let test_mutation_r11_get_state () =
   let mutated =
-    mutate (read_file replica_path) ~after:"and on_get_state"
+    mutate (Lint.read_file replica_path) ~after:"and on_get_state"
       ~needle:"if allow then begin" ~repl:"if true then begin"
   in
   let kept = lint_replica mutated in
@@ -512,7 +491,7 @@ let test_mutation_r11_get_state () =
    prover must name the violated intersection obligation. *)
 let test_mutation_r12_weak_vc () =
   let mutated =
-    mutate (read_file config_path) ~after:"let quorum_vc t ="
+    mutate (Lint.read_file config_path) ~after:"let quorum_vc t ="
       ~needle:"| _ -> (2 * t.f) + (2 * t.c) + 1"
       ~repl:"| _ -> (2 * t.f) + (2 * t.c)"
   in
@@ -524,7 +503,7 @@ let test_mutation_r12_weak_vc () =
    armed callback becomes a potential zombie tick. *)
 let test_mutation_r13_timer_guard () =
   let mutated =
-    mutate (read_file replica_path) ~after:"let set_replica_timer"
+    mutate (Lint.read_file replica_path) ~after:"let set_replica_timer"
       ~needle:"if not t.retired then f ctx" ~repl:"f ctx"
   in
   let kept = lint_replica mutated in
@@ -535,7 +514,7 @@ let test_mutation_r13_timer_guard () =
    join decision. *)
 let test_mutation_r14_drop_check () =
   let mutated =
-    mutate (read_file replica_path) ~after:"and on_view_change"
+    mutate (Lint.read_file replica_path) ~after:"and on_view_change"
       ~needle:"Sanitizer.check_quorum t.san Sanitizer.Pi ~count:support;"
       ~repl:""
   in
@@ -547,7 +526,7 @@ let test_mutation_r14_drop_check () =
    size table. *)
 let test_mutation_r15_wildcard_size () =
   let mutated =
-    mutate (read_file types_path) ~after:"let size = function"
+    mutate (Lint.read_file types_path) ~after:"let size = function"
       ~needle:"| Sign_state _ -> header + share_size + 32"
       ~repl:"| _ -> header + share_size + 32"
   in
@@ -570,6 +549,7 @@ let () =
           Alcotest.test_case "r4 accepts" `Quick test_r4_accepts;
           Alcotest.test_case "r5 missing mli" `Quick test_r5_missing_mli;
           Alcotest.test_case "parse error" `Quick test_parse_error;
+          Alcotest.test_case "dot-slash path" `Quick test_dot_slash_path;
           Alcotest.test_case "multiple findings" `Quick test_multiple_findings;
         ] );
       ( "quorum",

@@ -170,7 +170,7 @@ let test_r7_sort_exemption () =
    matching are reported, entries that still match are not *)
 
 let finding_at ~rule ~file ~line =
-  { Lint.rule; severity = Lint.Error; file; line; message = "test" }
+  { Lint.rule; file; line; message = "test" }
 
 let test_allow_stale_entries () =
   let allow =
