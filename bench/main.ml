@@ -49,6 +49,19 @@ let micro () =
       Merkle_map.empty
       (List.init 1000 (fun i -> i))
   in
+  (* A block's worth of Puts on a 10k-key map whose hashes are all
+     computed: [root] then hashes each node the 64 Puts touched once. *)
+  let mm10k =
+    List.fold_left
+      (fun m i -> Merkle_map.set m ~key:(Printf.sprintf "key-%06d" i) ~value:"v")
+      Merkle_map.empty
+      (List.init 10_000 (fun i -> i))
+  in
+  ignore (Merkle_map.root mm10k);
+  let puts64 =
+    List.init 64 (fun j ->
+        (Printf.sprintf "key-%06d" (j * 7919 mod 10_000), Printf.sprintf "value-%d" j))
+  in
   let a = Sbft_evm.U256.of_bytes_be (Sha256.digest "a") in
   let b = Sbft_evm.U256.of_bytes_be (Sha256.digest "b") in
   (* EVM: the pre-deployed token and a transfer call. *)
@@ -81,6 +94,12 @@ let micro () =
         (Staged.stage (fun () -> Merkle_map.set mm ~key:"new-key" ~value:"v"));
       Test.make ~name:"merkle-map-prove"
         (Staged.stage (fun () -> Merkle_map.prove mm "500"));
+      Test.make ~name:"merkle-map-64-puts-root-10k"
+        (Staged.stage (fun () ->
+             Merkle_map.root
+               (List.fold_left
+                  (fun m (key, value) -> Merkle_map.set m ~key ~value)
+                  mm10k puts64)));
       Test.make ~name:"u256-mul" (Staged.stage (fun () -> Sbft_evm.U256.mul a b));
       Test.make ~name:"u256-div" (Staged.stage (fun () -> Sbft_evm.U256.div a b));
       Test.make ~name:"evm-token-transfer"

@@ -1,6 +1,6 @@
 (* The quorum property list shared between the runtime sanitizer
    (Sanitizer.check_config) and the static analyzer (R12 in
-   lib/analysis/quorum.ml), so the two can't drift apart.
+   lib/analysis/discipline.ml), so the two can't drift apart.
 
    SBFT's parameters (paper §4): n = 3f + 2c + 1 replicas tolerate f
    byzantine and c crashed/slow replicas.  The thresholds:
@@ -225,7 +225,7 @@ let failures th = List.filter (fun o -> o.applies th && not (holds o th)) obliga
    threshold forms is an affine g(f, c) = a*f + b*c + d compared
    against 0, so enumeration over the grid up to [grid_bound] plus a
    finite-difference monotonicity check (a = g(1,0) - g(0,0) >= 0 and
-   b = g(0,1) - g(0,0) >= 0, both computed by the prover in quorum.ml)
+   b = g(0,1) - g(0,0) >= 0, both computed by the prover in discipline.ml)
    decides the obligation for ALL admissible (f, c): if a or b were
    negative g would eventually violate for large f or c, and with both
    nonnegative every admissible point dominates one of the minimal

@@ -15,8 +15,8 @@ let kv_service =
            plus the block's persistence. *)
         List.fold_left
           (fun acc (r : Types.request) ->
-            match Sbft_store.Kv_op.decode r.op with
-            | Some op -> acc + (Sbft_store.Kv_op.count op * Cost_model.kv_execute_op)
+            match Sbft_store.Kv_op.count_encoded r.op with
+            | Some n -> acc + (n * Cost_model.kv_execute_op)
             | None -> acc)
           (Cost_model.persist_block (Types.requests_bytes reqs))
           reqs);

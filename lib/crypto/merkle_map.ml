@@ -1,27 +1,39 @@
-(* Nodes cache their Merkle hash; smart constructors keep it consistent.
+(* Nodes memoize their Merkle hash.  A node is built with [h = ""]
+   ("not hashed yet") and [hash_of] fills it in on first demand, so
+   [set]/[remove] only rebuild the path and the next [root] or [prove]
+   hashes each node touched since the last one exactly once: a block of
+   Puts pays for its shared upper path once, not once per Put.  The
+   memo write is idempotent (a node's hash is a function of its
+   immutable fields), so sharing nodes between versions or replicas is
+   safe on one domain; a tree never leaves the cluster that built it.
    A leaf stores the full key (not only its hash) so [fold] can recover
    bindings.  Leaves live at the shallowest depth where their key-hash
    prefix is unique, like a compressed Patricia trie. *)
 
 type node =
   | Empty
-  | Leaf of { khash : string; key : string; value : string; h : string }
-  | Branch of { left : node; right : node; h : string }
+  | Leaf of { khash : string; key : string; value : string; mutable h : string }
+  | Branch of { left : node; right : node; mutable h : string }
 
 type t = { node : node; cardinal : int }
 
 let empty_hash = Sha256.digest "sbft-merkle-map-empty"
 
-let hash_of = function
+let unhashed h = String.length h = 0
+
+let rec hash_of = function
   | Empty -> empty_hash
-  | Leaf l -> l.h
-  | Branch b -> b.h
+  | Leaf l ->
+      if unhashed l.h then
+        l.h <- Sha256.digest_list [ "\x02"; l.khash; Sha256.digest l.value ];
+      l.h
+  | Branch b ->
+      if unhashed b.h then
+        b.h <- Sha256.digest_list [ "\x03"; hash_of b.left; hash_of b.right ];
+      b.h
 
-let leaf ~khash ~key ~value =
-  Leaf { khash; key; value; h = Sha256.digest_list [ "\x02"; khash; Sha256.digest value ] }
-
-let branch left right =
-  Branch { left; right; h = Sha256.digest_list [ "\x03"; hash_of left; hash_of right ] }
+let leaf ~khash ~key ~value = Leaf { khash; key; value; h = "" }
+let branch left right = Branch { left; right; h = "" }
 
 let bit khash i =
   let byte = Char.code khash.[i lsr 3] in

@@ -14,6 +14,9 @@ type t
 val empty : t
 val cardinal : t -> int
 val root : t -> string
+(** Node hashes are computed on demand and memoized: [set] and [remove]
+    hash only the key, and the first [root] (or {!prove}) after a batch
+    of updates hashes each node they touched once. *)
 
 val get : t -> string -> string option
 val set : t -> key:string -> value:string -> t

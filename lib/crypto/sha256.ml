@@ -1,13 +1,15 @@
 (* SHA-256 over native ints: all 32-bit words are kept in the low 32 bits
    of an OCaml int (63-bit), masked after every arithmetic step.
 
-   This function dominates host time at paper scale — request digests,
-   merkle-map updates and block digests hash ~500 bytes per simulated
-   event — so the compression loop is written for ocamlopt: rotations
-   are inlined by hand, array and byte accesses are unsafe (indices are
-   statically in range), and [digest] / [digest_list] reuse one scratch
-   context instead of allocating the schedule and buffer per call (the
-   simulator is single-domain and the functions never re-enter). *)
+   This is the simulator's main host-side hash at paper scale: request
+   digests, block digests, key hashes on every Merkle-map Put, and the
+   per-block Merkle-map root, which hashes each node the block touched
+   once when the root is first asked for.  So the compression loop is
+   written for ocamlopt: rotations are inlined by hand, array and byte
+   accesses are unsafe (indices are statically in range), and [digest] /
+   [digest_list] reuse one scratch context instead of allocating the
+   schedule and buffer per call (the simulator is single-domain and the
+   functions never re-enter). *)
 
 let mask = 0xFFFFFFFF
 

@@ -53,9 +53,38 @@ let decode s =
   | v -> v
   | exception Codec.Reader.Truncated -> None
 
-let rec count = function
-  | Put _ | Get _ | Add _ | Noop -> 1
-  | Batch ops -> List.fold_left (fun acc op -> acc + count op) 0 ops
+(* [read] tag for tag, stepping over strings instead of copying them.
+   An unknown tag yields -1; [read] would keep reading a batch's later
+   elements, but its result is [None] whatever they hold. *)
+let count_encoded s =
+  let r = Codec.Reader.of_string s in
+  let rec go () =
+    match Codec.Reader.u8 r with
+    | 1 ->
+        Codec.Reader.skip_str r;
+        Codec.Reader.skip_str r;
+        1
+    | 2 ->
+        Codec.Reader.skip_str r;
+        1
+    | 4 ->
+        Codec.Reader.skip_str r;
+        ignore (Codec.Reader.u64 r : int);
+        1
+    | 3 ->
+        let rec elems k acc =
+          if k = 0 then acc
+          else
+            let c = go () in
+            if c < 0 then c else elems (k - 1) (acc + c)
+        in
+        elems (Codec.Reader.varint r) 0
+    | 0 -> 1
+    | _ -> -1
+  in
+  match go () with
+  | c -> if c < 0 then None else Some c
+  | exception Codec.Reader.Truncated -> None
 
 let rec pp fmt = function
   | Put { key; value } -> Format.fprintf fmt "put(%s=%s)" key value

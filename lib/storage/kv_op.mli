@@ -19,11 +19,13 @@ type t =
           batching mode packs 64 puts per client request. *)
   | Noop  (** The "null" operation a view change fills empty slots with. *)
 
-val count : t -> int
-(** Number of primitive operations (a batch counts its elements). *)
-
 val encode : t -> string
 val decode : string -> t option
+
+val count_encoded : string -> int option
+(** Number of primitive operations in an encoded op (a batch counts its
+    elements), without decoding it: exactly [decode s] mapped through
+    that count, but allocating no key or value. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -30,6 +30,13 @@ type record =
       index : int;
     }
 
+val frame : record -> string
+(** The record's bytes in the log: varint payload length, 4-byte
+    big-endian {!checksum} of the payload, then the payload. *)
+
+val checksum : string -> int
+(** FNV-1a over the bytes, folded to 32 bits. *)
+
 type t
 
 val create : unit -> t

@@ -1,7 +1,7 @@
 module Writer = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 64
+  let create ?(size = 64) () = Buffer.create size
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
   let u32 b v =
@@ -33,6 +33,8 @@ module Writer = struct
     List.iter f xs
 
   let contents = Buffer.contents
+  let length = Buffer.length
+  let blit w dst ~pos = Buffer.blit w 0 dst pos (Buffer.length w)
 end
 
 module Reader = struct
@@ -63,18 +65,21 @@ module Reader = struct
   (* [Writer.varint] emits at most 9 bytes (63 bits) and never a
      negative value; anything longer or negative is hostile input, and
      would otherwise reach [List.init]/[String.sub] as a negative count. *)
-  let varint r =
-    let rec go shift acc =
-      if shift > 56 then raise Truncated;
-      let b = u8 r in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then if acc < 0 then raise Truncated else acc
-      else go (shift + 7) acc
-    in
-    go 0 0
+  let rec varint_from r shift acc =
+    if shift > 56 then raise Truncated;
+    let b = u8 r in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then if acc < 0 then raise Truncated else acc
+    else varint_from r (shift + 7) acc
+
+  (* Top-level recursion: no closure per call on the decode hot path. *)
+  let varint r = varint_from r 0 0
+
+  let check_len r n =
+    if n < 0 || n > String.length r.data - r.pos then raise Truncated
 
   let raw r n =
-    if n < 0 || n > String.length r.data - r.pos then raise Truncated;
+    check_len r n;
     let s = String.sub r.data r.pos n in
     r.pos <- r.pos + n;
     s
@@ -82,6 +87,11 @@ module Reader = struct
   let str r =
     let n = varint r in
     raw r n
+
+  let skip_str r =
+    let n = varint r in
+    check_len r n;
+    r.pos <- r.pos + n
 
   let list r f =
     let n = varint r in

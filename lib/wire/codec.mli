@@ -8,7 +8,10 @@
 module Writer : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size] is the initial capacity in bytes (default 64); the writer
+      grows past it as needed. *)
+
   val u8 : t -> int -> unit
   val u32 : t -> int -> unit
   val u64 : t -> int -> unit
@@ -24,6 +27,10 @@ module Writer : sig
       through the provided function). *)
 
   val contents : t -> string
+  val length : t -> int
+
+  val blit : t -> bytes -> pos:int -> unit
+  (** Copy everything written so far into [bytes] at [pos]. *)
 end
 
 module Reader : sig
@@ -39,6 +46,11 @@ module Reader : sig
   val u64 : t -> int
   val varint : t -> int
   val str : t -> string
+
+  val skip_str : t -> unit
+  (** Step over a {!str} without copying it; raises [Truncated] exactly
+      where {!str} would. *)
+
   val raw : t -> int -> string
   val list : t -> (t -> 'a) -> 'a list
   val at_end : t -> bool

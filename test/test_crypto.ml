@@ -586,6 +586,46 @@ let test_merkle_map_fold () =
   Alcotest.(check int) "three bindings" 3 (List.length bindings);
   check "contains b" true (List.mem ("b", "2") bindings)
 
+(* Golden root of a fixed history (1,000 Puts, 100 removes, 50
+   overwrites): when and how often nodes are hashed must not move a byte
+   of the state digest replicas sign. *)
+let test_merkle_map_golden_root () =
+  let key i = Printf.sprintf "golden-key-%04d" i in
+  let m = ref Merkle_map.empty in
+  for i = 0 to 999 do
+    m := Merkle_map.set !m ~key:(key i) ~value:(Printf.sprintf "v%d" i)
+  done;
+  for i = 900 to 999 do
+    m := Merkle_map.remove !m (key i)
+  done;
+  for i = 0 to 49 do
+    m := Merkle_map.set !m ~key:(key ((i * 10) + 3)) ~value:(Printf.sprintf "w%d" i)
+  done;
+  Alcotest.(check int) "cardinal" 900 (Merkle_map.cardinal !m);
+  check_str "root" "bbc0a38db50c8e04fd61aeab8805dee6df9a658bf91efcfa7675f3442f353d90"
+    (Sha256.hex (Merkle_map.root !m))
+
+(* A random history of [steps] sets and removes over a small key space
+   (so overwrites and removes hit live keys), applied to [m0] without
+   forcing any hash.  Returns the map and the live bindings. *)
+let random_history r ~steps m0 =
+  let m = ref m0 in
+  let live = Hashtbl.create 16 in
+  Merkle_map.fold (fun k v () -> Hashtbl.replace live k v) m0 ();
+  for _ = 1 to steps do
+    let k = Printf.sprintf "k%d" (Sbft_sim.Rng.int r 24) in
+    if Sbft_sim.Rng.bool r 0.3 then begin
+      m := Merkle_map.remove !m k;
+      Hashtbl.remove live k
+    end
+    else begin
+      let v = Printf.sprintf "v%d" (Sbft_sim.Rng.int r 100) in
+      m := Merkle_map.set !m ~key:k ~value:v;
+      Hashtbl.replace live k v
+    end
+  done;
+  (!m, live)
+
 let merkle_map_props =
   [
     qtest "insertion order does not change root"
@@ -628,6 +668,46 @@ let merkle_map_props =
         in
         String.equal (Merkle_map.root fresh) (Merkle_map.root !m)
         && Merkle_map.cardinal !m = Hashtbl.length reference);
+    qtest "root forced after every op equals root forced once"
+      QCheck2.Gen.(int_range 0 500)
+      (fun seed ->
+        let history () = Sbft_sim.Rng.create (Int64.of_int ((seed * 17) + 3)) in
+        let lazy_map, _ = random_history (history ()) ~steps:60 Merkle_map.empty in
+        (* Same history, one op at a time, hashing after each. *)
+        let r = history () in
+        let eager =
+          List.fold_left
+            (fun m () ->
+              let m, _ = random_history r ~steps:1 m in
+              ignore (Merkle_map.root m);
+              m)
+            Merkle_map.empty (List.init 60 (fun _ -> ()))
+        in
+        String.equal (Merkle_map.root lazy_map) (Merkle_map.root eager));
+    qtest "proofs from an unforced batch verify against the lazy root"
+      QCheck2.Gen.(int_range 0 500)
+      (fun seed ->
+        let r = Sbft_sim.Rng.create (Int64.of_int ((seed * 13) + 1)) in
+        let base, _ = random_history r ~steps:30 Merkle_map.empty in
+        ignore (Merkle_map.root base);
+        let m, live = random_history r ~steps:30 base in
+        (* Prove first, so each proof forces only its own siblings and
+           the root is computed afterwards over a partly hashed tree. *)
+        let proofs =
+          Hashtbl.fold (fun k v acc -> (k, v, Merkle_map.prove m k) :: acc) live []
+        in
+        let root = Merkle_map.root m in
+        List.for_all
+          (fun (key, value, p) ->
+            match p with
+            | Some p -> Merkle_map.verify ~root ~key ~value p
+            | None -> false)
+          proofs
+        && List.for_all
+             (fun i ->
+               let k = Printf.sprintf "k%d" i in
+               Hashtbl.mem live k || Option.is_none (Merkle_map.prove m k))
+             (List.init 24 Fun.id));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -717,6 +797,7 @@ let () =
           Alcotest.test_case "proofs" `Quick test_merkle_map_proofs;
           Alcotest.test_case "remove" `Quick test_merkle_map_remove;
           Alcotest.test_case "fold" `Quick test_merkle_map_fold;
+          Alcotest.test_case "golden root" `Quick test_merkle_map_golden_root;
         ]
         @ merkle_map_props );
       ("cost_model", [ Alcotest.test_case "monotone" `Quick test_cost_model_monotone ]);

@@ -9,8 +9,8 @@ let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 
-let qtest name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:300 gen prop)
+let qtest ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?print ~name ~count:300 gen prop)
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -60,6 +60,13 @@ let test_codec_hostile_lengths () =
     (truncated (fun () -> Codec.Reader.str (rd (huge_len ^ "abc"))));
   check "negative list" true
     (truncated (fun () -> Codec.Reader.list (rd neg_len) Codec.Reader.u8));
+  check "negative skip_str" true
+    (truncated (fun () -> Codec.Reader.skip_str (rd (neg_len ^ "abc"))));
+  check "overflowing skip_str" true
+    (truncated (fun () -> Codec.Reader.skip_str (rd (huge_len ^ "abc"))));
+  let r = rd "\x02ab\x07" in
+  Codec.Reader.skip_str r;
+  check_int "skip_str steps over the string" 7 (Codec.Reader.u8 r);
   let w = Codec.Writer.create () in
   Codec.Writer.varint w max_int;
   check_int "max_int still decodes" max_int
@@ -105,9 +112,78 @@ let test_kv_op_hostile () =
   check "negative batch count" true (Kv_op.decode ("\x03" ^ neg_len) = None);
   check "negative key length" true (Kv_op.decode ("\x01" ^ neg_len ^ "k") = None);
   check "overflowing key length" true (Kv_op.decode ("\x02" ^ huge_len ^ "k") = None);
-  let m = Sbft_crypto.Merkle_map.empty in
+  let m = Sbft_crypto.Merkle_map.set Sbft_crypto.Merkle_map.empty ~key:"k" ~value:"v" in
+  let m', out = Kv_service.apply m ("\x03" ^ neg_len) in
+  (* Maps memoize node hashes on demand, so compare their roots, never
+     the maps themselves. *)
   check "apply degrades to a no-op" true
-    (Kv_service.apply m ("\x03" ^ neg_len) = (m, ""))
+    (String.equal (Sbft_crypto.Merkle_map.root m') (Sbft_crypto.Merkle_map.root m)
+    && String.equal out "")
+
+(* The decode-then-count [Kv_op.count_encoded] must agree with. *)
+let rec reference_count = function
+  | Kv_op.Put _ | Get _ | Add _ | Noop -> 1
+  | Batch ops -> List.fold_left (fun acc op -> acc + reference_count op) 0 ops
+
+let count_agrees s = Kv_op.count_encoded s = Option.map reference_count (Kv_op.decode s)
+
+let kv_op_gen =
+  QCheck2.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self depth ->
+           let key = string_size (int_bound 6) in
+           let prim =
+             oneof
+               [
+                 map2 (fun key value -> Kv_op.Put { key; value }) key
+                   (string_size (int_bound 20));
+                 map (fun key -> Kv_op.Get { key }) key;
+                 map2 (fun key delta -> Kv_op.Add { key; delta }) key nat;
+                 pure Kv_op.Noop;
+               ]
+           in
+           if depth = 0 then prim
+           else
+             frequency
+               [
+                 (2, prim);
+                 (1, map (fun ops -> Kv_op.Batch ops) (list_size (int_bound 5) (self (depth - 1))));
+               ]))
+
+(* Byte strings glued from pieces the decoder branches on: tags (valid
+   and unknown), small and hostile varints, whole and cut encodings. *)
+let hostile_kv_gen =
+  let varint n =
+    let w = Codec.Writer.create () in
+    Codec.Writer.varint w n;
+    Codec.Writer.contents w
+  in
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 10)
+         (oneof
+            [
+              map (String.make 1) char;
+              map (fun t -> String.make 1 (Char.chr t)) (int_bound 5);
+              map varint (int_bound 300);
+              oneofl [ neg_len; long_len; huge_len ];
+              map Kv_op.encode kv_op_gen;
+              map2
+                (fun op cut ->
+                  let e = Kv_op.encode op in
+                  String.sub e 0 (cut mod (String.length e + 1)))
+                kv_op_gen nat;
+            ])))
+
+let kv_count_props =
+  [
+    qtest ~print:String.escaped "count_encoded = decode-then-count on hostile bytes"
+      hostile_kv_gen count_agrees;
+    qtest ~print:String.escaped "count_encoded = decode-then-count on arbitrary bytes"
+      QCheck2.Gen.string count_agrees;
+    qtest "count_encoded counts every encoded op" kv_op_gen (fun op ->
+        Kv_op.count_encoded (Kv_op.encode op) = Some (reference_count op));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Auth_store *)
@@ -295,6 +371,36 @@ let test_auth_store_snapshot_checked () =
 
 (* Crafted length fields in a client-visible proof or a state-transfer
    snapshot must be rejected, not crash the receiver. *)
+(* [bootstrap] applies ops without computing a root and [snapshot] only
+   folds, so the snapshot is taken from a never-hashed map; the checked
+   loader then hashes its own rebuilt copy.  Both must match a map
+   hashed after every Put. *)
+let test_snapshot_of_unhashed_map () =
+  let ops =
+    List.init 300 (fun i ->
+        Kv_service.put ~key:(Printf.sprintf "s%d" (i mod 200)) ~value:(string_of_int i))
+  in
+  let st = fresh () in
+  Auth_store.bootstrap st ~ops;
+  let snap = Auth_store.snapshot st in
+  let eager =
+    List.fold_left
+      (fun m op ->
+        let m, _ = Kv_service.apply m op in
+        ignore (Sbft_crypto.Merkle_map.root m);
+        m)
+      Sbft_crypto.Merkle_map.empty ops
+  in
+  check_str "lazy root = eager root"
+    (Sbft_crypto.Sha256.hex (Sbft_crypto.Merkle_map.root eager))
+    (Sbft_crypto.Sha256.hex (Sbft_crypto.Merkle_map.root (Auth_store.state st)));
+  let st2 = fresh () in
+  (match Auth_store.load_snapshot_checked st2 snap ~expect:(Auth_store.digest st) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  check_str "restored digest" (Sbft_crypto.Sha256.hex (Auth_store.digest st))
+    (Sbft_crypto.Sha256.hex (Auth_store.digest st2))
+
 let test_hostile_proofs_and_snapshots () =
   let root = String.make 32 'r' and digest = String.make 32 'd' in
   check "merkle proof, negative path length" true
@@ -790,8 +896,38 @@ let test_wal_compaction_across_syncs () =
   check "same replay after rollback" true (Wal.replay batched = Wal.replay once);
   check_int "same bytes after rollback" (Wal.durable_bytes once) (Wal.durable_bytes batched)
 
+(* Golden frames pin the log's byte format: a pre-prepare with a real
+   request and a [client = -1] filler, and a client-table row. *)
+let test_wal_golden_frames () =
+  let pre_prepare =
+    Wal.Accepted_pre_prepare
+      {
+        seq = 300;
+        view = 2;
+        ops = [ (7, 41, Kv_service.put ~key:"k1" ~value:"v1"); (-1, 0, "") ];
+      }
+  in
+  let row = Wal.Client_row { client = 7; timestamp = 41; value = "ok"; seq = 300; index = 1 } in
+  let hex r = Sbft_crypto.Sha256.hex (Wal.frame r) in
+  check_str "Accepted_pre_prepare frame" "12198b072003d80404020e520701026b31027631010000"
+    (hex pre_prepare);
+  check_str "Client_row frame" "09312b0a60070e52026f6bd80402" (hex row);
+  let w = Wal.create () in
+  check_int "append reports the frame length"
+    (String.length (Wal.frame pre_prepare))
+    (Wal.append w pre_prepare)
+
+(* FNV-1a folded to 32 bits after every byte. *)
+let reference_checksum s =
+  let h = ref 0x811C9DC5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+  !h
+
 let wal_props =
   [
+    qtest ~print:String.escaped "checksum masked once = masked per byte"
+      QCheck2.Gen.(string_size (int_bound 600))
+      (fun s -> Wal.checksum s = reference_checksum s);
     qtest "random record sequences replay exactly"
       QCheck2.Gen.(int_range 0 10_000)
       (fun seed ->
@@ -852,7 +988,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_kv_op_roundtrip;
           Alcotest.test_case "hostile lengths" `Quick test_kv_op_hostile;
-        ] );
+        ]
+        @ kv_count_props );
       ( "auth_store",
         [
           Alcotest.test_case "execute" `Quick test_auth_store_execute;
@@ -864,6 +1001,8 @@ let () =
           Alcotest.test_case "outputs and gc" `Quick test_auth_store_outputs_and_gc;
           Alcotest.test_case "snapshot" `Quick test_auth_store_snapshot;
           Alcotest.test_case "snapshot checked" `Quick test_auth_store_snapshot_checked;
+          Alcotest.test_case "snapshot of an unhashed map" `Quick
+            test_snapshot_of_unhashed_map;
           Alcotest.test_case "hostile proofs and snapshots" `Quick
             test_hostile_proofs_and_snapshots;
           Alcotest.test_case "shared exec cache" `Quick test_shared_exec_cache;
@@ -880,6 +1019,7 @@ let () =
           Alcotest.test_case "truncate below checkpoint" `Quick test_wal_truncate_below;
           Alcotest.test_case "truncation amortized" `Quick test_wal_truncate_amortized;
           Alcotest.test_case "byte counts across syncs" `Quick test_wal_bytes_across_syncs;
+          Alcotest.test_case "golden frames" `Quick test_wal_golden_frames;
           Alcotest.test_case "corrupt tail across syncs" `Quick test_wal_corrupt_across_syncs;
           Alcotest.test_case "compaction across syncs" `Quick
             test_wal_compaction_across_syncs;
