@@ -62,6 +62,21 @@ let micro () =
     List.init 64 (fun j ->
         (Printf.sprintf "key-%06d" (j * 7919 mod 10_000), Printf.sprintf "value-%d" j))
   in
+  (* The record a replica logs when it accepts a paper-scale block:
+     five batch-64 KV requests, ~9 KB of ops.  Pending records are
+     dropped after each append so the log does not grow across
+     iterations. *)
+  let pre_prepare =
+    Sbft_store.Wal.Accepted_pre_prepare
+      {
+        seq = 1_000;
+        view = 3;
+        ops =
+          List.init 5 (fun client ->
+              (client, 1, Sbft_workload.Kv_workload.make_op ~batching:true ~client 0));
+      }
+  in
+  let wal = Sbft_store.Wal.create () in
   let a = Sbft_evm.U256.of_bytes_be (Sha256.digest "a") in
   let b = Sbft_evm.U256.of_bytes_be (Sha256.digest "b") in
   (* EVM: the pre-deployed token and a transfer call. *)
@@ -100,6 +115,11 @@ let micro () =
                (List.fold_left
                   (fun m (key, value) -> Merkle_map.set m ~key ~value)
                   mm10k puts64)));
+      Test.make ~name:"wal-append-preprepare-9KB"
+        (Staged.stage (fun () ->
+             let n = Sbft_store.Wal.append wal pre_prepare in
+             Sbft_store.Wal.drop_pending wal;
+             n));
       Test.make ~name:"u256-mul" (Staged.stage (fun () -> Sbft_evm.U256.mul a b));
       Test.make ~name:"u256-div" (Staged.stage (fun () -> Sbft_evm.U256.div a b));
       Test.make ~name:"evm-token-transfer"

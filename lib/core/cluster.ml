@@ -193,7 +193,6 @@ let agreement ~last_executed ~committed_block ~state_digest replicas =
   (* Compare committed blocks across replicas at every height any
      replica executed, and state digests at equal executed heights. *)
   let ok = ref true in
-  let n = Array.length replicas in
   let max_executed = Array.fold_left (fun acc r -> max acc (last_executed r)) 0 replicas in
   for seq = 1 to max_executed do
     let blocks =
@@ -206,16 +205,19 @@ let agreement ~last_executed ~committed_block ~state_digest replicas =
     | first :: rest ->
         if not (List.for_all (List.equal String.equal first) rest) then ok := false
   done;
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let ri = replicas.(i) and rj = replicas.(j) in
-      if
-        Int.equal (last_executed ri) (last_executed rj)
-        && last_executed ri > 0
-        && not (String.equal (state_digest ri) (state_digest rj))
-      then ok := false
-    done
-  done;
+  (* Replicas at the same executed height must all match the first one
+     seen there.  Each digest is computed at most once, and only for a
+     replica that shares its height with another. *)
+  let first_at = Hashtbl.create 8 in
+  Array.iter
+    (fun r ->
+      let le = last_executed r in
+      if le > 0 then
+        match Hashtbl.find_opt first_at le with
+        | None -> Hashtbl.replace first_at le (lazy (state_digest r))
+        | Some first ->
+            if not (String.equal (Lazy.force first) (state_digest r)) then ok := false)
+    replicas;
   !ok
 
 let agreement_ok t =

@@ -1797,7 +1797,9 @@ let start t ctx =
       matches what the cluster agreed on;
    4. WAL pass two: restore open-slot promises (re-send the identical
       sign share for an accepted pre-prepare; never re-sign after an
-      accepted prepare) and any client rows whose blocks were pruned;
+      accepted prepare) and any client rows whose blocks were pruned
+      (under conservative rejoin, only rows at or below the executed
+      prefix);
    5. rejoin conservatively: probe a peer for missed view changes and
       checkpoints via state transfer, and resume the liveness ticker. *)
 
@@ -1882,7 +1884,14 @@ let recover t ctx =
     (fun (r : Sbft_store.Wal.record) ->
       match r with
       | Sbft_store.Wal.Client_row { client; timestamp; value; seq; index } ->
-          if not (executed_before t ~client ~timestamp) then
+          (* A conservative rejoin leaves rows above the executed
+             prefix to re-execution.  After a rollback their blocks'
+             ledger is gone; adopting the rows would turn the requests
+             into no-ops when state transfer re-executes those blocks,
+             and the store would lag the client table.  Eager rejoin
+             adopts them: it is the rollback baseline. *)
+          let ahead = config.Config.conservative_rejoin && seq > last_executed t in
+          if (not ahead) && not (executed_before t ~client ~timestamp) then
             Hashtbl.replace t.client_table client (timestamp, value, seq, index)
       | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
           if seq > !promised_seq then promised_seq := seq;

@@ -5,13 +5,19 @@
    client-table rows) and group-commit them with [sync]: appends land in
    a pending list and only become durable once synced, so a
    crash-amnesia restart loses exactly the unsynced tail — the same
-   window a real fsync-based log exposes.  The store is byte-faithful:
-   each record is framed once (varint length + FNV-1a checksum +
-   payload) and kept as a list of frame strings plus a byte count, so
-   appends and syncs never copy the log.  Replay, compaction, rollback
-   and [corrupt_tail] concatenate the frames into the log's byte image,
-   so replay tolerates a torn tail and tests can corrupt trailing bytes
-   to exercise that path.
+   window a real fsync-based log exposes.
+
+   The log is byte-faithful without building bytes on the write path.
+   It keeps the records themselves plus an exact byte count: [append]
+   sizes a record's frame (varint length + FNV-1a checksum + payload)
+   by arithmetic, so appends and syncs neither encode, checksum nor
+   copy.  [replay] frames the durable records into the log's byte image
+   and parses it back, checksums and all, so recovery exercises the
+   real byte path and its torn-tail handling.  Compaction and rollback
+   work on the record list directly, which is the same as going through
+   the bytes because parsing a frame gives back the record it came
+   from.  [corrupt_tail] is the one way raw bytes enter the log: while
+   torn bytes are present, every path goes through the byte image.
 
    This module is pure storage: it never touches the simulator clock.
    Callers charge [Cost_model.wal_append]/[wal_fsync] for the bytes and
@@ -39,16 +45,22 @@ type record =
     }
 
 type t = {
-  mutable durable : string list;
-      (** synced bytes, newest chunk first; survives crash-amnesia *)
+  mutable torn : string;
+      (** raw bytes at the head of the durable log: [""] unless
+          {!corrupt_tail} has put bytes there that no record stands for *)
+  mutable durable : record list;
+      (** synced records after [torn], newest first; survives
+          crash-amnesia *)
   mutable durable_len : int;
-  mutable pending : string list;
-      (** frames appended but not yet synced, newest first; lost on crash *)
+      (** bytes of [torn] plus the frames of [durable] *)
+  mutable pending : record list;
+      (** records appended but not yet synced, newest first; lost on
+          crash *)
   mutable pending_len : int;
   mutable appends : int;
   mutable syncs : int;
   mutable trunc_seq : int;
-      (** logical truncation horizon: frames below it are dead and
+      (** logical truncation horizon: records below it are dead and
           filtered out of {!replay}, whether or not they have been
           physically dropped yet *)
   mutable compact_watermark : int;
@@ -62,6 +74,7 @@ let initial_watermark = 1 lsl 16
 
 let create () =
   {
+    torn = "";
     durable = [];
     durable_len = 0;
     pending = [];
@@ -73,23 +86,52 @@ let create () =
   }
 
 (* Signed ints (client ids can be -1 for null-request fillers) go
-   through a zigzag varint so the codec only ever sees naturals. *)
-let zig w v = Codec.Writer.varint w (if v >= 0 then 2 * v else (-2 * v) - 1)
+   through a zigzag varint so the codec only ever sees naturals.  A
+   value whose doubling overflows zigzags to a negative, which the
+   codec rejects, except [min_int asr 1], which lands on [max_int];
+   [zag] is the exact inverse there too, so decoding a frame always
+   gives back the record it came from. *)
+let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
+let zig w v = Codec.Writer.varint w (zigzag v)
 
 let zag r =
   let v = Codec.Reader.varint r in
-  if v land 1 = 0 then v / 2 else -((v + 1) / 2)
+  (v lsr 1) lxor -(v land 1)
 
-(* A pre-prepare's payload is its ops plus a few bytes of varints per
-   op; sizing its writer from them up front spares the regrowth copies.
-   Every other record fits the default. *)
-let payload_size = function
-  | Accepted_pre_prepare { ops; _ } ->
-      List.fold_left (fun n (_, _, op) -> n + 16 + String.length op) 32 ops
-  | _ -> 64
+(* Encoded sizes, computed without encoding.  [varint_len] rejects
+   negatives exactly as [Codec.Writer.varint] does, so [frame_len]
+   raises exactly when [frame] would. *)
+let varint_len v =
+  if v < 0 then invalid_arg "Codec.varint: negative";
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+let zig_len v = varint_len (zigzag v)
+let str_len s = varint_len (String.length s) + String.length s
+
+let payload_len = function
+  | View_entered v | View_change_started v -> 1 + zig_len v
+  | Accepted_pre_prepare { seq; view; ops } ->
+      List.fold_left
+        (fun n (client, timestamp, op) ->
+          n + zig_len client + zig_len timestamp + str_len op)
+        (1 + zig_len seq + zig_len view + varint_len (List.length ops))
+        ops
+  | Accepted_prepare { seq; view; tau } ->
+      1 + zig_len seq + zig_len view + str_len tau
+  | Commit_cert { seq; view; fast = _ } -> 2 + zig_len seq + zig_len view
+  | Stable_checkpoint { seq; digest; pi } ->
+      1 + zig_len seq + str_len digest + str_len pi
+  | Client_row { client; timestamp; value; seq; index } ->
+      1 + zig_len client + zig_len timestamp + str_len value + zig_len seq
+      + zig_len index
+
+let frame_len record =
+  let n = payload_len record in
+  varint_len n + 4 + n
 
 let payload record =
-  let w = Codec.Writer.create ~size:(payload_size record) () in
+  let w = Codec.Writer.create ~size:(payload_len record) () in
   (match record with
   | View_entered v ->
       Codec.Writer.u8 w 1;
@@ -202,12 +244,14 @@ let frame record =
   Bytes.set_int32_be b (pos - 4) (Int32.of_int (fnv1a b ~pos ~len));
   Bytes.unsafe_to_string b
 
+(* Appends keep the record itself: its size is exact arithmetic, and
+   its bytes are built only when something reads the log. *)
 let append t record =
-  let f = frame record in
-  t.pending <- f :: t.pending;
-  t.pending_len <- t.pending_len + String.length f;
+  let len = frame_len record in
+  t.pending <- record :: t.pending;
+  t.pending_len <- t.pending_len + len;
   t.appends <- t.appends + 1;
-  String.length f
+  len
 
 let dirty t = t.pending_len > 0
 
@@ -225,17 +269,13 @@ let sync t =
   end
   else false
 
-(* The durable log's byte image, for the rare paths that parse or
-   rewrite it. *)
-let durable_image t = String.concat "" (List.rev t.durable)
+(* The durable log's byte image: any torn head, then each record's
+   frame in append order. *)
+let durable_image t = String.concat "" (t.torn :: List.rev_map frame t.durable)
 
-(* Replace the durable log by freshly framed [records]. *)
-let rewrite_durable t records =
-  t.durable <- List.rev_map frame records;
-  t.durable_len <-
-    List.fold_left (fun n f -> n + String.length f) 0 t.durable
-
-let replay_string bytes =
+(* Decode a byte image, stopping at the first truncated or
+   checksum-failing frame. *)
+let parse bytes =
   let r = Codec.Reader.of_string bytes in
   let out = ref [] in
   (try
@@ -253,6 +293,18 @@ let replay_string bytes =
    with Codec.Reader.Truncated -> ());
   List.rev !out
 
+(* The durable records in append order.  Parsing a frame gives back
+   the record it came from, so the byte route is needed only while torn
+   bytes are present. *)
+let durable_records t =
+  if String.equal t.torn "" then List.rev t.durable else parse (durable_image t)
+
+(* Replace the durable log by [records], in append order. *)
+let rewrite_durable t records =
+  t.torn <- "";
+  t.durable <- List.rev records;
+  t.durable_len <- List.fold_left (fun n r -> n + frame_len r) 0 records
+
 let record_seq = function
   | View_entered _ | View_change_started _ -> None
   | Accepted_pre_prepare { seq; _ }
@@ -264,42 +316,38 @@ let record_seq = function
 
 (* Checkpoint compaction filter: everything below [seq] is captured by
    the stable checkpoint, except view records (always retained, latest
-   wins at replay) and the latest [Stable_checkpoint] at or below [seq],
-   which moves to the front.  Shared by [replay] and the physical
-   rewrite so the replayed history is identical whether or not the dead
-   prefix has been dropped from the log yet. *)
+   wins at replay) and the latest [Stable_checkpoint] at or below [seq]
+   (the first of equals), which moves to the front.  Shared by [replay]
+   and the physical rewrite so the replayed history is identical whether
+   or not the dead prefix has been dropped from the log yet.  The
+   checkpoint is found by position, not physical identity, so a record
+   value appended twice compacts as its parsed copies would. *)
 let compact_records ~seq records =
   if seq <= 0 then records
   else begin
-    let latest_cp =
-      List.fold_left
-        (fun acc r ->
-          match r with
-          | Stable_checkpoint { seq = s; _ } when s <= seq -> (
-              match acc with
-              | Some (Stable_checkpoint { seq = best; _ }) when best >= s -> acc
-              | _ -> Some r)
-          | _ -> acc)
-        None records
+    let cp_at = ref (-1) and cp_seq = ref 0 in
+    List.iteri
+      (fun i r ->
+        match r with
+        | Stable_checkpoint { seq = s; _ } when s <= seq && (!cp_at < 0 || s > !cp_seq)
+          ->
+            cp_at := i;
+            cp_seq := s
+        | _ -> ())
+      records;
+    let kept =
+      List.filteri
+        (fun i r ->
+          i <> !cp_at
+          && match record_seq r with None -> true | Some s -> s >= seq)
+        records
     in
-    let keep r =
-      match record_seq r with
-      | None -> true
-      | Some s -> s >= seq
-    in
-    (* The retained checkpoint is hoisted to the front; skip it (by
-       physical identity) in the keep pass so a checkpoint whose seq
-       equals the truncation seq is not listed twice. *)
-    let is_retained_cp r =
-      match latest_cp with Some cp -> r == cp | None -> false
-    in
-    let kept = List.filter (fun r -> keep r && not (is_retained_cp r)) records in
-    match latest_cp with Some cp -> cp :: kept | None -> kept
+    if !cp_at < 0 then kept else List.nth records !cp_at :: kept
   end
 
-(* Only the synced prefix exists after a crash, so only it replays. *)
-let replay t =
-  compact_records ~seq:t.trunc_seq (replay_string (durable_image t))
+(* Only the synced prefix exists after a crash, so only it replays.
+   Recovery goes through the byte image, checksums and all. *)
+let replay t = compact_records ~seq:t.trunc_seq (parse (durable_image t))
 
 (* Logical truncation is just a horizon bump; the O(log-size) physical
    rewrite runs only once the durable log outgrows its watermark.
@@ -309,7 +357,7 @@ let replay t =
 let truncate_below t ~seq =
   if seq > t.trunc_seq then t.trunc_seq <- seq;
   if t.durable_len >= t.compact_watermark then begin
-    rewrite_durable t (replay t);
+    rewrite_durable t (compact_records ~seq:t.trunc_seq (durable_records t));
     t.compact_watermark <- max initial_watermark (2 * t.durable_len)
   end
 
@@ -328,7 +376,7 @@ let reset t =
 (* Rollback-attack helper (schedule fuzzer): restore the stale durable
    prefix ending at the newest Stable_checkpoint whose seq is at most
    [before] — the state an attacker gets by re-imaging a replica's disk
-   from an old backup.  Every later frame disappears, including view
+   from an old backup.  Every later record disappears, including view
    records and Accepted_* promises logged after the checkpoint, so the
    restarted replica resurrects pre-view-change state and forgets
    prepare promises the network already acted on.  The kept prefix is
@@ -338,7 +386,7 @@ let reset t =
    restore). *)
 let rollback_to_checkpoint t ~before =
   drop_pending t;
-  let records = replay_string (durable_image t) in
+  let records = durable_records t in
   let cut = ref (-1) in
   let cp = ref 0 in
   List.iteri
@@ -349,19 +397,17 @@ let rollback_to_checkpoint t ~before =
           cp := seq
       | _ -> ())
     records;
-  let kept =
-    if !cut < 0 then []
-    else List.filteri (fun i _ -> i <= !cut) records
-  in
-  rewrite_durable t kept;
+  rewrite_durable t (List.filteri (fun i _ -> i <= !cut) records);
   t.trunc_seq <- 0;
   t.compact_watermark <- max initial_watermark (2 * t.durable_len);
   !cp
 
 (* Test helper: simulate a torn write by overwriting the last [bytes]
-   durable bytes with garbage. *)
+   durable bytes with garbage.  The log keeps the result as raw bytes
+   until a rewrite parses it back into records. *)
 let corrupt_tail t ~bytes =
   let s = durable_image t in
   let n = String.length s in
   let k = min bytes n in
-  t.durable <- [ String.sub s 0 (n - k) ^ String.make k '\xFF' ]
+  t.torn <- String.sub s 0 (n - k) ^ String.make k '\xFF';
+  t.durable <- []

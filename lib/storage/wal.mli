@@ -1,9 +1,13 @@
 (** Simulated write-ahead log for crash-amnesia recovery.
 
-    Appends land in a pending list of frames; [sync] group-commits them
-    to the durable log.  A crash-amnesia restart keeps only the durable
-    prefix ([drop_pending] models the lost tail), and [replay] tolerates
-    a torn/corrupt tail by stopping at the first bad frame.
+    Appends land in a pending list; [sync] group-commits them to the
+    durable log.  A crash-amnesia restart keeps only the durable prefix
+    ([drop_pending] models the lost tail), and [replay] tolerates a
+    torn/corrupt tail by stopping at the first bad frame.
+
+    The log keeps the records it is given and reports the exact size of
+    their {!frame}s; the byte image is built only when something reads
+    the log ([replay], [corrupt_tail], or a rewrite of a torn log).
 
     Pure storage — no simulator dependency.  Callers charge
     [Cost_model.wal_append] per appended byte count and
@@ -37,13 +41,19 @@ val frame : record -> string
 val checksum : string -> int
 (** FNV-1a over the bytes, folded to 32 bits. *)
 
+val parse : string -> record list
+(** Decode a byte image of frames in order, stopping at the first
+    truncated or checksum-failing frame.  [parse (frame r) = [r]]
+    whenever [frame r] does not raise. *)
+
 type t
 
 val create : unit -> t
 
 val append : t -> record -> int
-(** Buffer a record; returns the framed byte count (for cost charging).
-    Not durable until [sync]. *)
+(** Buffer a record; returns [String.length (frame record)] (for cost
+    charging), computed without encoding.  Raises exactly when [frame]
+    would, leaving the log unchanged.  Not durable until [sync]. *)
 
 val dirty : t -> bool
 (** [true] when appends are pending a sync. *)
@@ -56,8 +66,8 @@ val drop_pending : t -> unit
 (** Crash: the unsynced tail is gone. *)
 
 val replay : t -> record list
-(** Decode the durable prefix in append order, stopping at the first
-    truncated or checksum-failing frame.  Records below the
+(** Frame the durable prefix and {!parse} it back in append order,
+    stopping at the first truncated or checksum-failing frame.  Records below the
     [truncate_below] horizon are filtered out (view records and the
     latest stable checkpoint at or below the horizon survive, the
     checkpoint hoisted to the front), so the replayed history does not
@@ -72,8 +82,8 @@ val truncate_below : t -> seq:int -> unit
     stable-checkpoint advance without quadratic rewriting. *)
 
 val durable_bytes : t -> int
-(** Physical durable size; may include logically-dead frames not yet
-    compacted away. *)
+(** Physical durable size in bytes; may include logically-dead frames
+    not yet compacted away. *)
 
 val appends : t -> int
 val syncs : t -> int
@@ -94,4 +104,6 @@ val rollback_to_checkpoint : t -> before:int -> int
 
 val corrupt_tail : t -> bytes:int -> unit
 (** Test helper: overwrite the last [bytes] durable bytes with garbage
-    to simulate a torn write. *)
+    to simulate a torn write.  The one way raw bytes enter the log:
+    until a compaction or rollback parses them back into records, every
+    read goes through the byte image. *)

@@ -1,6 +1,7 @@
 (* Unit tests for the smaller core-protocol components: configuration
    arithmetic, collector selection, adaptive batching, message hashing
-   and size accounting, and request authentication. *)
+   and size accounting, request authentication, and the end-of-run
+   agreement check. *)
 
 open Sbft_core
 
@@ -169,6 +170,38 @@ let test_request_authentication () =
   check "replica id as client" false
     (Keys.verify_request keys { good with Types.client = 0 })
 
+(* ------------------------------------------------------------------ *)
+(* Cluster.agreement *)
+
+(* Replicas reduced to (executed height, state digest), with no
+   committed blocks, checked against the pairwise definition: any two
+   replicas at the same positive height hold the same digest. *)
+let pairwise_agreement replicas =
+  let n = Array.length replicas in
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let li, di = replicas.(i) and lj, dj = replicas.(j) in
+      if li = lj && li > 0 && not (String.equal di dj) then ok := false
+    done
+  done;
+  !ok
+
+let agreement_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"agreement equals the pairwise digest check"
+       ~print:(fun rs ->
+         String.concat " "
+           (Array.to_list (Array.map (fun (le, d) -> Printf.sprintf "%d:%s" le d) rs)))
+       QCheck2.Gen.(
+         array_size (int_bound 12)
+           (pair (int_bound 3) (map (String.make 1) (char_range 'a' 'c'))))
+       (fun replicas ->
+         Cluster.agreement ~last_executed:fst
+           ~committed_block:(fun _ _ -> None)
+           ~state_digest:snd replicas
+         = pairwise_agreement replicas))
+
 let () =
   Alcotest.run "sbft_core_units"
     [
@@ -195,4 +228,5 @@ let () =
           Alcotest.test_case "kinds" `Quick test_kind_strings;
         ] );
       ("keys", [ Alcotest.test_case "request auth" `Quick test_request_authentication ]);
+      ("agreement", [ agreement_prop ]);
     ]

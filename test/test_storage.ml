@@ -809,6 +809,22 @@ let synced_once records =
   ignore (Wal.sync w);
   w
 
+(* Compaction keeps the one latest checkpoint at or below the horizon
+   and every other record at or above it, so a checkpoint value logged
+   twice at the horizon survives as two records.  The physical rewrite
+   (the filler row pushes the log past the watermark) must agree with
+   the replay of the bytes, where the two copies are distinct values. *)
+let test_wal_duplicate_checkpoint () =
+  let cp = Wal.Stable_checkpoint { seq = 5; digest = "d5"; pi = "p5" } in
+  let filler =
+    Wal.Client_row { client = 1; timestamp = 1; value = String.make 70_000 'v'; seq = 1; index = 0 }
+  in
+  let w = synced_once [ filler; cp; cp ] in
+  check "replay before compaction" true (Wal.replay w = [ filler; cp; cp ]);
+  Wal.truncate_below w ~seq:5;
+  check "compaction rewrote the log" true (Wal.durable_bytes w = 2 * String.length (Wal.frame cp));
+  check "both copies survive" true (Wal.replay w = [ cp; cp ])
+
 let test_wal_bytes_across_syncs () =
   let w = Wal.create () in
   (* varint length + 4-byte checksum + payload (tag, zigzag varints) *)
@@ -917,6 +933,300 @@ let test_wal_golden_frames () =
     (String.length (Wal.frame pre_prepare))
     (Wal.append w pre_prepare)
 
+(* Arbitrary records for the frame-size and model properties: ints
+   near the zigzag overflow edges (a doubling that overflows makes
+   [frame] raise, except [min_int asr 1], which zigzags to [max_int]),
+   empty and multi-kilobyte strings, and pre-prepares with many ops. *)
+let framable_edges =
+  [ 0; -1; 63; 64; -64; -65; 8191; 8192; max_int / 2; min_int asr 1; (min_int asr 1) + 1 ]
+
+let overflowing_edges = [ max_int; min_int; (max_int / 2) + 1; (min_int asr 1) - 1 ]
+
+let wal_int_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (12, int_range (-1000) 1000);
+        (2, int);
+        (4, oneofl framable_edges);
+        (1, oneofl overflowing_edges);
+      ])
+
+(* Long strings are built from a length and a seed: generating them
+   char by char, with a shrink tree per char, would dominate the run. *)
+let long_str lo hi =
+  QCheck2.Gen.(
+    map2
+      (fun n seed -> String.init n (fun i -> Char.chr (((i * seed) lxor (i lsr 8)) land 0xFF)))
+      (int_range lo hi) (int_bound 255))
+
+let wal_str_gen = QCheck2.Gen.(frequency [ (3, string_size (int_bound 8)); (1, long_str 1000 12_000) ])
+
+let wal_record_gen ~ints ~strs ~seqs ~ops =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun v -> Wal.View_entered v) ints;
+        map (fun v -> Wal.View_change_started v) ints;
+        map3
+          (fun seq view ops -> Wal.Accepted_pre_prepare { seq; view; ops })
+          seqs ints
+          (list_size ops (triple ints ints strs));
+        map3 (fun seq view tau -> Wal.Accepted_prepare { seq; view; tau }) seqs ints strs;
+        map3 (fun seq view fast -> Wal.Commit_cert { seq; view; fast }) seqs ints bool;
+        map3 (fun seq digest pi -> Wal.Stable_checkpoint { seq; digest; pi }) seqs strs strs;
+        map5
+          (fun client timestamp value seq index ->
+            Wal.Client_row { client; timestamp; value; seq; index })
+          ints ints strs seqs ints;
+      ])
+
+let show_record r =
+  let str s = Printf.sprintf "%d bytes" (String.length s) in
+  match r with
+  | Wal.View_entered v -> Printf.sprintf "View_entered %d" v
+  | Wal.View_change_started v -> Printf.sprintf "View_change_started %d" v
+  | Wal.Accepted_pre_prepare { seq; view; ops } ->
+      Printf.sprintf "Accepted_pre_prepare seq=%d view=%d ops=[%s]" seq view
+        (String.concat "; "
+           (List.map (fun (c, ts, op) -> Printf.sprintf "%d,%d,%s" c ts (str op)) ops))
+  | Wal.Accepted_prepare { seq; view; tau } ->
+      Printf.sprintf "Accepted_prepare seq=%d view=%d tau=%s" seq view (str tau)
+  | Wal.Commit_cert { seq; view; fast } ->
+      Printf.sprintf "Commit_cert seq=%d view=%d fast=%b" seq view fast
+  | Wal.Stable_checkpoint { seq; digest; pi } ->
+      Printf.sprintf "Stable_checkpoint seq=%d digest=%s pi=%s" seq (str digest) (str pi)
+  | Wal.Client_row { client; timestamp; value; seq; index } ->
+      Printf.sprintf "Client_row client=%d ts=%d value=%s seq=%d index=%d" client timestamp
+        (str value) seq index
+
+(* [Ok] the result, or [Error] the message of an [Invalid_argument]. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let wal_frame_props =
+  let record_gen =
+    wal_record_gen ~ints:wal_int_gen ~strs:wal_str_gen ~seqs:wal_int_gen
+      ~ops:QCheck2.Gen.(int_bound 80)
+  in
+  [
+    qtest ~print:show_record "append returns the frame length, or raises as frame does"
+      record_gen (fun r ->
+        let w = Wal.create () in
+        match (outcome (fun () -> String.length (Wal.frame r)), outcome (fun () -> Wal.append w r)) with
+        | Ok framed, Ok appended ->
+            framed = appended && Wal.appends w = 1 && Wal.dirty w
+        | Error framed, Error appended ->
+            String.equal framed appended && Wal.appends w = 0 && not (Wal.dirty w)
+        | _ -> false);
+    qtest ~print:show_record "a frame parses back to its record" record_gen (fun r ->
+        match outcome (fun () -> Wal.frame r) with
+        | Ok f -> Wal.parse f = [ r ]
+        | Error _ -> true);
+  ]
+
+(* Reference model of the log: the durable byte image and the pending
+   frames, as strings, updated the way a log that stores frames would.
+   Only [Wal.frame] and [Wal.parse] are shared with the real log. *)
+type wal_model = {
+  mutable image : string;
+  mutable pending : string list;  (** oldest first *)
+  mutable m_appends : int;
+  mutable m_syncs : int;
+  mutable horizon : int;
+  mutable watermark : int;
+}
+
+type wal_step =
+  | Append of Wal.record
+  | Sync
+  | Drop_pending
+  | Truncate_below of int
+  | Rollback of int
+  | Corrupt_tail of int
+  | Reset
+
+let show_step = function
+  | Append r -> "append " ^ show_record r
+  | Sync -> "sync"
+  | Drop_pending -> "drop_pending"
+  | Truncate_below s -> Printf.sprintf "truncate_below %d" s
+  | Rollback b -> Printf.sprintf "rollback_to_checkpoint %d" b
+  | Corrupt_tail k -> Printf.sprintf "corrupt_tail %d" k
+  | Reset -> "reset"
+
+let model_watermark = 1 lsl 16
+
+let model_create () =
+  { image = ""; pending = []; m_appends = 0; m_syncs = 0; horizon = 0; watermark = model_watermark }
+
+let has_seq = function
+  | Wal.View_entered _ | Wal.View_change_started _ -> None
+  | Wal.Accepted_pre_prepare { seq; _ }
+  | Wal.Accepted_prepare { seq; _ }
+  | Wal.Commit_cert { seq; _ }
+  | Wal.Stable_checkpoint { seq; _ }
+  | Wal.Client_row { seq; _ } ->
+      Some seq
+
+(* Compaction as documented: below [seq] only view records and the
+   latest checkpoint at or below [seq] (the first of equals) survive,
+   that checkpoint moved to the front. *)
+let model_compact ~seq records =
+  if seq <= 0 then records
+  else
+    let indexed = List.mapi (fun i r -> (i, r)) records in
+    let best =
+      List.fold_left
+        (fun best (i, r) ->
+          match (r, best) with
+          | Wal.Stable_checkpoint { seq = s; _ }, Some (_, b, _) when s <= seq && s > b ->
+              Some (i, s, r)
+          | Wal.Stable_checkpoint { seq = s; _ }, None when s <= seq -> Some (i, s, r)
+          | _ -> best)
+        None indexed
+    in
+    let kept =
+      List.filter_map
+        (fun (i, r) ->
+          let live = match has_seq r with None -> true | Some s -> s >= seq in
+          match best with
+          | Some (j, _, _) when i = j -> None
+          | _ -> if live then Some r else None)
+        indexed
+    in
+    match best with Some (_, _, cp) -> cp :: kept | None -> kept
+
+let model_replay m = model_compact ~seq:m.horizon (Wal.parse m.image)
+let frames records = String.concat "" (List.map Wal.frame records)
+
+(* Apply [step] to the model; returns what the log call returns, as a
+   string, so the two can be compared. *)
+let model_step m = function
+  | Append r -> (
+      match outcome (fun () -> Wal.frame r) with
+      | Ok f ->
+          m.pending <- m.pending @ [ f ];
+          m.m_appends <- m.m_appends + 1;
+          string_of_int (String.length f)
+      | Error e -> "raised " ^ e)
+  | Sync ->
+      let dirty = m.pending <> [] in
+      if dirty then begin
+        m.image <- m.image ^ String.concat "" m.pending;
+        m.pending <- [];
+        m.m_syncs <- m.m_syncs + 1
+      end;
+      string_of_bool dirty
+  | Drop_pending ->
+      m.pending <- [];
+      ""
+  | Truncate_below seq ->
+      if seq > m.horizon then m.horizon <- seq;
+      if String.length m.image >= m.watermark then begin
+        m.image <- frames (model_replay m);
+        m.watermark <- max model_watermark (2 * String.length m.image)
+      end;
+      ""
+  | Rollback before ->
+      m.pending <- [];
+      let records = Wal.parse m.image in
+      let cut, cp =
+        List.fold_left
+          (fun (cut, cp) (i, r) ->
+            match r with
+            | Wal.Stable_checkpoint { seq; _ } when seq <= before && seq >= cp -> (i, seq)
+            | _ -> (cut, cp))
+          (-1, 0)
+          (List.mapi (fun i r -> (i, r)) records)
+      in
+      m.image <- frames (List.filteri (fun i _ -> i <= cut) records);
+      m.horizon <- 0;
+      m.watermark <- max model_watermark (2 * String.length m.image);
+      string_of_int cp
+  | Corrupt_tail bytes ->
+      let n = String.length m.image in
+      let k = min bytes n in
+      m.image <- String.sub m.image 0 (n - k) ^ String.make k '\xFF';
+      ""
+  | Reset ->
+      m.image <- "";
+      m.pending <- [];
+      m.m_appends <- 0;
+      m.m_syncs <- 0;
+      m.horizon <- 0;
+      m.watermark <- model_watermark;
+      ""
+
+let wal_step w = function
+  | Append r -> (
+      match outcome (fun () -> Wal.append w r) with
+      | Ok n -> string_of_int n
+      | Error e -> "raised " ^ e)
+  | Sync -> string_of_bool (Wal.sync w)
+  | Drop_pending ->
+      Wal.drop_pending w;
+      ""
+  | Truncate_below seq ->
+      Wal.truncate_below w ~seq;
+      ""
+  | Rollback before -> string_of_int (Wal.rollback_to_checkpoint w ~before)
+  | Corrupt_tail bytes ->
+      Wal.corrupt_tail w ~bytes;
+      ""
+  | Reset ->
+      Wal.reset w;
+      ""
+
+(* Small seqs so truncation and rollback cut through the log, few edge
+   ints so most appends succeed, and a head of synced multi-kilobyte
+   records so the log often crosses the compaction watermark. *)
+let wal_steps_gen =
+  let open QCheck2.Gen in
+  let record =
+    wal_record_gen
+      ~ints:
+        (frequency
+           [
+             (40, int_range (-1000) 1000);
+             (1, oneofl framable_edges);
+             (1, oneofl overflowing_edges);
+           ])
+      ~strs:(frequency [ (1, string_size (int_bound 8)); (2, long_str 4_000 16_000) ])
+      ~seqs:(frequency [ (12, int_range 0 40); (1, oneofl framable_edges) ])
+      ~ops:(int_bound 4)
+  in
+  let step =
+    frequency
+      [
+        (10, map (fun r -> Append r) record);
+        (6, return Sync);
+        (1, return Drop_pending);
+        (4, map (fun s -> Truncate_below s) (int_range 0 45));
+        (1, map (fun b -> Rollback b) (int_range 0 45));
+        (1, map (fun k -> Corrupt_tail k) (int_range 0 40));
+        (1, return Reset);
+      ]
+  in
+  let+ head = list_size (int_range 4 16) record
+  and+ tail = list_size (int_range 1 24) step in
+  List.map (fun r -> Append r) head @ (Sync :: tail)
+
+let wal_model_prop =
+  qtest
+    ~print:(fun steps -> String.concat "\n" (List.map show_step steps))
+    "log matches a frame-string model over random operations" wal_steps_gen
+    (fun steps ->
+      let w = Wal.create () and m = model_create () in
+      List.for_all
+        (fun step ->
+          String.equal (wal_step w step) (model_step m step)
+          && Wal.durable_bytes w = String.length m.image
+          && Wal.appends w = m.m_appends
+          && Wal.syncs w = m.m_syncs
+          && Wal.dirty w = (m.pending <> [])
+          && Wal.replay w = model_replay m)
+        steps)
+
 (* FNV-1a folded to 32 bits after every byte. *)
 let reference_checksum s =
   let h = ref 0x811C9DC5 in
@@ -1023,6 +1333,8 @@ let () =
           Alcotest.test_case "corrupt tail across syncs" `Quick test_wal_corrupt_across_syncs;
           Alcotest.test_case "compaction across syncs" `Quick
             test_wal_compaction_across_syncs;
+          Alcotest.test_case "duplicate checkpoint compaction" `Quick
+            test_wal_duplicate_checkpoint;
         ]
-        @ wal_props );
+        @ wal_props @ wal_frame_props @ [ wal_model_prop ] );
     ]
