@@ -23,7 +23,11 @@
      bench/main.exe check ...       schedule fuzzer: generate -> run property
                                     oracles -> shrink counterexamples (see
                                     `check --help`; also `check replay-dir
-                                    test/corpus`) *)
+                                    test/corpus`)
+     bench/main.exe point ...       one custom scenario, e.g.
+                                    point --protocol sbft-8 -f 64 --clients 128
+                                    (see `point --help`); exits 2 when the
+                                    replicas disagree *)
 
 open Sbft_harness
 
@@ -73,7 +77,11 @@ let micro () =
         view = 3;
         ops =
           List.init 5 (fun client ->
-              (client, 1, Sbft_workload.Kv_workload.make_op ~batching:true ~client 0));
+              {
+                Sbft_store.Block_store.client;
+                timestamp = 1;
+                op = Sbft_workload.Kv_workload.make_op ~batching:true ~client 0;
+              });
       }
   in
   let wal = Sbft_store.Wal.create () in
@@ -141,6 +149,89 @@ let micro () =
       | Some (est :: _) -> Printf.printf "%-34s %14.1f ns/op\n" name est
       | _ -> Printf.printf "%-34s %14s\n" name "n/a")
     (List.sort compare rows)
+
+(* ------------------------------------------------------------------ *)
+(* One custom scenario: any point of the configuration space, not just
+   the paper's experiments.  Exits 2 when the replicas disagree, 1 on a
+   bad flag. *)
+
+let point_usage =
+  "usage: point [-p|--protocol pbft|linear-pbft|linear-pbft-fast|sbft|sbft-<c>] [-f F]\n\
+  \             [-w|--workload kv-batch|kv-nobatch|eth] [--clients N] [--failures N]\n\
+  \             [--topology lan|continent|world] [--duration S] [--warmup S]\n\
+  \             [--seed N] [--csv FILE]\n\
+  \       defaults: sbft, f=2, kv-batch, 16 clients, 0 failures, continent,\n\
+  \       2 s measured after 1 s warmup (virtual), seed 1\n"
+
+let point args =
+  let protocol = ref (Scenario.SBFT 0) and f = ref 2 and clients = ref 16 in
+  let workload = ref (Scenario.Kv { batching = true }) and failures = ref 0 in
+  let topology = ref `Continent and duration = ref 2.0 and warmup = ref 1.0 in
+  let seed = ref 1 and csv = ref None in
+  let set r parse v = Option.fold ~none:false ~some:(fun x -> r := x; true) (parse v) in
+  let one_of table v = List.assoc_opt v table in
+  let protocol_of v =
+    let v = String.lowercase_ascii v in
+    let named =
+      [ ("pbft", Scenario.PBFT); ("linear-pbft", Scenario.Linear_PBFT);
+        ("linear", Scenario.Linear_PBFT); ("linear-pbft-fast", Scenario.Linear_PBFT_fast);
+        ("fast", Scenario.Linear_PBFT_fast); ("sbft", Scenario.SBFT 0) ]
+    in
+    match one_of named v with
+    | Some p -> Some p
+    | None when String.starts_with ~prefix:"sbft-" v -> (
+        match int_of_string_opt (String.sub v 5 (String.length v - 5)) with
+        | Some c when c >= 0 -> Some (Scenario.SBFT c)
+        | _ -> None)
+    | None -> None
+  in
+  let flags =
+    [
+      ([ "-p"; "--protocol" ], set protocol protocol_of);
+      ([ "-f" ], set f int_of_string_opt);
+      ( [ "-w"; "--workload" ],
+        set workload
+          (one_of
+             [ ("kv-batch", Scenario.Kv { batching = true });
+               ("kv-nobatch", Scenario.Kv { batching = false }); ("eth", Scenario.Eth) ]) );
+      ([ "--clients" ], set clients int_of_string_opt);
+      ([ "--failures" ], set failures int_of_string_opt);
+      ( [ "--topology" ],
+        set topology (one_of [ ("lan", `Lan); ("continent", `Continent); ("world", `World) ]) );
+      ([ "--duration" ], set duration float_of_string_opt);
+      ([ "--warmup" ], set warmup float_of_string_opt);
+      ([ "--seed" ], set seed int_of_string_opt);
+      ([ "--csv" ], set csv (fun v -> Some (Some v)));
+    ]
+  in
+  let rec parse = function
+    | [] -> true
+    | flag :: rest when String.starts_with ~prefix:"--" flag && String.contains flag '=' ->
+        let i = String.index flag '=' in
+        parse (String.sub flag 0 i :: String.sub flag (i + 1) (String.length flag - i - 1) :: rest)
+    | flag :: v :: rest -> (
+        match List.find_opt (fun (names, _) -> List.mem flag names) flags with
+        | Some (_, set) -> set v && parse rest
+        | None -> false)
+    | [ _ ] -> false
+  in
+  if List.exists (fun a -> a = "-h" || a = "--help") args then (print_string point_usage; 0)
+  else if not (parse args) then (prerr_string point_usage; 1)
+  else begin
+    let scenario =
+      Scenario.default ~failures:!failures ~topology:!topology
+        ~warmup:(Sbft_sim.Engine.sec_f !warmup)
+        ~duration:(Sbft_sim.Engine.sec_f !duration)
+        ~seed:(Int64.of_int !seed) ~protocol:!protocol ~f:!f ~workload:!workload
+        ~num_clients:!clients ()
+    in
+    Printf.printf "running %s, f=%d, %d clients, %d failures...\n%!"
+      (Scenario.protocol_name !protocol) !f !clients !failures;
+    let point = Scenario.run scenario in
+    Report.print_points ~title:"result" [ point ];
+    Option.iter (fun path -> Report.write_csv ~path [ point ]) !csv;
+    if point.Scenario.agreement then 0 else 2
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -257,10 +348,12 @@ let regress ~scale ~update_baseline =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* `check` owns its argument list (its --quick differs from the
-     benchmark-scale flag below), so dispatch before the flag filter. *)
+  (* `check` and `point` own their argument lists (check's --quick
+     differs from the benchmark-scale flag below), so dispatch before
+     the flag filter. *)
   (match args with
   | "check" :: rest -> exit (Sbft_check.Check.main rest)
+  | "point" :: rest -> exit (point rest)
   | _ -> ());
   (* Valued flags (--only NAME, --budget-wall-s N, --sweep S) are
      stripped with their argument before the boolean-flag filter. *)
@@ -322,7 +415,7 @@ let () =
               Printf.eprintf
                 "unknown benchmark %S (try fig1 fig2 contract-continent \
                  contract-world contract-baseline ablation micro replay \
-                 regress)\n"
+                 regress check point)\n"
                 other;
               exit 1)
         cmds

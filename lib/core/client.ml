@@ -64,7 +64,7 @@ let send t ctx ~dst msg = t.env.Replica.send ctx ~src:t.id ~dst msg
 let rec arm_retry t (p : pending) =
   ignore
     (Engine.set_timer t.env.Replica.engine ~node:t.id
-       ~after:(config t).Config.client_retry_timeout (fun ctx ->
+       ~after:Config.client_retry_timeout (fun ctx ->
          if not p.done_ then begin
            (* Resend to all replicas and ask for the f+1 path (§V-A). *)
            t.retries <- t.retries + 1;
@@ -142,7 +142,7 @@ let query t ctx ~key ~callback =
         send t ctx ~dst:replica (Types.Query { client = t.id; qid; query = key });
         ignore
           (Engine.set_timer t.env.Replica.engine ~node:t.id
-             ~after:((config t).Config.client_retry_timeout / 4)
+             ~after:(Config.client_retry_timeout / 4)
              (fun ctx -> if not pending.q_done then attempt_ctx ctx (tries + 1)))
       end
     end

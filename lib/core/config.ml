@@ -7,21 +7,22 @@ type t = {
   c : int;
   win : int;
   max_batch : int;
-  batch_timeout : Engine.time;
   fast_path : bool;
   execution_acks : bool;
   fast_path_timeout : Engine.time;
   collector_stagger : Engine.time;
-  view_change_timeout : Engine.time;
-  client_retry_timeout : Engine.time;
   use_group_sig : bool;
   optimistic_combine : bool;
   sanitize : bool;
   durable_wal : bool;
   conservative_rejoin : bool;
-  state_transfer_retry : Engine.time;
   mutation : mutation option;
 }
+
+let batch_timeout = Engine.ms 5
+let view_change_timeout = Engine.sec 2
+let client_retry_timeout = Engine.sec 4
+let state_transfer_retry = Engine.ms 300
 
 let n t = (3 * t.f) + (2 * t.c) + 1
 
@@ -51,19 +52,15 @@ let default ~f ~c =
     c;
     win = 256;
     max_batch = 64;
-    batch_timeout = Engine.ms 5;
     fast_path = true;
     execution_acks = true;
     fast_path_timeout = Engine.ms 150;
     collector_stagger = Engine.ms 50;
-    view_change_timeout = Engine.sec 2;
-    client_retry_timeout = Engine.sec 4;
     use_group_sig = false;
     optimistic_combine = true;
     sanitize = true;
     durable_wal = true;
     conservative_rejoin = true;
-    state_transfer_retry = Engine.ms 300;
     mutation = None;
   }
 

@@ -23,8 +23,6 @@ type t = {
   c : int;  (** additional crashed/slow replicas the fast path tolerates *)
   win : int;  (** max outstanding decision blocks (paper: 256) *)
   max_batch : int;  (** operations per decision block cap *)
-  batch_timeout : Sbft_sim.Engine.time;
-      (** primary proposes a partial batch after this delay *)
   fast_path : bool;  (** ingredient 2: optimistic σ path *)
   execution_acks : bool;
       (** ingredient 3: E-collectors + single-message client acks; when
@@ -35,10 +33,6 @@ type t = {
           fast-path completion times (§V-E) *)
   collector_stagger : Sbft_sim.Engine.time;
       (** extra delay before the k-th redundant collector activates *)
-  view_change_timeout : Sbft_sim.Engine.time;
-      (** base client-progress timer before a replica votes to change
-          view (doubles per consecutive view change) *)
-  client_retry_timeout : Sbft_sim.Engine.time;
   use_group_sig : bool;
       (** §VIII: n-of-n group signatures on the fast path while no
           failure has been observed, with automatic fallback *)
@@ -69,12 +63,25 @@ type t = {
           replica trusts whatever durable state it restarted from and
           participates immediately (the fuzzer's rollback-attack twins
           prove this switch is load-bearing) *)
-  state_transfer_retry : Sbft_sim.Engine.time;
-      (** base retry timer for an unanswered [Get_state] (doubles per
-          attempt, capped; each retry rotates to the next peer) *)
   mutation : mutation option;
       (** [None] in every real configuration; see {!mutation}. *)
 }
+
+(** {2 Timers} *)
+
+val batch_timeout : Sbft_sim.Engine.time
+(** 5 ms: the primary proposes a partial batch after this delay. *)
+
+val view_change_timeout : Sbft_sim.Engine.time
+(** 2 s: base client-progress timer before a replica votes to change
+    view (doubles per consecutive view change). *)
+
+val client_retry_timeout : Sbft_sim.Engine.time
+(** 4 s: a client re-broadcasts a request unanswered for this long. *)
+
+val state_transfer_retry : Sbft_sim.Engine.time
+(** 300 ms: base retry timer for an unanswered [Get_state] (doubles per
+    attempt, capped; each retry rotates to the next peer). *)
 
 val n : t -> int
 (** [3f + 2c + 1]. *)

@@ -101,11 +101,11 @@ type slot = {
   pi_shares : (string, stash) Hashtbl.t;
   mutable exec_proof_sent : bool;
   mutable acks_sent : bool;
-  (* view-change bookkeeping *)
-  mutable highest_prepare : (int * Field.t * Types.request list) option;
-  mutable highest_preprepare : (int * Threshold.share * Types.request list) option;
-  mutable fast_cert : (Field.t * int * Types.request list) option;
-  mutable slow_cert : (Field.t * Field.t * int * Types.request list) option;
+  (* view-change report (§V-G): the σ commit proof or the highest σ
+     pre-prepare share, and the τ/ττ commit proof or the highest τ
+     prepare *)
+  mutable fast : Types.fast_cert;
+  mutable slow : Types.slow_cert;
 }
 
 let new_slot seq =
@@ -130,10 +130,8 @@ let new_slot seq =
     pi_shares = Hashtbl.create 2;
     exec_proof_sent = false;
     acks_sent = false;
-    highest_prepare = None;
-    highest_preprepare = None;
-    fast_cert = None;
-    slow_cert = None;
+    fast = Types.No_preprepare;
+    slow = Types.No_commit;
   }
 
 type t = {
@@ -150,8 +148,8 @@ type t = {
   slots : (int, slot) Hashtbl.t;
   pending : Types.request Queue.t;
   pending_keys : (int * int, unit) Hashtbl.t;
-  client_table : (int, int * string * int * int) Hashtbl.t;
-      (* client -> (timestamp, value, seq, index) of last executed op *)
+  client_table : (int, Sbft_store.Block_store.client_entry) Hashtbl.t;
+      (* client -> row of its last executed op *)
   batching : Batching.t;
   mutable batch_timer_armed : bool;
   (* liveness *)
@@ -297,15 +295,25 @@ let certified_checkpoints t =
     (Det.sorted_bindings ~compare:Int.compare t.checkpoint_pis)
 
 let client_last_timestamp t ~client =
-  Option.map (fun (ts, _, _, _) -> ts) (Hashtbl.find_opt t.client_table client)
+  Option.map (fun ce -> ce.Sbft_store.Block_store.ce_timestamp)
+    (Hashtbl.find_opt t.client_table client)
 
-(* Ledger decoding: the requests of a persisted block.  Client
-   signatures are not persisted; the block's commit certificate is. *)
-let ledger_reqs (e : Sbft_store.Block_store.entry) =
+(* Requests as the ledger and the WAL persist them, and back.  Client
+   signatures are not persisted; the block's commit certificate, or the
+   logged promise, stands in for them. *)
+let ops_of_reqs reqs =
+  List.map
+    (fun (r : Types.request) ->
+      { Sbft_store.Block_store.client = r.client; timestamp = r.timestamp; op = r.op })
+    reqs
+
+let reqs_of_ops ops =
   List.map
     (fun (o : Sbft_store.Block_store.op) ->
       { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-    e.Sbft_store.Block_store.ops
+    ops
+
+let ledger_reqs (e : Sbft_store.Block_store.entry) = reqs_of_ops e.ops
 
 let committed_block t seq =
   match Hashtbl.find_opt t.slots seq with
@@ -336,34 +344,20 @@ let retire t = t.retired <- true
 
 let send t ctx ~dst msg = t.env.send ctx ~src:t.id ~dst msg
 
-(* Client table as sorted rows (checkpoint capture / state transfer). *)
-let client_table_rows t =
-  List.map
-    (fun (client, (ts, value, seq, index)) ->
-      {
-        Sbft_store.Block_store.ce_client = client;
-        ce_timestamp = ts;
-        ce_value = value;
-        ce_seq = seq;
-        ce_index = index;
-      })
-    (Det.sorted_bindings ~compare:Int.compare t.client_table)
+let add_client_row t (ce : Sbft_store.Block_store.client_entry) =
+  Hashtbl.replace t.client_table ce.ce_client ce
 
 (* Client-row adoption: replace the client table with a checkpoint's
    rows (the snapshot's state already reflects those executions). *)
 let adopt_client_rows t rows =
   Hashtbl.reset t.client_table;
-  List.iter
-    (fun (ce : Sbft_store.Block_store.client_entry) ->
-      Hashtbl.replace t.client_table ce.ce_client
-        (ce.ce_timestamp, ce.ce_value, ce.ce_seq, ce.ce_index))
-    rows
+  List.iter (add_client_row t) rows
 
 (* The exactly-once test: the client table already records [client]'s
    request [timestamp], or a later one, as executed. *)
 let executed_before t ~client ~timestamp =
   match Hashtbl.find_opt t.client_table client with
-  | Some (ts, _, _, _) -> ts >= timestamp
+  | Some ce -> ce.Sbft_store.Block_store.ce_timestamp >= timestamp
   | None -> false
 
 let broadcast_replicas t ctx msg =
@@ -391,9 +385,6 @@ let wal_sync t ctx =
     Engine.charge ctx
       (Cost_model.Tally.note "wal_fsync"
          (Cost_model.wal_fsync_scaled ~scale:t.fsync_scale))
-
-let wal_ops reqs =
-  List.map (fun (r : Types.request) -> (r.Types.client, r.Types.timestamp, r.Types.op)) reqs
 
 (* ------------------------------------------------------------------ *)
 (* Progress tracking for the view-change trigger *)
@@ -494,6 +485,16 @@ let ledger_cert = function
       Types.Cert_slow (Field.of_bytes s.tau, Field.of_bytes s.tau_tau)
 
 (* ------------------------------------------------------------------ *)
+(* The slot's view-change report.  A commit proof, once held, is never
+   downgraded by a later pre-prepare share or prepare. *)
+
+let note_preprepared sl fast =
+  match sl.fast with Types.Fast_committed _ -> () | _ -> sl.fast <- fast
+
+let note_prepared sl slow =
+  match sl.slow with Types.Slow_committed _ -> () | _ -> sl.slow <- slow
+
+(* ------------------------------------------------------------------ *)
 (* Sign-share emission (§V-D).
 
    [sign_block] signs h with this replica's σ and τ key shares and keeps
@@ -513,7 +514,7 @@ let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
           Threshold.forge_invalid_share ~signer:(t.id + 1) )
     | _ -> (sigma_share, tau_share)
   in
-  sl.highest_preprepare <- Some (view, sigma_share, reqs);
+  note_preprepared sl (Types.Fast_preprepared { share = sigma_share; view; reqs });
   (sigma_share, tau_share)
 
 let send_sign_shares t ctx ~seq ~view (sigma_share, tau_share) =
@@ -531,7 +532,7 @@ let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
   (* The sign share is a promise: persist the accepted block
      before the network can observe it. *)
   wal_log t ctx
-    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = wal_ops reqs });
+    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = ops_of_reqs reqs });
   wal_sync t ctx;
   send_sign_shares t ctx ~seq ~view shares
 
@@ -565,11 +566,17 @@ let record_client_rows t ctx ~seq reqs outputs ~log =
     (fun index ((r : Types.request), value) ->
       if r.client >= 0 && not (executed_before t ~client:r.client ~timestamp:r.timestamp)
       then begin
-        Hashtbl.replace t.client_table r.client (r.timestamp, value, seq, index);
-        if log then
-          wal_log t ctx
-            (Sbft_store.Wal.Client_row
-               { client = r.client; timestamp = r.timestamp; value; seq; index })
+        let row =
+          {
+            Sbft_store.Block_store.ce_client = r.client;
+            ce_timestamp = r.timestamp;
+            ce_value = value;
+            ce_seq = seq;
+            ce_index = index;
+          }
+        in
+        add_client_row t row;
+        if log then wal_log t ctx (Sbft_store.Wal.Client_row row)
       end)
     (List.combine reqs outputs)
 
@@ -614,7 +621,8 @@ let rec on_message t ctx ~src msg =
 and on_request t ctx (r : Types.request) =
   (* Answer retransmissions of already-executed operations directly. *)
   match Hashtbl.find_opt t.client_table r.client with
-  | Some (ts, value, seq, _) when ts >= r.timestamp ->
+  | Some { Sbft_store.Block_store.ce_timestamp = ts; ce_value = value; ce_seq = seq; _ }
+    when ts >= r.timestamp ->
       Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
       send t ctx ~dst:r.client
         (Types.Reply
@@ -680,7 +688,7 @@ and try_propose t ctx =
     then begin
       t.batch_timer_armed <- true;
       ignore
-        (set_replica_timer t ~after:config.Config.batch_timeout
+        (set_replica_timer t ~after:Config.batch_timeout
            (fun ctx ->
              t.batch_timer_armed <- false;
              if is_primary t && not t.in_view_change then begin
@@ -896,7 +904,7 @@ and on_prepare t ctx ~seq ~view ~tau =
           if Threshold.verify (keys t).Keys.tau ~msg:h tau then begin
             sl.sent_commit <- true;
             sl.prepare_tau <- Some tau;
-            sl.highest_prepare <- Some (view, tau, reqs);
+            note_prepared sl (Types.Slow_prepared { tau; view; reqs });
             wal_log t ctx
               (Sbft_store.Wal.Accepted_prepare
                  { seq; view; tau = Threshold.signature_bytes tau });
@@ -957,10 +965,10 @@ and commit t ctx sl ~reqs ~view cert =
   let fast =
     match cert with
     | Types.Cert_fast sigma ->
-        sl.fast_cert <- Some (sigma, view, reqs);
+        sl.fast <- Types.Fast_committed { sigma; view; reqs };
         true
     | Types.Cert_slow (tau, tau_tau) ->
-        sl.slow_cert <- Some (tau, tau_tau, view, reqs);
+        sl.slow <- Types.Slow_committed { tau; tau_tau; view; reqs };
         false
   in
   if sl.committed = None then begin
@@ -986,11 +994,7 @@ and commit t ctx sl ~reqs ~view cert =
       {
         Sbft_store.Block_store.seq = sl.seq;
         view;
-        ops =
-          List.map
-            (fun (r : Types.request) ->
-              { Sbft_store.Block_store.client = r.client; timestamp = r.timestamp; op = r.op })
-            reqs;
+        ops = ops_of_reqs reqs;
         cert = stored_cert cert;
       }
     in
@@ -1024,7 +1028,8 @@ and try_execute t ctx =
         if next mod Config.checkpoint_interval config = 0 then
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:next
             ~snapshot:(Sbft_store.Auth_store.delayed_snapshot t.store)
-            ~table:(client_table_rows t);
+            ~table:
+              (List.map snd (Det.sorted_bindings ~compare:Int.compare t.client_table));
         (* Group commit: one fsync covers the block's rows and any
            commit certificates buffered earlier in this handler, before
            the execution results go on the wire. *)
@@ -1067,7 +1072,8 @@ and try_execute t ctx =
                    client's f+1 match cannot mix "" with real values. *)
                 let value =
                   match Hashtbl.find_opt t.client_table r.client with
-                  | Some (ts, v, _, _) when Int.equal ts r.timestamp -> v
+                  | Some ce when Int.equal ce.Sbft_store.Block_store.ce_timestamp r.timestamp ->
+                      ce.ce_value
                   | _ -> value
                 in
                 (* Direct replies are signed server messages ([31]);
@@ -1270,10 +1276,7 @@ and send_get_state t ctx st =
   let n = num_replicas t in
   let peer = (t.id + 1 + ((st.st_base + st.st_attempt) mod (n - 1))) mod n in
   send t ctx ~dst:peer (Types.Get_state { upto = st.st_target; replica = t.id });
-  let config = cfg t in
-  let backoff =
-    config.Config.state_transfer_retry * (1 lsl min 6 st.st_attempt)
-  in
+  let backoff = Config.state_transfer_retry * (1 lsl min 6 st.st_attempt) in
   (match st.st_timer with Some tm -> Engine.cancel_timer tm | None -> ());
   st.st_timer <-
     Some
@@ -1337,7 +1340,7 @@ and on_get_state t ctx ~upto ~replica =
   let now = Engine.ctx_now ctx in
   let allow =
     match Hashtbl.find_opt t.st_served replica with
-    | Some at -> now - at >= (cfg t).Config.state_transfer_retry / 4
+    | Some at -> now - at >= Config.state_transfer_retry / 4
     | None -> true
   in
   if allow then begin
@@ -1482,18 +1485,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
           wal_log t ctx
             (Sbft_store.Wal.Stable_checkpoint
                { seq = snap_seq; digest; pi = Threshold.signature_bytes pi });
-          List.iter
-            (fun (ce : Sbft_store.Block_store.client_entry) ->
-              wal_log t ctx
-                (Sbft_store.Wal.Client_row
-                   {
-                     client = ce.ce_client;
-                     timestamp = ce.ce_timestamp;
-                     value = ce.ce_value;
-                     seq = ce.ce_seq;
-                     index = ce.ce_index;
-                   }))
-            table;
+          List.iter (fun ce -> wal_log t ctx (Sbft_store.Wal.Client_row ce)) table;
           wal_sync t ctx;
           (* Adopt and replay the suffix, verifying each block's commit
              certificate; then settle (complete, keep retrying, or
@@ -1528,26 +1520,8 @@ and build_view_change t =
     for s = base + 1 to base + config.Config.win do
       match Hashtbl.find_opt t.slots s with
       | None -> ()
-      | Some sl ->
-          let slow =
-            match sl.slow_cert with
-            | Some (tau, tau_tau, view, reqs) ->
-                Types.Slow_committed { tau; tau_tau; view; reqs }
-            | None -> (
-                match sl.highest_prepare with
-                | Some (view, tau, reqs) -> Types.Slow_prepared { tau; view; reqs }
-                | None -> Types.No_commit)
-          in
-          let fast =
-            match sl.fast_cert with
-            | Some (sigma, view, reqs) -> Types.Fast_committed { sigma; view; reqs }
-            | None -> (
-                match sl.highest_preprepare with
-                | Some (view, share, reqs) -> Types.Fast_preprepared { share; view; reqs }
-                | None -> Types.No_preprepare)
-          in
-          if slow <> Types.No_commit || fast <> Types.No_preprepare then
-            slots := { Types.slot_seq = s; slow; fast } :: !slots
+      | Some { slow = Types.No_commit; fast = Types.No_preprepare; _ } -> ()
+      | Some { slow; fast; _ } -> slots := { Types.slot_seq = s; slow; fast } :: !slots
     done;
     {
       Types.vc_replica = t.id;
@@ -1593,7 +1567,7 @@ and on_view_change t ctx (vc : Types.view_change) =
         let allow =
           match Hashtbl.find_opt t.nv_resent vc.Types.vc_replica with
           | Some (v', at) ->
-              v > v' || now - at >= (cfg t).Config.state_transfer_retry
+              v > v' || now - at >= Config.state_transfer_retry
           | None -> true
         in
         if allow then begin
@@ -1758,10 +1732,9 @@ and enter_view t ctx ~view =
 (* Liveness ticker *)
 
 and liveness_tick t ctx =
-  let config = cfg t in
   let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
   if waiting && not (Engine.is_crashed t.env.engine t.id) then begin
-    let timeout = config.Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
+    let timeout = Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
     if Engine.ctx_now ctx - t.last_progress > timeout then begin
       t.vc_backoff <- t.vc_backoff + 1;
       start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
@@ -1771,7 +1744,7 @@ and liveness_tick t ctx =
 let rec arm_liveness t =
   ignore
     (set_replica_timer t
-       ~after:((cfg t).Config.view_change_timeout / 2)
+       ~after:(Config.view_change_timeout / 2)
        (fun ctx ->
          liveness_tick t ctx;
          arm_liveness t))
@@ -1883,27 +1856,24 @@ let recover t ctx =
   List.iter
     (fun (r : Sbft_store.Wal.record) ->
       match r with
-      | Sbft_store.Wal.Client_row { client; timestamp; value; seq; index } ->
+      | Sbft_store.Wal.Client_row ce ->
           (* A conservative rejoin leaves rows above the executed
              prefix to re-execution.  After a rollback their blocks'
              ledger is gone; adopting the rows would turn the requests
              into no-ops when state transfer re-executes those blocks,
              and the store would lag the client table.  Eager rejoin
              adopts them: it is the rollback baseline. *)
-          let ahead = config.Config.conservative_rejoin && seq > last_executed t in
-          if (not ahead) && not (executed_before t ~client ~timestamp) then
-            Hashtbl.replace t.client_table client (timestamp, value, seq, index)
+          let ahead = config.Config.conservative_rejoin && ce.ce_seq > last_executed t in
+          if
+            (not ahead)
+            && not (executed_before t ~client:ce.ce_client ~timestamp:ce.ce_timestamp)
+          then add_client_row t ce
       | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
           if seq > !promised_seq then promised_seq := seq;
           if Int.equal view t.view && seq > last_executed t then begin
             let sl = slot t seq in
             if sl.pp = None && sl.committed = None then begin
-              let reqs =
-                List.map
-                  (fun (client, timestamp, op) ->
-                    { Types.client; timestamp; op; signature = "" })
-                  ops
-              in
+              let reqs = reqs_of_ops ops in
               let h = Types.block_hash ~seq ~view ~reqs in
               sl.pp <- Some (view, reqs, h);
               (* Honour the logged promise by re-issuing the identical
@@ -1925,7 +1895,7 @@ let recover t ctx =
             sl.prepare_tau <- Some tau;
             match sl.pp with
             | Some (v, reqs, _) when Int.equal v view ->
-                sl.highest_prepare <- Some (view, tau, reqs)
+                note_prepared sl (Types.Slow_prepared { tau; view; reqs })
             | _ -> ()
           end
       | _ -> ())

@@ -7,5 +7,3 @@
 
 val digest : string -> string
 (** 32-byte Keccak-256 digest. *)
-
-val digest_bytes : bytes -> off:int -> len:int -> string

@@ -42,7 +42,6 @@ let setup rng ~n ~k =
 
 let n t = t.n
 let threshold t = t.k
-let signer_index (sk : signing_key) = sk.signer
 
 let hash_to_field msg = Field.of_digest (Sha256.digest msg)
 

@@ -33,7 +33,6 @@ val setup : Sbft_sim.Rng.t -> n:int -> k:int -> t * signing_key array
 
 val n : t -> int
 val threshold : t -> int
-val signer_index : signing_key -> int
 
 val share_sign : signing_key -> msg:string -> share
 val share_verify : t -> msg:string -> share -> bool

@@ -22,7 +22,6 @@ val counter_get : string
     Selector 1: transfer(to, amount) — reverts on insufficient balance,
     returns 1.  Selector 2: balanceOf(addr). *)
 
-val token_runtime : string
 val token_init : supply:U256.t -> string
 
 val token_transfer : to_:string -> amount:U256.t -> string
@@ -33,15 +32,8 @@ val token_balance_of : addr:string -> string
     Selector 0: contribute, returns new total. Selector 1: total.
     Selector 2: contribution_of(addr). *)
 
-val escrow_runtime : string
 val escrow_init : string
 
 val escrow_contribute : string
 val escrow_total : string
 val escrow_contribution_of : addr:string -> string
-
-val deploy_wrapper : ctor:Asm.instr list -> runtime:string -> string
-(** Builds init code: runs [ctor], then returns [runtime] as the
-    deployed code (the standard CODECOPY/RETURN epilogue). *)
-
-val word_of_address : string -> U256.t

@@ -63,8 +63,3 @@ let apply state op =
   | Some tx -> apply_tx state tx
 
 let create () = Sbft_store.Auth_store.create ~apply ()
-
-let created_address ~receipt =
-  match Tx.decode_receipt receipt with
-  | Some { ok = true; output; _ } when String.length output = 20 -> Some output
-  | _ -> None

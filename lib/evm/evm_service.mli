@@ -8,7 +8,3 @@ val apply : Sbft_store.Auth_store.apply
 
 val create : unit -> Sbft_store.Auth_store.t
 (** Fresh authenticated store running the EVM ledger. *)
-
-val created_address : receipt:string -> string option
-(** Convenience: the 20-byte address out of a successful [Create]
-    receipt. *)

@@ -8,10 +8,6 @@
 
 type scale = [ `Quick | `Full ]
 
-val f_of_scale : scale -> int
-val clients_of_scale : scale -> int list
-val failures_of_scale : scale -> int list
-
 val fig1 : unit -> unit
 (** Reproduces Figure 1: runs n=4, f=1, c=0 on one request with tracing
     and prints the fast-path message flow. *)

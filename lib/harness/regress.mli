@@ -67,8 +67,6 @@ type tolerance = {
   rel_wall : float;
 }
 
-val default_tolerance : tolerance
-
 val compare_reports :
   ?tol:tolerance -> baseline:report -> current:report -> unit -> string list
 (** One human-readable violation per out-of-band metric, in baseline

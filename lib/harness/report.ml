@@ -30,8 +30,11 @@ module Json = struct
         | c -> Buffer.add_char b c)
       s
 
+  (* JSON has no infinity or NaN: a non-finite number (the ci95 of a
+     one-seed sweep) is written as null. *)
   let number_to_string x =
-    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+    if not (Float.is_finite x) then "null"
+    else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
     else
       (* Shortest representation that still round-trips exactly. *)
       let s = Printf.sprintf "%.12g" x in

@@ -51,7 +51,7 @@ let send t ctx ~dst msg = t.env.Pbft_replica.send ctx ~src:t.id ~dst msg
 let rec arm_retry t (p : pending) =
   ignore
     (Engine.set_timer t.env.Pbft_replica.engine ~node:t.id
-       ~after:(config t).Config.client_retry_timeout (fun ctx ->
+       ~after:Config.client_retry_timeout (fun ctx ->
          if not p.done_ then begin
            for r = 0 to n_replicas t - 1 do
              send t ctx ~dst:r (Pbft_types.Request p.request)

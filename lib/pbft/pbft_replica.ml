@@ -218,7 +218,7 @@ and try_propose t ctx =
     if can () && not t.batch_timer_armed then begin
       t.batch_timer_armed <- true;
       ignore
-        (set_replica_timer t ~after:config.Config.batch_timeout
+        (set_replica_timer t ~after:Config.batch_timeout
            (fun ctx ->
              t.batch_timer_armed <- false;
              if is_primary t && not (Queue.is_empty t.pending)
@@ -518,10 +518,9 @@ and on_new_view t ctx ~view ~pre_prepares =
   end
 
 and liveness_tick t ctx =
-  let config = cfg t in
   let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
   if waiting then begin
-    let timeout = config.Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
+    let timeout = Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
     if Engine.ctx_now ctx - t.last_progress > timeout then begin
       t.vc_backoff <- t.vc_backoff + 1;
       start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
@@ -531,7 +530,7 @@ and liveness_tick t ctx =
 let rec arm_liveness t =
   ignore
     (set_replica_timer t
-       ~after:((cfg t).Config.view_change_timeout / 2)
+       ~after:(Config.view_change_timeout / 2)
        (fun ctx ->
          liveness_tick t ctx;
          arm_liveness t))

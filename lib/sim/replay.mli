@@ -12,13 +12,7 @@ type digest = int64
     don't matter because outcomes come from the event-by-event
     comparison; digests are only a compact fingerprint to report. *)
 
-val pp_digest : digest -> string
-(** 16 hex digits. *)
-
 val digest_records : Trace.record list -> digest
-
-val node_digests : Trace.record list -> (int * digest) list
-(** Digest of each node's event sub-stream, ascending node id. *)
 
 type summary = {
   events : int;
@@ -33,8 +27,6 @@ type divergence = {
 }
 
 type outcome = Identical of summary | Diverged of divergence
-
-val compare_runs : Trace.record list -> Trace.record list -> outcome
 
 val run_twice : run:(unit -> Trace.record list) -> outcome
 (** [run_twice ~run] invokes [run] twice and compares; [run] must

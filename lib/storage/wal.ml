@@ -28,21 +28,11 @@ open Sbft_wire
 type record =
   | View_entered of int
   | View_change_started of int
-  | Accepted_pre_prepare of {
-      seq : int;
-      view : int;
-      ops : (int * int * string) list;  (* client, timestamp, op *)
-    }
+  | Accepted_pre_prepare of { seq : int; view : int; ops : Block_store.op list }
   | Accepted_prepare of { seq : int; view : int; tau : string }
   | Commit_cert of { seq : int; view : int; fast : bool }
   | Stable_checkpoint of { seq : int; digest : string; pi : string }
-  | Client_row of {
-      client : int;
-      timestamp : int;
-      value : string;
-      seq : int;
-      index : int;
-    }
+  | Client_row of Block_store.client_entry
 
 type t = {
   mutable torn : string;
@@ -113,7 +103,7 @@ let payload_len = function
   | View_entered v | View_change_started v -> 1 + zig_len v
   | Accepted_pre_prepare { seq; view; ops } ->
       List.fold_left
-        (fun n (client, timestamp, op) ->
+        (fun n { Block_store.client; timestamp; op } ->
           n + zig_len client + zig_len timestamp + str_len op)
         (1 + zig_len seq + zig_len view + varint_len (List.length ops))
         ops
@@ -122,9 +112,9 @@ let payload_len = function
   | Commit_cert { seq; view; fast = _ } -> 2 + zig_len seq + zig_len view
   | Stable_checkpoint { seq; digest; pi } ->
       1 + zig_len seq + str_len digest + str_len pi
-  | Client_row { client; timestamp; value; seq; index } ->
-      1 + zig_len client + zig_len timestamp + str_len value + zig_len seq
-      + zig_len index
+  | Client_row { ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
+      1 + zig_len ce_client + zig_len ce_timestamp + str_len ce_value + zig_len ce_seq
+      + zig_len ce_index
 
 let frame_len record =
   let n = payload_len record in
@@ -144,7 +134,7 @@ let payload record =
       zig w seq;
       zig w view;
       Codec.Writer.list w
-        (fun (client, timestamp, op) ->
+        (fun { Block_store.client; timestamp; op } ->
           zig w client;
           zig w timestamp;
           Codec.Writer.str w op)
@@ -164,13 +154,13 @@ let payload record =
       zig w seq;
       Codec.Writer.str w digest;
       Codec.Writer.str w pi
-  | Client_row { client; timestamp; value; seq; index } ->
+  | Client_row { ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
       Codec.Writer.u8 w 7;
-      zig w client;
-      zig w timestamp;
-      Codec.Writer.str w value;
-      zig w seq;
-      zig w index);
+      zig w ce_client;
+      zig w ce_timestamp;
+      Codec.Writer.str w ce_value;
+      zig w ce_seq;
+      zig w ce_index);
   w
 
 let parse_payload r =
@@ -185,7 +175,7 @@ let parse_payload r =
             let client = zag r in
             let timestamp = zag r in
             let op = Codec.Reader.str r in
-            (client, timestamp, op))
+            { Block_store.client; timestamp; op })
       in
       Some (Accepted_pre_prepare { seq; view; ops })
   | 4 ->
@@ -204,12 +194,12 @@ let parse_payload r =
       let pi = Codec.Reader.str r in
       Some (Stable_checkpoint { seq; digest; pi })
   | 7 ->
-      let client = zag r in
-      let timestamp = zag r in
-      let value = Codec.Reader.str r in
-      let seq = zag r in
-      let index = zag r in
-      Some (Client_row { client; timestamp; value; seq; index })
+      let ce_client = zag r in
+      let ce_timestamp = zag r in
+      let ce_value = Codec.Reader.str r in
+      let ce_seq = zag r in
+      let ce_index = zag r in
+      Some (Client_row { ce_client; ce_timestamp; ce_value; ce_seq; ce_index })
   | _ -> None
 
 (* FNV-1a over [len] bytes of [b] from [pos], folded to 32 bits.  The
@@ -311,7 +301,7 @@ let record_seq = function
   | Accepted_prepare { seq; _ }
   | Commit_cert { seq; _ }
   | Stable_checkpoint { seq; _ }
-  | Client_row { seq; _ } ->
+  | Client_row { ce_seq = seq; _ } ->
       Some seq
 
 (* Checkpoint compaction filter: everything below [seq] is captured by

@@ -16,23 +16,15 @@
 type record =
   | View_entered of int
   | View_change_started of int
-  | Accepted_pre_prepare of {
-      seq : int;
-      view : int;
-      ops : (int * int * string) list;  (** client, timestamp, op *)
-    }
+  | Accepted_pre_prepare of { seq : int; view : int; ops : Block_store.op list }
+      (** the accepted block's operations, as the ledger stores them *)
   | Accepted_prepare of { seq : int; view : int; tau : string }
       (** [tau] is the serialized prepare certificate, so recovery can
           restore the replica's highest-prepare report for view changes. *)
   | Commit_cert of { seq : int; view : int; fast : bool }
   | Stable_checkpoint of { seq : int; digest : string; pi : string }
-  | Client_row of {
-      client : int;
-      timestamp : int;
-      value : string;
-      seq : int;
-      index : int;
-    }
+  | Client_row of Block_store.client_entry
+      (** a client-table row, as checkpoints and state transfer carry it *)
 
 val frame : record -> string
 (** The record's bytes in the log: varint payload length, 4-byte

@@ -11,7 +11,6 @@
     historical chain state.  The substitution is documented in
     DESIGN.md. *)
 
-val num_accounts : int
 val num_tokens : int
 val txs_per_chunk : int
 (** ≈50, matching the paper's 12 KB chunks. *)
@@ -23,9 +22,6 @@ val token_address : int -> string
 (** Address of the i-th pre-deployed token contract. *)
 
 val escrow_address : string
-
-val genesis_ops : string list
-(** Encoded transactions that set up the genesis state. *)
 
 val make_chunk : client:int -> int -> string
 (** The i-th request of a client: an encoded {!Sbft_evm.Tx.Chunk}. *)

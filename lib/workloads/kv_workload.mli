@@ -6,9 +6,6 @@
 val batch_size : int
 (** 64, as in the paper. *)
 
-val key_space : int
-(** Number of distinct keys the generator draws from. *)
-
 val single_op : client:int -> int -> string
 (** Deterministic "random" single put for (client, request index). *)
 

@@ -444,7 +444,7 @@ let test_replica_baseline () =
 let test_mutation_r9_sign_share () =
   let mutated =
     mutate (Lint.read_file replica_path)
-      ~after:"Accepted_pre_prepare { seq; view; ops = wal_ops reqs });"
+      ~after:"Accepted_pre_prepare { seq; view; ops = ops_of_reqs reqs });"
       ~needle:"wal_sync t ctx;" ~repl:""
   in
   let kept = lint_replica mutated in

@@ -43,6 +43,29 @@ let test_json_roundtrip () =
         | Some s -> to_str s = Some "sbft-bench-v1"
         | None -> false)
 
+(* JSON has no infinity or NaN; the emitter writes them as null, so
+   its own parser (and any other) reads the document back. *)
+let test_json_non_finite () =
+  let open Report.Json in
+  check "non-finite numbers parse back as null" true
+    (parse (to_string (Obj [ ("ci95", Num infinity); ("x", Num nan) ]))
+    = Ok (Obj [ ("ci95", Null); ("x", Null) ]));
+  (* A one-seed sweep has no confidence interval: ci95 = infinity. *)
+  let one_seed = { Regress.mean = 1.; ci95 = infinity } in
+  let row =
+    {
+      Regress.sweep_name = "one-seed";
+      seeds = 1;
+      throughput = one_seed;
+      p50_lat = one_seed;
+      fast_frac = one_seed;
+      wall_s = one_seed;
+      ev_per_sec = one_seed;
+    }
+  in
+  check "one-seed sweep report parses" true
+    (Result.is_ok (parse (Regress.sweep_report_json [ row ])))
+
 let test_json_parse_edges () =
   let open Report.Json in
   let ok s v = check ("parse " ^ s) true (parse s = Ok v) in
@@ -233,6 +256,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse edges" `Quick test_json_parse_edges;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
         ] );
       ( "report",
         [

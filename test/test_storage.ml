@@ -663,16 +663,26 @@ let test_block_store () =
 (* ------------------------------------------------------------------ *)
 (* Wal *)
 
+let row ~client ~timestamp ~value ~seq ~index =
+  Wal.Client_row
+    {
+      Block_store.ce_client = client;
+      ce_timestamp = timestamp;
+      ce_value = value;
+      ce_seq = seq;
+      ce_index = index;
+    }
+
 let wal_records =
   [
     Wal.View_entered 2;
     Wal.View_change_started 3;
     Wal.Accepted_pre_prepare
-      { seq = 4; view = 2; ops = [ (7, 1, "op-a"); (-1, 0, "") ] };
+      { seq = 4; view = 2; ops = [ bop "op-a"; bop ~client:(-1) ~timestamp:0 "" ] };
     Wal.Accepted_prepare { seq = 4; view = 2; tau = "tau-bytes" };
     Wal.Commit_cert { seq = 4; view = 2; fast = false };
     Wal.Stable_checkpoint { seq = 8; digest = "digest"; pi = "pi-bytes" };
-    Wal.Client_row { client = 7; timestamp = 1; value = "v"; seq = 4; index = 0 };
+    row ~client:7 ~timestamp:1 ~value:"v" ~seq:4 ~index:0;
   ]
 
 let test_wal_roundtrip () =
@@ -761,8 +771,7 @@ let test_wal_truncate_amortized () =
     for i = 0 to n - 1 do
       ignore
         (Wal.append w
-           (Wal.Client_row
-              { client = 1; timestamp = i; value = big; seq = seq0 + i; index = 0 }))
+           (row ~client:1 ~timestamp:i ~value:big ~seq:(seq0 + i) ~index:0))
     done;
     ignore (Wal.sync w)
   in
@@ -778,7 +787,7 @@ let test_wal_truncate_amortized () =
   check "logical truncation filters replay without rewrite" true
     (List.for_all
        (fun r ->
-         match r with Wal.Client_row { seq; _ } -> seq >= 502 | _ -> true)
+         match r with Wal.Client_row ce -> ce.Block_store.ce_seq >= 502 | _ -> true)
        (Wal.replay w));
   (* Small logs below the watermark never pay for a rewrite, but their
      replay is still truncated. *)
@@ -817,7 +826,7 @@ let synced_once records =
 let test_wal_duplicate_checkpoint () =
   let cp = Wal.Stable_checkpoint { seq = 5; digest = "d5"; pi = "p5" } in
   let filler =
-    Wal.Client_row { client = 1; timestamp = 1; value = String.make 70_000 'v'; seq = 1; index = 0 }
+    row ~client:1 ~timestamp:1 ~value:(String.make 70_000 'v') ~seq:1 ~index:0
   in
   let w = synced_once [ filler; cp; cp ] in
   check "replay before compaction" true (Wal.replay w = [ filler; cp; cp ]);
@@ -834,7 +843,7 @@ let test_wal_bytes_across_syncs () =
   check_int "durable after sync 1" 7 (Wal.durable_bytes w);
   check_int "Commit_cert frame" 9
     (Wal.append w (Wal.Commit_cert { seq = 4; view = 2; fast = false }));
-  let big = Wal.Client_row { client = 1; timestamp = 2; value = String.make 200 'v'; seq = 3; index = 0 } in
+  let big = row ~client:1 ~timestamp:2 ~value:(String.make 200 'v') ~seq:3 ~index:0 in
   (* 7 bytes of tag and small ints, a 2-byte length prefix on the
      200-byte value, then a 2-byte frame length and the checksum *)
   check_int "Client_row frame" 213 (Wal.append w big);
@@ -874,7 +883,7 @@ let test_wal_compaction_across_syncs () =
       (List.init 160 (fun i ->
            let seq = i + 1 in
            [
-             Wal.Client_row { client = 1; timestamp = i; value; seq; index = 0 };
+             row ~client:1 ~timestamp:i ~value ~seq ~index:0;
              Wal.Commit_cert { seq; view = 0; fast = i mod 2 = 0 };
            ]
            @ if seq mod 16 = 0 then
@@ -920,14 +929,18 @@ let test_wal_golden_frames () =
       {
         seq = 300;
         view = 2;
-        ops = [ (7, 41, Kv_service.put ~key:"k1" ~value:"v1"); (-1, 0, "") ];
+        ops =
+          [
+            bop ~timestamp:41 (Kv_service.put ~key:"k1" ~value:"v1");
+            bop ~client:(-1) ~timestamp:0 "";
+          ];
       }
   in
-  let row = Wal.Client_row { client = 7; timestamp = 41; value = "ok"; seq = 300; index = 1 } in
+  let client_row = row ~client:7 ~timestamp:41 ~value:"ok" ~seq:300 ~index:1 in
   let hex r = Sbft_crypto.Sha256.hex (Wal.frame r) in
   check_str "Accepted_pre_prepare frame" "12198b072003d80404020e520701026b31027631010000"
     (hex pre_prepare);
-  check_str "Client_row frame" "09312b0a60070e52026f6bd80402" (hex row);
+  check_str "Client_row frame" "09312b0a60070e52026f6bd80402" (hex client_row);
   let w = Wal.create () in
   check_int "append reports the frame length"
     (String.length (Wal.frame pre_prepare))
@@ -971,13 +984,12 @@ let wal_record_gen ~ints ~strs ~seqs ~ops =
         map3
           (fun seq view ops -> Wal.Accepted_pre_prepare { seq; view; ops })
           seqs ints
-          (list_size ops (triple ints ints strs));
+          (list_size ops (map3 (fun client timestamp op -> bop ~client ~timestamp op) ints ints strs));
         map3 (fun seq view tau -> Wal.Accepted_prepare { seq; view; tau }) seqs ints strs;
         map3 (fun seq view fast -> Wal.Commit_cert { seq; view; fast }) seqs ints bool;
         map3 (fun seq digest pi -> Wal.Stable_checkpoint { seq; digest; pi }) seqs strs strs;
         map5
-          (fun client timestamp value seq index ->
-            Wal.Client_row { client; timestamp; value; seq; index })
+          (fun client timestamp value seq index -> row ~client ~timestamp ~value ~seq ~index)
           ints ints strs seqs ints;
       ])
 
@@ -989,16 +1001,19 @@ let show_record r =
   | Wal.Accepted_pre_prepare { seq; view; ops } ->
       Printf.sprintf "Accepted_pre_prepare seq=%d view=%d ops=[%s]" seq view
         (String.concat "; "
-           (List.map (fun (c, ts, op) -> Printf.sprintf "%d,%d,%s" c ts (str op)) ops))
+           (List.map
+              (fun { Block_store.client; timestamp; op } ->
+                Printf.sprintf "%d,%d,%s" client timestamp (str op))
+              ops))
   | Wal.Accepted_prepare { seq; view; tau } ->
       Printf.sprintf "Accepted_prepare seq=%d view=%d tau=%s" seq view (str tau)
   | Wal.Commit_cert { seq; view; fast } ->
       Printf.sprintf "Commit_cert seq=%d view=%d fast=%b" seq view fast
   | Wal.Stable_checkpoint { seq; digest; pi } ->
       Printf.sprintf "Stable_checkpoint seq=%d digest=%s pi=%s" seq (str digest) (str pi)
-  | Wal.Client_row { client; timestamp; value; seq; index } ->
-      Printf.sprintf "Client_row client=%d ts=%d value=%s seq=%d index=%d" client timestamp
-        (str value) seq index
+  | Wal.Client_row { Block_store.ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
+      Printf.sprintf "Client_row client=%d ts=%d value=%s seq=%d index=%d" ce_client
+        ce_timestamp (str ce_value) ce_seq ce_index
 
 (* [Ok] the result, or [Error] the message of an [Invalid_argument]. *)
 let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
@@ -1065,7 +1080,7 @@ let has_seq = function
   | Wal.Accepted_prepare { seq; _ }
   | Wal.Commit_cert { seq; _ }
   | Wal.Stable_checkpoint { seq; _ }
-  | Wal.Client_row { seq; _ } ->
+  | Wal.Client_row { Block_store.ce_seq = seq; _ } ->
       Some seq
 
 (* Compaction as documented: below [seq] only view records and the
@@ -1251,7 +1266,11 @@ let wal_props =
                 {
                   seq = Sbft_sim.Rng.int r 1000;
                   view = Sbft_sim.Rng.int r 10;
-                  ops = [ (Sbft_sim.Rng.int r 20 - 1, Sbft_sim.Rng.int r 50, "x") ];
+                  ops =
+                    [
+                      bop ~client:(Sbft_sim.Rng.int r 20 - 1)
+                        ~timestamp:(Sbft_sim.Rng.int r 50) "x";
+                    ];
                 }
           | 3 ->
               Wal.Accepted_prepare
@@ -1267,14 +1286,8 @@ let wal_props =
               Wal.Stable_checkpoint
                 { seq = Sbft_sim.Rng.int r 1000; digest = "d"; pi = "p" }
           | _ ->
-              Wal.Client_row
-                {
-                  client = Sbft_sim.Rng.int r 20;
-                  timestamp = Sbft_sim.Rng.int r 50;
-                  value = "v";
-                  seq = Sbft_sim.Rng.int r 1000;
-                  index = Sbft_sim.Rng.int r 4;
-                }
+              row ~client:(Sbft_sim.Rng.int r 20) ~timestamp:(Sbft_sim.Rng.int r 50)
+                ~value:"v" ~seq:(Sbft_sim.Rng.int r 1000) ~index:(Sbft_sim.Rng.int r 4)
         in
         let records = List.init (1 + Sbft_sim.Rng.int r 30) (fun _ -> random_record ()) in
         let w = Wal.create () in

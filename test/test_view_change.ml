@@ -456,6 +456,133 @@ let prop_decisions_deterministic =
       Sbft_sim.Rng.shuffle rng arr;
       decide msgs = decide (Array.to_list arr))
 
+(* ------------------------------------------------------------------ *)
+(* The report a live replica sends.  One replica of the cluster above
+   is driven message by message; its sends are captured, not
+   delivered.  f+1 complaints for a new target view make it broadcast
+   its own View_change, whose per-slot report is checked after each
+   step. *)
+
+let me = 2
+
+type live = {
+  engine : Sbft_sim.Engine.t;
+  replica : Replica.t;
+  durable : Replica.durable;
+  sent : Types.view_change list ref;  (* newest first *)
+}
+
+let live_replica ?(engine = Sbft_sim.Engine.create ~num_nodes:5 ~seed:1L ())
+    ?(durable =
+      { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () })
+    () =
+  let sent = ref [] in
+  let send _ctx ~src:_ ~dst msg =
+    match msg with
+    | Types.View_change vc when dst = me -> sent := vc :: !sent
+    | _ -> ()
+  in
+  let env =
+    { Replica.engine; trace = Sbft_sim.Trace.create (); keys; send; exec_cost = (fun _ -> 0) }
+  in
+  let replica =
+    Replica.create ~env ~my:replica_keys.(me) ~store:(Sbft_store.Kv_service.create ())
+      ~durable
+  in
+  { engine; replica; durable; sent }
+
+let run_on l f =
+  let now = Sbft_sim.Engine.now l.engine in
+  Sbft_sim.Engine.dispatch l.engine ~dst:me ~at:now f;
+  Sbft_sim.Engine.run_until l.engine (now + Sbft_sim.Engine.ms 100)
+
+let deliver l ~src msg = run_on l (fun ctx -> Replica.on_message l.replica ctx ~src msg)
+
+(* Complaints from replicas 0 and 1 about [target - 1]: the replica
+   joins and broadcasts the report this returns. *)
+let report l ~target =
+  let before = List.length !(l.sent) in
+  List.iter
+    (fun r ->
+      deliver l ~src:r
+        (Types.View_change
+           { vc_replica = r; vc_view = target - 1; vc_ls = 0; vc_checkpoint = None; vc_slots = [] }))
+    [ 0; 1 ];
+  match !(l.sent) with
+  | vc :: _ when List.length !(l.sent) = before + 1 ->
+      check "own report validates" true (View_change.validate_message ~keys vc);
+      vc
+  | _ -> Alcotest.fail "no View_change broadcast"
+
+let check_slot what (vc : Types.view_change) ~seq ~slow ~fast =
+  match List.find_opt (fun (s : Types.vc_slot) -> s.slot_seq = seq) vc.vc_slots with
+  | Some s ->
+      check (what ^ ": slow report") true (s.slow = slow);
+      check (what ^ ": fast report") true (s.fast = fast)
+  | None -> Alcotest.fail (what ^ ": slot missing from the report")
+
+let preprepared seq reqs =
+  Types.Fast_preprepared
+    { share = sigma_share ~replica:me ~seq ~view:0 reqs; view = 0; reqs }
+
+let prepared seq reqs =
+  Types.Slow_prepared { tau = tau_sig ~seq ~view:0 reqs; view = 0; reqs }
+
+let accept l seq reqs =
+  deliver l ~src:0 (Types.Pre_prepare { seq; view = 0; reqs })
+
+let prepare l seq reqs =
+  deliver l ~src:0 (Types.Prepare { seq; view = 0; tau = tau_sig ~seq ~view:0 reqs })
+
+let slow_commit l seq reqs =
+  let tau = tau_sig ~seq ~view:0 reqs in
+  let tau_tau = tau_tau_sig tau in
+  deliver l ~src:0 (Types.Full_commit_proof_slow { seq; view = 0; tau; tau_tau });
+  Types.Slow_committed { tau; tau_tau; view = 0; reqs }
+
+let test_live_report () =
+  let reqs_c = [ req "c" ] in
+  let l = live_replica () in
+  accept l 1 reqs_a;
+  accept l 2 reqs_b;
+  accept l 3 reqs_c;
+  let vc = report l ~target:1 in
+  check_slot "pre-prepare" vc ~seq:1 ~slow:Types.No_commit ~fast:(preprepared 1 reqs_a);
+  prepare l 1 reqs_a;
+  prepare l 2 reqs_b;
+  let vc = report l ~target:2 in
+  check_slot "prepare" vc ~seq:1 ~slow:(prepared 1 reqs_a) ~fast:(preprepared 1 reqs_a);
+  let sigma = sigma_sig ~seq:1 ~view:0 reqs_a in
+  deliver l ~src:0 (Types.Full_commit_proof { seq = 1; view = 0; sigma });
+  let fast_committed = Types.Fast_committed { sigma; view = 0; reqs = reqs_a } in
+  let vc = report l ~target:3 in
+  check_slot "fast commit" vc ~seq:1 ~slow:(prepared 1 reqs_a) ~fast:fast_committed;
+  let committed_b = slow_commit l 2 reqs_b in
+  (* Slot 3 is slow-committed before its prepare arrives: the late
+     prepare must not downgrade the report. *)
+  let committed_c = slow_commit l 3 reqs_c in
+  prepare l 3 reqs_c;
+  let vc = report l ~target:4 in
+  check_slot "slow commit" vc ~seq:2 ~slow:committed_b ~fast:(preprepared 2 reqs_b);
+  check_slot "late prepare" vc ~seq:3 ~slow:committed_c ~fast:(preprepared 3 reqs_c);
+  check_slot "slow commit, other slot" vc ~seq:1 ~slow:(prepared 1 reqs_a)
+    ~fast:fast_committed
+
+(* Recovery rebuilds the report from the WAL: the accepted pre-prepare
+   re-signs its share, and the accepted prepare comes back as
+   Slow_prepared in the rejoin probe. *)
+let test_recovered_report () =
+  let l = live_replica () in
+  accept l 1 reqs_a;
+  prepare l 1 reqs_a;
+  Sbft_store.Wal.drop_pending l.durable.Replica.wal;
+  let r = live_replica ~engine:l.engine ~durable:l.durable () in
+  run_on r (fun ctx -> Replica.recover r.replica ctx);
+  match !(r.sent) with
+  | [ vc ] ->
+      check_slot "recovered" vc ~seq:1 ~slow:(prepared 1 reqs_a) ~fast:(preprepared 1 reqs_a)
+  | _ -> Alcotest.fail "expected one rejoin probe"
+
 let () =
   Alcotest.run "sbft_view_change"
     [
@@ -481,6 +608,11 @@ let () =
           Alcotest.test_case "exactly-quorum adoption" `Quick test_exactly_quorum_adopts;
           Alcotest.test_case "duplicate senders deduped" `Quick test_duplicate_senders_deduped;
           Alcotest.test_case "stale-view entries ignored" `Quick test_stale_view_entries_ignored;
+        ] );
+      ( "live-report",
+        [
+          Alcotest.test_case "each step's report" `Quick test_live_report;
+          Alcotest.test_case "recovered prepare" `Quick test_recovered_report;
         ] );
       ("properties", [ prop_committed_value_survives; prop_decisions_deterministic ]);
     ]
