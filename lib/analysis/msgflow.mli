@@ -90,9 +90,6 @@ val msg_constructors : Parsetree.structure -> string list
 
 val find_func : func list -> string -> func option
 
-val reachable_events : func list -> string -> einfo list
-(** Events of the named function plus those of every local function
-    transitively reachable through [Call] events (cycles cut). *)
 
 val is_handler : string -> bool
 (** Does the function name start with [on_]? *)

@@ -61,8 +61,6 @@ let create (spec : Schedule.adversary) =
     isolated = [];
   }
 
-let budget_left t = t.budget_left
-
 let view_of (cluster : Cluster.t) ~pool ~now_ms =
   let n = Cluster.num_replicas cluster in
   let r i = cluster.Cluster.replicas.(i) in

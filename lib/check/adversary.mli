@@ -61,5 +61,3 @@ val cleanup : t -> action list
     isolated and return flipped replicas to honest.  Budget-free —
     leftover isolation must never outlive the adversary, or an
     [Expect_pass] schedule could fail on residue rather than protocol. *)
-
-val budget_left : t -> int

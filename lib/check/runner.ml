@@ -200,9 +200,6 @@ let run (sched : Schedule.t) =
 (* ------------------------------------------------------------------ *)
 (* Corpus expectations *)
 
-let failure_name outcome =
-  Option.map (fun (v : Oracle.verdict) -> v.Oracle.name) outcome.failed
-
 let meets_expectation outcome =
   match (outcome.sched.Schedule.expect, outcome.failed) with
   | Schedule.Expect_any, _ -> Ok ()

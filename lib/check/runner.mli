@@ -24,8 +24,6 @@ val meets_expectation : outcome -> (unit, string) result
     replays use this so a committed counterexample must keep failing on
     the recorded oracle, and a healthy schedule must keep passing. *)
 
-val failure_name : outcome -> string option
-
 val fails_on : Schedule.t -> oracle:string -> bool
 (** [fails_on sched ~oracle] reruns [sched] and reports whether it still
     fails on [oracle] — the predicate shrinking preserves. *)

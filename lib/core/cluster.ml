@@ -117,7 +117,6 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
   }
 
 let num_replicas t = Array.length t.replicas
-let client_id t i = num_replicas t + i
 
 let start_clients t ~requests_per_client ~make_op =
   Array.iteri
@@ -154,8 +153,9 @@ let rollback_replica t id ~before =
   cp
 
 (* Recover a crashed node.  A plain crash resumes with full memory (the
-   legacy pause semantics); an amnesia crash rebuilds the replica from
-   scratch around its durable state and runs the recovery protocol. *)
+   legacy pause semantics) and restarts the timers that died while it
+   was down; an amnesia crash rebuilds the replica from scratch around
+   its durable state and runs the recovery protocol. *)
 let recover_replica t id =
   if t.amnesia.(id) then begin
     t.amnesia.(id) <- false;
@@ -182,7 +182,11 @@ let recover_replica t id =
     Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx ->
         Replica.recover r ctx)
   end
-  else Engine.recover t.engine id
+  else begin
+    Engine.recover t.engine id;
+    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx ->
+        Replica.resume t.replicas.(id) ctx)
+  end
 
 let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + duration)
 

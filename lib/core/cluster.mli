@@ -51,8 +51,6 @@ val create :
     record accepted values through it. *)
 
 val num_replicas : t -> int
-val client_id : t -> int -> int
-(** Node id of the i-th client. *)
 
 val start_clients :
   t -> requests_per_client:int -> make_op:(client:int -> int -> string) -> unit
@@ -78,10 +76,10 @@ val rollback_replica : t -> int -> before:int -> int
 
 val recover_replica : t -> int -> unit
 (** Bring a crashed replica back.  After a plain crash it resumes with
-    full memory; after {!crash_amnesia} a fresh replica is built around
-    the durable state and runs {!Replica.recover} (when
-    [Config.durable_wal] is off, the disk is lost too — the rebuilt
-    replica starts from genesis). *)
+    full memory and restarts its timers ({!Replica.resume}); after
+    {!crash_amnesia} a fresh replica is built around the durable state
+    and runs {!Replica.recover} (when [Config.durable_wal] is off, the
+    disk is lost too — the rebuilt replica starts from genesis). *)
 
 val run_for : t -> Sbft_sim.Engine.time -> unit
 

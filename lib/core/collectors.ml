@@ -42,9 +42,6 @@ let e_collectors ~config ~view ~seq = pick ~config ~view ~seq ~salt:2 ~count:(co
 let slow_path_collectors ~config ~view ~seq =
   c_collectors ~config ~view ~seq @ [ primary ~config ~view ]
 
-let is_c_collector ~config ~view ~seq r = List.mem r (c_collectors ~config ~view ~seq)
-let is_e_collector ~config ~view ~seq r = List.mem r (e_collectors ~config ~view ~seq)
-
 let rank lst r =
   let rec go i = function
     | [] -> None

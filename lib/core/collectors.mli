@@ -19,8 +19,5 @@ val e_collectors : config:Config.t -> view:int -> seq:int -> int list
 val slow_path_collectors : config:Config.t -> view:int -> seq:int -> int list
 (** C-collectors with the primary as the final fallback collector. *)
 
-val is_c_collector : config:Config.t -> view:int -> seq:int -> int -> bool
-val is_e_collector : config:Config.t -> view:int -> seq:int -> int -> bool
-
 val rank : int list -> int -> int option
 (** Activation rank of a replica within a collector list. *)

@@ -30,7 +30,4 @@ val setup :
   t * replica_keys array * Sbft_crypto.Pki.keypair array
 (** [(public, per-replica secrets, per-client PKI keypairs)]. *)
 
-val client_pk : t -> int -> Sbft_crypto.Pki.public_key
-(** Public key of the client with {e node id} [cid] (ids start at n). *)
-
 val verify_request : t -> Types.request -> bool

@@ -87,8 +87,7 @@ type slot = {
   mutable fast_timer : Engine.timer option;
   (* replica-side commit state *)
   mutable sent_sign_share : bool;
-  mutable sent_commit : bool;
-  mutable prepare_tau : Field.t option;
+  mutable prepare_tau : Field.t option; (* Some once our commit share went out *)
   mutable committed : Types.request list option;
   mutable executed : bool;
   (* pending proofs waiting for the block content *)
@@ -120,7 +119,6 @@ let new_slot seq =
     slow_sent = false;
     fast_timer = None;
     sent_sign_share = false;
-    sent_commit = false;
     prepare_tau = None;
     committed = None;
     executed = false;
@@ -151,8 +149,9 @@ type t = {
   client_table : (int, Sbft_store.Block_store.client_entry) Hashtbl.t;
       (* client -> row of its last executed op *)
   batching : Batching.t;
-  mutable batch_timer_armed : bool;
+  mutable batch_timer : Engine.timer option;
   (* liveness *)
+  mutable liveness_timer : Engine.timer option;
   outstanding : (int * int, Types.request) Hashtbl.t; (* awaiting execution *)
   mutable last_progress : Engine.time;
   mutable vc_backoff : int;
@@ -221,7 +220,8 @@ let create ~env ~my ~store ~(durable : durable) =
     pending_keys = Hashtbl.create 64;
     client_table = Hashtbl.create 64;
     batching = Batching.create env.keys.Keys.config;
-    batch_timer_armed = false;
+    batch_timer = None;
+    liveness_timer = None;
     outstanding = Hashtbl.create 64;
     last_progress = 0;
     vc_backoff = 0;
@@ -684,23 +684,21 @@ and try_propose t ctx =
       propose_block t ctx target
     done;
     (* A partial batch is flushed after the batching timeout. *)
-    if can_propose () && (not (Queue.is_empty t.pending)) && not t.batch_timer_armed
-    then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (set_replica_timer t ~after:Config.batch_timeout
-           (fun ctx ->
-             t.batch_timer_armed <- false;
-             if is_primary t && not t.in_view_change then begin
-               let batch = min (Queue.length t.pending) (Batching.batch_size t.batching) in
-               if
-                 batch > 0
-                 && inflight t < Batching.max_concurrent config
-                 && t.next_seq <= t.ls + config.Config.win
-               then propose_block t ctx batch;
-               try_propose t ctx
-             end))
-    end
+    if can_propose () && (not (Queue.is_empty t.pending)) && t.batch_timer = None
+    then
+      t.batch_timer <-
+        Some
+          (set_replica_timer t ~after:Config.batch_timeout (fun ctx ->
+               t.batch_timer <- None;
+               if is_primary t && not t.in_view_change then begin
+                 let batch = min (Queue.length t.pending) (Batching.batch_size t.batching) in
+                 if
+                   batch > 0
+                   && inflight t < Batching.max_concurrent config
+                   && t.next_seq <= t.ls + config.Config.win
+                 then propose_block t ctx batch;
+                 try_propose t ctx
+               end))
   end
 
 and propose_block t ctx batch =
@@ -897,12 +895,11 @@ and on_prepare t ctx ~seq ~view ~tau =
   let config = cfg t in
   if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
     let sl = slot t seq in
-    if not sl.sent_commit then begin
+    if sl.prepare_tau = None then begin
       match sl.pp with
       | Some (v, reqs, h) when Int.equal v view ->
           Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
           if Threshold.verify (keys t).Keys.tau ~msg:h tau then begin
-            sl.sent_commit <- true;
             sl.prepare_tau <- Some tau;
             note_prepared sl (Types.Slow_prepared { tau; view; reqs });
             wal_log t ctx
@@ -1513,7 +1510,7 @@ and build_view_change t =
     let checkpoint =
       if t.stable = 0 then None
       else
-        Option.map (fun (pi, d) -> (pi, d)) (Hashtbl.find_opt t.checkpoint_pis t.stable)
+        Hashtbl.find_opt t.checkpoint_pis t.stable
     in
     let base = if checkpoint = None then 0 else t.stable in
     let slots = ref [] in
@@ -1699,7 +1696,6 @@ and enter_view t ctx ~view =
           sl.prepare_sent <- false;
           sl.slow_sent <- false;
           sl.sent_sign_share <- false;
-          sl.sent_commit <- false;
           sl.prepare_tau <- None
         end)
       t.slots;
@@ -1733,7 +1729,7 @@ and enter_view t ctx ~view =
 
 and liveness_tick t ctx =
   let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
-  if waiting && not (Engine.is_crashed t.env.engine t.id) then begin
+  if waiting then begin
     let timeout = Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
     if Engine.ctx_now ctx - t.last_progress > timeout then begin
       t.vc_backoff <- t.vc_backoff + 1;
@@ -1742,16 +1738,27 @@ and liveness_tick t ctx =
   end
 
 let rec arm_liveness t =
-  ignore
-    (set_replica_timer t
-       ~after:(Config.view_change_timeout / 2)
-       (fun ctx ->
-         liveness_tick t ctx;
-         arm_liveness t))
+  t.liveness_timer <-
+    Some
+      (set_replica_timer t ~after:(Config.view_change_timeout / 2) (fun ctx ->
+           liveness_tick t ctx;
+           arm_liveness t))
 
 let start t ctx =
   note_progress t ctx;
   arm_liveness t
+
+(* A plain crash keeps memory, but the engine drops every callback that
+   came due while the node was down, so the self-re-arming timers may
+   have died with it.  Restart them: exactly one liveness ticker, no
+   stale batch timer, and a fresh send of a pending Get_state. *)
+let resume t ctx =
+  Option.iter Engine.cancel_timer t.liveness_timer;
+  arm_liveness t;
+  Option.iter Engine.cancel_timer t.batch_timer;
+  t.batch_timer <- None;
+  try_propose t ctx;
+  Option.iter (send_get_state t ctx) t.st
 
 (* ------------------------------------------------------------------ *)
 (* Crash-amnesia recovery.
@@ -1890,7 +1897,6 @@ let recover t ctx =
                for view changes and never sign a conflicting block, but
                do not re-sign (the exact share already went out, or was
                lost with the unsynced send — either is safe). *)
-            sl.sent_commit <- true;
             let tau = Field.of_bytes tau in
             sl.prepare_tau <- Some tau;
             match sl.pp with

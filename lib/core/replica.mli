@@ -64,6 +64,11 @@ val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Types.msg -> unit
 val start : t -> Sbft_sim.Engine.ctx -> unit
 (** Arm initial timers (primary batch loop). Call once at time 0. *)
 
+val resume : t -> Sbft_sim.Engine.ctx -> unit
+(** Restart the timers a plain crash may have killed (liveness ticker,
+    batch timer, state-transfer retry).  Call when the node recovers
+    with its memory intact. *)
+
 (** {2 Introspection for tests and benchmarks} *)
 
 val committed_block : t -> int -> Types.request list option

@@ -61,8 +61,6 @@ let implied_root ~leaf proof =
 let verify ~root:expected ~leaf proof =
   String.equal (implied_root ~leaf proof) expected
 
-let proof_size p = (32 + 1) * List.length p.path + 8
-
 let encode_proof p =
   let open Sbft_wire in
   let w = Codec.Writer.create () in

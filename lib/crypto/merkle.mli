@@ -26,9 +26,6 @@ val prove : tree -> int -> proof
 val verify : root:string -> leaf:string -> proof -> bool
 (** Checks that [leaf] sits at [proof.leaf_index] under [root]. *)
 
-val proof_size : proof -> int
-(** Wire size of the proof in bytes (32 per path element + framing). *)
-
 val encode_proof : proof -> string
 (** Canonical wire encoding (paired with {!decode_proof}). *)
 

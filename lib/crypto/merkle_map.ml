@@ -154,8 +154,6 @@ let implied_root ~key ~value proof =
 let verify ~root:expected ~key ~value proof =
   String.equal (implied_root ~key ~value proof) expected
 
-let proof_size p = (33 * List.length p.siblings) + 8
-
 let encode_proof p =
   let open Sbft_wire in
   let w = Codec.Writer.create () in

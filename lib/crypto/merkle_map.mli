@@ -31,7 +31,6 @@ val prove : t -> string -> proof option
 (** Inclusion proof for a present key; [None] if absent. *)
 
 val verify : root:string -> key:string -> value:string -> proof -> bool
-val proof_size : proof -> int
 
 val encode_proof : proof -> string
 val decode_proof : string -> proof option

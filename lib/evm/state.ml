@@ -7,12 +7,6 @@ let address_of_hex s =
   if String.length s <> 40 then invalid_arg "State.address_of_hex: want 40 hex digits";
   String.init 20 (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
 
-let address_hex a =
-  let b = Buffer.create 42 in
-  Buffer.add_string b "0x";
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) a;
-  Buffer.contents b
-
 let contract_address ~sender ~nonce =
   let preimage = sender ^ Printf.sprintf "%016x" nonce in
   String.sub (Keccak.digest preimage) 12 20

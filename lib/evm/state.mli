@@ -12,8 +12,6 @@ type t = Sbft_crypto.Merkle_map.t
 val address_of_hex : string -> string
 (** Parses a 40-hex-digit (optionally 0x-prefixed) address. *)
 
-val address_hex : string -> string
-
 val contract_address : sender:string -> nonce:int -> string
 (** Deterministic address for a contract created by [sender] at [nonce]:
     last 20 bytes of keccak256(sender ‖ nonce).  (Real Ethereum RLP-

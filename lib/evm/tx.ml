@@ -87,12 +87,3 @@ let decode_receipt s =
   with
   | v -> v
   | exception Codec.Reader.Truncated -> None
-
-let pp fmt = function
-  | Create { sender; _ } -> Format.fprintf fmt "create(from=%s)" (State.address_hex sender)
-  | Call { sender; to_; _ } ->
-      Format.fprintf fmt "call(from=%s, to=%s)" (State.address_hex sender)
-        (State.address_hex to_)
-  | Faucet { account; amount } ->
-      Format.fprintf fmt "faucet(%s, %s)" (State.address_hex account) (U256.to_hex amount)
-  | Chunk txs -> Format.fprintf fmt "chunk(%d txs)" (List.length txs)

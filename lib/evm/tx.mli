@@ -31,5 +31,3 @@ type receipt = {
 
 val encode_receipt : receipt -> string
 val decode_receipt : string -> receipt option
-
-val pp : Format.formatter -> t -> unit

@@ -365,5 +365,3 @@ let exp base e =
     b := mul !b !b
   done;
   !result
-
-let pp fmt t = Format.pp_print_string fmt (to_hex t)

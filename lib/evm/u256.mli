@@ -86,5 +86,3 @@ val is_negative : t -> bool
 
 val bits : t -> int
 (** Position of the highest set bit + 1; 0 for zero. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
-(** PBFT client: sends to the primary, accepts a result once [f + 1]
-    replicas reply with the same value; retries to all replicas on
-    timeout. *)
+(** PBFT client: the SBFT {!Sbft_core.Client} over PBFT messages.  It
+    sends to the primary, accepts a result once [f + 1] replicas reply
+    with the same value, and retries to all replicas on timeout. *)
 
-type t
+type t = Sbft_core.Client.t
 
 val create :
   env:Pbft_replica.env ->
@@ -11,8 +11,6 @@ val create :
   on_complete:(timestamp:int -> latency:Sbft_sim.Engine.time -> value:string -> unit) ->
   t
 
-val id : t -> int
-val submit : t -> Sbft_sim.Engine.ctx -> op:string -> unit
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Pbft_types.msg -> unit
 
 val run_closed_loop :

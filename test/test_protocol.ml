@@ -138,6 +138,37 @@ let test_cascaded_primary_crashes () =
   check "agreement" true (Cluster.agreement_ok cluster);
   List.iter (fun r -> check "view >= 2" true (Replica.view r >= 2)) (alive cluster)
 
+let test_plain_crash_keeps_timers () =
+  (* A plain crash keeps memory, but the engine drops every callback
+     that comes due while the node is down, the liveness ticker's
+     self-re-arming one included.  Replica 1 sleeps from 0.5 s to 2.5 s;
+     once the other three crash at 3 s it is left waiting on requests
+     that never execute, and must keep complaining just as it does when
+     it never crashed. *)
+  let view_changes_started ~crash_r1 =
+    let cluster =
+      Cluster.create ~trace:true ~config:(Config.sbft ~f:1 ~c:0) ~num_clients:2
+        ~topology:(fun ~num_nodes -> Topology.lan ~num_nodes)
+        ~service:Cluster.kv_service ()
+    in
+    let engine = cluster.Cluster.engine in
+    Cluster.start_clients cluster ~requests_per_client:1000 ~make_op:put;
+    if crash_r1 then begin
+      Engine.schedule engine ~at:(Engine.ms 500) (fun () -> Cluster.crash_replicas cluster [ 1 ]);
+      Engine.schedule engine ~at:(Engine.ms 2500) (fun () -> Cluster.recover_replica cluster 1)
+    end;
+    Engine.schedule engine ~at:(Engine.sec 3) (fun () ->
+        Cluster.crash_replicas cluster [ 0; 2; 3 ]);
+    Cluster.run_for cluster (Engine.sec 15);
+    Trace.find_all cluster.Cluster.trace ~kind:"view-change"
+    |> List.filter (fun (r : Trace.record) -> Int.equal r.Trace.node 1)
+    |> List.length
+  in
+  let baseline = view_changes_started ~crash_r1:false in
+  check "replica 1 complains without a crash" true (baseline > 0);
+  check_int "same complaints after a plain crash" baseline
+    (view_changes_started ~crash_r1:true)
+
 (* ------------------------------------------------------------------ *)
 (* Byzantine behaviours *)
 
@@ -528,6 +559,7 @@ let () =
           Alcotest.test_case "primary crash -> view change" `Quick test_crash_primary_view_change;
           Alcotest.test_case "primary crash mid-run" `Quick test_primary_crash_mid_run;
           Alcotest.test_case "cascaded primary crashes" `Quick test_cascaded_primary_crashes;
+          Alcotest.test_case "plain crash keeps timers" `Quick test_plain_crash_keeps_timers;
         ] );
       ( "byzantine",
         [
