@@ -99,6 +99,19 @@ let micro () =
       ~amount:(Sbft_evm.U256.of_int 5)
   in
   let token = Sbft_workload.Eth_workload.token_address 0 in
+  (* The engine's event queue in the pbft-nobatch shape: 4k pending
+     entries; each op pops the earliest and pushes an arrival ~150 us
+     past it, plus jitter, so the queue stays at 4k. *)
+  let queue = Sbft_sim.Wheel.create ~dummy:0 in
+  let jitter = Array.init 4096 (fun _ -> Sbft_sim.Rng.int rng 20_000) in
+  let seq = ref 0 in
+  let enqueue now =
+    incr seq;
+    Sbft_sim.Wheel.push queue ~key0:(now + 150_000 + jitter.(!seq land 4095)) ~key1:!seq !seq
+  in
+  for _ = 1 to 4096 do
+    enqueue 0
+  done;
   let tests =
     [
       Test.make ~name:"sha256-64B" (Staged.stage (fun () -> Sha256.digest msg64));
@@ -128,6 +141,11 @@ let micro () =
              let n = Sbft_store.Wal.append wal pre_prepare in
              Sbft_store.Wal.drop_pending wal;
              n));
+      Test.make ~name:"event-queue-4k-pop-push"
+        (Staged.stage (fun () ->
+             let now = Sbft_sim.Wheel.min_key0 queue in
+             ignore (Sbft_sim.Wheel.pop queue : int);
+             enqueue now));
       Test.make ~name:"u256-mul" (Staged.stage (fun () -> Sbft_evm.U256.mul a b));
       Test.make ~name:"u256-div" (Staged.stage (fun () -> Sbft_evm.U256.div a b));
       Test.make ~name:"evm-token-transfer"

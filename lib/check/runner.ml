@@ -82,9 +82,7 @@ let apply (cluster : Cluster.t) (sched : Schedule.t) action =
   | Schedule.Crash_amnesia node ->
       (* Replicas only: clients have no durable state to lose. *)
       if node >= 0 && node < n then Cluster.crash_amnesia cluster node
-  | Schedule.Recover node ->
-      if node >= 0 && node < n then Cluster.recover_replica cluster node
-      else if valid_node node then Engine.recover cluster.Cluster.engine node
+  | Schedule.Recover node -> if valid_node node then Cluster.recover cluster node
   | Schedule.Partition groups ->
       let g = Array.make num_nodes 0 in
       List.iteri

@@ -154,10 +154,17 @@ let rollback_replica t id ~before =
 
 (* Recover a crashed node.  A plain crash resumes with full memory (the
    legacy pause semantics) and restarts the timers that died while it
-   was down; an amnesia crash rebuilds the replica from scratch around
-   its durable state and runs the recovery protocol. *)
-let recover_replica t id =
-  if t.amnesia.(id) then begin
+   was down, a replica's or a client's; an amnesia crash rebuilds the
+   replica from scratch around its durable state and runs the recovery
+   protocol. *)
+let recover t id =
+  let n = num_replicas t in
+  let restart f =
+    Engine.recover t.engine id;
+    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) f
+  in
+  if id >= n then restart (fun ctx -> Client.resume t.clients.(id - n) ctx)
+  else if t.amnesia.(id) then begin
     t.amnesia.(id) <- false;
     (* The old object is dead: its timers must not fire into the rebuilt
        replica's world. *)
@@ -178,15 +185,9 @@ let recover_replica t id =
     Sbft_store.Auth_store.set_cache store t.exec_cache;
     let r = Replica.create ~env:t.env ~my:t.replica_keys.(id) ~store ~durable in
     t.replicas.(id) <- r;
-    Engine.recover t.engine id;
-    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx ->
-        Replica.recover r ctx)
+    restart (fun ctx -> Replica.recover r ctx)
   end
-  else begin
-    Engine.recover t.engine id;
-    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx ->
-        Replica.resume t.replicas.(id) ctx)
-  end
+  else restart (fun ctx -> Replica.resume t.replicas.(id) ctx)
 
 let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + duration)
 

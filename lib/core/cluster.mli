@@ -30,7 +30,7 @@ type t = {
   durables : Replica.durable array;
   amnesia : bool array;
       (** Per-replica flag: crashed with volatile state wiped; the next
-          {!recover_replica} rebuilds from durable state. *)
+          {!recover} rebuilds from durable state. *)
 }
 
 val create :
@@ -74,9 +74,10 @@ val rollback_replica : t -> int -> before:int -> int
     outdated prefix that has forgotten every later prepare promise.
     Returns the checkpoint seq the disk rolled back to (0 = genesis). *)
 
-val recover_replica : t -> int -> unit
-(** Bring a crashed replica back.  After a plain crash it resumes with
-    full memory and restarts its timers ({!Replica.resume}); after
+val recover : t -> int -> unit
+(** Bring a crashed node back.  After a plain crash it resumes with
+    full memory and restarts its timers ({!Replica.resume} for a
+    replica, {!Client.resume} for a client); after
     {!crash_amnesia} a fresh replica is built around the durable state
     and runs {!Replica.recover} (when [Config.durable_wal] is off, the
     disk is lost too — the rebuilt replica starts from genesis). *)

@@ -76,7 +76,7 @@ let create ~num_nodes ~seed () =
     {
       now = 0;
       seq = 0;
-      events = Wheel.create ();
+      events = Wheel.create ~dummy:(Thunk ignore);
       nodes =
         Array.init num_nodes (fun id ->
             {
@@ -229,25 +229,22 @@ let fire t at ev =
           arrive t nd f);
       true
 
+(* Both loops pop through [min_key0] then [pop]: no option or tuple is
+   built per event. *)
 let run_until t deadline =
-  let continue = ref true in
-  while !continue do
-    match Wheel.peek_key t.events with
-    | Some (at, _) when at <= deadline -> (
-        match Wheel.pop_min t.events with
-        | Some (at, _, ev) -> ignore (fire t at ev : bool)
-        | None -> continue := false)
-    | _ -> continue := false
+  let q = t.events in
+  while Wheel.size q > 0 && Wheel.min_key0 q <= deadline do
+    let at = Wheel.min_key0 q in
+    ignore (fire t at (Wheel.pop q) : bool)
   done;
   if deadline > t.now then t.now <- deadline
 
 let run_all ?(max_events = max_int) t =
+  let q = t.events in
   let budget = ref max_events in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    match Wheel.pop_min t.events with
-    | Some (at, _, ev) -> if fire t at ev then decr budget
-    | None -> continue := false
+  while !budget > 0 && Wheel.size q > 0 do
+    let at = Wheel.min_key0 q in
+    if fire t at (Wheel.pop q) then decr budget
   done
 
 let events_executed t = t.executed

@@ -1,270 +1,123 @@
-(* Hierarchical timer wheel keyed by (time, seq), the drop-in
-   replacement for the binary heap at the heart of the event loop.
+(* The engine's event queue: a 4-ary min-heap ordered by (key0, key1).
 
-   Design: a classic 8-level wheel (256 slots per level, slot width
-   256^l nanoseconds at level l, so the eight levels cover the full
-   non-negative int range) fronted by a small binary heap.  The heap
-   ("front") holds every entry with time <= cur, the wheel's current
-   time floor; slots hold strictly-future entries, placed at the level
-   of the highest byte in which their time differs from [cur].  Pops
-   come from the front; when it drains, [advance] walks per-level
-   occupancy bitmaps to the next populated slot, cascading higher-level
-   slots downward until the earliest entries land in the front.
+   Entries live in three parallel arrays, key0, key1 and value, so a
+   sift moves two ints and one pointer per level and never builds an
+   entry record.  A pop hands back the value alone; the caller reads
+   [min_key0] first, so the event loop allocates nothing per event.
+   Four children per node halve the depth of a binary heap, and the
+   four sibling keys sit side by side in one array.
 
-   Ordering is exact, not approximate: the front heap compares full
-   (time, seq) keys and a level-0 slot holds entries of a single
-   nanosecond, so pops reproduce the binary heap's lexicographic
-   (time, seq) order bit-for-bit — the replay digests (R8) must not
-   move.  The win over the heap is the common case: O(1) insert, O(1)
-   amortized cascading (each entry moves down at most 7 times), and no
-   sift-down touching log n cache lines per pop.
+   The order is total: the engine's key1 is a sequence number that is
+   never reused, so no two entries compare equal and the pop sequence
+   is a function of the keys alone, whatever the push order, the array
+   layout or the compactions in between.  That is what keeps the replay
+   digests (R8) fixed.
 
-   Cancellation support is a predicate, not a handle: [compact] drops
-   every entry the caller considers dead in one O(n) sweep.  The engine
-   calls it when the cancelled fraction of pending timers crosses a
-   threshold, so retry/backoff timer storms stop accumulating dead
-   events (see Engine.cancel_timer). *)
+   Cancellation is a predicate, not a handle: [compact] keeps the
+   entries the caller still wants, in place, and re-heapifies.  The
+   engine calls it when cancelled timers outnumber live events (see
+   Engine.cancel_timer).
 
-type 'a entry = { k0 : int; k1 : int; v : 'a }
-
-(* Growable entry vector — one per occupied slot. *)
-type 'a vec = { mutable a : 'a entry array; mutable n : int }
-
-let vec_push vc e =
-  let cap = Array.length vc.a in
-  if vc.n = cap then begin
-    let ncap = if cap = 0 then 4 else cap * 2 in
-    let na = Array.make ncap e in
-    Array.blit vc.a 0 na 0 vc.n;
-    vc.a <- na
-  end;
-  vc.a.(vc.n) <- e;
-  vc.n <- vc.n + 1
-
-let slot_bits = 8
-let slots_per_level = 1 lsl slot_bits (* 256 *)
-let num_levels = 8 (* 8 * 8 = 64 bits: covers every non-negative int *)
-
-(* Occupancy bitmap: 8 x 32-bit words per level (OCaml ints are 63-bit,
-   so 64-bit words don't fit; 32-bit words keep the scan branch-free). *)
-let occ_words = slots_per_level / 32
+   Slots past the last entry hold [dummy], never a popped or dropped
+   value, so the queue keeps no finished event's closure alive. *)
 
 type 'a t = {
-  (* front: array-backed binary min-heap ordered by (k0, k1) *)
-  mutable front : 'a entry array;
-  mutable front_len : int;
-  (* wheel *)
-  slots : 'a vec array array; (* slots.(level).(slot) *)
-  occ : int array array; (* occ.(level).(word) *)
-  mutable cur : int; (* time floor: slot entries all have k0 > cur *)
-  mutable wheel_count : int;
+  mutable k0 : int array;
+  mutable k1 : int array;
+  mutable vs : 'a array;
+  mutable len : int;
+  dummy : 'a;
 }
 
-let create () =
-  {
-    front = [||];
-    front_len = 0;
-    slots =
-      Array.init num_levels (fun _ ->
-          Array.init slots_per_level (fun _ -> { a = [||]; n = 0 }));
-    occ = Array.init num_levels (fun _ -> Array.make occ_words 0);
-    cur = 0;
-    wheel_count = 0;
-  }
+let create ~dummy = { k0 = [||]; k1 = [||]; vs = [||]; len = 0; dummy }
+let size t = t.len
+let min_key0 t = if t.len = 0 then max_int else t.k0.(0)
 
-let size t = t.front_len + t.wheel_count
-let is_empty t = size t = 0
+(* Place the entry (a0, a1, v) at hole [i] or below it, moving smaller
+   children up, among the first [t.len] slots. *)
+let sift_down t i a0 a1 v =
+  let k0 = t.k0 and k1 = t.k1 and vs = t.vs and n = t.len in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let c = (4 * !i) + 1 in
+    if c >= n then continue := false
+    else begin
+      let m = ref c in
+      let last = if c + 3 < n then c + 3 else n - 1 in
+      for j = c + 1 to last do
+        if k0.(j) < k0.(!m) || (k0.(j) = k0.(!m) && k1.(j) < k1.(!m)) then m := j
+      done;
+      let m = !m in
+      if k0.(m) < a0 || (k0.(m) = a0 && k1.(m) < a1) then begin
+        k0.(!i) <- k0.(m);
+        k1.(!i) <- k1.(m);
+        vs.(!i) <- vs.(m);
+        i := m
+      end
+      else continue := false
+    end
+  done;
+  k0.(!i) <- a0;
+  k1.(!i) <- a1;
+  vs.(!i) <- v
 
-(* ---------------------------------------------------------------- *)
-(* Front heap (same ordering as Heap) *)
+let grow t =
+  let cap = if t.len = 0 then 64 else 2 * t.len in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.k0 <- extend t.k0 0;
+  t.k1 <- extend t.k1 0;
+  t.vs <- extend t.vs t.dummy
 
-let less a b = a.k0 < b.k0 || (a.k0 = b.k0 && a.k1 < b.k1)
-
-let front_push t e =
-  let cap = Array.length t.front in
-  if t.front_len = cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let na = Array.make ncap e in
-    Array.blit t.front 0 na 0 t.front_len;
-    t.front <- na
-  end;
-  t.front.(t.front_len) <- e;
-  t.front_len <- t.front_len + 1;
-  let i = ref (t.front_len - 1) in
+let push t ~key0 ~key1 v =
+  if t.len = Array.length t.k0 then grow t;
+  let k0 = t.k0 and k1 = t.k1 and vs = t.vs in
+  (* Sift up: move parents down into the hole until (key0, key1) fits. *)
+  let i = ref t.len in
+  t.len <- t.len + 1;
   while
     !i > 0
     &&
-    let p = (!i - 1) / 2 in
-    less t.front.(!i) t.front.(p)
+    let p = (!i - 1) / 4 in
+    key0 < k0.(p) || (key0 = k0.(p) && key1 < k1.(p))
   do
-    let p = (!i - 1) / 2 in
-    let tmp = t.front.(!i) in
-    t.front.(!i) <- t.front.(p);
-    t.front.(p) <- tmp;
+    let p = (!i - 1) / 4 in
+    k0.(!i) <- k0.(p);
+    k1.(!i) <- k1.(p);
+    vs.(!i) <- vs.(p);
     i := p
-  done
+  done;
+  k0.(!i) <- key0;
+  k1.(!i) <- key1;
+  vs.(!i) <- v
 
-let front_pop t =
-  let root = t.front.(0) in
-  t.front_len <- t.front_len - 1;
-  if t.front_len > 0 then begin
-    t.front.(0) <- t.front.(t.front_len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.front_len && less t.front.(l) t.front.(!smallest) then smallest := l;
-      if r < t.front_len && less t.front.(r) t.front.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = t.front.(!i) in
-        t.front.(!i) <- t.front.(!smallest);
-        t.front.(!smallest) <- tmp;
-        i := !smallest
-      end
-    done
-  end;
-  root
-
-(* ---------------------------------------------------------------- *)
-(* Wheel insert *)
-
-let set_occ t level slot =
-  t.occ.(level).(slot lsr 5) <- t.occ.(level).(slot lsr 5) lor (1 lsl (slot land 31))
-
-let clear_occ t level slot =
-  t.occ.(level).(slot lsr 5) <-
-    t.occ.(level).(slot lsr 5) land lnot (1 lsl (slot land 31))
-
-(* Level of the highest byte in which [k0] differs from [cur].
-   Precondition: k0 > cur (so the xor is non-zero). *)
-let level_of ~cur k0 =
-  let x = k0 lxor cur in
-  let rec go l x = if x < slots_per_level then l else go (l + 1) (x lsr slot_bits) in
-  go 0 x
-
-let wheel_insert t e =
-  let l = level_of ~cur:t.cur e.k0 in
-  let slot = (e.k0 lsr (slot_bits * l)) land (slots_per_level - 1) in
-  vec_push t.slots.(l).(slot) e;
-  set_occ t l slot;
-  t.wheel_count <- t.wheel_count + 1
-
-let push_entry t e = if e.k0 <= t.cur then front_push t e else wheel_insert t e
-
-let push t ~key0 ~key1 v = push_entry t { k0 = key0; k1 = key1; v }
-
-(* ---------------------------------------------------------------- *)
-(* Advance: move the earliest populated slot's entries frontward *)
-
-(* Smallest occupied slot index >= [from] at [level], or -1. *)
-let next_occupied t level from =
-  if from >= slots_per_level then -1
-  else begin
-    let result = ref (-1) in
-    let w = ref (from lsr 5) in
-    (* mask off bits below [from] in the first word *)
-    let bits = ref (t.occ.(level).(!w) land lnot ((1 lsl (from land 31)) - 1)) in
-    while !result < 0 && !w < occ_words do
-      if !bits <> 0 then begin
-        (* lowest set bit *)
-        let b = !bits land - !bits in
-        let rec ntz i x = if x land 1 = 1 then i else ntz (i + 1) (x lsr 1) in
-        result := (!w lsl 5) + ntz 0 b
-      end
-      else begin
-        incr w;
-        if !w < occ_words then bits := t.occ.(level).(!w)
-      end
-    done;
-    !result
-  end
-
-(* Precondition: front empty, wheel_count > 0.  Advances [cur] to the
-   next populated slot; level-0 slots move straight into the front
-   (they hold a single nanosecond, so the heap resolves seq ties),
-   higher-level slots cascade downward one level at a time. *)
-let advance t =
-  let rec go level =
-    if level >= num_levels then
-      (* wheel_count > 0 guarantees some slot is occupied above cur *)
-      assert false
-    else begin
-      let idx = (t.cur lsr (slot_bits * level)) land (slots_per_level - 1) in
-      match next_occupied t level (idx + 1) with
-      | -1 -> go (level + 1)
-      | s ->
-          let vc = t.slots.(level).(s) in
-          let n = vc.n in
-          t.wheel_count <- t.wheel_count - n;
-          clear_occ t level s;
-          (* Advance cur to the base time of the found slot: keep the
-             bytes above [level], substitute [s] at [level], zero below.
-             Every remaining wheel entry is at or after this time. *)
-          let width_mask = (1 lsl (slot_bits * (level + 1))) - 1 in
-          t.cur <- (t.cur land lnot width_mask) lor (s lsl (slot_bits * level));
-          (* Re-insert: k0 <= cur (exact for level 0) joins the front;
-             deeper entries redistribute to lower levels. *)
-          let a = vc.a in
-          vc.a <- [||];
-          vc.n <- 0;
-          for i = 0 to n - 1 do
-            push_entry t a.(i)
-          done
-    end
-  in
-  go 0
-
-let rec refill_front t =
-  if t.front_len = 0 && t.wheel_count > 0 then begin
-    advance t;
-    refill_front t
-  end
-
-let pop_min t =
-  refill_front t;
-  if t.front_len = 0 then None
-  else
-    let e = front_pop t in
-    if e.k0 > t.cur then t.cur <- e.k0;
-    Some (e.k0, e.k1, e.v)
-
-let peek_key t =
-  refill_front t;
-  if t.front_len = 0 then None else Some (t.front.(0).k0, t.front.(0).k1)
-
-let clear t =
-  t.front <- [||];
-  t.front_len <- 0;
-  Array.iter
-    (Array.iter (fun vc ->
-         vc.a <- [||];
-         vc.n <- 0))
-    t.slots;
-  Array.iter (fun w -> Array.fill w 0 occ_words 0) t.occ;
-  t.cur <- 0;
-  t.wheel_count <- 0
-
-(* ---------------------------------------------------------------- *)
-(* Lazy purge *)
+let pop t =
+  if t.len = 0 then invalid_arg "Wheel.pop: empty";
+  let v = t.vs.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  let last = t.vs.(n) in
+  t.vs.(n) <- t.dummy;
+  if n > 0 then sift_down t 0 t.k0.(n) t.k1.(n) last;
+  v
 
 let compact t ~dead =
-  let live = ref [] in
-  for i = 0 to t.front_len - 1 do
-    let e = t.front.(i) in
-    if not (dead e.v) then live := e :: !live
+  let k0 = t.k0 and k1 = t.k1 and vs = t.vs in
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if not (dead vs.(i)) then begin
+      k0.(!n) <- k0.(i);
+      k1.(!n) <- k1.(i);
+      vs.(!n) <- vs.(i);
+      incr n
+    end
   done;
-  Array.iter
-    (Array.iter (fun vc ->
-         for i = 0 to vc.n - 1 do
-           let e = vc.a.(i) in
-           if not (dead e.v) then live := e :: !live
-         done))
-    t.slots;
-  let cur = t.cur in
-  clear t;
-  t.cur <- cur;
-  (* Re-insertion order is irrelevant: output order is decided by the
-     (k0, k1) keys alone (front heap + single-ns level-0 slots). *)
-  List.iter (fun e -> push_entry t e) !live
+  Array.fill vs !n (t.len - !n) t.dummy;
+  t.len <- !n;
+  (* Floyd's heapify: sift every parent down, deepest first. *)
+  for i = ((!n + 2) / 4) - 1 downto 0 do
+    sift_down t i k0.(i) k1.(i) vs.(i)
+  done

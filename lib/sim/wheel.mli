@@ -1,31 +1,28 @@
-(** Hierarchical timer wheel with exact [(key0, key1)] lexicographic
-    pop order — a drop-in replacement for {!Heap} on the event-loop hot
-    path.  Eight levels of 256 byte-sliced slots hold future entries;
-    a small front heap resolves ordering among due entries, so the pop
-    sequence is bit-identical to the binary heap's. *)
+(** The engine's event queue: a 4-ary min-heap of values keyed by
+    [(key0, key1)] pairs compared lexicographically, kept as parallel
+    key and value arrays.  The engine's [key1] is a sequence number
+    that is never reused, so the order is total and the pop sequence
+    depends on the keys alone. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** [dummy] fills the slots past the last entry, so the queue holds no
+    popped or compacted-away value alive. *)
 
 val push : 'a t -> key0:int -> key1:int -> 'a -> unit
-(** O(1). [key0] must be >= the key0 of every entry popped so far
-    (event times are monotone in the engine; pushing into the past is
-    still safe — the entry joins the front heap and pops next). *)
+(** O(log size); allocates only when the arrays grow. *)
 
-val pop_min : 'a t -> (int * int * 'a) option
-(** Remove and return the entry with the smallest [(key0, key1)].
-    Amortized O(log front + cascades); each entry cascades at most
-    7 times over its lifetime. *)
+val min_key0 : 'a t -> int
+(** [key0] of the entry {!pop} removes next; [max_int] when empty. *)
 
-val peek_key : 'a t -> (int * int) option
-(** Key of the entry [pop_min] would return, without removing it. *)
+val pop : 'a t -> 'a
+(** Remove the entry with the smallest [(key0, key1)] and return its
+    value, without allocating.  Raises [Invalid_argument] when empty. *)
 
 val size : 'a t -> int
-val is_empty : 'a t -> bool
-val clear : 'a t -> unit
 
 val compact : 'a t -> dead:('a -> bool) -> unit
-(** Drop every entry whose value satisfies [dead], in one O(size)
-    sweep.  Pop order of survivors is unchanged (ordering depends only
-    on keys, never on slot insertion order). *)
+(** Drop every entry whose value satisfies [dead] in one O(size) pass:
+    the survivors are packed in place and re-heapified.  Their pop
+    order is unchanged, since it depends only on the keys. *)

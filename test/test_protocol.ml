@@ -155,7 +155,7 @@ let test_plain_crash_keeps_timers () =
     Cluster.start_clients cluster ~requests_per_client:1000 ~make_op:put;
     if crash_r1 then begin
       Engine.schedule engine ~at:(Engine.ms 500) (fun () -> Cluster.crash_replicas cluster [ 1 ]);
-      Engine.schedule engine ~at:(Engine.ms 2500) (fun () -> Cluster.recover_replica cluster 1)
+      Engine.schedule engine ~at:(Engine.ms 2500) (fun () -> Cluster.recover cluster 1)
     end;
     Engine.schedule engine ~at:(Engine.sec 3) (fun () ->
         Cluster.crash_replicas cluster [ 0; 2; 3 ]);
@@ -168,6 +168,22 @@ let test_plain_crash_keeps_timers () =
   check "replica 1 complains without a crash" true (baseline > 0);
   check_int "same complaints after a plain crash" baseline
     (view_changes_started ~crash_r1:true)
+
+
+let test_crashed_client_resumes () =
+  (* The client crashes right after submitting, before any reply
+     arrives, and stays down past its retry timeout: the replies and the
+     retry timer are all dropped.  On recovery it must re-send and
+     re-arm, or its request stalls for good. *)
+  let cluster = make ~num_clients:1 () in
+  let engine = cluster.Cluster.engine in
+  let client = Cluster.num_replicas cluster in
+  Cluster.start_clients cluster ~requests_per_client:1 ~make_op:put;
+  Engine.schedule engine ~at:(Engine.us 1) (fun () -> Engine.crash engine client);
+  Engine.schedule engine ~at:(Config.client_retry_timeout + Engine.sec 1) (fun () ->
+      Cluster.recover cluster client);
+  Cluster.run_for cluster (Engine.sec 15);
+  check_int "request completed" 1 (Cluster.total_completed cluster)
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine behaviours *)
@@ -332,7 +348,7 @@ let test_forged_cert_during_transfer_rejected () =
       Cluster.start_clients cluster ~requests_per_client:30 ~make_op:put;
       Engine.schedule engine ~at:(Engine.ms 50) (fun () -> Cluster.crash_amnesia cluster 2);
       Engine.schedule engine ~at:(Engine.sec 5) (fun () ->
-          Cluster.recover_replica cluster 2;
+          Cluster.recover cluster 2;
           let victim = cluster.Cluster.replicas.(2) in
           (* Queued behind the recovery on the victim's CPU. *)
           Engine.dispatch engine ~dst:2 ~at:(Engine.now engine) (fun ctx ->
@@ -374,7 +390,7 @@ let test_amnesia_backup_recovery () =
   Engine.schedule cluster.Cluster.engine ~at:(Engine.ms 50) (fun () ->
       Cluster.crash_amnesia cluster 2);
   Engine.schedule cluster.Cluster.engine ~at:(Engine.sec 5) (fun () ->
-      Cluster.recover_replica cluster 2);
+      Cluster.recover cluster 2);
   Cluster.run_for cluster (Engine.sec 90);
   check_int "all done" 120 (Cluster.total_completed cluster);
   check "agreement" true (Cluster.agreement_ok cluster);
@@ -398,7 +414,7 @@ let test_amnesia_primary_recovery () =
   Engine.schedule cluster.Cluster.engine ~at:(Engine.ms 50) (fun () ->
       Cluster.crash_amnesia cluster 0);
   Engine.schedule cluster.Cluster.engine ~at:(Engine.sec 20) (fun () ->
-      Cluster.recover_replica cluster 0);
+      Cluster.recover cluster 0);
   Cluster.run_for cluster (Engine.sec 120);
   check_int "all done" 120 (Cluster.total_completed cluster);
   check "agreement" true (Cluster.agreement_ok cluster);
@@ -560,6 +576,7 @@ let () =
           Alcotest.test_case "primary crash mid-run" `Quick test_primary_crash_mid_run;
           Alcotest.test_case "cascaded primary crashes" `Quick test_cascaded_primary_crashes;
           Alcotest.test_case "plain crash keeps timers" `Quick test_plain_crash_keeps_timers;
+          Alcotest.test_case "crashed client resumes" `Quick test_crashed_client_resumes;
         ] );
       ( "byzantine",
         [

@@ -119,152 +119,176 @@ let test_heap_empty () =
   check "peek none" true (Heap.peek_key h = None)
 
 (* ------------------------------------------------------------------ *)
-(* Wheel — the heap's replacement on the engine hot path; must
-   reproduce its pop order exactly *)
+(* Wheel — the engine's event queue; must pop in exact (key0, key1)
+   order.  Each test drives it as the engine does: [min_key0], then
+   [pop]. *)
+
+(* Pop everything left as (key0, value) pairs, in pop order. *)
+let drain_wheel w =
+  let rec go acc =
+    if Wheel.size w = 0 then List.rev acc
+    else
+      let k0 = Wheel.min_key0 w in
+      go ((k0, Wheel.pop w) :: acc)
+  in
+  go []
+
+(* The (key0, key1) pairs popped never go backwards. *)
+let check_sorted name popped =
+  ignore
+    (List.fold_left
+       (fun prev k ->
+         check name true (compare k prev >= 0);
+         k)
+       (-1, -1) popped)
 
 let test_wheel_ordering () =
-  (* Key spread of several orders of magnitude forces entries through
-     multiple wheel levels (and hence cascades) before popping. *)
-  let w = Wheel.create () in
+  (* Keys spread over several orders of magnitude, pushed in random
+     order; the value is key1. *)
+  let w = Wheel.create ~dummy:0 in
   let r = Rng.create 9L in
   for i = 0 to 999 do
-    Wheel.push w ~key0:(Rng.int r 100_000_000) ~key1:i ()
+    Wheel.push w ~key0:(Rng.int r 100_000_000) ~key1:i i
   done;
-  let prev = ref (-1, -1) in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Wheel.pop_min w with
-    | None -> continue := false
-    | Some (k0, k1, ()) ->
-        check "nondecreasing" true (compare (k0, k1) !prev >= 0);
-        prev := (k0, k1);
-        incr count
-  done;
-  check_int "all popped" 1000 !count;
-  check "drained" true (Wheel.is_empty w)
+  let popped = drain_wheel w in
+  check_int "all popped" 1000 (List.length popped);
+  check_sorted "nondecreasing" popped;
+  check "drained" true (Wheel.size w = 0)
 
 let test_wheel_fifo_ties () =
-  let w = Wheel.create () in
+  let w = Wheel.create ~dummy:0 in
   for i = 0 to 9 do
     Wheel.push w ~key0:5 ~key1:i i
   done;
-  for expected = 0 to 9 do
-    match Wheel.pop_min w with
-    | Some (_, _, v) -> check_int "FIFO among ties" expected v
-    | None -> Alcotest.fail "wheel empty early"
-  done
+  Alcotest.(check (list int)) "FIFO among ties" (List.init 10 Fun.id)
+    (List.map snd (drain_wheel w))
 
 let test_wheel_empty () =
-  let w : unit Wheel.t = Wheel.create () in
-  check "empty" true (Wheel.is_empty w);
-  check "pop none" true (Wheel.pop_min w = None);
-  check "peek none" true (Wheel.peek_key w = None);
+  let w = Wheel.create ~dummy:() in
+  check "empty" true (Wheel.size w = 0);
+  check_int "no min key" max_int (Wheel.min_key0 w);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Wheel.pop: empty") (fun () ->
+      ignore (Wheel.pop w : unit));
+  Wheel.compact w ~dead:(fun () -> true);
   Wheel.push w ~key0:1 ~key1:1 ();
-  Wheel.clear w;
-  check "cleared" true (Wheel.is_empty w && Wheel.size w = 0)
+  check_int "min key" 1 (Wheel.min_key0 w);
+  Wheel.pop w;
+  check "emptied" true (Wheel.size w = 0 && Wheel.min_key0 w = max_int)
 
 let test_wheel_interleaved_push_pop () =
   (* Pops interleaved with pushes whose keys sit between already-queued
-     ones: entries land in the front heap, current slots, and far
-     levels of the hierarchy in one run. *)
-  let w = Wheel.create () in
+     ones. *)
+  let w = Wheel.create ~dummy:() in
   let seq = ref 0 in
   let push k =
     incr seq;
-    Wheel.push w ~key0:k ~key1:!seq (k, !seq)
+    Wheel.push w ~key0:k ~key1:!seq ()
   in
   List.iter push [ 50; 5_000; 500_000; 50_000_000 ];
   let popped = ref [] in
   for _ = 1 to 2 do
-    match Wheel.pop_min w with
-    | Some (k0, _, _) ->
-        popped := k0 :: !popped;
-        (* push between the popped key and the remaining ones *)
-        push (k0 + 1)
-    | None -> Alcotest.fail "unexpected empty"
+    let k0 = Wheel.min_key0 w in
+    Wheel.pop w;
+    popped := k0 :: !popped;
+    (* push between the popped key and the remaining ones *)
+    push (k0 + 1)
   done;
-  let rec drain acc =
-    match Wheel.pop_min w with
-    | Some (k0, _, _) -> drain (k0 :: acc)
-    | None -> List.rev acc
-  in
-  let order = List.rev !popped @ drain [] in
+  let order = List.rev !popped @ List.map fst (drain_wheel w) in
   Alcotest.(check (list int)) "global order respected"
     [ 50; 51; 52; 5_000; 500_000; 50_000_000 ]
     order
 
 let test_wheel_compact () =
-  let w = Wheel.create () in
+  let w = Wheel.create ~dummy:0 in
   let r = Rng.create 10L in
   for i = 0 to 499 do
     Wheel.push w ~key0:(Rng.int r 1_000_000) ~key1:i i
   done;
   Wheel.compact w ~dead:(fun v -> v mod 2 = 0);
   check_int "survivor count" 250 (Wheel.size w);
-  let prev = ref (-1, -1) in
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Wheel.pop_min w with
-    | None -> continue := false
-    | Some (k0, k1, v) ->
-        check "only odd survive" true (v mod 2 = 1);
-        check "order preserved" true (compare (k0, k1) !prev >= 0);
-        prev := (k0, k1);
-        incr n
-  done;
-  check_int "all survivors popped" 250 !n
+  let popped = drain_wheel w in
+  List.iter (fun (_, v) -> check "only odd survive" true (v mod 2 = 1)) popped;
+  check_sorted "order preserved" popped;
+  check_int "all survivors popped" 250 (List.length popped)
 
 (* Property: for ANY random push/pop/compact stream, the wheel pops the
-   exact same sequence as the binary heap it replaced.  This is the
+   exact same sequence as the binary heap oracle.  This is the
    replay-determinism argument in miniature: same (time, seq) total
    order, bit for bit. *)
+type wheel_op = Push of int | Pop | Compact of int
+
 let wheel_matches_heap_prop =
   let open QCheck in
-  (* An op stream: [Some delta] pushes a key [delta] past the largest
+  (* An op stream: [Push delta] pushes a key [delta] past the largest
      key popped so far (monotone-ish, like event times; occasionally
-     huge to span wheel levels), [None] pops from both and compares. *)
+     huge), [Pop] pops from both and compares, [Compact m] drops every
+     value divisible by [m] from both. *)
   let op_gen =
     Gen.frequency
       [
-        (4, Gen.map (fun d -> Some d) (Gen.int_bound 300));
-        (1, Gen.map (fun d -> Some (d * 65_537)) (Gen.int_bound 1000));
-        (3, Gen.return None);
+        (4, Gen.map (fun d -> Push d) (Gen.int_bound 300));
+        (1, Gen.map (fun d -> Push (d * 65_537)) (Gen.int_bound 1000));
+        (3, Gen.return Pop);
+        (1, Gen.map (fun m -> Compact m) (Gen.int_range 2 5));
       ]
   in
   let ops_arb =
     make
       ~print:
-        (Print.list (function Some d -> "push+" ^ string_of_int d | None -> "pop"))
+        (Print.list (function
+          | Push d -> "push+" ^ string_of_int d
+          | Pop -> "pop"
+          | Compact m -> "compact%" ^ string_of_int m))
       (Gen.list_size (Gen.int_range 1 200) op_gen)
   in
   Test.make ~name:"wheel pops exactly like heap" ~count:200 ops_arb
     (fun ops ->
-      let h = Heap.create () and w = Wheel.create () in
+      let h = Heap.create () and w = Wheel.create ~dummy:0 in
       let seq = ref 0 and floor = ref 0 in
+      (* Pop one entry from each side as (key0, value). *)
+      let pop_both () =
+        let from_wheel =
+          if Wheel.size w = 0 then None
+          else
+            let k0 = Wheel.min_key0 w in
+            Some (k0, Wheel.pop w)
+        in
+        (Option.map (fun (k0, _, v) -> (k0, v)) (Heap.pop_min h), from_wheel)
+      in
+      (* The oracle has no compact: rebuild it from the entries kept. *)
+      let compact_heap dead =
+        let rec take acc =
+          match Heap.pop_min h with Some e -> take (e :: acc) | None -> acc
+        in
+        List.iter
+          (fun (k0, k1, v) -> if not (dead v) then Heap.push h ~key0:k0 ~key1:k1 v)
+          (take [])
+      in
       List.for_all
-        (fun o ->
-          match o with
-          | Some delta ->
+        (function
+          | Push delta ->
               let k = !floor + delta in
               incr seq;
               Heap.push h ~key0:k ~key1:!seq !seq;
               Wheel.push w ~key0:k ~key1:!seq !seq;
               true
-          | None -> (
-              (match Heap.peek_key h, Wheel.peek_key w with
-              | Some (k, _), _ -> floor := max !floor k
-              | None, _ -> ());
-              match (Heap.pop_min h, Wheel.pop_min w) with
+          | Pop -> (
+              match pop_both () with
               | None, None -> true
-              | Some a, Some b -> a = b
-              | _ -> false))
+              | Some ((k, _) as a), Some b ->
+                  floor := max !floor k;
+                  a = b
+              | _ -> false)
+          | Compact m ->
+              let dead v = v mod m = 0 in
+              compact_heap dead;
+              Wheel.compact w ~dead;
+              Heap.size h = Wheel.size w)
         ops
       && begin
            (* Drain the remainder: orders must match to the end. *)
            let rec drain () =
-             match (Heap.pop_min h, Wheel.pop_min w) with
+             match pop_both () with
              | None, None -> true
              | Some a, Some b -> a = b && drain ()
              | _ -> false
