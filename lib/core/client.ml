@@ -23,7 +23,6 @@ type t = {
   on_complete : timestamp:int -> latency:Engine.time -> value:string -> unit;
   mutable timestamp : int;
   mutable current : pending option;
-  mutable retry_timer : Engine.timer option; (* the live link of the retry chain *)
   mutable believed_primary : int;
   mutable completed : int;
   mutable retries : int;
@@ -42,7 +41,6 @@ let create ~env ~id ~keypair ~on_complete =
     on_complete;
     timestamp = 0;
     current = None;
-    retry_timer = None;
     believed_primary = 0;
     completed = 0;
     retries = 0;
@@ -64,10 +62,9 @@ let num_replicas t = Config.n (config t)
 let send t ctx ~dst msg = t.env.Replica.send ctx ~src:t.id ~dst msg
 
 let rec arm_retry t (p : pending) =
-  t.retry_timer <-
-    Some
-      (Engine.set_timer t.env.Replica.engine ~node:t.id
-         ~after:Config.client_retry_timeout (fun ctx -> if not p.done_ then retry t ctx p))
+  ignore
+    (Engine.set_timer t.env.Replica.engine ~node:t.id ~after:Config.client_retry_timeout
+       (fun ctx -> if not p.done_ then retry t ctx p))
 
 (* Resend to all replicas and ask for the f+1 path (§V-A). *)
 and retry t ctx p =
@@ -76,13 +73,6 @@ and retry t ctx p =
     send t ctx ~dst:r (Types.Request p.request)
   done;
   arm_retry t p
-
-(* The engine drops a timer that comes due while its node is down, which
-   ends the retry chain; a timer due after the recovery survives.  Cancel
-   the survivor, then retry at once, so exactly one chain goes on. *)
-let resume t ctx =
-  Option.iter Engine.cancel_timer t.retry_timer;
-  match t.current with Some p when not p.done_ -> retry t ctx p | _ -> ()
 
 let submit t ctx ~op =
   match t.current with

@@ -27,12 +27,6 @@ val submit : t -> Sbft_sim.Engine.ctx -> op:string -> unit
 
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Types.msg -> unit
 
-val resume : t -> Sbft_sim.Engine.ctx -> unit
-(** Restart the retry chain after a plain crash, in which the engine
-    drops the retry timer if it comes due: re-send the in-flight
-    request, if any, to every replica and leave exactly one retry timer
-    armed.  Call when the node recovers. *)
-
 val query :
   t -> Sbft_sim.Engine.ctx -> key:string ->
   callback:((string * int) option -> unit) -> unit

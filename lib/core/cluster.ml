@@ -131,9 +131,11 @@ let crash_replicas t ids = List.iter (Engine.crash t.engine) ids
 (* Crash-amnesia: the node stops AND its volatile state (protocol
    state, service store, client table) is gone.  Only the durable WAL +
    block store survive — and the WAL loses its unsynced tail, exactly
-   like a real fsync-based log.  The actual wipe happens at recovery
-   (the dead replica object can't act meanwhile). *)
+   like a real fsync-based log.  The old object is retired at once, so
+   the timers the engine holds for it run as no-ops at recovery; the
+   rebuild itself happens then. *)
 let crash_amnesia t id =
+  Replica.retire t.replicas.(id);
   Engine.crash t.engine id;
   Sbft_store.Wal.drop_pending t.durables.(id).Replica.wal;
   t.amnesia.(id) <- true
@@ -152,23 +154,13 @@ let rollback_replica t id ~before =
   Sbft_store.Block_store.rollback d.Replica.blocks ~above:cp;
   cp
 
-(* Recover a crashed node.  A plain crash resumes with full memory (the
-   legacy pause semantics) and restarts the timers that died while it
-   was down, a replica's or a client's; an amnesia crash rebuilds the
+(* Recover a crashed node.  After a plain crash the engine restarts the
+   paused process, held timers included; an amnesia crash rebuilds the
    replica from scratch around its durable state and runs the recovery
    protocol. *)
 let recover t id =
-  let n = num_replicas t in
-  let restart f =
-    Engine.recover t.engine id;
-    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) f
-  in
-  if id >= n then restart (fun ctx -> Client.resume t.clients.(id - n) ctx)
-  else if t.amnesia.(id) then begin
+  if id < num_replicas t && t.amnesia.(id) then begin
     t.amnesia.(id) <- false;
-    (* The old object is dead: its timers must not fire into the rebuilt
-       replica's world. *)
-    Replica.retire t.replicas.(id);
     let durable =
       if t.config.Config.durable_wal then t.durables.(id)
       else begin
@@ -185,9 +177,10 @@ let recover t id =
     Sbft_store.Auth_store.set_cache store t.exec_cache;
     let r = Replica.create ~env:t.env ~my:t.replica_keys.(id) ~store ~durable in
     t.replicas.(id) <- r;
-    restart (fun ctx -> Replica.recover r ctx)
+    Engine.recover t.engine id;
+    Engine.dispatch t.engine ~dst:id ~at:(Engine.now t.engine) (fun ctx -> Replica.recover r ctx)
   end
-  else restart (fun ctx -> Replica.resume t.replicas.(id) ctx)
+  else Engine.recover t.engine id
 
 let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + duration)
 

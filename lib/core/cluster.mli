@@ -63,7 +63,8 @@ val crash_amnesia : t -> int -> unit
 (** Crash a replica AND mark its volatile state (protocol state, service
     store, client table) as lost.  The unsynced WAL tail is dropped, so
     only group-committed records survive — recovery must rebuild from
-    the WAL plus the persisted block store. *)
+    the WAL plus the persisted block store.  The old replica object is
+    retired ({!Replica.retire}) at once. *)
 
 val rollback_replica : t -> int -> before:int -> int
 (** Rollback attack (schedule fuzzer): while replica [id] is down after
@@ -75,12 +76,13 @@ val rollback_replica : t -> int -> before:int -> int
     Returns the checkpoint seq the disk rolled back to (0 = genesis). *)
 
 val recover : t -> int -> unit
-(** Bring a crashed node back.  After a plain crash it resumes with
-    full memory and restarts its timers ({!Replica.resume} for a
-    replica, {!Client.resume} for a client); after
-    {!crash_amnesia} a fresh replica is built around the durable state
-    and runs {!Replica.recover} (when [Config.durable_wal] is off, the
-    disk is lost too — the rebuilt replica starts from genesis). *)
+(** Bring a crashed node back.  After a plain crash this is
+    {!Sbft_sim.Engine.recover}: the node goes on with full memory and
+    its held timers run.  After {!crash_amnesia} a fresh replica is
+    built around the durable state and runs {!Replica.recover} (when
+    [Config.durable_wal] is off, the disk is lost too — the rebuilt
+    replica starts from genesis); the old object's held timers run as
+    no-ops. *)
 
 val run_for : t -> Sbft_sim.Engine.time -> unit
 

@@ -151,7 +151,6 @@ type t = {
   batching : Batching.t;
   mutable batch_timer : Engine.timer option;
   (* liveness *)
-  mutable liveness_timer : Engine.timer option;
   outstanding : (int * int, Types.request) Hashtbl.t; (* awaiting execution *)
   mutable last_progress : Engine.time;
   mutable vc_backoff : int;
@@ -221,7 +220,6 @@ let create ~env ~my ~store ~(durable : durable) =
     client_table = Hashtbl.create 64;
     batching = Batching.create env.keys.Keys.config;
     batch_timer = None;
-    liveness_timer = None;
     outstanding = Hashtbl.create 64;
     last_progress = 0;
     vc_backoff = 0;
@@ -1738,27 +1736,14 @@ and liveness_tick t ctx =
   end
 
 let rec arm_liveness t =
-  t.liveness_timer <-
-    Some
-      (set_replica_timer t ~after:(Config.view_change_timeout / 2) (fun ctx ->
-           liveness_tick t ctx;
-           arm_liveness t))
+  ignore
+    (set_replica_timer t ~after:(Config.view_change_timeout / 2) (fun ctx ->
+         liveness_tick t ctx;
+         arm_liveness t))
 
 let start t ctx =
   note_progress t ctx;
   arm_liveness t
-
-(* A plain crash keeps memory, but the engine drops every callback that
-   came due while the node was down, so the self-re-arming timers may
-   have died with it.  Restart them: exactly one liveness ticker, no
-   stale batch timer, and a fresh send of a pending Get_state. *)
-let resume t ctx =
-  Option.iter Engine.cancel_timer t.liveness_timer;
-  arm_liveness t;
-  Option.iter Engine.cancel_timer t.batch_timer;
-  t.batch_timer <- None;
-  try_propose t ctx;
-  Option.iter (send_get_state t ctx) t.st
 
 (* ------------------------------------------------------------------ *)
 (* Crash-amnesia recovery.

@@ -46,9 +46,10 @@ val recover : t -> Sbft_sim.Engine.ctx -> unit
     the liveness ticker.  Call instead of {!start}. *)
 
 val retire : t -> unit
-(** Permanently deactivate this replica object's timers.  Called on the
-    old instance when an amnesia restart replaces it, so stale closures
-    (liveness ticker, batch loop, retry timers) can no longer act. *)
+(** Permanently deactivate this replica object's timers.  Called at an
+    amnesia crash, so the stale closures (liveness ticker, batch loop,
+    collectors, retry timers) that the engine holds and runs at recovery
+    cannot act on the rebuilt replica's world. *)
 
 val id : t -> int
 val view : t -> int
@@ -63,11 +64,6 @@ val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Types.msg -> unit
 
 val start : t -> Sbft_sim.Engine.ctx -> unit
 (** Arm initial timers (primary batch loop). Call once at time 0. *)
-
-val resume : t -> Sbft_sim.Engine.ctx -> unit
-(** Restart the timers a plain crash may have killed (liveness ticker,
-    batch timer, state-transfer retry).  Call when the node recovers
-    with its memory intact. *)
 
 (** {2 Introspection for tests and benchmarks} *)
 

@@ -16,10 +16,13 @@ type node = {
   mutable crashed : bool;
   mutable cpu_scale : float;
   pending : pending_work Queue.t;
+  held : pending_work Queue.t; (* timers that came due while crashed *)
   mutable drain_at : time; (* time of the scheduled drain event, or -1 *)
 }
 
-and pending_work = Work : (ctx_ -> unit) -> pending_work
+(* CPU-queue items: a message's work, or a timer's callback.  A crash
+   drops the first and holds the second (see [crash]). *)
+and pending_work = Work of (ctx_ -> unit) | Tick of (ctx_ -> unit)
 
 and ctx_ = { eng : t_; cnode : node; mutable cpu_now : time }
 
@@ -85,6 +88,7 @@ let create ~num_nodes ~seed () =
               crashed = false;
               cpu_scale = 1.0;
               pending = Queue.create ();
+              held = Queue.create ();
               drain_at = -1;
             });
       ctxs = [||];
@@ -108,15 +112,6 @@ let rng t = t.rng
 
 let node t i = t.nodes.(i)
 
-let crash t i = (node t i).crashed <- true
-
-let recover t i =
-  let nd = node t i in
-  nd.crashed <- false;
-  nd.cpu_free_at <- t.now;
-  Queue.clear nd.pending;
-  nd.drain_at <- -1
-
 let is_crashed t i = (node t i).crashed
 let set_cpu_scale t i s = (node t i).cpu_scale <- s
 
@@ -132,32 +127,52 @@ let schedule t ~at f = push_event t ~at (Thunk f)
 (* Per-node FIFO CPU queue: each arriving work item enqueues; a single
    "drain" event per node runs items back-to-back as the CPU frees up,
    so a busy CPU costs O(1) events per handler instead of a requeue
-   storm. *)
+   storm.  A crashed node's queue is empty (see [crash]). *)
 let rec drain t nd () =
   nd.drain_at <- -1;
-  if not nd.crashed then begin
-    let c = t.ctxs.(nd.id) in
-    while (not (Queue.is_empty nd.pending)) && nd.cpu_free_at <= t.now do
-      let (Work f) = Queue.pop nd.pending in
-      c.cpu_now <- (if nd.cpu_free_at > t.now then nd.cpu_free_at else t.now);
-      f c;
-      if c.cpu_now > nd.cpu_free_at then nd.cpu_free_at <- c.cpu_now
-    done;
-    if not (Queue.is_empty nd.pending) then begin
-      nd.drain_at <- nd.cpu_free_at;
-      schedule t ~at:nd.cpu_free_at (drain t nd)
-    end
+  let c = t.ctxs.(nd.id) in
+  while (not (Queue.is_empty nd.pending)) && nd.cpu_free_at <= t.now do
+    let (Work f | Tick f) = Queue.pop nd.pending in
+    c.cpu_now <- (if nd.cpu_free_at > t.now then nd.cpu_free_at else t.now);
+    f c;
+    if c.cpu_now > nd.cpu_free_at then nd.cpu_free_at <- c.cpu_now
+  done;
+  if not (Queue.is_empty nd.pending) then begin
+    nd.drain_at <- nd.cpu_free_at;
+    schedule t ~at:nd.cpu_free_at (drain t nd)
   end
-  else Queue.clear nd.pending
 
-let arrive t nd f =
+let hold nd = function Tick _ as w -> Queue.push w nd.held | Work _ -> ()
+
+let arrive t nd w =
   if not nd.crashed then begin
-    Queue.push (Work f) nd.pending;
+    Queue.push w nd.pending;
     if nd.drain_at < 0 then begin
       let at = if nd.cpu_free_at > t.now then nd.cpu_free_at else t.now in
       nd.drain_at <- at;
       if at <= t.now then drain t nd () else schedule t ~at (drain t nd)
     end
+  end
+  else hold nd w
+
+(* A plain crash pauses the process: queued messages are lost, but every
+   timer callback, queued or coming due while down, is held and runs in
+   (time, seq) order at recovery on a CPU free from that instant. *)
+let crash t i =
+  let nd = node t i in
+  if not nd.crashed then begin
+    nd.crashed <- true;
+    Queue.iter (hold nd) nd.pending;
+    Queue.clear nd.pending
+  end
+
+let recover t i =
+  let nd = node t i in
+  if nd.crashed then begin
+    nd.crashed <- false;
+    nd.cpu_free_at <- t.now;
+    Queue.transfer nd.held nd.pending;
+    drain t nd ()
   end
 
 let dispatch t ~dst ~at f = push_event t ~at (Arrive (node t dst, f))
@@ -222,11 +237,11 @@ let fire t at ev =
           f ()
       | Arrive (nd, f) ->
           t.n_arrivals <- t.n_arrivals + 1;
-          arrive t nd f
+          arrive t nd (Work f)
       | Timer_ev (tm, nd, f) ->
           tm.fired <- true;
           t.n_timers_fired <- t.n_timers_fired + 1;
-          arrive t nd f);
+          arrive t nd (Tick f));
       true
 
 (* Both loops pop through [min_key0] then [pop]: no option or tuple is

@@ -50,10 +50,16 @@ val rng : t -> Rng.t
 (** {2 Node lifecycle} *)
 
 val crash : t -> int -> unit
-(** [crash t node] stops [node]: all subsequently firing messages and
-    timers addressed to it are silently dropped until {!recover}. *)
+(** [crash t node] pauses [node] until {!recover}: messages queued on its
+    CPU or arriving while it is down are dropped, but timer callbacks,
+    queued or coming due while it is down, are held.  A no-op on a
+    crashed node. *)
 
 val recover : t -> int -> unit
+(** [recover t node] restarts a crashed [node] with an idle CPU and runs
+    its held timer callbacks on it in the order they came due.  A no-op
+    on a live node. *)
+
 val is_crashed : t -> int -> bool
 
 val set_cpu_scale : t -> int -> float -> unit
@@ -73,7 +79,8 @@ val dispatch : t -> dst:int -> at:time -> (ctx -> unit) -> unit
 
 val set_timer : t -> node:int -> after:time -> (ctx -> unit) -> timer
 (** [set_timer t ~node ~after f] arranges for [f] to run on [node]'s CPU
-    [after] nanoseconds from now unless cancelled. *)
+    [after] nanoseconds from now unless cancelled; if [node] is crashed
+    then, [f] runs at its {!recover}. *)
 
 val cancel_timer : timer -> unit
 (** Cancelled timers are skipped when they come due; when cancelled

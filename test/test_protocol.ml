@@ -139,12 +139,12 @@ let test_cascaded_primary_crashes () =
   List.iter (fun r -> check "view >= 2" true (Replica.view r >= 2)) (alive cluster)
 
 let test_plain_crash_keeps_timers () =
-  (* A plain crash keeps memory, but the engine drops every callback
-     that comes due while the node is down, the liveness ticker's
-     self-re-arming one included.  Replica 1 sleeps from 0.5 s to 2.5 s;
-     once the other three crash at 3 s it is left waiting on requests
-     that never execute, and must keep complaining just as it does when
-     it never crashed. *)
+  (* A plain crash keeps memory, and the engine holds every timer that
+     comes due while the node is down, the liveness ticker's
+     self-re-arming one included, until it recovers.  Replica 1 sleeps
+     from 0.5 s to 2.5 s; once the other three crash at 3 s it is left
+     waiting on requests that never execute, and must keep complaining
+     just as it does when it never crashed. *)
   let view_changes_started ~crash_r1 =
     let cluster =
       Cluster.create ~trace:true ~config:(Config.sbft ~f:1 ~c:0) ~num_clients:2
@@ -169,12 +169,50 @@ let test_plain_crash_keeps_timers () =
   check_int "same complaints after a plain crash" baseline
     (view_changes_started ~crash_r1:true)
 
+let test_plain_crash_keeps_collector_timer () =
+  (* In an uncrashed c=1 run, slot [seq]'s second-ranked σ collector
+     arms its staggered combine and then stays quiet, because the
+     first-ranked collector's proof arrives before the stagger ends.
+     Crashing it the instant that proof is sent drops the proof but not
+     the armed timer, which must run at recovery: the collector then
+     sends its own proof. *)
+  let config = Config.sbft ~f:1 ~c:1 in
+  let seq = 2 in
+  let proof_senders ~crash =
+    let cluster =
+      Cluster.create ~trace:true ~config ~num_clients:1
+        ~topology:(fun ~num_nodes -> Topology.lan ~num_nodes)
+        ~service:Cluster.kv_service ()
+    in
+    let engine = cluster.Cluster.engine in
+    Cluster.start_clients cluster ~requests_per_client:5 ~make_op:put;
+    Option.iter
+      (fun (node, at) ->
+        Engine.schedule engine ~at (fun () -> Engine.crash engine node);
+        Engine.schedule engine ~at:(at + Engine.sec 1) (fun () -> Cluster.recover cluster node))
+      crash;
+    Cluster.run_for cluster (Engine.sec 10);
+    Trace.find_all cluster.Cluster.trace ~kind:"send:full-commit-proof"
+    |> List.filter (fun (r : Trace.record) -> r.Trace.detail = Printf.sprintf "seq=%d" seq)
+    |> List.map (fun (r : Trace.record) -> (r.Trace.node, r.Trace.time))
+  in
+  let first, second =
+    match Collectors.c_collectors ~config ~view:0 ~seq with
+    | [ a; b ] -> (a, b)
+    | _ -> Alcotest.fail "expected c+1 = 2 sigma collectors"
+  in
+  let uncrashed = proof_senders ~crash:None in
+  check "second collector quiet without a crash" false (List.mem_assoc second uncrashed);
+  let sent_at = List.assoc first uncrashed in
+  match List.assoc_opt second (proof_senders ~crash:(Some (second, sent_at))) with
+  | Some at -> check "sent after recovery" true (at >= sent_at + Engine.sec 1)
+  | None -> Alcotest.fail "staggered collector timer lost"
 
 let test_crashed_client_resumes () =
   (* The client crashes right after submitting, before any reply
-     arrives, and stays down past its retry timeout: the replies and the
-     retry timer are all dropped.  On recovery it must re-send and
-     re-arm, or its request stalls for good. *)
+     arrives, and stays down past its retry timeout: the replies are
+     dropped and the retry timer is held.  On recovery the held retry
+     must re-send and re-arm, or its request stalls for good. *)
   let cluster = make ~num_clients:1 () in
   let engine = cluster.Cluster.engine in
   let client = Cluster.num_replicas cluster in
@@ -498,6 +536,27 @@ let test_query_survives_replica_crash () =
   | Some (value, _) -> check "value despite crash" true (value = "1")
   | None -> Alcotest.fail "query did not survive crash"
 
+let test_query_survives_client_crash () =
+  (* The client crashes right after sending a query, so the response is
+     dropped and the retry comes due while it is down.  The paused retry
+     runs at recovery and the query still completes. *)
+  let cluster = make ~num_clients:1 () in
+  ignore (drive ~reqs:5 cluster);
+  let engine = cluster.Cluster.engine in
+  let client = cluster.Cluster.clients.(0) in
+  let id = Client.id client in
+  let got = ref None in
+  let now = Engine.now engine in
+  Engine.dispatch engine ~dst:id ~at:now (fun ctx ->
+      Client.query client ctx ~key:"k0-1" ~callback:(fun r -> got := r));
+  Engine.schedule engine ~at:(now + Engine.us 1) (fun () -> Engine.crash engine id);
+  Engine.schedule engine ~at:(now + Config.client_retry_timeout) (fun () ->
+      Cluster.recover cluster id);
+  Cluster.run_for cluster (Engine.sec 30);
+  match !got with
+  | Some (value, _) -> check "value after client crash" true (value = "1")
+  | None -> Alcotest.fail "query chain lost"
+
 (* ------------------------------------------------------------------ *)
 (* Determinism and WAN topologies *)
 
@@ -576,6 +635,8 @@ let () =
           Alcotest.test_case "primary crash mid-run" `Quick test_primary_crash_mid_run;
           Alcotest.test_case "cascaded primary crashes" `Quick test_cascaded_primary_crashes;
           Alcotest.test_case "plain crash keeps timers" `Quick test_plain_crash_keeps_timers;
+          Alcotest.test_case "plain crash keeps collector timer" `Quick
+            test_plain_crash_keeps_collector_timer;
           Alcotest.test_case "crashed client resumes" `Quick test_crashed_client_resumes;
         ] );
       ( "byzantine",
@@ -595,6 +656,7 @@ let () =
         [
           Alcotest.test_case "single-replica read" `Quick test_query_path;
           Alcotest.test_case "retries across crash" `Quick test_query_survives_replica_crash;
+          Alcotest.test_case "client crash keeps query" `Quick test_query_survives_client_crash;
         ] );
       ( "state-transfer",
         [

@@ -446,16 +446,22 @@ let test_engine_fifo_drain_batch () =
 
 let test_engine_recover_mid_drain () =
   (* A crash arriving while a node's FIFO queue is draining kills the
-     queued remainder; recovery restores a clean, working CPU. *)
+     queued messages but holds the queued timer and the one coming due
+     while down; recovery runs both, in order, on a clean, working CPU. *)
   let eng = Engine.create ~num_nodes:1 ~seed:1L () in
   let ran = ref [] in
-  (* Three handlers queue behind a 10ms charge; the crash at 2ms lands
-     while they wait. *)
+  (* Two handlers and a timer queue behind a 10ms charge; the crash at
+     2ms lands while they wait, and a second timer comes due at 3ms. *)
   Engine.dispatch eng ~dst:0 ~at:0 (fun c ->
       ran := 0 :: !ran;
       Engine.charge c (Engine.ms 10));
   Engine.dispatch eng ~dst:0 ~at:(Engine.ms 1) (fun _ -> ran := 1 :: !ran);
+  ignore (Engine.set_timer eng ~node:0 ~after:(Engine.ms 1) (fun _ -> ran := 10 :: !ran));
   Engine.dispatch eng ~dst:0 ~at:(Engine.ms 1) (fun _ -> ran := 2 :: !ran);
+  ignore
+    (Engine.set_timer eng ~node:0 ~after:(Engine.ms 3) (fun c ->
+         ran := 11 :: !ran;
+         check_int "held timers run at recovery" (Engine.ms 5) (Engine.ctx_now c)));
   Engine.schedule eng ~at:(Engine.ms 2) (fun () -> Engine.crash eng 0);
   Engine.schedule eng ~at:(Engine.ms 5) (fun () -> Engine.recover eng 0);
   (* Post-recovery work runs immediately: the CPU is free again even
@@ -464,8 +470,19 @@ let test_engine_recover_mid_drain () =
       ran := 3 :: !ran;
       check_int "recovered CPU free at once" (Engine.ms 6) (Engine.ctx_now c));
   Engine.run_all eng;
-  Alcotest.(check (list int)) "queued remainder died with the crash" [ 0; 3 ]
+  Alcotest.(check (list int)) "queued messages died, timers were held" [ 0; 10; 11; 3 ]
     (List.rev !ran)
+
+let test_engine_recover_live_noop () =
+  (* Recovering a node that is not crashed changes nothing: work queued
+     behind a busy CPU still runs, once the CPU frees up. *)
+  let eng = Engine.create ~num_nodes:1 ~seed:1L () in
+  let starts = ref [] in
+  Engine.dispatch eng ~dst:0 ~at:0 (fun c -> Engine.charge c (Engine.ms 10));
+  Engine.dispatch eng ~dst:0 ~at:(Engine.ms 1) (fun c -> starts := Engine.ctx_now c :: !starts);
+  Engine.schedule eng ~at:(Engine.ms 2) (fun () -> Engine.recover eng 0);
+  Engine.run_all eng;
+  Alcotest.(check (list int)) "queued work survives" [ Engine.ms 10 ] !starts
 
 let test_engine_crash_clears_queue () =
   (* Work queued on a busy CPU dies with the crash; post-recovery work
@@ -751,6 +768,7 @@ let () =
           Alcotest.test_case "cancel storm" `Quick test_engine_cancel_storm;
           Alcotest.test_case "fifo drain batch" `Quick test_engine_fifo_drain_batch;
           Alcotest.test_case "recover mid-drain" `Quick test_engine_recover_mid_drain;
+          Alcotest.test_case "recover live node" `Quick test_engine_recover_live_noop;
           Alcotest.test_case "crash clears queue" `Quick test_engine_crash_clears_queue;
         ] );
       ( "topology",
