@@ -10,9 +10,10 @@
      bench/main.exe contract-continent | contract-world | contract-baseline
      bench/main.exe ablation        ingredient ablations
      bench/main.exe micro           Bechamel micro-benchmarks
-     bench/main.exe regress         regression grid -> BENCH_3.json, diffed
-                                    against bench/baseline.json (CI gate);
-                                    --update-baseline rewrites the baseline
+     bench/main.exe regress         regression grid -> bench_out/BENCH_3.json,
+                                    diffed against bench/baseline.json (CI
+                                    gate); --update-baseline rewrites the
+                                    baseline
      bench/main.exe regress --paper [--only NAME] [--budget-wall-s N]
                                     paper-scale smoke (n=193-209, ~102k ops
                                     per row); writes bench_out/paper_profile.json
@@ -262,9 +263,8 @@ let bench_out file =
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark regression gate (CI): run the grid, emit BENCH_3.json,
-   diff against the committed baseline within tolerance bands. *)
+   diff against the committed baseline. *)
 
-let regress_report_path = "BENCH_3.json"
 let regress_baseline_path = "bench/baseline.json"
 
 (* Paper-scale smoke (CI): run the n=193/209 family with its finite
@@ -328,9 +328,10 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
 
 let regress ~scale ~update_baseline =
   let current = Regress.measure scale in
-  Regress.write ~path:regress_report_path current;
+  let report_path = bench_out "BENCH_3.json" in
+  Regress.write ~path:report_path current;
   Regress.print current;
-  Printf.printf "report written to %s\n%!" regress_report_path;
+  Printf.printf "report written to %s\n%!" report_path;
   if update_baseline then begin
     Regress.write ~path:regress_baseline_path current;
     Printf.printf "baseline updated: %s\n%!" regress_baseline_path
@@ -349,12 +350,8 @@ let regress ~scale ~update_baseline =
               regress_baseline_path e;
             exit 1
         | Ok baseline -> (
-            (* Wall clock is advisory on push/PR runs: print, don't gate. *)
-            List.iter
-              (fun a -> Printf.printf "advisory: %s\n%!" a)
-              (Regress.wall_advisories ~baseline ~current ());
-            match Regress.compare_reports ~baseline ~current () with
-            | [] -> Printf.printf "regression gate: OK (within tolerance of %s)\n%!"
+            match Regress.compare_reports ~baseline ~current with
+            | [] -> Printf.printf "regression gate: OK (matches %s)\n%!"
                       regress_baseline_path
             | violations ->
                 Printf.eprintf "regression gate: FAILED vs %s\n" regress_baseline_path;

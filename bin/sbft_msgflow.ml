@@ -11,7 +11,9 @@ let parse path = Lint.parse ~path (Lint.read_file path)
 let section (name, types_file) =
   let universe =
     match parse types_file with
-    | Ok structure -> Msgflow.msg_constructors structure
+    | Ok structure ->
+        Msgflow.variant_constructors ~type_name:"msg" structure
+        |> List.sort_uniq String.compare
     | Error _ -> []
   in
   let files =

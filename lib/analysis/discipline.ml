@@ -384,26 +384,6 @@ let def_branches (body : Parsetree.expression) =
         (None, []) cases
   | _ -> (Msgflow.linear_of_expr body, [])
 
-let mutation_ctors structure =
-  List.concat_map
-    (fun (si : Parsetree.structure_item) ->
-      match si.pstr_desc with
-      | Pstr_type (_, decls) ->
-          List.concat_map
-            (fun (d : Parsetree.type_declaration) ->
-              if String.equal d.ptype_name.txt "mutation" then
-                match d.ptype_kind with
-                | Ptype_variant ctors ->
-                    List.map
-                      (fun (c : Parsetree.constructor_declaration) ->
-                        c.pcd_name.txt)
-                      ctors
-                | _ -> []
-              else [])
-            decls
-      | _ -> [])
-    structure
-
 (* Extract the threshold definitions a structure contains; [None] when
    it defines none (an ordinary protocol file). *)
 let extract_defs ~path structure =
@@ -431,7 +411,7 @@ let extract_defs ~path structure =
           defs_path = path;
           n_form = !n_form;
           by_kind;
-          mutation_ctors = mutation_ctors structure;
+          mutation_ctors = Msgflow.variant_constructors ~type_name:"mutation" structure;
         }
 
 (* Canonical definitions, for when the tree's config.ml is not among
@@ -864,7 +844,9 @@ let table_cases (body : Parsetree.expression) =
 
 let r15 ~file structure =
   let is_cost_model = String.equal (Filename.basename file) "cost_model.ml" in
-  let has_msg = match Msgflow.msg_constructors structure with [] -> false | _ -> true in
+  let has_msg =
+    match Msgflow.variant_constructors ~type_name:"msg" structure with [] -> false | _ -> true
+  in
   let wire_tables = [ "size"; "kind" ] in
   List.concat_map
     (fun (vb : Parsetree.value_binding) ->

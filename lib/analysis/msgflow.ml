@@ -634,14 +634,14 @@ let summarize ~path structure =
   in
   { path; funcs; handled = handled_ctors structure }
 
-let msg_constructors structure =
+let variant_constructors ~type_name structure =
   List.concat_map
     (fun (si : Parsetree.structure_item) ->
       match si.pstr_desc with
       | Pstr_type (_, decls) ->
           List.concat_map
             (fun (d : Parsetree.type_declaration) ->
-              if String.equal d.ptype_name.txt "msg" then
+              if String.equal d.ptype_name.txt type_name then
                 match d.ptype_kind with
                 | Ptype_variant ctors ->
                     List.map
@@ -653,7 +653,6 @@ let msg_constructors structure =
             decls
       | _ -> [])
     structure
-  |> List.sort_uniq String.compare
 
 (* ------------------------------------------------------------------ *)
 (* Call-graph closure (within one file) *)

@@ -85,8 +85,9 @@ val tside_of_expr : Parsetree.expression -> tside option
 
 val summarize : path:string -> Parsetree.structure -> file
 
-val msg_constructors : Parsetree.structure -> string list
-(** Constructors of every [type msg] variant in the structure, sorted. *)
+val variant_constructors : type_name:string -> Parsetree.structure -> string list
+(** Constructors of every variant type named [type_name] in the
+    structure, in declaration order. *)
 
 val find_func : func list -> string -> func option
 

@@ -29,14 +29,6 @@ val fuzz :
     [(seed, index)], so findings replay exactly; only the number of
     schedules visited is host-dependent. *)
 
-val replay_one : string -> bool
-(** Load a [.schedule] file, run it, check it against its [expect]
-    header. *)
-
-val replay_dir : string -> bool
-(** Replay every [.schedule] in a directory; false if any misses its
-    expectation (or the directory holds none). *)
-
 val main : string list -> int
 (** The [check] subcommand: fuzz flags [--seeds N] [--seed S] [--quick]
     [--mutate] [--adversarial] [--out DIR] [--budget-s SECONDS], or

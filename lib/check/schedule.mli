@@ -166,8 +166,3 @@ val parse : string -> (t, string) result
 
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
-
-val byz_to_string : byz -> string
-val action_to_string : action -> string
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option

@@ -4,14 +4,14 @@ open Sbft_sim
 
    Runs a fixed grid of quick-scale scenarios, captures throughput,
    latency percentiles, and the per-crypto-op simulated-CPU breakdown
-   (Cost_model.Tally), and emits BENCH_<n>.json.  A committed baseline
-   (bench/baseline.json) plus tolerance bands turns any later
-   performance change — protocol or cost-model — into a CI failure.
+   (Cost_model.Tally), and emits BENCH_<n>.json.  Diffed against a
+   committed baseline (bench/baseline.json), it turns any later
+   performance change — protocol or cost-model — into a test failure.
 
    Everything measured is *virtual* time from the deterministic
    simulator, so the numbers are bit-identical across hosts and reruns:
-   the tolerance bands exist to absorb legitimate protocol evolution
-   (reviewed via baseline updates), not host noise. *)
+   the gate demands exact equality, and a deliberate change ships with
+   a reviewed baseline update. *)
 
 type entry = {
   name : string;
@@ -25,10 +25,10 @@ type entry = {
   p99_ms : float;
   fast_fraction : float;
   crypto_us : (string * float) list;
-  (* v2: host-side cost of producing the virtual numbers.  [events] and
-     [minor_words] are deterministic (same code, same counts);
-     [wall_ms] and [events_per_sec] depend on the machine and are
-     advisory on PRs (gated only by the paper-scale smoke budget). *)
+  (* v2: host-side cost of producing the virtual numbers.  [events] is
+     deterministic (same code, same count); [minor_words] nearly so;
+     [wall_ms] and [events_per_sec] depend on the machine (gated only by
+     the paper-scale smoke budget). *)
   wall_ms : float;
   events : int;
   events_per_sec : float;
@@ -41,16 +41,10 @@ let schema_id = "sbft-bench-v2"
 
 (* Zero the fields that depend on the host or on process history
    (allocation drifts a little between in-process reruns as caches
-   warm), leaving only fully deterministic ones — what byte-identity
-   checks and the determinism test compare. *)
-let strip_host r =
-  {
-    r with
-    entries =
-      List.map
-        (fun e -> { e with wall_ms = 0.; events_per_sec = 0.; minor_words = 0. })
-        r.entries;
-  }
+   warm), leaving only fully deterministic ones — what the gate, the
+   determinism test and byte-identity checks compare. *)
+let strip_entry e = { e with wall_ms = 0.; events_per_sec = 0.; minor_words = 0. }
+let strip_host r = { r with entries = List.map strip_entry r.entries }
 
 (* ------------------------------------------------------------------ *)
 (* The scenario grid *)
@@ -261,153 +255,70 @@ let load ~path =
       of_json s
 
 (* ------------------------------------------------------------------ *)
-(* Tolerance-band comparison *)
+(* The regression gate *)
 
-type tolerance = {
-  rel_throughput : float;
-  rel_latency : float;
-  abs_latency_floor_ms : float;
-  abs_fast_fraction : float;
-  rel_crypto : float;
-  abs_crypto_floor_us : float;
-  rel_events : float;
-  rel_minor_words : float;
-  rel_wall : float;  (* wall-clock band: advisory on PRs, see below *)
-}
-
-(* The simulation is deterministic, so identical code reproduces the
-   baseline bit-for-bit; the bands only absorb incidental drift from
-   unrelated changes (batch timing, message sizes, ...).  Anything
-   larger is a deliberate performance change and must ship with a
-   baseline update. *)
-let default_tolerance =
-  {
-    rel_throughput = 0.10;
-    rel_latency = 0.10;
-    abs_latency_floor_ms = 0.5;
-    abs_fast_fraction = 0.05;
-    rel_crypto = 0.15;
-    abs_crypto_floor_us = 100.;
-    (* Event counts and allocation are deterministic; the bands absorb
-       legitimate code evolution, reviewed via baseline updates. *)
-    rel_events = 0.15;
-    rel_minor_words = 0.30;
-    (* Wall clock is host noise on shared CI runners: the band is wide
-       and, on push/PR runs, only advisory. *)
-    rel_wall = 0.75;
-  }
-
-let rel_delta ~base ~cur =
-  if Float.equal base 0.0 then if Float.equal cur 0.0 then 0.0 else infinity
-  else Float.abs (cur -. base) /. Float.abs base
+(* Allocation is the one gated host-side field: deterministic for the
+   same code but drifting a little between in-process reruns, so it
+   gets a band, both ways — a blow-up and a stale baseline both trip. *)
+let minor_words_band = 0.30
 
 let find_entry name entries =
   List.find_opt (fun e -> String.equal e.name name) entries
 
-let compare_entry ~tol (base : entry) (cur : entry) =
-  let v = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> v := Printf.sprintf "%s: %s" base.name s :: !v) fmt
-  in
-  if
-    not
-      (String.equal base.protocol cur.protocol
-      && Int.equal base.n cur.n && Int.equal base.f cur.f
-      && Int.equal base.c cur.c
-      && Int.equal base.clients cur.clients)
-  then
-    violation "scenario shape changed (protocol/n/f/c/clients); update the baseline";
-  let d = rel_delta ~base:base.throughput_ops ~cur:cur.throughput_ops in
-  if d > tol.rel_throughput then
-    violation "throughput %.0f ops/s vs baseline %.0f (%+.1f%%, band ±%.0f%%)"
-      cur.throughput_ops base.throughput_ops
-      (100. *. (cur.throughput_ops -. base.throughput_ops) /. base.throughput_ops)
-      (100. *. tol.rel_throughput);
-  let latency label base_ms cur_ms =
+(* One "<field> <measured> vs baseline <value>" line per JSON field
+   that differs, walking nested objects (crypto_us) label by label. *)
+let rec field_diffs path base cur =
+  let show = Option.fold ~none:"absent" ~some:(fun j -> String.trim (to_string j)) in
+  match (base, cur) with
+  | Some (Obj b), Some (Obj c) ->
+      let keys =
+        List.map fst b
+        @ List.filter (fun k -> not (List.mem_assoc k b)) (List.map fst c)
+      in
+      List.concat_map
+        (fun k ->
+          field_diffs
+            (if String.equal path "" then k else path ^ "." ^ k)
+            (List.assoc_opt k b) (List.assoc_opt k c))
+        keys
+  | _ ->
+      let b = show base and c = show cur in
+      if String.equal b c then []
+      else [ Printf.sprintf "%s %s vs baseline %s" path c b ]
+
+(* Every field [strip_host] keeps must be identical; allocation must
+   stay inside its band. *)
+let compare_entry (base : entry) (cur : entry) =
+  let virtual_json e = Some (json_of_entry (strip_entry e)) in
+  let diffs = field_diffs "" (virtual_json base) (virtual_json cur) in
+  let alloc =
     if
-      Float.abs (cur_ms -. base_ms) > tol.abs_latency_floor_ms
-      && rel_delta ~base:base_ms ~cur:cur_ms > tol.rel_latency
+      Float.abs (cur.minor_words -. base.minor_words)
+      > minor_words_band *. Float.abs base.minor_words
     then
-      violation "%s %.2f ms vs baseline %.2f (band ±%.0f%% or %.1f ms)" label
-        cur_ms base_ms (100. *. tol.rel_latency) tol.abs_latency_floor_ms
+      [
+        Printf.sprintf "minor_words %.0f vs baseline %.0f (%+.1f%%, band ±%.0f%%)"
+          cur.minor_words base.minor_words
+          (100. *. (cur.minor_words -. base.minor_words) /. base.minor_words)
+          (100. *. minor_words_band);
+      ]
+    else []
   in
-  latency "p50" base.p50_ms cur.p50_ms;
-  latency "p99" base.p99_ms cur.p99_ms;
-  if Float.abs (cur.fast_fraction -. base.fast_fraction) > tol.abs_fast_fraction
-  then
-    violation "fast_fraction %.3f vs baseline %.3f (band ±%.2f)"
-      cur.fast_fraction base.fast_fraction tol.abs_fast_fraction;
-  let de =
-    rel_delta ~base:(float_of_int base.events) ~cur:(float_of_int cur.events)
-  in
-  if de > tol.rel_events then
-    violation "events %d vs baseline %d (%+.1f%%, band ±%.0f%%)" cur.events
-      base.events
-      (100. *. float_of_int (cur.events - base.events) /. float_of_int base.events)
-      (100. *. tol.rel_events);
-  let dm = rel_delta ~base:base.minor_words ~cur:cur.minor_words in
-  if dm > tol.rel_minor_words then
-    violation "minor_words %.0f vs baseline %.0f (%+.1f%%, band ±%.0f%%)"
-      cur.minor_words base.minor_words
-      (100. *. (cur.minor_words -. base.minor_words) /. base.minor_words)
-      (100. *. tol.rel_minor_words);
-  let labels =
-    List.sort_uniq String.compare
-      (List.map fst base.crypto_us @ List.map fst cur.crypto_us)
-  in
-  List.iter
-    (fun label ->
-      let get e = Option.value (List.assoc_opt label e.crypto_us) ~default:0.0 in
-      let b = get base and c = get cur in
-      if
-        Float.abs (c -. b) > tol.abs_crypto_floor_us
-        && rel_delta ~base:b ~cur:c > tol.rel_crypto
-      then
-        violation "crypto[%s] %.0f us vs baseline %.0f (band ±%.0f%% or %.0f us)"
-          label c b (100. *. tol.rel_crypto) tol.abs_crypto_floor_us)
-    labels;
-  List.rev !v
+  List.map (fun d -> base.name ^ ": " ^ d) (diffs @ alloc)
 
-let compare_reports ?(tol = default_tolerance) ~baseline ~current () =
-  let violations = ref [] in
-  List.iter
+let compare_reports ~baseline ~current =
+  List.concat_map
     (fun (base : entry) ->
       match find_entry base.name current.entries with
-      | None ->
-          violations :=
-            Printf.sprintf "%s: present in baseline but not measured" base.name
-            :: !violations
-      | Some cur -> violations := List.rev_append (compare_entry ~tol base cur) !violations)
-    baseline.entries;
-  List.iter
-    (fun (cur : entry) ->
-      if find_entry cur.name baseline.entries = None then
-        violations :=
-          Printf.sprintf "%s: measured but absent from the baseline (update it)"
-            cur.name
-          :: !violations)
-    current.entries;
-  List.rev !violations
-
-(* Wall-clock drift vs the committed baseline.  Separate from
-   {!compare_reports} because it never gates push/PR runs (baselines
-   are recorded on a different machine); the paper-scale smoke job is
-   the only wall gate, via an explicit absolute budget. *)
-let wall_advisories ?(tol = default_tolerance) ~baseline ~current () =
-  List.filter_map
-    (fun (base : entry) ->
-      match find_entry base.name current.entries with
-      | Some cur
-        when base.wall_ms > 0.
-             && rel_delta ~base:base.wall_ms ~cur:cur.wall_ms > tol.rel_wall ->
-          Some
-            (Printf.sprintf
-               "%s: wall %.0f ms vs baseline %.0f (%+.0f%%, band ±%.0f%%)"
-               base.name cur.wall_ms base.wall_ms
-               (100. *. (cur.wall_ms -. base.wall_ms) /. base.wall_ms)
-               (100. *. tol.rel_wall))
-      | _ -> None)
+      | None -> [ base.name ^ ": present in baseline but not measured" ]
+      | Some cur -> compare_entry base cur)
     baseline.entries
+  @ List.filter_map
+      (fun (cur : entry) ->
+        match find_entry cur.name baseline.entries with
+        | None -> Some (cur.name ^ ": measured but absent from the baseline")
+        | Some _ -> None)
+      current.entries
 
 (* Headline number: optimistic combine-then-verify vs. per-share
    verification on the same scenario. *)

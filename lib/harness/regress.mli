@@ -1,13 +1,12 @@
 (** Benchmark regression harness: a fixed quick-scale scenario grid, a
-    machine-readable JSON report ([BENCH_<n>.json]), and a
-    tolerance-band comparator against a committed baseline
-    ([bench/baseline.json]) — the CI gate that turns simulated
-    performance changes into build failures.
+    machine-readable JSON report ([BENCH_<n>.json]), and an exact
+    comparator against a committed baseline ([bench/baseline.json]) —
+    the gate that turns simulated performance changes into test
+    failures.
 
     All measurements are virtual time from the deterministic simulator,
-    so reports are bit-identical across hosts; the tolerance bands
-    absorb legitimate protocol drift (reviewed via baseline updates),
-    not noise. *)
+    so reports are bit-identical across hosts; a deliberate change
+    ships with a reviewed baseline update. *)
 
 type entry = {
   name : string;  (** grid row id, e.g. ["sbft-fast-optimistic"] *)
@@ -53,34 +52,13 @@ val of_json : string -> (report, string) result
 val write : path:string -> report -> unit
 val load : path:string -> (report, string) result
 
-(** Per-metric tolerance bands; a relative band paired with an absolute
-    floor ignores noise on near-zero values. *)
-type tolerance = {
-  rel_throughput : float;
-  rel_latency : float;
-  abs_latency_floor_ms : float;
-  abs_fast_fraction : float;
-  rel_crypto : float;
-  abs_crypto_floor_us : float;
-  rel_events : float;
-  rel_minor_words : float;
-  rel_wall : float;
-}
-
-val compare_reports :
-  ?tol:tolerance -> baseline:report -> current:report -> unit -> string list
-(** One human-readable violation per out-of-band metric, in baseline
-    order; empty means the gate passes.  Scenario set or shape changes
-    are violations too — they require a reviewed baseline update.
-    Gates deterministic fields only (including [events] and
-    [minor_words]); wall clock is {!wall_advisories}. *)
-
-val wall_advisories :
-  ?tol:tolerance -> baseline:report -> current:report -> unit -> string list
-(** Wall-clock drift beyond [tol.rel_wall], one line per row.  Advisory
-    on push/PR runs (baselines are recorded on different machines); the
-    paper-scale smoke job gates wall time with an absolute budget
-    instead. *)
+val compare_reports : baseline:report -> current:report -> string list
+(** One human-readable violation per differing field, in baseline
+    order; empty means the gate passes.  Every field {!strip_host}
+    keeps must equal the baseline exactly (a violation names the row
+    and the field); [minor_words] must stay within ±30% of it.  Rows
+    added, dropped or reshaped are violations too — they require a
+    reviewed baseline update.  Wall clock is not gated here. *)
 
 val optimistic_speedup : report -> float option
 (** Throughput ratio [sbft-fast-optimistic / sbft-fast-pershare]. *)

@@ -95,5 +95,3 @@ let rec pp fmt = function
         (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp)
         ops
   | Noop -> Format.fprintf fmt "noop"
-
-let encoded_size op = String.length (encode op)

@@ -28,5 +28,3 @@ val count_encoded : string -> int option
     that count, but allocating no key or value. *)
 
 val pp : Format.formatter -> t -> unit
-
-val encoded_size : t -> int

@@ -1,7 +1,7 @@
 (* Tests for the benchmark regression harness: the Json encoder/parser,
-   report round-tripping, the tolerance-band comparator, and the
-   determinism of the measured grid (which is what licenses the tight
-   bands in CI). *)
+   report round-tripping, the exact comparator (virtual fields equal,
+   allocation within one band, host time ungated), the determinism of
+   the measured grid, and the grid against the committed baseline. *)
 
 open Sbft_harness
 
@@ -135,27 +135,41 @@ let test_report_schema_check () =
 (* ------------------------------------------------------------------ *)
 (* Comparator *)
 
-let test_compare_within_tolerance () =
+let test_compare_host_fields () =
   let baseline = sample_report [ sample_entry ] in
-  (* 5% throughput drift and sub-floor latency drift stay inside the
-     default bands. *)
+  (* Host time is not gated, and allocation drift inside its band
+     passes. *)
   let drifted =
     {
       sample_entry with
-      Regress.throughput_ops = sample_entry.Regress.throughput_ops *. 1.05;
-      p50_ms = sample_entry.Regress.p50_ms +. 0.1;
-      crypto_us = [ ("combine", 1210.); ("combined_verify", 905.) ];
+      Regress.wall_ms = 5000.;
+      events_per_sec = 10.;
+      minor_words = sample_entry.Regress.minor_words *. 0.75;
     }
   in
   check "identical reports pass" true
-    (Regress.compare_reports ~baseline ~current:baseline () = []);
-  check "in-band drift passes" true
-    (Regress.compare_reports ~baseline ~current:(sample_report [ drifted ]) () = [])
+    (Regress.compare_reports ~baseline ~current:baseline = []);
+  check "host-field drift passes" true
+    (Regress.compare_reports ~baseline ~current:(sample_report [ drifted ]) = [])
+
+(* Virtual fields are deterministic, so any drift at all is a change:
+   0.01% of throughput trips the gate and names the field. *)
+let test_compare_tiny_drift () =
+  let baseline = sample_report [ sample_entry ] in
+  let current =
+    sample_report
+      [ { sample_entry with Regress.throughput_ops = sample_entry.Regress.throughput_ops *. 1.0001 } ]
+  in
+  match Regress.compare_reports ~baseline ~current with
+  | [ v ] ->
+      check "names the row and the field" true
+        (Str.string_match (Str.regexp "sbft-fast-optimistic: throughput_ops ") v 0)
+  | v -> Alcotest.failf "want one violation, got %d" (List.length v)
 
 let test_compare_trips_on_regression () =
   let baseline = sample_report [ sample_entry ] in
   let trips label current =
-    let v = Regress.compare_reports ~baseline ~current:(sample_report [ current ]) () in
+    let v = Regress.compare_reports ~baseline ~current:(sample_report [ current ]) in
     check (label ^ " trips the gate") true (v <> []);
     check (label ^ " names the scenario") true
       (List.exists
@@ -179,34 +193,20 @@ let test_compare_trips_on_regression () =
       Regress.crypto_us = sample_entry.Regress.crypto_us @ [ ("share_batch_verify", 9000.) ];
     };
   trips "event-count blow-up" { sample_entry with Regress.events = 200_000 };
-  trips "allocation blow-up" { sample_entry with Regress.minor_words = 2e8 }
-
-let test_wall_advisory () =
-  let baseline = sample_report [ sample_entry ] in
-  let slow = sample_report [ { sample_entry with Regress.wall_ms = 5000. } ] in
-  (* Wall clock never trips the PR gate... *)
-  check "wall drift passes the gate" true
-    (Regress.compare_reports ~baseline ~current:slow () = []);
-  (* ...but out-of-band drift is reported as an advisory... *)
-  check "wall drift is advisory" true
-    (Regress.wall_advisories ~baseline ~current:slow () <> []);
-  (* ...and in-band drift is silent. *)
-  check "in-band wall silent" true
-    (Regress.wall_advisories ~baseline ~current:baseline () = [])
+  trips "allocation blow-up" { sample_entry with Regress.minor_words = 2e8 };
+  trips "allocation drop (baseline stale)" { sample_entry with Regress.minor_words = 5e7 }
 
 let test_compare_shape_changes () =
   let baseline = sample_report [ sample_entry ] in
   check "missing scenario trips" true
-    (Regress.compare_reports ~baseline ~current:(sample_report []) () <> []);
+    (Regress.compare_reports ~baseline ~current:(sample_report []) <> []);
   check "extra scenario trips" true
     (Regress.compare_reports ~baseline
        ~current:(sample_report [ sample_entry; { sample_entry with Regress.name = "new-row" } ])
-       ()
     <> []);
   check "config shape change trips" true
     (Regress.compare_reports ~baseline
        ~current:(sample_report [ { sample_entry with Regress.clients = 8 } ])
-       ()
     <> [])
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +214,7 @@ let test_compare_shape_changes () =
 
 let test_measure_deterministic () =
   (* Two runs of the quick grid are bit-identical: virtual time only.
-     This is the property that justifies tight tolerance bands in CI. *)
+     This is the property that licenses an exact gate. *)
   let r1 = Regress.measure `Quick in
   let r2 = Regress.measure `Quick in
   (* Wall clock / events-per-second (and allocation, which varies as
@@ -245,9 +245,14 @@ let test_measure_deterministic () =
       check (e.Regress.name ^ " executed events") true (e.Regress.events > 0);
       check (e.Regress.name ^ " allocated") true (e.Regress.minor_words > 0.))
     r1.Regress.entries;
-  (* A fresh measurement of the same grid passes its own gate. *)
-  check "self-comparison passes" true
-    (Regress.compare_reports ~baseline:r1 ~current:r2 () = [])
+  (* The committed baseline still describes this code: the regression
+     gate, run on every test pass. *)
+  match Regress.load ~path:"../bench/baseline.json" with
+  | Error e -> Alcotest.fail ("cannot load the baseline: " ^ e)
+  | Ok baseline ->
+      Alcotest.(check (list string))
+        "matches bench/baseline.json (refresh with regress --update-baseline)" []
+        (Regress.compare_reports ~baseline ~current:r1)
 
 let () =
   Alcotest.run "sbft_regress"
@@ -265,9 +270,9 @@ let () =
         ] );
       ( "comparator",
         [
-          Alcotest.test_case "within tolerance" `Quick test_compare_within_tolerance;
+          Alcotest.test_case "host fields" `Quick test_compare_host_fields;
+          Alcotest.test_case "tiny drift" `Quick test_compare_tiny_drift;
           Alcotest.test_case "trips on regression" `Quick test_compare_trips_on_regression;
-          Alcotest.test_case "wall advisory" `Quick test_wall_advisory;
           Alcotest.test_case "shape changes" `Quick test_compare_shape_changes;
         ] );
       ( "measure",
