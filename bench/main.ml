@@ -46,6 +46,13 @@ let micro () =
     Array.to_list (Array.map (fun k -> Threshold.share_sign k ~msg:msg64) keys)
   in
   let sigma = Threshold.combine_exn scheme ~msg:msg64 shares in
+  let fa = Field.random rng and fb = Field.random rng in
+  (* The tau quorum at n=193 (f=64, c=0): 129 signers spread over 1..193,
+     coefficients recomputed from the tables on every call (the
+     signer-set memo is bypassed). *)
+  let scheme193, _ = Threshold.setup rng ~n:193 ~k:129 in
+  let signers129 = Array.init 129 (fun i -> (i * 193 / 129) + 1) in
+  let block_hash = Sha256.digest "block" in
   let leaves = List.init 64 (fun i -> Printf.sprintf "leaf-%d" i) in
   let tree = Merkle.build leaves in
   let mm =
@@ -119,6 +126,11 @@ let micro () =
       Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> Sha256.digest msg1k));
       Test.make ~name:"keccak256-64B" (Staged.stage (fun () -> Keccak.digest msg64));
       Test.make ~name:"hmac-64B" (Staged.stage (fun () -> Hmac.mac ~key:"k" msg64));
+      Test.make ~name:"field-mul" (Staged.stage (fun () -> Field.mul fa fb));
+      Test.make ~name:"lagrange-coeffs-129of193-cold"
+        (Staged.stage (fun () -> Threshold.lagrange_coeffs scheme193 signers129));
+      Test.make ~name:"hash-to-field"
+        (Staged.stage (fun () -> Threshold.hash_to_field block_hash));
       Test.make ~name:"threshold-share-sign"
         (Staged.stage (fun () -> Threshold.share_sign keys.(0) ~msg:msg64));
       Test.make ~name:"threshold-combine-17of25"

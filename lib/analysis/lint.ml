@@ -250,14 +250,15 @@ module Taint = struct
         [ "t"; "ctx"; "self"; "env"; "src"; "seq"; "view"; "replica";
           "client"; "timestamp"; "index"; "qid"; "upto"; "ls" ];
       sanitizers =
-        [ "verify"; "verify_request"; "share_verify"; "share_verify_cached";
-          "validate_message"; "verify_op_proof"; "verify_query_proof";
+        [ "verify"; "verify_h"; "verify_request"; "share_verify";
+          "share_verify_cached"; "validate_message"; "verify_op_proof";
+          "verify_query_proof";
           (* Optimistic combine-then-verify and the staged snapshot
              loader authenticate their inputs internally: the former
              checks the combined signature (falling back to per-share
              identification), the latter installs only a
              digest-matching snapshot. *)
-          "combine_verified"; "load_snapshot_checked" ];
+          "combine_verified"; "combine_verified_h"; "load_snapshot_checked" ];
       sink_names =
         [ "replace"; "add"; "push"; "remove"; "reset"; ":="; "execute_block";
           "load_snapshot"; "set_checkpoint" ];

@@ -368,11 +368,14 @@ let lambda_guard_names args =
 let priced =
   [
     (("Threshold", "share_sign"), "share_sign");
+    (("Threshold", "share_sign_h"), "share_sign");
     (("Threshold", "verify"), "verify");
+    (("Threshold", "verify_h"), "verify");
     (("Threshold", "share_verify"), "share_verify");
     (("Threshold", "share_verify_cached"), "share_verify");
     (("Threshold", "combine"), "combine");
     (("Threshold", "combine_verified"), "combine");
+    (("Threshold", "combine_verified_h"), "combine");
     (("Group_sig", "combine"), "combine");
     (("Group_sig", "verify"), "verify");
     (("Sha256", "digest"), "hash");

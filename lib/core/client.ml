@@ -158,8 +158,9 @@ let on_message t ctx ~src msg =
           Engine.charge ctx Cost_model.bls_verify;
           Engine.charge ctx (Cost_model.merkle_verify 10);
           if
-            Sbft_crypto.Threshold.verify t.env.Replica.keys.Keys.pi
-              ~msg:(Types.pi_message ~seq ~digest:state_digest)
+            let keys = t.env.Replica.keys in
+            Sbft_crypto.Threshold.verify_h keys.Keys.pi
+              ~h:(Keys.hash_to_field keys (Types.pi_message ~seq ~digest:state_digest))
               pi
             && Sbft_store.Auth_store.verify_op_proof ~digest:state_digest ~seq ~index
                  ~op:p.op ~value ~proof

@@ -8,6 +8,7 @@ type t = {
   group : Group_sig.t;
   replica_pks : Pki.public_key array;
   client_pks : Pki.public_key array;
+  points : (string, Field.t) Hashtbl.t;
 }
 
 type replica_keys = {
@@ -36,6 +37,7 @@ let setup rng ~config ~num_clients =
       group;
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
+      points = Hashtbl.create 256;
     }
   in
   let replica_keys =
@@ -50,6 +52,21 @@ let setup rng ~config ~num_clients =
         })
   in
   (public, replica_keys, client_kps)
+
+(* Every replica signs, combines and checks the same few messages per
+   block (h, τ(h)'s message, the π message), so the cluster hashes each
+   to its field point once.  The point is a pure function of the
+   message, and the table is cleared when it outgrows [points_cap]. *)
+let points_cap = 4096
+
+let hash_to_field t msg =
+  match Hashtbl.find_opt t.points msg with
+  | Some h -> h
+  | None ->
+      if Hashtbl.length t.points >= points_cap then Hashtbl.reset t.points;
+      let h = Threshold.hash_to_field msg in
+      Hashtbl.replace t.points msg h;
+      h
 
 let client_pk t cid = t.client_pks.(cid - Config.n t.config)
 

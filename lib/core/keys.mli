@@ -14,6 +14,8 @@ type t = {
   group : Sbft_crypto.Group_sig.t;
   replica_pks : Sbft_crypto.Pki.public_key array;
   client_pks : Sbft_crypto.Pki.public_key array;  (** indexed client-id − n *)
+  points : (string, Sbft_crypto.Field.t) Hashtbl.t;
+      (** {!hash_to_field}'s memo, owned by the cluster. *)
 }
 
 type replica_keys = {
@@ -29,5 +31,14 @@ val setup :
   Sbft_sim.Rng.t -> config:Config.t -> num_clients:int ->
   t * replica_keys array * Sbft_crypto.Pki.keypair array
 (** [(public, per-replica secrets, per-client PKI keypairs)]. *)
+
+val hash_to_field : t -> string -> Sbft_crypto.Field.t
+(** {!Sbft_crypto.Threshold.hash_to_field} through the cluster's bounded
+    memo: the point of a message every replica signs or checks is
+    hashed once per cluster, not once per replica.  Pass it to the
+    [Threshold] [_h] functions. *)
+
+val points_cap : int
+(** The memo holds at most this many messages; it is cleared when full. *)
 
 val verify_request : t -> Types.request -> bool

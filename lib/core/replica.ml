@@ -423,7 +423,8 @@ let combine_stash t ctx ~scheme ~k ~group ~msg stash =
   let shares = List.map snd stash.items in
   let signature, bad =
     if (cfg t).Config.optimistic_combine then begin
-      let o = Threshold.combine_verified scheme ~msg shares in
+      let h = Keys.hash_to_field (keys t) msg in
+      let o = Threshold.combine_verified_h scheme ~h shares in
       Engine.charge ctx (tally "combine" (combine_cost o.Threshold.coeffs_cached));
       Engine.charge ctx (tally "combined_verify" Cost_model.bls_verify);
       if o.Threshold.fallback then begin
@@ -460,14 +461,16 @@ let combine_stash t ctx ~scheme ~k ~group ~msg stash =
    σ(h) on the fast path, or τ(h) plus τ(τ(h)) on the slow path. *)
 
 (* The one verification of a certificate against its block hash [h]. *)
-let cert_verifies t ctx ~h = function
+let cert_verifies t ctx ~h cert =
+  let point msg = Keys.hash_to_field (keys t) msg in
+  match cert with
   | Types.Cert_fast sigma ->
       Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-      Threshold.verify (keys t).Keys.sigma ~msg:h sigma
+      Threshold.verify_h (keys t).Keys.sigma ~h:(point h) sigma
   | Types.Cert_slow (tau, tau_tau) ->
       Engine.charge ctx (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-      Threshold.verify (keys t).Keys.tau ~msg:h tau
-      && Threshold.verify (keys t).Keys.tau ~msg:(Types.tau2_message tau) tau_tau
+      Threshold.verify_h (keys t).Keys.tau ~h:(point h) tau
+      && Threshold.verify_h (keys t).Keys.tau ~h:(point (Types.tau2_message tau)) tau_tau
 
 (* The certificate as the ledger persists it (signature bytes), and
    back. *)
@@ -503,8 +506,9 @@ let note_prepared sl slow =
 let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
   sl.sent_sign_share <- true;
   Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-  let sigma_share = Threshold.share_sign t.my.Keys.sigma_sk ~msg:h in
-  let tau_share = Threshold.share_sign t.my.Keys.tau_sk ~msg:h in
+  let point = Keys.hash_to_field (keys t) h in
+  let sigma_share = Threshold.share_sign_h t.my.Keys.sigma_sk ~h:point in
+  let tau_share = Threshold.share_sign_h t.my.Keys.tau_sk ~h:point in
   let sigma_share, tau_share =
     match t.byz with
     | Corrupt_shares when corrupt ->
@@ -545,7 +549,9 @@ let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
 let execute_once t ctx sl reqs =
   Sanitizer.record_execute t.san ~seq:sl.seq;
   sl.executed <- true;
-  Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
+  Engine.charge ctx
+    (Cost_model.Tally.note "exec"
+       (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:sl.seq reqs));
   let ops =
     List.map
       (fun (r : Types.request) ->
@@ -865,7 +871,7 @@ and on_commit_proof t ctx ~seq ~view cert =
   if sl.committed = None then begin
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
-        if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view cert
+        if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view ~h cert
     | _ ->
         (* Proof before block: stash it and fetch the block. *)
         (match cert with
@@ -897,7 +903,8 @@ and on_prepare t ctx ~seq ~view ~tau =
       match sl.pp with
       | Some (v, reqs, h) when Int.equal v view ->
           Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-          if Threshold.verify (keys t).Keys.tau ~msg:h tau then begin
+          if Threshold.verify_h (keys t).Keys.tau ~h:(Keys.hash_to_field (keys t) h) tau
+          then begin
             sl.prepare_tau <- Some tau;
             note_prepared sl (Types.Slow_prepared { tau; view; reqs });
             wal_log t ctx
@@ -909,7 +916,8 @@ and on_prepare t ctx ~seq ~view ~tau =
               match t.byz with
               | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
               | _ ->
-                  Threshold.share_sign t.my.Keys.tau_sk ~msg:(Types.tau2_message tau)
+                  Threshold.share_sign_h t.my.Keys.tau_sk
+                    ~h:(Keys.hash_to_field (keys t) (Types.tau2_message tau))
             in
             let collectors = Collectors.slow_path_collectors ~config ~view ~seq in
             List.iter
@@ -954,9 +962,10 @@ and on_commit t ctx ~seq ~view ~share =
 (* Commit and in-order execution *)
 
 (* Commit [reqs] at [sl] under [cert], which the caller verified (or a
-   new view decided).  The certificate is recorded for view-change
-   reports even when the slot already committed. *)
-and commit t ctx sl ~reqs ~view cert =
+   new view decided) against the block hash [h].  The certificate is
+   recorded for view-change reports even when the slot already
+   committed. *)
+and commit t ctx sl ~reqs ~view ~h cert =
   let fast =
     match cert with
     | Types.Cert_fast sigma ->
@@ -967,8 +976,7 @@ and commit t ctx sl ~reqs ~view cert =
         false
   in
   if sl.committed = None then begin
-    Sanitizer.record_commit t.san ~seq:sl.seq ~view
-      ~digest:(Types.block_hash ~seq:sl.seq ~view ~reqs);
+    Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest:h;
     sl.committed <- Some reqs;
     (match sl.fast_timer with Some tm -> Engine.cancel_timer tm | None -> ());
     if fast then t.n_fast <- t.n_fast + 1 else t.n_slow <- t.n_slow + 1;
@@ -1046,8 +1054,8 @@ and try_execute t ctx =
             match t.byz with
             | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
             | _ ->
-                Threshold.share_sign t.my.Keys.pi_sk
-                  ~msg:(Types.pi_message ~seq:next ~digest)
+                Threshold.share_sign_h t.my.Keys.pi_sk
+                  ~h:(Keys.hash_to_field (keys t) (Types.pi_message ~seq:next ~digest))
           in
           List.iter
             (fun e ->
@@ -1187,7 +1195,11 @@ and maybe_send_acks t ctx sl =
 
 and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
   Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-  if Threshold.verify (keys t).Keys.pi ~msg:(Types.pi_message ~seq ~digest) pi then begin
+  if
+    Threshold.verify_h (keys t).Keys.pi
+      ~h:(Keys.hash_to_field (keys t) (Types.pi_message ~seq ~digest))
+      pi
+  then begin
     Hashtbl.replace t.checkpoint_pis seq (pi, digest);
     wal_log t ctx
       (Sbft_store.Wal.Stable_checkpoint
@@ -1414,8 +1426,8 @@ and adopt_block_suffix t ctx blocks =
       if !ok && Int.equal s (last_executed t + 1) then begin
         let sl = slot t s in
         if sl.committed = None then begin
-          if cert_verifies t ctx ~h:(Types.block_hash ~seq:s ~view ~reqs) cert then
-            commit t ctx sl ~reqs ~view cert
+          let h = Types.block_hash ~seq:s ~view ~reqs in
+          if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view ~h cert
           else ok := false
         end
         else try_execute t ctx
@@ -1643,8 +1655,9 @@ and on_new_view t ctx ~view ~proofs =
             (* A decided slot commits under the certificate the proofs
                carry (validated with them). *)
             let decided cert ~reqs ~pview =
-              sl.pp <- Some (pview, reqs, Types.block_hash ~seq ~view:pview ~reqs);
-              commit t ctx sl ~reqs ~view:pview cert
+              let h = Types.block_hash ~seq ~view:pview ~reqs in
+              sl.pp <- Some (pview, reqs, h);
+              commit t ctx sl ~reqs ~view:pview ~h cert
             in
             match decision with
             | View_change.Decide_fast { sigma; reqs; view = pview } ->

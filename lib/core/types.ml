@@ -129,11 +129,16 @@ type msg =
               snapshot already covers). *)
     }
 
+(* Hashed by the first request's (client, timestamp), as [Req_memo]
+   hashes a request: never by the op payloads. *)
 module Block_memo = Ephemeron.K1.Make (struct
   type t = request list
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+
+  let hash = function
+    | [] -> 0
+    | r :: _ -> (r.client * 1_000_003) lxor r.timestamp
 end)
 
 let block_memo : (int * int * string) list ref Block_memo.t = Block_memo.create 4096
@@ -179,6 +184,11 @@ let pi_message ~seq ~digest =
 let request_size r = 16 + String.length r.op + Pki.signature_size + 4
 
 let requests_bytes reqs = List.fold_left (fun acc r -> acc + request_size r) 0 reqs
+
+let exec_charge store ~exec_cost ~seq reqs =
+  Sbft_store.Auth_store.exec_charge store ~seq
+    ~ops:(List.map (fun r -> r.op) reqs)
+    (fun () -> exec_cost reqs)
 
 let header = 24 (* type tag, seq, view, sender *)
 let sig_size = Threshold.signature_size

@@ -149,6 +149,16 @@ val pi_message : seq:int -> digest:string -> string
 
 val requests_bytes : request list -> int
 
+val exec_charge :
+  Sbft_store.Auth_store.t -> exec_cost:(request list -> int) -> seq:int ->
+  request list -> int
+(** [exec_charge store ~exec_cost ~seq reqs] is [exec_cost reqs], the
+    simulated execution charge of block [seq], computed once per block
+    per cluster through the store's shared execution cache
+    ({!Sbft_store.Auth_store.exec_charge}).  The memo key is [seq] and
+    the requests' own op strings, so a block is charged exactly as if
+    [exec_cost] ran on every replica. *)
+
 val size : msg -> int
 (** Wire size in bytes for network-cost accounting: payload plus
     signature material (33-byte combined threshold signatures, 37-byte

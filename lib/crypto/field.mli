@@ -4,9 +4,10 @@
     supports the same Shamir sharing and Lagrange
     interpolation-in-the-exponent structure as BLS threshold signatures,
     with branch-light reduction thanks to the Mersenne form.  Elements
-    are represented as [int64] in [\[0, p)]. *)
+    are native ints in [\[0, p)]: p fits in OCaml's 63-bit int with two
+    bits to spare, so no operation allocates. *)
 
-type t = int64
+type t = private int
 
 val p : int64
 (** 2^61 − 1 = 2305843009213693951. *)
@@ -25,6 +26,8 @@ val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 val pow : t -> int64 -> t
+(** [pow b e] is [b^e] with [e] read as an unsigned 64-bit integer. *)
+
 val inv : t -> t
 (** @raise Division_by_zero on [inv zero]. *)
 

@@ -12,7 +12,7 @@ let setup rng ~n =
 
 let n t = t.n
 
-let hash_to_field msg = Field.of_digest (Sha256.digest msg)
+let hash_to_field = Threshold.hash_to_field
 
 let share_sign (sk : signing_key) ~msg =
   { signer = sk.signer; value = Field.mul sk.secret_share (hash_to_field msg) }

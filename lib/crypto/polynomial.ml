@@ -27,9 +27,10 @@ let lagrange_coeffs_at_zero xs =
      With N = prod_j x_j the i-th coefficient is N / (x_i * prod_{j<>i}
      (x_j - x_i)); all k denominators are inverted together with
      Montgomery's batch-inversion trick (3k multiplications + one field
-     inversion instead of O(k^2) inversions — this function dominates
-     collector cost at n ~ 200, which is why {!Sbft_crypto.Threshold}
-     memoizes its result per signer set). *)
+     inversion instead of O(k^2) inversions).  This works for any
+     abscissae; {!Sbft_crypto.Threshold}, whose abscissae are the signer
+     ids 1..n, computes the same coefficients from per-scheme tables, and
+     the tests hold it to this reference. *)
   let k = Array.length xs in
   let numerator = Array.fold_left Field.mul Field.one xs in
   let denoms =

@@ -64,15 +64,15 @@ let compress ctx block off =
   for i = 16 to 63 do
     let x15 = Array.unsafe_get w (i - 15) in
     let s0 =
-      (((x15 lsr 7) lor (x15 lsl 25)) land mask)
-      lxor (((x15 lsr 18) lor (x15 lsl 14)) land mask)
-      lxor (x15 lsr 3)
+      (((x15 lsr 7) lor (x15 lsl 25)) lxor ((x15 lsr 18) lor (x15 lsl 14))
+       lxor (x15 lsr 3))
+      land mask
     in
     let x2 = Array.unsafe_get w (i - 2) in
     let s1 =
-      (((x2 lsr 17) lor (x2 lsl 15)) land mask)
-      lxor (((x2 lsr 19) lor (x2 lsl 13)) land mask)
-      lxor (x2 lsr 10)
+      (((x2 lsr 17) lor (x2 lsl 15)) lxor ((x2 lsr 19) lor (x2 lsl 13))
+       lxor (x2 lsr 10))
+      land mask
     in
     Array.unsafe_set w i
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
@@ -84,22 +84,21 @@ let compress ctx block off =
   for i = 0 to 63 do
     let ev = !e in
     let s1 =
-      (((ev lsr 6) lor (ev lsl 26)) land mask)
-      lxor (((ev lsr 11) lor (ev lsl 21)) land mask)
-      lxor (((ev lsr 25) lor (ev lsl 7)) land mask)
+      (((ev lsr 6) lor (ev lsl 26)) lxor ((ev lsr 11) lor (ev lsl 21))
+       lxor ((ev lsr 25) lor (ev lsl 7)))
+      land mask
     in
     let ch = (ev land !f) lxor (lnot ev land !g) in
-    let temp1 =
-      (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask
-    in
+    (* Unmasked: below 5 * 2^32, so [e] and [a] take one mask each. *)
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
     let av = !a in
     let s0 =
-      (((av lsr 2) lor (av lsl 30)) land mask)
-      lxor (((av lsr 13) lor (av lsl 19)) land mask)
-      lxor (((av lsr 22) lor (av lsl 10)) land mask)
+      (((av lsr 2) lor (av lsl 30)) lxor ((av lsr 13) lor (av lsl 19))
+       lxor ((av lsr 22) lor (av lsl 10)))
+      land mask
     in
     let maj = (av land !b) lxor (av land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
+    let temp2 = s0 + maj in
     hh := !g;
     g := !f;
     f := ev;

@@ -34,16 +34,25 @@ val setup : Sbft_sim.Rng.t -> n:int -> k:int -> t * signing_key array
 val n : t -> int
 val threshold : t -> int
 
+val hash_to_field : string -> Field.t
+(** The message's point: [Field.of_digest (Sha256.digest msg)], the
+    "hash-to-group" step every function taking [~msg] starts with.  The
+    [_h] variants below take the point instead, so a caller that signs
+    or checks one message many times (the cluster's {!Sbft_core.Keys}
+    memo) hashes it once. *)
+
 val share_sign : signing_key -> msg:string -> share
+val share_sign_h : signing_key -> h:Field.t -> share
 val share_verify : t -> msg:string -> share -> bool
 
 val share_verify_cached : t -> msg:string -> share -> bool
-(** {!share_verify} through the scheme's per-(signer, message, value)
-    verdict cache: a share the scheme instance has already checked
-    (re-delivery, a second collector on the same node, view-change
-    re-validation) is answered from the cache without recomputation.
-    The cache key includes the claimed share value, so a Byzantine
-    signer re-sending a different share always verifies afresh. *)
+(** {!share_verify} through the scheme's per-(message point, signer,
+    value) verdict cache: a share the scheme instance has already
+    checked (re-delivery, a second collector on the same node,
+    view-change re-validation) is answered from the cache without
+    recomputation.  The cache key includes the claimed share value, so
+    a Byzantine signer re-sending a different share always verifies
+    afresh. *)
 
 val combine : t -> msg:string -> share list -> signature option
 (** Pessimistic robust combination: verifies every share, drops invalid
@@ -89,9 +98,27 @@ val combine_verified : t -> msg:string -> share list -> outcome
     cost one extra identification pass, and the per-(signer, message)
     cache makes re-delivered shares free.  The recombined fallback
     signature is built solely from individually verified shares, so it
-    needs no second combined check. *)
+    needs no second combined check.
+
+    Lagrange coefficients come from per-scheme tables over the signer
+    ids 1..n (built on the first miss in O(n) multiplications), and a
+    coefficient vector is memoized per signer set. *)
+
+val combine_verified_h : t -> h:Field.t -> share list -> outcome
+
+val lagrange_coeffs : t -> int array -> Field.t array
+(** [lagrange_coeffs t signers] is the Lagrange coefficient vector at
+    zero for the ascending signer ids [signers] (each in [1..n]), from
+    the scheme's tables and bypassing the signer-set memo: equal to
+    {!Polynomial.lagrange_coeffs_at_zero} of the ids.
+    @raise Invalid_argument unless [signers] ascends within [1..n]. *)
+
+val memo_cap : int
+(** Each of the scheme's memos (signer-set coefficients, share
+    verdicts) is cleared when it holds more than this many entries. *)
 
 val verify : t -> msg:string -> signature -> bool
+val verify_h : t -> h:Field.t -> signature -> bool
 
 val forge_invalid_share : signer:int -> share
 (** A deliberately invalid share, used by Byzantine test behaviours to

@@ -120,6 +120,8 @@ let measure_row (name, sc) =
   let crypto = Sbft_crypto.Cost_model.Tally.snapshot () in
   (entry_of_point ~name p ~crypto, p)
 
+let measure_one ~name sc = fst (measure_row (name, sc))
+
 let measure scale =
   { schema = schema_id; entries = List.map (fun row -> fst (measure_row row)) (grid scale) }
 

@@ -44,6 +44,9 @@ val measure : Experiments.scale -> report
     with optimistic combining on vs. the per-share-verification
     baseline ([Config.optimistic_combine = false]). *)
 
+val measure_one : name:string -> Scenario.t -> entry
+(** One scenario measured as a grid row named [name]. *)
+
 val to_json : report -> string
 
 val of_json : string -> (report, string) result

@@ -334,7 +334,9 @@ and try_execute t ctx =
     | Some ({ committed = Some reqs; executed = false; _ } as sl) ->
         Sanitizer.record_execute t.san ~seq:next;
         sl.executed <- true;
-        Engine.charge ctx (Cost_model.Tally.note "exec" (t.env.exec_cost reqs));
+        Engine.charge ctx
+          (Cost_model.Tally.note "exec"
+             (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:next reqs));
         let is_dup (r : Types.request) =
           r.Types.client >= 0
           &&

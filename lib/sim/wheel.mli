@@ -1,14 +1,15 @@
 (** The engine's event queue: a 4-ary min-heap of values keyed by
-    [(key0, key1)] pairs compared lexicographically, kept as parallel
-    key and value arrays.  The engine's [key1] is a sequence number
-    that is never reused, so the order is total and the pop sequence
-    depends on the keys alone. *)
+    [(key0, key1)] pairs compared lexicographically.  The heap holds
+    the keys and a slab index per entry, all ints, and the values sit
+    in the slab, so sifting writes no pointer.  The engine's [key1] is
+    a sequence number that is never reused, so the order is total and
+    the pop sequence depends on the keys alone. *)
 
 type 'a t
 
 val create : dummy:'a -> 'a t
-(** [dummy] fills the slots past the last entry, so the queue holds no
-    popped or compacted-away value alive. *)
+(** [dummy] fills the free slab slots, so the queue holds no popped or
+    compacted-away value alive. *)
 
 val push : 'a t -> key0:int -> key1:int -> 'a -> unit
 (** O(log size); allocates only when the arrays grow. *)

@@ -27,9 +27,24 @@ type cache_value = {
    root, the first few ops), and on a hit [compare] short-circuits on
    the op strings the replicas share physically, so a lookup costs far
    less than a SHA-256 of the block's payload. *)
-type cache = (int * string * string list, cache_value) Hashtbl.t
+type blocks = (int * string * string list, cache_value) Hashtbl.t
 
-let new_cache () : cache = Hashtbl.create 1024
+(* The execution charge of a block, keyed exactly by (seq, the requests'
+   op strings).  The hash reads the seq and the op lengths, never the
+   payload bytes; equality compares the strings, which short-circuits
+   on the ones the replicas share physically. *)
+module Charges = Hashtbl.Make (struct
+  type t = int * string list
+
+  let equal (s1, o1) (s2, o2) = Int.equal s1 s2 && List.equal String.equal o1 o2
+
+  let hash (seq, ops) =
+    List.fold_left (fun h op -> (h * 31) + String.length op) (seq * 1_000_003) ops
+end)
+
+type cache = { blocks : blocks; charges : int Charges.t }
+
+let new_cache () = { blocks = Hashtbl.create 1024; charges = Charges.create 1024 }
 
 type t = {
   apply : apply;
@@ -73,6 +88,18 @@ let clone t =
     blocks = Hashtbl.copy t.blocks;
     cache = t.cache;
   }
+
+let exec_charge t ~seq ~ops compute =
+  match t.cache with
+  | None -> compute ()
+  | Some cache -> (
+      let key = (seq, ops) in
+      match Charges.find_opt cache.charges key with
+      | Some c -> c
+      | None ->
+          let c = compute () in
+          Charges.replace cache.charges key c;
+          c)
 
 let last_executed t = t.last_executed
 let state t = t.map
@@ -128,7 +155,7 @@ let execute_block t ~seq ~ops =
   | None -> Array.to_list (execute_uncached t ~seq ~ops).outputs
   | Some cache -> (
       let key = (seq, Merkle_map.root t.map, ops) in
-      match Hashtbl.find_opt cache key with
+      match Hashtbl.find_opt cache.blocks key with
       | Some v ->
           t.map <- v.c_map;
           Hashtbl.replace t.blocks seq v.c_record;
@@ -137,7 +164,7 @@ let execute_block t ~seq ~ops =
           Array.to_list v.c_record.outputs
       | None ->
           let record = execute_uncached t ~seq ~ops in
-          Hashtbl.replace cache key
+          Hashtbl.replace cache.blocks key
             { c_map = t.map; c_record = record; c_ops_root = t.last_ops_root };
           Array.to_list record.outputs)
 

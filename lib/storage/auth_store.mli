@@ -47,6 +47,16 @@ val new_cache : unit -> cache
 val set_cache : t -> cache -> unit
 (** Install a shared cache (call before executing any block). *)
 
+val exec_charge : t -> seq:int -> ops:string list -> (unit -> int) -> int
+(** [exec_charge t ~seq ~ops compute] is [compute ()], the simulated
+    execution charge of block [seq] whose requests carry the op strings
+    [ops], memoized in the shared cache so the host computes it once
+    per block, not once per replica.  [compute] must be a function of
+    [ops] alone.  The key is exact: pass the requests' own ops, not the
+    deduplicated ones the block executes — a duplicate request and a
+    null filler both execute as [""] but are charged differently.
+    Without a cache, [compute ()] runs every time. *)
+
 val last_executed : t -> int
 (** Sequence number of the last executed block; 0 before any. *)
 

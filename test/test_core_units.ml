@@ -171,6 +171,70 @@ let test_request_authentication () =
     (Keys.verify_request keys { good with Types.client = 0 })
 
 (* ------------------------------------------------------------------ *)
+(* Run-scoped memos *)
+
+(* The cluster's hash-to-field memo answers exactly what the cold path
+   computes, for each message kind the replicas sign, and never holds
+   more than [points_cap] messages. *)
+let test_points_memo () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let keys, _, _ = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let h = Types.block_hash ~seq:3 ~view:0 ~reqs:[ req "x" ] in
+  let tau = Sbft_crypto.Threshold.hash_to_field "tau" in
+  let messages =
+    [
+      ("h", h);
+      ("tau2", Types.tau2_message tau);
+      ("pi", Types.pi_message ~seq:3 ~digest:h);
+    ]
+  in
+  List.iter
+    (fun (name, msg) ->
+      let cold = Sbft_crypto.Threshold.hash_to_field msg in
+      let memo () = Sbft_crypto.Field.equal cold (Keys.hash_to_field keys msg) in
+      check (name ^ " miss") true (memo ());
+      check (name ^ " hit") true (memo ()))
+    messages;
+  for i = 1 to Keys.points_cap + 10 do
+    ignore (Keys.hash_to_field keys (string_of_int i) : Sbft_crypto.Field.t);
+    check "bounded" true (Hashtbl.length keys.Keys.points <= Keys.points_cap)
+  done
+
+(* The execution charge is computed once per (seq, requests' ops) and is
+   exact per block: a block holding a duplicate request (it executes as
+   the no-op "") and a block holding the null filler (op "") at the same
+   seq execute the same ops but are charged differently.  A memo keyed
+   by the executed ops would hand the second block the first one's
+   charge. *)
+let test_exec_charge_exact () =
+  let store = Sbft_store.Kv_service.create () in
+  Sbft_store.Auth_store.set_cache store (Sbft_store.Auth_store.new_cache ());
+  let calls = ref 0 in
+  let exec_cost reqs =
+    incr calls;
+    Cluster.kv_service.Cluster.exec_cost reqs
+  in
+  let op =
+    Sbft_store.Kv_op.encode
+      (Sbft_store.Kv_op.Batch
+         (List.init 8 (fun i ->
+              Sbft_store.Kv_op.Put { key = string_of_int i; value = "v" })))
+  in
+  let duplicate = [ { (req op) with Types.client = 5 } ] in
+  let filler = [ View_change.null_request ] in
+  let charge reqs = Types.exec_charge store ~exec_cost ~seq:7 reqs in
+  let expect reqs = Cluster.kv_service.Cluster.exec_cost reqs in
+  check "charges differ" false (Int.equal (expect duplicate) (expect filler));
+  check_int "duplicate-request block" (expect duplicate) (charge duplicate);
+  check_int "null-filler block" (expect filler) (charge filler);
+  check_int "each computed once" 2 !calls;
+  check_int "memo hit" (expect duplicate) (charge duplicate);
+  check_int "no recompute on a hit" 2 !calls;
+  check_int "other seq misses" (expect duplicate)
+    (Types.exec_charge store ~exec_cost ~seq:8 duplicate);
+  check_int "computed for the new seq" 3 !calls
+
+(* ------------------------------------------------------------------ *)
 (* Cluster.agreement *)
 
 (* Replicas reduced to (executed height, state digest), with no
@@ -228,5 +292,10 @@ let () =
           Alcotest.test_case "kinds" `Quick test_kind_strings;
         ] );
       ("keys", [ Alcotest.test_case "request auth" `Quick test_request_authentication ]);
+      ( "memos",
+        [
+          Alcotest.test_case "hash-to-field memo" `Quick test_points_memo;
+          Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
+        ] );
       ("agreement", [ agreement_prop ]);
     ]

@@ -147,6 +147,65 @@ let test_field_known_products () =
   let a = Field.of_int 123456789 in
   check "fermat" true (Field.equal (Field.pow a (Int64.sub Field.p 1L)) Field.one)
 
+(* Field against the int64 oracle it replaced ([Field64], test/): every
+   operation must give the same canonical value, edge inputs included. *)
+let edge_int64s = [ 0L; 1L; Int64.sub Field.p 1L; Field.p; Int64.max_int ]
+
+let raw_gen =
+  QCheck2.Gen.(oneof [ oneofl edge_int64s; int64; map Int64.abs int64 ])
+
+let agrees f o = Int64.equal (Field.to_int64 f) (Field64.to_int64 o)
+
+let raises_div_by_zero f =
+  match f () with _ -> false | exception Division_by_zero -> true
+
+let oracle_props =
+  let pair = QCheck2.Gen.pair raw_gen raw_gen in
+  let fo x = (Field.of_int64 x, Field64.of_int64 x) in
+  let bytes8 = QCheck2.Gen.(string_size (return 8)) in
+  [
+    qtest "oracle of_int64" raw_gen (fun x ->
+        let f, o = fo x in
+        agrees f o);
+    qtest "oracle add sub mul" pair (fun (x, y) ->
+        let fx, ox = fo x and fy, oy = fo y in
+        agrees (Field.add fx fy) (Field64.add ox oy)
+        && agrees (Field.sub fx fy) (Field64.sub ox oy)
+        && agrees (Field.mul fx fy) (Field64.mul ox oy));
+    qtest "oracle neg inv" raw_gen (fun x ->
+        let f, o = fo x in
+        agrees (Field.neg f) (Field64.neg o)
+        &&
+        if Field.equal f Field.zero then
+          raises_div_by_zero (fun () -> Field.inv f)
+          && raises_div_by_zero (fun () -> Field64.inv o)
+        else agrees (Field.inv f) (Field64.inv o));
+    qtest "oracle pow" pair (fun (x, e) ->
+        let f, o = fo x in
+        agrees (Field.pow f e) (Field64.pow o e));
+    qtest "oracle bytes" QCheck2.Gen.(pair raw_gen bytes8) (fun (x, b) ->
+        let f, o = fo x in
+        String.equal (Field.to_bytes f) (Field64.to_bytes o)
+        && agrees (Field.of_bytes b) (Field64.of_bytes b));
+    qtest "oracle of_digest" QCheck2.Gen.(string_size (int_range 8 40)) (fun d ->
+        agrees (Field.of_digest d) (Field64.of_digest d));
+  ]
+
+let test_field_oracle_edges () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let fx = Field.of_int64 x and fy = Field.of_int64 y in
+          let ox = Field64.of_int64 x and oy = Field64.of_int64 y in
+          check "edge of_int64" true (agrees fx ox);
+          check "edge mul" true (agrees (Field.mul fx fy) (Field64.mul ox oy));
+          check "edge add" true (agrees (Field.add fx fy) (Field64.add ox oy));
+          check "edge sub" true (agrees (Field.sub fx fy) (Field64.sub ox oy));
+          check "edge pow" true (agrees (Field.pow fx y) (Field64.pow ox y)))
+        edge_int64s)
+    edge_int64s
+
 (* ------------------------------------------------------------------ *)
 (* Polynomial / Shamir *)
 
@@ -355,6 +414,112 @@ let test_combine_coeff_memo () =
   let subset = List.filteri (fun i _ -> i >= 2) (sign "m3") in
   let o3 = Threshold.combine_verified scheme ~msg:"m3" subset in
   check "different signer set misses the memo" false o3.Threshold.coeffs_cached
+
+(* The table coefficients equal the reference interpolation for random
+   signer sets at every deployment size the benchmarks use (n = 4, 7,
+   49, 193, 209) and at each quorum the protocol forms: pi (f+1), tau
+   (2f+c+1), sigma (3f+c+1) and n.
+   Small sets take the direct branch (k-1 <= n-k) and large ones the
+   complement branch; both must be covered. *)
+let configs =
+  List.map
+    (fun (f, c) -> Sbft_core.Config.sbft ~f ~c)
+    [ (1, 0); (2, 0); (16, 0); (64, 0); (64, 8) ]
+
+let schemes =
+  lazy
+    (let r = Sbft_sim.Rng.create 7L in
+     List.map
+       (fun config ->
+         let n = Sbft_core.Config.n config in
+         (config, fst (Threshold.setup r ~n ~k:(Sbft_core.Config.pi_threshold config))))
+       configs)
+
+let quorums config =
+  Sbft_core.Config.
+    [ pi_threshold config; tau_threshold config; sigma_threshold config; n config ]
+
+(* A uniformly random k-subset of 1..n, ascending. *)
+let random_signers r ~n ~k =
+  let ids = Array.init n (fun i -> i + 1) in
+  for i = n - 1 downto 1 do
+    let j = Sbft_sim.Rng.int r (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  let chosen = Array.sub ids 0 k in
+  Array.sort Int.compare chosen;
+  chosen
+
+let table_coeffs_prop =
+  qtest "table coefficients equal lagrange_coeffs_at_zero"
+    QCheck2.Gen.(triple (int_bound (List.length configs - 1)) (int_bound 3) int)
+    (fun (si, qi, seed) ->
+      let config, scheme = List.nth (Lazy.force schemes) si in
+      let n = Sbft_core.Config.n config in
+      let k = List.nth (quorums config) qi in
+      let signers = random_signers (Sbft_sim.Rng.create (Int64.of_int seed)) ~n ~k in
+      let reference =
+        Polynomial.lagrange_coeffs_at_zero (Array.map Field.of_int signers)
+      in
+      let table = Threshold.lagrange_coeffs scheme signers in
+      Array.for_all2 Field.equal reference table)
+
+let test_table_coeffs_branches () =
+  let direct = ref 0 and complement = ref 0 in
+  let r = Sbft_sim.Rng.create 3L in
+  List.iter
+    (fun (config, scheme) ->
+      let n = Sbft_core.Config.n config in
+      List.iter
+        (fun k ->
+          if k - 1 <= n - k then incr direct else incr complement;
+          let signers = random_signers r ~n ~k in
+          check (Printf.sprintf "n=%d k=%d" n k) true
+            (Array.for_all2 Field.equal
+               (Polynomial.lagrange_coeffs_at_zero (Array.map Field.of_int signers))
+               (Threshold.lagrange_coeffs scheme signers)))
+        (quorums config))
+    (Lazy.force schemes);
+  check "direct branch covered" true (!direct > 0);
+  check "complement branch covered" true (!complement > 0);
+  let _, scheme = List.hd (Lazy.force schemes) in
+  check "unsorted signers rejected" true
+    (match Threshold.lagrange_coeffs scheme [| 2; 1 |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* [coeffs_cached] over the memo's life: a miss, then hits, then a miss
+   once other signer sets have pushed the memo past [memo_cap] and it
+   was cleared. *)
+let test_coeff_memo_cap () =
+  let n = 80 and k = 3 in
+  let scheme, keys = Threshold.setup (rng ()) ~n ~k in
+  let h = Threshold.hash_to_field "block" in
+  let cached signers =
+    let shares = List.map (fun s -> Threshold.share_sign_h keys.(s - 1) ~h) signers in
+    (Threshold.combine_verified_h scheme ~h shares).Threshold.coeffs_cached
+  in
+  let a = [ 1; 2; 3 ] in
+  check "first use misses" false (cached a);
+  check "second use hits" true (cached a);
+  (* Every other 3-subset of 1..n, in lexicographic order. *)
+  let others = ref [] in
+  for i = n downto 1 do
+    for j = n downto i + 1 do
+      for l = n downto j + 1 do
+        if not (i = 1 && j = 2 && l = 3) then others := [ i; j; l ] :: !others
+      done
+    done
+  done;
+  let others = Array.of_list !others in
+  for i = 0 to Threshold.memo_cap - 1 do
+    ignore (cached others.(i) : bool)
+  done;
+  check "still cached with memo_cap + 1 entries" true (cached a);
+  check "one more set clears the memo" false (cached others.(Threshold.memo_cap));
+  check "miss again after the reset" false (cached a)
 
 let test_share_verify_cache () =
   let r = rng () in
@@ -752,8 +917,9 @@ let () =
         [
           Alcotest.test_case "edge cases" `Quick test_field_edge_cases;
           Alcotest.test_case "known products" `Quick test_field_known_products;
+          Alcotest.test_case "oracle edge values" `Quick test_field_oracle_edges;
         ]
-        @ field_props );
+        @ field_props @ oracle_props );
       ( "shamir",
         [
           Alcotest.test_case "polynomial eval" `Quick test_polynomial_eval;
@@ -773,6 +939,9 @@ let () =
           Alcotest.test_case "fallback identification" `Quick test_combine_verified_fallback;
           Alcotest.test_case "under threshold" `Quick test_combine_verified_under_threshold;
           Alcotest.test_case "coefficient memo" `Quick test_combine_coeff_memo;
+          Alcotest.test_case "coefficient memo cap" `Quick test_coeff_memo_cap;
+          Alcotest.test_case "table coefficient branches" `Quick test_table_coeffs_branches;
+          table_coeffs_prop;
           Alcotest.test_case "verify cache" `Quick test_share_verify_cache;
         ]
         @ threshold_props );

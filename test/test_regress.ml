@@ -212,6 +212,33 @@ let test_compare_shape_changes () =
 (* ------------------------------------------------------------------ *)
 (* The measured grid itself *)
 
+(* Host state a run leaves behind (memos, the cost tally) must not leak
+   into the next run: running A and then B in one process gives B's
+   report and trace digest byte for byte as B alone does.  The test runs
+   first among the simulations of this executable, so its first B is
+   the process's first run. *)
+let test_run_isolation () =
+  let scenario ?crash_primary_at ?(failures = 0) protocol =
+    Sbft_harness.Scenario.default ~topology:`Lan ~warmup:(Sbft_sim.Engine.ms 100)
+      ~duration:(Sbft_sim.Engine.ms 400) ~seed:5L ~failures ?crash_primary_at ~protocol
+      ~f:1 ~workload:(Scenario.Kv { batching = true }) ~num_clients:4 ()
+  in
+  let a = scenario ~failures:1 (Scenario.SBFT 1) in
+  let b = scenario ~crash_primary_at:(Sbft_sim.Engine.ms 250) (Scenario.SBFT 0) in
+  let observe sc =
+    let report =
+      { Regress.schema = Regress.schema_id; entries = [ Regress.measure_one ~name:"b" sc ] }
+    in
+    ( Regress.to_json (Regress.strip_host report),
+      Sbft_sim.Replay.digest_records (Scenario.run_traced sc) )
+  in
+  let alone_report, alone_digest = observe b in
+  ignore (observe a : string * Sbft_sim.Replay.digest);
+  let after_report, after_digest = observe b in
+  check_str "report of B after A equals B alone" alone_report after_report;
+  check "trace digest of B after A equals B alone" true
+    (Int64.equal alone_digest after_digest)
+
 let test_measure_deterministic () =
   (* Two runs of the quick grid are bit-identical: virtual time only.
      This is the property that licenses an exact gate. *)
@@ -276,5 +303,8 @@ let () =
           Alcotest.test_case "shape changes" `Quick test_compare_shape_changes;
         ] );
       ( "measure",
-        [ Alcotest.test_case "deterministic grid" `Slow test_measure_deterministic ] );
+        [
+          Alcotest.test_case "run A then B equals B alone" `Quick test_run_isolation;
+          Alcotest.test_case "deterministic grid" `Slow test_measure_deterministic;
+        ] );
     ]
