@@ -1,5 +1,18 @@
 open Sbft_crypto
 
+(* Every replica authenticates every request; the request objects are
+   physically shared across the simulated nodes, so the (deterministic)
+   verification outcome is memoized by physical identity, per cluster:
+   another cluster's keys give another answer. *)
+module Req_memo = Ephemeron.K1.Make (struct
+  type t = Types.request
+
+  let equal = ( == )
+  let hash (r : Types.request) = (r.client * 1_000_003) lxor r.timestamp
+end)
+
+type verify_memo = bool Req_memo.t
+
 type t = {
   config : Config.t;
   sigma : Threshold.t;
@@ -9,6 +22,7 @@ type t = {
   replica_pks : Pki.public_key array;
   client_pks : Pki.public_key array;
   points : (string, Field.t) Hashtbl.t;
+  verified : verify_memo;
 }
 
 type replica_keys = {
@@ -38,6 +52,7 @@ let setup rng ~config ~num_clients =
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
       points = Hashtbl.create 256;
+      verified = Req_memo.create 4096;
     }
   in
   let replica_keys =
@@ -70,20 +85,8 @@ let hash_to_field t msg =
 
 let client_pk t cid = t.client_pks.(cid - Config.n t.config)
 
-(* Every replica authenticates every request; the request objects are
-   physically shared across the simulated nodes, so the (deterministic)
-   verification outcome is memoized by physical identity. *)
-module Req_memo = Ephemeron.K1.Make (struct
-  type t = Types.request
-
-  let equal = ( == )
-  let hash (r : Types.request) = (r.client * 1_000_003) lxor r.timestamp
-end)
-
-let verify_memo : bool Req_memo.t = Req_memo.create 4096
-
 let verify_request t (r : Types.request) =
-  match Req_memo.find_opt verify_memo r with
+  match Req_memo.find_opt t.verified r with
   | Some ok -> ok
   | None ->
       let cid = r.client in
@@ -93,5 +96,5 @@ let verify_request t (r : Types.request) =
         && cid < n + Array.length t.client_pks
         && Pki.verify (client_pk t cid) (Types.request_digest r) r.signature
       in
-      Req_memo.replace verify_memo r ok;
+      Req_memo.replace t.verified r ok;
       ok

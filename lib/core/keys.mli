@@ -6,6 +6,9 @@
     between clients and replicas, §III); the per-replica signing keys
     are handed to each replica, verification material is public. *)
 
+type verify_memo
+(** {!verify_request}'s memo, keyed by the request's physical identity. *)
+
 type t = {
   config : Config.t;
   sigma : Sbft_crypto.Threshold.t;
@@ -16,6 +19,7 @@ type t = {
   client_pks : Sbft_crypto.Pki.public_key array;  (** indexed client-id − n *)
   points : (string, Sbft_crypto.Field.t) Hashtbl.t;
       (** {!hash_to_field}'s memo, owned by the cluster. *)
+  verified : verify_memo;  (** {!verify_request}'s memo, owned by the cluster. *)
 }
 
 type replica_keys = {

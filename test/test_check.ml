@@ -63,7 +63,46 @@ let test_roundtrip () =
         (List.length parsed.Schedule.steps);
       check "gst survives" true (parsed.Schedule.gst_ms = Some 15_000);
       check "mutation survives" true
-        (match parsed.Schedule.mutation with Schedule.Weak_sigma -> true | _ -> false)
+        (match parsed.Schedule.mutation with Schedule.Weak_sigma -> true | _ -> false);
+      (* Golden text pins every byz, mutation and topology keyword, so a
+         renamed keyword fails here even though it would round-trip. *)
+      let golden ~topology ~mutation steps =
+        String.concat "\n"
+          ([ "sbft-schedule v1"; "name kw"; "seed 1"; "f 1"; "c 0"; "clients 2";
+             "requests 4"; "win 8"; "topology " ^ topology; "acks on"; "wal on";
+             "rejoin conservative"; "mutation " ^ mutation; "gst none"; "horizon 30000" ]
+          @ steps @ [ "end"; "" ])
+      in
+      let base = Schedule.default ~name:"kw" ~seed:1L in
+      let pins what sched text =
+        check_str (what ^ " emitted") text (Schedule.to_string sched);
+        match Schedule.parse text with
+        | Ok p -> check_str (what ^ " parsed") text (Schedule.to_string p)
+        | Error e -> Alcotest.failf "%s: %s" what e
+      in
+      let byz =
+        [ (Schedule.Equivocate, "equivocate"); (Schedule.Silent, "silent");
+          (Schedule.Corrupt_shares, "corrupt-shares");
+          (Schedule.Wrong_exec_digest, "wrong-exec-digest");
+          (Schedule.Stale_vc, "stale-vc"); (Schedule.Honest, "honest") ]
+      in
+      pins "byz flavours"
+        { base with
+          Schedule.steps =
+            List.mapi
+              (fun i (b, _) -> { Schedule.at_ms = 100 * (i + 1); action = Schedule.Byzantine (i, b) })
+              byz }
+        (golden ~topology:"lan" ~mutation:"none"
+           (List.mapi (fun i (_, kw) -> Printf.sprintf "step %d byz %d %s" (100 * (i + 1)) i kw) byz));
+      List.iter
+        (fun (mutation, kw) ->
+          pins kw { base with Schedule.mutation } (golden ~topology:"lan" ~mutation:kw []))
+        [ (Schedule.No_mutation, "none"); (Schedule.Weak_sigma, "weak-sigma");
+          (Schedule.Weak_tau, "weak-tau"); (Schedule.Weak_vc, "weak-vc") ];
+      List.iter
+        (fun (topology, kw) ->
+          pins kw { base with Schedule.topology } (golden ~topology:kw ~mutation:"none" []))
+        [ (Schedule.Lan, "lan"); (Schedule.Continent, "continent"); (Schedule.World, "world") ]
 
 let test_parse_rejects () =
   let reject what text =

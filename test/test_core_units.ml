@@ -200,6 +200,20 @@ let test_points_memo () =
     check "bounded" true (Hashtbl.length keys.Keys.points <= Keys.points_cap)
   done
 
+(* The request-authentication memo belongs to one cluster's keys: a
+   request that cluster A's keys accept is still checked afresh under
+   cluster B's keys, whose client key for the same id differs. *)
+let test_verify_memo_per_cluster () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let keys_a, _, clients_a = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let keys_b, _, _ = Keys.setup (Sbft_sim.Rng.create 12L) ~config ~num_clients:1 in
+  let r = { Types.client = Config.n config; timestamp = 1; op = "op"; signature = "" } in
+  let r = { r with Types.signature = Sbft_crypto.Pki.sign clients_a.(0) (Types.request_digest r) } in
+  check "equal copy under B" false (Keys.verify_request keys_b { r with Types.op = r.Types.op });
+  check "A accepts" true (Keys.verify_request keys_a r);
+  check "B rejects after A" false (Keys.verify_request keys_b r);
+  check "A still accepts" true (Keys.verify_request keys_a r)
+
 (* The execution charge is computed once per (seq, requests' ops) and is
    exact per block: a block holding a duplicate request (it executes as
    the no-op "") and a block holding the null filler (op "") at the same
@@ -295,6 +309,7 @@ let () =
       ( "memos",
         [
           Alcotest.test_case "hash-to-field memo" `Quick test_points_memo;
+          Alcotest.test_case "verify memo per cluster" `Quick test_verify_memo_per_cluster;
           Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
         ] );
       ("agreement", [ agreement_prop ]);
