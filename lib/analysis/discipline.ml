@@ -263,7 +263,7 @@ let is_guarded (e : Msgflow.einfo) =
     e.Msgflow.guard_names
 
 let r11 (fl : Msgflow.file) =
-  let implicit = Lint.Taint.default.Lint.Taint.implicit_params in
+  let implicit = Lint.implicit_params in
   List.concat_map
     (fun (f : Msgflow.func) ->
       if not (Msgflow.is_handler f.Msgflow.fn_name) then []

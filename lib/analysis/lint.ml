@@ -220,81 +220,76 @@ let list_sort_ident : Longident.t -> bool = function
 (* ------------------------------------------------------------------ *)
 (* R6: authenticate-before-use taint analysis *)
 
-module Taint = struct
-  type t = {
-    source_prefixes : string list;
-    source_call_prefixes : string list;
-    implicit_params : string list;
-    sanitizers : string list;
-    sink_names : string list;
-    sink_prefixes : string list;
-  }
+(* The R6 configuration.  Top-level functions whose name starts with a
+   source prefix are network-receive entry points; their parameters are
+   tainted. *)
+let source_prefixes = [ "on_" ]
 
-  let default =
-    {
-      source_prefixes = [ "on_" ];
-      (* Adversary observation accessors: the schedule fuzzer's adaptive
-         attacker reads protocol state through the obs_* surface
-         (Replica.obs_view, obs_frontier, ...), so anything derived from
-         an obs_* call is attacker-visible by construction.  Letting it
-         reach a state-mutating sink would mean protocol behavior
-         depends on the attacker's window into it — taint the results
-         wherever they appear, not only inside on_* handlers. *)
-      source_call_prefixes = [ "obs_" ];
-      (* Scalar routing / ordering fields and the handler's own state.
-         These are covered by the link-layer MAC every replica checks on
-         receipt (Cost_model.message_auth_check / rsa_verify charged in
-         on_message): the sender's *own* claims need no further crypto,
-         only content asserted on behalf of third parties does. *)
-      implicit_params =
-        [ "t"; "ctx"; "self"; "env"; "src"; "seq"; "view"; "replica";
-          "client"; "timestamp"; "index"; "qid"; "upto"; "ls" ];
-      sanitizers =
-        [ "verify"; "verify_h"; "verify_request"; "share_verify";
-          "share_verify_cached"; "validate_message"; "verify_op_proof";
-          "verify_query_proof";
-          (* Optimistic combine-then-verify and the staged snapshot
-             loader authenticate their inputs internally: the former
-             checks the combined signature (falling back to per-share
-             identification), the latter installs only a
-             digest-matching snapshot. *)
-          "combine_verified"; "combine_verified_h"; "load_snapshot_checked" ];
-      sink_names =
-        [ "replace"; "add"; "push"; "remove"; "reset"; ":="; "execute_block";
-          "load_snapshot"; "set_checkpoint" ];
-      sink_prefixes = [ "send"; "broadcast"; "check_"; "record_" ];
-    }
+(* Adversary observation accessors: the schedule fuzzer's adaptive
+   attacker reads protocol state through the obs_* surface
+   (Replica.obs_view, obs_frontier, ...), so anything derived from an
+   obs_* call is attacker-visible by construction.  Letting it reach a
+   state-mutating sink would mean protocol behavior depends on the
+   attacker's window into it — taint the results wherever they appear,
+   not only inside on_* handlers. *)
+let source_call_prefixes = [ "obs_" ]
 
-  let is_sanitizer cfg lid =
-    List.exists (String.equal (last_component lid)) cfg.sanitizers
+(* Scalar routing / ordering fields and the handler's own state.  These
+   are covered by the link-layer MAC every replica checks on receipt
+   (Cost_model.message_auth_check / rsa_verify charged in on_message):
+   the sender's *own* claims need no further crypto, only content
+   asserted on behalf of third parties does. *)
+let implicit_params =
+  [ "t"; "ctx"; "self"; "env"; "src"; "seq"; "view"; "replica";
+    "client"; "timestamp"; "index"; "qid"; "upto"; "ls" ]
 
-  let sink_kind cfg lid =
-    let name = last_component lid in
-    if List.exists (String.equal name) cfg.sink_names then Some name
-    else if List.exists (fun prefix -> String.starts_with ~prefix name) cfg.sink_prefixes
-    then Some name
-    else None
+(* Matched on the last path component: a call clears taint from its
+   arguments. *)
+let sanitizers =
+  [ "verify"; "verify_h"; "verify_request"; "share_verify";
+    "share_verify_cached"; "validate_message"; "verify_op_proof";
+    "verify_query_proof";
+    (* Optimistic combine-then-verify and the staged snapshot loader
+       authenticate their inputs internally: the former checks the
+       combined signature (falling back to per-share identification),
+       the latter installs only a digest-matching snapshot. *)
+    "combine_verified"; "combine_verified_h"; "load_snapshot_checked" ]
 
-  let implicit cfg name = List.exists (String.equal name) cfg.implicit_params
+(* State-mutating calls: exact names, then name prefixes. *)
+let sink_names =
+  [ "replace"; "add"; "push"; "remove"; "reset"; ":="; "execute_block";
+    "load_snapshot"; "set_checkpoint" ]
 
-  (* A taint chain, most recent binding first: how the value flowed from
-     a handler parameter to the point of use. *)
-  type chain = (string * int) list
+let sink_prefixes = [ "send"; "broadcast"; "check_"; "record_" ]
 
-  type env = {
-    tainted : (string * chain) list;
-    (* Variables bound to the boolean result of a sanitizer call, mapped
-       to the variables that call covered: [let ok = verify x in if ok
-       then ...] clears [x]. *)
-    witnesses : (string * string list) list;
-  }
+let is_sanitizer lid = List.exists (String.equal (last_component lid)) sanitizers
 
-  let empty_env = { tainted = []; witnesses = [] }
+let sink_kind lid =
+  let name = last_component lid in
+  if List.exists (String.equal name) sink_names then Some name
+  else if List.exists (fun prefix -> String.starts_with ~prefix name) sink_prefixes
+  then Some name
+  else None
 
-  let pp_chain chain =
-    String.concat " <- "
-      (List.map (fun (v, line) -> Printf.sprintf "%s(line %d)" v line) chain)
-end
+let implicit name = List.exists (String.equal name) implicit_params
+
+(* A taint chain, most recent binding first: how the value flowed from
+   a handler parameter to the point of use. *)
+type chain = (string * int) list
+
+type env = {
+  tainted : (string * chain) list;
+  (* Variables bound to the boolean result of a sanitizer call, mapped
+     to the variables that call covered: [let ok = verify x in if ok
+     then ...] clears [x]. *)
+  witnesses : (string * string list) list;
+}
+
+let empty_env = { tainted = []; witnesses = [] }
+
+let pp_chain chain =
+  String.concat " <- "
+    (List.map (fun (v, line) -> Printf.sprintf "%s(line %d)" v line) chain)
 
 (* All value identifiers occurring in an expression. *)
 let expr_vars e =
@@ -314,7 +309,7 @@ let expr_vars e =
   iter.expr iter e;
   !acc
 
-let contains_sanitizer cfg e =
+let contains_sanitizer e =
   let found = ref false in
   let open Ast_iterator in
   let iter =
@@ -323,7 +318,7 @@ let contains_sanitizer cfg e =
       expr =
         (fun self e ->
           (match e.pexp_desc with
-          | Pexp_ident { txt; _ } when Taint.is_sanitizer cfg txt -> found := true
+          | Pexp_ident { txt; _ } when is_sanitizer txt -> found := true
           | _ -> ());
           if not !found then default_iterator.expr self e);
     }
@@ -334,7 +329,7 @@ let contains_sanitizer cfg e =
 (* First application of a source-call function (obs_* observation
    accessor) inside an expression, with its line: the returned value is
    a taint source in any context. *)
-let source_call cfg e =
+let source_call e =
   let found = ref None in
   let open Ast_iterator in
   let iter =
@@ -347,7 +342,7 @@ let source_call cfg e =
             when Option.is_none !found
                  && List.exists
                       (fun prefix -> String.starts_with ~prefix (last_component txt))
-                      cfg.Taint.source_call_prefixes ->
+                      source_call_prefixes ->
               found := Some (last_component txt, loc.loc_start.pos_lnum)
           | _ -> ());
           if Option.is_none !found then default_iterator.expr self e);
@@ -362,20 +357,20 @@ let source_call cfg e =
    contains a sanitizer ([List.for_all (fun r -> verify r) reqs] covers
    [reqs]).  Boolean connectives are split so the sanitized side of
    [a && b] does not bleed into the other. *)
-let rec sanitized_vars cfg e =
+let rec sanitized_vars e =
   match e.pexp_desc with
   | Pexp_apply
       ({ pexp_desc = Pexp_ident { txt = Lident ("&&" | "||" | "not"); _ }; _ }, args)
     ->
-      List.concat_map (fun (_, a) -> sanitized_vars cfg a) args
+      List.concat_map (fun (_, a) -> sanitized_vars a) args
   | Pexp_apply (f, args) ->
-      if contains_sanitizer cfg f || List.exists (fun (_, a) -> contains_sanitizer cfg a) args
+      if contains_sanitizer f || List.exists (fun (_, a) -> contains_sanitizer a) args
       then List.concat_map (fun (_, a) -> expr_vars a) args
-      else List.concat_map (fun (_, a) -> sanitized_vars cfg a) args
+      else List.concat_map (fun (_, a) -> sanitized_vars a) args
   | Pexp_ifthenelse (c, e1, e2) ->
-      sanitized_vars cfg c @ sanitized_vars cfg e1
-      @ (match e2 with Some e2 -> sanitized_vars cfg e2 | None -> [])
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> sanitized_vars cfg e
+      sanitized_vars c @ sanitized_vars e1
+      @ (match e2 with Some e2 -> sanitized_vars e2 | None -> [])
+  | Pexp_constraint (e, _) | Pexp_open (_, e) -> sanitized_vars e
   | _ -> []
 
 (* Variables of a pattern, with the binding line. *)
@@ -398,18 +393,17 @@ let pat_vars p =
   iter.pat iter p;
   !acc
 
-let taint_analysis ~cfg ~report structure =
-  let open Taint in
+let taint_analysis ~report structure =
   (* Taint of an expression: the chain of the first tainted variable it
      mentions, unless a sanitizer appears anywhere inside (a verified
      expression is trusted wholesale — a deliberate imprecision). *)
   let taint_of env e =
-    if contains_sanitizer cfg e then None
+    if contains_sanitizer e then None
     else
       match List.find_map (fun v -> List.assoc_opt v env.tainted) (expr_vars e) with
       | Some chain -> Some chain
       | None -> (
-          match source_call cfg e with
+          match source_call e with
           | Some (name, line) -> Some [ (name, line) ]
           | None -> None)
   in
@@ -443,7 +437,7 @@ let taint_analysis ~cfg ~report structure =
   (* Variables authenticated by a guard: direct sanitizer coverage plus
      the coverage recorded for any witness variable the guard tests. *)
   let guard_cleared env g =
-    let direct = sanitized_vars cfg g in
+    let direct = sanitized_vars g in
     let via_witness =
       List.concat_map
         (fun v ->
@@ -467,7 +461,7 @@ let taint_analysis ~cfg ~report structure =
             tainted =
               List.filter_map
                 (fun (v, line) ->
-                  if implicit cfg v then None
+                  if implicit v then None
                   else Some (v, (v, line) :: chain))
                 vars
               @ env.tainted;
@@ -491,9 +485,9 @@ let taint_analysis ~cfg ~report structure =
           List.fold_left
             (fun acc vb ->
               analyze env vb.pvb_expr;
-              let sanitizing = contains_sanitizer cfg vb.pvb_expr in
+              let sanitizing = contains_sanitizer vb.pvb_expr in
               bind acc vb.pvb_pat (taint_of env vb.pvb_expr) ~sanitizing
-                ~covered:(if sanitizing then sanitized_vars cfg vb.pvb_expr else []))
+                ~covered:(if sanitizing then sanitized_vars vb.pvb_expr else []))
             env vbs
         in
         analyze env' body
@@ -518,8 +512,8 @@ let taint_analysis ~cfg ~report structure =
         analyze env obj;
         analyze env v
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-        (match Taint.sink_kind cfg txt with
-        | Some sink when not (Taint.is_sanitizer cfg txt) -> (
+        (match sink_kind txt with
+        | Some sink when not (is_sanitizer txt) -> (
             match List.find_map (fun (_, a) -> taint_of env a) args with
             | Some chain -> report_sink ~loc:e.pexp_loc ~sink chain
             | None -> ())
@@ -527,7 +521,7 @@ let taint_analysis ~cfg ~report structure =
         List.iter (fun (_, a) -> analyze env a) args)
     | Pexp_apply ({ pexp_desc = Pexp_field (obj, { txt; _ }); _ }, args) -> (
         (* t.env.send-style sinks: dispatch through a record field. *)
-        (match Taint.sink_kind cfg txt with
+        (match sink_kind txt with
         | Some sink -> (
             match List.find_map (fun (_, a) -> taint_of env a) args with
             | Some chain -> report_sink ~loc:e.pexp_loc ~sink chain
@@ -567,7 +561,7 @@ let taint_analysis ~cfg ~report structure =
           let env =
             List.fold_left
               (fun acc (v, line) ->
-                if implicit cfg v then acc
+                if implicit v then acc
                 else
                   {
                     acc with
@@ -587,7 +581,7 @@ let taint_analysis ~cfg ~report structure =
   let handle_binding vb =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt = name; _ }
-      when List.exists (fun prefix -> String.starts_with ~prefix name) cfg.source_prefixes ->
+      when List.exists (fun prefix -> String.starts_with ~prefix name) source_prefixes ->
         analyze_handler name vb
     | Ppat_var _ ->
         (* Source calls — the obs_ accessors — taint values in any
@@ -606,7 +600,7 @@ let taint_analysis ~cfg ~report structure =
 (* ------------------------------------------------------------------ *)
 (* The pass *)
 
-let lint_structure ?(taint = Taint.default) ~path structure =
+let lint_structure ~path structure =
   let findings = ref [] in
   let report ~rule ~loc message =
     findings :=
@@ -748,13 +742,13 @@ let lint_structure ?(taint = Taint.default) ~path structure =
   in
   let iterator = { default_iterator with expr = iter_expr } in
   iterator.structure iterator structure;
-  if handler_scope path then taint_analysis ~cfg:taint ~report structure;
+  if handler_scope path then taint_analysis ~report structure;
   sort_findings !findings
 
-let lint_source ?taint ~path source =
+let lint_source ~path source =
   let path = normalize path in
   match parse ~path source with
-  | Ok structure -> lint_structure ?taint ~path structure
+  | Ok structure -> lint_structure ~path structure
   | Error parse_failure -> [ parse_failure ]
 
 let missing_mli ~path ~mli_exists =

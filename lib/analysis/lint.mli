@@ -21,11 +21,12 @@
     - {b R6} — authenticate-before-use (a per-function taint dataflow
       over [lib/core] and [lib/pbft]): parameters of network-receive
       handlers (top-level functions named [on_*]) are tainted, taint is
-      cleared only by a call into the configured sanitizer set
+      cleared only by a call into the sanitizer set
       (Crypto/Keys/Pki verify functions), and a tainted value reaching a
       state-mutating call (table writes, [:=], field assignment,
       [send_*]/[broadcast_*] emission, [check_*]) is an error carrying
-      the taint chain.  See {!module:Taint} for the knobs.
+      the taint chain.  The source, sanitizer and sink names are
+      constants of this module.
     - {b R7} — determinism: no [Random.*] outside [lib/sim/rng.ml], no
       [Unix.*] or [Sys.time] anywhere under [lib/], no physical equality
       ([==] / [!=]) on protocol values, and no unordered [Hashtbl.iter]
@@ -94,42 +95,17 @@ val parse : path:string -> string -> (Parsetree.structure, finding) result
 (** Parse source text attributed to [path]; a syntax or lexer error is
     a single ["parse"] finding. *)
 
-(** Configuration of the R6 taint analysis. *)
-module Taint : sig
-  type t = {
-    source_prefixes : string list;
-        (** Top-level functions whose name starts with one of these are
-            network-receive entry points; their parameters are tainted. *)
-    source_call_prefixes : string list;
-        (** Functions whose name (last path component) starts with one
-            of these return attacker-visible data: their results are
-            tainted wherever the call appears, in any function.  Default
-            [obs_] — the adversary observation surface
-            ({!Sbft_core.Replica}'s [obs_*] accessors). *)
-    implicit_params : string list;
-        (** Parameter/binding names exempt from tainting: the handler's
-            own state and scalar routing fields covered by the link-layer
-            MAC checked on receipt. *)
-    sanitizers : string list;
-        (** Function names (matched on the last path component, e.g.
-            [verify] matches [Crypto.Threshold.verify]) whose call clears
-            taint from their arguments. *)
-    sink_names : string list;  (** Exact names of state-mutating calls. *)
-    sink_prefixes : string list;
-        (** Name prefixes of state-mutating calls ([send], [broadcast],
-            [check_], ...). *)
-  }
+val implicit_params : string list
+(** R6's parameter and binding names exempt from tainting: the handler's
+    own state and scalar routing fields covered by the link-layer MAC
+    checked on receipt.  R11 exempts them too. *)
 
-  val default : t
-end
-
-val lint_structure : ?taint:Taint.t -> path:string -> Parsetree.structure -> finding list
+val lint_structure : path:string -> Parsetree.structure -> finding list
 (** Run R1-R4, R6 and R7 over a parsed file attributed to the
     normalized [path], keeping the rules whose scope includes it.
-    Findings are sorted by line, then rule.  [taint] configures R6
-    (default {!Taint.default}). *)
+    Findings are sorted by line, then rule. *)
 
-val lint_source : ?taint:Taint.t -> path:string -> string -> finding list
+val lint_source : path:string -> string -> finding list
 (** {!parse} then {!lint_structure}; a file that does not parse yields
     its single ["parse"] finding. *)
 

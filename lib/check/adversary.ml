@@ -42,14 +42,14 @@ type protocol_view = {
 }
 
 type action =
-  | Flip of int * Schedule.byz
+  | Flip of int * Replica.byzantine
   | Isolate of int
   | Reconnect of int
 
 type t = {
   spec : Schedule.adversary;
   mutable budget_left : int;
-  flavor : (int, Schedule.byz) Hashtbl.t;  (* current flip per pool id *)
+  flavor : (int, Replica.byzantine) Hashtbl.t;  (* current flip per pool id *)
   mutable isolated : int list;
 }
 
@@ -89,7 +89,7 @@ let view_of (cluster : Cluster.t) ~pool ~now_ms =
    turns the delta into affordable actions. *)
 let want t ~node flavor acc =
   let current =
-    Option.value (Hashtbl.find_opt t.flavor node) ~default:Schedule.Honest
+    Option.value (Hashtbl.find_opt t.flavor node) ~default:Replica.Honest
   in
   if current = flavor || t.budget_left <= 0 then acc
   else begin
@@ -126,8 +126,8 @@ let equivocating_collector t v =
     (fun acc p ->
       let in_flight = v.frontier.(p) > v.executed.(p) in
       if p = v.primary && in_flight && not v.in_view_change.(p) then
-        want t ~node:p Schedule.Equivocate acc
-      else want t ~node:p Schedule.Honest acc)
+        want t ~node:p Replica.Equivocating_primary acc
+      else want t ~node:p Replica.Honest acc)
     [] (pool_members t v)
 
 (* Withhold until threshold: participate normally (building up trust
@@ -146,8 +146,8 @@ let withhold_until_threshold t v =
   let pivotal = target > executed && sigma + k >= v.sigma_threshold in
   List.fold_left
     (fun acc p ->
-      if pivotal then want t ~node:p Schedule.Silent acc
-      else want t ~node:p Schedule.Honest acc)
+      if pivotal then want t ~node:p Replica.Silent acc
+      else want t ~node:p Replica.Honest acc)
     [] pool
 
 (* View-change storm: the moment any replica starts a view change, the
@@ -157,8 +157,8 @@ let view_change_storm t v =
   let storming = Array.exists (fun b -> b) v.in_view_change in
   List.fold_left
     (fun acc p ->
-      if storming then want t ~node:p Schedule.Stale_vc acc
-      else want t ~node:p Schedule.Honest acc)
+      if storming then want t ~node:p Replica.Stale_view_change acc
+      else want t ~node:p Replica.Honest acc)
     [] (pool_members t v)
 
 (* Checkpoint split: as execution approaches a checkpoint boundary,
@@ -206,8 +206,8 @@ let cleanup t =
   let flips =
     Hashtbl.fold
       (fun node flavor acc ->
-        if flavor = Schedule.Honest then acc
-        else Flip (node, Schedule.Honest) :: acc)
+        if flavor = Replica.Honest then acc
+        else Flip (node, Replica.Honest) :: acc)
       t.flavor []
     |> List.sort compare
   in

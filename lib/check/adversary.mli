@@ -38,7 +38,7 @@ type protocol_view = {
     {!view_of}; built by hand in unit tests. *)
 
 type action =
-  | Flip of int * Schedule.byz  (** set a pool replica's flavour *)
+  | Flip of int * Sbft_core.Replica.byzantine  (** set a pool replica's flavour *)
   | Isolate of int
   | Reconnect of int
 

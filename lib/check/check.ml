@@ -40,9 +40,11 @@ type fuzz_result = {
   expectation_errors : (string * string) list;  (** (name, error) *)
 }
 
-let fuzz ?(seeds = 50) ?(quick = false) ?(mutate = false) ?(adversarial = false)
-    ?(seed = 1L) ?(out_dir = "bench_out") ?budget_s () =
-  let profile = { Gen.quick; mutate; adversarial } in
+(* Run [seeds] generated schedules; every failure is ddmin-shrunk and
+   the minimal [.schedule] artifact saved under [out_dir].  A mutate run
+   draws every schedule from [Gen.generate_mutation]. *)
+let fuzz ~seeds ~quick ~mutate ~adversarial ~seed ~out_dir ~budget_s =
+  let profile = { Gen.quick; adversarial } in
   let failures = ref [] in
   let expectation_errors = ref [] in
   let ran = ref 0 in
@@ -165,7 +167,7 @@ let main args =
       else begin
         let r =
           fuzz ~seeds:!seeds ~quick:!quick ~mutate:!mutate ~adversarial:!adversarial
-            ~seed:!seed ~out_dir:!out_dir ?budget_s:!budget_s ()
+            ~seed:!seed ~out_dir:!out_dir ~budget_s:!budget_s
         in
         Printf.printf "fuzz: %d schedules, %d failures, %d expectation errors\n%!" r.ran
           (List.length r.failures)

@@ -16,13 +16,12 @@ open Sbft_sim
 
 type profile = {
   quick : bool;  (** smaller clusters, shorter horizons *)
-  mutate : bool;  (** generate weak-sigma mutation schedules *)
   adversarial : bool;
       (** attach a random adaptive-adversary header (policy, pool ≤ f,
           budget, observation window) to every schedule *)
 }
 
-let default_profile = { quick = false; mutate = false; adversarial = false }
+let default_profile = { quick = false; adversarial = false }
 
 (* Weighted fault-class choice.  Gray failures (slow CPU, flapping
    links, degraded fsync) and rollback attacks are safety-neutral under
@@ -64,7 +63,8 @@ let random_partition rng ~num_replicas =
   let b = Array.to_list (Array.sub nodes cut (num_replicas - cut)) in
   [ List.sort Int.compare a; List.sort Int.compare b ]
 
-let byz_flavours = [| Schedule.Equivocate; Schedule.Silent; Schedule.Corrupt_shares; Schedule.Wrong_exec_digest; Schedule.Stale_vc |]
+let byz_flavours =
+  Sbft_core.Replica.[| Equivocating_primary; Silent; Corrupt_shares; Wrong_exec_digest; Stale_view_change |]
 
 (* Build the fault prefix: [count] weighted actions at sorted random
    times within [0, window_ms).  [byz_pool] are the replicas allowed to
@@ -189,7 +189,7 @@ let heal_steps ~at_ms ~byz_pool steps =
   @ List.map (fun n -> mk (Schedule.Slow (n, 1.0))) (keys slowed)
   @ List.map (fun n -> mk (Schedule.Unflap n)) (keys flapped)
   @ List.map (fun n -> mk (Schedule.Fsync_delay (n, 1.0))) (keys degraded)
-  @ List.map (fun n -> mk (Schedule.Byzantine (n, Schedule.Honest))) byz_pool
+  @ List.map (fun n -> mk (Schedule.Byzantine (n, Sbft_core.Replica.Honest))) byz_pool
 
 let generate ?(profile = default_profile) ~seed index =
   let rng = Rng.create (Int64.add seed (Int64.of_int (index * 2654435761))) in
@@ -248,9 +248,6 @@ let generate ?(profile = default_profile) ~seed index =
         Schedule.Expect_pass )
     else (None, prefix, fault_window + (if profile.quick then 10_000 else 20_000), Schedule.Expect_any)
   in
-  let mutation, expect =
-    if profile.mutate then (Schedule.Weak_sigma, Schedule.Expect_any) else (Schedule.No_mutation, expect)
-  in
   {
     Schedule.name = Printf.sprintf "gen-%Ld-%d" seed index;
     seed = Int64.add (Int64.mul seed 1_000_003L) (Int64.of_int index);
@@ -259,7 +256,7 @@ let generate ?(profile = default_profile) ~seed index =
     clients;
     requests;
     win = (if Rng.bool rng 0.3 then 4 else 8);
-    topology = (if Rng.bool rng 0.8 then Schedule.Lan else Schedule.Continent);
+    topology = (if Rng.bool rng 0.8 then `Lan else `Continent);
     acks = Rng.bool rng 0.75;
     (* Always durable: amnesia crashes without a WAL can legitimately
        lose promises, so a generated Expect_pass schedule would flake.
@@ -268,7 +265,7 @@ let generate ?(profile = default_profile) ~seed index =
        only hand-written Expect_fail twins disable the defense. *)
     wal = true;
     rejoin_conservative = true;
-    mutation;
+    mutation = None;
     adversary;
     gst_ms;
     horizon_ms;
@@ -282,7 +279,7 @@ let generate ?(profile = default_profile) ~seed index =
    two disjoint halves each reach a certificate. *)
 let generate_mutation ~seed index =
   let rng = Rng.create (Int64.add seed (Int64.of_int ((index * 40503) + 7))) in
-  let base = generate ~profile:{ default_profile with mutate = true } ~seed index in
+  let base = generate ~seed index in
   let extra = fault_steps rng ~num_replicas:6 ~byz_pool:[ 0 ] ~count:(Rng.int rng 4) ~window_ms:10_000 in
   {
     base with
@@ -291,9 +288,11 @@ let generate_mutation ~seed index =
     c = 1;
     clients = 2;
     requests = 4;
-    mutation = Schedule.Weak_sigma;
+    mutation = Some Sbft_core.Config.Weak_sigma_quorum;
     gst_ms = None;
     horizon_ms = 20_000;
     expect = Schedule.Expect_any;
-    steps = { Schedule.at_ms = 200; action = Schedule.Byzantine (0, Schedule.Equivocate) } :: extra;
+    steps =
+      { Schedule.at_ms = 200; action = Schedule.Byzantine (0, Sbft_core.Replica.Equivocating_primary) }
+      :: extra;
   }

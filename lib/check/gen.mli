@@ -14,7 +14,6 @@
 
 type profile = {
   quick : bool;  (** smaller clusters, shorter horizons *)
-  mutate : bool;  (** generate weak-sigma mutation schedules *)
   adversarial : bool;
       (** attach a random adaptive-adversary header to every schedule:
           a policy over the Byzantine pool (≤ f colluders), a small
@@ -23,7 +22,7 @@ type profile = {
 }
 
 val default_profile : profile
-(** [{ quick = false; mutate = false; adversarial = false }] *)
+(** [{ quick = false; adversarial = false }] *)
 
 val generate : ?profile:profile -> seed:int64 -> int -> Schedule.t
 (** [generate ~seed index] is the [index]-th schedule of the seeded

@@ -17,12 +17,7 @@ let config_of (s : Schedule.t) =
     execution_acks = s.Schedule.acks;
     durable_wal = s.Schedule.wal;
     conservative_rejoin = s.Schedule.rejoin_conservative;
-    mutation =
-      (match s.Schedule.mutation with
-      | Schedule.No_mutation -> None
-      | Schedule.Weak_sigma -> Some Config.Weak_sigma_quorum
-      | Schedule.Weak_tau -> Some Config.Weak_tau_quorum
-      | Schedule.Weak_vc -> Some Config.Weak_vc_quorum);
+    mutation = s.Schedule.mutation;
     (* Weak-sigma violates agreement by design; the sanitizer would
        abort the run before the agreement oracle gets to observe the
        divergence, which is the whole point of that mutation check.
@@ -31,22 +26,9 @@ let config_of (s : Schedule.t) =
        expected detection. *)
     sanitize =
       (match s.Schedule.mutation with
-      | Schedule.Weak_sigma -> false
-      | Schedule.No_mutation | Schedule.Weak_tau | Schedule.Weak_vc -> true);
+      | Some Config.Weak_sigma_quorum -> false
+      | None | Some (Config.Weak_tau_quorum | Config.Weak_vc_quorum) -> true);
   }
-
-let topology_of = function
-  | Schedule.Lan -> fun ~num_nodes -> Topology.lan ~num_nodes
-  | Schedule.Continent -> fun ~num_nodes -> Topology.continent ~num_nodes
-  | Schedule.World -> fun ~num_nodes -> Topology.world ~num_nodes
-
-let replica_byz = function
-  | Schedule.Equivocate -> Replica.Equivocating_primary
-  | Schedule.Silent -> Replica.Silent
-  | Schedule.Corrupt_shares -> Replica.Corrupt_shares
-  | Schedule.Wrong_exec_digest -> Replica.Wrong_exec_digest
-  | Schedule.Stale_vc -> Replica.Stale_view_change
-  | Schedule.Honest -> Replica.Honest
 
 (* Replicas the schedule ever flips to a non-honest behaviour.  The
    oracles exclude these even if a later step (the post-GST quiet
@@ -61,7 +43,7 @@ let ever_byzantine (s : Schedule.t) =
         match step.Schedule.action with
         | Schedule.Byzantine (node, b)
           when node >= 0 && node < n
-               && not (match b with Schedule.Honest -> true | _ -> false) ->
+               && not (match b with Replica.Honest -> true | _ -> false) ->
             Some node
         | _ -> None)
       s.Schedule.steps
@@ -99,7 +81,7 @@ let apply (cluster : Cluster.t) (sched : Schedule.t) action =
   | Schedule.Reconnect node ->
       if valid_node node then Network.reconnect_node cluster.Cluster.network ~node ~num_nodes
   | Schedule.Byzantine (node, b) ->
-      if node >= 0 && node < n then Replica.set_byzantine cluster.Cluster.replicas.(node) (replica_byz b)
+      if node >= 0 && node < n then Replica.set_byzantine cluster.Cluster.replicas.(node) b
   | Schedule.Slow (node, scale) ->
       if valid_node node then Engine.set_cpu_scale cluster.Cluster.engine node scale
   | Schedule.Flap { src; dst; period_ms; up_ms } ->
@@ -128,7 +110,7 @@ let run (sched : Schedule.t) =
   let cluster =
     Cluster.create ~seed:sched.Schedule.seed ~on_complete ~config
       ~num_clients:sched.Schedule.clients
-      ~topology:(topology_of sched.Schedule.topology)
+      ~topology:(Topology.of_kind sched.Schedule.topology)
       ~service:Cluster.kv_service ()
   in
   Cluster.start_clients cluster ~requests_per_client:sched.Schedule.requests
@@ -150,7 +132,7 @@ let run (sched : Schedule.t) =
       let apply_adv = function
         | Adversary.Flip (node, b) ->
             if node >= 0 && node < n then
-              Replica.set_byzantine cluster.Cluster.replicas.(node) (replica_byz b)
+              Replica.set_byzantine cluster.Cluster.replicas.(node) b
         | Adversary.Isolate node ->
             if node >= 0 && node < n then
               Network.isolate_node cluster.Cluster.network ~node

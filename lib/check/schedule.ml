@@ -1,10 +1,4 @@
-type byz =
-  | Equivocate
-  | Silent
-  | Corrupt_shares
-  | Wrong_exec_digest
-  | Stale_vc
-  | Honest
+open Sbft_core
 
 type action =
   | Crash of int
@@ -16,7 +10,7 @@ type action =
   | Delay_link of { src : int; dst : int; delay_ms : int }
   | Isolate of int
   | Reconnect of int
-  | Byzantine of int * byz
+  | Byzantine of int * Replica.byzantine
   | Slow of int * float
   | Flap of { src : int; dst : int; period_ms : int; up_ms : int }
   | Unflap of int
@@ -25,11 +19,7 @@ type action =
 
 type step = { at_ms : int; action : action }
 
-type mutation = No_mutation | Weak_sigma | Weak_tau | Weak_vc
-
 type expect = Expect_pass | Expect_fail of string | Expect_any
-
-type topology = Lan | Continent | World
 
 type policy =
   | Equivocating_collector
@@ -54,11 +44,11 @@ type t = {
   clients : int;
   requests : int;
   win : int;
-  topology : topology;
+  topology : Sbft_sim.Topology.kind;
   acks : bool;
   wal : bool;
   rejoin_conservative : bool;
-  mutation : mutation;
+  mutation : Config.mutation option;
   adversary : adversary option;
   gst_ms : int option;
   horizon_ms : int;
@@ -66,23 +56,23 @@ type t = {
   steps : step list;
 }
 
-let num_replicas t = Sbft_core.Config.n (Sbft_core.Config.sbft ~f:t.f ~c:t.c)
+let num_replicas t = Config.n (Config.sbft ~f:t.f ~c:t.c)
 let num_nodes t = num_replicas t + t.clients
 
-let byz_to_string = function
-  | Equivocate -> "equivocate"
+let byz_to_string : Replica.byzantine -> string = function
+  | Equivocating_primary -> "equivocate"
   | Silent -> "silent"
   | Corrupt_shares -> "corrupt-shares"
   | Wrong_exec_digest -> "wrong-exec-digest"
-  | Stale_vc -> "stale-vc"
+  | Stale_view_change -> "stale-vc"
   | Honest -> "honest"
 
-let byz_of_string = function
-  | "equivocate" -> Some Equivocate
+let byz_of_string : string -> Replica.byzantine option = function
+  | "equivocate" -> Some Equivocating_primary
   | "silent" -> Some Silent
   | "corrupt-shares" -> Some Corrupt_shares
   | "wrong-exec-digest" -> Some Wrong_exec_digest
-  | "stale-vc" -> Some Stale_vc
+  | "stale-vc" -> Some Stale_view_change
   | "honest" -> Some Honest
   | _ -> None
 
@@ -122,9 +112,9 @@ let action_to_string = function
   | Rollback (n, before) -> Printf.sprintf "rollback %d %d" n before
 
 let topology_to_string = function
-  | Lan -> "lan"
-  | Continent -> "continent"
-  | World -> "world"
+  | `Lan -> "lan"
+  | `Continent -> "continent"
+  | `World -> "world"
 
 (* ------------------------------------------------------------------ *)
 (* Emitter.  Line-based, fixed field order, steps sorted by time:
@@ -151,10 +141,10 @@ let to_string t =
   line "rejoin %s" (if t.rejoin_conservative then "conservative" else "eager");
   line "mutation %s"
     (match t.mutation with
-    | No_mutation -> "none"
-    | Weak_sigma -> "weak-sigma"
-    | Weak_tau -> "weak-tau"
-    | Weak_vc -> "weak-vc");
+    | None -> "none"
+    | Some Config.Weak_sigma_quorum -> "weak-sigma"
+    | Some Config.Weak_tau_quorum -> "weak-tau"
+    | Some Config.Weak_vc_quorum -> "weak-vc");
   (match t.adversary with
   | None -> ()
   | Some a ->
@@ -289,11 +279,11 @@ let default ~name ~seed =
     clients = 2;
     requests = 4;
     win = 8;
-    topology = Lan;
+    topology = `Lan;
     acks = true;
     wal = true;
     rejoin_conservative = true;
-    mutation = No_mutation;
+    mutation = None;
     adversary = None;
     gst_ms = None;
     horizon_ms = 30_000;
@@ -335,9 +325,9 @@ let parse text =
             | [ "requests"; v ] ->
                 t := set_field (Result.map (fun requests -> { !t with requests }) (parse_int "requests" v))
             | [ "win"; v ] -> t := set_field (Result.map (fun win -> { !t with win }) (parse_int "win" v))
-            | [ "topology"; "lan" ] -> t := { !t with topology = Lan }
-            | [ "topology"; "continent" ] -> t := { !t with topology = Continent }
-            | [ "topology"; "world" ] -> t := { !t with topology = World }
+            | [ "topology"; "lan" ] -> t := { !t with topology = `Lan }
+            | [ "topology"; "continent" ] -> t := { !t with topology = `Continent }
+            | [ "topology"; "world" ] -> t := { !t with topology = `World }
             | [ "topology"; other ] -> fail (Printf.sprintf "unknown topology %S" other)
             | [ "acks"; "on" ] -> t := { !t with acks = true }
             | [ "acks"; "off" ] -> t := { !t with acks = false }
@@ -346,10 +336,10 @@ let parse text =
             | [ "rejoin"; "conservative" ] -> t := { !t with rejoin_conservative = true }
             | [ "rejoin"; "eager" ] -> t := { !t with rejoin_conservative = false }
             | [ "rejoin"; other ] -> fail (Printf.sprintf "unknown rejoin mode %S" other)
-            | [ "mutation"; "none" ] -> t := { !t with mutation = No_mutation }
-            | [ "mutation"; "weak-sigma" ] -> t := { !t with mutation = Weak_sigma }
-            | [ "mutation"; "weak-tau" ] -> t := { !t with mutation = Weak_tau }
-            | [ "mutation"; "weak-vc" ] -> t := { !t with mutation = Weak_vc }
+            | [ "mutation"; "none" ] -> t := { !t with mutation = None }
+            | [ "mutation"; "weak-sigma" ] -> t := { !t with mutation = Some Config.Weak_sigma_quorum }
+            | [ "mutation"; "weak-tau" ] -> t := { !t with mutation = Some Config.Weak_tau_quorum }
+            | [ "mutation"; "weak-vc" ] -> t := { !t with mutation = Some Config.Weak_vc_quorum }
             | [ "mutation"; other ] -> fail (Printf.sprintf "unknown mutation %S" other)
             | "adversary" :: adv_words -> (
                 match parse_adversary adv_words with

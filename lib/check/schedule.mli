@@ -30,14 +30,6 @@
     end
     v} *)
 
-type byz =
-  | Equivocate
-  | Silent
-  | Corrupt_shares
-  | Wrong_exec_digest
-  | Stale_vc
-  | Honest  (** flip back (used by the post-GST quiet period) *)
-
 type action =
   | Crash of int
   | Crash_amnesia of int
@@ -53,7 +45,8 @@ type action =
   | Delay_link of { src : int; dst : int; delay_ms : int }
   | Isolate of int  (** all links to/from the node go down *)
   | Reconnect of int
-  | Byzantine of int * byz
+  | Byzantine of int * Sbft_core.Replica.byzantine
+      (** [honest] flips back (used by the post-GST quiet period). *)
   | Slow of int * float
       (** Gray failure: dilate the node's CPU by this factor (≥ 1.0;
           1.0 heals).  The node stays alive and correct — just slow. *)
@@ -74,19 +67,9 @@ type action =
 
 type step = { at_ms : int; action : action }
 
-type mutation = No_mutation | Weak_sigma | Weak_tau | Weak_vc
-(** Map to {!Config.mutation}: [Weak_sigma] to [Weak_sigma_quorum]
-    (run with the sanitizer off so the agreement oracle observes the
-    divergence), [Weak_tau]/[Weak_vc] to [Weak_tau_quorum] /
-    [Weak_vc_quorum] (run with the sanitizer on: the runtime
-    cross-check derives thresholds independently of [Config], so the
-    sanitizer oracle itself trips on the weakened quorum). *)
-
 type expect = Expect_pass | Expect_fail of string | Expect_any
 (** Corpus replay expectation: pass all oracles, fail the named oracle,
     or no expectation (fuzzer-generated schedules). *)
-
-type topology = Lan | Continent | World
 
 (** Adaptive-adversary policies ({!Adversary} interprets them).  Each
     policy observes the cluster through the restricted [obs_*] surface
@@ -130,7 +113,7 @@ type t = {
   clients : int;
   requests : int;  (** closed-loop requests per client *)
   win : int;
-  topology : topology;
+  topology : Sbft_sim.Topology.kind;
   acks : bool;  (** {!Config.execution_acks} *)
   wal : bool;
       (** {!Config.durable_wal}: switching it off turns every
@@ -140,7 +123,12 @@ type t = {
       (** {!Config.conservative_rejoin}: [eager] disables the
           state-transfer + view-discovery probes after recovery — the
           defenseless baseline the rollback-attack twins must fail. *)
-  mutation : mutation;
+  mutation : Sbft_core.Config.mutation option;
+      (** {!Runner} runs [Weak_sigma_quorum] with the sanitizer off so
+          the agreement oracle observes the divergence, and the other
+          two with it on: the runtime cross-check derives thresholds
+          independently of [Config], so the sanitizer oracle itself
+          trips on the weakened quorum. *)
   adversary : adversary option;
   gst_ms : int option;
       (** Eventual synchrony: after this point the schedule guarantees a

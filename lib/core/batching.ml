@@ -14,4 +14,4 @@ let max_concurrent config = max 1 (min (Config.active_window config) 8)
 let batch_size t =
   let divisor = max 1 (max_concurrent t.config / 2) in
   let b = int_of_float (t.avg_pending /. float_of_int divisor) in
-  max 1 (min t.config.Config.max_batch b)
+  max 1 (min Config.max_batch b)

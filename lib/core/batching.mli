@@ -1,7 +1,7 @@
 (** Adaptive batch sizing (§V-C, §VIII): the batch size tracks the
     average number of pending requests divided by half the maximum
     number of concurrently outstanding blocks, clamped to
-    [\[1, max_batch\]].  A decaying average smooths bursts. *)
+    between 1 and {!Config.max_batch}.  A decaying average smooths bursts. *)
 
 type t
 

@@ -41,9 +41,6 @@ type t = {
   amnesia : bool array;  (* crashed with volatile state wiped *)
 }
 
-(* CPU cost of pushing one message out (syscall + TLS record). *)
-let send_overhead = Engine.us 20
-
 let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
     ?(on_complete = fun ~client:_ ~timestamp:_ ~value:_ -> ()) ~config
     ~num_clients ~topology ~service () =
@@ -62,7 +59,7 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
   let keys, replica_keys, client_kps = Keys.setup rng ~config ~num_clients in
   let deliver = ref (fun _ctx ~src:_ ~dst:_ _msg -> ()) in
   let send ctx ~src ~dst msg =
-    Engine.charge ctx send_overhead;
+    Engine.charge ctx Network.send_overhead;
     Network.send network engine ~src ~dst ~size:(Types.size msg)
       ~at:(Engine.ctx_now ctx) (fun ctx -> !deliver ctx ~src ~dst msg)
   in

@@ -6,7 +6,6 @@ type t = {
   f : int;
   c : int;
   win : int;
-  max_batch : int;
   fast_path : bool;
   execution_acks : bool;
   fast_path_timeout : Engine.time;
@@ -19,6 +18,7 @@ type t = {
   mutation : mutation option;
 }
 
+let max_batch = 64
 let batch_timeout = Engine.ms 5
 let view_change_timeout = Engine.sec 2
 let client_retry_timeout = Engine.sec 4
@@ -51,7 +51,6 @@ let default ~f ~c =
     f;
     c;
     win = 256;
-    max_batch = 64;
     fast_path = true;
     execution_acks = true;
     fast_path_timeout = Engine.ms 150;
@@ -72,6 +71,5 @@ let validate t =
   if t.f < 0 then Error "f must be non-negative"
   else if t.c < 0 then Error "c must be non-negative"
   else if t.win < 4 then Error "win must be at least 4"
-  else if t.max_batch < 1 then Error "max_batch must be positive"
   else if n t < 4 then Error "need at least 4 replicas"
   else Ok ()

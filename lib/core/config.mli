@@ -22,7 +22,6 @@ type t = {
   f : int;  (** tolerated Byzantine replicas *)
   c : int;  (** additional crashed/slow replicas the fast path tolerates *)
   win : int;  (** max outstanding decision blocks (paper: 256) *)
-  max_batch : int;  (** operations per decision block cap *)
   fast_path : bool;  (** ingredient 2: optimistic σ path *)
   execution_acks : bool;
       (** ingredient 3: E-collectors + single-message client acks; when
@@ -67,7 +66,10 @@ type t = {
       (** [None] in every real configuration; see {!mutation}. *)
 }
 
-(** {2 Timers} *)
+(** {2 Batching and timers} *)
+
+val max_batch : int
+(** 64: operations per decision block, at most. *)
 
 val batch_timeout : Sbft_sim.Engine.time
 (** 5 ms: the primary proposes a partial batch after this delay. *)

@@ -52,7 +52,7 @@ let setup rng ~config ~num_clients =
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
       points = Hashtbl.create 256;
-      verified = Req_memo.create 4096;
+      verified = Req_memo.create 256;
     }
   in
   let replica_keys =

@@ -87,7 +87,7 @@ let fig2_fig3 ?csv scale =
 
 let contract_bench scale region =
   let f = f_of_scale scale in
-  let topology = (region :> [ `Lan | `Continent | `World ]) in
+  let topology = (region :> Topology.kind) in
   (* The paper's contract runs are latency-bound: ~2 chunks in flight
      (378 tx/s x 254 ms / 50 tx).  Four closed-loop clients match that
      operating point. *)

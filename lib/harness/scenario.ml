@@ -18,7 +18,7 @@ type t = {
   workload : workload;
   num_clients : int;
   failures : int;
-  topology : [ `Lan | `Continent | `World ];
+  topology : Topology.kind;
   warmup : Engine.time;
   duration : Engine.time;
   seed : int64;
@@ -79,11 +79,6 @@ let config_of t =
   let stagger = fast_path_timeout / 3 in
   t.tweak
     { base with Config.fast_path_timeout; collector_stagger = stagger }
-
-let topology_of = function
-  | `Lan -> fun ~num_nodes -> Topology.lan ~num_nodes
-  | `Continent -> fun ~num_nodes -> Topology.continent ~num_nodes
-  | `World -> fun ~num_nodes -> Topology.world ~num_nodes
 
 let service_of = function
   | Kv _ -> Kv_workload.service
@@ -201,7 +196,7 @@ let sbft_stack ~trace ~config ~topology ~service t =
    crashed backups, primary crash, clients, then the whole horizon. *)
 let build_and_run ~trace t =
   let config = config_of t in
-  let topology = topology_of t.topology in
+  let topology = Topology.of_kind t.topology in
   let service = service_of t.workload in
   let s =
     match t.protocol with

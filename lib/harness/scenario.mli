@@ -21,7 +21,7 @@ type t = {
   workload : workload;
   num_clients : int;
   failures : int;  (** backup replicas crashed from the start *)
-  topology : [ `Lan | `Continent | `World ];
+  topology : Sbft_sim.Topology.kind;
   warmup : Sbft_sim.Engine.time;
   duration : Sbft_sim.Engine.time;  (** measured window after warmup *)
   seed : int64;
@@ -42,7 +42,7 @@ type t = {
 
 val default :
   ?failures:int ->
-  ?topology:[ `Lan | `Continent | `World ] ->
+  ?topology:Sbft_sim.Topology.kind ->
   ?warmup:Sbft_sim.Engine.time ->
   ?duration:Sbft_sim.Engine.time ->
   ?seed:int64 ->

@@ -15,8 +15,6 @@ type t = {
   throughput : Stats.Throughput.t;
 }
 
-let send_overhead = Engine.us 20
-
 let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0) ~config ~num_clients
     ~topology ~(service : Cluster.service) () =
   let config = { config with Config.c = 0 } in
@@ -32,7 +30,7 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0) ~config ~num_clients
   let keys, _replica_keys, client_kps = Keys.setup rng ~config ~num_clients in
   let deliver = ref (fun _ctx ~src:_ ~dst:_ _msg -> ()) in
   let send ctx ~src ~dst msg =
-    Engine.charge ctx send_overhead;
+    Engine.charge ctx Network.send_overhead;
     Network.send network engine ~src ~dst ~size:(Pbft_types.size msg)
       ~at:(Engine.ctx_now ctx) (fun ctx -> !deliver ctx ~src ~dst msg)
   in

@@ -232,7 +232,7 @@ and try_propose t ctx =
   end
 
 and propose t ctx batch =
-  let batch = min batch (min (Queue.length t.pending) (cfg t).Config.max_batch) in
+  let batch = min batch (min (Queue.length t.pending) Config.max_batch) in
   if batch > 0 then begin
     let reqs = List.init batch (fun _ -> Queue.pop t.pending) in
     List.iter

@@ -24,7 +24,7 @@ type node = {
    drops the first and holds the second (see [crash]). *)
 and pending_work = Work of (ctx_ -> unit) | Tick of (ctx_ -> unit)
 
-and ctx_ = { eng : t_; cnode : node; mutable cpu_now : time }
+and ctx_ = { cnode : node; mutable cpu_now : time }
 
 (* Events are a variant, not a closure: the common cases (message
    arrival, timer firing) carry their target directly, so scheduling a
@@ -46,7 +46,7 @@ and t_ = {
   (* One reusable ctx per node: handlers never run nested (all
      cross-node work goes through scheduled events), so a single
      mutable record per node replaces a per-work-item allocation. *)
-  mutable ctxs : ctx_ array;
+  ctxs : ctx_ array;
   rng : Rng.t;
   mutable executed : int;
   (* live = queued and not cancelled; cancelled entries linger until
@@ -75,38 +75,35 @@ type profile = {
 }
 
 let create ~num_nodes ~seed () =
-  let t =
-    {
-      now = 0;
-      seq = 0;
-      events = Wheel.create ~dummy:(Thunk ignore);
-      nodes =
-        Array.init num_nodes (fun id ->
-            {
-              id;
-              cpu_free_at = 0;
-              crashed = false;
-              cpu_scale = 1.0;
-              pending = Queue.create ();
-              held = Queue.create ();
-              drain_at = -1;
-            });
-      ctxs = [||];
-      rng = Rng.create seed;
-      executed = 0;
-      cancelled_pending = 0;
-      n_thunks = 0;
-      n_arrivals = 0;
-      n_timers_fired = 0;
-      n_timers_skipped = 0;
-      n_timers_purged = 0;
-      max_pending = 0;
-    }
+  let nodes =
+    Array.init num_nodes (fun id ->
+        {
+          id;
+          cpu_free_at = 0;
+          crashed = false;
+          cpu_scale = 1.0;
+          pending = Queue.create ();
+          held = Queue.create ();
+          drain_at = -1;
+        })
   in
-  t.ctxs <- Array.map (fun nd -> { eng = t; cnode = nd; cpu_now = 0 }) t.nodes;
-  t
+  {
+    now = 0;
+    seq = 0;
+    events = Wheel.create ~dummy:(Thunk ignore);
+    nodes;
+    ctxs = Array.map (fun nd -> { cnode = nd; cpu_now = 0 }) nodes;
+    rng = Rng.create seed;
+    executed = 0;
+    cancelled_pending = 0;
+    n_thunks = 0;
+    n_arrivals = 0;
+    n_timers_fired = 0;
+    n_timers_skipped = 0;
+    n_timers_purged = 0;
+    max_pending = 0;
+  }
 
-let num_nodes t = Array.length t.nodes
 let now t = t.now
 let rng t = t.rng
 
@@ -217,21 +214,17 @@ let charge c dt =
   in
   c.cpu_now <- c.cpu_now + scaled
 
-let engine c = c.eng
-
-(* Run one popped event.  Returns [true] if it counted as executed
-   ([false] for a cancelled timer, which is skipped without touching
-   the clock's event budget — it would have been a no-op drain). *)
+(* Run one popped event.  A cancelled timer is skipped without
+   touching the clock. *)
 let fire t at ev =
   match ev with
   | Timer_ev (tm, _, _) when tm.cancelled ->
       t.cancelled_pending <- t.cancelled_pending - 1;
-      t.n_timers_skipped <- t.n_timers_skipped + 1;
-      false
-  | _ ->
+      t.n_timers_skipped <- t.n_timers_skipped + 1
+  | _ -> (
       t.now <- (if at > t.now then at else t.now);
       t.executed <- t.executed + 1;
-      (match ev with
+      match ev with
       | Thunk f ->
           t.n_thunks <- t.n_thunks + 1;
           f ()
@@ -241,8 +234,7 @@ let fire t at ev =
       | Timer_ev (tm, nd, f) ->
           tm.fired <- true;
           t.n_timers_fired <- t.n_timers_fired + 1;
-          arrive t nd (Tick f));
-      true
+          arrive t nd (Tick f))
 
 (* Both loops pop through [min_key0] then [pop]: no option or tuple is
    built per event. *)
@@ -250,16 +242,15 @@ let run_until t deadline =
   let q = t.events in
   while Wheel.size q > 0 && Wheel.min_key0 q <= deadline do
     let at = Wheel.min_key0 q in
-    ignore (fire t at (Wheel.pop q) : bool)
+    fire t at (Wheel.pop q)
   done;
   if deadline > t.now then t.now <- deadline
 
-let run_all ?(max_events = max_int) t =
+let run_all t =
   let q = t.events in
-  let budget = ref max_events in
-  while !budget > 0 && Wheel.size q > 0 do
+  while Wheel.size q > 0 do
     let at = Wheel.min_key0 q in
-    if fire t at (Wheel.pop q) then decr budget
+    fire t at (Wheel.pop q)
   done
 
 let events_executed t = t.executed

@@ -38,8 +38,6 @@ val to_sec : time -> float
     [0 .. num_nodes-1], all alive, with idle CPUs. *)
 val create : num_nodes:int -> seed:int64 -> unit -> t
 
-val num_nodes : t -> int
-
 (** [now t] is the current virtual time (time of the event being
     processed, or of the last processed event). *)
 val now : t -> time
@@ -100,17 +98,14 @@ val charge : ctx -> time -> unit
 (** [charge c dt] accounts [dt] nanoseconds of CPU work (scaled by the
     node's CPU scale). *)
 
-val engine : ctx -> t
-
 (** {2 Running} *)
 
 val run_until : t -> time -> unit
 (** [run_until t deadline] processes events with firing time [<= deadline],
     then sets the clock to [deadline]. *)
 
-val run_all : ?max_events:int -> t -> unit
-(** [run_all t] processes events until the queue drains (or [max_events]
-    is hit). *)
+val run_all : t -> unit
+(** [run_all t] processes events until the queue drains. *)
 
 val events_executed : t -> int
 

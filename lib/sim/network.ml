@@ -1,3 +1,12 @@
+(* Per-message prices: 10 Gbit/s NICs in bytes per ns (the expression's
+   float rounding feeds every delivery time, so the golden outputs pin
+   it as written), 80 bytes of TCP/IP + TLS framing per message, and the
+   receiver and sender CPU time per message. *)
+let bytes_per_ns = 10.0 *. 1e9 /. 8.0 /. 1e9
+let per_msg_overhead_bytes = 80
+let recv_overhead = Engine.us 30
+let send_overhead = Engine.us 20
+
 (* Link and NIC state is flat int-indexed arrays, not hashtables: the
    per-send path at n ≈ 200 does three lookups per message, and at
    ~100k+ sends per run the hashing and bucket chasing showed up in
@@ -6,10 +15,7 @@
 type t = {
   topology : Topology.t;
   num_nodes : int;
-  bytes_per_ns : float;
   mutable drop_prob : float;
-  per_msg_overhead_bytes : int;
-  recv_overhead : Engine.time;
   mutable partition : int array option;
   down : bool array; (* down.(src * n + dst): directed link is cut *)
   extra : Engine.time array; (* extra.(src * n + dst): adversarial delay *)
@@ -26,16 +32,12 @@ type t = {
   mutable messages_dropped : int;
 }
 
-let create ?(bandwidth_gbps = 10.0) ?(drop_prob = 0.0)
-    ?(per_msg_overhead_bytes = 80) ?(recv_overhead = Engine.us 30) ~topology () =
+let create ~topology () =
   let n = Topology.num_nodes topology in
   {
     topology;
     num_nodes = n;
-    bytes_per_ns = bandwidth_gbps *. 1e9 /. 8.0 /. 1e9;
-    drop_prob;
-    per_msg_overhead_bytes;
-    recv_overhead;
+    drop_prob = 0.0;
     partition = None;
     down = Array.make (n * n) false;
     extra = Array.make (n * n) 0;
@@ -46,8 +48,6 @@ let create ?(bandwidth_gbps = 10.0) ?(drop_prob = 0.0)
     bytes_sent = 0;
     messages_dropped = 0;
   }
-
-let topology t = t.topology
 
 let flapped_off t ~src ~dst ~at =
   let p = t.flap_period.((src * t.num_nodes) + dst) in
@@ -70,8 +70,8 @@ let send t eng ~src ~dst ~size ~at f =
   in
   if dropped then t.messages_dropped <- t.messages_dropped + 1
   else begin
-    let wire_bytes = size + t.per_msg_overhead_bytes in
-    let serialize = int_of_float (float_of_int wire_bytes /. t.bytes_per_ns) in
+    let wire_bytes = size + per_msg_overhead_bytes in
+    let serialize = int_of_float (float_of_int wire_bytes /. bytes_per_ns) in
     (* Sender NIC is a FIFO: departures are serialized by bandwidth. *)
     let nic_free = t.nic_free_at.(src) in
     let start = if at > nic_free then at else nic_free in
@@ -83,7 +83,6 @@ let send t eng ~src ~dst ~size ~at f =
     in
     let extra = t.extra.((src * t.num_nodes) + dst) in
     let arrival = departure + latency + extra in
-    let recv_overhead = t.recv_overhead in
     Engine.dispatch eng ~dst ~at:arrival (fun c ->
         Engine.charge c recv_overhead;
         f c)

@@ -11,20 +11,21 @@
 
 type t
 
-val create :
-  ?bandwidth_gbps:float ->
-  ?drop_prob:float ->
-  ?per_msg_overhead_bytes:int ->
-  ?recv_overhead:Engine.time ->
-  topology:Topology.t ->
-  unit ->
-  t
-(** Defaults: 10 Gbit/s NICs, no drops, 80 bytes framing overhead
-    (TCP/IP + TLS record), 30 µs receive overhead per message (kernel
-    TCP + TLS record processing of a 2018 software stack — the cost that
-    makes quadratic message complexity hurt at n ≈ 200). *)
+val create : topology:Topology.t -> unit -> t
+(** No drops, no partition, every link up.  The per-message prices are
+    the constants below: 10 Gbit/s NICs, 80 bytes of framing (TCP/IP +
+    TLS record) and 30 µs of receive overhead per message. *)
 
-val topology : t -> Topology.t
+val recv_overhead : Engine.time
+(** 30 µs of destination CPU per message (kernel TCP + TLS record
+    processing of a 2018 software stack — the cost that makes quadratic
+    message complexity hurt at n ≈ 200), charged before the handler
+    runs. *)
+
+val send_overhead : Engine.time
+(** 20 µs of sender CPU per message (syscall + TLS record).  The
+    network does not charge it itself: each cluster's send path does,
+    on the sending node's CPU. *)
 
 (** [send t eng ~src ~dst ~size ~at f] transmits a [size]-byte message,
     departing node [src] at time [at] (its NIC may delay departure),

@@ -97,8 +97,6 @@ let world ~num_nodes =
 
 let num_nodes t = Array.length t.region_of
 let num_regions t = t.num_regions
-let region_of t i = t.region_of.(i)
-let jitter t = t.jitter
 
 let base_latency t ~src ~dst = t.one_way_ns.(t.region_of.(src)).(t.region_of.(dst))
 
@@ -107,3 +105,10 @@ let sample_latency t rng ~src ~dst =
   (* Multiplicative, strictly positive jitter: |1 + jitter * N(0,1)|. *)
   let factor = Float.abs (1.0 +. (t.jitter *. Rng.gaussian rng)) in
   int_of_float (base *. factor)
+
+type kind = [ `Lan | `Continent | `World ]
+
+let of_kind : kind -> num_nodes:int -> t = function
+  | `Lan -> lan
+  | `Continent -> continent
+  | `World -> world

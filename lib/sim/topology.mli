@@ -27,12 +27,16 @@ val continent : num_nodes:int -> t
     one-way latencies from 0.15 ms (same region) up to ~150 ms. *)
 val world : num_nodes:int -> t
 
+type kind = [ `Lan | `Continent | `World ]
+(** The three profiles above, by name. *)
+
+val of_kind : kind -> num_nodes:int -> t
+(** [of_kind `Lan] is {!lan}, and so on. *)
+
 val num_nodes : t -> int
 (** Number of nodes the topology was built for. *)
 
 val num_regions : t -> int
-val region_of : t -> int -> int
-val jitter : t -> float
 
 (** [base_latency t ~src ~dst] is the base one-way latency in
     nanoseconds between two {i nodes}. *)

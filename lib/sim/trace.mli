@@ -14,7 +14,6 @@ type record = {
 type t
 
 val create : ?enabled:bool -> unit -> t
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val emit : t -> time:Engine.time -> node:int -> kind:string -> detail:string -> unit
@@ -23,6 +22,5 @@ val records : t -> record list
 (** In emission order. *)
 
 val find_all : t -> kind:string -> record list
-val clear : t -> unit
 
 val pp_record : Format.formatter -> record -> unit

@@ -30,10 +30,10 @@ let sample_schedule =
     c = 1;
     clients = 2;
     requests = 6;
-    topology = Schedule.Continent;
+    topology = `Continent;
     acks = false;
     wal = false;
-    mutation = Schedule.Weak_sigma;
+    mutation = Some Sbft_core.Config.Weak_sigma_quorum;
     gst_ms = Some 15_000;
     horizon_ms = 60_000;
     expect = Schedule.Expect_fail "agreement";
@@ -45,11 +45,11 @@ let sample_schedule =
         { Schedule.at_ms = 2_000; action = Schedule.Set_drop 0.25 };
         { Schedule.at_ms = 2_500; action = Schedule.Delay_link { src = 0; dst = 4; delay_ms = 120 } };
         { Schedule.at_ms = 3_000; action = Schedule.Isolate 2 };
-        { Schedule.at_ms = 9_000; action = Schedule.Byzantine (0, Schedule.Equivocate) };
+        { Schedule.at_ms = 9_000; action = Schedule.Byzantine (0, Sbft_core.Replica.Equivocating_primary) };
         { Schedule.at_ms = 15_000; action = Schedule.Heal };
         { Schedule.at_ms = 15_000; action = Schedule.Reconnect 2 };
         { Schedule.at_ms = 15_000; action = Schedule.Recover 3 };
-        { Schedule.at_ms = 15_000; action = Schedule.Byzantine (0, Schedule.Honest) };
+        { Schedule.at_ms = 15_000; action = Schedule.Byzantine (0, Sbft_core.Replica.Honest) };
       ];
   }
 
@@ -63,7 +63,7 @@ let test_roundtrip () =
         (List.length parsed.Schedule.steps);
       check "gst survives" true (parsed.Schedule.gst_ms = Some 15_000);
       check "mutation survives" true
-        (match parsed.Schedule.mutation with Schedule.Weak_sigma -> true | _ -> false);
+        (match parsed.Schedule.mutation with Some Sbft_core.Config.Weak_sigma_quorum -> true | _ -> false);
       (* Golden text pins every byz, mutation and topology keyword, so a
          renamed keyword fails here even though it would round-trip. *)
       let golden ~topology ~mutation steps =
@@ -81,10 +81,10 @@ let test_roundtrip () =
         | Error e -> Alcotest.failf "%s: %s" what e
       in
       let byz =
-        [ (Schedule.Equivocate, "equivocate"); (Schedule.Silent, "silent");
-          (Schedule.Corrupt_shares, "corrupt-shares");
-          (Schedule.Wrong_exec_digest, "wrong-exec-digest");
-          (Schedule.Stale_vc, "stale-vc"); (Schedule.Honest, "honest") ]
+        Sbft_core.Replica.
+          [ (Equivocating_primary, "equivocate"); (Silent, "silent");
+            (Corrupt_shares, "corrupt-shares"); (Wrong_exec_digest, "wrong-exec-digest");
+            (Stale_view_change, "stale-vc"); (Honest, "honest") ]
       in
       pins "byz flavours"
         { base with
@@ -97,12 +97,13 @@ let test_roundtrip () =
       List.iter
         (fun (mutation, kw) ->
           pins kw { base with Schedule.mutation } (golden ~topology:"lan" ~mutation:kw []))
-        [ (Schedule.No_mutation, "none"); (Schedule.Weak_sigma, "weak-sigma");
-          (Schedule.Weak_tau, "weak-tau"); (Schedule.Weak_vc, "weak-vc") ];
+        Sbft_core.Config.
+          [ (None, "none"); (Some Weak_sigma_quorum, "weak-sigma");
+            (Some Weak_tau_quorum, "weak-tau"); (Some Weak_vc_quorum, "weak-vc") ];
       List.iter
         (fun (topology, kw) ->
           pins kw { base with Schedule.topology } (golden ~topology:kw ~mutation:"none" []))
-        [ (Schedule.Lan, "lan"); (Schedule.Continent, "continent"); (Schedule.World, "world") ]
+        [ (`Lan, "lan"); (`Continent, "continent"); (`World, "world") ]
 
 let test_parse_rejects () =
   let reject what text =
@@ -179,7 +180,7 @@ let prop_generator_respects_fault_budget =
           (fun (st : Schedule.step) ->
             match st.Schedule.action with
             | Schedule.Byzantine (node, b)
-              when not (match b with Schedule.Honest -> true | _ -> false) ->
+              when not (match b with Sbft_core.Replica.Honest -> true | _ -> false) ->
                 Some node
             | _ -> None)
           sched.Schedule.steps
@@ -304,7 +305,7 @@ let test_unmutated_baseline_passes () =
   match find_mutation_failure ~max_seeds:10 with
   | None -> Alcotest.fail "no mutation failure found"
   | Some (sched, _) -> (
-      let healthy = { sched with Schedule.mutation = Schedule.No_mutation } in
+      let healthy = { sched with Schedule.mutation = None } in
       let outcome = Runner.run healthy in
       match outcome.Runner.failed with
       | Some v ->

@@ -35,9 +35,7 @@ let test_config_presets () =
 let test_config_validate () =
   check "valid" true (Config.validate (Config.sbft ~f:1 ~c:0) = Ok ());
   check "negative f" true (Config.validate { (Config.sbft ~f:1 ~c:0) with Config.f = -1 } <> Ok ());
-  check "tiny win" true (Config.validate { (Config.sbft ~f:1 ~c:0) with Config.win = 2 } <> Ok ());
-  check "zero batch" true
-    (Config.validate { (Config.sbft ~f:1 ~c:0) with Config.max_batch = 0 } <> Ok ())
+  check "tiny win" true (Config.validate { (Config.sbft ~f:1 ~c:0) with Config.win = 2 } <> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Collectors *)

@@ -466,8 +466,7 @@ let test_amnesia_primary_recovery () =
 (* Batching, windows, retransmission *)
 
 let test_batching_under_load () =
-  let config = { (Config.sbft ~f:1 ~c:0) with Config.max_batch = 8 } in
-  let cluster = make ~config ~num_clients:64 () in
+  let cluster = make ~num_clients:64 () in
   ignore (drive ~reqs:10 cluster);
   check_int "all done" 640 (Cluster.total_completed cluster);
   (* With 64 concurrent clients and at most 8 blocks in flight, blocks

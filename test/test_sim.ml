@@ -625,7 +625,8 @@ let test_network_counters () =
 let test_network_drop_prob () =
   let topo = Topology.lan ~num_nodes:2 in
   let eng = Engine.create ~num_nodes:2 ~seed:5L () in
-  let net = Network.create ~drop_prob:1.0 ~topology:topo () in
+  let net = Network.create ~topology:topo () in
+  Network.set_drop_prob net 1.0;
   let hits = ref 0 in
   Network.send net eng ~src:0 ~dst:1 ~size:10 ~at:0 (fun _ -> incr hits);
   Engine.run_all eng;
