@@ -64,14 +64,15 @@ let test_roundtrip () =
       check "gst survives" true (parsed.Schedule.gst_ms = Some 15_000);
       check "mutation survives" true
         (match parsed.Schedule.mutation with Some Sbft_core.Config.Weak_sigma_quorum -> true | _ -> false);
-      (* Golden text pins every byz, mutation and topology keyword, so a
-         renamed keyword fails here even though it would round-trip. *)
-      let golden ~topology ~mutation steps =
+      (* Golden text pins every byz, mutation, topology and adversary
+         policy keyword, so a renamed or swapped keyword fails here even
+         though it would round-trip. *)
+      let golden ?(adversary = []) ~topology ~mutation steps =
         String.concat "\n"
           ([ "sbft-schedule v1"; "name kw"; "seed 1"; "f 1"; "c 0"; "clients 2";
              "requests 4"; "win 8"; "topology " ^ topology; "acks on"; "wal on";
-             "rejoin conservative"; "mutation " ^ mutation; "gst none"; "horizon 30000" ]
-          @ steps @ [ "end"; "" ])
+             "rejoin conservative"; "mutation " ^ mutation ]
+          @ adversary @ [ "gst none"; "horizon 30000" ] @ steps @ [ "end"; "" ])
       in
       let base = Schedule.default ~name:"kw" ~seed:1L in
       let pins what sched text =
@@ -103,7 +104,20 @@ let test_roundtrip () =
       List.iter
         (fun (topology, kw) ->
           pins kw { base with Schedule.topology } (golden ~topology:kw ~mutation:"none" []))
-        [ (`Lan, "lan"); (`Continent, "continent"); (`World, "world") ]
+        [ (`Lan, "lan"); (`Continent, "continent"); (`World, "world") ];
+      List.iter
+        (fun (policy, kw) ->
+          let adversary =
+            { Schedule.policy; pool = [ 1; 3 ]; budget = 4; every_ms = 200; from_ms = 500;
+              until_ms = 9_000 }
+          in
+          pins kw { base with Schedule.adversary = Some adversary }
+            (golden ~topology:"lan" ~mutation:"none" []
+               ~adversary:[ "adversary " ^ kw ^ " pool 1,3 budget 4 every 200 from 500 until 9000" ]))
+        Schedule.
+          [ (Equivocating_collector, "equivocating-collector");
+            (Withhold_until_threshold, "withhold-until-threshold");
+            (View_change_storm, "vc-storm"); (Checkpoint_split, "checkpoint-split") ]
 
 let test_parse_rejects () =
   let reject what text =
