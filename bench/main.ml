@@ -228,7 +228,8 @@ let point args =
       ([ "--clients" ], set clients int_of_string_opt);
       ([ "--failures" ], set failures int_of_string_opt);
       ( [ "--topology" ],
-        set topology (one_of [ ("lan", `Lan); ("continent", `Continent); ("world", `World) ]) );
+        set topology
+          (one_of (List.map (fun (k, name) -> (name, k)) Sbft_sim.Topology.kind_names)) );
       ([ "--duration" ], set duration float_of_string_opt);
       ([ "--warmup" ], set warmup float_of_string_opt);
       ([ "--seed" ], set seed int_of_string_opt);
@@ -423,7 +424,6 @@ let () =
         (function
           | "fig1" -> Experiments.fig1 ()
           | "fig2" | "fig3" -> Experiments.fig2_fig3 ~csv:(bench_out "fig2_fig3.csv") scale
-          | "replay" -> if not (Experiments.replay ()) then exit 1
           | "contract-continent" -> Experiments.contract_bench scale `Continent
           | "contract-world" -> Experiments.contract_bench scale `World
           | "contract-baseline" -> Experiments.contract_baseline ()
@@ -441,7 +441,7 @@ let () =
           | other ->
               Printf.eprintf
                 "unknown benchmark %S (try fig1 fig2 contract-continent \
-                 contract-world contract-baseline ablation micro replay \
+                 contract-world contract-baseline ablation micro \
                  regress check point)\n"
                 other;
               exit 1)

@@ -15,9 +15,9 @@
    honest replicas' unsent buffers.  The R6 taint lint enforces the
    complement: protocol code may never consume [obs_*] results.
 
-   Policies act only through existing fault primitives (Byzantine
-   flavour flips, node isolation), each costing one unit of the
-   schedule's [budget].  Shrinking therefore has two extra axes: a
+   Policies act only through schedule actions (Byzantine flavour flips,
+   node isolation) that the runner applies like static steps, each
+   costing one unit of the schedule's [budget].  Shrinking therefore has two extra axes: a
    smaller budget (fewer reactions) and a shorter [from/until] horizon
    (less observation) — see {!Shrink}. *)
 
@@ -40,11 +40,6 @@ type protocol_view = {
       (** σ/τ/commit share tallies for a slot, as seen by the pool's
           preferred colluder *)
 }
-
-type action =
-  | Flip of int * Replica.byzantine
-  | Isolate of int
-  | Reconnect of int
 
 type t = {
   spec : Schedule.adversary;
@@ -95,7 +90,7 @@ let want t ~node flavor acc =
   else begin
     t.budget_left <- t.budget_left - 1;
     Hashtbl.replace t.flavor node flavor;
-    Flip (node, flavor) :: acc
+    Schedule.Byzantine (node, flavor) :: acc
   end
 
 let want_isolate t ~node acc =
@@ -103,7 +98,7 @@ let want_isolate t ~node acc =
   else begin
     t.budget_left <- t.budget_left - 1;
     t.isolated <- node :: t.isolated;
-    Isolate node :: acc
+    Schedule.Isolate node :: acc
   end
 
 let want_reconnect t ~node acc =
@@ -111,7 +106,7 @@ let want_reconnect t ~node acc =
   else begin
     t.budget_left <- t.budget_left - 1;
     t.isolated <- List.filter (fun x -> x <> node) t.isolated;
-    Reconnect node :: acc
+    Schedule.Reconnect node :: acc
   end
 
 let pool_members t v =
@@ -202,12 +197,12 @@ let observe t (v : protocol_view) =
    on an exhausted adversary, or an Expect_pass schedule could be
    failed by leftover isolation rather than by the protocol. *)
 let cleanup t =
-  let reconnects = List.map (fun node -> Reconnect node) t.isolated in
+  let reconnects = List.map (fun node -> Schedule.Reconnect node) t.isolated in
   let flips =
     Hashtbl.fold
       (fun node flavor acc ->
         if flavor = Replica.Honest then acc
-        else Flip (node, Replica.Honest) :: acc)
+        else Schedule.Byzantine (node, Replica.Honest) :: acc)
       t.flavor []
     |> List.sort compare
   in

@@ -13,9 +13,9 @@
     The R6 taint lint enforces the complement: protocol handlers cannot
     consume [obs_*] results.
 
-    Policies act only through existing fault primitives — Byzantine
-    flavour flips and node isolation — each costing one unit of the
-    schedule's budget, which gives {!Shrink} two extra minimization
+    Policies act only through schedule actions — Byzantine flavour
+    flips and node isolation — each costing one unit of the schedule's
+    budget, which gives {!Shrink} two extra minimization
     axes (budget and observation horizon). *)
 
 type protocol_view = {
@@ -37,11 +37,6 @@ type protocol_view = {
 (** Everything a policy may condition on.  Built from a cluster by
     {!view_of}; built by hand in unit tests. *)
 
-type action =
-  | Flip of int * Sbft_core.Replica.byzantine  (** set a pool replica's flavour *)
-  | Isolate of int
-  | Reconnect of int
-
 type t
 
 val create : Schedule.adversary -> t
@@ -50,13 +45,15 @@ val view_of :
   Sbft_core.Cluster.t -> pool:int list -> now_ms:int -> protocol_view
 (** Snapshot the attacker-visible state of a live cluster. *)
 
-val observe : t -> protocol_view -> action list
+val observe : t -> protocol_view -> Schedule.action list
 (** One observation tick: the policy's reaction to the view, already
     budget-accounted (an exhausted adversary emits nothing) and
     deduplicated (re-flipping a replica to its current flavour is not
-    an action).  The runner applies the actions in order. *)
+    an action).  Every action is a [Byzantine], [Isolate] or
+    [Reconnect] of a replica; the runner applies them in order with
+    the same [Runner.apply] static steps use. *)
 
-val cleanup : t -> action list
+val cleanup : t -> Schedule.action list
 (** End of the observation window: reconnect every node the policy
     isolated and return flipped replicas to honest.  Budget-free —
     leftover isolation must never outlive the adversary, or an

@@ -63,8 +63,14 @@ let random_partition rng ~num_replicas =
   let b = Array.to_list (Array.sub nodes cut (num_replicas - cut)) in
   [ List.sort Int.compare a; List.sort Int.compare b ]
 
+(* Drawn from the DSL's keyword tables, in table order; [honest] is the
+   flip back, never a drawn fault. *)
 let byz_flavours =
-  Sbft_core.Replica.[| Equivocating_primary; Silent; Corrupt_shares; Wrong_exec_digest; Stale_view_change |]
+  Schedule.byz_keywords
+  |> List.filter_map (function Sbft_core.Replica.Honest, _ -> None | b, _ -> Some b)
+  |> Array.of_list
+
+let policies = Array.of_list (List.map fst Schedule.policy_keywords)
 
 (* Build the fault prefix: [count] weighted actions at sorted random
    times within [0, window_ms).  [byz_pool] are the replicas allowed to
@@ -220,14 +226,6 @@ let generate ?(profile = default_profile) ~seed index =
   let adversary =
     if (not profile.adversarial) || byz_pool = [] then None
     else
-      let policies =
-        [|
-          Schedule.Equivocating_collector;
-          Schedule.Withhold_until_threshold;
-          Schedule.View_change_storm;
-          Schedule.Checkpoint_split;
-        |]
-      in
       let from_ms = 200 + Rng.int rng 800 in
       Some
         {

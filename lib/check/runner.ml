@@ -9,27 +9,6 @@ type outcome = {
   events : int;
 }
 
-let config_of (s : Schedule.t) =
-  let base = Config.sbft ~f:s.Schedule.f ~c:s.Schedule.c in
-  {
-    base with
-    Config.win = s.Schedule.win;
-    execution_acks = s.Schedule.acks;
-    durable_wal = s.Schedule.wal;
-    conservative_rejoin = s.Schedule.rejoin_conservative;
-    mutation = s.Schedule.mutation;
-    (* Weak-sigma violates agreement by design; the sanitizer would
-       abort the run before the agreement oracle gets to observe the
-       divergence, which is the whole point of that mutation check.
-       Weak-tau/weak-vc stay sanitized: the sanitizer re-derives the
-       thresholds independently of Config, so tripping it IS the
-       expected detection. *)
-    sanitize =
-      (match s.Schedule.mutation with
-      | Some Config.Weak_sigma_quorum -> false
-      | None | Some (Config.Weak_tau_quorum | Config.Weak_vc_quorum) -> true);
-  }
-
 (* Replicas the schedule ever flips to a non-honest behaviour.  The
    oracles exclude these even if a later step (the post-GST quiet
    period) flips them back: state corrupted while Byzantine persists.
@@ -102,7 +81,7 @@ let apply (cluster : Cluster.t) (sched : Schedule.t) action =
         ignore (Cluster.rollback_replica cluster node ~before)
 
 let run (sched : Schedule.t) =
-  let config = config_of sched in
+  let config = Schedule.config sched in
   let completions = Array.make sched.Schedule.clients [] in
   let on_complete ~client ~timestamp ~value =
     completions.(client) <- (timestamp, value) :: completions.(client)
@@ -121,38 +100,25 @@ let run (sched : Schedule.t) =
           apply cluster sched step.Schedule.action))
     (Schedule.sorted_steps sched);
   (* Adaptive adversary: a recurring engine event observes the cluster
-     through the restricted obs_* surface and reacts via the same fault
-     primitives the static steps use.  The tick is an ordinary
-     scheduled event, so replays interleave it identically. *)
+     through the restricted obs_* surface and reacts with schedule
+     actions, applied by the same [apply] as the static steps.  The
+     tick is an ordinary scheduled event, so replays interleave it
+     identically. *)
   (match sched.Schedule.adversary with
   | None -> ()
   | Some spec ->
       let adv = Adversary.create spec in
-      let n = Schedule.num_replicas sched in
-      let apply_adv = function
-        | Adversary.Flip (node, b) ->
-            if node >= 0 && node < n then
-              Replica.set_byzantine cluster.Cluster.replicas.(node) b
-        | Adversary.Isolate node ->
-            if node >= 0 && node < n then
-              Network.isolate_node cluster.Cluster.network ~node
-                ~num_nodes:(Schedule.num_nodes sched)
-        | Adversary.Reconnect node ->
-            if node >= 0 && node < n then
-              Network.reconnect_node cluster.Cluster.network ~node
-                ~num_nodes:(Schedule.num_nodes sched)
-      in
       let until = min spec.Schedule.until_ms sched.Schedule.horizon_ms in
       let rec tick at_ms =
         if at_ms > until then
           Engine.schedule cluster.Cluster.engine ~at:(Engine.ms until) (fun () ->
-              List.iter apply_adv (Adversary.cleanup adv))
+              List.iter (apply cluster sched) (Adversary.cleanup adv))
         else
           Engine.schedule cluster.Cluster.engine ~at:(Engine.ms at_ms) (fun () ->
               let v =
                 Adversary.view_of cluster ~pool:spec.Schedule.pool ~now_ms:at_ms
               in
-              List.iter apply_adv (Adversary.observe adv v);
+              List.iter (apply cluster sched) (Adversary.observe adv v);
               tick (at_ms + spec.Schedule.every_ms))
       in
       tick (max 0 spec.Schedule.from_ms));

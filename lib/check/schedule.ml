@@ -56,54 +56,98 @@ type t = {
   steps : step list;
 }
 
-let num_replicas t = Config.n (Config.sbft ~f:t.f ~c:t.c)
+let ( let* ) = Result.bind
+
+let config t =
+  {
+    (Config.sbft ~f:t.f ~c:t.c) with
+    Config.win = t.win;
+    execution_acks = t.acks;
+    durable_wal = t.wal;
+    conservative_rejoin = t.rejoin_conservative;
+    mutation = t.mutation;
+    (* Weak-sigma violates agreement by design; the sanitizer would
+       abort the run before the agreement oracle gets to observe the
+       divergence, which is the whole point of that mutation check.
+       Weak-tau/weak-vc stay sanitized: the sanitizer re-derives the
+       thresholds independently of Config, so tripping it IS the
+       expected detection. *)
+    sanitize =
+      (match t.mutation with
+      | Some Config.Weak_sigma_quorum -> false
+      | None | Some (Config.Weak_tau_quorum | Config.Weak_vc_quorum) -> true);
+  }
+
+let num_replicas t = Config.n (config t)
 let num_nodes t = num_replicas t + t.clients
 
-let byz_to_string : Replica.byzantine -> string = function
-  | Equivocating_primary -> "equivocate"
-  | Silent -> "silent"
-  | Corrupt_shares -> "corrupt-shares"
-  | Wrong_exec_digest -> "wrong-exec-digest"
-  | Stale_view_change -> "stale-vc"
-  | Honest -> "honest"
+(* ------------------------------------------------------------------ *)
+(* Keywords.  Each enumerated value of the language is named in one
+   [(value, keyword)] table: the emitter reads it left to right, the
+   parser right to left. *)
 
-let byz_of_string : string -> Replica.byzantine option = function
-  | "equivocate" -> Some Equivocating_primary
-  | "silent" -> Some Silent
-  | "corrupt-shares" -> Some Corrupt_shares
-  | "wrong-exec-digest" -> Some Wrong_exec_digest
-  | "stale-vc" -> Some Stale_view_change
-  | "honest" -> Some Honest
-  | _ -> None
+let byz_keywords =
+  Replica.
+    [ (Equivocating_primary, "equivocate"); (Silent, "silent");
+      (Corrupt_shares, "corrupt-shares"); (Wrong_exec_digest, "wrong-exec-digest");
+      (Stale_view_change, "stale-vc"); (Honest, "honest") ]
 
-let policy_to_string = function
-  | Equivocating_collector -> "equivocating-collector"
-  | Withhold_until_threshold -> "withhold-until-threshold"
-  | View_change_storm -> "vc-storm"
-  | Checkpoint_split -> "checkpoint-split"
+let policy_keywords =
+  [ (Equivocating_collector, "equivocating-collector");
+    (Withhold_until_threshold, "withhold-until-threshold"); (View_change_storm, "vc-storm");
+    (Checkpoint_split, "checkpoint-split") ]
 
-let policy_of_string = function
-  | "equivocating-collector" -> Some Equivocating_collector
-  | "withhold-until-threshold" -> Some Withhold_until_threshold
-  | "vc-storm" -> Some View_change_storm
-  | "checkpoint-split" -> Some Checkpoint_split
-  | _ -> None
+let mutation_keywords =
+  Config.
+    [ (None, "none"); (Some Weak_sigma_quorum, "weak-sigma"); (Some Weak_tau_quorum, "weak-tau");
+      (Some Weak_vc_quorum, "weak-vc") ]
 
-let groups_to_string groups =
-  String.concat "|"
-    (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups)
+let rejoin_keywords = [ (true, "conservative"); (false, "eager") ]
+let switch_keywords = [ (true, "on"); (false, "off") ]
+let keyword table v = List.assoc v table
+
+let of_keyword what table word =
+  match List.find_opt (fun (_, k) -> String.equal k word) table with
+  | Some (v, _) -> Ok v
+  | None -> Error (Printf.sprintf "unknown %s %S" what word)
+
+(* ------------------------------------------------------------------ *)
+(* Values *)
+
+let parse_int what s =
+  match int_of_string_opt s with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "bad %s %S" what s)
+
+let rec parse_all parse = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* v = parse x in
+      let* vs = parse_all parse rest in
+      Ok (v :: vs)
+
+let ints_to_string ns = String.concat "," (List.map string_of_int ns)
+let parse_ints what s = parse_all (parse_int what) (String.split_on_char ',' s)
+
+let parse_scale what s =
+  match float_of_string_opt s with
+  | Some scale when scale >= 1.0 -> Ok scale
+  | _ -> Error (Printf.sprintf "bad %s scale %S" what s)
+
+(* ------------------------------------------------------------------ *)
+(* Steps *)
 
 let action_to_string = function
   | Crash n -> Printf.sprintf "crash %d" n
   | Crash_amnesia n -> Printf.sprintf "crash-amnesia %d" n
   | Recover n -> Printf.sprintf "recover %d" n
-  | Partition groups -> Printf.sprintf "partition %s" (groups_to_string groups)
+  | Partition groups -> "partition " ^ String.concat "|" (List.map ints_to_string groups)
   | Heal -> "heal"
   | Set_drop p -> Printf.sprintf "drop %g" p
   | Delay_link { src; dst; delay_ms } -> Printf.sprintf "delay %d %d %d" src dst delay_ms
   | Isolate n -> Printf.sprintf "isolate %d" n
   | Reconnect n -> Printf.sprintf "reconnect %d" n
-  | Byzantine (n, b) -> Printf.sprintf "byz %d %s" n (byz_to_string b)
+  | Byzantine (n, b) -> Printf.sprintf "byz %d %s" n (keyword byz_keywords b)
   | Slow (n, scale) -> Printf.sprintf "slow %d %g" n scale
   | Flap { src; dst; period_ms; up_ms } ->
       Printf.sprintf "flap %d %d %d %d" src dst period_ms up_ms
@@ -111,10 +155,144 @@ let action_to_string = function
   | Fsync_delay (n, scale) -> Printf.sprintf "fsync-delay %d %g" n scale
   | Rollback (n, before) -> Printf.sprintf "rollback %d %d" n before
 
-let topology_to_string = function
-  | `Lan -> "lan"
-  | `Continent -> "continent"
-  | `World -> "world"
+let parse_action words =
+  let node = parse_int "node" in
+  match words with
+  | [ "crash"; n ] -> Result.map (fun n -> Crash n) (node n)
+  | [ "crash-amnesia"; n ] -> Result.map (fun n -> Crash_amnesia n) (node n)
+  | [ "recover"; n ] -> Result.map (fun n -> Recover n) (node n)
+  | [ "partition"; spec ] ->
+      Result.map
+        (fun g -> Partition g)
+        (parse_all (parse_ints "partition node") (String.split_on_char '|' spec))
+  | [ "heal" ] -> Ok Heal
+  | [ "drop"; p ] -> (
+      match float_of_string_opt p with
+      | Some p when p >= 0.0 && p <= 1.0 -> Ok (Set_drop p)
+      | _ -> Error (Printf.sprintf "bad drop probability %S" p))
+  | [ "delay"; src; dst; ms ] ->
+      let* src = parse_int "src" src in
+      let* dst = parse_int "dst" dst in
+      let* delay_ms = parse_int "delay" ms in
+      Ok (Delay_link { src; dst; delay_ms })
+  | [ "isolate"; n ] -> Result.map (fun n -> Isolate n) (node n)
+  | [ "reconnect"; n ] -> Result.map (fun n -> Reconnect n) (node n)
+  | [ "byz"; n; b ] ->
+      let* n = node n in
+      let* b = of_keyword "byzantine behaviour" byz_keywords b in
+      Ok (Byzantine (n, b))
+  | [ "slow"; n; s ] ->
+      let* n = node n in
+      let* scale = parse_scale "slow" s in
+      Ok (Slow (n, scale))
+  | [ "flap"; src; dst; period; up ] ->
+      let* src = parse_int "src" src in
+      let* dst = parse_int "dst" dst in
+      let* period_ms = parse_int "flap period" period in
+      let* up_ms = parse_int "flap up" up in
+      if period_ms < 1 || up_ms < 0 then Error "flap period must be positive and up non-negative"
+      else Ok (Flap { src; dst; period_ms; up_ms })
+  | [ "unflap"; n ] -> Result.map (fun n -> Unflap n) (node n)
+  | [ "fsync-delay"; n; s ] ->
+      let* n = node n in
+      let* scale = parse_scale "fsync-delay" s in
+      Ok (Fsync_delay (n, scale))
+  | [ "rollback"; n; before ] ->
+      let* n = node n in
+      let* before = parse_int "rollback seq" before in
+      Ok (Rollback (n, before))
+  | _ -> Error (Printf.sprintf "unknown action %S" (String.concat " " words))
+
+(* ------------------------------------------------------------------ *)
+(* Header *)
+
+let adversary_to_string a =
+  Printf.sprintf "%s pool %s budget %d every %d from %d until %d"
+    (keyword policy_keywords a.policy) (ints_to_string a.pool) a.budget a.every_ms a.from_ms
+    a.until_ms
+
+let parse_adversary = function
+  | [ p; "pool"; pool; "budget"; b; "every"; e; "from"; fr; "until"; u ] ->
+      Some
+        (let* policy = of_keyword "adversary policy" policy_keywords p in
+         let* pool = parse_ints "adversary pool node" pool in
+         let* budget = parse_int "budget" b in
+         let* every_ms = parse_int "every" e in
+         let* from_ms = parse_int "from" fr in
+         let* until_ms = parse_int "until" u in
+         if budget < 0 then Error "negative adversary budget"
+         else if every_ms < 1 then Error "adversary tick must be positive"
+         else if until_ms < from_ms then Error "adversary until before from"
+         else Ok (Some { policy; pool; budget; every_ms; from_ms; until_ms }))
+  | _ -> None
+
+let expect_to_string = function
+  | Expect_any -> None
+  | Expect_pass -> Some "pass"
+  | Expect_fail oracle -> Some ("fail " ^ oracle)
+
+let parse_expect = function
+  | [ "pass" ] -> Some (Ok Expect_pass)
+  | [ "any" ] -> Some (Ok Expect_any)
+  | [ "fail"; oracle ] -> Some (Ok (Expect_fail oracle))
+  | _ -> None
+
+(* One header line: [key], then the words [print] gives for the value
+   ([None] leaves the line out).  [parse] reads them back, and is [None]
+   when they have the wrong shape. *)
+type field = {
+  key : string;
+  print : t -> string option;
+  read : t -> string list -> (t, string) result;
+}
+
+let field key print parse get set =
+  let read t words =
+    match parse words with
+    | Some v -> Result.map (set t) v
+    | None -> Error (Printf.sprintf "bad %s line %S" key (String.concat " " words))
+  in
+  { key; print = (fun t -> print (get t)); read }
+
+let one_word key print parse =
+  field key (fun v -> Some (print v)) (function [ w ] -> Some (parse w) | _ -> None)
+
+let int_field key = one_word key string_of_int (parse_int key)
+let keyword_field key table = one_word key (keyword table) (of_keyword key table)
+
+let parse_seed s =
+  Option.to_result ~none:(Printf.sprintf "bad seed %S" s) (Int64.of_string_opt s)
+
+let gst_to_string = function None -> "none" | Some g -> string_of_int g
+let parse_gst = function "none" -> Ok None | v -> Result.map Option.some (parse_int "gst" v)
+
+(* Emission order; the parser accepts the lines in any order. *)
+let fields =
+  [
+    field "name" Option.some
+      (fun words -> Some (Ok (String.concat " " words)))
+      (fun t -> t.name)
+      (fun t name -> { t with name });
+    one_word "seed" Int64.to_string parse_seed (fun t -> t.seed) (fun t seed -> { t with seed });
+    int_field "f" (fun t -> t.f) (fun t f -> { t with f });
+    int_field "c" (fun t -> t.c) (fun t c -> { t with c });
+    int_field "clients" (fun t -> t.clients) (fun t clients -> { t with clients });
+    int_field "requests" (fun t -> t.requests) (fun t requests -> { t with requests });
+    int_field "win" (fun t -> t.win) (fun t win -> { t with win });
+    keyword_field "topology" Sbft_sim.Topology.kind_names (fun t -> t.topology)
+      (fun t topology -> { t with topology });
+    keyword_field "acks" switch_keywords (fun t -> t.acks) (fun t acks -> { t with acks });
+    keyword_field "wal" switch_keywords (fun t -> t.wal) (fun t wal -> { t with wal });
+    keyword_field "rejoin" rejoin_keywords (fun t -> t.rejoin_conservative)
+      (fun t rejoin_conservative -> { t with rejoin_conservative });
+    keyword_field "mutation" mutation_keywords (fun t -> t.mutation)
+      (fun t mutation -> { t with mutation });
+    field "adversary" (Option.map adversary_to_string) parse_adversary (fun t -> t.adversary)
+      (fun t adversary -> { t with adversary });
+    one_word "gst" gst_to_string parse_gst (fun t -> t.gst_ms) (fun t gst_ms -> { t with gst_ms });
+    int_field "horizon" (fun t -> t.horizon_ms) (fun t horizon_ms -> { t with horizon_ms });
+    field "expect" expect_to_string parse_expect (fun t -> t.expect) (fun t expect -> { t with expect });
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Emitter.  Line-based, fixed field order, steps sorted by time:
@@ -126,149 +304,17 @@ let sorted_steps t =
 
 let to_string t =
   let b = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
   line "sbft-schedule v1";
-  line "name %s" t.name;
-  line "seed %Ld" t.seed;
-  line "f %d" t.f;
-  line "c %d" t.c;
-  line "clients %d" t.clients;
-  line "requests %d" t.requests;
-  line "win %d" t.win;
-  line "topology %s" (topology_to_string t.topology);
-  line "acks %s" (if t.acks then "on" else "off");
-  line "wal %s" (if t.wal then "on" else "off");
-  line "rejoin %s" (if t.rejoin_conservative then "conservative" else "eager");
-  line "mutation %s"
-    (match t.mutation with
-    | None -> "none"
-    | Some Config.Weak_sigma_quorum -> "weak-sigma"
-    | Some Config.Weak_tau_quorum -> "weak-tau"
-    | Some Config.Weak_vc_quorum -> "weak-vc");
-  (match t.adversary with
-  | None -> ()
-  | Some a ->
-      line "adversary %s pool %s budget %d every %d from %d until %d"
-        (policy_to_string a.policy)
-        (String.concat "," (List.map string_of_int a.pool))
-        a.budget a.every_ms a.from_ms a.until_ms);
-  (match t.gst_ms with None -> line "gst none" | Some g -> line "gst %d" g);
-  line "horizon %d" t.horizon_ms;
-  (match t.expect with
-  | Expect_any -> ()
-  | Expect_pass -> line "expect pass"
-  | Expect_fail oracle -> line "expect fail %s" oracle);
-  List.iter (fun s -> line "step %d %s" s.at_ms (action_to_string s.action)) (sorted_steps t);
+  List.iter (fun fld -> Option.iter (fun v -> line (fld.key ^ " " ^ v)) (fld.print t)) fields;
+  List.iter
+    (fun s -> line (Printf.sprintf "step %d %s" s.at_ms (action_to_string s.action)))
+    (sorted_steps t);
   line "end";
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Parser *)
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bad %s %S" what s)
-
-let parse_groups s =
-  let parse_group g =
-    let parts = String.split_on_char ',' g in
-    List.fold_left
-      (fun acc p ->
-        match (acc, int_of_string_opt p) with
-        | Ok nodes, Some n -> Ok (n :: nodes)
-        | Ok _, None -> Error (Printf.sprintf "bad partition node %S" p)
-        | (Error _ as e), _ -> e)
-      (Ok []) parts
-    |> Result.map List.rev
-  in
-  let groups = String.split_on_char '|' s in
-  List.fold_left
-    (fun acc g ->
-      match (acc, parse_group g) with
-      | Ok gs, Ok nodes -> Ok (nodes :: gs)
-      | Ok _, (Error _ as e) -> e
-      | (Error _ as e), _ -> e)
-    (Ok []) groups
-  |> Result.map List.rev
-
-let parse_action words =
-  match words with
-  | [ "crash"; n ] -> Result.map (fun n -> Crash n) (parse_int "node" n)
-  | [ "crash-amnesia"; n ] -> Result.map (fun n -> Crash_amnesia n) (parse_int "node" n)
-  | [ "recover"; n ] -> Result.map (fun n -> Recover n) (parse_int "node" n)
-  | [ "partition"; spec ] -> Result.map (fun g -> Partition g) (parse_groups spec)
-  | [ "heal" ] -> Ok Heal
-  | [ "drop"; p ] -> (
-      match float_of_string_opt p with
-      | Some p when p >= 0.0 && p <= 1.0 -> Ok (Set_drop p)
-      | _ -> Error (Printf.sprintf "bad drop probability %S" p))
-  | [ "delay"; src; dst; ms ] ->
-      Result.bind (parse_int "src" src) (fun src ->
-          Result.bind (parse_int "dst" dst) (fun dst ->
-              Result.map
-                (fun delay_ms -> Delay_link { src; dst; delay_ms })
-                (parse_int "delay" ms)))
-  | [ "isolate"; n ] -> Result.map (fun n -> Isolate n) (parse_int "node" n)
-  | [ "reconnect"; n ] -> Result.map (fun n -> Reconnect n) (parse_int "node" n)
-  | [ "byz"; n; b ] ->
-      Result.bind (parse_int "node" n) (fun n ->
-          match byz_of_string b with
-          | Some b -> Ok (Byzantine (n, b))
-          | None -> Error (Printf.sprintf "unknown byzantine behaviour %S" b))
-  | [ "slow"; n; s ] ->
-      Result.bind (parse_int "node" n) (fun n ->
-          match float_of_string_opt s with
-          | Some scale when scale >= 1.0 -> Ok (Slow (n, scale))
-          | _ -> Error (Printf.sprintf "bad slow scale %S" s))
-  | [ "flap"; src; dst; period; up ] ->
-      Result.bind (parse_int "src" src) (fun src ->
-          Result.bind (parse_int "dst" dst) (fun dst ->
-              Result.bind (parse_int "flap period" period) (fun period_ms ->
-                  Result.bind (parse_int "flap up" up) (fun up_ms ->
-                      if period_ms < 1 || up_ms < 0 then
-                        Error "flap period must be positive and up non-negative"
-                      else Ok (Flap { src; dst; period_ms; up_ms })))))
-  | [ "unflap"; n ] -> Result.map (fun n -> Unflap n) (parse_int "node" n)
-  | [ "fsync-delay"; n; s ] ->
-      Result.bind (parse_int "node" n) (fun n ->
-          match float_of_string_opt s with
-          | Some scale when scale >= 1.0 -> Ok (Fsync_delay (n, scale))
-          | _ -> Error (Printf.sprintf "bad fsync-delay scale %S" s))
-  | [ "rollback"; n; before ] ->
-      Result.bind (parse_int "node" n) (fun n ->
-          Result.map (fun before -> Rollback (n, before)) (parse_int "rollback seq" before))
-  | _ -> Error (Printf.sprintf "unknown action %S" (String.concat " " words))
-
-let parse_pool s =
-  List.fold_left
-    (fun acc p ->
-      match (acc, int_of_string_opt p) with
-      | Ok nodes, Some n when n >= 0 -> Ok (n :: nodes)
-      | Ok _, _ -> Error (Printf.sprintf "bad adversary pool node %S" p)
-      | (Error _ as e), _ -> e)
-    (Ok [])
-    (String.split_on_char ',' s)
-  |> Result.map List.rev
-
-let parse_adversary words =
-  match words with
-  | [ p; "pool"; pool; "budget"; b; "every"; e; "from"; fr; "until"; u ] -> (
-      match policy_of_string p with
-      | None -> Error (Printf.sprintf "unknown adversary policy %S" p)
-      | Some policy ->
-          Result.bind (parse_pool pool) (fun pool ->
-              Result.bind (parse_int "budget" b) (fun budget ->
-                  Result.bind (parse_int "every" e) (fun every_ms ->
-                      Result.bind (parse_int "from" fr) (fun from_ms ->
-                          Result.bind (parse_int "until" u) (fun until_ms ->
-                              if pool = [] then Error "adversary pool is empty"
-                              else if budget < 0 then Error "negative adversary budget"
-                              else if every_ms < 1 then Error "adversary tick must be positive"
-                              else if until_ms < from_ms then Error "adversary until before from"
-                              else
-                                Ok { policy; pool; budget; every_ms; from_ms; until_ms }))))))
-  | _ -> Error (Printf.sprintf "bad adversary line %S" (String.concat " " words))
 
 let default ~name ~seed =
   {
@@ -291,6 +337,21 @@ let default ~name ~seed =
     steps = [];
   }
 
+(* The cluster rules are [Config.validate]'s, so a schedule that parses
+   can be built. *)
+let validate t =
+  let* () = Config.validate (config t) in
+  let bad_pool =
+    match t.adversary with
+    | None -> false
+    | Some a -> List.exists (fun n -> n < 0 || n >= num_replicas t) a.pool
+  in
+  if t.clients < 1 then Error "need at least one client"
+  else if t.requests < 1 then Error "need at least one request"
+  else if t.horizon_ms < 1 then Error "horizon must be positive"
+  else if bad_pool then Error "adversary pool names a non-replica node"
+  else Ok { t with steps = sorted_steps t }
+
 let parse text =
   let lines =
     String.split_on_char '\n' text
@@ -300,87 +361,28 @@ let parse text =
   let words l =
     String.split_on_char ' ' l |> List.filter (fun w -> String.length w > 0)
   in
+  (* Lines after [end] are ignored. *)
+  let rec body t steps = function
+    | [] -> Error "missing end line"
+    | l :: rest -> (
+        match words l with
+        | [ "end" ] -> Ok { t with steps = List.rev steps }
+        | "step" :: at :: action_words ->
+            let* at_ms = parse_int "step time" at in
+            let* action = parse_action action_words in
+            body t ({ at_ms; action } :: steps) rest
+        | key :: args -> (
+            match List.find_opt (fun fld -> String.equal fld.key key) fields with
+            | Some fld ->
+                let* t = fld.read t args in
+                body t steps rest
+            | None -> Error (Printf.sprintf "unparseable line %S" l))
+        | [] -> Error (Printf.sprintf "unparseable line %S" l))
+  in
   match lines with
   | header :: rest when String.equal header "sbft-schedule v1" ->
-      let t = ref (default ~name:"unnamed" ~seed:1L) in
-      let steps = ref [] in
-      let err = ref None in
-      let ended = ref false in
-      let fail msg = if Option.is_none !err then err := Some msg in
-      let set_field f = match f with Ok v -> v | Error e -> fail e; !t in
-      List.iter
-        (fun l ->
-          if Option.is_none !err && not !ended then
-            match words l with
-            | [ "name"; n ] -> t := { !t with name = n }
-            | "name" :: parts -> t := { !t with name = String.concat " " parts }
-            | [ "seed"; s ] -> (
-                match Int64.of_string_opt s with
-                | Some seed -> t := { !t with seed }
-                | None -> fail (Printf.sprintf "bad seed %S" s))
-            | [ "f"; v ] -> t := set_field (Result.map (fun f -> { !t with f }) (parse_int "f" v))
-            | [ "c"; v ] -> t := set_field (Result.map (fun c -> { !t with c }) (parse_int "c" v))
-            | [ "clients"; v ] ->
-                t := set_field (Result.map (fun clients -> { !t with clients }) (parse_int "clients" v))
-            | [ "requests"; v ] ->
-                t := set_field (Result.map (fun requests -> { !t with requests }) (parse_int "requests" v))
-            | [ "win"; v ] -> t := set_field (Result.map (fun win -> { !t with win }) (parse_int "win" v))
-            | [ "topology"; "lan" ] -> t := { !t with topology = `Lan }
-            | [ "topology"; "continent" ] -> t := { !t with topology = `Continent }
-            | [ "topology"; "world" ] -> t := { !t with topology = `World }
-            | [ "topology"; other ] -> fail (Printf.sprintf "unknown topology %S" other)
-            | [ "acks"; "on" ] -> t := { !t with acks = true }
-            | [ "acks"; "off" ] -> t := { !t with acks = false }
-            | [ "wal"; "on" ] -> t := { !t with wal = true }
-            | [ "wal"; "off" ] -> t := { !t with wal = false }
-            | [ "rejoin"; "conservative" ] -> t := { !t with rejoin_conservative = true }
-            | [ "rejoin"; "eager" ] -> t := { !t with rejoin_conservative = false }
-            | [ "rejoin"; other ] -> fail (Printf.sprintf "unknown rejoin mode %S" other)
-            | [ "mutation"; "none" ] -> t := { !t with mutation = None }
-            | [ "mutation"; "weak-sigma" ] -> t := { !t with mutation = Some Config.Weak_sigma_quorum }
-            | [ "mutation"; "weak-tau" ] -> t := { !t with mutation = Some Config.Weak_tau_quorum }
-            | [ "mutation"; "weak-vc" ] -> t := { !t with mutation = Some Config.Weak_vc_quorum }
-            | [ "mutation"; other ] -> fail (Printf.sprintf "unknown mutation %S" other)
-            | "adversary" :: adv_words -> (
-                match parse_adversary adv_words with
-                | Ok a -> t := { !t with adversary = Some a }
-                | Error e -> fail e)
-            | [ "gst"; "none" ] -> t := { !t with gst_ms = None }
-            | [ "gst"; v ] ->
-                t := set_field (Result.map (fun g -> { !t with gst_ms = Some g }) (parse_int "gst" v))
-            | [ "horizon"; v ] ->
-                t := set_field (Result.map (fun horizon_ms -> { !t with horizon_ms }) (parse_int "horizon" v))
-            | [ "expect"; "pass" ] -> t := { !t with expect = Expect_pass }
-            | [ "expect"; "any" ] -> t := { !t with expect = Expect_any }
-            | [ "expect"; "fail"; oracle ] -> t := { !t with expect = Expect_fail oracle }
-            | "step" :: at :: action_words -> (
-                match parse_int "step time" at with
-                | Error e -> fail e
-                | Ok at_ms -> (
-                    match parse_action action_words with
-                    | Ok action -> steps := { at_ms; action } :: !steps
-                    | Error e -> fail e))
-            | [ "end" ] -> ended := true
-            | _ -> fail (Printf.sprintf "unparseable line %S" l))
-        rest;
-      (match !err with
-      | Some e -> Error e
-      | None ->
-          if not !ended then Error "missing end line"
-          else
-            let t = { !t with steps = List.rev !steps } in
-            if t.f < 0 || t.c < 0 then Error "negative f or c"
-            else if t.clients < 1 then Error "need at least one client"
-            else if t.requests < 1 then Error "need at least one request"
-            else if t.horizon_ms < 1 then Error "horizon must be positive"
-            else
-              let bad_pool =
-                match t.adversary with
-                | None -> false
-                | Some a -> List.exists (fun n -> n >= num_replicas t) a.pool
-              in
-              if bad_pool then Error "adversary pool names a non-replica node"
-              else Ok { t with steps = sorted_steps t })
+      let* t = body (default ~name:"unnamed" ~seed:1L) [] rest in
+      validate t
   | _ -> Error "not an sbft-schedule v1 file"
 
 (* ------------------------------------------------------------------ *)

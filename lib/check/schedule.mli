@@ -124,7 +124,7 @@ type t = {
           state-transfer + view-discovery probes after recovery — the
           defenseless baseline the rollback-attack twins must fail. *)
   mutation : Sbft_core.Config.mutation option;
-      (** {!Runner} runs [Weak_sigma_quorum] with the sanitizer off so
+      (** {!config} runs [Weak_sigma_quorum] with the sanitizer off so
           the agreement oracle observes the divergence, and the other
           two with it on: the runtime cross-check derives thresholds
           independently of [Config], so the sanitizer oracle itself
@@ -138,8 +138,17 @@ type t = {
   steps : step list;
 }
 
+val config : t -> Sbft_core.Config.t
+(** The cluster configuration the schedule runs: full SBFT with the
+    header's window, switches and mutation (see [mutation] for the
+    sanitizer). *)
+
 val num_replicas : t -> int
 val num_nodes : t -> int
+
+val byz_keywords : (Sbft_core.Replica.byzantine * string) list
+val policy_keywords : (policy * string) list
+(** The [byz] and [adversary] keywords, in the order {!Gen} draws from. *)
 
 val default : name:string -> seed:int64 -> t
 (** A small healthy baseline (f=1, c=0, 2 clients, no steps). *)
@@ -149,8 +158,10 @@ val sorted_steps : t -> step list
 
 val to_string : t -> string
 val parse : string -> (t, string) result
-(** [parse (to_string t)] succeeds, and re-emitting the result is
-    byte-identical. *)
+(** [parse (to_string t)] succeeds when [t]'s configuration passes
+    {!Sbft_core.Config.validate}, and re-emitting the result is
+    byte-identical.  A configuration [Config.validate] rejects is a
+    parse error carrying its message. *)
 
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result

@@ -50,64 +50,47 @@ let ddmin_steps ~oracle sched =
   let still_fails steps = Runner.fails_on (with_steps sched steps) ~oracle in
   with_steps sched (ddmin ~still_fails sched.Schedule.steps)
 
-(* Halve the closed-loop workload while the failure persists. *)
-let shrink_requests ~oracle sched =
+(* The one halving loop: move to [smaller sched] while the failure
+   persists, and stop at the first candidate that passes or when
+   [smaller] has none. *)
+let shrink_while ~oracle smaller sched =
   let rec loop sched =
-    let requests = sched.Schedule.requests / 2 in
-    if requests < 1 then sched
-    else
-      let candidate = { sched with Schedule.requests } in
-      if Runner.fails_on candidate ~oracle then loop candidate else sched
+    match smaller sched with
+    | Some candidate when Runner.fails_on candidate ~oracle -> loop candidate
+    | _ -> sched
   in
   loop sched
 
-let shrink_clients ~oracle sched =
-  let rec loop sched =
-    let clients = sched.Schedule.clients - 1 in
-    if clients < 1 then sched
-    else
-      let candidate = { sched with Schedule.clients } in
-      if Runner.fails_on candidate ~oracle then loop candidate else sched
-  in
-  loop sched
+let fewer_requests (s : Schedule.t) =
+  let requests = s.Schedule.requests / 2 in
+  if requests < 1 then None else Some { s with Schedule.requests }
 
-(* Shrink the adaptive adversary along its two extra axes: the action
+let fewer_clients (s : Schedule.t) =
+  let clients = s.Schedule.clients - 1 in
+  if clients < 1 then None else Some { s with Schedule.clients }
+
+(* The adaptive adversary shrinks along its two extra axes: the action
    budget (how often the policy may react) and the observation horizon
-   (how long it watches).  Halving loops like the workload passes; a
-   final probe tries dropping the adversary outright — many failures
-   blamed on the policy turn out to be static-schedule bugs, and the
-   minimal artifact should say so. *)
-let shrink_adversary ~oracle sched =
-  match sched.Schedule.adversary with
-  | None -> sched
-  | Some _ ->
-      let try_adv sched a =
-        let candidate = { sched with Schedule.adversary = Some a } in
-        if Runner.fails_on candidate ~oracle then Some candidate else None
-      in
-      let rec budget sched =
-        match sched.Schedule.adversary with
-        | Some a when a.Schedule.budget > 0 -> (
-            match try_adv sched { a with Schedule.budget = a.Schedule.budget / 2 } with
-            | Some smaller -> budget smaller
-            | None -> sched)
-        | _ -> sched
-      in
-      let rec horizon sched =
-        match sched.Schedule.adversary with
-        | Some a when a.Schedule.until_ms > a.Schedule.from_ms -> (
-            let span = a.Schedule.until_ms - a.Schedule.from_ms in
-            match
-              try_adv sched { a with Schedule.until_ms = a.Schedule.from_ms + (span / 2) }
-            with
-            | Some smaller -> horizon smaller
-            | None -> sched)
-        | _ -> sched
-      in
-      let sched = budget sched in
-      let sched = horizon sched in
-      let without = { sched with Schedule.adversary = None } in
-      if Runner.fails_on without ~oracle then without else sched
+   (how long it watches).  A final probe tries dropping the adversary
+   outright — many failures blamed on the policy turn out to be
+   static-schedule bugs, and the minimal artifact should say so. *)
+let adversary_pass shrink (s : Schedule.t) =
+  Option.bind s.Schedule.adversary (fun a ->
+      Option.map (fun a -> { s with Schedule.adversary = Some a }) (shrink a))
+
+let smaller_budget =
+  adversary_pass (fun (a : Schedule.adversary) ->
+      if a.Schedule.budget > 0 then Some { a with Schedule.budget = a.Schedule.budget / 2 }
+      else None)
+
+let shorter_horizon =
+  adversary_pass (fun (a : Schedule.adversary) ->
+      let span = a.Schedule.until_ms - a.Schedule.from_ms in
+      if span > 0 then Some { a with Schedule.until_ms = a.Schedule.from_ms + (span / 2) }
+      else None)
+
+let without_adversary (s : Schedule.t) =
+  Option.map (fun _ -> { s with Schedule.adversary = None }) s.Schedule.adversary
 
 (* [minimize ~oracle sched] assumes [sched] currently fails on [oracle]
    and returns a locally minimal schedule that still does, renamed and
@@ -115,17 +98,19 @@ let shrink_adversary ~oracle sched =
 
    Workload halving runs BEFORE step-ddmin: every ddmin probe replays
    the whole schedule, so at n ≥ 20 replicas an un-shrunk closed-loop
-   workload multiplied across ddmin's O(steps²) worst-case probes blows
-   the CI fuzz-smoke budget.  Requests/clients shrink in a handful of
+   workload multiplied across ddmin's O(steps²) worst-case probes makes
+   shrinking slow.  Requests/clients shrink in a handful of
    cheap halving runs and every subsequent probe inherits the smaller
    workload; a second requests pass after ddmin catches reductions the
    full step list was blocking. *)
 let minimize ~oracle sched =
-  let sched = shrink_requests ~oracle sched in
-  let sched = shrink_clients ~oracle sched in
-  let sched = shrink_adversary ~oracle sched in
-  let sched = ddmin_steps ~oracle sched in
-  let sched = shrink_requests ~oracle sched in
+  let sched =
+    List.fold_left
+      (fun sched smaller -> shrink_while ~oracle smaller sched)
+      sched
+      [ fewer_requests; fewer_clients; smaller_budget; shorter_horizon; without_adversary ]
+  in
+  let sched = shrink_while ~oracle fewer_requests (ddmin_steps ~oracle sched) in
   {
     sched with
     Schedule.name = sched.Schedule.name ^ "-shrunk";

@@ -21,7 +21,7 @@ val minimize : oracle:string -> Schedule.t -> Schedule.t
     Pass order: workload halving (requests, then clients) runs FIRST so
     every subsequent ddmin probe replays the cheapest workload that
     still reproduces — un-shrunk workloads multiplied across ddmin's
-    probe count are what blew the CI budget at n ≥ 20.  The adaptive
+    probe count are what made shrinking slow at n ≥ 20.  The adaptive
     adversary (if any) then shrinks along its own axes — action budget
     halving, observation-horizon halving, and a drop-it-entirely probe
     (a failure that persists without the adversary is a static bug and

@@ -46,7 +46,7 @@ let quorum_bft t = (2 * t.f) + 1
 let active_window t = max 1 (t.win / 4)
 let checkpoint_interval t = max 1 (t.win / 2)
 
-let default ~f ~c =
+let sbft ~f ~c =
   {
     f;
     c;
@@ -63,9 +63,8 @@ let default ~f ~c =
     mutation = None;
   }
 
-let linear_pbft ~f = { (default ~f ~c:0) with fast_path = false; execution_acks = false }
-let linear_pbft_fast ~f = { (default ~f ~c:0) with execution_acks = false }
-let sbft ~f ~c = default ~f ~c
+let linear_pbft ~f = { (sbft ~f ~c:0) with fast_path = false; execution_acks = false }
+let linear_pbft_fast ~f = { (sbft ~f ~c:0) with execution_acks = false }
 
 let validate t =
   if t.f < 0 then Error "f must be non-negative"

@@ -104,9 +104,6 @@ val active_window : t -> int
 val checkpoint_interval : t -> int
 (** [win/2]. *)
 
-val default : f:int -> c:int -> t
-(** Full SBFT with all four ingredients. *)
-
 val linear_pbft : f:int -> t
 (** Ingredient 1 only: collectors and threshold signatures, no fast
     path, direct f+1 client replies, c = 0. *)

@@ -94,7 +94,7 @@ let contract_bench scale region =
   let clients = 4 in
   let duration = Engine.sec 4 in
   Printf.printf "%!\n=== Smart-contract benchmark (%s-scale WAN, f=%d) ===\n"
-    (match region with `Continent -> "continent" | `World -> "world")
+    (List.assoc topology Topology.kind_names)
     f;
   let points =
     List.map

@@ -326,12 +326,7 @@ let csv_of_points points =
         | Scenario.Kv { batching } -> if batching then "kv-batch" else "kv-nobatch"
         | Scenario.Eth -> "eth"
       in
-      let topo =
-        match s.Scenario.topology with
-        | `Lan -> "lan"
-        | `Continent -> "continent"
-        | `World -> "world"
-      in
+      let topo = List.assoc s.Scenario.topology Sbft_sim.Topology.kind_names in
       Buffer.add_string b
         (Printf.sprintf "%s,%d,%s,%d,%d,%s,%.1f,%.2f,%.2f,%.2f,%.2f,%d,%d,%d,%.3f,%d,%b\n"
            (Scenario.protocol_name s.Scenario.protocol)

@@ -108,6 +108,9 @@ let sample_latency t rng ~src ~dst =
 
 type kind = [ `Lan | `Continent | `World ]
 
+let kind_names : (kind * string) list =
+  [ (`Lan, "lan"); (`Continent, "continent"); (`World, "world") ]
+
 let of_kind : kind -> num_nodes:int -> t = function
   | `Lan -> lan
   | `Continent -> continent

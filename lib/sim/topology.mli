@@ -30,6 +30,10 @@ val world : num_nodes:int -> t
 type kind = [ `Lan | `Continent | `World ]
 (** The three profiles above, by name. *)
 
+val kind_names : (kind * string) list
+(** Each kind with the name the schedule DSL, [bench/main.exe point
+    --topology] and the benchmark headers use for it. *)
+
 val of_kind : kind -> num_nodes:int -> t
 (** [of_kind `Lan] is {!lan}, and so on. *)
 

@@ -131,7 +131,17 @@ let test_parse_rejects () =
   reject "bad action" "sbft-schedule v1\nstep 100 explode 3\nend\n";
   reject "bad drop" "sbft-schedule v1\nstep 100 drop 1.5\nend\n";
   reject "bad topology" "sbft-schedule v1\ntopology moon\nend\n";
-  reject "zero clients" "sbft-schedule v1\nclients 0\nend\n"
+  reject "zero clients" "sbft-schedule v1\nclients 0\nend\n";
+  (* A configuration Config.validate rejects is a parse error with its
+     message, not an Invalid_argument from Cluster.create at replay. *)
+  let config_error what text msg =
+    match Schedule.parse text with
+    | Ok _ -> Alcotest.failf "%s unexpectedly parsed" what
+    | Error e -> check_str what msg e
+  in
+  config_error "window below 4" "sbft-schedule v1\nwin 2\nend\n" "win must be at least 4";
+  config_error "fewer than 4 replicas" "sbft-schedule v1\nf 0\nc 0\nend\n"
+    "need at least 4 replicas"
 
 let test_parse_comments_and_whitespace () =
   let text =
