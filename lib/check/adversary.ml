@@ -17,9 +17,9 @@
 
    Policies act only through schedule actions (Byzantine flavour flips,
    node isolation) that the runner applies like static steps, each
-   costing one unit of the schedule's [budget].  Shrinking therefore has two extra axes: a
-   smaller budget (fewer reactions) and a shorter [from/until] horizon
-   (less observation) — see {!Shrink}. *)
+   costing one unit of the schedule's [budget].  Shrinking therefore
+   has two extra axes: a smaller budget (fewer reactions) and a shorter
+   [from/until] horizon (less observation) — see {!Shrink}. *)
 
 open Sbft_core
 open Sbft_sim

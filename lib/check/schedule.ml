@@ -238,8 +238,8 @@ let parse_expect = function
   | _ -> None
 
 (* One header line: [key], then the words [print] gives for the value
-   ([None] leaves the line out).  [parse] reads them back, and is [None]
-   when they have the wrong shape. *)
+   ([None] leaves the line out).  The [parse] given to [field] reads
+   those words back, and is [None] when they have the wrong shape. *)
 type field = {
   key : string;
   print : t -> string option;
