@@ -17,7 +17,7 @@
      bench/main.exe regress --paper [--only NAME] [--budget-wall-s N]
                                     paper-scale smoke (n=193-209, ~102k ops
                                     per row); writes bench_out/paper_profile.json
-                                    and fails rows over the wall budget
+                                    and fails rows over the CPU-time budget
      bench/main.exe regress --sweep S [--only NAME]
                                     seeded sweep of the paper family, S seeds;
                                     mean +/- 95% CI -> bench_out/seed_sweep.json
@@ -187,12 +187,14 @@ let micro () =
    bad flag. *)
 
 let point_usage =
-  "usage: point [-p|--protocol pbft|linear-pbft|linear-pbft-fast|sbft|sbft-<c>] [-f F]\n\
-  \             [-w|--workload kv-batch|kv-nobatch|eth] [--clients N] [--failures N]\n\
-  \             [--topology lan|continent|world] [--duration S] [--warmup S]\n\
-  \             [--seed N] [--csv FILE]\n\
-  \       defaults: sbft, f=2, kv-batch, 16 clients, 0 failures, continent,\n\
-  \       2 s measured after 1 s warmup (virtual), seed 1\n"
+  Printf.sprintf
+    "usage: point [-p|--protocol pbft|linear-pbft|linear-pbft-fast|sbft|sbft-<c>] [-f F]\n\
+    \             [-w|--workload kv-batch|kv-nobatch|eth] [--clients N] [--failures N]\n\
+    \             [--topology %s] [--duration S] [--warmup S]\n\
+    \             [--seed N] [--csv FILE]\n\
+    \       defaults: sbft, f=2, kv-batch, 16 clients, 0 failures, continent,\n\
+    \       2 s measured after 1 s warmup (virtual), seed 1\n"
+    (String.concat "|" (List.map snd Sbft_sim.Topology.kind_names))
 
 let point args =
   let protocol = ref (Scenario.SBFT 0) and f = ref 2 and clients = ref 16 in
@@ -282,8 +284,8 @@ let regress_baseline_path = "bench/baseline.json"
 
 (* Paper-scale smoke (CI): run the n=193/209 family with its finite
    ~102k-operation budget, write the profile artifact, and (optionally)
-   fail on an absolute wall-clock budget — the only place wall time
-   gates anything. *)
+   fail on an absolute budget of host CPU time ([Sys.time]) — the only
+   place host time gates anything. *)
 let regress_paper ~only ~budget_wall_s ~sweep_seeds =
   match sweep_seeds with
   | Some seeds ->
@@ -327,7 +329,7 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
           | Some budget when entry.Regress.wall_ms > budget *. 1000. ->
               incr failures;
               Printf.eprintf
-                "paper: %s took %.1f s of wall clock (budget %.0f s)\n%!"
+                "paper: %s took %.1f s of host CPU time (budget %.0f s)\n%!"
                 entry.Regress.name
                 (entry.Regress.wall_ms /. 1000.)
                 budget
@@ -336,7 +338,7 @@ let regress_paper ~only ~budget_wall_s ~sweep_seeds =
       if !failures > 0 then exit 1;
       Printf.printf "paper-scale smoke: OK%s\n%!"
         (match budget_wall_s with
-        | Some b -> Printf.sprintf " (within %.0f s wall budget per row)" b
+        | Some b -> Printf.sprintf " (within %.0f s CPU-time budget per row)" b
         | None -> "")
 
 let regress ~scale ~update_baseline =

@@ -56,9 +56,9 @@ let apply (cluster : Cluster.t) (sched : Schedule.t) action =
       if valid_node src && valid_node dst then
         Network.set_extra_delay cluster.Cluster.network ~src ~dst (Engine.ms delay_ms)
   | Schedule.Isolate node ->
-      if valid_node node then Network.isolate_node cluster.Cluster.network ~node ~num_nodes
+      if valid_node node then Network.isolate_node cluster.Cluster.network ~node
   | Schedule.Reconnect node ->
-      if valid_node node then Network.reconnect_node cluster.Cluster.network ~node ~num_nodes
+      if valid_node node then Network.reconnect_node cluster.Cluster.network ~node
   | Schedule.Byzantine (node, b) ->
       if node >= 0 && node < n then Replica.set_byzantine cluster.Cluster.replicas.(node) b
   | Schedule.Slow (node, scale) ->
@@ -68,7 +68,7 @@ let apply (cluster : Cluster.t) (sched : Schedule.t) action =
         Network.set_flap cluster.Cluster.network ~src ~dst ~period:(Engine.ms period_ms)
           ~up:(Engine.ms up_ms)
   | Schedule.Unflap node ->
-      if valid_node node then Network.clear_flap_node cluster.Cluster.network ~node ~num_nodes
+      if valid_node node then Network.clear_flap_node cluster.Cluster.network ~node
   | Schedule.Fsync_delay (node, scale) ->
       if node >= 0 && node < n then Replica.set_fsync_scale cluster.Cluster.replicas.(node) scale
   | Schedule.Rollback (node, before) ->

@@ -84,7 +84,8 @@ let submit t ctx ~op =
       in
       Engine.charge ctx Cost_model.rsa_sign;
       let request =
-        { request with Types.signature = Pki.sign t.keypair (Types.request_digest request) }
+        { request with
+          Types.signature = Pki.sign t.keypair (Keys.request_digest t.env.Replica.keys request) }
       in
       let p =
         {

@@ -1,20 +1,17 @@
 let primary ~config ~view = view mod Config.n config
 
-(* Deterministic pseudo-random choice of [count] distinct non-primary
+(* Deterministic pseudo-random choice of [c + 1] distinct non-primary
    replicas for (view, seq, salt): hash-seeded selection so every
-   replica computes the same groups without communication. *)
-let memo : (int * int * int * int * int, int list) Hashtbl.t = Hashtbl.create 4096
-
-let pick ~config ~view ~seq ~salt ~count =
-  let n = Config.n config in
-  let p = primary ~config ~view in
-  let count = min count (n - 1) in
-  match Hashtbl.find_opt memo (n, view, seq, salt, count) with
-  | Some cached -> cached
-  | None ->
-  let chosen = ref [] in
+   replica computes the same groups without communication.  The
+   cluster's keys memoize each group. *)
+let pick keys ~view ~seq ~salt =
+  Keys.collector_group keys ~view ~seq ~salt (fun () ->
+      let config = keys.Keys.config in
+      let n = Config.n config in
+      let count = min (config.Config.c + 1) (n - 1) in
+      let chosen = ref [] in
       let taken = Array.make n false in
-      taken.(p) <- true;
+      taken.(primary ~config ~view) <- true;
       let attempt = ref 0 in
       let found = ref 0 in
       while !found < count do
@@ -31,16 +28,14 @@ let pick ~config ~view ~seq ~salt ~count =
         end;
         incr attempt
       done;
-      let result = List.rev !chosen in
-      Hashtbl.replace memo (n, view, seq, salt, count) result;
-      result
+      List.rev !chosen)
 
-let c_collectors ~config ~view ~seq = pick ~config ~view ~seq ~salt:1 ~count:(config.Config.c + 1)
+let c_collectors keys ~view ~seq = pick keys ~view ~seq ~salt:1
 
-let e_collectors ~config ~view ~seq = pick ~config ~view ~seq ~salt:2 ~count:(config.Config.c + 1)
+let e_collectors keys ~view ~seq = pick keys ~view ~seq ~salt:2
 
-let slow_path_collectors ~config ~view ~seq =
-  c_collectors ~config ~view ~seq @ [ primary ~config ~view ]
+let slow_path_collectors keys ~view ~seq =
+  c_collectors keys ~view ~seq @ [ primary ~config:keys.Keys.config ~view ]
 
 let rank lst r =
   let rec go i = function

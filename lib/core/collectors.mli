@@ -11,12 +11,13 @@
 
 val primary : config:Config.t -> view:int -> int
 
-val c_collectors : config:Config.t -> view:int -> seq:int -> int list
-(** [c + 1] distinct non-primary replicas (fewer only when n is tiny). *)
+val c_collectors : Keys.t -> view:int -> seq:int -> int list
+(** [c + 1] distinct non-primary replicas (fewer only when n is tiny),
+    memoized in the cluster's keys. *)
 
-val e_collectors : config:Config.t -> view:int -> seq:int -> int list
+val e_collectors : Keys.t -> view:int -> seq:int -> int list
 
-val slow_path_collectors : config:Config.t -> view:int -> seq:int -> int list
+val slow_path_collectors : Keys.t -> view:int -> seq:int -> int list
 (** C-collectors with the primary as the final fallback collector. *)
 
 val rank : int list -> int -> int option

@@ -1,17 +1,63 @@
 open Sbft_crypto
 
-(* Every replica authenticates every request; the request objects are
-   physically shared across the simulated nodes, so the (deterministic)
-   verification outcome is memoized by physical identity, per cluster:
-   another cluster's keys give another answer. *)
-module Req_memo = Ephemeron.K1.Make (struct
+(* Every replica hashes and checks the same requests, blocks and
+   collector groups, so the cluster memoizes them, keyed by value.  A
+   memo is cleared when it outgrows [points_cap]: each value is a pure
+   function of its key, so clearing changes no result. *)
+let points_cap = 4096
+
+module Memo (K : Hashtbl.HashedType) = struct
+  include Hashtbl.Make (K)
+
+  let find_or tbl key compute =
+    match find_opt tbl key with
+    | Some v -> v
+    | None ->
+        if length tbl >= points_cap then reset tbl;
+        let v = compute () in
+        replace tbl key v;
+        v
+end
+
+(* A request by all its fields, hashed on (client, timestamp) only: on a
+   hit the op and signature strings are the ones every replica shares,
+   so [String.equal] returns at once and no op payload is hashed. *)
+module Request = struct
   type t = Types.request
 
-  let equal = ( == )
-  let hash (r : Types.request) = (r.client * 1_000_003) lxor r.timestamp
+  let hash (r : t) = (r.client * 1_000_003) lxor r.timestamp
+
+  let equal (a : t) (b : t) =
+    Int.equal a.client b.client && Int.equal a.timestamp b.timestamp
+    && String.equal a.op b.op && String.equal a.signature b.signature
+end
+
+module Req_memo = Memo (Request)
+
+module Block_memo = Memo (struct
+  type t = int * int * Types.request list
+
+  let hash (seq, view, _) = (seq * 1_000_003) lxor view
+
+  let equal (s, v, reqs) (s', v', reqs') =
+    Int.equal s s' && Int.equal v v' && List.equal Request.equal reqs reqs'
 end)
 
-type verify_memo = bool Req_memo.t
+(* (view, seq, salt): [n] and the group size are fixed per cluster. *)
+module Group_memo = Memo (struct
+  type t = int * int * int
+
+  let hash (view, seq, salt) = (((view * 1_000_003) lxor seq) * 4) + salt
+
+  let equal (v, s, k) (v', s', k') = Int.equal v v' && Int.equal s s' && Int.equal k k'
+end)
+
+type memos = {
+  digests : string Req_memo.t;
+  verified : bool Req_memo.t;
+  blocks : string Block_memo.t;
+  groups : int list Group_memo.t;
+}
 
 type t = {
   config : Config.t;
@@ -22,7 +68,7 @@ type t = {
   replica_pks : Pki.public_key array;
   client_pks : Pki.public_key array;
   points : (string, Field.t) Hashtbl.t;
-  verified : verify_memo;
+  memos : memos;
 }
 
 type replica_keys = {
@@ -52,7 +98,13 @@ let setup rng ~config ~num_clients =
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
       points = Hashtbl.create 256;
-      verified = Req_memo.create 256;
+      memos =
+        {
+          digests = Req_memo.create 256;
+          verified = Req_memo.create 256;
+          blocks = Block_memo.create 256;
+          groups = Group_memo.create 256;
+        };
     }
   in
   let replica_keys =
@@ -72,8 +124,6 @@ let setup rng ~config ~num_clients =
    block (h, τ(h)'s message, the π message), so the cluster hashes each
    to its field point once.  The point is a pure function of the
    message, and the table is cleared when it outgrows [points_cap]. *)
-let points_cap = 4096
-
 let hash_to_field t msg =
   match Hashtbl.find_opt t.points msg with
   | Some h -> h
@@ -83,18 +133,23 @@ let hash_to_field t msg =
       Hashtbl.replace t.points msg h;
       h
 
+let request_digest t r = Req_memo.find_or t.memos.digests r (fun () -> Types.request_digest r)
+
+let block_hash t ~seq ~view ~reqs =
+  Block_memo.find_or t.memos.blocks (seq, view, reqs) (fun () ->
+      Types.block_hash_with ~digest:(request_digest t) ~seq ~view ~reqs)
+
+let collector_group t ~view ~seq ~salt pick =
+  Group_memo.find_or t.memos.groups (view, seq, salt) pick
+
 let client_pk t cid = t.client_pks.(cid - Config.n t.config)
 
+(* The verdict keys on the signature too: the same fields under a
+   forged signature are checked afresh. *)
 let verify_request t (r : Types.request) =
-  match Req_memo.find_opt t.verified r with
-  | Some ok -> ok
-  | None ->
+  Req_memo.find_or t.memos.verified r (fun () ->
       let cid = r.client in
       let n = Config.n t.config in
-      let ok =
-        cid >= n
-        && cid < n + Array.length t.client_pks
-        && Pki.verify (client_pk t cid) (Types.request_digest r) r.signature
-      in
-      Req_memo.replace t.verified r ok;
-      ok
+      cid >= n
+      && cid < n + Array.length t.client_pks
+      && Pki.verify (client_pk t cid) (request_digest t r) r.signature)

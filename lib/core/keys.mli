@@ -6,8 +6,9 @@
     between clients and replicas, §III); the per-replica signing keys
     are handed to each replica, verification material is public. *)
 
-type verify_memo
-(** {!verify_request}'s memo, keyed by the request's physical identity. *)
+type memos
+(** The cluster's memos of {!request_digest}, {!verify_request},
+    {!block_hash} and {!collector_group}, keyed by value. *)
 
 type t = {
   config : Config.t;
@@ -19,7 +20,7 @@ type t = {
   client_pks : Sbft_crypto.Pki.public_key array;  (** indexed client-id − n *)
   points : (string, Sbft_crypto.Field.t) Hashtbl.t;
       (** {!hash_to_field}'s memo, owned by the cluster. *)
-  verified : verify_memo;  (** {!verify_request}'s memo, owned by the cluster. *)
+  memos : memos;  (** owned by the cluster, like [points] *)
 }
 
 type replica_keys = {
@@ -43,6 +44,22 @@ val hash_to_field : t -> string -> Sbft_crypto.Field.t
     [Threshold] [_h] functions. *)
 
 val points_cap : int
-(** The memo holds at most this many messages; it is cleared when full. *)
+(** Each memo holds at most this many entries; it is cleared when full. *)
+
+val request_digest : t -> Types.request -> string
+(** {!Types.request_digest} through the cluster's memo, keyed by the
+    request's fields: every replica's check of a request hashes it once
+    per cluster. *)
+
+val block_hash : t -> seq:int -> view:int -> reqs:Types.request list -> string
+(** {!Types.block_hash} through the cluster's memo, keyed by
+    [(seq, view, reqs)], with request digests from {!request_digest}. *)
+
+val collector_group : t -> view:int -> seq:int -> salt:int -> (unit -> int list) -> int list
+(** [collector_group t ~view ~seq ~salt pick] is [pick ()], memoized by
+    [(view, seq, salt)]; {!Collectors} is the only caller. *)
 
 val verify_request : t -> Types.request -> bool
+(** The client's signature over {!request_digest} verifies under its
+    public key.  The verdict is memoized by every field of the request,
+    the signature included. *)

@@ -520,12 +520,11 @@ let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
   (sigma_share, tau_share)
 
 let send_sign_shares t ctx ~seq ~view (sigma_share, tau_share) =
-  let config = cfg t in
   List.iter
     (fun c ->
       send t ctx ~dst:c
         (Types.Sign_share { seq; view; sigma_share; tau_share; replica = t.id }))
-    (Collectors.slow_path_collectors ~config ~view ~seq)
+    (Collectors.slow_path_collectors (keys t) ~view ~seq)
 
 (* A fresh promise: sign, persist the accepted block, then send. *)
 let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
@@ -744,7 +743,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
     Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real_reqs * Cost_model.rsa_verify));
     if List.for_all (fun r -> Keys.verify_request (keys t) r) real_reqs then begin
       Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-      let h = Types.block_hash ~seq ~view ~reqs in
+      let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
       List.iter (mark_outstanding t) real_reqs;
@@ -769,8 +768,8 @@ and on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica =
 and collector_check t ctx sl ~view =
   let config = cfg t in
   let seq = sl.seq in
-  let fast_collectors = Collectors.c_collectors ~config ~view ~seq in
-  let slow_collectors = Collectors.slow_path_collectors ~config ~view ~seq in
+  let fast_collectors = Collectors.c_collectors (keys t) ~view ~seq in
+  let slow_collectors = Collectors.slow_path_collectors (keys t) ~view ~seq in
   (* Fast path: combine σ when 3f+c+1 shares arrived. *)
   (match Collectors.rank fast_collectors t.id with
   | Some rank when config.Config.fast_path -> (
@@ -919,7 +918,7 @@ and on_prepare t ctx ~seq ~view ~tau =
                   Threshold.share_sign_h t.my.Keys.tau_sk
                     ~h:(Keys.hash_to_field (keys t) (Types.tau2_message tau))
             in
-            let collectors = Collectors.slow_path_collectors ~config ~view ~seq in
+            let collectors = Collectors.slow_path_collectors (keys t) ~view ~seq in
             List.iter
               (fun c -> send t ctx ~dst:c (Types.Commit { seq; view; share }))
               collectors
@@ -1060,7 +1059,7 @@ and try_execute t ctx =
           List.iter
             (fun e ->
               send t ctx ~dst:e (Types.Sign_state { seq = next; digest; share }))
-            (Collectors.e_collectors ~config ~view:0 ~seq:next
+            (Collectors.e_collectors (keys t) ~view:0 ~seq:next
             @ [ primary_of t t.view ])
         end;
         (* Direct f+1 replies when execution acks are off. *)
@@ -1122,7 +1121,7 @@ and on_sign_state t ctx ~seq ~digest ~share =
       stash_add bucket share.Threshold.signer share;
       if bucket.count >= Config.pi_threshold config then begin
         let e_list =
-          Collectors.e_collectors ~config ~view:0 ~seq @ [ primary_of t t.view ]
+          Collectors.e_collectors (keys t) ~view:0 ~seq @ [ primary_of t t.view ]
         in
         let rank = Option.value (Collectors.rank e_list t.id) ~default:0 in
         let act ctx =
@@ -1269,7 +1268,7 @@ and on_block_resp t ctx ~seq ~view ~reqs =
   let sl = slot t seq in
   if sl.pp = None then begin
     Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-    let h = Types.block_hash ~seq ~view ~reqs in
+    let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
     sl.pp <- Some (view, reqs, h);
     try_pending_proofs t ctx sl
   end
@@ -1426,7 +1425,7 @@ and adopt_block_suffix t ctx blocks =
       if !ok && Int.equal s (last_executed t + 1) then begin
         let sl = slot t s in
         if sl.committed = None then begin
-          let h = Types.block_hash ~seq:s ~view ~reqs in
+          let h = Keys.block_hash (keys t) ~seq:s ~view ~reqs in
           if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view ~h cert
           else ok := false
         end
@@ -1655,7 +1654,7 @@ and on_new_view t ctx ~view ~proofs =
             (* A decided slot commits under the certificate the proofs
                carry (validated with them). *)
             let decided cert ~reqs ~pview =
-              let h = Types.block_hash ~seq ~view:pview ~reqs in
+              let h = Keys.block_hash (keys t) ~seq ~view:pview ~reqs in
               sl.pp <- Some (pview, reqs, h);
               commit t ctx sl ~reqs ~view:pview ~h cert
             in
@@ -1668,7 +1667,7 @@ and on_new_view t ctx ~view ~proofs =
               when sl.committed = None ->
                 (* Adopt as a pre-prepare of the new view. *)
                 let reqs = View_change.decision_reqs decision in
-                let h = Types.block_hash ~seq ~view ~reqs in
+                let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
                 sl.pp <- Some (view, reqs, h);
                 promise_block t ctx sl ~view ~reqs ~h ~corrupt:false
             | View_change.Adopt _ | View_change.Fill_null -> ()
@@ -1827,7 +1826,7 @@ let recover t ctx =
   let restore_commit seq (e : Sbft_store.Block_store.entry) =
     let reqs = ledger_reqs e in
     let view = e.Sbft_store.Block_store.view in
-    let h = Types.block_hash ~seq ~view ~reqs in
+    let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
     let sl = slot t seq in
     if sl.committed = None then begin
       Sanitizer.record_commit t.san ~seq ~view ~digest:h;
@@ -1879,7 +1878,7 @@ let recover t ctx =
             let sl = slot t seq in
             if sl.pp = None && sl.committed = None then begin
               let reqs = reqs_of_ops ops in
-              let h = Types.block_hash ~seq ~view ~reqs in
+              let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
               sl.pp <- Some (view, reqs, h);
               (* Honour the logged promise by re-issuing the identical
                  (deterministic) sign share — safe, and keeps the slot

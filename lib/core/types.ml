@@ -15,26 +15,7 @@ let request_bytes r =
   Codec.Writer.str w r.op;
   Codec.Writer.contents w
 
-(* Request values are shared physically between all simulated nodes, so
-   digests (and signature checks, see {!Keys}) are memoized by physical
-   identity: the host hashes each request once instead of once per
-   replica.  Weak keys let completed requests be collected. *)
-module Req_memo = Ephemeron.K1.Make (struct
-  type t = request
-
-  let equal = ( == )
-  let hash r = (r.client * 1_000_003) lxor r.timestamp
-end)
-
-let digest_memo : string Req_memo.t = Req_memo.create 4096
-
-let request_digest r =
-  match Req_memo.find_opt digest_memo r with
-  | Some d -> d
-  | None ->
-      let d = Sha256.digest (request_bytes r) in
-      Req_memo.replace digest_memo r d;
-      d
+let request_digest r = Sha256.digest (request_bytes r)
 
 type slow_cert =
   | Slow_committed of { tau : Field.t; tau_tau : Field.t; view : int; reqs : request list }
@@ -129,48 +110,15 @@ type msg =
               snapshot already covers). *)
     }
 
-(* Hashed by the first request's (client, timestamp), as [Req_memo]
-   hashes a request: never by the op payloads. *)
-module Block_memo = Ephemeron.K1.Make (struct
-  type t = request list
-
-  let equal = ( == )
-
-  let hash = function
-    | [] -> 0
-    | r :: _ -> (r.client * 1_000_003) lxor r.timestamp
-end)
-
-let block_memo : (int * int * string) list ref Block_memo.t = Block_memo.create 4096
-
-let compute_block_hash ~seq ~view ~reqs =
+let block_hash_with ~digest ~seq ~view ~reqs =
   let w = Codec.Writer.create () in
   Codec.Writer.raw w "sbft-block";
   Codec.Writer.u64 w seq;
   Codec.Writer.u64 w view;
-  Codec.Writer.list w (fun r -> Codec.Writer.raw w (request_digest r)) reqs;
+  Codec.Writer.list w (fun r -> Codec.Writer.raw w (digest r)) reqs;
   Sha256.digest (Codec.Writer.contents w)
 
-let block_hash ~seq ~view ~reqs =
-  match reqs with
-  | [] -> compute_block_hash ~seq ~view ~reqs
-  | _ -> (
-      let cell =
-        match Block_memo.find_opt block_memo reqs with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Block_memo.replace block_memo reqs c;
-            c
-      in
-      match
-        List.find_opt (fun (s, v, _) -> Int.equal s seq && Int.equal v view) !cell
-      with
-      | Some (_, _, h) -> h
-      | None ->
-          let h = compute_block_hash ~seq ~view ~reqs in
-          cell := (seq, view, h) :: !cell;
-          h)
+let block_hash = block_hash_with ~digest:request_digest
 
 let tau2_message tau = "sbft-tau2" ^ Threshold.signature_bytes tau
 

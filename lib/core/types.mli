@@ -15,6 +15,8 @@ type request = {
 }
 
 val request_digest : request -> string
+(** SHA-256 of the request's client, timestamp and op: what the client
+    signs.  Pure; {!Keys.request_digest} is the cluster's memo of it. *)
 
 (** {2 View-change payloads (§V-G)} *)
 
@@ -137,7 +139,13 @@ type msg =
 
 val block_hash : seq:int -> view:int -> reqs:request list -> string
 (** The [h = H(s ‖ v ‖ r)] every commit signature covers (canonical
-    encoding; SHA-256). *)
+    encoding; SHA-256).  Pure; {!Keys.block_hash} is the cluster's memo
+    of it. *)
+
+val block_hash_with :
+  digest:(request -> string) -> seq:int -> view:int -> reqs:request list -> string
+(** {!block_hash} with each request's digest taken from [digest], which
+    must agree with {!request_digest}. *)
 
 val tau2_message : Sbft_crypto.Field.t -> string
 (** Message covered by the second-level commit signature τ(τ(h)): the

@@ -21,10 +21,10 @@ let valid_slow_cert keys ~seq (cert : Types.slow_cert) =
   match cert with
   | No_commit -> true
   | Slow_prepared { tau; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
+      let h = Keys.block_hash keys ~seq ~view ~reqs in
       Threshold.verify keys.Keys.tau ~msg:h tau
   | Slow_committed { tau; tau_tau; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
+      let h = Keys.block_hash keys ~seq ~view ~reqs in
       Threshold.verify keys.Keys.tau ~msg:h tau
       && Threshold.verify keys.Keys.tau ~msg:(Types.tau2_message tau) tau_tau
 
@@ -32,14 +32,14 @@ let valid_fast_cert keys ~seq ~sender (cert : Types.fast_cert) =
   match cert with
   | No_preprepare -> true
   | Fast_preprepared { share; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
+      let h = Keys.block_hash keys ~seq ~view ~reqs in
       Int.equal share.Threshold.signer (sender + 1)
       (* A replica re-validating retransmitted view-change messages hits
          the per-(signer, msg, value) verdict cache instead of redoing
          the pairing check. *)
       && Threshold.share_verify_cached keys.Keys.sigma ~msg:h share
   | Fast_committed { sigma; view; reqs } ->
-      let h = Types.block_hash ~seq ~view ~reqs in
+      let h = Keys.block_hash keys ~seq ~view ~reqs in
       Threshold.verify keys.Keys.sigma ~msg:h sigma
 
 let valid_checkpoint keys ~ls = function
@@ -68,8 +68,8 @@ let select_stable ~keys msgs =
 (* ------------------------------------------------------------------ *)
 (* Per-slot safe value *)
 
-let reqs_key reqs =
-  Sha256.hex (Sha256.digest_list (List.map Types.request_digest reqs))
+let reqs_key keys reqs =
+  Sha256.hex (Sha256.digest_list (List.map (Keys.request_digest keys) reqs))
 
 (* Decision for one slot from the (already individually validated)
    certificates contributed by the quorum.  [entries] pairs each sender
@@ -114,7 +114,7 @@ let compute_slot keys ~seq entries =
           match (fast : Types.fast_cert) with
           | Fast_preprepared { view; reqs; _ }
             when valid_fast_cert keys ~seq ~sender fast ->
-              let key = reqs_key reqs in
+              let key = reqs_key keys reqs in
               let views, _ =
                 Option.value (Hashtbl.find_opt by_req key) ~default:([], reqs)
               in

@@ -27,8 +27,9 @@ type entry = {
   crypto_us : (string * float) list;
   (* v2: host-side cost of producing the virtual numbers.  [events] is
      deterministic (same code, same count); [minor_words] nearly so;
-     [wall_ms] and [events_per_sec] depend on the machine (gated only by
-     the paper-scale smoke budget). *)
+     [wall_ms] (host CPU time, despite the name) and [events_per_sec]
+     depend on the machine (gated only by the paper-scale smoke
+     budget). *)
   wall_ms : float;
   events : int;
   events_per_sec : float;
@@ -347,7 +348,7 @@ let print r =
   Printf.printf "\nBenchmark regression grid (%s)\n%s\n" r.schema
     (String.make 110 '-');
   Printf.printf "%-22s %-18s %3s %7s %10s %8s %8s %6s %8s %8s\n" "scenario"
-    "protocol" "n" "clients" "ops/s" "p50 ms" "p99 ms" "fast%" "wall ms"
+    "protocol" "n" "clients" "ops/s" "p50 ms" "p99 ms" "fast%" "cpu ms"
     "kev/s";
   List.iter
     (fun e ->
@@ -378,7 +379,7 @@ let print r =
 (* n = 3f + 2c + 1 at f = 64: the paper's system sizes (193 and 209).
    Each row carries a finite request budget — 64 clients × 25 batched
    requests × 64 ops/batch ≈ 102k operations — so its cost is bounded
-   by work done, not by a horizon: the CI wall budget then measures
+   by work done, not by a horizon: the CI CPU-time budget then measures
    simulator speed directly.  The view-change row crashes the initial
    primary mid-run and must still finish the full budget. *)
 let paper_clients = 64

@@ -23,9 +23,11 @@ type entry = {
       (** per-label simulated CPU (virtual microseconds) charged during
           the run, from {!Sbft_crypto.Cost_model.Tally} — sorted by
           label *)
-  wall_ms : float;  (** host wall clock for the row (host-dependent) *)
+  wall_ms : float;
+      (** host CPU time of the row ({!Scenario.point.host_seconds}, in
+          ms; host-dependent) *)
   events : int;  (** simulator events executed (deterministic) *)
-  events_per_sec : float;  (** events per host second (host-dependent) *)
+  events_per_sec : float;  (** events per host CPU second (host-dependent) *)
   minor_words : float;  (** minor-heap words allocated during the row *)
 }
 
@@ -77,7 +79,7 @@ val print : report -> unit
 (** {2 Paper-scale family}
 
     The n = 193/209 scenarios of the paper's evaluation (f = 64), each
-    with a finite ≈102k-operation budget so the CI wall budget measures
+    with a finite ≈102k-operation budget so the CI host CPU-time budget measures
     simulator speed, not a fixed horizon. *)
 
 val paper_clients : int
@@ -108,7 +110,7 @@ type sweep_row = {
   throughput : stat;
   p50_lat : stat;
   fast_frac : stat;
-  wall_s : stat;
+  wall_s : stat;  (** host CPU seconds per run, not wall clock *)
   ev_per_sec : stat;
 }
 

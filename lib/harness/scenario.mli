@@ -71,8 +71,10 @@ type point = {
   view_changes : int;
   agreement : bool;
   host_seconds : float;
+      (** host CPU seconds of the run ([Sys.time], process CPU time, not
+          wall clock; host-dependent) *)
   events : int;  (** simulator events executed *)
-  events_per_sec : float;  (** events per host second (host-dependent) *)
+  events_per_sec : float;  (** events per host CPU second (host-dependent) *)
   minor_words : float;  (** minor-heap words allocated (deterministic) *)
   profile : Sbft_sim.Engine.profile;  (** per-phase event counts *)
 }

@@ -256,7 +256,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
     Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real * Cost_model.rsa_verify));
     if List.for_all (fun r -> Keys.verify_request t.env.keys r) real then begin
       Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-      let h = Pbft_types.block_hash ~seq ~view ~reqs in
+      let h = Pbft_types.block_hash t.env.keys ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
       List.iter (mark_outstanding t) real;
       if not sl.sent_prepare then begin

@@ -103,24 +103,24 @@ let set_flap t ~src ~dst ~period ~up =
     t.flap_up.(i) <- max 0 up
   end
 
-let clear_flap_node t ~node ~num_nodes =
-  for other = 0 to num_nodes - 1 do
+let clear_flap_node t ~node =
+  for other = 0 to t.num_nodes - 1 do
     set_flap t ~src:node ~dst:other ~period:0 ~up:0;
     set_flap t ~src:other ~dst:node ~period:0 ~up:0
   done
 
 let set_drop_prob t p = t.drop_prob <- p
 
-let isolate_node t ~node ~num_nodes =
-  for other = 0 to num_nodes - 1 do
+let isolate_node t ~node =
+  for other = 0 to t.num_nodes - 1 do
     if other <> node then begin
       set_link t ~src:node ~dst:other ~up:false;
       set_link t ~src:other ~dst:node ~up:false
     end
   done
 
-let reconnect_node t ~node ~num_nodes =
-  for other = 0 to num_nodes - 1 do
+let reconnect_node t ~node =
+  for other = 0 to t.num_nodes - 1 do
     if other <> node then begin
       set_link t ~src:node ~dst:other ~up:true;
       set_link t ~src:other ~dst:node ~up:true

@@ -56,18 +56,18 @@ val set_flap : t -> src:int -> dst:int -> period:Engine.time -> up:Engine.time -
     [period <= 0] or [up >= period] clears the flap.  Directed: flap
     only one direction for an asymmetric gray link. *)
 
-val clear_flap_node : t -> node:int -> num_nodes:int -> unit
+val clear_flap_node : t -> node:int -> unit
 (** Clear flapping on every link touching [node] (both directions) —
     the heal counterpart of {!set_flap} for GST schedules. *)
 
 val set_drop_prob : t -> float -> unit
 
-val isolate_node : t -> node:int -> num_nodes:int -> unit
+val isolate_node : t -> node:int -> unit
 (** Take down every link to and from [node] (the node stays alive: its
     timers run, but nothing it sends leaves and nothing reaches it).
     Used by the schedule fuzzer to isolate a specific collector. *)
 
-val reconnect_node : t -> node:int -> num_nodes:int -> unit
+val reconnect_node : t -> node:int -> unit
 (** Undo {!isolate_node} (restores every link touching [node], including
     any taken down individually via {!set_link}). *)
 

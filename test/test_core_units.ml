@@ -41,6 +41,7 @@ let test_config_validate () =
 (* Collectors *)
 
 let config = Config.sbft ~f:4 ~c:2 (* n = 17 *)
+let keys, _, _ = Keys.setup (Sbft_sim.Rng.create 1L) ~config ~num_clients:1
 
 let test_primary_rotation () =
   check_int "view 0" 0 (Collectors.primary ~config ~view:0);
@@ -48,19 +49,19 @@ let test_primary_rotation () =
   check_int "wraps" 1 (Collectors.primary ~config ~view:(Config.n config + 1))
 
 let test_collectors_basic () =
-  let cs = Collectors.c_collectors ~config ~view:3 ~seq:42 in
+  let cs = Collectors.c_collectors keys ~view:3 ~seq:42 in
   check_int "c+1 collectors" 3 (List.length cs);
   check "no primary" false (List.mem (Collectors.primary ~config ~view:3) cs);
   check "distinct" true (List.sort_uniq compare cs = List.sort compare cs);
   check "in range" true (List.for_all (fun r -> r >= 0 && r < Config.n config) cs);
   (* Deterministic. *)
-  check "deterministic" true (cs = Collectors.c_collectors ~config ~view:3 ~seq:42)
+  check "deterministic" true (cs = Collectors.c_collectors keys ~view:3 ~seq:42)
 
 let test_collectors_rotate_with_seq () =
   let distinct =
     List.sort_uniq compare
       (List.concat_map
-         (fun seq -> Collectors.c_collectors ~config ~view:0 ~seq)
+         (fun seq -> Collectors.c_collectors keys ~view:0 ~seq)
          (List.init 50 (fun i -> i)))
   in
   (* Load spreads over many replicas (paper: round-robin revolving). *)
@@ -71,14 +72,14 @@ let test_collectors_differ_from_e_collectors () =
   let all_same =
     List.for_all
       (fun seq ->
-        Collectors.c_collectors ~config ~view:0 ~seq
-        = Collectors.e_collectors ~config ~view:0 ~seq)
+        Collectors.c_collectors keys ~view:0 ~seq
+        = Collectors.e_collectors keys ~view:0 ~seq)
       (List.init 20 (fun i -> i + 1))
   in
   check "independent groups" false all_same
 
 let test_slow_path_primary_last () =
-  let sc = Collectors.slow_path_collectors ~config ~view:7 ~seq:9 in
+  let sc = Collectors.slow_path_collectors keys ~view:7 ~seq:9 in
   check_int "primary is last" (Collectors.primary ~config ~view:7)
     (List.nth sc (List.length sc - 1))
 
@@ -212,6 +213,78 @@ let test_verify_memo_per_cluster () =
   check "B rejects after A" false (Keys.verify_request keys_b r);
   check "A still accepts" true (Keys.verify_request keys_a r)
 
+(* The cluster's request-digest and block-hash memos key by value: each
+   answer equals the pure [Types] function for equal but physically
+   distinct request lists, for an equivocated list at the same
+   (seq, view), and for requests rebuilt from the ledger without their
+   signatures. *)
+let test_block_memo () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let keys, _, _ = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let fresh s = String.init (String.length s) (String.get s) in
+  let reqs = [ req "a"; req "b" ] in
+  let copy = List.map (fun (r : Types.request) -> { r with op = fresh r.op }) reqs in
+  let equivocated = List.rev reqs @ [ View_change.null_request ] in
+  let ledger = List.map (fun (r : Types.request) -> { r with signature = "" }) reqs in
+  List.iter
+    (fun (name, reqs) ->
+      List.iter
+        (fun (r : Types.request) ->
+          check (name ^ " request digest") true
+            (String.equal (Types.request_digest r) (Keys.request_digest keys r)))
+        reqs;
+      check (name ^ " block hash") true
+        (String.equal
+           (Types.block_hash ~seq:4 ~view:1 ~reqs)
+           (Keys.block_hash keys ~seq:4 ~view:1 ~reqs)))
+    [ ("original", reqs); ("equal copy", copy); ("equivocated", equivocated);
+      ("ledger", ledger); ("original again", reqs) ];
+  check "equivocation changes h" false
+    (String.equal
+       (Keys.block_hash keys ~seq:4 ~view:1 ~reqs)
+       (Keys.block_hash keys ~seq:4 ~view:1 ~reqs:equivocated));
+  check "ledger copy keeps h" true
+    (String.equal
+       (Keys.block_hash keys ~seq:4 ~view:1 ~reqs)
+       (Keys.block_hash keys ~seq:4 ~view:1 ~reqs:ledger))
+
+(* The request verdict keys on the signature: the same fields under a
+   forged signature are rejected whether the signed request was checked
+   first or not. *)
+let test_verify_memo_signature () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let setup () = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let keys, _, clients = setup () in
+  let r = { Types.client = Config.n config; timestamp = 1; op = "op"; signature = "" } in
+  let signed = { r with signature = Sbft_crypto.Pki.sign clients.(0) (Types.request_digest r) } in
+  let forged = { signed with signature = String.make (String.length signed.signature) 'x' } in
+  check "signed accepted" true (Keys.verify_request keys signed);
+  check "forged rejected after signed" false (Keys.verify_request keys forged);
+  let keys, _, _ = setup () in
+  check "forged rejected first" false (Keys.verify_request keys forged);
+  check "signed accepted after forged" true (Keys.verify_request keys signed)
+
+(* Collector groups from a warm memo equal a fresh cluster's.  The fresh
+   cluster is asked for E groups first, so a memo that lost the salt
+   would answer C with the E group. *)
+let test_collector_memo () =
+  let pairs = List.init 200 (fun i -> (i mod 7, (i * 13) + 1)) in
+  let groups keys (view, seq) =
+    let c = Collectors.c_collectors keys ~view ~seq in
+    let e = Collectors.e_collectors keys ~view ~seq in
+    (c, e, Collectors.slow_path_collectors keys ~view ~seq)
+  in
+  List.iter (fun pair -> ignore (groups keys pair)) pairs;
+  let warm = List.map (groups keys) pairs in
+  let fresh, _, _ = Keys.setup (Sbft_sim.Rng.create 2L) ~config ~num_clients:1 in
+  let same name a b = check name true (List.equal Int.equal a b) in
+  List.iter2
+    (fun (view, seq) (c, e, s) ->
+      same "e group" e (Collectors.e_collectors fresh ~view ~seq);
+      same "c group" c (Collectors.c_collectors fresh ~view ~seq);
+      same "slow path" s (Collectors.slow_path_collectors fresh ~view ~seq))
+    pairs warm
+
 (* The execution charge is computed once per (seq, requests' ops) and is
    exact per block: a block holding a duplicate request (it executes as
    the no-op "") and a block holding the null filler (op "") at the same
@@ -308,6 +381,9 @@ let () =
         [
           Alcotest.test_case "hash-to-field memo" `Quick test_points_memo;
           Alcotest.test_case "verify memo per cluster" `Quick test_verify_memo_per_cluster;
+          Alcotest.test_case "digest and block memos by value" `Quick test_block_memo;
+          Alcotest.test_case "verify memo keys the signature" `Quick test_verify_memo_signature;
+          Alcotest.test_case "collector memo" `Quick test_collector_memo;
           Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
         ] );
       ("agreement", [ agreement_prop ]);

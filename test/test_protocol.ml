@@ -197,7 +197,8 @@ let test_plain_crash_keeps_collector_timer () =
     |> List.map (fun (r : Trace.record) -> (r.Trace.node, r.Trace.time))
   in
   let first, second =
-    match Collectors.c_collectors ~config ~view:0 ~seq with
+    let keys, _, _ = Keys.setup (Sbft_sim.Rng.create 1L) ~config ~num_clients:1 in
+    match Collectors.c_collectors keys ~view:0 ~seq with
     | [ a; b ] -> (a, b)
     | _ -> Alcotest.fail "expected c+1 = 2 sigma collectors"
   in

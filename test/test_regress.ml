@@ -244,9 +244,9 @@ let test_measure_deterministic () =
      This is the property that licenses an exact gate. *)
   let r1 = Regress.measure `Quick in
   let r2 = Regress.measure `Quick in
-  (* Wall clock / events-per-second (and allocation, which varies as
-     process-global caches warm) are host-side by nature; everything
-     else must be bit-identical. *)
+  (* Host CPU time and events-per-second are host-side by nature, and
+     allocation is gated only within a band; everything else must be
+     bit-identical. *)
   check_str "identical JSON across runs"
     (Regress.to_json (Regress.strip_host r1))
     (Regress.to_json (Regress.strip_host r2));
