@@ -19,19 +19,29 @@ module Memo (K : Hashtbl.HashedType) = struct
         v
 end
 
-(* A request by all its fields, hashed on (client, timestamp) only: on a
-   hit the op and signature strings are the ones every replica shares,
-   so [String.equal] returns at once and no op payload is hashed. *)
-module Request = struct
+(* A request by the fields its digest reads (client, timestamp, op),
+   hashed on (client, timestamp) only: on a hit the op string is the one
+   every replica shares, so [String.equal] returns at once and no op
+   payload is hashed.  The client's digest of its unsigned request is
+   thus a hit for every replica's check of the signed one. *)
+module Unsigned = struct
   type t = Types.request
 
   let hash (r : t) = (r.client * 1_000_003) lxor r.timestamp
 
   let equal (a : t) (b : t) =
     Int.equal a.client b.client && Int.equal a.timestamp b.timestamp
-    && String.equal a.op b.op && String.equal a.signature b.signature
+    && String.equal a.op b.op
 end
 
+(* A request by all four fields, the signature included. *)
+module Request = struct
+  include Unsigned
+
+  let equal (a : t) (b : t) = Unsigned.equal a b && String.equal a.signature b.signature
+end
+
+module Digest_memo = Memo (Unsigned)
 module Req_memo = Memo (Request)
 
 module Block_memo = Memo (struct
@@ -53,7 +63,7 @@ module Group_memo = Memo (struct
 end)
 
 type memos = {
-  digests : string Req_memo.t;
+  digests : string Digest_memo.t;
   verified : bool Req_memo.t;
   blocks : string Block_memo.t;
   groups : int list Group_memo.t;
@@ -100,7 +110,7 @@ let setup rng ~config ~num_clients =
       points = Hashtbl.create 256;
       memos =
         {
-          digests = Req_memo.create 256;
+          digests = Digest_memo.create 256;
           verified = Req_memo.create 256;
           blocks = Block_memo.create 256;
           groups = Group_memo.create 256;
@@ -133,7 +143,7 @@ let hash_to_field t msg =
       Hashtbl.replace t.points msg h;
       h
 
-let request_digest t r = Req_memo.find_or t.memos.digests r (fun () -> Types.request_digest r)
+let request_digest t r = Digest_memo.find_or t.memos.digests r (fun () -> Types.request_digest r)
 
 let block_hash t ~seq ~view ~reqs =
   Block_memo.find_or t.memos.blocks (seq, view, reqs) (fun () ->

@@ -48,8 +48,9 @@ val points_cap : int
 
 val request_digest : t -> Types.request -> string
 (** {!Types.request_digest} through the cluster's memo, keyed by the
-    request's fields: every replica's check of a request hashes it once
-    per cluster. *)
+    fields the digest reads (client, timestamp, op), not the signature:
+    the client's digest of its unsigned request and every replica's
+    check of the signed one hash the op once per cluster. *)
 
 val block_hash : t -> seq:int -> view:int -> reqs:Types.request list -> string
 (** {!Types.block_hash} through the cluster's memo, keyed by

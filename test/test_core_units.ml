@@ -264,6 +264,24 @@ let test_verify_memo_signature () =
   check "forged rejected first" false (Keys.verify_request keys forged);
   check "signed accepted after forged" true (Keys.verify_request keys signed)
 
+(* The digest memo keys on the fields the digest reads, not the
+   signature: the client's digest of its unsigned request is the very
+   string (a memo hit, [==]) every replica gets for the signed one, so
+   the op is hashed once per cluster.  Another op at the same (client,
+   timestamp) still misses and gets its own digest. *)
+let test_digest_memo_unsigned () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let keys, _, clients = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let r = { Types.client = Config.n config; timestamp = 1; op = "op"; signature = "" } in
+  let d = Keys.request_digest keys r in
+  let signed = { r with signature = Sbft_crypto.Pki.sign clients.(0) d } in
+  check "signed is a hit" true (Keys.request_digest keys signed == d);
+  check "verified" true (Keys.verify_request keys signed);
+  let other = { signed with op = "other" } in
+  check "other op misses" true
+    (String.equal (Types.request_digest other) (Keys.request_digest keys other));
+  check "other op differs" false (String.equal d (Keys.request_digest keys other))
+
 (* Collector groups from a warm memo equal a fresh cluster's.  The fresh
    cluster is asked for E groups first, so a memo that lost the salt
    would answer C with the E group. *)
@@ -383,6 +401,7 @@ let () =
           Alcotest.test_case "verify memo per cluster" `Quick test_verify_memo_per_cluster;
           Alcotest.test_case "digest and block memos by value" `Quick test_block_memo;
           Alcotest.test_case "verify memo keys the signature" `Quick test_verify_memo_signature;
+          Alcotest.test_case "digest memo ignores the signature" `Quick test_digest_memo_unsigned;
           Alcotest.test_case "collector memo" `Quick test_collector_memo;
           Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
         ] );

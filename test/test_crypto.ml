@@ -8,6 +8,7 @@ open Sbft_crypto
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 let rng () = Sbft_sim.Rng.create 2024L
+let qtest name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:500 gen prop)
 
 (* ------------------------------------------------------------------ *)
 (* SHA-256: FIPS 180-4 vectors *)
@@ -51,6 +52,30 @@ let test_sha256_length_boundaries () =
       check_str (Printf.sprintf "len %d" len) (Sha256.hex d1)
         (Sha256.hex (Sha256.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128 ]
+
+(* The C compression against the OCaml loop it replaced ([Sha256_ref],
+   test/), one-shot and through [init]/[feed]/[finalize] with random
+   chunk splits.  The splits make [compress] run both on the context's
+   buffer and at non-zero offsets into a fed chunk. *)
+let sha256_oracle_props =
+  let msg = QCheck2.Gen.(string_size (int_range 0 300)) in
+  let cuts = QCheck2.Gen.(list_size (int_range 0 6) (int_range 0 300)) in
+  [
+    qtest "oracle digest" msg (fun m -> String.equal (Sha256.digest m) (Sha256_ref.digest m));
+    qtest "oracle chunked feed" (QCheck2.Gen.pair msg cuts) (fun (m, cuts) ->
+        let len = String.length m in
+        let cuts = List.sort_uniq Int.compare (List.map (min len) cuts) in
+        let ctx = Sha256.init () in
+        let last =
+          List.fold_left
+            (fun pos cut ->
+              Sha256.feed ctx (String.sub m pos (cut - pos));
+              cut)
+            0 cuts
+        in
+        Sha256.feed ctx (String.sub m last (len - last));
+        String.equal (Sha256.finalize ctx) (Sha256_ref.digest m));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Keccak-256: Ethereum-flavor vectors *)
@@ -97,7 +122,6 @@ let test_hmac_verify () =
 let field_gen =
   QCheck2.Gen.map (fun i -> Field.of_int64 (Int64.abs i)) QCheck2.Gen.int64
 
-let qtest name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:500 gen prop)
 
 let field_props =
   [
@@ -902,7 +926,8 @@ let () =
           Alcotest.test_case "vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "length boundaries" `Quick test_sha256_length_boundaries;
-        ] );
+        ]
+        @ sha256_oracle_props );
       ( "keccak",
         [
           Alcotest.test_case "vectors" `Quick test_keccak_vectors;
