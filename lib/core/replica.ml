@@ -29,49 +29,32 @@ type st_pending = {
   mutable st_timer : Engine.timer option;
 }
 
-(* A share stash: the assoc list handed to [combine_stash] plus an
-   O(1) membership byte-set and running count.  Collectors at paper
-   scale accept k = 3f+c+1 = 129 shares per slot; the previous
-   [List.mem_assoc] / [List.length] on every arrival made share
-   acceptance O(k²) per slot.  [seen] is grown on demand, so slots on
-   small clusters stay small. *)
-type stash = {
-  mutable items : (int * Threshold.share) list;
-  mutable count : int;
-  mutable seen : Bytes.t; (* seen.[key] <> '\000' iff key is in items *)
-}
+(* A share stash: the assoc list handed to [combine_stash] plus the
+   set of its signers.  Collectors at paper scale accept k = 3f+c+1 =
+   129 shares per slot; a [List.mem_assoc] / [List.length] on every
+   arrival made share acceptance O(k²) per slot, so membership and the
+   count come from {!Votes}. *)
+type stash = { mutable items : (int * Threshold.share) list; signers : Votes.t }
 
-let stash_make () = { items = []; count = 0; seen = Bytes.empty }
+let stash_make () = { items = []; signers = Votes.create () }
 
-let stash_mem st key =
-  key < Bytes.length st.seen && Bytes.get st.seen key <> '\000'
-
-let stash_mark st key =
-  if key >= Bytes.length st.seen then begin
-    let len = max (key + 1) (max 8 (2 * Bytes.length st.seen)) in
-    let b = Bytes.make len '\000' in
-    Bytes.blit st.seen 0 b 0 (Bytes.length st.seen);
-    st.seen <- b
-  end;
-  Bytes.set st.seen key '\001'
-
+(* A key already in the stash keeps its first share. *)
 let stash_add st key sh =
-  stash_mark st key;
-  st.items <- (key, sh) :: st.items;
-  st.count <- st.count + 1
+  if not (Votes.mem st.signers key) then begin
+    Votes.add st.signers key;
+    st.items <- (key, sh) :: st.items
+  end
 
 let stash_reset st =
   st.items <- [];
-  st.count <- 0;
-  Bytes.fill st.seen 0 (Bytes.length st.seen) '\000'
+  Votes.reset st.signers
 
 (* Replace the contents with a filtered assoc list, preserving its
    order (rare path: share eviction after a failed combine). *)
 let stash_set st its =
-  Bytes.fill st.seen 0 (Bytes.length st.seen) '\000';
+  Votes.reset st.signers;
   st.items <- its;
-  st.count <- List.length its;
-  List.iter (fun (k, _) -> stash_mark st k) its
+  List.iter (fun (k, _) -> Votes.add st.signers k) its
 
 type slot = {
   seq : int;
@@ -96,8 +79,8 @@ type slot = {
   mutable pending_slow : (int * Types.block_cert) option; (* view, τ and ττ *)
   (* execution collector state: shares bucketed by claimed digest so a
      Byzantine replica announcing a bogus digest first cannot block the
-     honest bucket from reaching its threshold *)
-  pi_shares : (string, stash) Hashtbl.t;
+     honest bucket (a short assoc list: honest replicas claim one) *)
+  mutable pi_shares : (string * stash) list;
   mutable exec_proof_sent : bool;
   mutable acks_sent : bool;
   (* view-change report (§V-G): the σ commit proof or the highest σ
@@ -125,7 +108,7 @@ let new_slot seq =
     pp_at = 0;
     pending_fast = None;
     pending_slow = None;
-    pi_shares = Hashtbl.create 2;
+    pi_shares = [];
     exec_proof_sent = false;
     acks_sent = false;
     fast = Types.No_preprepare;
@@ -281,7 +264,9 @@ let obs_in_view_change t = t.in_view_change
 let obs_slot_shares t seq =
   match Hashtbl.find_opt t.slots seq with
   | None -> (0, 0, 0)
-  | Some s -> (s.sigma_shares.count, s.tau_shares.count, s.commit_shares.count)
+  | Some s ->
+      let n st = Votes.count st.signers in
+      (n s.sigma_shares, n s.tau_shares, n s.commit_shares)
 
 (* Highest slot with any protocol activity — where the frontier is. *)
 let obs_frontier t =
@@ -758,7 +743,7 @@ and on_sign_share t ctx ~seq ~view ~sigma_share ~tau_share ~replica =
   let config = cfg t in
   if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
     let sl = slot t seq in
-    if not (stash_mem sl.sigma_shares replica) then begin
+    if not (Votes.mem sl.sigma_shares.signers replica) then begin
       stash_add sl.sigma_shares replica sigma_share;
       stash_add sl.tau_shares replica tau_share;
       collector_check t ctx sl ~view
@@ -774,7 +759,7 @@ and collector_check t ctx sl ~view =
   (match Collectors.rank fast_collectors t.id with
   | Some rank when config.Config.fast_path -> (
       if
-        sl.sigma_shares.count >= Config.sigma_threshold config
+        Votes.count sl.sigma_shares.signers >= Config.sigma_threshold config
         && (not sl.fast_sent)
         && sl.committed = None
       then
@@ -790,7 +775,7 @@ and collector_check t ctx sl ~view =
               if sl.committed = None && sl.pending_fast = None && Int.equal t.view view
               then begin
                 Sanitizer.check_quorum t.san Sanitizer.Sigma
-                  ~count:sl.sigma_shares.count;
+                  ~count:(Votes.count sl.sigma_shares.signers);
                 let k = Config.sigma_threshold config in
                 let group = config.Config.use_group_sig && not t.failures_observed in
                 match
@@ -819,7 +804,7 @@ and collector_check t ctx sl ~view =
   | None -> ()
   | Some rank -> (
       if
-        sl.tau_shares.count >= Config.tau_threshold config
+        Votes.count sl.tau_shares.signers >= Config.tau_threshold config
         && (not sl.prepare_sent)
         && sl.committed = None
       then begin
@@ -847,7 +832,7 @@ and collector_check t ctx sl ~view =
               then begin
                 if config.Config.fast_path then t.failures_observed <- true;
                 Sanitizer.check_quorum t.san Sanitizer.Tau
-                  ~count:sl.tau_shares.count;
+                  ~count:(Votes.count sl.tau_shares.signers);
                 let k = Config.tau_threshold config in
                 match
                   combine_stash t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
@@ -932,16 +917,16 @@ and on_commit t ctx ~seq ~view ~share =
   if Int.equal view t.view && seq > t.ls && seq <= t.ls + config.Config.win then begin
     let sl = slot t seq in
     if
-      (not (stash_mem sl.commit_shares share.Threshold.signer))
+      (not (Votes.mem sl.commit_shares.signers share.Threshold.signer))
       && not sl.slow_sent
     then begin
       stash_add sl.commit_shares share.Threshold.signer share;
-      if sl.commit_shares.count >= Config.tau_threshold config then begin
+      if Votes.count sl.commit_shares.signers >= Config.tau_threshold config then begin
         match sl.prepare_tau with
         | Some tau when not sl.slow_sent ->
             sl.slow_sent <- true;
             Sanitizer.check_quorum t.san Sanitizer.Tau
-              ~count:sl.commit_shares.count;
+              ~count:(Votes.count sl.commit_shares.signers);
             let k = Config.tau_threshold config in
             (match
                combine_stash t ctx ~scheme:(keys t).Keys.tau ~k ~group:false
@@ -1110,23 +1095,23 @@ and on_sign_state t ctx ~seq ~digest ~share =
   let sl = slot t seq in
   if not sl.exec_proof_sent then begin
     let bucket =
-      match Hashtbl.find_opt sl.pi_shares digest with
-      | Some b -> b
+      match List.find_opt (fun (d, _) -> String.equal d digest) sl.pi_shares with
+      | Some (_, b) -> b
       | None ->
           let b = stash_make () in
-          Hashtbl.replace sl.pi_shares digest b;
+          sl.pi_shares <- (digest, b) :: sl.pi_shares;
           b
     in
-    if not (stash_mem bucket share.Threshold.signer) then begin
+    if not (Votes.mem bucket.signers share.Threshold.signer) then begin
       stash_add bucket share.Threshold.signer share;
-      if bucket.count >= Config.pi_threshold config then begin
+      if Votes.count bucket.signers >= Config.pi_threshold config then begin
         let e_list =
           Collectors.e_collectors (keys t) ~view:0 ~seq @ [ primary_of t t.view ]
         in
         let rank = Option.value (Collectors.rank e_list t.id) ~default:0 in
         let act ctx =
           if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
-            Sanitizer.check_quorum t.san Sanitizer.Pi ~count:bucket.count;
+            Sanitizer.check_quorum t.san Sanitizer.Pi ~count:(Votes.count bucket.signers);
             let k = Config.pi_threshold config in
             match
               combine_stash t ctx ~scheme:(keys t).Keys.pi ~k ~group:false

@@ -4,6 +4,7 @@ module Types = Sbft_core.Types
 module Config = Sbft_core.Config
 module Keys = Sbft_core.Keys
 module Batching = Sbft_core.Batching
+module Votes = Sbft_core.Votes
 
 type env = {
   engine : Engine.t;
@@ -16,8 +17,8 @@ type env = {
 type slot = {
   seq : int;
   mutable pp : (int * Types.request list * string) option;
-  prepares : (int, unit) Hashtbl.t;
-  commits : (int, unit) Hashtbl.t;
+  prepares : Votes.t;
+  commits : Votes.t;
   mutable sent_prepare : bool;
   mutable sent_commit : bool;
   mutable prepared : bool;
@@ -29,8 +30,8 @@ let new_slot seq =
   {
     seq;
     pp = None;
-    prepares = Hashtbl.create 8;
-    commits = Hashtbl.create 8;
+    prepares = Votes.create ();
+    commits = Votes.create ();
     sent_prepare = false;
     sent_commit = false;
     prepared = false;
@@ -50,7 +51,7 @@ type t = {
   pending : Types.request Queue.t;
   pending_keys : (int * int, unit) Hashtbl.t;
   client_table : (int, int * string * int) Hashtbl.t;
-  checkpoints : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* seq -> voters *)
+  checkpoints : (int, Votes.t) Hashtbl.t; (* seq -> voters *)
   batching : Batching.t;
   mutable batch_timer_armed : bool;
   outstanding : (int * int, Types.request) Hashtbl.t;
@@ -272,12 +273,12 @@ and check_prepared t ctx sl =
   | Some (view, _, _) when Int.equal view t.view ->
       if
         (not sl.prepared)
-        && ((Hashtbl.length sl.prepares >= quorum t - 1) [@quorum.adjust 1])
+        && ((Votes.count sl.prepares >= quorum t - 1) [@quorum.adjust 1])
         (* pre-prepare counts as one vote: the [- 1] is declared and
            checked by R12, and the sanitizer count below re-adds it *)
       then begin
         Sanitizer.check_quorum t.san Sanitizer.Majority
-          ~count:(Hashtbl.length sl.prepares + 1);
+          ~count:(Votes.count sl.prepares + 1);
         sl.prepared <- true;
         if not sl.sent_commit then begin
           sl.sent_commit <- true;
@@ -294,8 +295,8 @@ and on_prepare t ctx ~seq ~view ~h ~replica =
   if Int.equal view t.view && seq > t.ls && seq <= t.ls + (cfg t).Config.win then begin
     let sl = slot t seq in
     let matches = match sl.pp with Some (_, _, h') -> String.equal h h' | None -> true in
-    if matches && not (Hashtbl.mem sl.prepares replica) then begin
-      Hashtbl.replace sl.prepares replica ();
+    if matches && not (Votes.mem sl.prepares replica) then begin
+      Votes.add sl.prepares replica;
       check_prepared t ctx sl
     end
   end
@@ -304,8 +305,8 @@ and on_commit t ctx ~seq ~view ~h ~replica =
   if Int.equal view t.view && seq > t.ls && seq <= t.ls + (cfg t).Config.win then begin
     let sl = slot t seq in
     let matches = match sl.pp with Some (_, _, h') -> String.equal h h' | None -> true in
-    if matches && not (Hashtbl.mem sl.commits replica) then begin
-      Hashtbl.replace sl.commits replica ();
+    if matches && not (Votes.mem sl.commits replica) then begin
+      Votes.add sl.commits replica;
       check_committed t ctx sl
     end
   end
@@ -313,9 +314,9 @@ and on_commit t ctx ~seq ~view ~h ~replica =
 and check_committed t ctx sl =
   match sl.pp with
   | Some (view, reqs, digest)
-    when sl.committed = None && sl.prepared && Hashtbl.length sl.commits >= quorum t ->
+    when sl.committed = None && sl.prepared && Votes.count sl.commits >= quorum t ->
       Sanitizer.check_quorum t.san Sanitizer.Majority
-        ~count:(Hashtbl.length sl.commits);
+        ~count:(Votes.count sl.commits);
       Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest;
       sl.committed <- Some reqs;
       note_progress t ctx;
@@ -385,15 +386,15 @@ and on_checkpoint t ctx ~seq ~digest ~replica =
     match Hashtbl.find_opt t.checkpoints seq with
     | Some v -> v
     | None ->
-        let v = Hashtbl.create 8 in
+        let v = Votes.create () in
         Hashtbl.replace t.checkpoints seq v;
         v
   in
-  if not (Hashtbl.mem voters replica) then begin
-    Hashtbl.replace voters replica ();
-    if Hashtbl.length voters >= quorum t && seq > t.ls then begin
+  if not (Votes.mem voters replica) then begin
+    Votes.add voters replica;
+    if Votes.count voters >= quorum t && seq > t.ls then begin
       Sanitizer.check_quorum t.san Sanitizer.Majority
-        ~count:(Hashtbl.length voters);
+        ~count:(Votes.count voters);
       t.ls <- seq;
       note_progress t ctx;
       (* GC everything below the stable checkpoint. *)
@@ -486,8 +487,8 @@ and on_new_view t ctx ~view ~pre_prepares =
       (fun _ sl ->
         if sl.committed = None then begin
           sl.pp <- None;
-          Hashtbl.reset sl.prepares;
-          Hashtbl.reset sl.commits;
+          Votes.reset sl.prepares;
+          Votes.reset sl.commits;
           sl.sent_prepare <- false;
           sl.sent_commit <- false;
           sl.prepared <- false

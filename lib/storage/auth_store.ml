@@ -17,17 +17,25 @@ type cache_value = {
   c_ops_root : string;
 }
 
-(* Keyed by (seq, pre-state root, ops) under structural equality: the
-   key is exact, so no two op lists can share an entry.  A digest of the
-   concatenated ops lets ["x"] and ["x"; ""] collide — duplicate requests
-   degraded to no-ops ("") make such pairs reachable, and the hit hands
-   back an outputs array of the wrong length (found by the schedule
-   fuzzer, see test/corpus/weak-sigma-agreement.schedule).
-   [Hashtbl.hash] stops after a bounded number of the key's values (seq,
-   root, the first few ops), and on a hit [compare] short-circuits on
-   the op strings the replicas share physically, so a lookup costs far
-   less than a SHA-256 of the block's payload. *)
-type blocks = (int * string * string list, cache_value) Hashtbl.t
+(* Keyed exactly by (seq, pre-state root, ops): equality compares all
+   three, so no two op lists can share an entry.  A digest of the
+   concatenated ops lets ["x"] and ["x"; ""] collide — duplicate
+   requests degraded to no-ops ("") make such pairs reachable, and the
+   hit hands back an outputs array of the wrong length (found by the
+   schedule fuzzer, see test/corpus/weak-sigma-agreement.schedule).
+   The hash reads only the seq and the 32-byte root, never the op
+   payloads, which run to kilobytes per op.  Distinct op lists at one
+   (seq, root) are rare, so they share a bucket and the exact equality
+   tells them apart; on a hit the string comparison short-circuits on
+   the op strings the replicas share physically. *)
+module Blocks = Hashtbl.Make (struct
+  type t = int * string * string list
+
+  let equal (s1, r1, o1) (s2, r2, o2) =
+    Int.equal s1 s2 && String.equal r1 r2 && List.equal String.equal o1 o2
+
+  let hash (seq, root, _) = Hashtbl.hash root + (seq * 1_000_003)
+end)
 
 (* The execution charge of a block, keyed exactly by (seq, the requests'
    op strings).  The hash reads the seq and the op lengths, never the
@@ -42,9 +50,9 @@ module Charges = Hashtbl.Make (struct
     List.fold_left (fun h op -> (h * 31) + String.length op) (seq * 1_000_003) ops
 end)
 
-type cache = { blocks : blocks; charges : int Charges.t }
+type cache = { blocks : cache_value Blocks.t; charges : int Charges.t }
 
-let new_cache () = { blocks = Hashtbl.create 1024; charges = Charges.create 1024 }
+let new_cache () = { blocks = Blocks.create 1024; charges = Charges.create 1024 }
 
 type t = {
   apply : apply;
@@ -155,7 +163,7 @@ let execute_block t ~seq ~ops =
   | None -> Array.to_list (execute_uncached t ~seq ~ops).outputs
   | Some cache -> (
       let key = (seq, Merkle_map.root t.map, ops) in
-      match Hashtbl.find_opt cache.blocks key with
+      match Blocks.find_opt cache.blocks key with
       | Some v ->
           t.map <- v.c_map;
           Hashtbl.replace t.blocks seq v.c_record;
@@ -164,7 +172,7 @@ let execute_block t ~seq ~ops =
           Array.to_list v.c_record.outputs
       | None ->
           let record = execute_uncached t ~seq ~ops in
-          Hashtbl.replace cache.blocks key
+          Blocks.replace cache.blocks key
             { c_map = t.map; c_record = record; c_ops_root = t.last_ops_root };
           Array.to_list record.outputs)
 

@@ -30,11 +30,10 @@ val create : apply:apply -> unit -> t
     In a simulated deployment every honest replica executes the same
     deterministic block sequence.  A cluster-wide cache memoizes
     [execute_block] results keyed by (sequence, pre-state root,
-    operations) under structural equality, so the host computes each
-    block once and all replicas share the resulting persistent state
-    structurally.  The key is exact: two different op lists never share
-    an entry, and a lookup hashes only a bounded prefix of the key, not
-    the whole payload.  This is
+    operations), so the host computes each block once and all replicas
+    share the resulting persistent state structurally.  The key is
+    exact: two different op lists never share an entry, and a lookup
+    hashes only the sequence and the root, not the payload.  This is
     a pure simulation optimization: per-replica {e virtual} CPU time is
     still charged by the protocol layer, and a replica whose state
     diverges (different pre-state root) misses the cache and executes

@@ -337,6 +337,69 @@ let test_exec_charge_exact () =
     (Types.exec_charge store ~exec_cost ~seq:8 duplicate);
   check_int "computed for the new seq" 3 !calls
 
+(* Two blocks at one (seq, pre-state root) whose ops differ only by a
+   trailing no-op, the pair behind
+   test/corpus/weak-sigma-agreement.schedule: the execution cache hashes
+   only the seq and the root, so they share a bucket, and its exact key
+   must still hand each store its own outputs. *)
+let test_exec_cache_exact () =
+  let module A = Sbft_store.Auth_store in
+  let cache = A.new_cache () in
+  let store () =
+    let s = Sbft_store.Kv_service.create () in
+    A.set_cache s cache;
+    s
+  in
+  let a = store () and b = store () and c = store () in
+  check "same pre-state" true (String.equal (A.digest a) (A.digest b));
+  let exec s ops = List.length (A.execute_block s ~seq:1 ~ops) in
+  check_int "one op" 1 (exec a [ "x" ]);
+  check_int "one op and a no-op" 2 (exec b [ "x"; "" ]);
+  check "different blocks, different digests" false
+    (String.equal (A.digest a) (A.digest b));
+  check_int "a hit returns the first block's outputs" 1 (exec c [ "x" ]);
+  check "and its state" true (String.equal (A.digest a) (A.digest c))
+
+(* ------------------------------------------------------------------ *)
+(* Votes *)
+
+(* [Votes] against a reference list-set, on random streams of
+   add-if-absent and reset over ids 0..300 — past the initial size, so
+   the set grows several times. *)
+let votes_prop =
+  let max_id = 300 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"votes match a reference set"
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map (function Some i -> string_of_int i | None -> "reset") ops))
+       QCheck2.Gen.(
+         list_size (int_bound 400)
+           (frequency [ (20, map Option.some (int_bound max_id)); (1, pure None) ]))
+       (fun ops ->
+         let v = Votes.create () in
+         let agrees reference =
+           (not (Votes.mem v (-1)))
+           && List.for_all
+                (fun id -> Bool.equal (Votes.mem v id) (List.mem id reference))
+                (List.init (max_id + 2) Fun.id)
+         in
+         let rec go reference = function
+           | [] -> agrees reference
+           | None :: rest ->
+               agrees reference
+               &&
+               (Votes.reset v;
+                Int.equal (Votes.count v) 0 && go [] rest)
+           | Some id :: rest ->
+               Votes.add v id;
+               let reference = if List.mem id reference then reference else id :: reference in
+               Votes.mem v id
+               && Int.equal (Votes.count v) (List.length reference)
+               && go reference rest
+         in
+         go [] ops))
+
 (* ------------------------------------------------------------------ *)
 (* Cluster.agreement *)
 
@@ -404,6 +467,8 @@ let () =
           Alcotest.test_case "digest memo ignores the signature" `Quick test_digest_memo_unsigned;
           Alcotest.test_case "collector memo" `Quick test_collector_memo;
           Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
+          Alcotest.test_case "exec cache exact" `Quick test_exec_cache_exact;
         ] );
+      ("votes", [ votes_prop ]);
       ("agreement", [ agreement_prop ]);
     ]

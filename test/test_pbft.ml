@@ -92,6 +92,57 @@ let test_determinism () =
   in
   check "deterministic" true (run () = run ())
 
+(* One backup replica (id 1 of n = 4, quorum 3) driven message by
+   message: a vote repeated by one sender counts once.  The prepared
+   certificate needs the pre-prepare plus quorum - 1 distinct Prepares,
+   the commit quorum distinct Commits. *)
+let test_vote_dedup () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let n = Config.n config and quorum = Config.quorum_bft config in
+  let engine = Engine.create ~num_nodes:n ~seed:1L () in
+  let keys, _, _ = Sbft_core.Keys.setup (Engine.rng engine) ~config ~num_clients:0 in
+  let sent = ref [] in
+  let env =
+    {
+      Pbft_replica.engine;
+      trace = Trace.create ~enabled:false ();
+      keys;
+      send = (fun _ ~src:_ ~dst:_ msg -> sent := msg :: !sent);
+      exec_cost = (fun _ -> 0);
+    }
+  in
+  let r = Pbft_replica.create ~env ~id:1 ~store:(Sbft_store.Kv_service.create ()) in
+  let deliver ~src msg =
+    Engine.dispatch engine ~dst:1 ~at:(Engine.now engine) (fun ctx ->
+        Pbft_replica.on_message r ctx ~src msg);
+    Engine.run_all engine
+  in
+  let commits () =
+    List.length
+      (List.filter (function Pbft_types.Commit _ -> true | _ -> false) !sent)
+  in
+  let reqs = [ Sbft_core.View_change.null_request ] in
+  let h = Pbft_types.block_hash keys ~seq:1 ~view:0 ~reqs in
+  deliver ~src:0 (Pbft_types.Pre_prepare { seq = 1; view = 0; reqs });
+  let prepare replica = Pbft_types.Prepare { seq = 1; view = 0; h; replica } in
+  let commit replica = Pbft_types.Commit { seq = 1; view = 0; h; replica } in
+  for _ = 1 to quorum + 2 do
+    deliver ~src:2 (prepare 2)
+  done;
+  check_int "one sender's repeated Prepare is one vote" 0 (commits ());
+  deliver ~src:3 (prepare 3);
+  check_int "quorum - 1 distinct Prepares: Commit to all" n (commits ());
+  for _ = 1 to quorum + 2 do
+    deliver ~src:2 (commit 2)
+  done;
+  deliver ~src:3 (commit 3);
+  check_int "two distinct Commits do not execute" 0 (Pbft_replica.last_executed r);
+  deliver ~src:3 (commit 3);
+  check_int "nor does a third copy" 0 (Pbft_replica.last_executed r);
+  deliver ~src:0 (commit 0);
+  check_int "quorum distinct Commits execute" 1 (Pbft_replica.last_executed r);
+  check_int "and the Commit went out once" n (commits ())
+
 let () =
   Alcotest.run "sbft_pbft"
     [
@@ -105,5 +156,6 @@ let () =
           Alcotest.test_case "checkpoint gc" `Quick test_checkpoint_gc;
           Alcotest.test_case "quadratic messages" `Quick test_quadratic_message_complexity;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "vote dedup" `Quick test_vote_dedup;
         ] );
     ]
