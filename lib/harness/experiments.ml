@@ -195,11 +195,18 @@ let ablation_stagger scale =
 
 (* R8: the replay-divergence check.  One representative scenario per
    protocol family plus a failure run and the Ethereum workload; each is
-   run twice from its seed and the trace streams must be identical. *)
+   run twice from its seed and the trace streams must be identical.  The
+   two primary-crash runs are long enough for the view-change timeout to
+   fire and the next view to re-drive the stranded requests, so their
+   digests pin each stack's view-change path. *)
 let replay_scenarios () =
-  let quick ?(failures = 0) protocol workload =
-    Scenario.default ~failures ~warmup:(Engine.ms 200) ~duration:(Engine.ms 400)
+  let quick ?(failures = 0) ?crash_primary_at ?(duration = Engine.ms 400) protocol workload =
+    Scenario.default ~failures ?crash_primary_at ~warmup:(Engine.ms 200) ~duration
       ~protocol ~f:1 ~workload ~num_clients:2 ()
+  in
+  let crash protocol =
+    quick ~crash_primary_at:(Engine.ms 300) ~duration:(Engine.sec 6) protocol
+      (Scenario.Kv { batching = true })
   in
   [
     ("sbft-kv-batch", quick (Scenario.SBFT 0) (Scenario.Kv { batching = true }));
@@ -207,6 +214,8 @@ let replay_scenarios () =
     ("linear-pbft-fast", quick Scenario.Linear_PBFT_fast (Scenario.Kv { batching = true }));
     ("pbft-kv", quick Scenario.PBFT (Scenario.Kv { batching = true }));
     ("sbft-eth", quick (Scenario.SBFT 0) Scenario.Eth);
+    ("sbft-primary-crash", crash (Scenario.SBFT 0));
+    ("pbft-primary-crash", crash Scenario.PBFT);
   ]
 
 let replay () =

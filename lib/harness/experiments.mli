@@ -33,6 +33,9 @@ val ablation_fast_mode : scale -> unit
 val ablation_stagger : scale -> unit
 (** Collector staggering on/off: redundant collector duplication cost. *)
 
+val replay_scenarios : unit -> (string * Scenario.t) list
+(** The named scenarios {!replay} runs, in its output order. *)
+
 val replay : unit -> bool
 (** R8: run each example scenario twice from the same seed and compare
     the trace streams event-by-event ({!Sbft_sim.Replay}).  Prints one

@@ -117,6 +117,16 @@ let test_scenario_pbft () =
   check "throughput positive" true (p.Scenario.throughput_ops > 0.0);
   check "agreement" true p.Scenario.agreement
 
+(* The replay gate's primary-crash runs exist to pin the view-change
+   path, so each must actually complete a view change. *)
+let test_replay_crash_changes_view () =
+  List.iter
+    (fun name ->
+      let p = Scenario.run (List.assoc name (Experiments.replay_scenarios ())) in
+      check (name ^ " changes view") true (p.Scenario.view_changes >= 1);
+      check (name ^ " agreement") true p.Scenario.agreement)
+    [ "sbft-primary-crash"; "pbft-primary-crash" ]
+
 let test_scenario_failures_force_slow_path () =
   let p = Scenario.run (quick ~failures:1 ()) in
   check "agreement" true p.Scenario.agreement;
@@ -164,6 +174,7 @@ let () =
           Alcotest.test_case "sbft scenario" `Quick test_scenario_sbft;
           Alcotest.test_case "pbft scenario" `Quick test_scenario_pbft;
           Alcotest.test_case "failures -> slow path" `Quick test_scenario_failures_force_slow_path;
+          Alcotest.test_case "replay crash runs change view" `Quick test_replay_crash_changes_view;
           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
           Alcotest.test_case "ops accounting" `Quick test_ops_accounting;
           Alcotest.test_case "csv" `Quick test_csv;
