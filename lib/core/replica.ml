@@ -127,16 +127,8 @@ type t = {
   mutable ls : int; (* windowing bound (includes the fast-path rule) *)
   mutable stable : int; (* highest π-certified checkpoint *)
   slots : (int, slot) Hashtbl.t;
-  pending : Types.request Queue.t;
-  pending_keys : (int * int, unit) Hashtbl.t;
-  client_table : (int, Sbft_store.Block_store.client_entry) Hashtbl.t;
-      (* client -> row of its last executed op *)
-  batching : Batching.t;
+  intake : Intake.t;
   mutable batch_timer : Engine.timer option;
-  (* liveness *)
-  outstanding : (int * int, Types.request) Hashtbl.t; (* awaiting execution *)
-  mutable last_progress : Engine.time;
-  mutable vc_backoff : int;
   mutable in_view_change : bool;
   mutable sent_vc_for : int; (* highest view we issued a view-change for *)
   vc_msgs : (int, (int, Types.view_change) Hashtbl.t) Hashtbl.t;
@@ -198,14 +190,8 @@ let create ~env ~my ~store ~(durable : durable) =
     ls = 0;
     stable = 0;
     slots = Hashtbl.create 128;
-    pending = Queue.create ();
-    pending_keys = Hashtbl.create 64;
-    client_table = Hashtbl.create 64;
-    batching = Batching.create env.keys.Keys.config;
+    intake = Intake.create config;
     batch_timer = None;
-    outstanding = Hashtbl.create 64;
-    last_progress = 0;
-    vc_backoff = 0;
     in_view_change = false;
     sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
@@ -279,7 +265,7 @@ let certified_checkpoints t =
 
 let client_last_timestamp t ~client =
   Option.map (fun ce -> ce.Sbft_store.Block_store.ce_timestamp)
-    (Hashtbl.find_opt t.client_table client)
+    (Intake.find_row t.intake ~client)
 
 (* Requests as the ledger and the WAL persist them, and back.  Client
    signatures are not persisted; the block's commit certificate, or the
@@ -327,22 +313,6 @@ let retire t = t.retired <- true
 
 let send t ctx ~dst msg = t.env.send ctx ~src:t.id ~dst msg
 
-let add_client_row t (ce : Sbft_store.Block_store.client_entry) =
-  Hashtbl.replace t.client_table ce.ce_client ce
-
-(* Client-row adoption: replace the client table with a checkpoint's
-   rows (the snapshot's state already reflects those executions). *)
-let adopt_client_rows t rows =
-  Hashtbl.reset t.client_table;
-  List.iter (add_client_row t) rows
-
-(* The exactly-once test: the client table already records [client]'s
-   request [timestamp], or a later one, as executed. *)
-let executed_before t ~client ~timestamp =
-  match Hashtbl.find_opt t.client_table client with
-  | Some ce -> ce.Sbft_store.Block_store.ce_timestamp >= timestamp
-  | None -> false
-
 let broadcast_replicas t ctx msg =
   for r = 0 to num_replicas t - 1 do
     send t ctx ~dst:r msg
@@ -368,17 +338,6 @@ let wal_sync t ctx =
     Engine.charge ctx
       (Cost_model.Tally.note "wal_fsync"
          (Cost_model.wal_fsync_scaled ~scale:t.fsync_scale))
-
-(* ------------------------------------------------------------------ *)
-(* Progress tracking for the view-change trigger *)
-
-let note_progress t ctx = t.last_progress <- Engine.ctx_now ctx
-
-let mark_outstanding t (r : Types.request) =
-  if r.client >= 0 then Hashtbl.replace t.outstanding (r.client, r.timestamp) r
-
-let clear_outstanding t (r : Types.request) =
-  Hashtbl.remove t.outstanding (r.client, r.timestamp)
 
 (* ------------------------------------------------------------------ *)
 (* Collector-side share combination (§IV linearity).
@@ -525,10 +484,8 @@ let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
 (* ------------------------------------------------------------------ *)
 (* Block application, shared by in-order execution and recovery replay.
 
-   Exactly-once execution: a request re-proposed across a view change
-   may appear in two committed blocks; the second occurrence
-   deterministically degrades to a no-op (every replica shares the same
-   client table state).  Returns the per-request outputs. *)
+   Exactly-once execution ({!Intake.exec_ops}).  Returns the
+   per-request outputs. *)
 
 let execute_once t ctx sl reqs =
   Sanitizer.record_execute t.san ~seq:sl.seq;
@@ -536,37 +493,14 @@ let execute_once t ctx sl reqs =
   Engine.charge ctx
     (Cost_model.Tally.note "exec"
        (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:sl.seq reqs));
-  let ops =
-    List.map
-      (fun (r : Types.request) ->
-        if r.client >= 0 && executed_before t ~client:r.client ~timestamp:r.timestamp
-        then ""
-        else r.op)
-      reqs
-  in
-  Sbft_store.Auth_store.execute_block t.store ~seq:sl.seq ~ops
+  Sbft_store.Auth_store.execute_block t.store ~seq:sl.seq ~ops:(Intake.exec_ops t.intake reqs)
 
 (* Record each first execution in the client table (retransmitted
    requests are answered from it).  [log] persists the new rows;
    recovery replays blocks whose rows the WAL already holds. *)
 let record_client_rows t ctx ~seq reqs outputs ~log =
-  List.iteri
-    (fun index ((r : Types.request), value) ->
-      if r.client >= 0 && not (executed_before t ~client:r.client ~timestamp:r.timestamp)
-      then begin
-        let row =
-          {
-            Sbft_store.Block_store.ce_client = r.client;
-            ce_timestamp = r.timestamp;
-            ce_value = value;
-            ce_seq = seq;
-            ce_index = index;
-          }
-        in
-        add_client_row t row;
-        if log then wal_log t ctx (Sbft_store.Wal.Client_row row)
-      end)
-    (List.combine reqs outputs)
+  let rows = Intake.record_rows t.intake ~seq reqs outputs in
+  if log then List.iter (fun row -> wal_log t ctx (Sbft_store.Wal.Client_row row)) rows
 
 (* ------------------------------------------------------------------ *)
 (* Forward declarations via mutual recursion: the handler graph is
@@ -607,10 +541,9 @@ let rec on_message t ctx ~src msg =
 (* Request intake and proposing (primary) *)
 
 and on_request t ctx (r : Types.request) =
-  (* Answer retransmissions of already-executed operations directly. *)
-  match Hashtbl.find_opt t.client_table r.client with
-  | Some { Sbft_store.Block_store.ce_timestamp = ts; ce_value = value; ce_seq = seq; _ }
-    when ts >= r.timestamp ->
+  Intake.on_request t.intake ctx (keys t) r ~primary:(is_primary t)
+    ~reply:(fun (ce : Sbft_store.Block_store.client_entry) ->
+      (* Answer retransmissions of already-executed operations directly. *)
       Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
       send t ctx ~dst:r.client
         (Types.Reply
@@ -618,32 +551,13 @@ and on_request t ctx (r : Types.request) =
              view = t.view;
              replica = t.id;
              client = r.client;
-             timestamp = ts;
-             seq;
-             value;
+             timestamp = ce.ce_timestamp;
+             seq = ce.ce_seq;
+             value = ce.ce_value;
              signature = "";
-           })
-  | _ ->
-      if is_primary t then begin
-        if not (Hashtbl.mem t.pending_keys (r.client, r.timestamp)) then begin
-          (* Static authentication and access-control check (§V-C). *)
-          Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-          if Keys.verify_request (keys t) r then begin
-            Hashtbl.replace t.pending_keys (r.client, r.timestamp) ();
-            Queue.push r t.pending;
-            Batching.observe_pending t.batching (Queue.length t.pending);
-            mark_outstanding t r;
-            try_propose t ctx
-          end
-        end
-      end
-      else begin
-        (* Forward to the primary and watch for progress. *)
-        if not (Hashtbl.mem t.outstanding (r.client, r.timestamp)) then begin
-          mark_outstanding t r;
-          send t ctx ~dst:(primary_of t t.view) (Types.Request r)
-        end
-      end
+           }))
+    ~queued:(fun () -> try_propose t ctx)
+    ~forward:(fun () -> send t ctx ~dst:(primary_of t t.view) (Types.Request r))
 
 and inflight t =
   (* Blocks proposed but not yet known committed by us (primary view). *)
@@ -660,26 +574,26 @@ and inflight t =
 and try_propose t ctx =
   if is_primary t && not t.in_view_change then begin
     let config = cfg t in
-    let target = Batching.batch_size t.batching in
+    let target = Intake.batch_size t.intake in
     let can_propose () =
-      (not (Queue.is_empty t.pending))
+      Intake.pending_length t.intake > 0
       && inflight t < Batching.max_concurrent config
       && t.next_seq <= t.ls + config.Config.win
       && t.next_seq <= last_executed t + Config.active_window config
     in
-    let full_batch () = Queue.length t.pending >= target in
+    let full_batch () = Intake.pending_length t.intake >= target in
     while can_propose () && full_batch () do
       propose_block t ctx target
     done;
     (* A partial batch is flushed after the batching timeout. *)
-    if can_propose () && (not (Queue.is_empty t.pending)) && t.batch_timer = None
+    if can_propose () && t.batch_timer = None
     then
       t.batch_timer <-
         Some
           (set_replica_timer t ~after:Config.batch_timeout (fun ctx ->
                t.batch_timer <- None;
                if is_primary t && not t.in_view_change then begin
-                 let batch = min (Queue.length t.pending) (Batching.batch_size t.batching) in
+                 let batch = min (Intake.pending_length t.intake) (Intake.batch_size t.intake) in
                  if
                    batch > 0
                    && inflight t < Batching.max_concurrent config
@@ -690,9 +604,8 @@ and try_propose t ctx =
   end
 
 and propose_block t ctx batch =
-  let batch = min batch (Queue.length t.pending) in
-  let reqs = List.init batch (fun _ -> Queue.pop t.pending) in
-  List.iter (fun (r : Types.request) -> Hashtbl.remove t.pending_keys (r.client, r.timestamp)) reqs;
+  let reqs = Intake.take t.intake batch in
+  let batch = List.length reqs in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
@@ -731,7 +644,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
       let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
-      List.iter (mark_outstanding t) real_reqs;
+      List.iter (Intake.mark_outstanding t.intake) real_reqs;
       if not sl.sent_sign_share then promise_block t ctx sl ~view ~reqs ~h ~corrupt:true;
       (* A commit proof may have arrived before the block. *)
       try_pending_proofs t ctx sl
@@ -974,7 +887,7 @@ and commit t ctx sl ~reqs ~view ~h cert =
          Float.min
            (float_of_int (cfg t).Config.fast_path_timeout)
            (t.fast_eta *. 1.25));
-    note_progress t ctx;
+    Intake.note_progress t.intake ctx;
     trace t ctx "commit"
       (Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
     let entry =
@@ -1007,8 +920,8 @@ and try_execute t ctx =
         let outputs = execute_once t ctx sl reqs in
         let digest = Sbft_store.Auth_store.digest t.store in
         t.n_executed_blocks <- t.n_executed_blocks + 1;
-        note_progress t ctx;
-        List.iter (clear_outstanding t) reqs;
+        Intake.note_progress t.intake ctx;
+        List.iter (Intake.clear_outstanding t.intake) reqs;
         record_client_rows t ctx ~seq:next reqs outputs ~log:true;
         (* Periodic checkpoint snapshot for state transfer.  The client
            table rides along: resuming dedup is part of resuming state. *)
@@ -1016,7 +929,7 @@ and try_execute t ctx =
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:next
             ~snapshot:(Sbft_store.Auth_store.delayed_snapshot t.store)
             ~table:
-              (List.map snd (Det.sorted_bindings ~compare:Int.compare t.client_table));
+              (Intake.rows t.intake);
         (* Group commit: one fsync covers the block's rows and any
            commit certificates buffered earlier in this handler, before
            the execution results go on the wire. *)
@@ -1058,7 +971,7 @@ and try_execute t ctx =
                    every replica replies with the same bytes and the
                    client's f+1 match cannot mix "" with real values. *)
                 let value =
-                  match Hashtbl.find_opt t.client_table r.client with
+                  match Intake.find_row t.intake ~client:r.client with
                   | Some ce when Int.equal ce.Sbft_store.Block_store.ce_timestamp r.timestamp ->
                       ce.ce_value
                   | _ -> value
@@ -1194,7 +1107,7 @@ and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
       if candidate > t.ls then t.ls <- candidate;
       garbage_collect t
     end;
-    note_progress t ctx;
+    Intake.note_progress t.intake ctx;
     (* Fell too far behind the certified execution frontier?  [src]
        certified the state, so probe it first; retries rotate. *)
     if seq > last_executed t + (cfg t).Config.win then
@@ -1463,7 +1376,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
           (* Adopt the sender's client table as of the snapshot: without
              the rows this replica would re-execute retried requests
              (at-most-once violation) once it resumes. *)
-          adopt_client_rows t table;
+          Intake.adopt_rows t.intake table;
           (* Persist the transferred state: the snapshot becomes this
              replica's own durable checkpoint (blocks before it are not
              in our ledger, so recovery must restart from here), and the
@@ -1675,10 +1588,9 @@ and enter_view t ctx ~view =
     t.view <- view;
     t.in_view_change <- false;
     t.n_view_changes <- t.n_view_changes + 1;
-    t.vc_backoff <- 0;
     wal_log t ctx (Sbft_store.Wal.View_entered view);
     wal_sync t ctx;
-    note_progress t ctx;
+    Intake.enter_view t.intake ctx;
     Hashtbl.remove t.vc_msgs view;
     (* Fresh view: per-view collection state of open slots resets. *)
     Det.iter_sorted ~compare:Int.compare
@@ -1695,27 +1607,9 @@ and enter_view t ctx ~view =
         end)
       t.slots;
     trace t ctx "new-view" (Printf.sprintf "view=%d primary=%d" view (primary_of t view));
-    (* Re-drive requests that were in flight when the old view died,
-       in (client, timestamp) order: both the primary's pending queue
-       and the resend sequence are replay-visible. *)
-    let stale =
-      List.map snd
-        (Det.sorted_bindings
-           ~compare:(Det.compare_pair Int.compare Int.compare)
-           t.outstanding)
-    in
-    if is_primary t then
-      List.iter
-        (fun (r : Types.request) ->
-          if not (Hashtbl.mem t.pending_keys (r.Types.client, r.Types.timestamp)) then begin
-            Hashtbl.replace t.pending_keys (r.Types.client, r.Types.timestamp) ();
-            Queue.push r t.pending
-          end)
-        stale
-    else
-      List.iter
-        (fun r -> send t ctx ~dst:(primary_of t t.view) (Types.Request r))
-        stale;
+    (* Re-drive requests that were in flight when the old view died. *)
+    Intake.redrive t.intake ~primary:(is_primary t) ~forward:(fun r ->
+        send t ctx ~dst:(primary_of t t.view) (Types.Request r));
     if is_primary t then try_propose t ctx
   end
 
@@ -1723,14 +1617,8 @@ and enter_view t ctx ~view =
 (* Liveness ticker *)
 
 and liveness_tick t ctx =
-  let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
-  if waiting then begin
-    let timeout = Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
-    if Engine.ctx_now ctx - t.last_progress > timeout then begin
-      t.vc_backoff <- t.vc_backoff + 1;
-      start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
-    end
-  end
+  if Intake.liveness_due t.intake ctx then
+    start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
 
 let rec arm_liveness t =
   ignore
@@ -1739,7 +1627,7 @@ let rec arm_liveness t =
          arm_liveness t))
 
 let start t ctx =
-  note_progress t ctx;
+  Intake.note_progress t.intake ctx;
   arm_liveness t
 
 (* ------------------------------------------------------------------ *)
@@ -1781,7 +1669,7 @@ let recover t ctx =
       | Ok () ->
           Sanitizer.record_state_transfer t.san ~seq:cp_seq;
           if cp_seq > t.ls then t.ls <- cp_seq;
-          adopt_client_rows t cp_table
+          Intake.adopt_rows t.intake cp_table
       | Error _ -> () (* corrupt local checkpoint: state transfer heals *))
   | _ -> ());
   (* 2. WAL pass one: views and certified checkpoints. *)
@@ -1855,8 +1743,8 @@ let recover t ctx =
           let ahead = config.Config.conservative_rejoin && ce.ce_seq > last_executed t in
           if
             (not ahead)
-            && not (executed_before t ~client:ce.ce_client ~timestamp:ce.ce_timestamp)
-          then add_client_row t ce
+            && not (Intake.executed_before t.intake ~client:ce.ce_client ~timestamp:ce.ce_timestamp)
+          then Intake.add_row t.intake ce
       | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
           if seq > !promised_seq then promised_seq := seq;
           if Int.equal view t.view && seq > last_executed t then begin
@@ -1891,7 +1779,7 @@ let recover t ctx =
   (* 5. Conservative rejoin. *)
   t.next_seq <-
     max t.next_seq (max (Sbft_store.Block_store.highest t.blocks) !promised_seq + 1);
-  note_progress t ctx;
+  Intake.note_progress t.intake ctx;
   arm_liveness t;
   if config.Config.conservative_rejoin then begin
     (* Probe for whatever we missed while down (newer checkpoints, view

@@ -4,6 +4,7 @@ module Types = Sbft_core.Types
 module Config = Sbft_core.Config
 module Keys = Sbft_core.Keys
 module Batching = Sbft_core.Batching
+module Intake = Sbft_core.Intake
 module Votes = Sbft_core.Votes
 
 type env = {
@@ -48,15 +49,9 @@ type t = {
   mutable next_seq : int;
   mutable ls : int;
   slots : (int, slot) Hashtbl.t;
-  pending : Types.request Queue.t;
-  pending_keys : (int * int, unit) Hashtbl.t;
-  client_table : (int, int * string * int) Hashtbl.t;
+  intake : Intake.t;
   checkpoints : (int, Votes.t) Hashtbl.t; (* seq -> voters *)
-  batching : Batching.t;
   mutable batch_timer_armed : bool;
-  outstanding : (int * int, Types.request) Hashtbl.t;
-  mutable last_progress : Engine.time;
-  mutable vc_backoff : int;
   mutable sent_vc_for : int;
   vc_msgs : (int, (int, (int * int * Types.request list) list) Hashtbl.t) Hashtbl.t;
   mutable n_view_changes : int;
@@ -83,15 +78,9 @@ let create ~env ~id ~store =
     next_seq = 1;
     ls = 0;
     slots = Hashtbl.create 128;
-    pending = Queue.create ();
-    pending_keys = Hashtbl.create 64;
-    client_table = Hashtbl.create 64;
+    intake = Intake.create config;
     checkpoints = Hashtbl.create 8;
-    batching = Batching.create env.keys.Keys.config;
     batch_timer_armed = false;
-    outstanding = Hashtbl.create 64;
-    last_progress = 0;
-    vc_backoff = 0;
     sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
     n_view_changes = 0;
@@ -105,6 +94,7 @@ let is_primary t = Int.equal (primary_of t t.view) t.id
 let last_executed t = Sbft_store.Auth_store.last_executed t.store
 let state_digest t = Sbft_store.Auth_store.digest t.store
 let view_changes_completed t = t.n_view_changes
+let checkpoint_vote_sets t = Hashtbl.length t.checkpoints
 
 let committed_block t seq =
   match Hashtbl.find_opt t.slots seq with Some s -> s.committed | None -> None
@@ -137,10 +127,9 @@ let broadcast t ctx msg =
     send t ctx ~dst:r msg
   done
 
-let note_progress t ctx = t.last_progress <- Engine.ctx_now ctx
-
-let mark_outstanding t (r : Types.request) =
-  if r.Types.client >= 0 then Hashtbl.replace t.outstanding (r.Types.client, r.Types.timestamp) r
+let remove_upto tbl seq =
+  List.iter (Hashtbl.remove tbl)
+    (List.filter (fun s -> s <= seq) (Det.sorted_keys ~compare:Int.compare tbl))
 
 let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
@@ -170,29 +159,21 @@ let rec on_message t ctx ~src msg =
   | Pbft_types.Reply _ -> ()
 
 and on_request t ctx (r : Types.request) =
-  match Hashtbl.find_opt t.client_table r.Types.client with
-  | Some (ts, value, seq) when ts >= r.Types.timestamp ->
+  Intake.on_request t.intake ctx t.env.keys r ~primary:(is_primary t)
+    ~reply:(fun (ce : Intake.row) ->
       Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
       send t ctx ~dst:r.Types.client
         (Pbft_types.Reply
-           { view = t.view; replica = t.id; client = r.Types.client; timestamp = ts; seq; value })
-  | _ ->
-      if is_primary t then begin
-        if not (Hashtbl.mem t.pending_keys (r.Types.client, r.Types.timestamp)) then begin
-          Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-          if Keys.verify_request t.env.keys r then begin
-            Hashtbl.replace t.pending_keys (r.Types.client, r.Types.timestamp) ();
-            Queue.push r t.pending;
-            Batching.observe_pending t.batching (Queue.length t.pending);
-            mark_outstanding t r;
-            try_propose t ctx
-          end
-        end
-      end
-      else if not (Hashtbl.mem t.outstanding (r.Types.client, r.Types.timestamp)) then begin
-        mark_outstanding t r;
-        send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r)
-      end
+           {
+             view = t.view;
+             replica = t.id;
+             client = r.Types.client;
+             timestamp = ce.ce_timestamp;
+             seq = ce.ce_seq;
+             value = ce.ce_value;
+           }))
+    ~queued:(fun () -> try_propose t ctx)
+    ~forward:(fun () -> send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r))
 
 and inflight t =
   let le = last_executed t in
@@ -207,13 +188,13 @@ and inflight t =
 and try_propose t ctx =
   if is_primary t then begin
     let config = cfg t in
-    let target = Batching.batch_size t.batching in
+    let target = Intake.batch_size t.intake in
     let can () =
-      (not (Queue.is_empty t.pending))
+      Intake.pending_length t.intake > 0
       && t.next_seq <= t.ls + config.Config.win
       && inflight t < Batching.max_concurrent config
     in
-    while can () && Queue.length t.pending >= target do
+    while can () && Intake.pending_length t.intake >= target do
       propose t ctx target
     done;
     if can () && not t.batch_timer_armed then begin
@@ -222,23 +203,20 @@ and try_propose t ctx =
         (set_replica_timer t ~after:Config.batch_timeout
            (fun ctx ->
              t.batch_timer_armed <- false;
-             if is_primary t && not (Queue.is_empty t.pending)
+             if is_primary t && Intake.pending_length t.intake > 0
                 && t.next_seq <= t.ls + config.Config.win
                 && inflight t < Batching.max_concurrent config
              then begin
-               propose t ctx (Queue.length t.pending);
+               propose t ctx (Intake.pending_length t.intake);
                try_propose t ctx
              end))
     end
   end
 
 and propose t ctx batch =
-  let batch = min batch (min (Queue.length t.pending) Config.max_batch) in
+  let batch = min batch (min (Intake.pending_length t.intake) Config.max_batch) in
   if batch > 0 then begin
-    let reqs = List.init batch (fun _ -> Queue.pop t.pending) in
-    List.iter
-      (fun (r : Types.request) -> Hashtbl.remove t.pending_keys (r.Types.client, r.Types.timestamp))
-      reqs;
+    let reqs = Intake.take t.intake batch in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
@@ -259,7 +237,7 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
       Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
       let h = Pbft_types.block_hash t.env.keys ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
-      List.iter (mark_outstanding t) real;
+      List.iter (Intake.mark_outstanding t.intake) real;
       if not sl.sent_prepare then begin
         sl.sent_prepare <- true;
         broadcast t ctx (Pbft_types.Prepare { seq; view; h; replica = t.id })
@@ -319,7 +297,7 @@ and check_committed t ctx sl =
         ~count:(Votes.count sl.commits);
       Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest;
       sl.committed <- Some reqs;
-      note_progress t ctx;
+      Intake.note_progress t.intake ctx;
       Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
       trace t ctx "commit" (Printf.sprintf "seq=%d" sl.seq);
       try_execute t ctx;
@@ -338,23 +316,16 @@ and try_execute t ctx =
         Engine.charge ctx
           (Cost_model.Tally.note "exec"
              (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:next reqs));
-        let is_dup (r : Types.request) =
-          r.Types.client >= 0
-          &&
-          match Hashtbl.find_opt t.client_table r.Types.client with
-          | Some (ts, _, _) -> ts >= r.Types.timestamp
-          | None -> false
+        let outputs =
+          Sbft_store.Auth_store.execute_block t.store ~seq:next
+            ~ops:(Intake.exec_ops t.intake reqs)
         in
-        let ops = List.map (fun (r : Types.request) -> if is_dup r then "" else r.Types.op) reqs in
-        let outputs = Sbft_store.Auth_store.execute_block t.store ~seq:next ~ops in
-        note_progress t ctx;
+        Intake.note_progress t.intake ctx;
+        ignore (Intake.record_rows t.intake ~seq:next reqs outputs : Intake.row list);
         List.iter
           (fun ((r : Types.request), value) ->
-            Hashtbl.remove t.outstanding (r.Types.client, r.Types.timestamp);
+            Intake.clear_outstanding t.intake r;
             if r.Types.client >= 0 then begin
-              (match Hashtbl.find_opt t.client_table r.Types.client with
-              | Some (ts, _, _) when ts >= r.Types.timestamp -> ()
-              | _ -> Hashtbl.replace t.client_table r.Types.client (r.Types.timestamp, value, next));
               Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
               send t ctx ~dst:r.Types.client
                 (Pbft_types.Reply
@@ -382,29 +353,29 @@ and try_execute t ctx =
 
 and on_checkpoint t ctx ~seq ~digest ~replica =
   ignore digest;
-  let voters =
-    match Hashtbl.find_opt t.checkpoints seq with
-    | Some v -> v
-    | None ->
-        let v = Votes.create () in
-        Hashtbl.replace t.checkpoints seq v;
-        v
-  in
-  if not (Votes.mem voters replica) then begin
-    Votes.add voters replica;
-    if Votes.count voters >= quorum t && seq > t.ls then begin
-      Sanitizer.check_quorum t.san Sanitizer.Majority
-        ~count:(Votes.count voters);
-      t.ls <- seq;
-      note_progress t ctx;
-      (* GC everything below the stable checkpoint. *)
-      let stale =
-        List.filter (fun s -> s <= seq)
-          (Det.sorted_keys ~compare:Int.compare t.slots)
-      in
-      List.iter (Hashtbl.remove t.slots) stale;
-      Sanitizer.prune_below t.san ~seq;
-      Sbft_store.Auth_store.gc_below t.store ~seq
+  (* A vote at or below the stable checkpoint can decide nothing. *)
+  if seq > t.ls then begin
+    let voters =
+      match Hashtbl.find_opt t.checkpoints seq with
+      | Some v -> v
+      | None ->
+          let v = Votes.create () in
+          Hashtbl.replace t.checkpoints seq v;
+          v
+    in
+    if not (Votes.mem voters replica) then begin
+      Votes.add voters replica;
+      if Votes.count voters >= quorum t then begin
+        Sanitizer.check_quorum t.san Sanitizer.Majority
+          ~count:(Votes.count voters);
+        t.ls <- seq;
+        Intake.note_progress t.intake ctx;
+        (* GC everything at or below the stable checkpoint. *)
+        remove_upto t.slots seq;
+        remove_upto t.checkpoints seq;
+        Sanitizer.prune_below t.san ~seq;
+        Sbft_store.Auth_store.gc_below t.store ~seq
+      end
     end
   end
 
@@ -480,8 +451,7 @@ and on_new_view t ctx ~view ~pre_prepares =
     Sanitizer.record_view_entry t.san ~view;
     t.view <- view;
     t.n_view_changes <- t.n_view_changes + 1;
-    t.vc_backoff <- 0;
-    note_progress t ctx;
+    Intake.enter_view t.intake ctx;
     (* Reset per-view state of open slots. *)
     Det.iter_sorted ~compare:Int.compare
       (fun _ sl ->
@@ -500,35 +470,16 @@ and on_new_view t ctx ~view ~pre_prepares =
         if seq > !top then top := seq;
         if seq > t.ls then on_pre_prepare t ctx ~seq ~view ~reqs)
       pre_prepares;
-    if is_primary t then begin
-      t.next_seq <- max t.next_seq (!top + 1);
-      (* Re-drive requests stranded by the old view, in (client,
-         timestamp) order: the pending queue and resend sequence are
-         replay-visible. *)
-      Det.iter_sorted ~compare:(Det.compare_pair Int.compare Int.compare)
-        (fun key r ->
-          if not (Hashtbl.mem t.pending_keys key) then begin
-            Hashtbl.replace t.pending_keys key ();
-            Queue.push r t.pending
-          end)
-        t.outstanding;
-      try_propose t ctx
-    end
-    else
-      Det.iter_sorted ~compare:(Det.compare_pair Int.compare Int.compare)
-        (fun _ r -> send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r))
-        t.outstanding
+    if is_primary t then t.next_seq <- max t.next_seq (!top + 1);
+    (* Re-drive requests stranded by the old view. *)
+    Intake.redrive t.intake ~primary:(is_primary t) ~forward:(fun r ->
+        send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r));
+    if is_primary t then try_propose t ctx
   end
 
 and liveness_tick t ctx =
-  let waiting = Hashtbl.length t.outstanding > 0 || not (Queue.is_empty t.pending) in
-  if waiting then begin
-    let timeout = Config.view_change_timeout * (1 lsl min 6 t.vc_backoff) in
-    if Engine.ctx_now ctx - t.last_progress > timeout then begin
-      t.vc_backoff <- t.vc_backoff + 1;
-      start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
-    end
-  end
+  if Intake.liveness_due t.intake ctx then
+    start_view_change t ctx ~target_view:(max (t.view + 1) (t.sent_vc_for + 1))
 
 let rec arm_liveness t =
   ignore
@@ -539,5 +490,5 @@ let rec arm_liveness t =
          arm_liveness t))
 
 let start t ctx =
-  note_progress t ctx;
+  Intake.note_progress t.intake ctx;
   arm_liveness t

@@ -24,6 +24,12 @@ val view : t -> int
 val last_executed : t -> int
 val state_digest : t -> string
 val view_changes_completed : t -> int
+
+val checkpoint_vote_sets : t -> int
+(** Introspection: how many sequence numbers' checkpoint votes the
+    replica holds.  Votes at or below the stable checkpoint are dropped,
+    so this stays bounded however long the run. *)
+
 val committed_block : t -> int -> Pbft_types.request list option
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Pbft_types.msg -> unit
 val start : t -> Sbft_sim.Engine.ctx -> unit

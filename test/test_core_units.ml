@@ -1,7 +1,7 @@
 (* Unit tests for the smaller core-protocol components: configuration
    arithmetic, collector selection, adaptive batching, message hashing
-   and size accounting, request authentication, and the end-of-run
-   agreement check. *)
+   and size accounting, request authentication, client-request intake,
+   and the end-of-run agreement check. *)
 
 open Sbft_core
 
@@ -168,6 +168,127 @@ let test_request_authentication () =
     (Keys.verify_request keys { good with Types.client = n + 99 });
   check "replica id as client" false
     (Keys.verify_request keys { good with Types.client = 0 })
+
+(* ------------------------------------------------------------------ *)
+(* Client-request intake *)
+
+(* Run [f] in a handler on node 0 at virtual time [at]. *)
+let in_handler engine ~at f =
+  let result = ref None in
+  Sbft_sim.Engine.dispatch engine ~dst:0 ~at (fun ctx -> result := Some (f ctx));
+  Sbft_sim.Engine.run_all engine;
+  match !result with Some x -> x | None -> Alcotest.fail "handler did not run"
+
+let intake_fixture () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let engine = Sbft_sim.Engine.create ~num_nodes:1 ~seed:3L () in
+  let keys, _, clients = Keys.setup (Sbft_sim.Engine.rng engine) ~config ~num_clients:2 in
+  let n = Config.n config in
+  let req i ts =
+    let r = { Types.client = n + i; timestamp = ts; op = Printf.sprintf "op%d-%d" i ts; signature = "" } in
+    { r with Types.signature = Sbft_crypto.Pki.sign clients.(i) (Types.request_digest r) }
+  in
+  (Intake.create config, engine, keys, req)
+
+let ids reqs = List.map (fun (r : Types.request) -> (r.Types.client, r.Types.timestamp)) reqs
+
+(* The primary queues each authenticated request once, in arrival
+   order; a backup forwards each once; an executed one is answered
+   from the table. *)
+let test_intake_queue () =
+  let t, engine, keys, req = intake_fixture () in
+  let queued = ref 0 and forwarded = ref 0 and replied = ref [] in
+  let submit ~primary r =
+    in_handler engine ~at:0 (fun ctx ->
+        Intake.on_request t ctx keys r ~primary
+          ~reply:(fun ce -> replied := ce :: !replied)
+          ~queued:(fun () -> incr queued)
+          ~forward:(fun () -> incr forwarded))
+  in
+  let a = req 0 1 and b = req 1 1 and a2 = req 0 2 in
+  List.iter (submit ~primary:true) [ a; b; a; a2; b ];
+  submit ~primary:true { a with Types.op = "forged" };
+  check_int "three distinct authentic requests queued" 3 !queued;
+  check_int "pending" 3 (Intake.pending_length t);
+  check "take pops the oldest" true (ids (Intake.take t 2) = ids [ a; b ]);
+  check "take stops at the queue's end" true (ids (Intake.take t 5) = ids [ a2 ]);
+  let c = req 1 2 in
+  submit ~primary:false c;
+  submit ~primary:false c;
+  check_int "a backup forwards once" 1 !forwarded;
+  ignore (Intake.record_rows t ~seq:3 [ c ] [ "out" ] : Intake.row list);
+  submit ~primary:false c;
+  match !replied with
+  | [ ce ] ->
+      check "reply carries the executed row" true
+        (String.equal ce.Sbft_store.Block_store.ce_value "out" && ce.ce_seq = 3)
+  | l -> Alcotest.failf "want one reply, got %d" (List.length l)
+
+(* Re-drive goes in (client, timestamp) order whatever the arrival
+   order; the primary skips requests already pending. *)
+let test_intake_redrive () =
+  let t, _, _, req = intake_fixture () in
+  let r1_7 = req 0 7 and r1_3 = req 0 3 and r2_5 = req 1 5 in
+  List.iter (Intake.mark_outstanding t) [ r2_5; r1_7; View_change.null_request; r1_3 ];
+  let sent = ref [] in
+  Intake.redrive t ~primary:false ~forward:(fun r -> sent := r :: !sent);
+  check "backup forwards in order" true (ids (List.rev !sent) = ids [ r1_3; r1_7; r2_5 ]);
+  Intake.redrive t ~primary:true ~forward:(fun _ -> Alcotest.fail "primary forwards");
+  Intake.redrive t ~primary:true ~forward:(fun _ -> ());
+  check "primary queues each once, in order" true
+    (ids (Intake.take t 10) = ids [ r1_3; r1_7; r2_5 ]);
+  Intake.clear_outstanding t r1_7;
+  Intake.redrive t ~primary:true ~forward:(fun _ -> ());
+  check "an executed request is not re-driven" true (ids (Intake.take t 10) = ids [ r1_3; r2_5 ])
+
+(* The exactly-once test: the first execution of a request is recorded
+   with its position in the block; a later copy runs as a no-op. *)
+let test_intake_exactly_once () =
+  let t, _, _, req = intake_fixture () in
+  let r = req 0 3 in
+  let rows = Intake.record_rows t ~seq:4 [ View_change.null_request; r; r ] [ ""; "a"; "b" ] in
+  (match rows with
+  | [ ce ] ->
+      check "first copy recorded at index 1" true
+        (ce.Sbft_store.Block_store.ce_index = 1 && String.equal ce.ce_value "a" && ce.ce_seq = 4)
+  | l -> Alcotest.failf "want one row, got %d" (List.length l));
+  let client = r.Types.client in
+  check "same timestamp executed" true (Intake.executed_before t ~client ~timestamp:3);
+  check "older timestamp executed" true (Intake.executed_before t ~client ~timestamp:2);
+  check "newer timestamp not" false (Intake.executed_before t ~client ~timestamp:4);
+  check "other client not" false (Intake.executed_before t ~client:(client + 1) ~timestamp:1);
+  let next = req 0 4 in
+  check "a re-proposed copy becomes a no-op" true
+    (Intake.exec_ops t [ r; next; View_change.null_request ]
+    = [ ""; next.Types.op; View_change.null_request.Types.op ]);
+  Intake.adopt_rows t [];
+  check "adopting a checkpoint's rows replaces the table" false
+    (Intake.executed_before t ~client ~timestamp:3)
+
+(* The view-change timeout doubles with each view change the clock
+   starts, up to 2^6, and starts over on entering a view. *)
+let test_intake_liveness_backoff () =
+  let t, engine, _, req = intake_fixture () in
+  let due at = in_handler engine ~at (fun ctx -> Intake.liveness_due t ctx) in
+  in_handler engine ~at:0 (fun ctx -> Intake.note_progress t ctx);
+  check "nothing waiting, nothing due" false (due (Sbft_sim.Engine.sec 1000));
+  Intake.mark_outstanding t (req 0 1);
+  let base = Config.view_change_timeout in
+  (* Progress does not reset the backoff: each round notes progress and
+     waits for the next, doubled timeout. *)
+  let from = ref (Sbft_sim.Engine.sec 1000) in
+  for b = 0 to 7 do
+    in_handler engine ~at:!from (fun ctx -> Intake.note_progress t ctx);
+    let timeout = base * (1 lsl min 6 b) in
+    check (Printf.sprintf "not due at 2^%d timeouts" (min 6 b)) false (due (!from + timeout));
+    check (Printf.sprintf "due just after 2^%d timeouts" (min 6 b)) true
+      (due (!from + timeout + 1));
+    from := !from + timeout + 1
+  done;
+  let entered = !from + base in
+  in_handler engine ~at:entered (fun ctx -> Intake.enter_view t ctx);
+  check "entering a view resets the backoff" false (due (entered + base));
+  check "one timeout after entering" true (due (entered + base + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Run-scoped memos *)
@@ -458,6 +579,13 @@ let () =
           Alcotest.test_case "kinds" `Quick test_kind_strings;
         ] );
       ("keys", [ Alcotest.test_case "request auth" `Quick test_request_authentication ]);
+      ( "intake",
+        [
+          Alcotest.test_case "queue dedup and take order" `Quick test_intake_queue;
+          Alcotest.test_case "re-drive order" `Quick test_intake_redrive;
+          Alcotest.test_case "exactly-once" `Quick test_intake_exactly_once;
+          Alcotest.test_case "liveness backoff" `Quick test_intake_liveness_backoff;
+        ] );
       ( "memos",
         [
           Alcotest.test_case "hash-to-field memo" `Quick test_points_memo;

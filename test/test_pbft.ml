@@ -93,10 +93,9 @@ let test_determinism () =
   check "deterministic" true (run () = run ())
 
 (* One backup replica (id 1 of n = 4, quorum 3) driven message by
-   message: a vote repeated by one sender counts once.  The prepared
-   certificate needs the pre-prepare plus quorum - 1 distinct Prepares,
-   the commit quorum distinct Commits. *)
-let test_vote_dedup () =
+   message: the replica, a [deliver ~src msg] function, the messages it
+   sent (newest first), its keys, n and the quorum. *)
+let lone_backup () =
   let config = Config.sbft ~f:1 ~c:0 in
   let n = Config.n config and quorum = Config.quorum_bft config in
   let engine = Engine.create ~num_nodes:n ~seed:1L () in
@@ -117,6 +116,13 @@ let test_vote_dedup () =
         Pbft_replica.on_message r ctx ~src msg);
     Engine.run_all engine
   in
+  (r, deliver, sent, keys, n, quorum)
+
+(* A vote repeated by one sender counts once.  The prepared certificate
+   needs the pre-prepare plus quorum - 1 distinct Prepares, the commit
+   quorum distinct Commits. *)
+let test_vote_dedup () =
+  let r, deliver, sent, keys, n, quorum = lone_backup () in
   let commits () =
     List.length
       (List.filter (function Pbft_types.Commit _ -> true | _ -> false) !sent)
@@ -143,6 +149,25 @@ let test_vote_dedup () =
   check_int "quorum distinct Commits execute" 1 (Pbft_replica.last_executed r);
   check_int "and the Commit went out once" n (commits ())
 
+(* Checkpoint votes are held only until their checkpoint, or a later
+   one, is stable: late votes and votes for older seqs are dropped. *)
+let test_checkpoint_votes_pruned () =
+  let r, deliver, _, _, _, _ = lone_backup () in
+  let vote ~seq replica =
+    deliver ~src:replica (Pbft_types.Checkpoint { seq; digest = ""; replica })
+  in
+  vote ~seq:4 0;
+  vote ~seq:8 0;
+  check_int "two seqs with votes" 2 (Pbft_replica.checkpoint_vote_sets r);
+  vote ~seq:8 2;
+  vote ~seq:8 3;
+  check_int "stable at 8 drops 4 and 8" 0 (Pbft_replica.checkpoint_vote_sets r);
+  vote ~seq:8 1;
+  vote ~seq:4 2;
+  check_int "votes at or below 8 are ignored" 0 (Pbft_replica.checkpoint_vote_sets r);
+  vote ~seq:12 2;
+  check_int "a vote above 8 is held" 1 (Pbft_replica.checkpoint_vote_sets r)
+
 let () =
   Alcotest.run "sbft_pbft"
     [
@@ -157,5 +182,6 @@ let () =
           Alcotest.test_case "quadratic messages" `Quick test_quadratic_message_complexity;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "vote dedup" `Quick test_vote_dedup;
+          Alcotest.test_case "checkpoint votes pruned" `Quick test_checkpoint_votes_pruned;
         ] );
     ]
