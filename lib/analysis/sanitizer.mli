@@ -13,7 +13,8 @@
     - no block executes before its commit proof was recorded;
     - views only move forward.
 
-    Checks are on by default ([Config.sanitize]); a disabled sanitizer
+    Checks are on except under one test-only mutation
+    ([Config.sanitized]); a disabled sanitizer
     is a no-op so the hot path pays one branch. *)
 
 type t

@@ -66,16 +66,6 @@ let config t =
     durable_wal = t.wal;
     conservative_rejoin = t.rejoin_conservative;
     mutation = t.mutation;
-    (* Weak-sigma violates agreement by design; the sanitizer would
-       abort the run before the agreement oracle gets to observe the
-       divergence, which is the whole point of that mutation check.
-       Weak-tau/weak-vc stay sanitized: the sanitizer re-derives the
-       thresholds independently of Config, so tripping it IS the
-       expected detection. *)
-    sanitize =
-      (match t.mutation with
-      | Some Config.Weak_sigma_quorum -> false
-      | None | Some (Config.Weak_tau_quorum | Config.Weak_vc_quorum) -> true);
   }
 
 let num_replicas t = Config.n (config t)

@@ -12,7 +12,6 @@ type t = {
   collector_stagger : Engine.time;
   use_group_sig : bool;
   optimistic_combine : bool;
-  sanitize : bool;
   durable_wal : bool;
   conservative_rejoin : bool;
   mutation : mutation option;
@@ -46,6 +45,11 @@ let quorum_bft t = (2 * t.f) + 1
 let active_window t = max 1 (t.win / 4)
 let checkpoint_interval t = max 1 (t.win / 2)
 
+let sanitized t =
+  match t.mutation with
+  | Some Weak_sigma_quorum -> false
+  | None | Some (Weak_tau_quorum | Weak_vc_quorum) -> true
+
 let sbft ~f ~c =
   {
     f;
@@ -57,7 +61,6 @@ let sbft ~f ~c =
     collector_stagger = Engine.ms 50;
     use_group_sig = false;
     optimistic_combine = true;
-    sanitize = true;
     durable_wal = true;
     conservative_rejoin = true;
     mutation = None;

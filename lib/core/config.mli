@@ -42,9 +42,6 @@ type t = {
           ({!Sbft_crypto.Threshold.combine_verified}); off = the
           pessimistic verify-every-share baseline, kept as a benchmark
           reference point *)
-  sanitize : bool;
-      (** run the {!Sanitizer} protocol-invariant checks at replica
-          state transitions (on by default; cheap assert-style checks) *)
   durable_wal : bool;
       (** replicas write protocol-critical transitions to a write-ahead
           log ({!Sbft_store.Wal}) with group-commit fsyncs, so a
@@ -103,6 +100,16 @@ val active_window : t -> int
 
 val checkpoint_interval : t -> int
 (** [win/2]. *)
+
+val sanitized : t -> bool
+(** Whether replicas run the {!Sanitizer} protocol-invariant checks at
+    their state transitions: always, except under [Weak_sigma_quorum].
+    That mutation breaks agreement by design, and the sanitizer would
+    abort the run before the agreement oracle observes the divergence
+    the mutation check exists to show.  [Weak_tau_quorum] and
+    [Weak_vc_quorum] stay sanitized: the sanitizer re-derives the
+    thresholds independently of [Config], so tripping it is the
+    expected detection. *)
 
 val linear_pbft : f:int -> t
 (** Ingredient 1 only: collectors and threshold signatures, no fast

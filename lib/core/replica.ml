@@ -174,7 +174,7 @@ let keys t = t.env.keys
 let create ~env ~my ~store ~(durable : durable) =
   let config = env.keys.Keys.config in
   let san =
-    Sanitizer.create ~enabled:config.Config.sanitize ~f:config.Config.f
+    Sanitizer.create ~enabled:(Config.sanitized config) ~f:config.Config.f
       ~c:config.Config.c ()
   in
   Sanitizer.check_config san ~n:(Config.n config);

@@ -71,7 +71,7 @@ val committed_block : t -> int -> Types.request list option
 (** Requests committed at a sequence number, if any. *)
 
 val sanitizer : t -> Sanitizer.t
-(** The replica's protocol-invariant sanitizer (see {!Config.sanitize}). *)
+(** The replica's protocol-invariant sanitizer (see {!Config.sanitized}). *)
 
 val blocks_executed : t -> int
 val view_changes_completed : t -> int

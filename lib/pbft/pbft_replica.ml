@@ -65,7 +65,7 @@ let quorum t = Config.quorum_bft (cfg t)
 let create ~env ~id ~store =
   let config = env.keys.Keys.config in
   let san =
-    Sanitizer.create ~enabled:config.Config.sanitize ~f:config.Config.f
+    Sanitizer.create ~enabled:(Config.sanitized config) ~f:config.Config.f
       ~c:config.Config.c ()
   in
   Sanitizer.check_config san ~n:(Config.n config);

@@ -155,8 +155,10 @@ let test_cluster_slow_path_exercises_sanitizer () =
     (fun r -> check "sanitizer exercised" true (Sanitizer.checks_run (Replica.sanitizer r) > 0))
     cluster.Cluster.replicas
 
+(* The one configuration without the sanitizer: the weak-sigma
+   mutation, whose agreement break the oracle must get to observe. *)
 let test_cluster_sanitize_off () =
-  let config = { (Config.sbft ~f:1 ~c:0) with Config.sanitize = false } in
+  let config = { (Config.sbft ~f:1 ~c:0) with Config.mutation = Some Config.Weak_sigma_quorum } in
   let cluster = drive ~config in
   check "agreement" true (Cluster.agreement_ok cluster);
   Array.iter
