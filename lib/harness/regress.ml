@@ -127,7 +127,7 @@ let measure scale =
   { schema = schema_id; entries = List.map (fun row -> fst (measure_row row)) (grid scale) }
 
 (* ------------------------------------------------------------------ *)
-(* JSON round-trip *)
+(* JSON *)
 
 open Report.Json
 
@@ -159,89 +159,20 @@ let to_json r =
          ("entries", Arr (List.map json_of_entry r.entries));
        ])
 
-let entry_of_json j =
-  let str key =
-    match Option.bind (member key j) to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %S" key)
-  in
-  let num key =
-    match Option.bind (member key j) to_float with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "missing numeric field %S" key)
-  in
-  let ( let* ) = Result.bind in
-  let* name = str "name" in
-  let* protocol = str "protocol" in
-  let* n = num "n" in
-  let* f = num "f" in
-  let* c = num "c" in
-  let* clients = num "clients" in
-  let* throughput_ops = num "throughput_ops" in
-  let* p50_ms = num "p50_ms" in
-  let* p99_ms = num "p99_ms" in
-  let* fast_fraction = num "fast_fraction" in
-  let* crypto_us =
-    match member "crypto_us" j with
-    | Some (Obj fields) ->
-        List.fold_left
-          (fun acc (label, v) ->
-            let* acc = acc in
-            match to_float v with
-            | Some x -> Ok ((label, x) :: acc)
-            | None -> Error (Printf.sprintf "bad crypto_us entry %S" label))
-          (Ok []) fields
-        |> Result.map List.rev
-    | _ -> Error "missing crypto_us object"
-  in
-  let* wall_ms = num "wall_ms" in
-  let* events = num "events" in
-  let* events_per_sec = num "events_per_sec" in
-  let* minor_words = num "minor_words" in
-  Ok
-    {
-      name;
-      protocol;
-      n = int_of_float n;
-      f = int_of_float f;
-      c = int_of_float c;
-      clients = int_of_float clients;
-      throughput_ops;
-      p50_ms;
-      p99_ms;
-      fast_fraction;
-      crypto_us;
-      wall_ms;
-      events = int_of_float events;
-      events_per_sec;
-      minor_words;
-    }
-
+(* A report parsed back is compared as JSON, so only its schema and
+   its entries array are checked here. *)
 let of_json s =
   let ( let* ) = Result.bind in
   let* j = parse s in
-  let* schema =
-    match Option.bind (member "schema" j) to_str with
-    | Some s -> Ok s
-    | None -> Error "missing schema field"
-  in
   let* () =
-    if String.equal schema schema_id then Ok ()
-    else Error (Printf.sprintf "unknown schema %S (want %S)" schema schema_id)
+    match Option.bind (member "schema" j) to_str with
+    | None -> Error "missing schema field"
+    | Some schema when String.equal schema schema_id -> Ok ()
+    | Some schema -> Error (Printf.sprintf "unknown schema %S (want %S)" schema schema_id)
   in
-  let* entries =
-    match member "entries" j with
-    | Some (Arr items) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* e = entry_of_json item in
-            Ok (e :: acc))
-          (Ok []) items
-        |> Result.map List.rev
-    | _ -> Error "missing entries array"
-  in
-  Ok { schema; entries }
+  match member "entries" j with
+  | Some (Arr entries) -> Ok entries
+  | _ -> Error "missing entries array"
 
 let write ~path r =
   let oc = open_out path in
@@ -268,6 +199,18 @@ let minor_words_band = 0.30
 let find_entry name entries =
   List.find_opt (fun e -> String.equal e.name name) entries
 
+let entry_name j = Option.value ~default:"(unnamed)" (Option.bind (member "name" j) to_str)
+
+(* The fields [strip_host] zeroes, dropped from an entry's JSON. *)
+let virtual_json = function
+  | Obj fields ->
+      Obj
+        (List.filter
+           (fun (k, _) ->
+             not (List.exists (String.equal k) [ "wall_ms"; "events_per_sec"; "minor_words" ]))
+           fields)
+  | j -> j
+
 (* One "<field> <measured> vs baseline <value>" line per JSON field
    that differs, walking nested objects (crypto_us) label by label. *)
 let rec field_diffs path base cur =
@@ -291,36 +234,36 @@ let rec field_diffs path base cur =
 
 (* Every field [strip_host] keeps must be identical; allocation must
    stay inside its band. *)
-let compare_entry (base : entry) (cur : entry) =
-  let virtual_json e = Some (json_of_entry (strip_entry e)) in
-  let diffs = field_diffs "" (virtual_json base) (virtual_json cur) in
+let compare_entry base (cur : entry) =
+  let diffs = field_diffs "" (Some (virtual_json base)) (Some (virtual_json (json_of_entry cur))) in
+  let base_words = Option.value ~default:0. (Option.bind (member "minor_words" base) to_float) in
   let alloc =
     if
-      Float.abs (cur.minor_words -. base.minor_words)
-      > minor_words_band *. Float.abs base.minor_words
+      Float.abs (cur.minor_words -. base_words)
+      > minor_words_band *. Float.abs base_words
     then
       [
         Printf.sprintf "minor_words %.0f vs baseline %.0f (%+.1f%%, band ±%.0f%%)"
-          cur.minor_words base.minor_words
-          (100. *. (cur.minor_words -. base.minor_words) /. base.minor_words)
+          cur.minor_words base_words
+          (100. *. (cur.minor_words -. base_words) /. base_words)
           (100. *. minor_words_band);
       ]
     else []
   in
-  List.map (fun d -> base.name ^ ": " ^ d) (diffs @ alloc)
+  List.map (fun d -> cur.name ^ ": " ^ d) (diffs @ alloc)
 
 let compare_reports ~baseline ~current =
   List.concat_map
-    (fun (base : entry) ->
-      match find_entry base.name current.entries with
-      | None -> [ base.name ^ ": present in baseline but not measured" ]
+    (fun base ->
+      let name = entry_name base in
+      match find_entry name current.entries with
+      | None -> [ name ^ ": present in baseline but not measured" ]
       | Some cur -> compare_entry base cur)
-    baseline.entries
+    baseline
   @ List.filter_map
       (fun (cur : entry) ->
-        match find_entry cur.name baseline.entries with
-        | None -> Some (cur.name ^ ": measured but absent from the baseline")
-        | Some _ -> None)
+        if List.exists (fun base -> String.equal (entry_name base) cur.name) baseline then None
+        else Some (cur.name ^ ": measured but absent from the baseline"))
       current.entries
 
 (* Headline number: optimistic combine-then-verify vs. per-share

@@ -51,15 +51,20 @@ val measure_one : name:string -> Scenario.t -> entry
 
 val to_json : report -> string
 
-val of_json : string -> (report, string) result
-(** Rejects schemas other than {!schema_id}. *)
+val of_json : string -> (Report.Json.t list, string) result
+(** A report's entries, as the JSON objects {!to_json} writes.  Rejects
+    non-JSON, schemas other than {!schema_id} and a missing entries
+    array. *)
 
 val write : path:string -> report -> unit
-val load : path:string -> (report, string) result
 
-val compare_reports : baseline:report -> current:report -> string list
+val load : path:string -> (Report.Json.t list, string) result
+(** {!of_json} of a file: the baseline {!compare_reports} reads. *)
+
+val compare_reports : baseline:Report.Json.t list -> current:report -> string list
 (** One human-readable violation per differing field, in baseline
-    order; empty means the gate passes.  Every field {!strip_host}
+    order; empty means the gate passes.  Each measured row is written
+    as JSON and compared with the baseline's: every field {!strip_host}
     keeps must equal the baseline exactly (a violation names the row
     and the field); [minor_words] must stay within ±30% of it.  Rows
     added, dropped or reshaped are violations too — they require a

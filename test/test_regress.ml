@@ -1,5 +1,5 @@
 (* Tests for the benchmark regression harness: the Json encoder/parser,
-   report round-tripping, the exact comparator (virtual fields equal,
+   the report schema check, the exact comparator (virtual fields equal,
    allocation within one band, host time ungated), the determinism of
    the measured grid, and the grid against the committed baseline. *)
 
@@ -109,19 +109,12 @@ let sample_entry =
 
 let sample_report entries = { Regress.schema = Regress.schema_id; entries }
 
-let test_report_roundtrip () =
-  let r = sample_report [ sample_entry; { sample_entry with Regress.name = "pbft"; crypto_us = [] } ] in
-  match Regress.of_json (Regress.to_json r) with
-  | Error e -> Alcotest.fail ("report round-trip failed: " ^ e)
-  | Ok r' ->
-      check "report survives JSON round-trip" true (r = r');
-      (* File round-trip through write/load. *)
-      let path = Filename.temp_file "sbft_regress" ".json" in
-      Regress.write ~path r;
-      (match Regress.load ~path with
-      | Ok r'' -> check "file round-trip" true (r = r'')
-      | Error e -> Alcotest.fail e);
-      Sys.remove path
+(* A report as the gate reads a committed baseline: written, then
+   parsed back. *)
+let baseline_of entries =
+  match Regress.of_json (Regress.to_json (sample_report entries)) with
+  | Ok b -> b
+  | Error e -> Alcotest.fail ("baseline parse failed: " ^ e)
 
 let test_report_schema_check () =
   let r = sample_report [ sample_entry ] in
@@ -130,13 +123,22 @@ let test_report_schema_check () =
   check "foreign schema rejected" true
     (match Regress.of_json wrong with Error _ -> true | Ok _ -> false);
   check "non-JSON rejected" true
-    (match Regress.of_json "not json" with Error _ -> true | Ok _ -> false)
+    (match Regress.of_json "not json" with Error _ -> true | Ok _ -> false);
+  (* The same checks through a file. *)
+  let path = Filename.temp_file "sbft_regress" ".json" in
+  Regress.write ~path r;
+  check "written report loads" true (Result.is_ok (Regress.load ~path));
+  let oc = open_out path in
+  output_string oc wrong;
+  close_out oc;
+  check "foreign schema rejected on load" true (Result.is_error (Regress.load ~path));
+  Sys.remove path
 
 (* ------------------------------------------------------------------ *)
 (* Comparator *)
 
 let test_compare_host_fields () =
-  let baseline = sample_report [ sample_entry ] in
+  let baseline = baseline_of [ sample_entry ] in
   (* Host time is not gated, and allocation drift inside its band
      passes. *)
   let drifted =
@@ -148,14 +150,14 @@ let test_compare_host_fields () =
     }
   in
   check "identical reports pass" true
-    (Regress.compare_reports ~baseline ~current:baseline = []);
+    (Regress.compare_reports ~baseline ~current:(sample_report [ sample_entry ]) = []);
   check "host-field drift passes" true
     (Regress.compare_reports ~baseline ~current:(sample_report [ drifted ]) = [])
 
 (* Virtual fields are deterministic, so any drift at all is a change:
    0.01% of throughput trips the gate and names the field. *)
 let test_compare_tiny_drift () =
-  let baseline = sample_report [ sample_entry ] in
+  let baseline = baseline_of [ sample_entry ] in
   let current =
     sample_report
       [ { sample_entry with Regress.throughput_ops = sample_entry.Regress.throughput_ops *. 1.0001 } ]
@@ -167,7 +169,7 @@ let test_compare_tiny_drift () =
   | v -> Alcotest.failf "want one violation, got %d" (List.length v)
 
 let test_compare_trips_on_regression () =
-  let baseline = sample_report [ sample_entry ] in
+  let baseline = baseline_of [ sample_entry ] in
   let trips label current =
     let v = Regress.compare_reports ~baseline ~current:(sample_report [ current ]) in
     check (label ^ " trips the gate") true (v <> []);
@@ -197,7 +199,7 @@ let test_compare_trips_on_regression () =
   trips "allocation drop (baseline stale)" { sample_entry with Regress.minor_words = 5e7 }
 
 let test_compare_shape_changes () =
-  let baseline = sample_report [ sample_entry ] in
+  let baseline = baseline_of [ sample_entry ] in
   check "missing scenario trips" true
     (Regress.compare_reports ~baseline ~current:(sample_report []) <> []);
   check "extra scenario trips" true
@@ -292,7 +294,6 @@ let () =
         ] );
       ( "report",
         [
-          Alcotest.test_case "roundtrip" `Quick test_report_roundtrip;
           Alcotest.test_case "schema check" `Quick test_report_schema_check;
         ] );
       ( "comparator",
