@@ -46,26 +46,28 @@ let exec_ops t reqs =
 
 let add_row t (ce : row) = Hashtbl.replace t.table ce.ce_client ce
 
-let record_rows t ~seq reqs outputs =
-  let fresh = ref [] in
-  List.iteri
-    (fun index ((r : Types.request), value) ->
-      if r.client >= 0 && not (executed_before t ~client:r.client ~timestamp:r.timestamp)
-      then begin
-        let row =
-          {
-            Sbft_store.Block_store.ce_client = r.client;
-            ce_timestamp = r.timestamp;
-            ce_value = value;
-            ce_seq = seq;
-            ce_index = index;
-          }
-        in
-        add_row t row;
-        fresh := row :: !fresh
-      end)
-    (List.combine reqs outputs);
-  List.rev !fresh
+let record_rows t ~seq reqs outputs ~fresh =
+  let rec go index reqs outputs =
+    match (reqs, outputs) with
+    | (r : Types.request) :: reqs, value :: outputs ->
+        if r.client >= 0 && not (executed_before t ~client:r.client ~timestamp:r.timestamp)
+        then begin
+          let row =
+            {
+              Sbft_store.Block_store.ce_client = r.client;
+              ce_timestamp = r.timestamp;
+              ce_value = value;
+              ce_seq = seq;
+              ce_index = index;
+            }
+          in
+          add_row t row;
+          fresh row
+        end;
+        go (index + 1) reqs outputs
+    | _ -> ()
+  in
+  go 0 reqs outputs
 
 let adopt_rows t rows =
   Hashtbl.reset t.table;

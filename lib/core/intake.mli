@@ -27,10 +27,11 @@ val exec_ops : t -> Types.request list -> string list
     occurrence degrades to the no-op [""] (every replica shares the
     same table state, so deterministically). *)
 
-val record_rows : t -> seq:int -> Types.request list -> string list -> row list
+val record_rows :
+  t -> seq:int -> Types.request list -> string list -> fresh:(row -> unit) -> unit
 (** Record the first execution of each client request of block [seq]
     with its output; [ce_index] is the request's position in the block.
-    Returns the new rows in block order. *)
+    Each new row is also passed to [fresh], in block order. *)
 
 val add_row : t -> row -> unit
 

@@ -499,8 +499,8 @@ let execute_once t ctx sl reqs =
    requests are answered from it).  [log] persists the new rows;
    recovery replays blocks whose rows the WAL already holds. *)
 let record_client_rows t ctx ~seq reqs outputs ~log =
-  let rows = Intake.record_rows t.intake ~seq reqs outputs in
-  if log then List.iter (fun row -> wal_log t ctx (Sbft_store.Wal.Client_row row)) rows
+  Intake.record_rows t.intake ~seq reqs outputs ~fresh:(fun row ->
+      if log then wal_log t ctx (Sbft_store.Wal.Client_row row))
 
 (* ------------------------------------------------------------------ *)
 (* Forward declarations via mutual recursion: the handler graph is

@@ -321,7 +321,7 @@ and try_execute t ctx =
             ~ops:(Intake.exec_ops t.intake reqs)
         in
         Intake.note_progress t.intake ctx;
-        ignore (Intake.record_rows t.intake ~seq:next reqs outputs : Intake.row list);
+        Intake.record_rows t.intake ~seq:next reqs outputs ~fresh:ignore;
         List.iter
           (fun ((r : Types.request), value) ->
             Intake.clear_outstanding t.intake r;

@@ -216,7 +216,7 @@ let test_intake_queue () =
   submit ~primary:false c;
   submit ~primary:false c;
   check_int "a backup forwards once" 1 !forwarded;
-  ignore (Intake.record_rows t ~seq:3 [ c ] [ "out" ] : Intake.row list);
+  Intake.record_rows t ~seq:3 [ c ] [ "out" ] ~fresh:ignore;
   submit ~primary:false c;
   match !replied with
   | [ ce ] ->
@@ -246,8 +246,10 @@ let test_intake_redrive () =
 let test_intake_exactly_once () =
   let t, _, _, req = intake_fixture () in
   let r = req 0 3 in
-  let rows = Intake.record_rows t ~seq:4 [ View_change.null_request; r; r ] [ ""; "a"; "b" ] in
-  (match rows with
+  let rows = ref [] in
+  Intake.record_rows t ~seq:4 [ View_change.null_request; r; r ] [ ""; "a"; "b" ]
+    ~fresh:(fun row -> rows := row :: !rows);
+  (match !rows with
   | [ ce ] ->
       check "first copy recorded at index 1" true
         (ce.Sbft_store.Block_store.ce_index = 1 && String.equal ce.ce_value "a" && ce.ce_seq = 4)
