@@ -542,7 +542,7 @@ let rec on_message t ctx ~src msg =
 
 and on_request t ctx (r : Types.request) =
   Intake.on_request t.intake ctx (keys t) r ~primary:(is_primary t)
-    ~reply:(fun (ce : Sbft_store.Block_store.client_entry) ->
+    ~reply:(fun (ce : Intake.row) ->
       (* Answer retransmissions of already-executed operations directly. *)
       Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
       send t ctx ~dst:r.client
@@ -928,8 +928,7 @@ and try_execute t ctx =
         if next mod Config.checkpoint_interval config = 0 then
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:next
             ~snapshot:(Sbft_store.Auth_store.delayed_snapshot t.store)
-            ~table:
-              (Intake.rows t.intake);
+            ~table:(Intake.rows t.intake);
         (* Group commit: one fsync covers the block's rows and any
            commit certificates buffered earlier in this handler, before
            the execution results go on the wire. *)
