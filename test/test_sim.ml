@@ -79,6 +79,77 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The first 8 draws of each stream, as the generator gave them before
+   its state moved into a [Bytes.t]: the floats by their bits, and the
+   split child through [int64].  Every virtual output (latency jitter,
+   keys, workloads) flows from these streams, so a change to any of them
+   fails here first, with the stream, the seed and the draw index. *)
+let rng_pins =
+  [
+    ( 11L,
+      [
+        ( "int64",
+          [ 0x91ffa96fc4c62cceL; 0x4444dc6c30bb5874L; 0x31efd92c3de1f31eL; 0xd2a6064afafc9a8bL;
+            0x7bebb8f6a3d31cfdL; 0x0ab9b90fb11165d4L; 0x06197acc103a6ce9L; 0x56dda816766d7d05L ] );
+        ( "float",
+          [ 0x3fe23ff52df898c5L; 0x3fd111371b0c2ed6L; 0x3fc8f7ec961ef0f8L; 0x3fea54c0c95f5f93L;
+            0x3fdefaee3da8f4c6L; 0x3fa573721f6222c0L; 0x3f9865eb3040e9a0L; 0x3fd5b76a059d9b5eL ] );
+        ( "gaussian",
+          [ 0xbfbc5fe9cf762220L; 0x3fe990daff787e03L; 0x3ff29c157c7b8dcfL; 0xbff747a37d2aa4a8L;
+            0xbfea797475c814dfL; 0xbfcc7ae02e4f6708L; 0xbf93c203017d24f9L; 0x3fe5beaab2880d79L ] );
+        ( "exponential",
+          [ 0x40067693ef0a7b84L; 0x401a6f373d07d22cL; 0x4020581b94afa342L; 0x3fef32a4c7a6b9b8L;
+            0x400d057a1d9e52c6L; 0x402fb9bdc9ee0eddL; 0x4032af50ee00d0d0L; 0x40159dc29473dffaL ] );
+        ("int 17", [ 16L; 9L; 13L; 6L; 12L; 13L; 10L; 5L ]);
+        ( "split",
+          [ 0x3f5d8ca922ad211fL; 0x97cc47d1a1c8421aL; 0x08829ee160f0f0a7L; 0x825687321b66cdfbL;
+            0x25e29e4d029c4582L; 0x68fa44b2384c012eL; 0xf945a702b139a5e8L; 0x3d876f469c54cd03L ] );
+      ] );
+    ( 23L,
+      [
+        ( "int64",
+          [ 0x58f88f76b0c822daL; 0x5cd3c35944069abeL; 0xc0b92c0f0f820d33L; 0x5c80c17d8bb6591eL;
+            0x45762a19a3fd2c09L; 0x283891c1a00780a1L; 0xc2cd95de73ecef2dL; 0x4874abcbf723d7fcL ] );
+        ( "float",
+          [ 0x3fd63e23ddac3208L; 0x3fd734f0d65101a6L; 0x3fe8172581e1f041L; 0x3fd720305f62ed96L;
+            0x3fd15d8a8668ff4aL; 0x3fc41c48e0d003c0L; 0x3fe859b2bbce7d9dL; 0x3fd21d2af2fdc8f4L ] );
+        ( "gaussian",
+          [ 0xbfee3d0851281204L; 0xbfdf0d93767281ddL; 0x3fec7b489e0ae0b8L; 0xbfc37ebfe0f7ffe5L;
+            0xbfe0f29c1bae7082L; 0x3ffdb295bf7d1e50L; 0xbfeb1df7a1447832L; 0xbff942dfe905b4faL ] );
+        ( "exponential",
+          [ 0x4015232992b58b48L; 0x401449ebd8bcd740L; 0x3ff6b6b8015a659eL; 0x40145bd63afab178L;
+            0x401a168bf469f567L; 0x40228204f9b9b8adL; 0x3ff5dae57e319946L; 0x40193e78b3b71462L ] );
+        ("int 17", [ 4L; 0L; 16L; 6L; 2L; 14L; 11L; 9L ]);
+        ( "split",
+          [ 0x58757a955bf2bde7L; 0x132c9c6db278893cL; 0x5c1ea4bbef1c28d6L; 0xbe2558a4827c2804L;
+            0x03c8249329443475L; 0x35c04eb4bb395faaL; 0x71a61d88e37a0691L; 0xc86d1c2a1bc00114L ] );
+      ] );
+  ]
+
+let test_rng_pinned_streams () =
+  let draw = function
+    | "int64" -> Rng.int64
+    | "float" -> fun r -> Int64.bits_of_float (Rng.float r)
+    | "gaussian" -> fun r -> Int64.bits_of_float (Rng.gaussian r)
+    | "exponential" -> fun r -> Int64.bits_of_float (Rng.exponential r ~mean:5.0)
+    | "int 17" -> fun r -> Int64.of_int (Rng.int r 17)
+    | _ -> fun r -> Rng.int64 r
+  in
+  List.iter
+    (fun (seed, streams) ->
+      List.iter
+        (fun (name, expected) ->
+          let r = Rng.create seed in
+          let r = if name = "split" then Rng.split r else r in
+          List.iteri
+            (fun i want ->
+              Alcotest.(check int64)
+                (Printf.sprintf "seed %Ld %s draw %d" seed name i)
+                want (draw name r))
+            expected)
+        streams)
+    rng_pins
+
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
@@ -739,6 +810,7 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
         ] );
       ( "heap",
         [
