@@ -5,8 +5,9 @@
    digests, block digests, key hashes on every Merkle-map Put, and the
    per-block Merkle-map root, which hashes each node the block touched
    once when the root is first asked for.  So the compression function
-   is a portable C stub (sha256_stubs.c) that updates [h] in place
-   without allocating; padding and buffering stay here.  [digest] /
+   is a C stub (sha256_stubs.c) that updates [h] in place without
+   allocating: the x86 SHA extensions where CPUID reports them, a
+   portable loop everywhere else.  Padding and buffering stay here.  [digest] /
    [digest_list] reuse one scratch context instead of allocating a
    buffer per call (the simulator is single-domain and the functions
    never re-enter). *)
@@ -29,6 +30,11 @@ let init () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0
 (* [compress h block off] compresses the 64 bytes of [block] at [off]
    into the state [h]; every caller keeps [off + 64] within [block]. *)
 external compress : int array -> Bytes.t -> int -> unit = "sbft_sha256_compress"
+[@@noalloc]
+
+(* The portable loop alone, whatever the CPU; only the tests call it. *)
+external compress_portable : int array -> Bytes.t -> int -> unit
+  = "sbft_sha256_compress_portable"
 [@@noalloc]
 
 let feed_bytes ctx data ~off ~len =

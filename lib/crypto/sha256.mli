@@ -19,3 +19,18 @@ val digest_list : string list -> string
 
 val hex : string -> string
 (** Lowercase hexadecimal rendering of a raw digest. *)
+
+(** {2 Test hooks} *)
+
+external compress : int array -> Bytes.t -> int -> unit = "sbft_sha256_compress"
+[@@noalloc]
+(** [compress h block off] compresses the 64 bytes of [block] at [off]
+    into the eight state words [h] (each in the low 32 bits), in place.
+    It runs the SHA extensions when the CPU has them, otherwise the
+    portable loop.  The caller keeps [off + 64] within [block]: nothing
+    is checked. *)
+
+external compress_portable : int array -> Bytes.t -> int -> unit
+  = "sbft_sha256_compress_portable"
+[@@noalloc]
+(** {!compress} through the portable loop on every CPU. *)

@@ -77,6 +77,30 @@ let sha256_oracle_props =
         String.equal (Sha256.finalize ctx) (Sha256_ref.digest m));
   ]
 
+(* The compression itself, on any 8-word state and at offsets 0-16:
+   the dispatched stub (SHA extensions on x86 CPUs that have them), the
+   portable loop and the oracle must agree, so both C paths are checked
+   on hosts where the digests above only reach one of them. *)
+let sha256_compress_paths =
+  let gen =
+    QCheck2.Gen.(
+      map
+        (fun (h, b, off) -> (h, b, min off (String.length b - 64)))
+        (triple
+           (array_size (return 8) (map (fun x -> x land 0xFFFFFFFF) int))
+           (string_size (int_range 64 80))
+           (int_range 0 16)))
+  in
+  qtest "compress paths = oracle" gen (fun (h, b, off) ->
+      let block = Bytes.of_string b in
+      let run f =
+        let s = Array.copy h in
+        f s block off;
+        s
+      in
+      let oracle = run (fun s -> Sha256_ref.compress s (Array.make 64 0)) in
+      run Sha256.compress = oracle && run Sha256.compress_portable = oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Keccak-256: Ethereum-flavor vectors *)
 
@@ -927,7 +951,7 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "length boundaries" `Quick test_sha256_length_boundaries;
         ]
-        @ sha256_oracle_props );
+        @ sha256_oracle_props @ [ sha256_compress_paths ] );
       ( "keccak",
         [
           Alcotest.test_case "vectors" `Quick test_keccak_vectors;
