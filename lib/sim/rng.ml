@@ -1,51 +1,66 @@
 (* SplitMix64 (Steele, Lea, Flood 2014): a tiny, fast, splittable PRNG
-   with excellent statistical quality for simulation purposes. *)
+   with excellent statistical quality for simulation purposes.
 
-type t = { mutable state : int64 }
+   One latency draw per simulated message makes this a hot path, so no
+   draw allocates beyond its result.  The 64-bit state lives in an
+   8-byte [Bytes.t], which [Bytes.get_int64_ne]/[set_int64_ne] read and
+   write unboxed; a [mutable int64] field would box each new state.  A
+   call that returns an [int64] or a [float] boxes it too, so [next] is
+   inlined, and [float], [gaussian] and [exponential] each draw their
+   uniforms inside their own body. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix Int64.(add seed golden_gamma) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.add seed golden_gamma))
 
-let split t = { state = int64 t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let int64 t = next t
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the conversion to OCaml's 63-bit int stays
      non-negative; modulo bias is negligible for bounds far below 2^62. *)
-  let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t =
-  (* 53 high bits -> [0, 1) *)
-  let v = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float v *. (1.0 /. 9007199254740992.0)
+(* 53 high bits -> [0, 1) *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. (1.0 /. 9007199254740992.0)
 
-let bool t p = float t < p
+let float t = unit_float t
+let bool t p = unit_float t < p
 
 let gaussian t =
-  let rec nonzero () =
-    let u = float t in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+  let u1 = ref (unit_float t) in
+  while !u1 <= 0.0 do
+    u1 := unit_float t
+  done;
+  let u2 = unit_float t in
+  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
 let exponential t ~mean =
-  let rec nonzero () =
-    let u = float t in
-    if u > 0.0 then u else nonzero ()
-  in
-  -.mean *. log (nonzero ())
+  let u = ref (unit_float t) in
+  while !u <= 0.0 do
+    u := unit_float t
+  done;
+  -.mean *. log !u
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
