@@ -76,7 +76,17 @@ val liveness_due : t -> Sbft_sim.Engine.ctx -> bool
 (** True when requests are waiting and nothing has progressed for
     {!Config.view_change_timeout} times [2^b], where [b] (capped at 6)
     counts the view changes this clock started since the last
-    {!enter_view}; a [true] answer increments [b]. *)
+    {!enter_view}; a [true] answer increments [b].
+
+    The outage bound after a primary crash.  A request is "waiting" only
+    at a replica that has seen it, and a backup sees a request only when
+    the client broadcasts its retry, {!Config.client_retry_timeout} (4 s)
+    after the first send to the primary.  So a backup starts the view
+    change within [client_retry_timeout + view_change_timeout * 2^b] of
+    the request, plus one liveness tick (both stacks poll this every
+    [view_change_timeout / 2]); the outage is that plus the view-change
+    exchange itself.  Both replicas follow this rule (it is PBFT's own),
+    and a liveness oracle takes its bound from here. *)
 
 (** {2 Request entry} *)
 

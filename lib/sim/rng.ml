@@ -5,8 +5,8 @@
    draw allocates beyond its result.  The 64-bit state lives in an
    8-byte [Bytes.t], which [Bytes.get_int64_ne]/[set_int64_ne] read and
    write unboxed; a [mutable int64] field would box each new state.  A
-   call that returns an [int64] or a [float] boxes it too, so [next] is
-   inlined, and [float], [gaussian] and [exponential] each draw their
+   call that returns an [int64] or a [float] boxes it too, so [int64]
+   and [float] are inlined, and [gaussian] and [exponential] draw their
    uniforms inside their own body. *)
 
 type t = Bytes.t
@@ -25,40 +25,38 @@ let of_state s =
 
 let create seed = of_state (mix (Int64.add seed golden_gamma))
 
-let[@inline] next t =
+let[@inline] int64 t =
   let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 s;
   mix s
 
-let int64 t = next t
-let split t = of_state (next t)
+let split t = of_state (int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the conversion to OCaml's 63-bit int stays
      non-negative; modulo bias is negligible for bounds far below 2^62. *)
-  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+  let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   v mod bound
 
 (* 53 high bits -> [0, 1) *)
-let[@inline] unit_float t =
-  Int64.to_float (Int64.shift_right_logical (next t) 11) *. (1.0 /. 9007199254740992.0)
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. (1.0 /. 9007199254740992.0)
 
-let float t = unit_float t
-let bool t p = unit_float t < p
+let bool t p = float t < p
 
 let gaussian t =
-  let u1 = ref (unit_float t) in
+  let u1 = ref (float t) in
   while !u1 <= 0.0 do
-    u1 := unit_float t
+    u1 := float t
   done;
-  let u2 = unit_float t in
+  let u2 = float t in
   sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
 let exponential t ~mean =
-  let u = ref (unit_float t) in
+  let u = ref (float t) in
   while !u <= 0.0 do
-    u := unit_float t
+    u := float t
   done;
   -.mean *. log !u
 
