@@ -1021,8 +1021,15 @@ and on_sign_state t ctx ~seq ~digest ~share =
           Collectors.e_collectors (keys t) ~view:0 ~seq @ [ primary_of t t.view ]
         in
         let rank = Option.value (Collectors.rank e_list t.id) ~default:0 in
+        (* A staggered callback may fire after a stable checkpoint
+           garbage-collected the slot (and its π): the slot must still
+           be live, or π would be recombined for a collected seq. *)
         let act ctx =
-          if (not sl.exec_proof_sent) && not (Hashtbl.mem t.checkpoint_pis seq) then begin
+          if
+            (not sl.exec_proof_sent)
+            && Hashtbl.mem t.slots seq
+            && not (Hashtbl.mem t.checkpoint_pis seq)
+          then begin
             Sanitizer.check_quorum t.san Sanitizer.Pi ~count:(Votes.count bucket.signers);
             let k = Config.pi_threshold config in
             match
