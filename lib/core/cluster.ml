@@ -65,8 +65,9 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0)
   in
   let env = { Replica.engine; trace = tr; keys; send; exec_cost = service.exec_cost } in
   (* All honest replicas execute identical blocks: share the execution
-     work and the resulting persistent state across them. *)
-  let exec_cache = Sbft_store.Auth_store.new_cache () in
+     work and the resulting persistent state across them.  Each entry is
+     freed once all n replicas have taken it. *)
+  let exec_cache = Sbft_store.Auth_store.new_cache ~takers:n () in
   let durables =
     Array.init n (fun _ ->
         { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () })

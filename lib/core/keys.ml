@@ -2,8 +2,9 @@ open Sbft_crypto
 
 (* Every replica hashes and checks the same requests, blocks and
    collector groups, so the cluster memoizes them, keyed by value.  A
-   memo is cleared when it outgrows [points_cap]: each value is a pure
-   function of its key, so clearing changes no result. *)
+   memo is cleared when it outgrows [points_cap], and every memo is
+   cleared at each new stable checkpoint: each value is a pure function
+   of its key, so clearing changes no result. *)
 let points_cap = 4096
 
 module Memo (K : Hashtbl.HashedType) = struct
@@ -67,6 +68,7 @@ type memos = {
   verified : bool Req_memo.t;
   blocks : string Block_memo.t;
   groups : int list Group_memo.t;
+  mutable cleared_at : int;  (* the checkpoint of the last clear *)
 }
 
 type t = {
@@ -114,6 +116,7 @@ let setup rng ~config ~num_clients =
           verified = Req_memo.create 256;
           blocks = Block_memo.create 256;
           groups = Group_memo.create 256;
+          cleared_at = 0;
         };
     }
   in
@@ -142,6 +145,17 @@ let hash_to_field t msg =
       let h = Threshold.hash_to_field msg in
       Hashtbl.replace t.points msg h;
       h
+
+let clear_at_checkpoint t ~seq =
+  let m = t.memos in
+  if seq > m.cleared_at then begin
+    m.cleared_at <- seq;
+    Hashtbl.reset t.points;
+    Digest_memo.reset m.digests;
+    Req_memo.reset m.verified;
+    Block_memo.reset m.blocks;
+    Group_memo.reset m.groups
+  end
 
 let request_digest t r = Digest_memo.find_or t.memos.digests r (fun () -> Types.request_digest r)
 

@@ -46,6 +46,14 @@ val hash_to_field : t -> string -> Sbft_crypto.Field.t
 val points_cap : int
 (** Each memo holds at most this many entries; it is cleared when full. *)
 
+val clear_at_checkpoint : t -> seq:int -> unit
+(** A replica reached the stable checkpoint [seq].  The first call for
+    each checkpoint above the last one clears every memo, [points]
+    included: the requests and blocks at or below it are done, and an
+    entry still in use is recomputed once, with the same value.  The
+    memos then hold about one checkpoint interval of requests, where a
+    cap alone lets them fill to {!points_cap}. *)
+
 val request_digest : t -> Types.request -> string
 (** {!Types.request_digest} through the cluster's memo, keyed by the
     fields the digest reads (client, timestamp, op), not the signature:

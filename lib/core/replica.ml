@@ -33,17 +33,28 @@ type st_pending = {
    set of its signers.  Collectors at paper scale accept k = 3f+c+1 =
    129 shares per slot; a [List.mem_assoc] / [List.length] on every
    arrival made share acceptance O(k²) per slot, so membership and the
-   count come from {!Votes}. *)
-type stash = { mutable items : (int * Threshold.share) list; signers : Votes.t }
+   count come from {!Votes}.  Once the stash's certificate exists its
+   shares are dead: [stash_release] drops them, and later arrivals are
+   only counted, since the signer set still drives dedup and
+   [obs_slot_shares]. *)
+type stash = {
+  mutable items : (int * Threshold.share) list;
+  signers : Votes.t;
+  mutable released : bool;
+}
 
-let stash_make () = { items = []; signers = Votes.create () }
+let stash_make () = { items = []; signers = Votes.create (); released = false }
 
 (* A key already in the stash keeps its first share. *)
 let stash_add st key sh =
   if not (Votes.mem st.signers key) then begin
     Votes.add st.signers key;
-    st.items <- (key, sh) :: st.items
+    if not st.released then st.items <- (key, sh) :: st.items
   end
+
+let stash_release st =
+  st.items <- [];
+  st.released <- true
 
 let stash_reset st =
   st.items <- [];
@@ -114,6 +125,19 @@ let new_slot seq =
     fast = Types.No_preprepare;
     slow = Types.No_commit;
   }
+
+(* The slot's block is decided.  Every σ/τ collector callback checks
+   [sl.committed = None], so those shares are dead from here on.  The ττ
+   stash stays: a collector that has committed still combines ττ and
+   broadcasts the slow proof for the replicas that have not. *)
+let set_committed sl reqs =
+  sl.committed <- Some reqs;
+  stash_release sl.sigma_shares;
+  stash_release sl.tau_shares
+
+(* The seq's π is known (combined here or received verified): no π
+   combine can run for it again. *)
+let release_pi_shares sl = List.iter (fun (_, b) -> stash_release b) sl.pi_shares
 
 type t = {
   env : env;
@@ -263,6 +287,16 @@ let certified_checkpoints t =
     (fun (seq, (_, digest)) -> (seq, digest))
     (Det.sorted_bindings ~compare:Int.compare t.checkpoint_pis)
 
+let held_shares t seq =
+  match Hashtbl.find_opt t.slots seq with
+  | None -> (0, 0, 0, 0)
+  | Some s ->
+      let n st = List.length st.items in
+      ( n s.sigma_shares,
+        n s.tau_shares,
+        n s.commit_shares,
+        List.fold_left (fun acc (_, b) -> acc + n b) 0 s.pi_shares )
+
 let client_last_timestamp t ~client =
   Option.map (fun ce -> ce.Sbft_store.Block_store.ce_timestamp)
     (Intake.find_row t.intake ~client)
@@ -299,6 +333,7 @@ let slot t seq =
       Hashtbl.replace t.slots seq s;
       s
 
+(* [detail] is formatted only when tracing is on. *)
 let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
 
@@ -609,7 +644,8 @@ and propose_block t ctx batch =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-  trace t ctx "send:pre-prepare" (Printf.sprintf "seq=%d view=%d batch=%d" seq t.view batch);
+  trace t ctx "send:pre-prepare" (fun () ->
+      Printf.sprintf "seq=%d view=%d batch=%d" seq t.view batch);
   (match t.byz with
   | Equivocating_primary ->
       (* Send block A to the first half and block B to the second; pad
@@ -696,7 +732,7 @@ and collector_check t ctx sl ~view =
                     sl.sigma_shares
                 with
                 | Some sigma ->
-                    trace t ctx "send:full-commit-proof" (Printf.sprintf "seq=%d" seq);
+                    trace t ctx "send:full-commit-proof" (fun () -> Printf.sprintf "seq=%d" seq);
                     broadcast_replicas t ctx
                       (Types.Full_commit_proof { seq; view; sigma })
                 | None ->
@@ -752,7 +788,7 @@ and collector_check t ctx sl ~view =
                     ~msg:h sl.tau_shares
                 with
                 | Some tau ->
-                    trace t ctx "send:prepare" (Printf.sprintf "seq=%d" seq);
+                    trace t ctx "send:prepare" (fun () -> Printf.sprintf "seq=%d" seq);
                     broadcast_replicas t ctx (Types.Prepare { seq; view; tau })
                 | None -> sl.prepare_sent <- false
               end
@@ -846,7 +882,7 @@ and on_commit t ctx ~seq ~view ~share =
                  ~msg:(Types.tau2_message tau) sl.commit_shares
              with
             | Some tau_tau ->
-                trace t ctx "send:full-commit-proof-slow" (Printf.sprintf "seq=%d" seq);
+                trace t ctx "send:full-commit-proof-slow" (fun () -> Printf.sprintf "seq=%d" seq);
                 broadcast_replicas t ctx
                   (Types.Full_commit_proof_slow { seq; view; tau; tau_tau })
             | None -> sl.slow_sent <- false)
@@ -874,7 +910,7 @@ and commit t ctx sl ~reqs ~view ~h cert =
   in
   if sl.committed = None then begin
     Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest:h;
-    sl.committed <- Some reqs;
+    set_committed sl reqs;
     (match sl.fast_timer with Some tm -> Engine.cancel_timer tm | None -> ());
     if fast then t.n_fast <- t.n_fast + 1 else t.n_slow <- t.n_slow + 1;
     (* Network profiling for the adaptive fallback timer. *)
@@ -888,8 +924,8 @@ and commit t ctx sl ~reqs ~view ~h cert =
            (float_of_int (cfg t).Config.fast_path_timeout)
            (t.fast_eta *. 1.25));
     Intake.note_progress t.intake ctx;
-    trace t ctx "commit"
-      (Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
+    trace t ctx "commit" (fun () ->
+        Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
     let entry =
       {
         Sbft_store.Block_store.seq = sl.seq;
@@ -1011,6 +1047,8 @@ and on_sign_state t ctx ~seq ~digest ~share =
       | Some (_, b) -> b
       | None ->
           let b = stash_make () in
+          (* Once π is known, later shares are only counted. *)
+          if Hashtbl.mem t.checkpoint_pis seq then stash_release b;
           sl.pi_shares <- (digest, b) :: sl.pi_shares;
           b
     in
@@ -1039,11 +1077,12 @@ and on_sign_state t ctx ~seq ~digest ~share =
             | Some pi ->
                 sl.exec_proof_sent <- true;
                 Hashtbl.replace t.checkpoint_pis seq (pi, digest);
+                release_pi_shares sl;
                 wal_log t ctx
                   (Sbft_store.Wal.Stable_checkpoint
                      { seq; digest; pi = Threshold.signature_bytes pi });
                 wal_sync t ctx;
-                trace t ctx "send:full-execute-proof" (Printf.sprintf "seq=%d" seq);
+                trace t ctx "send:full-execute-proof" (fun () -> Printf.sprintf "seq=%d" seq);
                 broadcast_replicas t ctx (Types.Full_execute_proof { seq; digest; pi });
                 maybe_send_acks t ctx sl
             | None -> ()
@@ -1104,6 +1143,7 @@ and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
       pi
   then begin
     Hashtbl.replace t.checkpoint_pis seq (pi, digest);
+    Option.iter release_pi_shares (Hashtbl.find_opt t.slots seq);
     wal_log t ctx
       (Sbft_store.Wal.Stable_checkpoint
          { seq; digest; pi = Threshold.signature_bytes pi });
@@ -1121,6 +1161,8 @@ and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
   end
 
 and garbage_collect t =
+  let ci = Config.checkpoint_interval (cfg t) in
+  Keys.clear_at_checkpoint (keys t) ~seq:(t.stable / ci * ci);
   let horizon = t.stable - (cfg t).Config.win in
   if horizon > 0 then begin
     let stale =
@@ -1374,7 +1416,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
       match Sbft_store.Auth_store.load_snapshot_checked t.store snapshot ~expect:digest with
       | Error _ -> state_transfer_failed t ctx
       | Ok () ->
-          trace t ctx "state-transfer" (Printf.sprintf "to=%d" snap_seq);
+          trace t ctx "state-transfer" (fun () -> Printf.sprintf "to=%d" snap_seq);
           Sanitizer.record_state_transfer t.san ~seq:snap_seq;
           if snap_seq > t.stable then t.stable <- snap_seq;
           if snap_seq > t.ls then t.ls <- snap_seq;
@@ -1447,7 +1489,7 @@ and start_view_change t ctx ~target_view =
     t.sent_vc_for <- target_view;
     t.in_view_change <- true;
     t.failures_observed <- true;
-    trace t ctx "view-change" (Printf.sprintf "to=%d" target_view);
+    trace t ctx "view-change" (fun () -> Printf.sprintf "to=%d" target_view);
     let vc = { (build_view_change t) with Types.vc_view = target_view - 1 } in
     Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
     (* The vote is a promise not to help the old view: persist it
@@ -1520,7 +1562,7 @@ and on_view_change t ctx (vc : Types.view_change) =
         if List.length valid >= Config.quorum_vc config then begin
           let quorum = List.filteri (fun i _ -> i < Config.quorum_vc config) valid in
           Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length quorum);
-          trace t ctx "send:new-view" (Printf.sprintf "view=%d" target);
+          trace t ctx "send:new-view" (fun () -> Printf.sprintf "view=%d" target);
           broadcast_replicas t ctx (Types.New_view { view = target; proofs = quorum });
           (* Apply our own new-view synchronously.  Entering [target]
              here (rather than waiting for the self-addressed copy to
@@ -1612,7 +1654,8 @@ and enter_view t ctx ~view =
           sl.prepare_tau <- None
         end)
       t.slots;
-    trace t ctx "new-view" (Printf.sprintf "view=%d primary=%d" view (primary_of t view));
+    trace t ctx "new-view" (fun () ->
+        Printf.sprintf "view=%d primary=%d" view (primary_of t view));
     (* Re-drive requests that were in flight when the old view died. *)
     Intake.redrive t.intake ~primary:(is_primary t) ~forward:(fun r ->
         send t ctx ~dst:(primary_of t t.view) (Types.Request r));
@@ -1661,7 +1704,7 @@ let start t ctx =
 
 let recover t ctx =
   let config = cfg t in
-  trace t ctx "recover" "replaying durable state";
+  trace t ctx "recover" (fun () -> "replaying durable state");
   (* A restart is an observed failure: no group-signature optimism. *)
   t.failures_observed <- true;
   (* 1. Durable checkpoint. *)
@@ -1710,7 +1753,7 @@ let recover t ctx =
     if sl.committed = None then begin
       Sanitizer.record_commit t.san ~seq ~view ~digest:h;
       sl.pp <- Some (view, reqs, h);
-      sl.committed <- Some reqs
+      set_committed sl reqs
     end;
     (sl, reqs)
   in
@@ -1813,5 +1856,5 @@ let recover t ctx =
     let probe = { (build_view_change t) with Types.vc_view = t.view - 1 } in
     broadcast_replicas t ctx (Types.View_change probe)
   end;
-  trace t ctx "recovered"
-    (Printf.sprintf "view=%d le=%d stable=%d" t.view (last_executed t) t.stable)
+  trace t ctx "recovered" (fun () ->
+      Printf.sprintf "view=%d le=%d stable=%d" t.view (last_executed t) t.stable)

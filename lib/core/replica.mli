@@ -83,6 +83,13 @@ val certified_checkpoints : t -> (int * string) list
     holds, sorted by sequence — the fuzzer's checkpoint-consistency
     oracle compares them across non-faulty replicas. *)
 
+val held_shares : t -> int -> int * int * int * int
+(** [(sigma, tau, commit, pi)]: the threshold shares this replica still
+    stores for slot [seq], as opposed to the signers it has counted
+    ({!obs_slot_shares}).  σ and τ shares are dropped when the slot
+    commits, π shares once the seq's π is known; the ττ ([commit]) stash
+    is kept.  [(0,0,0,0)] for unknown slots. *)
+
 val client_last_timestamp : t -> client:int -> int option
 (** Highest client-request timestamp this replica has executed for
     [client] (its client-table row), if any. *)

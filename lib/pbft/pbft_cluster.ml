@@ -37,7 +37,7 @@ let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0) ~config ~num_clients
   let env =
     { Pbft_replica.engine; trace = tr; keys; send; exec_cost = service.Cluster.exec_cost }
   in
-  let exec_cache = Sbft_store.Auth_store.new_cache () in
+  let exec_cache = Sbft_store.Auth_store.new_cache ~takers:n () in
   let replicas =
     Array.init n (fun i ->
         let store = service.Cluster.make_store () in

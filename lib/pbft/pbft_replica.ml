@@ -131,6 +131,7 @@ let remove_upto tbl seq =
   List.iter (Hashtbl.remove tbl)
     (List.filter (fun s -> s <= seq) (Det.sorted_keys ~compare:Int.compare tbl))
 
+(* [detail] is formatted only when tracing is on. *)
 let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
 
@@ -220,7 +221,7 @@ and propose t ctx batch =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-    trace t ctx "send:pre-prepare" (Printf.sprintf "seq=%d batch=%d" seq batch);
+    trace t ctx "send:pre-prepare" (fun () -> Printf.sprintf "seq=%d batch=%d" seq batch);
     broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
   end
 
@@ -299,7 +300,7 @@ and check_committed t ctx sl =
       sl.committed <- Some reqs;
       Intake.note_progress t.intake ctx;
       Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
-      trace t ctx "commit" (Printf.sprintf "seq=%d" sl.seq);
+      trace t ctx "commit" (fun () -> Printf.sprintf "seq=%d" sl.seq);
       try_execute t ctx;
       if is_primary t then try_propose t ctx
   | _ -> ()
@@ -374,7 +375,8 @@ and on_checkpoint t ctx ~seq ~digest ~replica =
         remove_upto t.slots seq;
         remove_upto t.checkpoints seq;
         Sanitizer.prune_below t.san ~seq;
-        Sbft_store.Auth_store.gc_below t.store ~seq
+        Sbft_store.Auth_store.gc_below t.store ~seq;
+        Keys.clear_at_checkpoint t.env.keys ~seq
       end
     end
   end
@@ -384,7 +386,7 @@ and on_checkpoint t ctx ~seq ~digest ~replica =
 and start_view_change t ctx ~target_view =
   if target_view > t.sent_vc_for then begin
     t.sent_vc_for <- target_view;
-    trace t ctx "view-change" (Printf.sprintf "to=%d" target_view);
+    trace t ctx "view-change" (fun () -> Printf.sprintf "to=%d" target_view);
     (* Certificate list in ascending seq order: the VC message payload
        is replay-visible, so its layout must not depend on Hashtbl
        iteration order. *)
@@ -440,7 +442,7 @@ and on_view_change t ctx ~view ~ls ~prepared ~replica =
           Hashtbl.fold (fun seq (_, reqs) acc -> (seq, reqs) :: acc) best []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        trace t ctx "send:new-view" (Printf.sprintf "view=%d" target);
+        trace t ctx "send:new-view" (fun () -> Printf.sprintf "view=%d" target);
         broadcast t ctx (Pbft_types.New_view { view = target; pre_prepares })
       end
     end

@@ -6,7 +6,7 @@ let create ?(enabled = false) () = { on = enabled; recs = [] }
 let set_enabled t b = t.on <- b
 
 let emit t ~time ~node ~kind ~detail =
-  if t.on then t.recs <- { time; node; kind; detail } :: t.recs
+  if t.on then t.recs <- { time; node; kind; detail = detail () } :: t.recs
 
 let records t = List.rev t.recs
 let find_all t ~kind = List.filter (fun r -> r.kind = kind) (records t)

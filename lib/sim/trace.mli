@@ -2,7 +2,8 @@
 
     Protocol code emits trace records (time, node, kind, detail); tests
     and the Figure-1 reproduction assert on the recorded flow.  Tracing
-    is off by default and costs one branch per call when disabled. *)
+    is off by default and costs one branch per call when disabled: the
+    detail is a thunk, formatted only when tracing is on. *)
 
 type record = {
   time : Engine.time;
@@ -16,7 +17,8 @@ type t
 val create : ?enabled:bool -> unit -> t
 val set_enabled : t -> bool -> unit
 
-val emit : t -> time:Engine.time -> node:int -> kind:string -> detail:string -> unit
+val emit :
+  t -> time:Engine.time -> node:int -> kind:string -> detail:(unit -> string) -> unit
 
 val records : t -> record list
 (** In emission order. *)

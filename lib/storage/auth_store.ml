@@ -50,9 +50,32 @@ module Charges = Hashtbl.Make (struct
     List.fold_left (fun h op -> (h * 31) + String.length op) (seq * 1_000_003) ops
 end)
 
-type cache = { blocks : cache_value Blocks.t; charges : int Charges.t }
+(* Every entry is made by one store and taken by the [takers - 1]
+   others; the last take removes it, and [gc_below] drops what a
+   crashed or lagging store never takes.  A store that misses an entry
+   executes the block itself, with identical outputs and charge. *)
+type 'a entry = { value : 'a; mutable left : int }
 
-let new_cache () = { blocks = Blocks.create 1024; charges = Charges.create 1024 }
+type cache = {
+  blocks : cache_value entry Blocks.t;
+  charges : int entry Charges.t;
+  takers : int;
+}
+
+let new_cache ?(takers = max_int) () =
+  { blocks = Blocks.create 1024; charges = Charges.create 1024; takers }
+
+(* One taker fewer; the last one removes the entry. *)
+let take ~find ~remove tbl key =
+  match find tbl key with
+  | None -> None
+  | Some e ->
+      e.left <- e.left - 1;
+      if e.left <= 0 then remove tbl key;
+      Some e.value
+
+let put ~replace cache tbl key value =
+  if cache.takers > 1 then replace tbl key { value; left = cache.takers - 1 }
 
 type t = {
   apply : apply;
@@ -102,11 +125,11 @@ let exec_charge t ~seq ~ops compute =
   | None -> compute ()
   | Some cache -> (
       let key = (seq, ops) in
-      match Charges.find_opt cache.charges key with
+      match take ~find:Charges.find_opt ~remove:Charges.remove cache.charges key with
       | Some c -> c
       | None ->
           let c = compute () in
-          Charges.replace cache.charges key c;
+          put ~replace:Charges.replace cache cache.charges key c;
           c)
 
 let last_executed t = t.last_executed
@@ -163,7 +186,7 @@ let execute_block t ~seq ~ops =
   | None -> Array.to_list (execute_uncached t ~seq ~ops).outputs
   | Some cache -> (
       let key = (seq, Merkle_map.root t.map, ops) in
-      match Blocks.find_opt cache.blocks key with
+      match take ~find:Blocks.find_opt ~remove:Blocks.remove cache.blocks key with
       | Some v ->
           t.map <- v.c_map;
           Hashtbl.replace t.blocks seq v.c_record;
@@ -172,7 +195,7 @@ let execute_block t ~seq ~ops =
           Array.to_list v.c_record.outputs
       | None ->
           let record = execute_uncached t ~seq ~ops in
-          Blocks.replace cache.blocks key
+          put ~replace:Blocks.replace cache cache.blocks key
             { c_map = t.map; c_record = record; c_ops_root = t.last_ops_root };
           Array.to_list record.outputs)
 
@@ -260,7 +283,13 @@ let gc_below t ~seq =
     Hashtbl.fold (fun s _ acc -> if s < seq then s :: acc else acc) t.blocks []
     |> List.sort Int.compare
   in
-  List.iter (Hashtbl.remove t.blocks) stale
+  List.iter (Hashtbl.remove t.blocks) stale;
+  match t.cache with
+  | None -> ()
+  | Some cache ->
+      let live s e = if s < seq then None else Some e in
+      Blocks.filter_map_inplace (fun (s, _, _) e -> live s e) cache.blocks;
+      Charges.filter_map_inplace (fun (s, _) e -> live s e) cache.charges
 
 let snapshot_of ~last_executed ~last_ops_root map =
   let w = Codec.Writer.create () in

@@ -37,11 +37,24 @@ val create : apply:apply -> unit -> t
     a pure simulation optimization: per-replica {e virtual} CPU time is
     still charged by the protocol layer, and a replica whose state
     diverges (different pre-state root) misses the cache and executes
-    for real. *)
+    for real.
+
+    Entries do not outlive their use.  The store that executes a block
+    first makes its entry with [takers - 1] takes left; each other
+    store's hit takes one, and the last take removes the entry.
+    {!gc_below} drops every entry below the GC horizon, so a store that
+    never takes its share (crashed, lagging, diverged) pins nothing past
+    a stable checkpoint.  A store that misses a removed entry executes
+    the block itself, with identical outputs, state and charge. *)
 
 type cache
 
-val new_cache : unit -> cache
+val new_cache : ?takers:int -> unit -> cache
+(** [takers] is the number of stores that execute each block through
+    this cache: the cluster's replica count.  Count replicas, not
+    {!set_cache} calls: a crash-amnesia rebuild attaches a fresh store
+    for the same replica.  Without [takers], entries leave only through
+    {!gc_below}. *)
 
 val set_cache : t -> cache -> unit
 (** Install a shared cache (call before executing any block). *)
@@ -101,7 +114,8 @@ val verify_query_proof :
   digest:string -> seq:int -> key:string -> value:string -> proof:string -> bool
 
 val gc_below : t -> seq:int -> unit
-(** Drop retained per-block proof material for blocks [< seq]. *)
+(** Drop retained per-block proof material for blocks [< seq], and the
+    shared cache's entries (blocks and charges) below [seq]. *)
 
 val snapshot : t -> string
 (** Serialized current state + sequence number, for state transfer.

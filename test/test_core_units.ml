@@ -387,6 +387,31 @@ let test_verify_memo_signature () =
   check "forged rejected first" false (Keys.verify_request keys forged);
   check "signed accepted after forged" true (Keys.verify_request keys signed)
 
+(* Clearing at a stable checkpoint empties the memos once per new
+   checkpoint and changes no value: after the clear the digest is
+   computed afresh (a new string, not the memo's), and equal. *)
+let test_memo_checkpoint_clear () =
+  let config = Config.sbft ~f:1 ~c:0 in
+  let keys, _, clients = Keys.setup (Sbft_sim.Rng.create 11L) ~config ~num_clients:1 in
+  let r = { Types.client = Config.n config; timestamp = 1; op = "op"; signature = "" } in
+  let d = Keys.request_digest keys r in
+  let signed = { r with signature = Sbft_crypto.Pki.sign clients.(0) d } in
+  let point = Keys.hash_to_field keys "m" in
+  let points () = Hashtbl.length keys.Keys.points in
+  Keys.clear_at_checkpoint keys ~seq:0;
+  check "no new checkpoint: kept" true (Keys.request_digest keys r == d);
+  Keys.clear_at_checkpoint keys ~seq:128;
+  check_int "points cleared" 0 (points ());
+  let d' = Keys.request_digest keys r in
+  check "digest recomputed" false (d' == d);
+  check "same digest" true (String.equal d' d);
+  check "same point" true (Sbft_crypto.Field.equal point (Keys.hash_to_field keys "m"));
+  check "still verifies" true (Keys.verify_request keys signed);
+  Keys.clear_at_checkpoint keys ~seq:128;
+  Keys.clear_at_checkpoint keys ~seq:64;
+  check "once per checkpoint" true (Keys.request_digest keys r == d');
+  check_int "points kept" 1 (points ())
+
 (* The digest memo keys on the fields the digest reads, not the
    signature: the client's digest of its unsigned request is the very
    string (a memo hit, [==]) every replica gets for the signed one, so
@@ -482,6 +507,67 @@ let test_exec_cache_exact () =
     (String.equal (A.digest a) (A.digest b));
   check_int "a hit returns the first block's outputs" 1 (exec c [ "x" ]);
   check "and its state" true (String.equal (A.digest a) (A.digest c))
+
+(* Each cache entry is made by one store and taken by the others; the
+   last of [takers - 1] takes removes it.  A later store misses: it
+   executes for real (its state is not the shared one) and gets the
+   same outputs, digest and charge. *)
+let test_exec_cache_takers () =
+  let module A = Sbft_store.Auth_store in
+  let cache = A.new_cache ~takers:3 () in
+  let store () =
+    let s = Sbft_store.Kv_service.create () in
+    A.set_cache s cache;
+    s
+  in
+  let a = store () and b = store () and c = store () and late = store () in
+  let calls = ref 0 in
+  let charge s = A.exec_charge s ~seq:1 ~ops:[ "x" ] (fun () -> incr calls; 42) in
+  let put k = Sbft_store.Kv_service.put ~key:k ~value:"v" in
+  let exec s = A.execute_block s ~seq:1 ~ops:[ put "x"; put "y" ] in
+  let outputs = exec a in
+  check_int "first charge computed" 42 (charge a);
+  List.iter
+    (fun s ->
+      check "hit: same outputs" true (List.equal String.equal outputs (exec s));
+      check "hit: shared state" true (A.state s == A.state a);
+      check_int "hit: charge" 42 (charge s))
+    [ b; c ];
+  check_int "charge computed once for three takers" 1 !calls;
+  check "late store: same outputs" true (List.equal String.equal outputs (exec late));
+  check "late store: executed itself" false (A.state late == A.state a);
+  check "late store: same digest" true (String.equal (A.digest late) (A.digest a));
+  check_int "late store: same charge" 42 (charge late);
+  check_int "late store: charge recomputed" 2 !calls
+
+(* [gc_below] drops the shared entries below the horizon, taken or not:
+   a store behind the horizon re-executes, one above it still hits. *)
+let test_exec_cache_gc () =
+  let module A = Sbft_store.Auth_store in
+  let cache = A.new_cache ~takers:4 () in
+  let store () =
+    let s = Sbft_store.Kv_service.create () in
+    A.set_cache s cache;
+    s
+  in
+  let a = store () and b = store () in
+  let calls = ref 0 in
+  let charge s seq = A.exec_charge s ~seq ~ops:[ "x" ] (fun () -> incr calls; seq) in
+  let put k = Sbft_store.Kv_service.put ~key:k ~value:"v" in
+  let outputs1 = A.execute_block a ~seq:1 ~ops:[ put "x" ] in
+  let after1 = A.state a in
+  ignore (A.execute_block a ~seq:2 ~ops:[ put "y" ]);
+  ignore (charge a 1 + charge a 2);
+  A.gc_below a ~seq:2;
+  check "below the horizon: same outputs" true
+    (List.equal String.equal outputs1 (A.execute_block b ~seq:1 ~ops:[ put "x" ]));
+  check "below the horizon: executed again" false (A.state b == after1);
+  check_int "below the horizon: same charge" 1 (charge b 1);
+  check_int "below the horizon: charge recomputed" 3 !calls;
+  ignore (A.execute_block b ~seq:2 ~ops:[ put "y" ]);
+  check "at the horizon: still shared" true (A.state b == A.state a);
+  check_int "at the horizon: charge hit" 2 (charge b 2);
+  check_int "at the horizon: not recomputed" 3 !calls
 
 (* ------------------------------------------------------------------ *)
 (* Votes *)
@@ -596,8 +682,11 @@ let () =
           Alcotest.test_case "verify memo keys the signature" `Quick test_verify_memo_signature;
           Alcotest.test_case "digest memo ignores the signature" `Quick test_digest_memo_unsigned;
           Alcotest.test_case "collector memo" `Quick test_collector_memo;
+          Alcotest.test_case "memos cleared at checkpoints" `Quick test_memo_checkpoint_clear;
           Alcotest.test_case "exec charge exact" `Quick test_exec_charge_exact;
           Alcotest.test_case "exec cache exact" `Quick test_exec_cache_exact;
+          Alcotest.test_case "exec cache takers" `Quick test_exec_cache_takers;
+          Alcotest.test_case "exec cache gc" `Quick test_exec_cache_gc;
         ] );
       ("votes", [ votes_prop ]);
       ("agreement", [ agreement_prop ]);

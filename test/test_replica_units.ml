@@ -43,13 +43,13 @@ let deliver_all l msgs =
 let digest = Sha256.digest "state"
 
 let sign_state ~seq r =
-  let share = Threshold.share_sign replica_keys.(r).Keys.pi_sk ~msg:(Types.pi_message ~seq ~digest) in
-  (r, Types.Sign_state { seq; digest; share })
+  let msg = Types.pi_message ~seq ~digest in
+  (r, Types.Sign_state { seq; digest; share = Threshold.share_sign replica_keys.(r).Keys.pi_sk ~msg })
 
 let pi_sig ~seq =
   let msg = Types.pi_message ~seq ~digest in
-  Threshold.combine_exn keys.Keys.pi ~msg
-    (Array.to_list (Array.map (fun (k : Keys.replica_keys) -> Threshold.share_sign k.pi_sk ~msg) replica_keys))
+  let share (k : Keys.replica_keys) = Threshold.share_sign k.pi_sk ~msg in
+  Threshold.combine_exn keys.Keys.pi ~msg (Array.to_list (Array.map share replica_keys))
 
 let exec_proofs_sent l ~seq =
   List.length
@@ -82,6 +82,76 @@ let test_late_pi_callback () =
     (Replica.last_stable l.replica - config.Config.win > seq);
   check_int "no π for a collected slot" 0 (exec_proofs_sent l ~seq)
 
+(* ------------------------------------------------------------------ *)
+(* Stash lifecycle: shares are dropped once their certificate exists;
+   the signer counts an adversary observes are kept. *)
+
+let triple = Alcotest.(triple int int int)
+let quad = Alcotest.(pair (pair int int) (pair int int))
+let held l seq =
+  let s, t, c, p = Replica.held_shares l.replica seq in
+  ((s, t), (c, p))
+
+let null_block = [ View_change.null_request ]
+let h1 = Types.block_hash ~seq:1 ~view:0 ~reqs:null_block
+
+let sign_share r =
+  let k = replica_keys.(r) in
+  ( r,
+    Types.Sign_share
+      {
+        seq = 1;
+        view = 0;
+        sigma_share = Threshold.share_sign k.Keys.sigma_sk ~msg:h1;
+        tau_share = Threshold.share_sign k.Keys.tau_sk ~msg:h1;
+        replica = r;
+      } )
+
+let sigma_cert () =
+  let share (k : Keys.replica_keys) = Threshold.share_sign k.sigma_sk ~msg:h1 in
+  Threshold.combine_exn keys.Keys.sigma ~msg:h1 (Array.to_list (Array.map share replica_keys))
+
+(* The slot's σ collector gets 3 of the 4 sign shares it needs and one
+   ττ share, then a σ certificate from elsewhere commits the block. *)
+let test_commit_releases_sigma_tau () =
+  let me = List.hd (Collectors.c_collectors keys ~view:0 ~seq:1) in
+  let l = live_replica me in
+  let tau_tau_share = Threshold.share_sign replica_keys.(1).Keys.tau_sk ~msg:"tt" in
+  let commit_share = (1, Types.Commit { seq = 1; view = 0; share = tau_tau_share }) in
+  deliver_all l
+    ((0, Types.Pre_prepare { seq = 1; view = 0; reqs = null_block })
+    :: commit_share :: List.map sign_share [ 0; 1; 2 ]);
+  Alcotest.check quad "held before commit" ((3, 3), (1, 0)) (held l 1);
+  Alcotest.check triple "counted before commit" (3, 3, 1) (Replica.obs_slot_shares l.replica 1);
+  deliver_all l [ (0, Types.Full_commit_proof { seq = 1; view = 0; sigma = sigma_cert () }) ];
+  check "committed" true (Replica.committed_block l.replica 1 <> None);
+  Alcotest.check quad "σ and τ dropped, ττ kept" ((0, 0), (1, 0)) (held l 1);
+  Alcotest.check triple "counts unchanged" (3, 3, 1) (Replica.obs_slot_shares l.replica 1);
+  deliver_all l [ sign_share 3 ];
+  Alcotest.check quad "a late share is not stored" ((0, 0), (1, 0)) (held l 1);
+  Alcotest.check triple "but counted" (4, 4, 1) (Replica.obs_slot_shares l.replica 1)
+
+(* One π share is stored; a verified π for the seq drops it, and a
+   later share is neither stored nor combined. *)
+let test_known_pi_releases_pi () =
+  let l = live_replica (staggered_e_collector ~seq:1) in
+  deliver_all l [ sign_state ~seq:1 1 ];
+  Alcotest.check quad "one π share held" ((0, 0), (0, 1)) (held l 1);
+  deliver_all l [ (2, Types.Full_execute_proof { seq = 1; digest; pi = pi_sig ~seq:1 }) ];
+  Alcotest.check quad "dropped once π is known" ((0, 0), (0, 0)) (held l 1);
+  deliver_all l [ sign_state ~seq:1 2; sign_state ~seq:1 3 ];
+  Alcotest.check quad "later shares not stored" ((0, 0), (0, 0)) (held l 1);
+  check_int "and not combined" 0 (exec_proofs_sent l ~seq:1)
+
 let () =
   Alcotest.run "replica_units"
-    [ ("pi collector", [ Alcotest.test_case "late callback after gc" `Quick test_late_pi_callback ]) ]
+    [
+      ( "pi collector",
+        [ Alcotest.test_case "late callback after gc" `Quick test_late_pi_callback ] );
+      ( "stashes",
+        [
+          Alcotest.test_case "commit drops sigma and tau, keeps tau-tau" `Quick
+            test_commit_releases_sigma_tau;
+          Alcotest.test_case "known pi drops pi shares" `Quick test_known_pi_releases_pi;
+        ] );
+    ]

@@ -730,12 +730,12 @@ let test_stats_throughput () =
 
 let test_trace () =
   let tr = Trace.create ~enabled:true () in
-  Trace.emit tr ~time:0 ~node:1 ~kind:"send" ~detail:"x";
-  Trace.emit tr ~time:1 ~node:2 ~kind:"recv" ~detail:"y";
+  Trace.emit tr ~time:0 ~node:1 ~kind:"send" ~detail:(fun () -> "x");
+  Trace.emit tr ~time:1 ~node:2 ~kind:"recv" ~detail:(fun () -> "y");
   check_int "records" 2 (List.length (Trace.records tr));
   check_int "find" 1 (List.length (Trace.find_all tr ~kind:"send"));
   Trace.set_enabled tr false;
-  Trace.emit tr ~time:2 ~node:3 ~kind:"send" ~detail:"z";
+  Trace.emit tr ~time:2 ~node:3 ~kind:"send" ~detail:(fun () -> "z");
   check_int "disabled drops" 2 (List.length (Trace.records tr))
 
 (* ------------------------------------------------------------------ *)
