@@ -12,6 +12,7 @@
 
 module Lint = Sbft_analysis.Lint
 module Discipline = Sbft_analysis.Discipline
+module Exports = Sbft_analysis.Exports
 module Json = Sbft_harness.Report.Json
 
 let usage () =
@@ -97,6 +98,25 @@ let () =
         exit 2
       end)
     dirs;
+  (* R16 reads the typed trees dune writes.  Under [dune build @lint]
+     the action runs inside the build tree; from a checkout they are
+     under _build/default.  An interface without an up-to-date .cmti
+     would drop out of the rule, so it stops the run like a missing
+     directory does. *)
+  let build = if Sys.file_exists "_build/default" then "_build/default" else "." in
+  let dead_exports =
+    match
+      Exports.check ~build
+        (List.filter (String.starts_with ~prefix:"lib/") (Lint.mli_files dirs))
+    with
+    | Ok findings -> findings
+    | Error stale ->
+        List.iter
+          (Printf.eprintf
+             "sbft-lint: no up-to-date compiled interface for %s (build it first: dune build @check)\n")
+          stale;
+        exit 2
+  in
   let allow =
     if Sys.file_exists !allow_file then Lint.Allow.parse (Lint.read_file !allow_file)
     else Lint.Allow.empty
@@ -119,6 +139,7 @@ let () =
         Discipline.check_file ~defs ~path
           ~mli_exists:(Sys.file_exists (path ^ "i")) parsed)
       files
+    @ dead_exports
   in
   let kept, allowed = Lint.filter allow findings in
   let stale = Lint.Allow.unused allow findings in

@@ -5,18 +5,19 @@
     - {b R9} — WAL-before-send: every send of a promise-bearing message
       must be preceded, on its source path through local helper calls,
       by a [wal_log] of the matching record type and the [wal_sync]
-      that flushed it.  The record<->message correspondence is
-      {!promise_table}.  Only files that use the WAL are checked (the
-      PBFT baseline has no WAL by design).
+      that flushed it.  The record<->message correspondence is the
+      [promise_table] of [discipline.ml].  Only files that use the WAL
+      are checked (the PBFT baseline has no WAL by design).
     - {b R10} — cost-accounting completeness: every priced
       crypto/storage call reachable from an [on_*] handler (or from the
       WAL wrappers) must have a covering [Engine.charge] of the same
       cost klass in the same function.
     - {b R11} — send-amplification: inside a handler, a send in an
       iteration over a handler-parameter collection, or an unguarded
-      send of an amplifying message ({!amplifying}), must be gated on
-      recognizable pacing state (a guard mentioning
-      allow/rate/resent/paced/served, or an [Hashtbl.mem] dedup).
+      send of an amplifying message (full state transfers, new-view
+      certificates), must be gated on recognizable pacing state (a
+      guard mentioning allow/rate/resent/paced/served, or an
+      [Hashtbl.mem] dedup).
     - {b R12} — symbolic quorum soundness: every threshold definition
       and comparison is extracted as a linear form over (f, c) with
       [n = 3f + 2c + 1], and the shared {!Quorum_props.obligations}
@@ -40,23 +41,10 @@
     Findings use {!Lint.finding} so they share the allowlist, report,
     and exit-code machinery. *)
 
-val promise_table : (string * string list) list
-(** Message constructor -> WAL record types, any one of which must be
-    logged and synced before the send (the R9 correspondence table). *)
-
-val amplifying : string list
-(** Message constructors whose retransmission amplifies (full state
-    transfers, new-view certificates): R11 requires a guard even
-    outside iteration. *)
-
 (** Threshold definitions extracted from a [Config]-like file: the
     real linear form per quorum kind, plus each declared mutation
     constructor's weakened form. *)
 type defs
-
-val extract_defs : path:string -> Parsetree.structure -> defs option
-(** [None] when the structure defines no threshold functions (an
-    ordinary protocol file). *)
 
 val default_defs : defs
 (** The canonical formulas from {!Quorum_props} — used when the
@@ -65,9 +53,6 @@ val default_defs : defs
 val config_defs : (Parsetree.structure, Lint.finding) result -> defs
 (** The definitions of a parsed [lib/core/config.ml], or
     {!default_defs} when it does not parse or defines none. *)
-
-val lint_defs : defs -> Lint.finding list
-(** The definitional half of R12 alone (exposed for unit tests). *)
 
 val check_file :
   defs:defs ->
@@ -87,3 +72,12 @@ val obligation_report : defs -> string
 (** The deterministic R12 obligation report CI uploads: symbolic
     definitions, per-obligation PASS/FAIL with witness points, and the
     obligation each declared mutation violates. *)
+
+(** {2 Test hooks} *)
+
+val extract_defs : path:string -> Parsetree.structure -> defs option
+(** [None] when the structure defines no threshold functions (an
+    ordinary protocol file). *)
+
+val lint_defs : defs -> Lint.finding list
+(** The definitional half of R12 alone (exposed for unit tests). *)

@@ -68,7 +68,7 @@ let skip_entry name =
   || Char.equal name.[0] '_'
   || String.equal name "lint_fixtures"
 
-let ml_files roots =
+let source_files ~suffix roots =
   let rec walk acc path =
     if Sys.is_directory path then
       Sys.readdir path |> Array.to_list
@@ -76,10 +76,13 @@ let ml_files roots =
            (fun acc entry ->
              if skip_entry entry then acc else walk acc (Filename.concat path entry))
            acc
-    else if Filename.check_suffix path ".ml" then normalize path :: acc
+    else if Filename.check_suffix path suffix then normalize path :: acc
     else acc
   in
   List.sort String.compare (List.fold_left walk [] roots)
+
+let ml_files = source_files ~suffix:".ml"
+let mli_files = source_files ~suffix:".mli"
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 
@@ -744,12 +747,6 @@ let lint_structure ~path structure =
   iterator.structure iterator structure;
   if handler_scope path then taint_analysis ~report structure;
   sort_findings !findings
-
-let lint_source ~path source =
-  let path = normalize path in
-  match parse ~path source with
-  | Ok structure -> lint_structure ~path structure
-  | Error parse_failure -> [ parse_failure ]
 
 let missing_mli ~path ~mli_exists =
   let path = normalize path in

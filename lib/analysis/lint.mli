@@ -91,6 +91,9 @@ val ml_files : string list -> string list
     Hidden and [_]-prefixed entries and [lint_fixtures] directories are
     skipped. *)
 
+val mli_files : string list -> string list
+(** The same walk for [.mli] files: R16's exports. *)
+
 val parse : path:string -> string -> (Parsetree.structure, finding) result
 (** Parse source text attributed to [path]; a syntax or lexer error is
     a single ["parse"] finding. *)
@@ -104,10 +107,6 @@ val lint_structure : path:string -> Parsetree.structure -> finding list
 (** Run R1-R4, R6 and R7 over a parsed file attributed to the
     normalized [path], keeping the rules whose scope includes it.
     Findings are sorted by line, then rule. *)
-
-val lint_source : path:string -> string -> finding list
-(** {!parse} then {!lint_structure}; a file that does not parse yields
-    its single ["parse"] finding. *)
 
 val missing_mli : path:string -> mli_exists:bool -> finding option
 (** R5: [Some finding] when [path] is a [lib/] module without a
@@ -129,8 +128,6 @@ module Allow : sig
   val parse : string -> t
   (** Parse the contents of a [lint.allow] file.  Malformed lines are
       ignored (they simply allow nothing). *)
-
-  val is_allowed : t -> finding -> bool
 
   val unused : t -> finding list -> string list
   (** Entries (rendered back to ["rule path[:line]"]) that matched none

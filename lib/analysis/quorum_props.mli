@@ -53,11 +53,7 @@ val holds : obligation -> thresholds -> bool
 (** Obligations that apply but do not hold at the given point. *)
 val failures : thresholds -> obligation list
 
-(** f, c >= 0 and n = 3f + 2c + 1 >= 4 (Config.validate's floor). *)
-val admissible : f:int -> c:int -> bool
-
-val grid_bound : int
-
-(** All admissible (f, c) with both components <= [grid_bound], in
+(** All admissible (f, c) — f, c >= 0 and n = 3f + 2c + 1 >= 4
+    (Config.validate's floor) — with both components <= 8, in
     lexicographic order. *)
 val grid : unit -> (int * int) list

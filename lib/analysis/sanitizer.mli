@@ -33,14 +33,6 @@ type quorum = Quorum_props.kind =
 val create : ?enabled:bool -> f:int -> c:int -> unit -> t
 (** [enabled] defaults to [true]. *)
 
-val enabled : t -> bool
-
-val checks_run : t -> int
-(** Number of invariant checks performed so far (0 when disabled) —
-    lets tests assert the sanitizer was actually exercised. *)
-
-val threshold : t -> quorum -> int
-
 val check_config : t -> n:int -> unit
 (** Verify the replica-count relation [n = 3f + 2c + 1] and every
     {!Quorum_props.obligations} entry (intersection, ordering and
@@ -68,3 +60,13 @@ val record_state_transfer : t -> seq:int -> unit
 
 val prune_below : t -> seq:int -> unit
 (** Drop commit records below the garbage-collection horizon. *)
+
+(** {2 Test hooks} *)
+
+val enabled : t -> bool
+
+val checks_run : t -> int
+(** Number of invariant checks performed so far (0 when disabled) —
+    lets tests assert the sanitizer was actually exercised. *)
+
+val threshold : t -> quorum -> int

@@ -21,9 +21,6 @@ type profile = {
           GST so [Expect_pass] schedules keep their quiet period *)
 }
 
-val default_profile : profile
-(** [{ quick = false; adversarial = false }] *)
-
 val generate : ?profile:profile -> seed:int64 -> int -> Schedule.t
 (** [generate ~seed index] is the [index]-th schedule of the seeded
     stream — deterministic in [(seed, index, profile)]. *)
@@ -33,3 +30,8 @@ val generate_mutation : seed:int64 -> int -> Schedule.t
     quorum mutation with an equivocating primary, which lets two
     conflicting commit certificates form — the agreement oracle must
     catch the resulting divergence. *)
+
+(** {2 Test hooks} *)
+
+val default_profile : profile
+(** [{ quick = false; adversarial = false }] *)

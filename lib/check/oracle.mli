@@ -14,7 +14,7 @@
     post-GST flip back to honest.
 
     The oracles themselves are pure functions of an {!obs} snapshot:
-    {!observe} extracts one from a live cluster, and unit tests
+    {!evaluate} takes one from a live cluster, and unit tests
     hand-build minimal counterexample snapshots that must trip each
     oracle — so a check weakened by refactoring fails a synthetic trace
     loudly instead of silently accepting simulator output. *)
@@ -67,14 +67,13 @@ val expected_op : int -> string
     this shape — the counter value equals the number of distinct
     executions, and the reply value equals the request's timestamp. *)
 
-val observe : ctx -> obs
-(** Snapshot the final cluster state (honest replicas only) into the
-    pure observation record the oracles consume. *)
+val evaluate : ctx -> verdict list
+(** Snapshot the final cluster state (honest replicas only) and run
+    {!evaluate_obs} on it. *)
+
+(** {2 Test hooks} *)
 
 val evaluate_obs : obs -> verdict list
 (** All six verdicts over a snapshot, in a fixed order (sanitizer,
     agreement, validity, checkpoints, at-most-once, liveness). Pure:
     unit tests drive it with hand-built counterexample traces. *)
-
-val evaluate : ctx -> verdict list
-(** [evaluate ctx] is [evaluate_obs (observe ctx)]. *)

@@ -150,18 +150,21 @@ val byz_keywords : (Sbft_core.Replica.byzantine * string) list
 val policy_keywords : (policy * string) list
 (** The [byz] and [adversary] keywords, in the order {!Gen} draws from. *)
 
-val default : name:string -> seed:int64 -> t
-(** A small healthy baseline (f=1, c=0, 2 clients, no steps). *)
-
 val sorted_steps : t -> step list
 (** Steps in schedule order (stable by time). *)
 
+val save : path:string -> t -> unit
+val load : path:string -> (t, string) result
+
+(** {2 Test hooks} *)
+
+val default : name:string -> seed:int64 -> t
+(** A small healthy baseline (f=1, c=0, 2 clients, no steps). *)
+
 val to_string : t -> string
+
 val parse : string -> (t, string) result
 (** [parse (to_string t)] succeeds when [t]'s configuration passes
     {!Sbft_core.Config.validate}, and re-emitting the result is
     byte-identical.  A configuration [Config.validate] rejects is a
     parse error carrying its message. *)
-
-val save : path:string -> t -> unit
-val load : path:string -> (t, string) result

@@ -2,16 +2,6 @@
     step list, then workload reduction, preserving "still fails on the
     same oracle" throughout. *)
 
-val ddmin :
-  still_fails:(Schedule.step list -> bool) ->
-  Schedule.step list ->
-  Schedule.step list
-(** Zeller & Hildebrandt's ddmin: remove complements at doubling
-    granularity. The result is 1-minimal with respect to [still_fails]:
-    removing any single remaining step makes the predicate false.
-    Exposed with a pure predicate so the algorithm is testable without
-    running the simulator. *)
-
 val minimize : oracle:string -> Schedule.t -> Schedule.t
 (** [minimize ~oracle sched] assumes [sched] currently fails on
     [oracle] and returns a locally minimal schedule that still does,
@@ -27,3 +17,15 @@ val minimize : oracle:string -> Schedule.t -> Schedule.t
     (a failure that persists without the adversary is a static bug and
     the artifact should say so) — before step-ddmin and a final
     requests pass. *)
+
+(** {2 Test hooks} *)
+
+val ddmin :
+  still_fails:(Schedule.step list -> bool) ->
+  Schedule.step list ->
+  Schedule.step list
+(** Zeller & Hildebrandt's ddmin: remove complements at doubling
+    granularity. The result is 1-minimal with respect to [still_fails]:
+    removing any single remaining step makes the predicate false.
+    Exposed with a pure predicate so the algorithm is testable without
+    running the simulator. *)

@@ -21,10 +21,6 @@ val create :
 
 val id : t -> int
 
-val submit : t -> Sbft_sim.Engine.ctx -> op:string -> unit
-(** Sign and send the next operation.  One operation may be in flight
-    per client (the paper's clients are closed-loop). *)
-
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Types.msg -> unit
 
 val query :

@@ -43,9 +43,6 @@ val hash_to_field : t -> string -> Sbft_crypto.Field.t
     hashed once per cluster, not once per replica.  Pass it to the
     [Threshold] [_h] functions. *)
 
-val points_cap : int
-(** Each memo holds at most this many entries; it is cleared when full. *)
-
 val clear_at_checkpoint : t -> seq:int -> unit
 (** A replica reached the stable checkpoint [seq].  The first call for
     each checkpoint above the last one clears every memo, [points]
@@ -72,3 +69,8 @@ val verify_request : t -> Types.request -> bool
 (** The client's signature over {!request_digest} verifies under its
     public key.  The verdict is memoized by every field of the request,
     the signature included. *)
+
+(** {2 Test hooks} *)
+
+val points_cap : int
+(** Each memo holds at most this many entries; it is cleared when full. *)

@@ -54,7 +54,6 @@ val retire : t -> unit
 val id : t -> int
 val view : t -> int
 val last_executed : t -> int
-val last_stable : t -> int
 val state_digest : t -> string
 
 val store : t -> Sbft_store.Auth_store.t
@@ -66,6 +65,8 @@ val start : t -> Sbft_sim.Engine.ctx -> unit
 (** Arm initial timers (primary batch loop). Call once at time 0. *)
 
 (** {2 Introspection for tests and benchmarks} *)
+
+val last_stable : t -> int
 
 val committed_block : t -> int -> Types.request list option
 (** Requests committed at a sequence number, if any. *)

@@ -137,11 +137,6 @@ type msg =
               resumes exactly-once request deduplication. *)
     }
 
-val block_hash : seq:int -> view:int -> reqs:request list -> string
-(** The [h = H(s ‖ v ‖ r)] every commit signature covers (canonical
-    encoding; SHA-256).  Pure; {!Keys.block_hash} is the cluster's memo
-    of it. *)
-
 val block_hash_with :
   digest:(request -> string) -> seq:int -> view:int -> reqs:request list -> string
 (** {!block_hash} with each request's digest taken from [digest], which
@@ -174,3 +169,10 @@ val size : msg -> int
 
 val kind : msg -> string
 (** Short tag for tracing, e.g. ["pre-prepare"]. *)
+
+(** {2 Test hooks} *)
+
+val block_hash : seq:int -> view:int -> reqs:request list -> string
+(** The [h = H(s ‖ v ‖ r)] every commit signature covers (canonical
+    encoding; SHA-256).  Pure; {!Keys.block_hash} is the cluster's memo
+    of it. *)

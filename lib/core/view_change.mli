@@ -41,10 +41,6 @@ val validate_message : keys:Keys.t -> Types.view_change -> bool
     the checkpoint proof verifies and every per-slot certificate's
     signature/share verifies for its claimed (seq, view, requests). *)
 
-val select_stable : keys:Keys.t -> Types.view_change list -> int
-(** Highest last-stable sequence number backed by a valid checkpoint
-    proof (0 when none). *)
-
 val compute :
   keys:Keys.t -> new_view:int -> Types.view_change list ->
   int * (int * decision) list
@@ -56,3 +52,9 @@ val compute :
 
 val decision_reqs : decision -> Types.request list
 (** Requests a decision resolves to ([null_request] for {!Fill_null}). *)
+
+(** {2 Test hooks} *)
+
+val select_stable : keys:Keys.t -> Types.view_change list -> int
+(** Highest last-stable sequence number backed by a valid checkpoint
+    proof (0 when none). *)

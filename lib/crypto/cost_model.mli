@@ -30,7 +30,6 @@ type time = Sbft_sim.Engine.time
 (** {2 Threshold BLS (simulated)} *)
 
 val bls_share_sign : time
-val bls_share_verify : time
 val bls_batch_verify : int -> time
 (** [bls_batch_verify k]: verifying [k] shares as a batch. *)
 
@@ -62,12 +61,7 @@ val rsa_verify : time
 val sha256 : int -> time
 (** [sha256 len]: hashing [len] bytes. *)
 
-val hmac : int -> time
-
 (** {2 Merkle} *)
-
-val merkle_build : int -> time
-(** Building a tree over [n] operation leaves. *)
 
 val merkle_prove : int -> time
 val merkle_verify : int -> time
@@ -83,12 +77,10 @@ val wal_append : int -> time
 (** [wal_append bytes]: sequential append of a framed WAL record into
     the OS page cache (~1 ns/byte plus fixed overhead). *)
 
-val wal_fsync : time
-(** Group-commit flush of the WAL tail — charged once per handler that
-    dirtied the log (NVMe-class flush latency). *)
-
 val wal_fsync_scaled : scale:float -> time
-(** {!wal_fsync} stretched by a per-node degradation factor — the
+(** The group-commit flush of the WAL tail (120 µs, NVMe-class; charged
+    once per handler that dirtied the log) stretched by a per-node
+    degradation factor — the
     gray-failure "fail-slow disk" knob (firmware GC stalls, throttled
     cloud volumes).  Scales the flush only; appends still hit the page
     cache at full speed.  [scale <= 1.0] is the healthy baseline. *)
@@ -118,3 +110,12 @@ module Tally : sig
   val snapshot : unit -> (string * time) list
   (** Accumulated virtual nanoseconds per label, sorted by label. *)
 end
+
+(** {2 Test hooks} *)
+
+val bls_share_verify : time
+
+val hmac : int -> time
+
+val merkle_build : int -> time
+(** Building a tree over [n] operation leaves. *)

@@ -79,5 +79,3 @@ let to_bytes x =
   Bytes.unsafe_to_string b
 
 let of_bytes s = of_int64 (String.get_int64_be s 0)
-
-let pp fmt x = Format.fprintf fmt "%d" x

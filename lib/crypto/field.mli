@@ -9,24 +9,15 @@
 
 type t = private int
 
-val p : int64
-(** 2^61 − 1 = 2305843009213693951. *)
-
 val zero : t
 val one : t
 
-val of_int64 : int64 -> t
-(** Reduces an arbitrary non-negative int64 into the field. *)
-
 val of_int : int -> t
-val to_int64 : t -> int64
 
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
-val pow : t -> int64 -> t
-(** [pow b e] is [b^e] with [e] read as an unsigned 64-bit integer. *)
 
 val inv : t -> t
 (** @raise Division_by_zero on [inv zero]. *)
@@ -45,4 +36,15 @@ val to_bytes : t -> string
 
 val of_bytes : string -> t
 
-val pp : Format.formatter -> t -> unit
+(** {2 Test hooks} *)
+
+val p : int64
+(** 2^61 − 1 = 2305843009213693951. *)
+
+val of_int64 : int64 -> t
+(** Reduces an arbitrary non-negative int64 into the field. *)
+
+val to_int64 : t -> int64
+
+val pow : t -> int64 -> t
+(** [pow b e] is [b^e] with [e] read as an unsigned 64-bit integer. *)

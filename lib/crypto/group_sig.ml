@@ -10,8 +10,6 @@ let setup rng ~n =
   let keys = Array.mapi (fun i s -> { signer = i + 1; secret_share = s }) secrets in
   ({ n; master; share_vks = secrets }, keys)
 
-let n t = t.n
-
 let hash_to_field = Threshold.hash_to_field
 
 let share_sign (sk : signing_key) ~msg =

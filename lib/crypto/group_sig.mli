@@ -13,15 +13,6 @@ type share = { signer : int; value : Field.t }
 type signature = Field.t
 
 val setup : Sbft_sim.Rng.t -> n:int -> t * signing_key array
-val n : t -> int
-val share_sign : signing_key -> msg:string -> share
-val share_verify : t -> msg:string -> share -> bool
-
-val combine : t -> msg:string -> share list -> signature option
-(** Requires a valid share from {e every} one of the [n] signers, each
-    verified individually before summation. *)
-
-val verify : t -> msg:string -> signature -> bool
 
 (** Result of an optimistic {!combine_verified} call. *)
 type outcome = {
@@ -31,6 +22,18 @@ type outcome = {
   fallback : bool;  (** the combined check failed; identification ran *)
   bad_signers : int list;  (** invalid signers, ascending *)
 }
+
+(** {2 Test hooks} *)
+
+val share_sign : signing_key -> msg:string -> share
+
+val share_verify : t -> msg:string -> share -> bool
+
+val combine : t -> msg:string -> share list -> signature option
+(** Requires a valid share from {e every} one of the [n] signers, each
+    verified individually before summation. *)
+
+val verify : t -> msg:string -> signature -> bool
 
 val combine_verified : t -> msg:string -> share list -> outcome
 (** Optimistic combine-then-verify: sums all [n] shares without

@@ -17,14 +17,10 @@ val build : string list -> tree
     yields a well-defined empty-tree root. *)
 
 val root : tree -> string
-val num_leaves : tree -> int
 
 val prove : tree -> int -> proof
 (** Inclusion proof for the leaf at the given index.
     @raise Invalid_argument if out of bounds. *)
-
-val verify : root:string -> leaf:string -> proof -> bool
-(** Checks that [leaf] sits at [proof.leaf_index] under [root]. *)
 
 val encode_proof : proof -> string
 (** Canonical wire encoding (paired with {!decode_proof}). *)
@@ -34,3 +30,10 @@ val decode_proof : string -> proof option
 val implied_root : leaf:string -> proof -> string
 (** The root a verifier recomputes from [leaf] along the proof path;
     [verify ~root ~leaf p] iff [implied_root ~leaf p = root]. *)
+
+(** {2 Test hooks} *)
+
+val num_leaves : tree -> int
+
+val verify : root:string -> leaf:string -> proof -> bool
+(** Checks that [leaf] sits at [proof.leaf_index] under [root]. *)

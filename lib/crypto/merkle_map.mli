@@ -30,10 +30,12 @@ type proof
 val prove : t -> string -> proof option
 (** Inclusion proof for a present key; [None] if absent. *)
 
-val verify : root:string -> key:string -> value:string -> proof -> bool
-
 val encode_proof : proof -> string
 val decode_proof : string -> proof option
 
 val implied_root : key:string -> value:string -> proof -> string
 (** Root recomputed from the binding along the proof path. *)
+
+(** {2 Test hooks} *)
+
+val verify : root:string -> key:string -> value:string -> proof -> bool

@@ -15,10 +15,13 @@ type signature = string
 
 val generate : Sbft_sim.Rng.t -> id:int -> keypair
 val public_key : keypair -> public_key
-val key_id : public_key -> int
 
 val sign : keypair -> string -> signature
 val verify : public_key -> string -> signature -> bool
 
 val signature_size : int
 (** 256 bytes (RSA-2048). *)
+
+(** {2 Test hooks} *)
+
+val key_id : public_key -> int

@@ -1,7 +1,6 @@
 type t = Field.t array
 
 let of_coeffs c = Array.copy c
-let degree t = Array.length t - 1
 
 let random rng ~degree ~const =
   Array.init (degree + 1) (fun i -> if i = 0 then const else Field.random rng)

@@ -5,12 +5,6 @@
 
 type ctx
 
-val init : unit -> ctx
-val feed : ctx -> string -> unit
-
-val finalize : ctx -> string
-(** Returns the 32-byte digest.  The context must not be reused. *)
-
 val digest : string -> string
 (** [digest msg] is the 32-byte SHA-256 digest of [msg]. *)
 
@@ -34,3 +28,10 @@ external compress_portable : int array -> Bytes.t -> int -> unit
   = "sbft_sha256_compress_portable"
 [@@noalloc]
 (** {!compress} through the portable loop on every CPU. *)
+
+val init : unit -> ctx
+
+val feed : ctx -> string -> unit
+
+val finalize : ctx -> string
+(** Returns the 32-byte digest.  The context must not be reused. *)

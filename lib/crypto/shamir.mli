@@ -12,6 +12,8 @@ val deal :
   share array
 (** @raise Invalid_argument unless [1 <= threshold <= num_shares]. *)
 
+(** {2 Test hooks} *)
+
 val reconstruct : share list -> Field.t
 (** Interpolates the secret from any [>= threshold] distinct shares; with
     fewer shares the result is garbage (by design).

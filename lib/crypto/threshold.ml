@@ -66,9 +66,6 @@ let setup rng ~n ~k =
       verify_memo = Hashtbl.create 1024 },
     keys )
 
-let n t = t.n
-let threshold t = t.k
-
 let hash_to_field msg = Field.of_digest (Sha256.digest msg)
 
 let share_sign_h (sk : signing_key) ~h =

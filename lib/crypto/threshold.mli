@@ -31,9 +31,6 @@ val setup : Sbft_sim.Rng.t -> n:int -> k:int -> t * signing_key array
 (** [setup rng ~n ~k] deals keys for signers [1..n] with threshold [k].
     The returned array is indexed by [signer - 1]. *)
 
-val n : t -> int
-val threshold : t -> int
-
 val hash_to_field : string -> Field.t
 (** The message's point: [Field.of_digest (Sha256.digest msg)], the
     "hash-to-group" step every function taking [~msg] starts with.  The
@@ -113,10 +110,6 @@ val lagrange_coeffs : t -> int array -> Field.t array
     {!Polynomial.lagrange_coeffs_at_zero} of the ids.
     @raise Invalid_argument unless [signers] ascends within [1..n]. *)
 
-val memo_cap : int
-(** Each of the scheme's memos (signer-set coefficients, share
-    verdicts) is cleared when it holds more than this many entries. *)
-
 val verify : t -> msg:string -> signature -> bool
 val verify_h : t -> h:Field.t -> signature -> bool
 
@@ -133,3 +126,9 @@ val signature_size : int
 
 val share_size : int
 (** 33 + signer index overhead. *)
+
+(** {2 Test hooks} *)
+
+val memo_cap : int
+(** Each of the scheme's memos (signer-set coefficients, share
+    verdicts) is cleared when it holds more than this many entries. *)

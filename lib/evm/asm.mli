@@ -15,5 +15,7 @@ type instr =
 val assemble : instr list -> string
 (** @raise Invalid_argument on undefined or duplicate labels. *)
 
+(** {2 Test hooks} *)
+
 val disassemble : string -> string
 (** Human-readable listing, for debugging and tests. *)

@@ -9,12 +9,8 @@
 (** {2 Counter} — one storage slot.
     Selector 0: increment, returns the new value. Selector 1: get. *)
 
-val counter_runtime : string
 val counter_init : string
 (** Init code that deploys {!counter_runtime}. *)
-
-val counter_increment : string
-val counter_get : string
 
 (** {2 Token} — ERC20-style balances, one slot per holder
     (slot = holder address).  The constructor credits the creator with
@@ -25,7 +21,6 @@ val counter_get : string
 val token_init : supply:U256.t -> string
 
 val token_transfer : to_:string -> amount:U256.t -> string
-val token_balance_of : addr:string -> string
 
 (** {2 Escrow} — accepts contributions (CALLVALUE), tracking the total
     (slot 0) and per-contributor amounts (slot = contributor address).
@@ -35,5 +30,17 @@ val token_balance_of : addr:string -> string
 val escrow_init : string
 
 val escrow_contribute : string
+
+(** {2 Test hooks} *)
+
+val counter_runtime : string
+
+val counter_increment : string
+
+val counter_get : string
+
+val token_balance_of : addr:string -> string
+
 val escrow_total : string
+
 val escrow_contribution_of : addr:string -> string

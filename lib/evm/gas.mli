@@ -1,36 +1,17 @@
 (** EVM gas schedule (Byzantium-era constants; see Yellow Paper
     Appendix G for the reference values). *)
 
-val g_zero : int
-val g_base : int
-val g_verylow : int
-val g_low : int
-val g_mid : int
-val g_high : int
-val g_jumpdest : int
-val g_balance : int
-val g_sload : int
 val g_sstore_set : int
 (** Zero → non-zero. *)
 
 val g_sstore_reset : int
 (** Non-zero → any. *)
 
-val g_sha3 : int
 val g_sha3_word : int
 val g_copy_word : int
-val g_log : int
-val g_log_topic : int
 val g_log_byte : int
-val g_call : int
 val g_call_value : int
-val g_create : int
 val g_code_deposit_byte : int
-val g_tx : int
-val g_tx_create : int
-val g_tx_data_zero : int
-val g_tx_data_nonzero : int
-val g_exp : int
 val g_exp_byte : int
 
 val memory_cost : int -> int

@@ -38,6 +38,8 @@ val create :
     new account's code.  Also returns the created address (meaningful
     only on success). *)
 
+(** {2 Test hooks} *)
+
 val execute_code :
   ctx:context -> state:State.t -> caller:string -> address:string ->
   value:U256.t -> data:string -> gas:int -> code:string -> result

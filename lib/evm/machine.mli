@@ -8,17 +8,20 @@ module Stack : sig
   type t
 
   val create : unit -> t
-  val depth : t -> int
   val push : t -> U256.t -> unit
   val pop : t -> U256.t
-  val peek : t -> int -> U256.t
-  (** [peek s 0] is the top. *)
-
   val dup : t -> int -> unit
   (** [dup s n] duplicates the n-th item (1-based, EVM DUPn). *)
 
   val swap : t -> int -> unit
   (** [swap s n] swaps top with the (n+1)-th item (EVM SWAPn). *)
+
+  (** {2 Test hooks} *)
+
+  val depth : t -> int
+
+  val peek : t -> int -> U256.t
+  (** [peek s 0] is the top. *)
 end
 
 module Memory : sig
@@ -28,10 +31,6 @@ module Memory : sig
 
   val size_words : t -> int
   (** Current extent in 32-byte words. *)
-
-  val expand : t -> offset:int -> len:int -> unit
-  (** Grow so that [offset + len) is addressable ([len = 0] is a
-      no-op, per EVM semantics). *)
 
   val load_word : t -> int -> U256.t
   val store_word : t -> int -> U256.t -> unit

@@ -19,7 +19,6 @@ val contract_address : sender:string -> nonce:int -> string
     DESIGN.md and is equally collision-resistant.) *)
 
 val balance : t -> string -> U256.t
-val set_balance : t -> string -> U256.t -> t
 val add_balance : t -> string -> U256.t -> t
 
 val transfer : t -> from_:string -> to_:string -> U256.t -> t option
@@ -37,3 +36,7 @@ val sstore : t -> addr:string -> slot:U256.t -> U256.t -> t
     the SSTORE refund semantics representable). *)
 
 val account_exists : t -> string -> bool
+
+(** {2 Test hooks} *)
+
+val set_balance : t -> string -> U256.t -> t

@@ -10,13 +10,9 @@ type t
 
 val zero : t
 val one : t
-val max_value : t
 
 val of_int : int -> t
 (** @raise Invalid_argument on negative input. *)
-
-val to_int_opt : t -> int option
-(** [Some] when the value fits a non-negative OCaml [int]. *)
 
 val to_int_clamped : t -> int
 (** Like {!to_int_opt} but saturates at [max_int] (useful for gas/size
@@ -28,12 +24,6 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Always 32 bytes. *)
-
-val of_hex : string -> t
-(** Accepts an optional ["0x"] prefix. *)
-
-val to_hex : t -> string
-(** Minimal-length lowercase hex with ["0x"] prefix. *)
 
 (** {2 Arithmetic (mod 2^256)} *)
 
@@ -50,7 +40,6 @@ val srem : t -> t -> t
 val addmod : t -> t -> t -> t
 val mulmod : t -> t -> t -> t
 val exp : t -> t -> t
-val neg : t -> t
 
 (** {2 Bitwise} *)
 
@@ -73,16 +62,30 @@ val sign_extend : int -> t -> t
 (** {2 Comparison} *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Unsigned. *)
 
 val lt : t -> t -> bool
 val gt : t -> t -> bool
 val slt : t -> t -> bool
 val sgt : t -> t -> bool
 val is_zero : t -> bool
-val is_negative : t -> bool
-(** Two's-complement sign bit. *)
 
 val bits : t -> int
 (** Position of the highest set bit + 1; 0 for zero. *)
+
+(** {2 Test hooks} *)
+
+val max_value : t
+
+val to_int_opt : t -> int option
+(** [Some] when the value fits a non-negative OCaml [int]. *)
+
+val of_hex : string -> t
+(** Accepts an optional ["0x"] prefix. *)
+
+val to_hex : t -> string
+(** Minimal-length lowercase hex with ["0x"] prefix. *)
+
+val neg : t -> t
+
+val is_negative : t -> bool
+(** Two's-complement sign bit. *)

@@ -33,12 +33,14 @@ val ablation_fast_mode : scale -> unit
 val ablation_stagger : scale -> unit
 (** Collector staggering on/off: redundant collector duplication cost. *)
 
-val replay_scenarios : unit -> (string * Scenario.t) list
-(** The named scenarios {!replay} runs, in its output order. *)
-
 val replay : unit -> bool
 (** R8: run each example scenario twice from the same seed and compare
     the trace streams event-by-event ({!Sbft_sim.Replay}).  Prints one
     line per scenario (stream digest, or the first divergent event) and
     returns [false] on any divergence.  Exposed as [dune build @replay]
     via [bin/sbft_replay.exe]. *)
+
+(** {2 Test hooks} *)
+
+val replay_scenarios : unit -> (string * Scenario.t) list
+(** The named scenarios {!replay} runs, in its output order. *)

@@ -36,25 +36,10 @@ type report = { schema : string; entries : entry list }
 val schema_id : string
 (** ["sbft-bench-v2"]. *)
 
-val strip_host : report -> report
-(** Zero the host- or process-history-dependent fields ([wall_ms],
-    [events_per_sec], [minor_words]); what remains is bit-identical
-    across hosts and reruns. *)
-
 val measure : Experiments.scale -> report
 (** Run the grid.  The two [sbft-fast-*] rows are the same scenario
     with optimistic combining on vs. the per-share-verification
     baseline ([Config.optimistic_combine = false]). *)
-
-val measure_one : name:string -> Scenario.t -> entry
-(** One scenario measured as a grid row named [name]. *)
-
-val to_json : report -> string
-
-val of_json : string -> (Report.Json.t list, string) result
-(** A report's entries, as the JSON objects {!to_json} writes.  Rejects
-    non-JSON, schemas other than {!schema_id} and a missing entries
-    array. *)
 
 val write : path:string -> report -> unit
 
@@ -70,14 +55,6 @@ val compare_reports : baseline:Report.Json.t list -> current:report -> string li
     added, dropped or reshaped are violations too — they require a
     reviewed baseline update.  Wall clock is not gated here. *)
 
-val optimistic_speedup : report -> float option
-(** Throughput ratio [sbft-fast-optimistic / sbft-fast-pershare]. *)
-
-val durability_overhead : report -> float option
-(** Throughput delta (percent) of [sbft-no-wal] over
-    [sbft-fast-optimistic]: what disabling the write-ahead log buys,
-    i.e. the price of crash-amnesia durability. *)
-
 val print : report -> unit
 (** Table + headline speedup to stdout. *)
 
@@ -89,10 +66,6 @@ val print : report -> unit
 
 val paper_clients : int
 val paper_requests_per_client : int
-
-val paper_grid : unit -> (string * Scenario.t) list
-(** [paper-fast-n193] (f=64, c=0), [paper-c8-n209] (f=64, c=8), and
-    [paper-viewchange-n193] (initial primary crashed at 600 ms). *)
 
 type paper_row = { entry : entry; point : Scenario.point }
 
@@ -126,3 +99,28 @@ val sweep_report_json : sweep_row list -> string
 (** Schema [sbft-sweep-v1]. *)
 
 val print_sweep : sweep_row list -> unit
+
+(** {2 Test hooks} *)
+
+val strip_host : report -> report
+(** Zero the host- or process-history-dependent fields ([wall_ms],
+    [events_per_sec], [minor_words]); what remains is bit-identical
+    across hosts and reruns. *)
+
+val measure_one : name:string -> Scenario.t -> entry
+(** One scenario measured as a grid row named [name]. *)
+
+val to_json : report -> string
+
+val of_json : string -> (Report.Json.t list, string) result
+(** A report's entries, as the JSON objects {!to_json} writes.  Rejects
+    non-JSON, schemas other than {!schema_id} and a missing entries
+    array. *)
+
+val optimistic_speedup : report -> float option
+(** Throughput ratio [sbft-fast-optimistic / sbft-fast-pershare]. *)
+
+val durability_overhead : report -> float option
+(** Throughput delta (percent) of [sbft-no-wal] over
+    [sbft-fast-optimistic]: what disabling the write-ahead log buys,
+    i.e. the price of crash-amnesia durability. *)

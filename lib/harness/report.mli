@@ -36,10 +36,12 @@ val print_latency_table :
 val print_points : title:string -> Scenario.point list -> unit
 (** Generic long-format dump, one line per point. *)
 
-val csv_of_points : Scenario.point list -> string
-
 val write_csv : path:string -> Scenario.point list -> unit
 
 val json_of_profile : Sbft_sim.Engine.profile -> Json.t
 (** Engine per-phase event counters as a JSON object — the shape the
     paper-scale profile artifact uploads from CI. *)
+
+(** {2 Test hooks} *)
+
+val csv_of_points : Scenario.point list -> string

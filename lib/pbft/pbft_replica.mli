@@ -20,15 +20,9 @@ type t
 val create : env:env -> id:int -> store:Sbft_store.Auth_store.t -> t
 
 val id : t -> int
-val view : t -> int
 val last_executed : t -> int
 val state_digest : t -> string
 val view_changes_completed : t -> int
-
-val checkpoint_vote_sets : t -> int
-(** Introspection: how many sequence numbers' checkpoint votes the
-    replica holds.  Votes at or below the stable checkpoint are dropped,
-    so this stays bounded however long the run. *)
 
 val committed_block : t -> int -> Pbft_types.request list option
 val on_message : t -> Sbft_sim.Engine.ctx -> src:int -> Pbft_types.msg -> unit
@@ -38,3 +32,12 @@ val retire : t -> unit
 (** Permanently silence this replica's timers (batch and liveness):
     armed callbacks still in flight become no-ops.  Used at cluster
     teardown / crash so a dead incarnation cannot tick on. *)
+
+(** {2 Test hooks} *)
+
+val view : t -> int
+
+val checkpoint_vote_sets : t -> int
+(** Introspection: how many sequence numbers' checkpoint votes the
+    replica holds.  Votes at or below the stable checkpoint are dropped,
+    so this stays bounded however long the run. *)

@@ -1,6 +1,5 @@
 type time = int
 
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let ms_f x = int_of_float (x *. 1_000_000.)

@@ -24,7 +24,6 @@ type ctx
 type timer
 (** Cancellable handle for a scheduled timer. *)
 
-val ns : int -> time
 val us : int -> time
 val ms : int -> time
 val ms_f : float -> time
@@ -88,7 +87,6 @@ val cancel_timer : timer -> unit
 
 (** {2 Handler context} *)
 
-val self : ctx -> int
 val ctx_now : ctx -> time
 (** [ctx_now c] is the handler's local clock: the event's start time
     plus all CPU time charged so far. Sends from a handler depart at
@@ -104,13 +102,7 @@ val run_until : t -> time -> unit
 (** [run_until t deadline] processes events with firing time [<= deadline],
     then sets the clock to [deadline]. *)
 
-val run_all : t -> unit
-(** [run_all t] processes events until the queue drains. *)
-
 val events_executed : t -> int
-
-val pending_events : t -> int
-(** Live (non-cancelled) events still queued. *)
 
 (** {2 Profiling}
 
@@ -128,3 +120,13 @@ type profile = {
 }
 
 val profile : t -> profile
+
+(** {2 Test hooks} *)
+
+val self : ctx -> int
+
+val run_all : t -> unit
+(** [run_all t] processes events until the queue drains. *)
+
+val pending_events : t -> int
+(** Live (non-cancelled) events still queued. *)

@@ -16,12 +16,6 @@ val create : topology:Topology.t -> unit -> t
     the constants below: 10 Gbit/s NICs, 80 bytes of framing (TCP/IP +
     TLS record) and 30 µs of receive overhead per message. *)
 
-val recv_overhead : Engine.time
-(** 30 µs of destination CPU per message (kernel TCP + TLS record
-    processing of a 2018 software stack — the cost that makes quadratic
-    message complexity hurt at n ≈ 200), charged before the handler
-    runs. *)
-
 val send_overhead : Engine.time
 (** 20 µs of sender CPU per message (syscall + TLS record).  The
     network does not charge it itself: each cluster's send path does,
@@ -40,9 +34,6 @@ val send :
 val set_partition : t -> groups:int array option -> unit
 (** [set_partition t ~groups:(Some g)] drops every message between nodes
     in different groups ([g.(node)] is the node's group); [None] heals. *)
-
-val set_link : t -> src:int -> dst:int -> up:bool -> unit
-(** Take a directed link down (messages silently dropped) or back up. *)
 
 val set_extra_delay : t -> src:int -> dst:int -> Engine.time -> unit
 (** Adversarial fixed extra delay on a directed link (0 clears it). *)
@@ -76,4 +67,10 @@ val reconnect_node : t -> node:int -> unit
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val messages_dropped : t -> int
+
+(** {2 Test hooks} *)
+
+val set_link : t -> src:int -> dst:int -> up:bool -> unit
+(** Take a directed link down (messages silently dropped) or back up. *)
+
 val reset_counters : t -> unit

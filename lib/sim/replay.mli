@@ -12,8 +12,6 @@ type digest = int64
     don't matter because outcomes come from the event-by-event
     comparison; digests are only a compact fingerprint to report. *)
 
-val digest_records : Trace.record list -> digest
-
 type summary = {
   events : int;
   digest : digest;  (** over the whole interleaved stream *)
@@ -36,3 +34,7 @@ val run_twice : run:(unit -> Trace.record list) -> outcome
 val pp_outcome : outcome -> string
 (** One line when identical; a three-line report naming the first
     divergent event otherwise. *)
+
+(** {2 Test hooks} *)
+
+val digest_records : Trace.record list -> digest

@@ -22,17 +22,11 @@ val int64 : t -> int64
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
 
-(** [float t] returns a uniform float in [\[0, 1)]. *)
-val float : t -> float
-
 (** [bool t p] returns [true] with probability [p]. *)
 val bool : t -> float -> bool
 
 (** [gaussian t] returns a standard-normal sample (Box–Muller). *)
 val gaussian : t -> float
-
-(** [exponential t ~mean] returns an exponentially distributed sample. *)
-val exponential : t -> mean:float -> float
 
 (** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
@@ -40,3 +34,11 @@ val shuffle : t -> 'a array -> unit
 (** [pick t a] returns a uniformly random element of [a].
     @raise Invalid_argument on an empty array. *)
 val pick : t -> 'a array -> 'a
+
+(** {2 Test hooks} *)
+
+(** [float t] returns a uniform float in [\[0, 1)]. *)
+val float : t -> float
+
+(** [exponential t ~mean] returns an exponentially distributed sample. *)
+val exponential : t -> mean:float -> float

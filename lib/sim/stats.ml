@@ -15,8 +15,6 @@ module Latency = struct
     t.len <- t.len + 1;
     t.sorted <- false
 
-  let count t = t.len
-
   let ensure_sorted t =
     if not t.sorted then begin
       let live = Array.sub t.samples 0 t.len in
@@ -52,10 +50,6 @@ module Latency = struct
       ensure_sorted t;
       float_of_int t.samples.(t.len - 1) /. 1e6
     end
-
-  let clear t =
-    t.len <- 0;
-    t.sorted <- false
 end
 
 module Throughput = struct
@@ -98,8 +92,4 @@ module Throughput = struct
       done;
       float_of_int !ops /. Engine.to_sec (until - from_)
     end
-
-  let clear t =
-    t.len <- 0;
-    t.total <- 0
 end

@@ -10,15 +10,16 @@ module Latency : sig
 
   val create : unit -> t
   val add : t -> Engine.time -> unit
-  val count : t -> int
   val mean_ms : t -> float
   val percentile_ms : t -> float -> float
   (** [percentile_ms t 0.5] is the median, in milliseconds. 0 samples
       yield [nan]. *)
 
   val median_ms : t -> float
+
+  (** {2 Test hooks} *)
+
   val max_ms : t -> float
-  val clear : t -> unit
 end
 
 module Throughput : sig
@@ -38,6 +39,4 @@ module Throughput : sig
 
   val rate : t -> from_:Engine.time -> until:Engine.time -> float
   (** Operations per second of virtual time inside the window. *)
-
-  val clear : t -> unit
 end

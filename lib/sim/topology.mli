@@ -8,13 +8,6 @@
 
 type t
 
-(** [make ~region_of ~one_way_ms ~jitter] builds a custom topology.
-    [region_of.(node)] is the node's region; [one_way_ms.(a).(b)] the
-    base one-way latency in milliseconds between regions [a] and [b];
-    [jitter] the relative standard deviation of the lognormal-ish jitter
-    applied per message (e.g. [0.1]). *)
-val make : region_of:int array -> one_way_ms:float array array -> jitter:float -> t
-
 (** [lan ~num_nodes] : all nodes in one region, 0.15 ms one-way. *)
 val lan : num_nodes:int -> t
 
@@ -40,11 +33,20 @@ val of_kind : kind -> num_nodes:int -> t
 val num_nodes : t -> int
 (** Number of nodes the topology was built for. *)
 
+(** [sample_latency t rng ~src ~dst] adds multiplicative jitter. *)
+val sample_latency : t -> Rng.t -> src:int -> dst:int -> int
+
+(** {2 Test hooks} *)
+
+(** [make ~region_of ~one_way_ms ~jitter] builds a custom topology.
+    [region_of.(node)] is the node's region; [one_way_ms.(a).(b)] the
+    base one-way latency in milliseconds between regions [a] and [b];
+    [jitter] the relative standard deviation of the lognormal-ish jitter
+    applied per message (e.g. [0.1]). *)
+val make : region_of:int array -> one_way_ms:float array array -> jitter:float -> t
+
 val num_regions : t -> int
 
 (** [base_latency t ~src ~dst] is the base one-way latency in
     nanoseconds between two {i nodes}. *)
 val base_latency : t -> src:int -> dst:int -> int
-
-(** [sample_latency t rng ~src ~dst] adds multiplicative jitter. *)
-val sample_latency : t -> Rng.t -> src:int -> dst:int -> int

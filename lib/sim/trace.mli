@@ -15,7 +15,6 @@ type record = {
 type t
 
 val create : ?enabled:bool -> unit -> t
-val set_enabled : t -> bool -> unit
 
 val emit :
   t -> time:Engine.time -> node:int -> kind:string -> detail:(unit -> string) -> unit
@@ -23,6 +22,10 @@ val emit :
 val records : t -> record list
 (** In emission order. *)
 
-val find_all : t -> kind:string -> record list
-
 val pp_record : Format.formatter -> record -> unit
+
+(** {2 Test hooks} *)
+
+val set_enabled : t -> bool -> unit
+
+val find_all : t -> kind:string -> record list

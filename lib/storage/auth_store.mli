@@ -91,11 +91,7 @@ val execute_block : t -> seq:int -> ops:string list -> string list
 val digest : t -> string
 (** Digest of the state after the last executed block. *)
 
-val digest_at : t -> seq:int -> string option
-(** Digest after block [seq], if still retained (see {!gc_below}). *)
-
 val output_at : t -> seq:int -> index:int -> string option
-val ops_at : t -> seq:int -> string list option
 
 val prove_op : t -> seq:int -> index:int -> string option
 (** Serialized operation proof, or [None] if [seq] was garbage-collected
@@ -117,10 +113,6 @@ val gc_below : t -> seq:int -> unit
 (** Drop retained per-block proof material for blocks [< seq], and the
     shared cache's entries (blocks and charges) below [seq]. *)
 
-val snapshot : t -> string
-(** Serialized current state + sequence number, for state transfer.
-    Digest-stable: restoring yields the same state digest. *)
-
 val delayed_snapshot : t -> string Lazy.t
 (** Captures the current state immediately but serializes only when
     forced (checkpoints are retained often, served rarely). *)
@@ -135,6 +127,17 @@ val load_snapshot_checked :
     is untouched on any error, so an unverified snapshot can never
     clobber live state.  This is the entry point state transfer must
     use: the caller supplies the π-certified digest as [expect]. *)
+
+(** {2 Test hooks} *)
+
+val digest_at : t -> seq:int -> string option
+(** Digest after block [seq], if still retained (see {!gc_below}). *)
+
+val ops_at : t -> seq:int -> string list option
+
+val snapshot : t -> string
+(** Serialized current state + sequence number, for state transfer.
+    Digest-stable: restoring yields the same state digest. *)
 
 val snapshot_digest_info : string -> (int * string) option
 (** [(seq, ops_root)] carried by a snapshot, without loading it. *)

@@ -57,7 +57,6 @@ val add : t -> entry -> unit
 (** Idempotent per sequence number (first write wins). *)
 
 val find : t -> int -> entry option
-val mem : t -> int -> bool
 val highest : t -> int
 (** Highest stored sequence number; 0 when empty. *)
 
@@ -80,3 +79,7 @@ val checkpoint : t -> checkpoint option
 
 val entry_size : entry -> int
 (** Approximate persisted size in bytes (for disk-cost accounting). *)
+
+(** {2 Test hooks} *)
+
+val mem : t -> int -> bool

@@ -85,13 +85,3 @@ let count_encoded s =
   match go () with
   | c -> if c < 0 then None else Some c
   | exception Codec.Reader.Truncated -> None
-
-let rec pp fmt = function
-  | Put { key; value } -> Format.fprintf fmt "put(%s=%s)" key value
-  | Get { key } -> Format.fprintf fmt "get(%s)" key
-  | Add { key; delta } -> Format.fprintf fmt "add(%s+=%d)" key delta
-  | Batch ops ->
-      Format.fprintf fmt "batch[%a]"
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") pp)
-        ops
-  | Noop -> Format.fprintf fmt "noop"

@@ -26,5 +26,3 @@ val count_encoded : string -> int option
 (** Number of primitive operations in an encoded op (a batch counts its
     elements), without decoding it: exactly [decode s] mapped through
     that count, but allocating no key or value. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,6 +27,5 @@ let create () = Auth_store.create ~apply ()
 let put ~key ~value = Kv_op.encode (Put { key; value })
 let get ~key = Kv_op.encode (Get { key })
 let add ~key ~delta = Kv_op.encode (Add { key; delta })
-let noop = Kv_op.encode Noop
 
 let read map ~key = Sbft_crypto.Merkle_map.get map key

@@ -19,8 +19,6 @@ val get : key:string -> string
 val add : key:string -> delta:int -> string
 (** Encoded [Add] operation. *)
 
-val noop : string
-
 val read : Sbft_crypto.Merkle_map.t -> key:string -> string option
 (** Direct (unproven) read of a key from a service state, for test
     oracles inspecting replica stores post-run. *)

@@ -26,18 +26,6 @@ type record =
   | Client_row of Block_store.client_entry
       (** a client-table row, as checkpoints and state transfer carry it *)
 
-val frame : record -> string
-(** The record's bytes in the log: varint payload length, 4-byte
-    big-endian {!checksum} of the payload, then the payload. *)
-
-val checksum : string -> int
-(** FNV-1a over the bytes, folded to 32 bits. *)
-
-val parse : string -> record list
-(** Decode a byte image of frames in order, stopping at the first
-    truncated or checksum-failing frame.  [parse (frame r) = [r]]
-    whenever [frame r] does not raise. *)
-
 type t
 
 val create : unit -> t
@@ -46,9 +34,6 @@ val append : t -> record -> int
 (** Buffer a record; returns [String.length (frame record)] (for cost
     charging), computed without encoding.  Raises exactly when [frame]
     would, leaving the log unchanged.  Not durable until [sync]. *)
-
-val dirty : t -> bool
-(** [true] when appends are pending a sync. *)
 
 val sync : t -> bool
 (** Group-commit pending appends.  Returns [true] when a sync actually
@@ -80,10 +65,6 @@ val durable_bytes : t -> int
 val appends : t -> int
 val syncs : t -> int
 
-val reset : t -> unit
-(** Wipe everything (models losing the disk; used when durability is
-    disabled). *)
-
 val rollback_to_checkpoint : t -> before:int -> int
 (** Rollback-attack helper for the schedule fuzzer: discard the pending
     frames and truncate the durable log to the prefix ending at the
@@ -93,6 +74,27 @@ val rollback_to_checkpoint : t -> before:int -> int
     this log resurrects pre-view-change state and forgets promises the
     network already saw.  Returns the checkpoint seq kept, or [0] when
     no checkpoint qualifies (the log becomes empty). *)
+
+(** {2 Test hooks} *)
+
+val frame : record -> string
+(** The record's bytes in the log: varint payload length, 4-byte
+    big-endian {!checksum} of the payload, then the payload. *)
+
+val checksum : string -> int
+(** FNV-1a over the bytes, folded to 32 bits. *)
+
+val parse : string -> record list
+(** Decode a byte image of frames in order, stopping at the first
+    truncated or checksum-failing frame.  [parse (frame r) = [r]]
+    whenever [frame r] does not raise. *)
+
+val dirty : t -> bool
+(** [true] when appends are pending a sync. *)
+
+val reset : t -> unit
+(** Wipe everything (models losing the disk; used when durability is
+    disabled). *)
 
 val corrupt_tail : t -> bytes:int -> unit
 (** Test helper: overwrite the last [bytes] durable bytes with garbage

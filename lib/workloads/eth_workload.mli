@@ -11,7 +11,6 @@
     historical chain state.  The substitution is documented in
     DESIGN.md. *)
 
-val num_tokens : int
 val txs_per_chunk : int
 (** ≈50, matching the paper's 12 KB chunks. *)
 
@@ -20,8 +19,6 @@ val account : int -> string
 
 val token_address : int -> string
 (** Address of the i-th pre-deployed token contract. *)
-
-val escrow_address : string
 
 val make_chunk : client:int -> int -> string
 (** The i-th request of a client: an encoded {!Sbft_evm.Tx.Chunk}. *)
@@ -34,3 +31,9 @@ val exec_cost : Sbft_core.Types.request list -> Sbft_sim.Engine.time
 
 val service : Sbft_core.Cluster.service
 (** EVM ledger service with the genesis pre-applied. *)
+
+(** {2 Test hooks} *)
+
+val num_tokens : int
+
+val escrow_address : string

@@ -15,7 +15,10 @@ module Discipline = Sbft_analysis.Discipline
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let lint ~path source = Lint.lint_source ~path source
+let lint ~path source =
+  match Lint.parse ~path source with
+  | Ok structure -> Lint.lint_structure ~path structure
+  | Error parse_failure -> [ parse_failure ]
 
 (* The per-file entry sbft_lint runs: every rule over one source. *)
 let check_file ?(defs = Discipline.default_defs) ?(mli_exists = true) ~path source =
@@ -156,6 +159,11 @@ let test_dot_slash_path () =
 let finding_at ~rule ~file ~line =
   { Lint.rule; file; line; message = "test" }
 
+(* An allowlist covers a finding when [Lint.filter] moves it to the
+   allowed side. *)
+let allowed allow f =
+  match Lint.filter allow [ f ] with [], [ _ ] -> true | _ -> false
+
 let test_allowlist () =
   let allow =
     Lint.Allow.parse
@@ -169,12 +177,12 @@ let test_allowlist () =
   let f_wrong_rule = finding_at ~rule:"R2" ~file:"lib/core/foo.ml" ~line:3 in
   let f_file_wide = finding_at ~rule:"R2" ~file:"lib/core/bar.ml" ~line:17 in
   let f_wildcard = finding_at ~rule:"R4" ~file:"lib/core/baz.ml" ~line:1 in
-  check "exact entry matches" true (Lint.Allow.is_allowed allow f_exact);
-  check "line must match" false (Lint.Allow.is_allowed allow f_wrong_line);
-  check "rule must match" false (Lint.Allow.is_allowed allow f_wrong_rule);
-  check "file-wide entry" true (Lint.Allow.is_allowed allow f_file_wide);
-  check "wildcard rule" true (Lint.Allow.is_allowed allow f_wildcard);
-  check "empty allows nothing" false (Lint.Allow.is_allowed Lint.Allow.empty f_exact);
+  check "exact entry matches" true (allowed allow f_exact);
+  check "line must match" false (allowed allow f_wrong_line);
+  check "rule must match" false (allowed allow f_wrong_rule);
+  check "file-wide entry" true (allowed allow f_file_wide);
+  check "wildcard rule" true (allowed allow f_wildcard);
+  check "empty allows nothing" false (allowed Lint.Allow.empty f_exact);
   let kept, allowed =
     Lint.filter allow [ f_exact; f_wrong_line; f_file_wide ]
   in
@@ -183,6 +191,79 @@ let test_allowlist () =
   (* Stale entries are reported. *)
   let unused = Lint.Allow.unused allow [ f_exact ] in
   check_int "two stale entries" 2 (List.length unused)
+
+(* ------------------------------------------------------------------ *)
+(* R16: no export without a user, on hand-built exports and uses *)
+
+module Exports = Sbft_analysis.Exports
+
+let export ?heading name line =
+  {
+    Exports.path = [ "Sbft_core__Config"; name ];
+    file = "lib/core/config.mli";
+    line;
+    heading;
+  }
+
+let use ?(whole = false) from target = { Exports.target; whole; from }
+
+(* dune's wrapper module: [Sbft_core.Config] is [Sbft_core__Config]. *)
+let wrapper = [ ([ "Sbft_core"; "Config" ], [ "Sbft_core__Config" ]) ]
+
+let r16 ?(aliases = wrapper) exports uses =
+  List.map Lint.pp_finding (Exports.findings ~aliases ~exports ~uses)
+
+let test_r16_dead () =
+  Alcotest.(check (list string))
+    "no user at all, and a use from its own .ml does not count"
+    [
+      "lib/core/config.mli:3: [R16] Config.dead is exported but no other unit \
+       uses it; delete it";
+    ]
+    (r16 [ export "dead" 3 ] [ use "lib/core/config.ml" [ "Sbft_core"; "Config"; "dead" ] ])
+
+let test_r16_test_only () =
+  Alcotest.(check (list string))
+    "used only from test/"
+    [
+      "lib/core/config.mli:4: [R16] Config.probe is used only by \
+       test/test_a.ml, test/test_b.ml; move it under a test-hook heading or \
+       drop it from the interface";
+    ]
+    (r16 [ export "probe" 4 ]
+       [
+         use "test/test_b.ml" [ "Sbft_core"; "Config"; "probe" ];
+         use "test/test_a.ml" [ "Sbft_core__Config"; "probe" ];
+       ])
+
+let test_r16_test_hook () =
+  let uses = [ use "test/test_a.ml" [ "Sbft_core"; "Config"; "probe" ] ] in
+  Alcotest.(check (list string))
+    "a test-hook heading covers a test-only value" []
+    (r16 [ export ~heading:"Byzantine behaviours (tests only)" "probe" 9 ] uses);
+  Alcotest.(check int)
+    "a heading that does not name tests covers nothing" 1
+    (List.length (r16 [ export ~heading:"Latest results" "probe" 9 ] uses))
+
+let test_r16_local_alias () =
+  (* [module Config = Sbft_core.Config] in bin/x.ml, then [Config.quorum]:
+     two alias hops to the export's key. *)
+  let aliases = ([ "bin/x.ml#Config_12" ], [ "Sbft_core"; "Config" ]) :: wrapper in
+  Alcotest.(check (list string))
+    "a use through a local alias counts" []
+    (r16 ~aliases [ export "quorum" 5 ] [ use "bin/x.ml" [ "bin/x.ml#Config_12"; "quorum" ] ]);
+  Alcotest.(check int)
+    "the same local name bound in another file is another module" 1
+    (List.length
+       (r16 ~aliases [ export "quorum" 5 ] [ use "bin/y.ml" [ "bin/y.ml#Config_12"; "quorum" ] ]))
+
+let test_r16_perfbench () =
+  Alcotest.(check (list string))
+    "perfbench is a user" []
+    (r16 [ export "bench_only" 6 ] [ use "perfbench/perf.ml" [ "Sbft_core"; "Config"; "bench_only" ] ]);
+  Alcotest.(check (list string))
+    "a module used whole (functor argument, first-class pack) uses every value" []
+    (r16 [ export "a" 7; export "b" 8 ] [ use ~whole:true "bench/main.ml" [ "Sbft_core"; "Config" ] ])
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes *)
@@ -575,6 +656,14 @@ let () =
         [
           Alcotest.test_case "allowlist" `Quick test_allowlist;
           Alcotest.test_case "exit code" `Quick test_exit_code;
+        ] );
+      ( "exports",
+        [
+          Alcotest.test_case "r16 dead value" `Quick test_r16_dead;
+          Alcotest.test_case "r16 test-only value" `Quick test_r16_test_only;
+          Alcotest.test_case "r16 test-hook heading" `Quick test_r16_test_hook;
+          Alcotest.test_case "r16 local alias" `Quick test_r16_local_alias;
+          Alcotest.test_case "r16 perfbench user" `Quick test_r16_perfbench;
         ] );
       ( "fixtures",
         [ Alcotest.test_case "golden corpus" `Quick test_fixture_golden ] );

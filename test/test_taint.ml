@@ -8,7 +8,10 @@ module Lint = Sbft_analysis.Lint
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let lint ~path source = Lint.lint_source ~path source
+let lint ~path source =
+  match Lint.parse ~path source with
+  | Ok structure -> Lint.lint_structure ~path structure
+  | Error parse_failure -> [ parse_failure ]
 
 let has_rule r findings =
   List.exists (fun (f : Lint.finding) -> String.equal f.Lint.rule r) findings
