@@ -25,6 +25,9 @@ type slot = {
   mutable prepared : bool;
   mutable committed : Types.request list option;
   mutable executed : bool;
+  mutable ahead : (int * Types.request list) option;
+      (* a verified pre-prepare from the primary of a view this replica
+         has not entered yet: replayed when that view's New_view lands *)
 }
 
 let new_slot seq =
@@ -38,6 +41,7 @@ let new_slot seq =
     prepared = false;
     committed = None;
     executed = false;
+    ahead = None;
   }
 
 type t = {
@@ -136,12 +140,11 @@ let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
 
 let rec on_message t ctx ~src msg =
-  ignore src;
   match msg with
   | Pbft_types.Request r -> on_request t ctx r
   | Pbft_types.Pre_prepare { seq; view; reqs } ->
       Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_pre_prepare t ctx ~seq ~view ~reqs
+      on_pre_prepare t ctx ~src ~seq ~view ~reqs
   | Pbft_types.Prepare { seq; view; h; replica } ->
       Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
       on_prepare t ctx ~seq ~view ~h ~replica
@@ -225,27 +228,42 @@ and propose t ctx batch =
     broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
   end
 
-and on_pre_prepare t ctx ~seq ~view ~reqs =
+(* A pre-prepare for a later view can overtake that view's New_view.
+   It is verified and kept (one per in-window slot, only from the later
+   view's primary, a higher view replacing a lower one) until
+   [on_new_view] installs the view, since PBFT never retransmits it. *)
+and on_pre_prepare t ctx ~src ~seq ~view ~reqs =
   let config = cfg t in
   let sl = slot t seq in
+  let ahead =
+    view > t.view
+    && Int.equal src (primary_of t view)
+    && match sl.ahead with Some (v, _) -> view > v | None -> true
+  in
   if
-    Int.equal view t.view && sl.pp = None && seq > t.ls
+    ((Int.equal view t.view && sl.pp = None) || ahead)
+    && seq > t.ls
     && seq <= t.ls + config.Config.win
   then begin
     let real = List.filter (fun (r : Types.request) -> r.Types.client >= 0) reqs in
     Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real * Cost_model.rsa_verify));
     if List.for_all (fun r -> Keys.verify_request t.env.keys r) real then begin
-      Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-      let h = Pbft_types.block_hash t.env.keys ~seq ~view ~reqs in
-      sl.pp <- Some (view, reqs, h);
-      List.iter (Intake.mark_outstanding t.intake) real;
-      if not sl.sent_prepare then begin
-        sl.sent_prepare <- true;
-        broadcast t ctx (Pbft_types.Prepare { seq; view; h; replica = t.id })
-      end;
-      check_prepared t ctx sl
+      if ahead then sl.ahead <- Some (view, reqs) else accept_pre_prepare t ctx sl ~view ~reqs
     end
   end
+
+and accept_pre_prepare t ctx sl ~view ~reqs =
+  Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
+  let h = Pbft_types.block_hash t.env.keys ~seq:sl.seq ~view ~reqs in
+  sl.pp <- Some (view, reqs, h);
+  List.iter
+    (fun (r : Types.request) -> if r.Types.client >= 0 then Intake.mark_outstanding t.intake r)
+    reqs;
+  if not sl.sent_prepare then begin
+    sl.sent_prepare <- true;
+    broadcast t ctx (Pbft_types.Prepare { seq = sl.seq; view; h; replica = t.id })
+  end;
+  check_prepared t ctx sl
 
 and check_prepared t ctx sl =
   match sl.pp with
@@ -470,8 +488,21 @@ and on_new_view t ctx ~view ~pre_prepares =
     List.iter
       (fun (seq, reqs) ->
         if seq > !top then top := seq;
-        if seq > t.ls then on_pre_prepare t ctx ~seq ~view ~reqs)
+        if seq > t.ls then on_pre_prepare t ctx ~src:(primary_of t view) ~seq ~view ~reqs)
       pre_prepares;
+    (* Replay the pre-prepares of this view that overtook its New_view;
+       those of older views are dead. *)
+    List.iter
+      (fun (_, sl) ->
+        match sl.ahead with
+        | Some (v, reqs) when v <= view ->
+            sl.ahead <- None;
+            if
+              Int.equal v view && sl.pp = None && sl.seq > t.ls
+              && sl.seq <= t.ls + (cfg t).Config.win
+            then accept_pre_prepare t ctx sl ~view ~reqs
+        | Some _ | None -> ())
+      (Det.sorted_bindings ~compare:Int.compare t.slots);
     if is_primary t then t.next_seq <- max t.next_seq (!top + 1);
     (* Re-drive requests stranded by the old view. *)
     Intake.redrive t.intake ~primary:(is_primary t) ~forward:(fun r ->

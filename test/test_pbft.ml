@@ -92,10 +92,11 @@ let test_determinism () =
   in
   check "deterministic" true (run () = run ())
 
-(* One backup replica (id 1 of n = 4, quorum 3) driven message by
-   message: the replica, a [deliver ~src msg] function, the messages it
-   sent (newest first), its keys, n and the quorum. *)
-let lone_backup () =
+(* One backup replica (id 1 of n = 4 unless [id] says otherwise,
+   quorum 3) driven message by message: the replica, a [deliver ~src
+   msg] function, the messages it sent (newest first), its keys, n and
+   the quorum. *)
+let lone_backup ?(id = 1) () =
   let config = Config.sbft ~f:1 ~c:0 in
   let n = Config.n config and quorum = Config.quorum_bft config in
   let engine = Engine.create ~num_nodes:n ~seed:1L () in
@@ -110,9 +111,9 @@ let lone_backup () =
       exec_cost = (fun _ -> 0);
     }
   in
-  let r = Pbft_replica.create ~env ~id:1 ~store:(Sbft_store.Kv_service.create ()) in
+  let r = Pbft_replica.create ~env ~id ~store:(Sbft_store.Kv_service.create ()) in
   let deliver ~src msg =
-    Engine.dispatch engine ~dst:1 ~at:(Engine.now engine) (fun ctx ->
+    Engine.dispatch engine ~dst:id ~at:(Engine.now engine) (fun ctx ->
         Pbft_replica.on_message r ctx ~src msg);
     Engine.run_all engine
   in
@@ -149,6 +150,38 @@ let test_vote_dedup () =
   check_int "quorum distinct Commits execute" 1 (Pbft_replica.last_executed r);
   check_int "and the Commit went out once" n (commits ())
 
+(* View 1's pre-prepare can reach a backup before view 1's New_view
+   (the pbft-primary-crash replay run: the new primary proposes as soon
+   as it has installed the view).  The backup keeps it and replays it
+   when the New_view lands, so the slot still commits.  Only the
+   view's primary is believed, and only inside the window. *)
+let test_pre_prepare_before_new_view () =
+  let r, deliver, sent, keys, _, _ = lone_backup ~id:2 () in
+  let prepared seq =
+    List.exists
+      (function Pbft_types.Prepare { seq = s; view = 1; _ } -> Int.equal s seq | _ -> false)
+      !sent
+  in
+  let reqs = [ Sbft_core.View_change.null_request ] in
+  let pre_prepare seq = Pbft_types.Pre_prepare { seq; view = 1; reqs } in
+  deliver ~src:1 (pre_prepare 1);
+  deliver ~src:3 (pre_prepare 2);
+  deliver ~src:1 (pre_prepare 257);
+  check "nothing is prepared before the view is entered" false (prepared 1);
+  deliver ~src:1 (Pbft_types.New_view { view = 1; pre_prepares = [] });
+  check_int "view 1 entered" 1 (Pbft_replica.view r);
+  check "the early pre-prepare is replayed" true (prepared 1);
+  check "one from a non-primary is not" false (prepared 2);
+  check "nor one beyond the window" false (prepared 257);
+  let h = Pbft_types.block_hash keys ~seq:1 ~view:1 ~reqs in
+  List.iter
+    (fun replica -> deliver ~src:replica (Pbft_types.Prepare { seq = 1; view = 1; h; replica }))
+    [ 0; 3 ];
+  List.iter
+    (fun replica -> deliver ~src:replica (Pbft_types.Commit { seq = 1; view = 1; h; replica }))
+    [ 0; 1; 3 ];
+  check_int "the slot commits and executes" 1 (Pbft_replica.last_executed r)
+
 (* Checkpoint votes are held only until their checkpoint, or a later
    one, is stable: late votes and votes for older seqs are dropped. *)
 let test_checkpoint_votes_pruned () =
@@ -183,5 +216,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "vote dedup" `Quick test_vote_dedup;
           Alcotest.test_case "checkpoint votes pruned" `Quick test_checkpoint_votes_pruned;
+          Alcotest.test_case "pre-prepare before new-view" `Quick
+            test_pre_prepare_before_new_view;
         ] );
     ]
