@@ -1,10 +1,15 @@
 (* Driver for the sbft lint pass: walks the given source trees, parses
    each .ml file once and runs every rule on it through
    Discipline.check_file (R1-R7 per-function, R5, R9-R11 protocol
-   discipline, R12-R15 quorum soundness), applies the allowlist,
-   prints the surviving findings, and exits non-zero when any remain.
-   Stale allowlist entries are hard errors unless --stale-allow-warn
-   is given; a listed directory that does not exist exits 2.  --json
+   discipline, R12-R15 quorum soundness), runs Exports.check over the
+   lib/ interfaces (R16, no export without a user, read from the
+   .cmti/.cmt typed trees under _build/default, or under the current
+   directory when it is the build tree itself), applies the
+   allowlist, prints the surviving findings, and exits non-zero when
+   any remain.  Stale allowlist entries are hard errors unless
+   --stale-allow-warn is given; a listed directory that does not
+   exist, or a linted source without an up-to-date typed tree while
+   there are lib/ interfaces to check, exits 2.  --json
    FILE also emits a machine-readable report; --obligations FILE
    writes the R12 quorum obligation report CI uploads; under
    GITHUB_ACTIONS findings are echoed as workflow annotations.  Wired
@@ -100,20 +105,21 @@ let () =
     dirs;
   (* R16 reads the typed trees dune writes.  Under [dune build @lint]
      the action runs inside the build tree; from a checkout they are
-     under _build/default.  An interface without an up-to-date .cmti
+     under _build/default.  A source without an up-to-date typed tree
      would drop out of the rule, so it stops the run like a missing
      directory does. *)
   let build = if Sys.file_exists "_build/default" then "_build/default" else "." in
   let dead_exports =
     match
       Exports.check ~build
-        (List.filter (String.starts_with ~prefix:"lib/") (Lint.mli_files dirs))
+        ~mlis:(List.filter (String.starts_with ~prefix:"lib/") (Lint.mli_files dirs))
+        ~mls:(Lint.ml_files dirs)
     with
     | Ok findings -> findings
     | Error stale ->
         List.iter
           (Printf.eprintf
-             "sbft-lint: no up-to-date compiled interface for %s (build it first: dune build @check)\n")
+             "sbft-lint: no up-to-date typed tree for %s (build them first: dune build @check)\n")
           stale;
         exit 2
   in

@@ -107,7 +107,8 @@ let findings ~aliases ~exports ~uses =
       | _, _ :: _ -> None
     in
     Option.map
-      (fun m -> { Lint.rule = "R16"; file = e.file; line = e.line; message = display e.path ^ " " ^ m })
+      (fun m ->
+        { Lint.rule = "R16"; file = e.file; line = e.line; message = display e.path ^ " " ^ m })
       message
   in
   List.filter_map
@@ -116,7 +117,6 @@ let findings ~aliases ~exports ~uses =
       | Some h when test_hook_heading h -> None
       | Some _ | None -> finding e)
     exports
-  |> Lint.sort_findings
 
 (* ------------------------------------------------------------------ *)
 (* Typed trees *)
@@ -157,7 +157,12 @@ let rec signature_exports ~file ~prefix ~heading (sg : Typedtree.signature) =
         match heading_of attr with Some h -> (Some h, acc) | None -> (heading, acc))
     | Tsig_value vd ->
         ( heading,
-          { path = prefix @ [ vd.val_name.txt ]; file; line = vd.val_loc.loc_start.pos_lnum; heading }
+          {
+            path = prefix @ [ vd.val_name.txt ];
+            file;
+            line = vd.val_loc.loc_start.pos_lnum;
+            heading;
+          }
           :: acc )
     | Tsig_module { md_id = Some id; md_type = { mty_desc = Tmty_signature sub; _ }; _ } ->
         let inner = signature_exports ~file ~prefix:(prefix @ [ Ident.name id ]) ~heading sub in
@@ -216,7 +221,9 @@ let user_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 let typed_tree_files build =
   let rec walk acc path =
     if Sys.is_directory path then
-      Array.fold_left (fun acc entry -> walk acc (Filename.concat path entry)) acc (Sys.readdir path)
+      Array.fold_left
+        (fun acc entry -> walk acc (Filename.concat path entry))
+        acc (Sys.readdir path)
     else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti" then path :: acc
     else acc
   in
@@ -227,38 +234,46 @@ let typed_tree_files build =
     [] user_dirs
   |> List.sort String.compare
 
-let check ~build mlis =
-  let interfaces = Hashtbl.create 128 in
+let check_interfaces ~build ~mlis ~mls =
+  let interfaces = Hashtbl.create 128 and digests = Hashtbl.create 256 in
   let aliases, uses =
     List.fold_left
       (fun (aliases, uses) file ->
         let info = Cmt_format.read_cmt file in
-        match (info.cmt_annots, info.cmt_sourcefile) with
+        let source = Option.map Lint.normalize info.cmt_sourcefile in
+        Option.iter (fun s -> Hashtbl.replace digests s info.cmt_source_digest) source;
+        match (info.cmt_annots, source) with
         | Interface sg, Some source ->
-            Hashtbl.replace interfaces (Lint.normalize source) (info.cmt_modname, sg, info.cmt_source_digest);
+            Hashtbl.replace interfaces source (info.cmt_modname, sg);
             (aliases, uses)
         | Implementation str, Some source ->
-            let a, u = structure_uses ~modname:info.cmt_modname ~from:(Lint.normalize source) str in
+            let a, u = structure_uses ~modname:info.cmt_modname ~from:source str in
             (List.rev_append a aliases, List.rev_append u uses)
         | _ -> (aliases, uses))
       ([], []) (typed_tree_files build)
   in
-  (* An interface whose typed tree is missing or older than its source
-     would silently drop out of the rule: the caller must refuse it. *)
-  let compiled mli =
-    match Hashtbl.find_opt interfaces mli with
-    | Some (modname, sg, Some digest) when Digest.equal digest (Digest.file mli) -> Some (modname, sg)
-    | Some _ | None -> None
+  (* A source whose typed tree is missing or older than the file would
+     silently drop out of the rule (an export unchecked, a user
+     unseen): the caller must refuse to run. *)
+  let fresh file =
+    match Hashtbl.find_opt digests file with
+    | Some (Some digest) -> Digest.equal digest (Digest.file file)
+    | Some None | None -> false
   in
-  match List.filter (fun mli -> Option.is_none (compiled mli)) mlis with
+  match List.filter (fun file -> not (fresh file)) (mlis @ mls) with
   | _ :: _ as stale -> Error stale
   | [] ->
       let exports =
         List.concat_map
           (fun file ->
-            match compiled file with
+            match Hashtbl.find_opt interfaces file with
             | Some (modname, sg) -> signature_exports ~file ~prefix:[ modname ] ~heading:None sg
             | None -> [])
           mlis
       in
       Ok (findings ~aliases ~exports ~uses)
+
+let check ~build ~mlis ~mls =
+  match mlis with
+  | [] -> Ok []
+  | _ :: _ -> check_interfaces ~build ~mlis ~mls

@@ -30,12 +30,15 @@ type use = {
   from : string;  (** the root-relative source file of the user *)
 }
 
-val check : build:string -> string list -> (Lint.finding list, string list) result
-(** [check ~build mlis] reads every [.cmt]/[.cmti] under [build]'s
-    [lib], [bin], [bench], [examples], [perfbench] and [test] trees and
-    runs {!findings} on the given [lib/] interfaces.  [Error stale]
-    lists the interfaces with no compiled [.cmti] whose source digest
-    matches the file: the rule cannot run on them. *)
+val check :
+  build:string -> mlis:string list -> mls:string list -> (Lint.finding list, string list) result
+(** [check ~build ~mlis ~mls] reads every [.cmt]/[.cmti] under
+    [build]'s [lib], [bin], [bench], [examples], [perfbench] and [test]
+    trees and runs {!findings} on the [lib/] interfaces [mlis].
+    [Error stale] lists the files of [mlis] and [mls] (the linted
+    implementations) that have no typed tree whose source digest
+    matches the file: the rule cannot run while one is missing.  With
+    no [mlis] there is nothing to check and nothing is read. *)
 
 (** {2 Test hooks} *)
 
@@ -47,4 +50,4 @@ val findings :
 (** The decision, pure: an R16 finding for each export outside a
     test-hook heading whose users, after rewriting each use's target
     through [aliases] (prefix -> replacement), are only its own
-    [.ml] and [test/] files.  Sorted by line, then rule. *)
+    [.ml] and [test/] files, in the order of [exports]. *)

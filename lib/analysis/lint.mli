@@ -1,7 +1,10 @@
 (** Repo-specific static analysis over the OCaml AST (compiler-libs).
 
-    The pass parses each [.ml] file under [lib/] and [bin/] and checks
-    protocol-hygiene rules that the type system does not enforce:
+    The pass parses each [.ml] file under the trees it is given
+    ([sbft_lint] defaults to [lib/], [bin/], [bench/], [test/],
+    [examples/] and [perfbench/]) and checks protocol-hygiene rules that
+    the type system does not enforce; each rule below names its own
+    scope:
 
     - {b R1} — no polymorphic [=] / [<>] / [compare] / [Hashtbl.hash] in
       protocol code ([lib/core], [lib/pbft], [lib/crypto]).  Comparisons
@@ -37,7 +40,9 @@
       wrapper.
 
     (R8, the replay-divergence checker, is the runtime twin of R7 and
-    lives in [lib/sim/replay.ml], not here.)
+    lives in [lib/sim/replay.ml], not here.  R9-R15 are
+    {!Discipline}'s.  R16, no export without a user, is a cross-unit
+    pass over the compiled typed trees in {!Exports}.)
 
     This module also owns what every analysis pass shares: the finding
     type and its order, path scoping, source-file reading and parsing,
@@ -49,7 +54,7 @@
     root. *)
 
 type finding = {
-  rule : string;  (** "R1" .. "R15", or "parse" for unparseable input *)
+  rule : string;  (** "R1" .. "R16", or "parse" for unparseable input *)
   file : string;  (** root-relative path, forward slashes *)
   line : int;
   message : string;

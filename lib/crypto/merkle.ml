@@ -33,8 +33,6 @@ let build leaves =
       { levels = Array.of_list (up [] level0); leaves = List.length leaves }
 
 let root t = t.levels.(Array.length t.levels - 1).(0)
-let num_leaves t = t.leaves
-
 let prove t index =
   if index < 0 || index >= t.leaves then invalid_arg "Merkle.prove: index out of bounds";
   let path = ref [] in

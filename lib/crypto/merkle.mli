@@ -33,7 +33,5 @@ val implied_root : leaf:string -> proof -> string
 
 (** {2 Test hooks} *)
 
-val num_leaves : tree -> int
-
 val verify : root:string -> leaf:string -> proof -> bool
 (** Checks that [leaf] sits at [proof.leaf_index] under [root]. *)

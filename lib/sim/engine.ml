@@ -203,7 +203,6 @@ let cancel_timer tm =
     maybe_purge t
   end
 
-let self c = c.cnode.id
 let ctx_now c = c.cpu_now
 
 let charge c dt =

@@ -123,8 +123,6 @@ val profile : t -> profile
 
 (** {2 Test hooks} *)
 
-val self : ctx -> int
-
 val run_all : t -> unit
 (** [run_all t] processes events until the queue drains. *)
 

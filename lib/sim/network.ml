@@ -131,7 +131,3 @@ let messages_sent t = t.messages_sent
 let bytes_sent t = t.bytes_sent
 let messages_dropped t = t.messages_dropped
 
-let reset_counters t =
-  t.messages_sent <- 0;
-  t.bytes_sent <- 0;
-  t.messages_dropped <- 0

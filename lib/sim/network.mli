@@ -72,5 +72,3 @@ val messages_dropped : t -> int
 
 val set_link : t -> src:int -> dst:int -> up:bool -> unit
 (** Take a directed link down (messages silently dropped) or back up. *)
-
-val reset_counters : t -> unit

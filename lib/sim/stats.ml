@@ -44,12 +44,6 @@ module Latency = struct
 
   let median_ms t = percentile_ms t 0.5
 
-  let max_ms t =
-    if t.len = 0 then nan
-    else begin
-      ensure_sorted t;
-      float_of_int t.samples.(t.len - 1) /. 1e6
-    end
 end
 
 module Throughput = struct

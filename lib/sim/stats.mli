@@ -16,10 +16,6 @@ module Latency : sig
       yield [nan]. *)
 
   val median_ms : t -> float
-
-  (** {2 Test hooks} *)
-
-  val max_ms : t -> float
 end
 
 module Throughput : sig

@@ -23,9 +23,3 @@ val records : t -> record list
 (** In emission order. *)
 
 val pp_record : Format.formatter -> record -> unit
-
-(** {2 Test hooks} *)
-
-val set_enabled : t -> bool -> unit
-
-val find_all : t -> kind:string -> record list

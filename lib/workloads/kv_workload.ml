@@ -27,5 +27,4 @@ let make_op ~batching ~client i =
 
 let ops_per_request ~batching = if batching then batch_size else 1
 
-let exec_cost = Sbft_core.Cluster.kv_service.Sbft_core.Cluster.exec_cost
 let service = Sbft_core.Cluster.kv_service

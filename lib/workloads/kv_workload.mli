@@ -4,19 +4,9 @@
     random key; in batching mode each request contains 64 operations. *)
 
 val make_op : batching:bool -> client:int -> int -> string
+(** The request of [client] at index [i]: one deterministic "random"
+    put, or with [batching] a 64-put batch. *)
 
 val ops_per_request : batching:bool -> int
 
 val service : Sbft_core.Cluster.service
-
-(** {2 Test hooks} *)
-
-val single_op : client:int -> int -> string
-(** Deterministic "random" single put for (client, request index). *)
-
-val batch_op : client:int -> int -> string
-(** A 64-operation batch request. *)
-
-val exec_cost : Sbft_core.Types.request list -> Sbft_sim.Engine.time
-(** Virtual execution cost: per primitive KV operation plus block
-    persistence. *)

@@ -692,7 +692,6 @@ let test_pki () =
 let test_merkle_roundtrip () =
   let leaves = List.init 13 (fun i -> Printf.sprintf "op-%d" i) in
   let t = Merkle.build leaves in
-  Alcotest.(check int) "num leaves" 13 (Merkle.num_leaves t);
   List.iteri
     (fun i leaf ->
       let proof = Merkle.prove t i in

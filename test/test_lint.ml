@@ -260,10 +260,12 @@ let test_r16_local_alias () =
 let test_r16_perfbench () =
   Alcotest.(check (list string))
     "perfbench is a user" []
-    (r16 [ export "bench_only" 6 ] [ use "perfbench/perf.ml" [ "Sbft_core"; "Config"; "bench_only" ] ]);
+    (r16 [ export "bench_only" 6 ]
+       [ use "perfbench/perf.ml" [ "Sbft_core"; "Config"; "bench_only" ] ]);
   Alcotest.(check (list string))
     "a module used whole (functor argument, first-class pack) uses every value" []
-    (r16 [ export "a" 7; export "b" 8 ] [ use ~whole:true "bench/main.ml" [ "Sbft_core"; "Config" ] ])
+    (r16 [ export "a" 7; export "b" 8 ]
+       [ use ~whole:true "bench/main.ml" [ "Sbft_core"; "Config" ] ])
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes *)

@@ -160,8 +160,9 @@ let test_plain_crash_keeps_timers () =
     Engine.schedule engine ~at:(Engine.sec 3) (fun () ->
         Cluster.crash_replicas cluster [ 0; 2; 3 ]);
     Cluster.run_for cluster (Engine.sec 15);
-    Trace.find_all cluster.Cluster.trace ~kind:"view-change"
-    |> List.filter (fun (r : Trace.record) -> Int.equal r.Trace.node 1)
+    Trace.records cluster.Cluster.trace
+    |> List.filter (fun (r : Trace.record) ->
+           String.equal r.Trace.kind "view-change" && Int.equal r.Trace.node 1)
     |> List.length
   in
   let baseline = view_changes_started ~crash_r1:false in
@@ -192,8 +193,10 @@ let test_plain_crash_keeps_collector_timer () =
         Engine.schedule engine ~at:(at + Engine.sec 1) (fun () -> Cluster.recover cluster node))
       crash;
     Cluster.run_for cluster (Engine.sec 10);
-    Trace.find_all cluster.Cluster.trace ~kind:"send:full-commit-proof"
-    |> List.filter (fun (r : Trace.record) -> r.Trace.detail = Printf.sprintf "seq=%d" seq)
+    Trace.records cluster.Cluster.trace
+    |> List.filter (fun (r : Trace.record) ->
+           String.equal r.Trace.kind "send:full-commit-proof"
+           && r.Trace.detail = Printf.sprintf "seq=%d" seq)
     |> List.map (fun (r : Trace.record) -> (r.Trace.node, r.Trace.time))
   in
   let first, second =

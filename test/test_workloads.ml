@@ -13,13 +13,13 @@ let check_int = Alcotest.(check int)
 (* KV workload *)
 
 let test_kv_single_op () =
-  let op = Kv_workload.single_op ~client:3 7 in
+  let op = Kv_workload.make_op ~batching:false ~client:3 7 in
   match Sbft_store.Kv_op.decode op with
   | Some (Sbft_store.Kv_op.Put _) -> ()
   | _ -> Alcotest.fail "expected a put"
 
 let test_kv_batch_op () =
-  let op = Kv_workload.batch_op ~client:3 7 in
+  let op = Kv_workload.make_op ~batching:true ~client:3 7 in
   match Sbft_store.Kv_op.decode op with
   | Some (Sbft_store.Kv_op.Batch ops) ->
       check_int "64 ops" 64 (List.length ops);
@@ -29,15 +29,17 @@ let test_kv_batch_op () =
 let test_kv_deterministic () =
   Alcotest.(check string)
     "same coordinates, same op"
-    (Kv_workload.batch_op ~client:1 2)
-    (Kv_workload.batch_op ~client:1 2);
+    (Kv_workload.make_op ~batching:true ~client:1 2)
+    (Kv_workload.make_op ~batching:true ~client:1 2);
   check "different clients differ" true
-    (Kv_workload.batch_op ~client:1 2 <> Kv_workload.batch_op ~client:2 2)
+    (Kv_workload.make_op ~batching:true ~client:1 2
+    <> Kv_workload.make_op ~batching:true ~client:2 2)
 
 let test_kv_exec_cost_scales () =
   let req op = { Sbft_core.Types.client = 0; timestamp = 1; op; signature = "" } in
-  let single = Kv_workload.exec_cost [ req (Kv_workload.single_op ~client:0 0) ] in
-  let batch = Kv_workload.exec_cost [ req (Kv_workload.batch_op ~client:0 0) ] in
+  let exec_cost = Kv_workload.service.Sbft_core.Cluster.exec_cost in
+  let single = exec_cost [ req (Kv_workload.make_op ~batching:false ~client:0 0) ] in
+  let batch = exec_cost [ req (Kv_workload.make_op ~batching:true ~client:0 0) ] in
   check "batch costs more" true (batch > 4 * single)
 
 (* ------------------------------------------------------------------ *)
