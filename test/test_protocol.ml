@@ -625,10 +625,11 @@ let test_fig1_message_flow () =
    of n = 4 (f = 1, c = 0) is driven message by message.  View 1's
    primary (replica 1) proposes seq 1 before backup 2 has its New_view.
    SBFT, like PBFT before its fix, drops that pre-prepare for good:
-   backup 2 never signs seq 1 in view 1 (pinned below; ROADMAP item 1
-   has the open SBFT half).  What SBFT does have is the block fetch:
-   once a commit proof for seq 1 arrives, the backup asks view 1's
-   primary for the block and commits. *)
+   backup 2 never signs seq 1 in view 1.  That is a known open bug,
+   pinned below so that its fix flips the assertion on purpose.  What
+   SBFT does have is the block fetch: once a commit proof for seq 1
+   arrives, the backup asks view 1's primary for the block and
+   commits. *)
 let test_pre_prepare_before_new_view () =
   let config = Config.sbft ~f:1 ~c:0 in
   let engine = Engine.create ~num_nodes:(Config.n config) ~seed:1L () in
