@@ -160,7 +160,6 @@ let const_klass =
     ("bls_combine_cached", "combine");
     ("group_combine", "combine");
     ("sha256", "hash");
-    ("merkle_build", "merkle");
     ("merkle_prove", "merkle");
     ("merkle_verify", "merkle");
     ("wal_append", "wal_append");

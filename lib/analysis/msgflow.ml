@@ -376,8 +376,6 @@ let priced =
     (("Threshold", "combine"), "combine");
     (("Threshold", "combine_verified"), "combine");
     (("Threshold", "combine_verified_h"), "combine");
-    (("Group_sig", "combine"), "combine");
-    (("Group_sig", "verify"), "verify");
     (("Sha256", "digest"), "hash");
     (("Merkle", "build"), "merkle");
     (("Merkle", "prove"), "merkle");

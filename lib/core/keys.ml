@@ -76,7 +76,6 @@ type t = {
   sigma : Threshold.t;
   tau : Threshold.t;
   pi : Threshold.t;
-  group : Group_sig.t;
   replica_pks : Pki.public_key array;
   client_pks : Pki.public_key array;
   points : (string, Field.t) Hashtbl.t;
@@ -88,7 +87,6 @@ type replica_keys = {
   sigma_sk : Threshold.signing_key;
   tau_sk : Threshold.signing_key;
   pi_sk : Threshold.signing_key;
-  group_sk : Group_sig.signing_key;
   pki_sk : Pki.keypair;
 }
 
@@ -97,7 +95,6 @@ let setup rng ~config ~num_clients =
   let sigma, sigma_keys = Threshold.setup rng ~n ~k:(Config.sigma_threshold config) in
   let tau, tau_keys = Threshold.setup rng ~n ~k:(Config.tau_threshold config) in
   let pi, pi_keys = Threshold.setup rng ~n ~k:(Config.pi_threshold config) in
-  let group, group_keys = Group_sig.setup rng ~n in
   let replica_kps = Array.init n (fun id -> Pki.generate rng ~id) in
   let client_kps = Array.init num_clients (fun i -> Pki.generate rng ~id:(n + i)) in
   let public =
@@ -106,7 +103,6 @@ let setup rng ~config ~num_clients =
       sigma;
       tau;
       pi;
-      group;
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
       points = Hashtbl.create 256;
@@ -127,7 +123,6 @@ let setup rng ~config ~num_clients =
           sigma_sk = sigma_keys.(i);
           tau_sk = tau_keys.(i);
           pi_sk = pi_keys.(i);
-          group_sk = group_keys.(i);
           pki_sk = replica_kps.(i);
         })
   in

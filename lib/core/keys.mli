@@ -1,6 +1,7 @@
-(** Key material for a deployment: the three threshold schemes (σ, τ, π),
-    the optional n-of-n group-signature scheme for the failure-free fast
-    path, and per-party PKI keypairs for replicas and clients.
+(** Key material for a deployment: the three threshold schemes (σ, τ, π)
+    and per-party PKI keypairs for replicas and clients.  The §VIII
+    group-signature mode ([Config.use_group_sig]) has no keys of its
+    own: it only changes what a σ combine is charged.
 
     Created once by the trusted setup (the paper assumes a PKI setup
     between clients and replicas, §III); the per-replica signing keys
@@ -15,22 +16,23 @@ type t = {
   sigma : Sbft_crypto.Threshold.t;
   tau : Sbft_crypto.Threshold.t;
   pi : Sbft_crypto.Threshold.t;
-  group : Sbft_crypto.Group_sig.t;
   replica_pks : Sbft_crypto.Pki.public_key array;
   client_pks : Sbft_crypto.Pki.public_key array;  (** indexed client-id − n *)
   points : (string, Sbft_crypto.Field.t) Hashtbl.t;
       (** {!hash_to_field}'s memo, owned by the cluster. *)
   memos : memos;  (** owned by the cluster, like [points] *)
 }
+(** The public half: the config, every scheme's verification material
+    and the cluster's memos. *)
 
 type replica_keys = {
   replica_id : int;
   sigma_sk : Sbft_crypto.Threshold.signing_key;
   tau_sk : Sbft_crypto.Threshold.signing_key;
   pi_sk : Sbft_crypto.Threshold.signing_key;
-  group_sk : Sbft_crypto.Group_sig.signing_key;
   pki_sk : Sbft_crypto.Pki.keypair;
 }
+(** One replica's secrets: its σ, τ and π key shares and its PKI keypair. *)
 
 val setup :
   Sbft_sim.Rng.t -> config:Config.t -> num_clients:int ->

@@ -39,13 +39,11 @@ let rsa_sign = us_f 800.
 let rsa_verify = us_f 50.
 
 let sha256 len = us_f 0.5 + (3 * len) (* ~3 ns/byte *)
-let hmac len = (2 * us_f 0.5) + sha256 len
 
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1
 
-let merkle_build n = us_f 1. + (n * us_f 1.)
 let merkle_prove n = us_f 1. + (log2_ceil (max 2 n) * us_f 0.5)
 let merkle_verify depth = us_f 1. + (depth * us_f 0.5)
 

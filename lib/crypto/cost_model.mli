@@ -16,7 +16,7 @@
       a per-share cost reflecting that parallelism.
     - RSA-2048 (Crypto++ official benchmarks, scaled to 2.3 GHz):
       sign ≈ 0.8 ms, verify ≈ 0.05 ms.
-    - SHA-256 ≈ 3 ns/byte plus fixed overhead; HMAC two hashes.
+    - SHA-256 ≈ 3 ns/byte plus fixed overhead.
     - Key-value execution ≈ 4 µs/op; block persistence (RocksDB write
       batch) ≈ 50 µs + 25 ns/byte.
     - EVM smart-contract execution ≈ 1.1 ms/tx including persistence —
@@ -114,8 +114,3 @@ end
 (** {2 Test hooks} *)
 
 val bls_share_verify : time
-
-val hmac : int -> time
-
-val merkle_build : int -> time
-(** Building a tree over [n] operation leaves. *)

@@ -33,7 +33,6 @@ let add t e =
   end
 
 let find t seq = Hashtbl.find_opt t.blocks seq
-let mem t seq = Hashtbl.mem t.blocks seq
 let highest t = t.highest
 
 let sorted_seqs t =

@@ -79,7 +79,3 @@ val checkpoint : t -> checkpoint option
 
 val entry_size : entry -> int
 (** Approximate persisted size in bytes (for disk-cost accounting). *)
-
-(** {2 Test hooks} *)
-
-val mem : t -> int -> bool

@@ -1,6 +1,6 @@
 (* Tests for the cryptographic substrate: official test vectors for
    SHA-256 / Keccak-256 / HMAC, algebraic properties of the field (qcheck),
-   Shamir reconstruction, threshold/group signature semantics including
+   Shamir reconstruction, threshold signature semantics including
    robustness against invalid shares, and Merkle structures. *)
 
 open Sbft_crypto
@@ -603,35 +603,6 @@ let test_share_verify_cache () =
   check "re-delivered shares answered from cache" true
     (Int.equal o2.Threshold.fresh_checks 0)
 
-let test_group_combine_verified () =
-  let r = rng () in
-  let scheme, keys = Group_sig.setup r ~n:5 in
-  let msg = "block" in
-  let shares = Array.to_list (Array.map (fun k -> Group_sig.share_sign k ~msg) keys) in
-  let o = Group_sig.combine_verified scheme ~msg shares in
-  check "no fallback" false o.Group_sig.fallback;
-  (match o.Group_sig.signature with
-  | Some s -> check "verifies" true (Group_sig.verify scheme ~msg s)
-  | None -> Alcotest.fail "group combine failed");
-  (* Missing signer: no combination, no fallback (nothing to identify). *)
-  let o_missing = Group_sig.combine_verified scheme ~msg (List.tl shares) in
-  check "missing signer -> None" true (o_missing.Group_sig.signature = None);
-  check "missing signer -> no fallback" false o_missing.Group_sig.fallback;
-  (* Corrupt share: fallback names the culprit; n-of-n admits no
-     exclusion, so no signature. *)
-  let corrupted =
-    List.mapi
-      (fun i sh ->
-        if i = 2 then { sh with Group_sig.value = Field.add sh.Group_sig.value Field.one }
-        else sh)
-      shares
-  in
-  let o_bad = Group_sig.combine_verified scheme ~msg corrupted in
-  check "fallback ran" true o_bad.Group_sig.fallback;
-  check "culprit identified" true
-    (match o_bad.Group_sig.bad_signers with [ 3 ] -> true | _ -> false);
-  check "no signature possible" true (o_bad.Group_sig.signature = None)
-
 let threshold_props =
   [
     qtest "combine any k-subset" QCheck2.Gen.(pair (int_range 1 20) (int_range 0 1000))
@@ -649,30 +620,6 @@ let threshold_props =
         | Some s -> Threshold.verify scheme ~msg s
         | None -> false);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Group signatures *)
-
-let test_group_sig () =
-  let r = rng () in
-  let scheme, keys = Group_sig.setup r ~n:5 in
-  let msg = "block" in
-  let shares = Array.to_list (Array.map (fun k -> Group_sig.share_sign k ~msg) keys) in
-  (match Group_sig.combine scheme ~msg shares with
-  | Some s ->
-      check "verifies" true (Group_sig.verify scheme ~msg s);
-      check "wrong msg" false (Group_sig.verify scheme ~msg:"x" s)
-  | None -> Alcotest.fail "combine failed");
-  (* n-1 shares are not enough. *)
-  let missing = List.tl shares in
-  check "needs all n" true (Group_sig.combine scheme ~msg missing = None)
-
-let test_group_sig_share_verify () =
-  let r = rng () in
-  let scheme, keys = Group_sig.setup r ~n:3 in
-  let sh = Group_sig.share_sign keys.(0) ~msg:"m" in
-  check "valid" true (Group_sig.share_verify scheme ~msg:"m" sh);
-  check "invalid msg" false (Group_sig.share_verify scheme ~msg:"w" sh)
 
 (* ------------------------------------------------------------------ *)
 (* PKI *)
@@ -937,8 +884,7 @@ let test_cost_model_monotone () =
        [
          Cost_model.bls_share_sign; Cost_model.bls_share_verify; Cost_model.bls_verify;
          Cost_model.rsa_sign; Cost_model.rsa_verify; Cost_model.sha256 100;
-         Cost_model.hmac 100; Cost_model.merkle_build 10; Cost_model.kv_execute_op;
-         Cost_model.persist_block 1000; Cost_model.evm_execute_tx;
+         Cost_model.kv_execute_op; Cost_model.persist_block 1000; Cost_model.evm_execute_tx;
        ])
 
 let () =
@@ -993,12 +939,6 @@ let () =
           Alcotest.test_case "verify cache" `Quick test_share_verify_cache;
         ]
         @ threshold_props );
-      ( "group_sig",
-        [
-          Alcotest.test_case "basic" `Quick test_group_sig;
-          Alcotest.test_case "share verify" `Quick test_group_sig_share_verify;
-          Alcotest.test_case "optimistic combine" `Quick test_group_combine_verified;
-        ] );
       ("pki", [ Alcotest.test_case "sign/verify" `Quick test_pki ]);
       ( "merkle",
         [

@@ -16,7 +16,7 @@ let keys, replica_keys, _clients = Keys.setup (Rng.create 7L) ~config ~num_clien
 
 type live = { engine : Engine.t; replica : Replica.t; sent : (int * Types.msg) list ref }
 
-let live_replica me =
+let live_replica ?(keys = keys) me =
   let engine = Engine.create ~num_nodes:5 ~seed:1L () in
   let sent = ref [] in
   let send _ctx ~src:_ ~dst msg = sent := (dst, msg) :: !sent in
@@ -93,23 +93,28 @@ let held l seq =
   ((s, t), (c, p))
 
 let null_block = [ View_change.null_request ]
-let h1 = Types.block_hash ~seq:1 ~view:0 ~reqs:null_block
+let block_hash seq = Types.block_hash ~seq ~view:0 ~reqs:null_block
 
-let sign_share r =
-  let k = replica_keys.(r) in
+(* Replica [r]'s sign share for [seq]; with [~forged] its σ share is the
+   invalid one a [Corrupt_shares] replica sends. *)
+let sign_share ?(seq = 1) ?(forged = false) r =
+  let k = replica_keys.(r) and h = block_hash seq in
   ( r,
     Types.Sign_share
       {
-        seq = 1;
+        seq;
         view = 0;
-        sigma_share = Threshold.share_sign k.Keys.sigma_sk ~msg:h1;
-        tau_share = Threshold.share_sign k.Keys.tau_sk ~msg:h1;
+        sigma_share =
+          (if forged then Threshold.forge_invalid_share ~signer:(r + 1)
+           else Threshold.share_sign k.Keys.sigma_sk ~msg:h);
+        tau_share = Threshold.share_sign k.Keys.tau_sk ~msg:h;
         replica = r;
       } )
 
-let sigma_cert () =
-  let share (k : Keys.replica_keys) = Threshold.share_sign k.sigma_sk ~msg:h1 in
-  Threshold.combine_exn keys.Keys.sigma ~msg:h1 (Array.to_list (Array.map share replica_keys))
+let sigma_cert ?(seq = 1) () =
+  let h = block_hash seq in
+  let share (k : Keys.replica_keys) = Threshold.share_sign k.sigma_sk ~msg:h in
+  Threshold.combine_exn keys.Keys.sigma ~msg:h (Array.to_list (Array.map share replica_keys))
 
 (* The slot's σ collector gets 3 of the 4 sign shares it needs and one
    ττ share, then a σ certificate from elsewhere commits the block. *)
@@ -143,6 +148,57 @@ let test_known_pi_releases_pi () =
   Alcotest.check quad "later shares not stored" ((0, 0), (0, 0)) (held l 1);
   check_int "and not combined" 0 (exec_proofs_sent l ~seq:1)
 
+(* ------------------------------------------------------------------ *)
+(* §VIII group-signature mode: with [use_group_sig], the σ collector
+   charges each combine as an n-of-n group combine (σ = n at c=0) until
+   it has seen a failure, and at the k-of-n threshold price after. *)
+
+let group_keys = { keys with Keys.config = { config with Config.use_group_sig = true } }
+
+(* The σ collector of seq 1, and the next two seqs it is the only
+   σ collector of, so each combine runs at once in its handler. *)
+let group_collector_seqs () =
+  let collector seq = Collectors.c_collectors group_keys ~view:0 ~seq in
+  match collector 1 with
+  | [ me ] -> (
+      match List.filter (fun seq -> collector seq = [ me ]) (List.init 6 (fun i -> i + 2)) with
+      | a :: b :: _ -> (me, 1, a, b)
+      | _ -> Alcotest.fail "the seq-1 σ collector collects fewer than three seqs")
+  | _ -> Alcotest.fail "c=0 has one σ collector"
+
+(* The pre-prepare and [shares] for [seq], then a valid σ certificate so
+   the slot commits before its slow-path timer fires; returns the
+   virtual CPU charged as "combine" meanwhile. *)
+let combine_charged l ~seq shares =
+  Cost_model.Tally.reset ();
+  deliver_all l ((0, Types.Pre_prepare { seq; view = 0; reqs = null_block }) :: shares);
+  let charged = List.assoc_opt "combine" (Cost_model.Tally.snapshot ()) in
+  deliver_all l [ (0, Types.Full_commit_proof { seq; view = 0; sigma = sigma_cert ~seq () }) ];
+  check "committed" true (Replica.committed_block l.replica seq <> None);
+  Option.value charged ~default:0
+
+let commit_proofs_sent l ~seq =
+  List.length
+    (List.filter (function _, Types.Full_commit_proof p -> p.seq = seq | _ -> false) !(l.sent))
+
+let test_group_sig_pricing () =
+  let me, first, corrupt, after = group_collector_seqs () in
+  let k = Config.sigma_threshold group_keys.Keys.config in
+  check_int "σ = n at c=0" (Config.n config) k;
+  let l = live_replica ~keys:group_keys me in
+  let all ?forged seq =
+    List.map (fun r -> sign_share ~seq ~forged:(forged = Some r) r) [ 0; 1; 2; 3 ]
+  in
+  check_int "failure-free σ combine priced n-of-n" (Cost_model.group_combine k)
+    (combine_charged l ~seq:first (all first));
+  check "σ proof sent" true (commit_proofs_sent l ~seq:first > 0);
+  ignore (combine_charged l ~seq:corrupt (all ~forged:2 corrupt));
+  check_int "no σ proof from a forged share" 0 (commit_proofs_sent l ~seq:corrupt);
+  let charged = combine_charged l ~seq:after (all after) in
+  check "after a failure σ combine priced k-of-n" true
+    (List.mem charged [ Cost_model.bls_combine k; Cost_model.bls_combine_cached k ]);
+  check "σ proof sent after the failure" true (commit_proofs_sent l ~seq:after > 0)
+
 let () =
   Alcotest.run "replica_units"
     [
@@ -154,4 +210,6 @@ let () =
             test_commit_releases_sigma_tau;
           Alcotest.test_case "known pi drops pi shares" `Quick test_known_pi_releases_pi;
         ] );
+      ( "group sig mode",
+        [ Alcotest.test_case "sigma combine pricing" `Quick test_group_sig_pricing ] );
     ]

@@ -632,8 +632,8 @@ let test_block_store () =
   Block_store.add bs
     { seq = 3; view = 0; ops = [ bop "b" ]; cert = Slow { tau = "t3"; tau_tau = "tt3" } };
   check_int "highest" 3 (Block_store.highest bs);
-  check "mem" true (Block_store.mem bs 1);
-  check "not mem" false (Block_store.mem bs 2);
+  check "mem" true (Option.is_some (Block_store.find bs 1));
+  check "not mem" false (Option.is_some (Block_store.find bs 2));
   (* First write wins. *)
   Block_store.add bs { seq = 1; view = 9; ops = [ bop "z" ]; cert = Fast "other" };
   (match Block_store.find bs 1 with
@@ -644,8 +644,8 @@ let test_block_store () =
         (match e.ops with [ o ] -> o.Block_store.client = 7 && o.Block_store.timestamp = 1 | _ -> false)
   | None -> Alcotest.fail "missing");
   Block_store.prune_below bs 3;
-  check "pruned" false (Block_store.mem bs 1);
-  check "kept" true (Block_store.mem bs 3);
+  check "pruned" false (Option.is_some (Block_store.find bs 1));
+  check "kept" true (Option.is_some (Block_store.find bs 3));
   let row =
     { Block_store.ce_client = 9; ce_timestamp = 3; ce_value = "v"; ce_seq = 5; ce_index = 0 }
   in
