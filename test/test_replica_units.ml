@@ -210,6 +210,6 @@ let () =
             test_commit_releases_sigma_tau;
           Alcotest.test_case "known pi drops pi shares" `Quick test_known_pi_releases_pi;
         ] );
-      ( "group sig mode",
+      ( "group sig",
         [ Alcotest.test_case "sigma combine pricing" `Quick test_group_sig_pricing ] );
     ]
