@@ -1,7 +1,8 @@
 (* Driver for the sbft lint pass: walks the given source trees, parses
    each .ml file once and runs every rule on it through
    Discipline.check_file (R1-R7 per-function, R5, R9-R11 protocol
-   discipline, R12-R15 quorum soundness), runs Exports.check over the
+   discipline with R10 charge by construction, R12-R15 quorum
+   soundness), runs Exports.check over the
    lib/ interfaces (R16, no export without a user, read from the
    .cmti/.cmt typed trees under _build/default, or under the current
    directory when it is the build tree itself), applies the

@@ -6,9 +6,10 @@
        [wal_log] of the matching record type and a [wal_sync] that
        flushed it.  The record<->message correspondence lives in
        [promise_table] — one place, quoted in DESIGN.md.
-   R10 cost-accounting completeness: every priced crypto/storage call
-       reachable from a handler must have a covering [Engine.charge]
-       of the same cost klass in the same function.
+   R10 charge by construction: a file with [on_*] handlers calls no
+       priced crypto/storage primitive and no [Engine.charge] (it goes
+       through the Priced layer), and every function of the layer that
+       calls a primitive contains an [Engine.charge].
    R11 send-amplification: a send inside iteration over a
        handler-parameter collection, or an unguarded send of an
        amplifying message (full state / new-view retransmissions),
@@ -124,123 +125,55 @@ let r9 (fl : Msgflow.file) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* R10: cost-accounting completeness.
-
-   Tally labels / Cost_model constants -> cost klass.  A charge covers
-   a crypto call of the same klass in the same function when the charge
-   sits in an enclosing-or-equal region, or — for calls inside a guard
-   condition — when the charge sits in a region the condition
-   dominates (the [wal_sync] shape: the charge lives in the then-arm
-   the successful call enables). *)
-
-let label_klass =
-  [
-    ("share_sign", "share_sign");
-    ("proof_verify", "verify");
-    ("combined_verify", "verify");
-    ("combine", "combine");
-    ("share_identify", "share_verify");
-    ("share_batch_verify", "share_verify");
-    ("hash", "hash");
-    ("merkle", "merkle");
-    ("wal_append", "wal_append");
-    ("wal_fsync", "wal_fsync");
-    ("rsa_verify", "rsa_verify");
-    ("rsa_sign", "rsa_sign");
-  ]
-
-let const_klass =
-  [
-    ("bls_share_sign", "share_sign");
-    ("bls_verify", "verify");
-    ("bls_batch_verify", "share_verify");
-    ("bls_share_verify", "share_verify");
-    ("bls_identify", "share_verify");
-    ("bls_combine", "combine");
-    ("bls_combine_cached", "combine");
-    ("group_combine", "combine");
-    ("sha256", "hash");
-    ("merkle_prove", "merkle");
-    ("merkle_verify", "merkle");
-    ("wal_append", "wal_append");
-    ("wal_fsync", "wal_fsync");
-    ("rsa_sign", "rsa_sign");
-    ("rsa_verify", "rsa_verify");
-  ]
-
-let charge_klasses labels consts =
-  List.filter_map (fun l -> List.assoc_opt l label_klass) labels
-  @ List.filter_map (fun c -> List.assoc_opt c const_klass) consts
-
-let rec is_region_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | x :: a', y :: b' -> Int.equal x y && is_region_prefix a' b'
-  | _ :: _, [] -> false
-
-(* Entry points: handlers plus the WAL wrappers themselves (their
-   Wal.append/Wal.sync must stay priced even though handlers reach them
-   only by call). *)
-let r10_entry (f : Msgflow.func) =
-  Msgflow.is_handler f.Msgflow.fn_name
-  || mem f.Msgflow.fn_name [ "wal_log"; "wal_sync" ]
-
-let reachable_funcs (fl : Msgflow.file) =
-  let entry_names =
-    List.filter_map
-      (fun (f : Msgflow.func) -> if r10_entry f then Some f.Msgflow.fn_name else None)
-      fl.Msgflow.funcs
-  in
-  let rec go visited = function
-    | [] -> visited
-    | n :: rest ->
-        if mem n visited then go visited rest
-        else (
-          match Msgflow.find_func fl.Msgflow.funcs n with
-          | None -> go visited rest
-          | Some f ->
-              let calls =
-                List.filter_map
-                  (fun (e : Msgflow.einfo) ->
-                    match e.Msgflow.ev with Msgflow.Call c -> Some c | _ -> None)
-                  f.Msgflow.fn_events
-              in
-              go (n :: visited) (calls @ rest))
-  in
-  let names = go [] entry_names in
-  List.filter (fun (f : Msgflow.func) -> mem f.Msgflow.fn_name names) fl.Msgflow.funcs
+(* R10: charge by construction, two syntactic checks.  (a) A file with
+   an [on_*] handler calls no priced primitive and no [Engine.charge].
+   (b) In the priced layer ([priced.ml]), every top-level function that
+   calls a primitive contains an [Engine.charge]. *)
 
 let r10 (fl : Msgflow.file) =
-  List.concat_map
-    (fun (f : Msgflow.func) ->
-      List.filter_map
-        (fun (e : Msgflow.einfo) ->
-          match e.Msgflow.ev with
-          | Msgflow.Crypto { klass; callee } ->
-              let covered =
-                List.exists
-                  (fun (ch : Msgflow.einfo) ->
-                    match ch.Msgflow.ev with
-                    | Msgflow.Charge { labels; consts } ->
-                        mem klass (charge_klasses labels consts)
-                        && (is_region_prefix ch.Msgflow.region e.Msgflow.region
-                           || (e.Msgflow.in_guard
-                              && is_region_prefix e.Msgflow.region
-                                   ch.Msgflow.region))
-                    | _ -> false)
-                  f.Msgflow.fn_events
-              in
-              if covered then None
-              else
+  let funcs = fl.Msgflow.funcs in
+  let at (e : Msgflow.einfo) fmt =
+    Printf.ksprintf (finding ~rule:"R10" ~file:fl.Msgflow.path ~line:e.Msgflow.line) fmt
+  in
+  let crypto (e : Msgflow.einfo) =
+    match e.Msgflow.ev with Msgflow.Crypto callee -> Some callee | _ -> None
+  in
+  let charge (e : Msgflow.einfo) =
+    match e.Msgflow.ev with Msgflow.Charge -> true | _ -> false
+  in
+  if List.exists (fun (f : Msgflow.func) -> Msgflow.is_handler f.Msgflow.fn_name) funcs then
+    List.concat_map
+      (fun (f : Msgflow.func) ->
+        List.filter_map
+          (fun e ->
+            match crypto e with
+            | Some callee ->
                 Some
-                  (finding ~rule:"R10" ~file:fl.Msgflow.path ~line:e.Msgflow.line
-                     (Printf.sprintf
-                        "crypto call %s reachable from a handler has no \
-                         covering Engine.charge of klass %s in %s"
-                        callee klass f.Msgflow.fn_name))
-          | _ -> None)
-        f.Msgflow.fn_events)
-    (reachable_funcs fl)
+                  (at e "priced primitive %s called in %s, in a file with handlers; \
+                         call the Priced function that charges it" callee f.Msgflow.fn_name)
+            | None when charge e ->
+                Some
+                  (at e "Engine.charge in %s, in a file with handlers; charge through Priced"
+                     f.Msgflow.fn_name)
+            | None -> None)
+          f.Msgflow.fn_events)
+      funcs
+  else if String.equal (Filename.basename fl.Msgflow.path) "priced.ml" then
+    List.filter_map
+      (fun (f : Msgflow.func) ->
+        let events = f.Msgflow.fn_events in
+        if List.exists charge events then None
+        else
+          List.find_map
+            (fun e ->
+              Option.map
+                (fun callee ->
+                  at e "priced function %s calls %s without an Engine.charge"
+                    f.Msgflow.fn_name callee)
+                (crypto e))
+            events)
+      funcs
+  else []
 
 (* ------------------------------------------------------------------ *)
 (* R11: send amplification.

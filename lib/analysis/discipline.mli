@@ -8,10 +8,10 @@
       that flushed it.  The record<->message correspondence is the
       [promise_table] of [discipline.ml].  Only files that use the WAL
       are checked (the PBFT baseline has no WAL by design).
-    - {b R10} — cost-accounting completeness: every priced
-      crypto/storage call reachable from an [on_*] handler (or from the
-      WAL wrappers) must have a covering [Engine.charge] of the same
-      cost klass in the same function.
+    - {b R10} — charge by construction: a file that defines an [on_*]
+      handler calls no priced crypto/storage primitive and no
+      [Engine.charge] (it goes through [Priced]), and in [priced.ml]
+      every function that calls a primitive contains an [Engine.charge].
     - {b R11} — send-amplification: inside a handler, a send in an
       iteration over a handler-parameter collection, or an unguarded
       send of an amplifying message (full state transfers, new-view

@@ -251,7 +251,8 @@ let implicit_params =
 let sanitizers =
   [ "verify"; "verify_h"; "verify_request"; "share_verify";
     "share_verify_cached"; "validate_message"; "verify_op_proof";
-    "verify_query_proof";
+    "verify_query_proof"; "verify_requests"; "verify_cert"; "validate_view_changes";
+    "validate_new_view"; "verify_execute_ack"; "verify_query_resp";
     (* Optimistic combine-then-verify and the staged snapshot loader
        authenticate their inputs internally: the former checks the
        combined signature (falling back to per-share identification),

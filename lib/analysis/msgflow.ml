@@ -4,9 +4,9 @@
    stream of protocol-relevant events — WAL appends/syncs, message
    sends/broadcasts, cost charges, priced crypto calls, and calls to
    other local functions — each tagged with enough syntactic context
-   (nesting region, guard names, iteration variables) for the
-   discipline rules (R9-R15, see Discipline) to reason about ordering,
-   coverage, and rate-limiting.  The same summaries drive the
+   (guard names, iteration variables) for the discipline rules (R9-R15,
+   see Discipline) to reason about ordering, pricing and
+   rate-limiting.  The same summaries drive the
    [@msgflow] graph artifact: which `on_*` handler can emit which
    message constructor and log which WAL record, resolved through local
    helper calls.
@@ -31,10 +31,9 @@ type event =
   | Send of { ctor : string option; bcast : bool }
       (** [send]/[broadcast*] call; [ctor] is the outermost message
           constructor among the arguments when syntactically visible *)
-  | Charge of { labels : string list; consts : string list }
-      (** [Engine.charge]: Tally labels and [Cost_model.*] constants *)
-  | Crypto of { klass : string; callee : string }
-      (** call into a priced crypto/storage primitive *)
+  | Charge  (** [Engine.charge] *)
+  | Crypto of string
+      (** call into a priced crypto/storage primitive, as [Module.fn] *)
   | Call of string  (** call to another top-level function of the file *)
   | Threshold_cmp of { op : string; thresh : tside; annot : int option }
       (** comparison of a count against a quorum threshold, normalized
@@ -52,10 +51,6 @@ type event =
 type einfo = {
   ev : event;
   line : int;
-  region : int list;
-      (** nesting path: a region is an ancestor of another iff its path
-          is a prefix of the other's *)
-  in_guard : bool;  (** the event sits inside an [if]/[when] condition *)
   iter_vars : string list;
       (** collection expressions' identifiers for enclosing iteration
           combinators ([List.iter] & co.) *)
@@ -163,28 +158,6 @@ let rec pat_var_names (p : Parsetree.pattern) =
   | Ppat_constraint (p, _) -> pat_var_names p
   | Ppat_tuple ps -> List.concat_map pat_var_names ps
   | _ -> []
-
-(* String literals (Tally labels) and [Cost_model.*] constants inside
-   the arguments of an [Engine.charge] call. *)
-let charge_info args =
-  let labels = ref [] and consts = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it ex ->
-          (match ex.Parsetree.pexp_desc with
-          | Pexp_constant (Pconst_string (s, _, _)) -> labels := s :: !labels
-          | Pexp_ident { txt; _ } -> (
-              match last2 txt with
-              | Some "Cost_model", f -> consts := f :: !consts
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it ex);
-    }
-  in
-  List.iter (fun (_, a) -> it.expr it a) args;
-  (List.sort_uniq String.compare !labels, List.sort_uniq String.compare !consts)
 
 (* ------------------------------------------------------------------ *)
 (* Quorum-threshold extraction (R12/R13/R14 raw material) *)
@@ -358,36 +331,33 @@ let lambda_guard_names args =
   List.sort_uniq String.compare !acc
 
 (* ------------------------------------------------------------------ *)
-(* Priced crypto/storage primitives.
-
-   Module is matched by its *last* component so both [Threshold.verify]
-   and [Sbft_crypto.Threshold.verify] resolve.  The klass groups
-   primitives the cost model prices together, so a single charge can
-   cover any callee of its klass (see Discipline R10). *)
+(* Priced crypto/storage primitives, which handler files reach only
+   through [Priced] (Discipline R10).  Matched by the module's *last*
+   component, so [Sbft_crypto.Threshold.verify] resolves too. *)
 
 let priced =
   [
-    (("Threshold", "share_sign"), "share_sign");
-    (("Threshold", "share_sign_h"), "share_sign");
-    (("Threshold", "verify"), "verify");
-    (("Threshold", "verify_h"), "verify");
-    (("Threshold", "share_verify"), "share_verify");
-    (("Threshold", "share_verify_cached"), "share_verify");
-    (("Threshold", "combine"), "combine");
-    (("Threshold", "combine_verified"), "combine");
-    (("Threshold", "combine_verified_h"), "combine");
-    (("Sha256", "digest"), "hash");
-    (("Merkle", "build"), "merkle");
-    (("Merkle", "prove"), "merkle");
-    (("Merkle", "verify"), "merkle");
-    (("Wal", "append"), "wal_append");
-    (("Wal", "sync"), "wal_fsync");
-    (("Pki", "sign"), "rsa_sign");
-    (("Pki", "verify"), "rsa_verify");
-    (("Keys", "verify_request"), "rsa_verify");
-    (("View_change", "validate_message"), "verify");
-    (("Auth_store", "verify_op_proof"), "merkle");
-    (("Auth_store", "verify_query_proof"), "merkle");
+    ("Threshold", "share_sign");
+    ("Threshold", "share_sign_h");
+    ("Threshold", "verify");
+    ("Threshold", "verify_h");
+    ("Threshold", "share_verify");
+    ("Threshold", "share_verify_cached");
+    ("Threshold", "combine");
+    ("Threshold", "combine_verified");
+    ("Threshold", "combine_verified_h");
+    ("Sha256", "digest");
+    ("Merkle", "build");
+    ("Merkle", "prove");
+    ("Merkle", "verify");
+    ("Wal", "append");
+    ("Wal", "sync");
+    ("Pki", "sign");
+    ("Pki", "verify");
+    ("Keys", "verify_request");
+    ("View_change", "validate_message");
+    ("Auth_store", "verify_op_proof");
+    ("Auth_store", "verify_query_proof");
   ]
 
 let iter_modules = [ "List"; "Array"; "Seq"; "Hashtbl"; "Det" ]
@@ -405,53 +375,33 @@ let is_iter_combinator m f =
 (* ------------------------------------------------------------------ *)
 (* The walker *)
 
-type wctx = {
-  region : int list;
-  in_guard : bool;
-  iter_vars : string list;
-  guard_names : string list;
-}
+type wctx = { iter_vars : string list; guard_names : string list }
 
 type wstate = {
   events : einfo list ref;  (* reversed; List.rev at the end *)
-  fresh : int ref;
   locals : (string, unit) Hashtbl.t;
 }
 
-let child st c =
-  incr st.fresh;
-  { c with region = c.region @ [ !(st.fresh) ] }
-
 let emit st (c : wctx) ev line =
   st.events :=
-    {
-      ev;
-      line;
-      region = c.region;
-      in_guard = c.in_guard;
-      iter_vars = c.iter_vars;
-      guard_names = c.guard_names;
-    }
-    :: !(st.events)
+    { ev; line; iter_vars = c.iter_vars; guard_names = c.guard_names } :: !(st.events)
 
 let rec walk st (c : wctx) (e : Parsetree.expression) =
   let line = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
   match e.pexp_desc with
   | Pexp_apply (head, args) -> apply st c line e.pexp_attributes head args
   | Pexp_ifthenelse (cond, e_then, e_else) ->
-      walk st { c with in_guard = true } cond;
-      let g = c.guard_names @ cond_names cond in
-      walk st { (child st c) with guard_names = g } e_then;
-      (match e_else with
-      | Some e2 -> walk st { (child st c) with guard_names = g } e2
-      | None -> ())
+      walk st c cond;
+      let g = { c with guard_names = c.guard_names @ cond_names cond } in
+      walk st g e_then;
+      Option.iter (walk st g) e_else
   | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
       walk st c scrut;
       walk_cases st c cases
   | Pexp_function cases -> walk_cases st c cases
   | Pexp_fun (_, default, _, body) ->
-      (match default with Some d -> walk st c d | None -> ());
-      walk st (child st c) body
+      Option.iter (walk st c) default;
+      walk st c body
   | Pexp_let (_, vbs, body) ->
       List.iter
         (fun (vb : Parsetree.value_binding) -> walk st c vb.pvb_expr)
@@ -465,8 +415,8 @@ let rec walk st (c : wctx) (e : Parsetree.expression) =
       walk st c e2;
       walk st c body
   | Pexp_while (cond, body) ->
-      walk st { c with in_guard = true } cond;
-      walk st { (child st c) with guard_names = c.guard_names @ cond_names cond } body
+      walk st c cond;
+      walk st { c with guard_names = c.guard_names @ cond_names cond } body
   | _ -> walk_children st c e
 
 and walk_cases st c cases =
@@ -475,11 +425,11 @@ and walk_cases st c cases =
       let g =
         match case.pc_guard with
         | Some ge ->
-            walk st { c with in_guard = true } ge;
+            walk st c ge;
             c.guard_names @ cond_names ge
         | None -> c.guard_names
       in
-      walk st { (child st c) with guard_names = g } case.pc_rhs)
+      walk st { c with guard_names = g } case.pc_rhs)
     cases
 
 and walk_children st c e =
@@ -542,13 +492,9 @@ and apply st c line attrs head args =
            })
         line;
       walk_args st c args
-  | Some (_, "charge") ->
-      let labels, consts = charge_info args in
-      emit st c (Charge { labels; consts }) line
-  | Some (Some m, f) when List.mem_assoc (m, f) priced ->
-      emit st c
-        (Crypto { klass = List.assoc (m, f) priced; callee = m ^ "." ^ f })
-        line;
+  | Some (_, "charge") -> emit st c Charge line
+  | Some (Some m, f) when List.mem (m, f) priced ->
+      emit st c (Crypto (m ^ "." ^ f)) line;
       walk_args st c args
   | Some (Some m, f) when is_iter_combinator m f ->
       let lambdas, rest = List.partition (fun (_, a) -> is_lambda a) args in
@@ -612,17 +558,14 @@ let summarize ~path structure =
         (fun n -> Hashtbl.replace locals n ())
         (pat_var_names vb.pvb_pat))
     bindings;
-  let fresh = ref 0 in
   let funcs =
     List.filter_map
       (fun (vb : Parsetree.value_binding) ->
         match pat_var_names vb.pvb_pat with
         | [ name ] ->
             let params, body = peel_params [] vb.pvb_expr in
-            let st = { events = ref []; fresh; locals } in
-            walk st
-              { region = []; in_guard = false; iter_vars = []; guard_names = [] }
-              body;
+            let st = { events = ref []; locals } in
+            walk st { iter_vars = []; guard_names = [] } body;
             Some
               {
                 fn_name = name;

@@ -4,9 +4,8 @@
     Each top-level function of a file is summarized as a linear,
     source-ordered stream of protocol events (WAL log/sync, send,
     charge, priced crypto call, local call), tagged with syntactic
-    context: a nesting region path, whether the event sits inside a
-    guard condition, the identifiers of enclosing iteration
-    collections, and the identifiers of enclosing guard conditions.
+    context: the identifiers of enclosing iteration collections and of
+    enclosing guard conditions.
     The {!Discipline} rules (R9-R15) consume these summaries; {!render} turns
     them into the deterministic message-flow artifact diffed against
     [analysis/msgflow.expected]. *)
@@ -25,12 +24,12 @@ type event =
   | Send of { ctor : string option; bcast : bool }
       (** call to [send] or [broadcast*]; [ctor] is the outermost
           message constructor among the arguments when visible *)
-  | Charge of { labels : string list; consts : string list }
-      (** [Engine.charge]: Tally label strings and [Cost_model.*]
-          constant names appearing in the arguments *)
-  | Crypto of { klass : string; callee : string }
-      (** call to a priced crypto/storage primitive; [klass] groups
-          primitives priced together by the cost model *)
+  | Charge  (** a call to [Engine.charge] (any function named [charge]) *)
+  | Crypto of string
+      (** call to a priced crypto/storage primitive (threshold
+          signatures, hashing, Merkle proofs, the WAL, RSA, request and
+          view-change validation), as [Module.fn]: the work
+          [Priced] charges for *)
   | Call of string  (** call to another top-level function of the file *)
   | Threshold_cmp of { op : string; thresh : tside; annot : int option }
       (** comparison of a count against a quorum threshold, normalized
@@ -47,10 +46,6 @@ type event =
 type einfo = {
   ev : event;
   line : int;
-  region : int list;
-      (** nesting path: region [a] encloses region [b] iff [a] is a
-          prefix of [b] *)
-  in_guard : bool;
   iter_vars : string list;
   guard_names : string list;
 }

@@ -80,12 +80,8 @@ let submit t ctx ~op =
   | _ ->
       t.timestamp <- t.timestamp + 1;
       let request =
-        { Types.client = t.id; timestamp = t.timestamp; op; signature = "" }
-      in
-      Engine.charge ctx Cost_model.rsa_sign;
-      let request =
-        { request with
-          Types.signature = Pki.sign t.keypair (Keys.request_digest t.env.Replica.keys request) }
+        Priced.sign_request ctx t.env.Replica.keys t.keypair
+          { Types.client = t.id; timestamp = t.timestamp; op; signature = "" }
       in
       let p =
         {
@@ -156,22 +152,16 @@ let on_message t ctx ~src msg =
       note_view t view;
       match t.current with
       | Some p when Int.equal p.timestamp timestamp && not p.done_ ->
-          Engine.charge ctx Cost_model.bls_verify;
-          Engine.charge ctx (Cost_model.merkle_verify 10);
           if
-            let keys = t.env.Replica.keys in
-            Sbft_crypto.Threshold.verify_h keys.Keys.pi
-              ~h:(Keys.hash_to_field keys (Types.pi_message ~seq ~digest:state_digest))
-              pi
-            && Sbft_store.Auth_store.verify_op_proof ~digest:state_digest ~seq ~index
-                 ~op:p.op ~value ~proof
+            Priced.verify_execute_ack ctx t.env.Replica.keys ~seq ~index ~op:p.op ~value
+              ~digest:state_digest ~pi ~proof
           then complete t ctx p value
       | _ -> ())
   | Types.Reply { view; replica; timestamp; value; _ } -> (
       note_view t view;
       match t.current with
       | Some p when Int.equal p.timestamp timestamp && not p.done_ ->
-          Engine.charge ctx Cost_model.rsa_verify;
+          Priced.verify_reply ctx;
           if not (List.mem_assoc replica p.replies) then begin
             p.replies <- (replica, value) :: p.replies;
             (* Track the responsive primary for future requests. *)
@@ -185,14 +175,9 @@ let on_message t ctx ~src msg =
   | Types.Query_resp { qid; seq; digest; pi; value; proof; _ } -> (
       match Hashtbl.find_opt t.queries qid with
       | Some q when not q.q_done ->
-          Engine.charge ctx Cost_model.bls_verify;
-          Engine.charge ctx (Cost_model.merkle_verify 16);
           if
-            Sbft_crypto.Threshold.verify t.env.Replica.keys.Keys.pi
-              ~msg:(Types.pi_message ~seq ~digest)
-              pi
-            && Sbft_store.Auth_store.verify_query_proof ~digest ~seq ~key:q.q_key
-                 ~value ~proof
+            Priced.verify_query_resp ctx t.env.Replica.keys ~seq ~key:q.q_key ~value ~digest
+              ~pi ~proof
           then begin
             q.q_done <- true;
             Hashtbl.remove t.queries qid;

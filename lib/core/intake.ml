@@ -1,5 +1,4 @@
 open Sbft_sim
-open Sbft_crypto
 
 type row = Sbft_store.Block_store.client_entry
 
@@ -134,8 +133,7 @@ let on_request t ctx keys (r : Types.request) ~primary ~reply ~queued ~forward =
       if primary then begin
         if not (Hashtbl.mem t.pending_keys (key r)) then begin
           (* Static authentication and access-control check (§V-C). *)
-          Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-          if Keys.verify_request keys r then begin
+          if Priced.verify_requests ctx keys [ r ] then begin
             enqueue t r;
             Batching.observe_pending t.batching (Queue.length t.pending);
             mark_outstanding t r;

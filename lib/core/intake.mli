@@ -101,6 +101,6 @@ val on_request :
   forward:(unit -> unit) ->
   unit
 (** A client request arrives.  An executed one is answered from the
-    table ([reply]).  The primary authenticates a new one (charging one
-    RSA verification), queues it and calls [queued]; a backup watches
+    table ([reply]).  The primary authenticates a new one
+    ({!Priced.verify_requests}), queues it and calls [queued]; a backup watches
     it and [forward]s it to the primary, once. *)

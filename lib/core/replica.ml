@@ -364,28 +364,19 @@ let broadcast_replicas t ctx msg =
    already saw — the unsynced tail is exactly what a crash may lose. *)
 
 let wal_log t ctx record =
-  if (cfg t).Config.durable_wal then
-    let bytes = Sbft_store.Wal.append t.wal record in
-    Engine.charge ctx (Cost_model.Tally.note "wal_append" (Cost_model.wal_append bytes))
+  if (cfg t).Config.durable_wal then Priced.wal_append ctx t.wal record
 
 let wal_sync t ctx =
-  if (cfg t).Config.durable_wal && Sbft_store.Wal.sync t.wal then
-    Engine.charge ctx
-      (Cost_model.Tally.note "wal_fsync"
-         (Cost_model.wal_fsync_scaled ~scale:t.fsync_scale))
+  if (cfg t).Config.durable_wal then Priced.wal_fsync ctx t.wal ~scale:t.fsync_scale
 
 (* ------------------------------------------------------------------ *)
 (* Collector-side share combination (§IV linearity).
 
    [combine_stash] is the single entry point every collector site
-   (σ/τ/ττ/π) goes through.  With [Config.optimistic_combine] it runs
-   the combine-then-verify fast path: interpolate the k shares without
-   any per-share check, verify the one combined signature, and only on
-   failure fall back to robust per-share identification
-   ({!Threshold.combine_verified}).  The simulated CPU charged tracks
-   exactly which of those steps ran, so the cheaper optimistic path
-   shows up in measured throughput.  With the knob off it charges the
-   pessimistic batch-verify-every-share baseline.
+   (σ/τ/ττ/π) goes through: {!Priced.combine} runs and charges the
+   combine (combine-then-verify with [Config.optimistic_combine], the
+   batch-verify-every-share baseline without).  A failed optimistic
+   check is an observed failure.
 
    Returns the combined signature, if any.  Signers identified as
    invalid are evicted from [stash], so the next attempt combines a
@@ -393,63 +384,18 @@ let wal_sync t ctx =
    comparison with its [Sanitizer.check_quorum] in one function). *)
 
 let combine_stash t ctx ~scheme ~k ~group ~msg stash =
-  let tally = Cost_model.Tally.note in
-  let combine_cost cached =
-    if group then Cost_model.group_combine k
-    else if cached then Cost_model.bls_combine_cached k
-    else Cost_model.bls_combine k
-  in
-  let shares = List.map snd stash.items in
-  let signature, bad =
-    if (cfg t).Config.optimistic_combine then begin
-      let h = Keys.hash_to_field (keys t) msg in
-      let o = Threshold.combine_verified_h scheme ~h shares in
-      Engine.charge ctx (tally "combine" (combine_cost o.Threshold.coeffs_cached));
-      Engine.charge ctx (tally "combined_verify" Cost_model.bls_verify);
-      if o.Threshold.fallback then begin
-        t.failures_observed <- true;
-        Engine.charge ctx
-          (tally "share_identify" (Cost_model.bls_identify o.Threshold.fresh_checks));
-        (* The recombination over the surviving shares, when one was
-           possible (its constituents are all individually verified, so
-           no second combined check is needed). *)
-        match o.Threshold.signature with
-        | Some _ ->
-            Engine.charge ctx (tally "combine" (combine_cost o.Threshold.recombine_cached))
-        | None -> ()
-      end;
-      (o.Threshold.signature, o.Threshold.bad_signers)
-    end
-    else begin
-      Engine.charge ctx (tally "share_batch_verify" (Cost_model.bls_batch_verify k));
-      Engine.charge ctx (tally "combine" (combine_cost false));
-      (Threshold.combine scheme ~msg shares, [])
-    end
-  in
-  (match bad with
-  | [] -> ()
-  | _ ->
-      stash_set stash
-        (List.filter
-           (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) bad))
-           stash.items));
-  signature
+  let c = Priced.combine ctx (keys t) scheme ~k ~group ~msg (List.map snd stash.items) in
+  if c.Priced.fallback then t.failures_observed <- true;
+  if c.Priced.bad_signers <> [] then
+    stash_set stash
+      (List.filter
+         (fun (_, sh) -> not (List.exists (Int.equal sh.Threshold.signer) c.Priced.bad_signers))
+         stash.items);
+  c.Priced.signature
 
 (* ------------------------------------------------------------------ *)
 (* Commit certificates (§V): every block commits under exactly one —
    σ(h) on the fast path, or τ(h) plus τ(τ(h)) on the slow path. *)
-
-(* The one verification of a certificate against its block hash [h]. *)
-let cert_verifies t ctx ~h cert =
-  let point msg = Keys.hash_to_field (keys t) msg in
-  match cert with
-  | Types.Cert_fast sigma ->
-      Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-      Threshold.verify_h (keys t).Keys.sigma ~h:(point h) sigma
-  | Types.Cert_slow (tau, tau_tau) ->
-      Engine.charge ctx (Cost_model.Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-      Threshold.verify_h (keys t).Keys.tau ~h:(point h) tau
-      && Threshold.verify_h (keys t).Keys.tau ~h:(point (Types.tau2_message tau)) tau_tau
 
 (* The certificate as the ledger persists it (signature bytes), and
    back. *)
@@ -484,16 +430,13 @@ let note_prepared sl slow =
 
 let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
   sl.sent_sign_share <- true;
-  Engine.charge ctx (Cost_model.Tally.note "share_sign" (2 * Cost_model.bls_share_sign));
-  let point = Keys.hash_to_field (keys t) h in
-  let sigma_share = Threshold.share_sign_h t.my.Keys.sigma_sk ~h:point in
-  let tau_share = Threshold.share_sign_h t.my.Keys.tau_sk ~h:point in
   let sigma_share, tau_share =
+    let shares = Priced.sign_block ctx (keys t) t.my ~h in
     match t.byz with
     | Corrupt_shares when corrupt ->
         ( Threshold.forge_invalid_share ~signer:(t.id + 1),
           Threshold.forge_invalid_share ~signer:(t.id + 1) )
-    | _ -> (sigma_share, tau_share)
+    | _ -> shares
   in
   note_preprepared sl (Types.Fast_preprepared { share = sigma_share; view; reqs });
   (sigma_share, tau_share)
@@ -525,10 +468,8 @@ let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
 let execute_once t ctx sl reqs =
   Sanitizer.record_execute t.san ~seq:sl.seq;
   sl.executed <- true;
-  Engine.charge ctx
-    (Cost_model.Tally.note "exec"
-       (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:sl.seq reqs));
-  Sbft_store.Auth_store.execute_block t.store ~seq:sl.seq ~ops:(Intake.exec_ops t.intake reqs)
+  Priced.execute ctx t.store ~exec_cost:t.env.exec_cost ~seq:sl.seq reqs
+    ~ops:(Intake.exec_ops t.intake reqs)
 
 (* Record each first execution in the client table (retransmitted
    requests are answered from it).  [log] persists the new rows;
@@ -546,7 +487,7 @@ let rec on_message t ctx ~src msg =
   match t.byz with
   | Silent -> ()
   | _ -> (
-      Engine.charge ctx (Cost_model.Tally.note "mac" Cost_model.message_auth_check);
+      Priced.mac ctx;
       match msg with
       | Types.Request r -> on_request t ctx r
       | Types.Pre_prepare { seq; view; reqs } -> on_pre_prepare t ctx ~seq ~view ~reqs
@@ -579,7 +520,7 @@ and on_request t ctx (r : Types.request) =
   Intake.on_request t.intake ctx (keys t) r ~primary:(is_primary t)
     ~reply:(fun (ce : Intake.row) ->
       (* Answer retransmissions of already-executed operations directly. *)
-      Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+      Priced.rsa_sign ctx;
       send t ctx ~dst:r.client
         (Types.Reply
            {
@@ -643,7 +584,7 @@ and propose_block t ctx batch =
   let batch = List.length reqs in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
+  Priced.hash ctx (Types.requests_bytes reqs);
   trace t ctx "send:pre-prepare" (fun () ->
       Printf.sprintf "seq=%d view=%d batch=%d" seq t.view batch);
   (match t.byz with
@@ -674,10 +615,8 @@ and on_pre_prepare t ctx ~seq ~view ~reqs =
     (* Authenticate the client operations (null/view-change fillers are
        locally constructed and carry no signature). *)
     let real_reqs = List.filter (fun (r : Types.request) -> r.client >= 0) reqs in
-    Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real_reqs * Cost_model.rsa_verify));
-    if List.for_all (fun r -> Keys.verify_request (keys t) r) real_reqs then begin
-      Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-      let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
+    if Priced.verify_requests ctx (keys t) real_reqs then begin
+      let h = Priced.block_hash ctx (keys t) ~seq ~view ~reqs in
       sl.pp <- Some (view, reqs, h);
       sl.pp_at <- Engine.ctx_now ctx;
       List.iter (Intake.mark_outstanding t.intake) real_reqs;
@@ -804,7 +743,7 @@ and on_commit_proof t ctx ~seq ~view cert =
   if sl.committed = None then begin
     match sl.pp with
     | Some (v, reqs, h) when Int.equal v view ->
-        if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view ~h cert
+        if Priced.verify_cert ctx (keys t) ~h cert then commit t ctx sl ~reqs ~view ~h cert
     | _ ->
         (* Proof before block: stash it and fetch the block. *)
         (match cert with
@@ -835,22 +774,20 @@ and on_prepare t ctx ~seq ~view ~tau =
     if sl.prepare_tau = None then begin
       match sl.pp with
       | Some (v, reqs, h) when Int.equal v view ->
-          Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-          if Threshold.verify_h (keys t).Keys.tau ~h:(Keys.hash_to_field (keys t) h) tau
-          then begin
+          if Priced.verify ctx (keys t) (keys t).Keys.tau ~msg:h tau then begin
             sl.prepare_tau <- Some tau;
             note_prepared sl (Types.Slow_prepared { tau; view; reqs });
             wal_log t ctx
               (Sbft_store.Wal.Accepted_prepare
                  { seq; view; tau = Threshold.signature_bytes tau });
             wal_sync t ctx;
-            Engine.charge ctx (Cost_model.Tally.note "share_sign" Cost_model.bls_share_sign);
+            let share =
+              Priced.sign_share ctx (keys t) t.my.Keys.tau_sk ~msg:(Types.tau2_message tau)
+            in
             let share =
               match t.byz with
               | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
-              | _ ->
-                  Threshold.share_sign_h t.my.Keys.tau_sk
-                    ~h:(Keys.hash_to_field (keys t) (Types.tau2_message tau))
+              | _ -> share
             in
             let collectors = Collectors.slow_path_collectors (keys t) ~view ~seq in
             List.iter
@@ -934,7 +871,7 @@ and commit t ctx sl ~reqs ~view ~h cert =
         cert = stored_cert cert;
       }
     in
-    Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Sbft_store.Block_store.entry_size entry)));
+    Priced.persist ctx (Sbft_store.Block_store.entry_size entry);
     Sbft_store.Block_store.add t.blocks entry;
     wal_log t ctx (Sbft_store.Wal.Commit_cert { seq = sl.seq; view; fast });
     (* Fast-path checkpointing rule (§V-F). *)
@@ -973,7 +910,6 @@ and try_execute t ctx =
            only at checkpoint boundaries. *)
         if config.Config.execution_acks || next mod Config.checkpoint_interval config = 0
         then begin
-          Engine.charge ctx (Cost_model.Tally.note "share_sign" Cost_model.bls_share_sign);
           (* A Byzantine replica may announce a bogus digest — its share
              is then a valid signature on the wrong message and lands in
              a separate bucket at the collector. *)
@@ -983,11 +919,13 @@ and try_execute t ctx =
             | _ -> digest
           in
           let share =
+            Priced.sign_share ctx (keys t) t.my.Keys.pi_sk
+              ~msg:(Types.pi_message ~seq:next ~digest)
+          in
+          let share =
             match t.byz with
             | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
-            | _ ->
-                Threshold.share_sign_h t.my.Keys.pi_sk
-                  ~h:(Keys.hash_to_field (keys t) (Types.pi_message ~seq:next ~digest))
+            | _ -> share
           in
           List.iter
             (fun e ->
@@ -1014,7 +952,7 @@ and try_execute t ctx =
                 (* Direct replies are signed server messages ([31]);
                    this per-request signing cost is exactly what
                    ingredient 3 removes. *)
-                Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+                Priced.rsa_sign ctx;
                 send t ctx ~dst:r.client
                   (Types.Reply
                      {
@@ -1115,7 +1053,7 @@ and maybe_send_acks t ctx sl =
                   Sbft_store.Auth_store.output_at t.store ~seq:sl.seq ~index )
               with
               | Some proof, Some value ->
-                  Engine.charge ctx (Cost_model.Tally.note "merkle" (Cost_model.merkle_prove (List.length reqs)));
+                  Priced.merkle_prove ctx ~leaves:(List.length reqs);
                   send t ctx ~dst:r.client
                     (Types.Execute_ack
                        {
@@ -1136,11 +1074,7 @@ and maybe_send_acks t ctx sl =
   end
 
 and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
-  Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-  if
-    Threshold.verify_h (keys t).Keys.pi
-      ~h:(Keys.hash_to_field (keys t) (Types.pi_message ~seq ~digest))
-      pi
+  if Priced.verify ctx (keys t) (keys t).Keys.pi ~msg:(Types.pi_message ~seq ~digest) pi
   then begin
     Hashtbl.replace t.checkpoint_pis seq (pi, digest);
     Option.iter release_pi_shares (Hashtbl.find_opt t.slots seq);
@@ -1192,7 +1126,7 @@ and on_query t ctx ~client ~qid ~query =
     -> (
       match Sbft_store.Auth_store.prove_query t.store ~key:query with
       | Some (value, proof) ->
-          Engine.charge ctx (Cost_model.Tally.note "merkle" (Cost_model.merkle_prove 16));
+          Priced.merkle_prove ctx ~leaves:16;
           send t ctx ~dst:client
             (Types.Query_resp { client; qid; seq; digest; pi; value; proof })
       | None -> ())
@@ -1213,8 +1147,7 @@ and on_get_block t ctx ~seq ~replica =
 and on_block_resp t ctx ~seq ~view ~reqs =
   let sl = slot t seq in
   if sl.pp = None then begin
-    Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
-    let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
+    let h = Priced.block_hash ctx (keys t) ~seq ~view ~reqs in
     sl.pp <- Some (view, reqs, h);
     try_pending_proofs t ctx sl
   end
@@ -1372,7 +1305,7 @@ and adopt_block_suffix t ctx blocks =
         let sl = slot t s in
         if sl.committed = None then begin
           let h = Keys.block_hash (keys t) ~seq:s ~view ~reqs in
-          if cert_verifies t ctx ~h cert then commit t ctx sl ~reqs ~view ~h cert
+          if Priced.verify_cert ctx (keys t) ~h cert then commit t ctx sl ~reqs ~view ~h cert
           else ok := false
         end
         else try_execute t ctx
@@ -1405,10 +1338,9 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
       state_transfer_settle t ctx ~ok
   end
   else if snap_seq > last_executed t then begin
-    Engine.charge ctx (Cost_model.Tally.note "proof_verify" Cost_model.bls_verify);
-    if Threshold.verify (keys t).Keys.pi ~msg:(Types.pi_message ~seq:snap_seq ~digest) pi
+    if Priced.verify ctx (keys t) (keys t).Keys.pi ~msg:(Types.pi_message ~seq:snap_seq ~digest) pi
     then begin
-      Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (String.length snapshot)));
+      Priced.hash ctx (String.length snapshot);
       (* Stage-then-swap: the snapshot is parsed and digest-checked in
          scratch storage and installed only when it matches the
          π-certified digest, so a corrupt payload can never clobber the
@@ -1431,9 +1363,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
              WAL records the certificate + rows. *)
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:snap_seq
             ~snapshot:(lazy snapshot) ~table;
-          Engine.charge ctx
-            (Cost_model.Tally.note "persist"
-               (Cost_model.persist_block (String.length snapshot)));
+          Priced.persist ctx (String.length snapshot);
           wal_log t ctx
             (Sbft_store.Wal.Stable_checkpoint
                { seq = snap_seq; digest; pi = Threshold.signature_bytes pi });
@@ -1491,7 +1421,7 @@ and start_view_change t ctx ~target_view =
     t.failures_observed <- true;
     trace t ctx "view-change" (fun () -> Printf.sprintf "to=%d" target_view);
     let vc = { (build_view_change t) with Types.vc_view = target_view - 1 } in
-    Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+    Priced.rsa_sign ctx;
     (* The vote is a promise not to help the old view: persist it
        before anyone can count it. *)
     wal_log t ctx (Sbft_store.Wal.View_change_started target_view);
@@ -1529,7 +1459,7 @@ and on_view_change t ctx (vc : Types.view_change) =
     | _ -> ()
   end
   else begin
-    Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
+    Priced.rsa_verify ctx;
     let tbl =
       match Hashtbl.find_opt t.vc_msgs target with
       | Some tbl -> tbl
@@ -1557,8 +1487,7 @@ and on_view_change t ctx (vc : Types.view_change) =
            primary keeps must not depend on Hashtbl iteration order. *)
         let msgs = List.map snd (Det.sorted_bindings ~compare:Int.compare tbl) in
         (* Validate, keep a quorum of valid messages. *)
-        Engine.charge ctx (Cost_model.Tally.note "proof_verify" (List.length msgs * Cost_model.bls_verify));
-        let valid = List.filter (View_change.validate_message ~keys:(keys t)) msgs in
+        let valid = Priced.validate_view_changes ctx (keys t) msgs in
         if List.length valid >= Config.quorum_vc config then begin
           let quorum = List.filteri (fun i _ -> i < Config.quorum_vc config) valid in
           Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length quorum);
@@ -1584,8 +1513,7 @@ and on_new_view t ctx ~view ~proofs =
   if view > t.view then begin
     (* Every replica validates the proofs and recomputes the safe values
        for itself; the new-view message is self-certifying. *)
-    Engine.charge ctx (Cost_model.Tally.note "proof_verify" (List.length proofs * (2 * Cost_model.bls_verify)));
-    let valid = List.filter (View_change.validate_message ~keys:(keys t)) proofs in
+    let valid = Priced.validate_new_view ctx (keys t) proofs in
     if List.length valid >= Config.quorum_vc config then begin
       Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length valid);
       let ls, decisions = View_change.compute ~keys:(keys t) ~new_view:view valid in
@@ -1712,8 +1640,7 @@ let recover t ctx =
   | Some { Sbft_store.Block_store.cp_seq; cp_snapshot; cp_table } when cp_seq > 0
     -> (
       let snapshot = Lazy.force cp_snapshot in
-      Engine.charge ctx
-        (Cost_model.Tally.note "hash" (Cost_model.sha256 (String.length snapshot)));
+      Priced.hash ctx (String.length snapshot);
       match Sbft_store.Auth_store.load_snapshot t.store snapshot with
       | Ok () ->
           Sanitizer.record_state_transfer t.san ~seq:cp_seq;
@@ -1852,7 +1779,7 @@ let recover t ctx =
        rejoining replica.  Without this, a replica that slept through a
        view change and returns to an idle cluster would wait in its old
        view forever (state transfer moves data, not views). *)
-    Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+    Priced.rsa_sign ctx;
     let probe = { (build_view_change t) with Types.vc_view = t.view - 1 } in
     broadcast_replicas t ctx (Types.View_change probe)
   end;

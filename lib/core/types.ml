@@ -133,11 +133,6 @@ let request_size r = 16 + String.length r.op + Pki.signature_size + 4
 
 let requests_bytes reqs = List.fold_left (fun acc r -> acc + request_size r) 0 reqs
 
-let exec_charge store ~exec_cost ~seq reqs =
-  Sbft_store.Auth_store.exec_charge store ~seq
-    ~ops:(List.map (fun r -> r.op) reqs)
-    (fun () -> exec_cost reqs)
-
 let header = 24 (* type tag, seq, view, sender *)
 let sig_size = Threshold.signature_size
 let share_size = Threshold.share_size

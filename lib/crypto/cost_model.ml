@@ -74,17 +74,9 @@ let evm_execute_tx = us_f 1190.
 let message_auth_check = us_f 2.
 
 (* ------------------------------------------------------------------ *)
-(* Per-operation accounting for the benchmark regression harness.
-
-   [Tally.note label t] records [t] virtual nanoseconds against [label]
-   and returns [t], so charge sites wrap in place:
-
-     Engine.charge ctx (Cost_model.Tally.note "combine" (bls_combine k))
-
-   The table is host-global diagnostic state: it is written during runs
-   and read only by the harness between runs, never by protocol code,
-   so it cannot influence simulated behaviour (same argument as the
-   scenario logger's host_seconds). *)
+(* Per-operation accounting: host-global diagnostic state, written by
+   the charges in Sbft_core.Priced and read only by the harness between
+   runs, so it cannot influence simulated behaviour. *)
 
 module Tally = struct
   let table : (string, int) Hashtbl.t = Hashtbl.create 32

@@ -1,10 +1,11 @@
 (** CPU cost model for cryptographic and storage operations.
 
     The simulator charges these times on a node's CPU whenever protocol
-    code performs the corresponding operation, reproducing the
-    computational bottlenecks of the paper's testbed (32-VCPU Intel
-    Broadwell E5-2686v4 @ 2.3 GHz).  Constants follow published
-    measurements for the primitives the paper uses:
+    code performs the corresponding operation (through
+    [Sbft_core.Priced]), reproducing the computational bottlenecks of
+    the paper's testbed (32-VCPU Intel Broadwell E5-2686v4 @ 2.3 GHz).
+    Constants follow published measurements for the primitives the
+    paper uses:
 
     - BLS on BN-P254 via RELIC (Beuchat et al. 2010; paper §VIII): a G1
       exponentiation ≈ 0.2 ms, a pairing ≈ 0.5 ms, so share signing (1
@@ -91,14 +92,14 @@ val evm_execute_tx : time
 
 val message_auth_check : time
 (** Point-to-point channel authentication check per message (TLS record
-    MAC), charged by the network receive path indirectly. *)
+    MAC), charged on each SBFT replica's receipt. *)
 
 (** Per-operation accounting of charged virtual CPU, for the benchmark
     regression harness's per-crypto-op breakdown.  Host-side diagnostic
-    state only: written as charges happen, read by the harness between
-    runs, never consulted by protocol code (so replay determinism is
-    unaffected).  Disabled until the first {!Tally.reset}, so ordinary
-    runs pay no accounting cost. *)
+    state only: written as [Sbft_core.Priced] charges, read by the
+    harness between runs, never consulted by protocol code (so replay
+    determinism is unaffected).  Disabled until the first {!Tally.reset},
+    so ordinary runs pay no accounting cost. *)
 module Tally : sig
   val reset : unit -> unit
   (** Clear all counters and enable collection. *)

@@ -1,11 +1,11 @@
 open Sbft_sim
-open Sbft_crypto
 module Types = Sbft_core.Types
 module Config = Sbft_core.Config
 module Keys = Sbft_core.Keys
 module Batching = Sbft_core.Batching
 module Intake = Sbft_core.Intake
 module Votes = Sbft_core.Votes
+module Priced = Sbft_core.Priced
 
 type env = {
   engine : Engine.t;
@@ -126,7 +126,7 @@ let retire t = t.retired <- true
 (* All-to-all broadcast with one RSA signature by the sender; every
    receiver pays one verification (charged on receipt). *)
 let broadcast t ctx msg =
-  Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+  Priced.rsa_sign ctx;
   for r = 0 to n_replicas t - 1 do
     send t ctx ~dst:r msg
   done
@@ -140,32 +140,25 @@ let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
 
 let rec on_message t ctx ~src msg =
+  (* Replica-to-replica messages carry the sender's signature. *)
+  (match msg with
+  | Pbft_types.Request _ | Pbft_types.Reply _ -> ()
+  | _ -> Priced.rsa_verify ctx);
   match msg with
   | Pbft_types.Request r -> on_request t ctx r
-  | Pbft_types.Pre_prepare { seq; view; reqs } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_pre_prepare t ctx ~src ~seq ~view ~reqs
-  | Pbft_types.Prepare { seq; view; h; replica } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_prepare t ctx ~seq ~view ~h ~replica
-  | Pbft_types.Commit { seq; view; h; replica } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_commit t ctx ~seq ~view ~h ~replica
-  | Pbft_types.Checkpoint { seq; digest; replica } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_checkpoint t ctx ~seq ~digest ~replica
+  | Pbft_types.Pre_prepare { seq; view; reqs } -> on_pre_prepare t ctx ~src ~seq ~view ~reqs
+  | Pbft_types.Prepare { seq; view; h; replica } -> on_prepare t ctx ~seq ~view ~h ~replica
+  | Pbft_types.Commit { seq; view; h; replica } -> on_commit t ctx ~seq ~view ~h ~replica
+  | Pbft_types.Checkpoint { seq; digest; replica } -> on_checkpoint t ctx ~seq ~digest ~replica
   | Pbft_types.View_change { view; ls; prepared; replica } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
       on_view_change t ctx ~view ~ls ~prepared ~replica
-  | Pbft_types.New_view { view; pre_prepares } ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_verify" Cost_model.rsa_verify);
-      on_new_view t ctx ~view ~pre_prepares
+  | Pbft_types.New_view { view; pre_prepares } -> on_new_view t ctx ~view ~pre_prepares
   | Pbft_types.Reply _ -> ()
 
 and on_request t ctx (r : Types.request) =
   Intake.on_request t.intake ctx t.env.keys r ~primary:(is_primary t)
     ~reply:(fun (ce : Intake.row) ->
-      Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+      Priced.rsa_sign ctx;
       send t ctx ~dst:r.Types.client
         (Pbft_types.Reply
            {
@@ -223,7 +216,7 @@ and propose t ctx batch =
     let reqs = Intake.take t.intake batch in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
+    Priced.hash ctx (Types.requests_bytes reqs);
     trace t ctx "send:pre-prepare" (fun () -> Printf.sprintf "seq=%d batch=%d" seq batch);
     broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
   end
@@ -246,14 +239,13 @@ and on_pre_prepare t ctx ~src ~seq ~view ~reqs =
     && seq <= t.ls + config.Config.win
   then begin
     let real = List.filter (fun (r : Types.request) -> r.Types.client >= 0) reqs in
-    Engine.charge ctx (Cost_model.Tally.note "rsa_verify" (List.length real * Cost_model.rsa_verify));
-    if List.for_all (fun r -> Keys.verify_request t.env.keys r) real then begin
+    if Priced.verify_requests ctx t.env.keys real then begin
       if ahead then sl.ahead <- Some (view, reqs) else accept_pre_prepare t ctx sl ~view ~reqs
     end
   end
 
 and accept_pre_prepare t ctx sl ~view ~reqs =
-  Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 (Types.requests_bytes reqs)));
+  Priced.hash ctx (Types.requests_bytes reqs);
   let h = Pbft_types.block_hash t.env.keys ~seq:sl.seq ~view ~reqs in
   sl.pp <- Some (view, reqs, h);
   List.iter
@@ -317,7 +309,7 @@ and check_committed t ctx sl =
       Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest;
       sl.committed <- Some reqs;
       Intake.note_progress t.intake ctx;
-      Engine.charge ctx (Cost_model.Tally.note "persist" (Cost_model.persist_block (Types.requests_bytes reqs)));
+      Priced.persist ctx (Types.requests_bytes reqs);
       trace t ctx "commit" (fun () -> Printf.sprintf "seq=%d" sl.seq);
       try_execute t ctx;
       if is_primary t then try_propose t ctx
@@ -332,11 +324,8 @@ and try_execute t ctx =
     | Some ({ committed = Some reqs; executed = false; _ } as sl) ->
         Sanitizer.record_execute t.san ~seq:next;
         sl.executed <- true;
-        Engine.charge ctx
-          (Cost_model.Tally.note "exec"
-             (Types.exec_charge t.store ~exec_cost:t.env.exec_cost ~seq:next reqs));
         let outputs =
-          Sbft_store.Auth_store.execute_block t.store ~seq:next
+          Priced.execute ctx t.store ~exec_cost:t.env.exec_cost ~seq:next reqs
             ~ops:(Intake.exec_ops t.intake reqs)
         in
         Intake.note_progress t.intake ctx;
@@ -345,7 +334,7 @@ and try_execute t ctx =
           (fun ((r : Types.request), value) ->
             Intake.clear_outstanding t.intake r;
             if r.Types.client >= 0 then begin
-              Engine.charge ctx (Cost_model.Tally.note "rsa_sign" Cost_model.rsa_sign);
+              Priced.rsa_sign ctx;
               send t ctx ~dst:r.Types.client
                 (Pbft_types.Reply
                    {
@@ -361,7 +350,7 @@ and try_execute t ctx =
         (* Periodic checkpoint: all-to-all digest votes (the quadratic
            protocol SBFT's ingredient 3 replaces). *)
         if next mod Config.checkpoint_interval config = 0 then begin
-          Engine.charge ctx (Cost_model.Tally.note "hash" (Cost_model.sha256 64));
+          Priced.hash ctx 64;
           broadcast t ctx
             (Pbft_types.Checkpoint
                { seq = next; digest = state_digest t; replica = t.id })

@@ -9,7 +9,7 @@
     their {!frame}s; the byte image is built only when something reads
     the log ([replay], [corrupt_tail], or a rewrite of a torn log).
 
-    Pure storage — no simulator dependency.  Callers charge
+    Pure storage — no simulator dependency.  [Sbft_core.Priced] charges
     [Cost_model.wal_append] per appended byte count and
     [Cost_model.wal_fsync] per effective [sync]. *)
 

@@ -458,8 +458,7 @@ let test_collector_memo () =
    by the executed ops would hand the second block the first one's
    charge. *)
 let test_exec_charge_exact () =
-  let store = Sbft_store.Kv_service.create () in
-  Sbft_store.Auth_store.set_cache store (Sbft_store.Auth_store.new_cache ());
+  let cache = Sbft_store.Auth_store.new_cache () in
   let calls = ref 0 in
   let exec_cost reqs =
     incr calls;
@@ -473,7 +472,19 @@ let test_exec_charge_exact () =
   in
   let duplicate = [ { (req op) with Types.client = 5 } ] in
   let filler = [ View_change.null_request ] in
-  let charge reqs = Types.exec_charge store ~exec_cost ~seq:7 reqs in
+  (* The CPU [Priced.execute] charges for block [seq] of a fresh store
+     on the shared cache, each block executing as the no-op "". *)
+  let charge ?(seq = 1) reqs =
+    let store = Sbft_store.Kv_service.create () in
+    Sbft_store.Auth_store.set_cache store cache;
+    for s = 1 to seq - 1 do
+      ignore (Sbft_store.Auth_store.execute_block store ~seq:s ~ops:[ "" ])
+    done;
+    let engine = Sbft_sim.Engine.create ~num_nodes:1 ~seed:1L () in
+    in_handler engine ~at:0 (fun ctx ->
+        ignore (Priced.execute ctx store ~exec_cost ~seq reqs ~ops:[ "" ]);
+        Sbft_sim.Engine.ctx_now ctx)
+  in
   let expect reqs = Cluster.kv_service.Cluster.exec_cost reqs in
   check "charges differ" false (Int.equal (expect duplicate) (expect filler));
   check_int "duplicate-request block" (expect duplicate) (charge duplicate);
@@ -481,8 +492,7 @@ let test_exec_charge_exact () =
   check_int "each computed once" 2 !calls;
   check_int "memo hit" (expect duplicate) (charge duplicate);
   check_int "no recompute on a hit" 2 !calls;
-  check_int "other seq misses" (expect duplicate)
-    (Types.exec_charge store ~exec_cost ~seq:8 duplicate);
+  check_int "other seq misses" (expect duplicate) (charge ~seq:2 duplicate);
   check_int "computed for the new seq" 3 !calls
 
 (* Two blocks at one (seq, pre-state root) whose ops differ only by a
@@ -641,6 +651,175 @@ let agreement_prop =
            ~state_digest:snd replicas
          = pairwise_agreement replicas))
 
+(* ------------------------------------------------------------------ *)
+(* Priced: the price table *)
+
+module CM = Sbft_crypto.Cost_model
+module Th = Sbft_crypto.Threshold
+
+(* The CPU time [run] charges alone in a handler on a fresh node at
+   [cpu_scale = scale], with the Tally just reset. *)
+let charged_by ?(scale = 1.0) run =
+  let engine = Sbft_sim.Engine.create ~num_nodes:1 ~seed:1L () in
+  Sbft_sim.Engine.set_cpu_scale engine 0 scale;
+  CM.Tally.reset ();
+  in_handler engine ~at:0 (fun ctx ->
+      run ctx;
+      Sbft_sim.Engine.ctx_now ctx)
+
+let tally = Alcotest.(check (list (pair string int)))
+
+(* A replica-side row: the labels it grows and by how much; the time
+   charged is their sum. *)
+let price_row (name, labels, run) =
+  let charged = charged_by run in
+  check_int (name ^ ": time charged") (List.fold_left (fun acc (_, t) -> acc + t) 0 labels) charged;
+  tally (name ^ ": tally") labels (CM.Tally.snapshot ())
+
+(* A client-side row: [price] charged, no label grown. *)
+let untallied (name, price, run) =
+  check_int (name ^ ": time charged") price (charged_by run);
+  tally (name ^ ": no label") [] (CM.Tally.snapshot ())
+
+(* A fresh n = 4 (f = 1, c = 0) cluster's keys: no memo is warm.  The
+   seed is fixed, so every call deals the same key material. *)
+let price_keys ?(config = Config.sbft ~f:1 ~c:0) () =
+  Keys.setup (Sbft_sim.Rng.create 5L) ~config ~num_clients:1
+
+let all_shares (rk : Keys.replica_keys array) sk ~msg =
+  Array.to_list (Array.map (fun r -> Th.share_sign (sk r) ~msg) rk)
+
+let tau_sk (r : Keys.replica_keys) = r.Keys.tau_sk
+
+(* A τ combine (k = 3) of all four replicas' shares on a fresh cluster,
+   after [warm] combined them once, or with signer 1's share forged. *)
+let combine ?config ?(group = false) ?(warm = false) ?(forge = false) ctx =
+  let keys, rk, _ = price_keys ?config () in
+  let shares = all_shares rk tau_sk ~msg:"m" in
+  if warm then ignore (Th.combine_verified keys.Keys.tau ~msg:"m" shares);
+  let shares =
+    if forge then Th.forge_invalid_share ~signer:1 :: List.tl shares else shares
+  in
+  let k = Config.tau_threshold keys.Keys.config in
+  ignore (Priced.combine ctx keys keys.Keys.tau ~k ~group ~msg:"m" shares)
+
+let test_price_table () =
+  let keys, rk, clients = price_keys () in
+  let signed i =
+    let client = Config.n keys.Keys.config in
+    let r = { Types.client; timestamp = i; op = "op"; signature = "" } in
+    { r with signature = Sbft_crypto.Pki.sign clients.(0) (Types.request_digest r) }
+  in
+  let reqs = [ signed 1; signed 2; signed 3 ] in
+  let sign scheme sk msg = Option.get (Th.combine scheme ~msg (all_shares rk sk ~msg)) in
+  let h = "block" in
+  let sigma_h = sign keys.Keys.sigma (fun r -> r.Keys.sigma_sk) h in
+  let tau_h = sign keys.Keys.tau tau_sk h in
+  let tau_tau = sign keys.Keys.tau tau_sk (Types.tau2_message tau_h) in
+  let pi = sign keys.Keys.pi (fun r -> r.Keys.pi_sk) (Types.pi_message ~seq:1 ~digest:"d") in
+  let vc = { Types.vc_replica = 0; vc_view = 0; vc_ls = 0; vc_checkpoint = None; vc_slots = [] } in
+  let record = Sbft_store.Wal.View_change_started 3 in
+  let k = 3 in
+  List.iter price_row
+    [
+      ( "sign_block", [ ("share_sign", 2 * CM.bls_share_sign) ],
+        fun ctx -> ignore (Priced.sign_block ctx keys rk.(0) ~h) );
+      ( "sign_share", [ ("share_sign", CM.bls_share_sign) ],
+        fun ctx -> ignore (Priced.sign_share ctx keys rk.(0).Keys.pi_sk ~msg:h) );
+      ( "combine", [ ("combine", CM.bls_combine k); ("combined_verify", CM.bls_verify) ],
+        fun ctx -> combine ctx );
+      ( "combine, memoized coefficients",
+        [ ("combine", CM.bls_combine_cached k); ("combined_verify", CM.bls_verify) ],
+        fun ctx -> combine ~warm:true ctx );
+      ( "combine, group pricing",
+        [ ("combine", CM.group_combine k); ("combined_verify", CM.bls_verify) ],
+        fun ctx -> combine ~group:true ctx );
+      (* Signer 1's bad share fails the combined check: four fresh share
+         checks, then a second combine over signers 2-4. *)
+      ( "combine, fallback",
+        [
+          ("combine", 2 * CM.bls_combine k);
+          ("combined_verify", CM.bls_verify);
+          ("share_identify", CM.bls_identify 4);
+        ],
+        fun ctx -> combine ~forge:true ctx );
+      ( "combine, pessimistic",
+        [ ("combine", CM.bls_combine k); ("share_batch_verify", CM.bls_batch_verify k) ],
+        fun ctx ->
+          combine ~config:{ (Config.sbft ~f:1 ~c:0) with Config.optimistic_combine = false } ctx );
+      ( "verify", [ ("proof_verify", CM.bls_verify) ],
+        fun ctx -> check "verifies" true (Priced.verify ctx keys keys.Keys.tau ~msg:h tau_h) );
+      ( "verify_cert, fast", [ ("proof_verify", CM.bls_verify) ],
+        fun ctx ->
+          check "verifies" true (Priced.verify_cert ctx keys ~h (Types.Cert_fast sigma_h)) );
+      ( "verify_cert, slow", [ ("proof_verify", 2 * CM.bls_verify) ],
+        fun ctx ->
+          check "verifies" true
+            (Priced.verify_cert ctx keys ~h (Types.Cert_slow (tau_h, tau_tau))) );
+      ( "validate_view_changes", [ ("proof_verify", 2 * CM.bls_verify) ],
+        fun ctx -> ignore (Priced.validate_view_changes ctx keys [ vc; vc ]) );
+      ( "validate_new_view", [ ("proof_verify", 2 * 2 * CM.bls_verify) ],
+        fun ctx -> ignore (Priced.validate_new_view ctx keys [ vc; vc ]) );
+      ( "verify_requests", [ ("rsa_verify", 3 * CM.rsa_verify) ],
+        fun ctx -> check "verified" true (Priced.verify_requests ctx keys reqs) );
+      ( "block_hash", [ ("hash", CM.sha256 (Types.requests_bytes reqs)) ],
+        fun ctx -> ignore (Priced.block_hash ctx keys ~seq:1 ~view:0 ~reqs) );
+      ("hash", [ ("hash", CM.sha256 100) ], fun ctx -> Priced.hash ctx 100);
+      ("rsa_sign", [ ("rsa_sign", CM.rsa_sign) ], Priced.rsa_sign);
+      ("rsa_verify", [ ("rsa_verify", CM.rsa_verify) ], Priced.rsa_verify);
+      ("mac", [ ("mac", CM.message_auth_check) ], Priced.mac);
+      ( "merkle_prove", [ ("merkle", CM.merkle_prove 64) ],
+        fun ctx -> Priced.merkle_prove ctx ~leaves:64 );
+      ( "execute", [ ("exec", 12_345) ],
+        fun ctx ->
+          ignore
+            (Priced.execute ctx (Sbft_store.Kv_service.create ()) ~exec_cost:(fun _ -> 12_345)
+               ~seq:1 reqs ~ops:[ ""; ""; "" ]) );
+      ("persist", [ ("persist", CM.persist_block 1000) ], fun ctx -> Priced.persist ctx 1000);
+      ( "wal_append",
+        [ ("wal_append", CM.wal_append (String.length (Sbft_store.Wal.frame record))) ],
+        fun ctx -> Priced.wal_append ctx (Sbft_store.Wal.create ()) record );
+      ( "wal_fsync", [ ("wal_fsync", CM.wal_fsync_scaled ~scale:3.0) ],
+        fun ctx ->
+          let wal = Sbft_store.Wal.create () in
+          ignore (Sbft_store.Wal.append wal record);
+          Priced.wal_fsync ctx wal ~scale:3.0 );
+      ( "wal_fsync, clean log", [],
+        fun ctx -> Priced.wal_fsync ctx (Sbft_store.Wal.create ()) ~scale:1.0 );
+    ];
+  List.iter untallied
+    [
+      ( "sign_request", CM.rsa_sign,
+        fun ctx ->
+          let unsigned = { (signed 9) with Types.signature = "" } in
+          let r = Priced.sign_request ctx keys clients.(0) unsigned in
+          check "signed" true (Keys.verify_request keys r) );
+      ("verify_reply", CM.rsa_verify, Priced.verify_reply);
+      ( "verify_execute_ack", CM.bls_verify + CM.merkle_verify 10,
+        fun ctx ->
+          ignore
+            (Priced.verify_execute_ack ctx keys ~seq:1 ~index:0 ~op:"op" ~value:"v" ~digest:"d"
+               ~pi ~proof:"") );
+      ( "verify_query_resp", CM.bls_verify + CM.merkle_verify 16,
+        fun ctx ->
+          ignore
+            (Priced.verify_query_resp ctx keys ~seq:1 ~key:"k" ~value:"v" ~digest:"d" ~pi
+               ~proof:"") );
+    ]
+
+(* At [cpu_scale = 1.5] each charge is scaled and rounded down on its
+   own, and the Tally keeps the unscaled price. *)
+let test_price_rounding () =
+  check_int "sha256 of one byte" 503 (CM.sha256 1);
+  check_int "754.5 rounds down" 754 (charged_by ~scale:1.5 (fun ctx -> Priced.hash ctx 1));
+  tally "tally unscaled" [ ("hash", 503) ] (CM.Tally.snapshot ());
+  let keys, _, _ = price_keys () in
+  check_int "client ack: 1.5 ms + 9 us" 1_509_000
+    (charged_by ~scale:1.5 (fun ctx ->
+         ignore
+           (Priced.verify_execute_ack ctx keys ~seq:1 ~index:0 ~op:"op" ~value:"v" ~digest:"d"
+              ~pi:Sbft_crypto.Field.one ~proof:"")))
+
 let () =
   Alcotest.run "sbft_core_units"
     [
@@ -687,6 +866,11 @@ let () =
           Alcotest.test_case "exec cache exact" `Quick test_exec_cache_exact;
           Alcotest.test_case "exec cache takers" `Quick test_exec_cache_takers;
           Alcotest.test_case "exec cache gc" `Quick test_exec_cache_gc;
+        ] );
+      ( "priced",
+        [
+          Alcotest.test_case "price table" `Quick test_price_table;
+          Alcotest.test_case "per-call rounding" `Quick test_price_rounding;
         ] );
       ("votes", [ votes_prop ]);
       ("agreement", [ agreement_prop ]);

@@ -4,7 +4,8 @@
    unit tests for the R12 symbolic extractor and bounded-enumeration
    prover; the lint_fixtures/ corpus golden-diffed against
    expected.txt; and mutation self-checks over the real sources
-   proving R9 (delete a wal_sync), R10 (delete a charge), R11 (disable
+   proving R9 (delete a wal_sync), R10 (a raw primitive in a replica
+   handler, a charge deleted from the priced layer), R11 (disable
    a pacing guard), R12 (weaken quorum_vc), R13 (drop the timer-wrapper
    guard), R14 (drop a check_quorum) and R15 (wildcard a size case) are
    load-bearing. *)
@@ -473,14 +474,16 @@ let test_fixture_golden () =
 
 (* ------------------------------------------------------------------ *)
 (* Mutation self-checks against the real replica implementation: the
-   acceptance bar for R9-R11 is that deleting one wal_sync, one charge,
-   or one pacing guard makes the lint fail at the exact site.  The
+   acceptance bar for R9-R11 is that deleting one wal_sync or one pacing
+   guard, calling one raw primitive from a handler, or deleting one
+   charge from the priced layer makes the lint fail at the exact site.  The
    allowlist is applied so the checks prove a *new* finding appears,
    not that vetted ones exist.  (A mutation shifts line numbers below
    the edit, so line-pinned allow entries there go stale; the checks
    therefore assert presence of the expected finding, not counts.) *)
 
 let replica_path = "../lib/core/replica.ml"
+let priced_path = "../lib/core/priced.ml"
 let config_path = "../lib/core/config.ml"
 let types_path = "../lib/core/types.ml"
 
@@ -546,18 +549,31 @@ let test_mutation_r9_view_change () =
   Alcotest.(check bool) "R9 finding names View_change" true
     (has_finding ~rule:"R9" ~needle:"View_change" kept)
 
-(* R10: drop the wal_append charge inside wal_log, leaving the
-   Wal.append call unpriced. *)
-let test_mutation_r10_wal_append () =
+(* R10, handler half: verify π in a replica handler with the raw
+   primitive instead of the priced call. *)
+let test_mutation_r10_raw_verify () =
   let mutated =
-    mutate (Lint.read_file replica_path) ~after:"let wal_log t ctx record ="
-      ~needle:
-        "Engine.charge ctx (Cost_model.Tally.note \"wal_append\" (Cost_model.wal_append bytes))"
-      ~repl:"ignore bytes"
+    mutate (Lint.read_file replica_path) ~after:"and on_full_execute_proof"
+      ~needle:"Priced.verify ctx (keys t) (keys t).Keys.pi ~msg:(Types.pi_message ~seq ~digest) pi"
+      ~repl:
+        "Threshold.verify_h (keys t).Keys.pi\n\
+        \      ~h:(Keys.hash_to_field (keys t) (Types.pi_message ~seq ~digest)) pi"
   in
   let kept = lint_replica mutated in
-  Alcotest.(check bool) "R10 finding names Wal.append" true
-    (has_finding ~rule:"R10" ~needle:"Wal.append" kept)
+  Alcotest.(check bool) "R10 finding names Threshold.verify_h" true
+    (has_finding ~rule:"R10" ~needle:"Threshold.verify_h" kept)
+
+(* R10, layer half: delete the charge from Priced.verify, leaving the
+   verification it prices unpaid. *)
+let test_mutation_r10_priced_charge () =
+  let mutated =
+    mutate (Lint.read_file priced_path) ~after:"let verify ctx keys scheme ~msg s ="
+      ~needle:"Engine.charge ctx (Tally.note \"proof_verify\" Cost_model.bls_verify);"
+      ~repl:""
+  in
+  let kept = lint_real ~path:"lib/core/priced.ml" mutated in
+  Alcotest.(check bool) "R10 finding names the uncharged verify" true
+    (has_finding ~rule:"R10" ~needle:"priced function verify calls Threshold.verify_h" kept)
 
 (* R11: disable the per-requester pacing guard in on_get_state, turning
    Get_state floods back into State_resp floods. *)
@@ -676,8 +692,10 @@ let () =
           Alcotest.test_case "r9 sign-share" `Quick test_mutation_r9_sign_share;
           Alcotest.test_case "r9 view-change" `Quick
             test_mutation_r9_view_change;
-          Alcotest.test_case "r10 wal-append" `Quick
-            test_mutation_r10_wal_append;
+          Alcotest.test_case "r10 raw-verify" `Quick
+            test_mutation_r10_raw_verify;
+          Alcotest.test_case "r10 priced-charge" `Quick
+            test_mutation_r10_priced_charge;
           Alcotest.test_case "r11 get-state" `Quick
             test_mutation_r11_get_state;
           Alcotest.test_case "r12 weak-vc" `Quick test_mutation_r12_weak_vc;
