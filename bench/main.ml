@@ -83,12 +83,13 @@ let micro () =
       {
         seq = 1_000;
         view = 3;
-        ops =
+        reqs =
           List.init 5 (fun client ->
               {
                 Sbft_store.Block_store.client;
                 timestamp = 1;
                 op = Sbft_workload.Kv_workload.make_op ~batching:true ~client 0;
+                signature = "";
               });
       }
   in

@@ -37,8 +37,10 @@
        paired, in the same function, with a [Sanitizer.check_quorum]
        of the matching quorum kind.
    R15 no-wildcard tables: the wire-size/kind tables of msg-defining
-       files and the Cost_model price tables must stay exhaustive —
-       a wildcard case lets a new constructor ship unaccounted.
+       files and the price tables of lib/crypto/cost_model.ml must stay
+       exhaustive — a wildcard case lets a new constructor ship
+       unaccounted.  R9-R15 run on the handler scope; R15 alone also
+       runs on cost_model.ml.
 
    All of them are syntactic and deliberately strict on the shapes the
    protocol uses; vetted exceptions go through lint.allow like any
@@ -774,8 +776,12 @@ let table_cases (body : Parsetree.expression) =
   in
   if is_table then cases else []
 
+(* The price tables live here, outside the handler scope: R15 runs on
+   this file alone, where every top-level variant table is one. *)
+let cost_model_file path = String.equal path "lib/crypto/cost_model.ml"
+
 let r15 ~file structure =
-  let is_cost_model = String.equal (Filename.basename file) "cost_model.ml" in
+  let is_cost_model = cost_model_file file in
   let has_msg =
     match Msgflow.variant_constructors ~type_name:"msg" structure with [] -> false | _ -> true
   in
@@ -830,7 +836,9 @@ let check_file ~defs ~path ~mli_exists parsed =
   | Error parse_failure -> Lint.sort_findings (r5 @ [ parse_failure ])
   | Ok structure ->
       let protocol =
-        if Lint.handler_scope path then protocol_rules ~defs ~path structure else []
+        if Lint.handler_scope path then protocol_rules ~defs ~path structure
+        else if cost_model_file path then r15 ~file:path structure
+        else []
       in
       Lint.sort_findings (r5 @ Lint.lint_structure ~path structure @ protocol)
 

@@ -37,7 +37,10 @@
     - {b R15} — no wildcard cases in the wire-size/kind tables of
       msg-defining files or in the [Cost_model] price tables.
 
-    Scope: [lib/core/] and [lib/pbft/] ({!Lint.handler_scope}).
+    Scope: R9-R15 run on [lib/core/] and [lib/pbft/]
+    ({!Lint.handler_scope}); R15 alone also runs on
+    [lib/crypto/cost_model.ml], where every top-level variant table is
+    a price table.
     Findings use {!Lint.finding} so they share the allowlist, report,
     and exit-code machinery. *)
 
@@ -62,8 +65,8 @@ val check_file :
   Lint.finding list
 (** Every rule over one file, parsed once by {!Lint.parse} and
     attributed to [path] (normalized here): R5 from [mli_exists], the
-    parse finding or R1-R7, and, in scope, R9-R15 from one {!Msgflow}
-    summary.  Files that define thresholds get the definitional R12
+    parse finding or R1-R7, in the handler scope R9-R15 from one
+    {!Msgflow} summary, and R15 on [lib/crypto/cost_model.ml].  Files that define thresholds get the definitional R12
     checks; other in-scope files get the comparison-site, timer and
     sanitizer-coverage rules, resolved against [defs].  Findings are
     sorted by line, then rule. *)

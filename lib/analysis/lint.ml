@@ -46,8 +46,9 @@ let lib_scope = under [ "lib/" ]
 let rng_file path = String.equal path "lib/sim/rng.ml"
 let det_file path = String.equal path "lib/sim/det.ml"
 
-(* R6 and R9-R15 run over the message-handler layers only: the modules
-   that turn network input into protocol state. *)
+(* R6 and R9-R15 run over the message-handler layers: the modules that
+   turn network input into protocol state.  R15 also runs on the price
+   tables in lib/crypto/cost_model.ml. *)
 let handler_scope = under [ "lib/core/"; "lib/pbft/" ]
 
 (* ------------------------------------------------------------------ *)

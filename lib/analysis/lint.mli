@@ -78,7 +78,8 @@ val normalize : string -> string
     normalized paths. *)
 
 val handler_scope : string -> bool
-(** [lib/core/] and [lib/pbft/]: the scope of R6 and R9-R15. *)
+(** [lib/core/] and [lib/pbft/]: the scope of R6 and R9-R15 (R15 also
+    runs on [lib/crypto/cost_model.ml]). *)
 
 val contains_sub : string -> string -> bool
 (** [contains_sub s sub]: does [sub] occur in [s]? *)

@@ -54,6 +54,14 @@ module Block_memo = Memo (struct
     Int.equal s s' && Int.equal v v' && List.equal Request.equal reqs reqs'
 end)
 
+(* A message to its field point. *)
+module Point_memo = Memo (struct
+  type t = string
+
+  let hash = String.hash
+  let equal = String.equal
+end)
+
 (* (view, seq, salt): [n] and the group size are fixed per cluster. *)
 module Group_memo = Memo (struct
   type t = int * int * int
@@ -64,6 +72,7 @@ module Group_memo = Memo (struct
 end)
 
 type memos = {
+  points : Field.t Point_memo.t;
   digests : string Digest_memo.t;
   verified : bool Req_memo.t;
   blocks : string Block_memo.t;
@@ -78,7 +87,6 @@ type t = {
   pi : Threshold.t;
   replica_pks : Pki.public_key array;
   client_pks : Pki.public_key array;
-  points : (string, Field.t) Hashtbl.t;
   memos : memos;
 }
 
@@ -105,9 +113,9 @@ let setup rng ~config ~num_clients =
       pi;
       replica_pks = Array.map Pki.public_key replica_kps;
       client_pks = Array.map Pki.public_key client_kps;
-      points = Hashtbl.create 256;
       memos =
         {
+          points = Point_memo.create 256;
           digests = Digest_memo.create 256;
           verified = Req_memo.create 256;
           blocks = Block_memo.create 256;
@@ -130,22 +138,17 @@ let setup rng ~config ~num_clients =
 
 (* Every replica signs, combines and checks the same few messages per
    block (h, τ(h)'s message, the π message), so the cluster hashes each
-   to its field point once.  The point is a pure function of the
-   message, and the table is cleared when it outgrows [points_cap]. *)
+   to its field point once. *)
 let hash_to_field t msg =
-  match Hashtbl.find_opt t.points msg with
-  | Some h -> h
-  | None ->
-      if Hashtbl.length t.points >= points_cap then Hashtbl.reset t.points;
-      let h = Threshold.hash_to_field msg in
-      Hashtbl.replace t.points msg h;
-      h
+  Point_memo.find_or t.memos.points msg (fun () -> Threshold.hash_to_field msg)
+
+let points_held t = Point_memo.length t.memos.points
 
 let clear_at_checkpoint t ~seq =
   let m = t.memos in
   if seq > m.cleared_at then begin
     m.cleared_at <- seq;
-    Hashtbl.reset t.points;
+    Point_memo.reset m.points;
     Digest_memo.reset m.digests;
     Req_memo.reset m.verified;
     Block_memo.reset m.blocks;

@@ -8,8 +8,9 @@
     are handed to each replica, verification material is public. *)
 
 type memos
-(** The cluster's memos of {!request_digest}, {!verify_request},
-    {!block_hash} and {!collector_group}, keyed by value. *)
+(** The cluster's memos of {!hash_to_field}, {!request_digest},
+    {!verify_request}, {!block_hash} and {!collector_group}, keyed by
+    value. *)
 
 type t = {
   config : Config.t;
@@ -18,9 +19,7 @@ type t = {
   pi : Sbft_crypto.Threshold.t;
   replica_pks : Sbft_crypto.Pki.public_key array;
   client_pks : Sbft_crypto.Pki.public_key array;  (** indexed client-id − n *)
-  points : (string, Sbft_crypto.Field.t) Hashtbl.t;
-      (** {!hash_to_field}'s memo, owned by the cluster. *)
-  memos : memos;  (** owned by the cluster, like [points] *)
+  memos : memos;  (** owned by the cluster *)
 }
 (** The public half: the config, every scheme's verification material
     and the cluster's memos. *)
@@ -47,11 +46,11 @@ val hash_to_field : t -> string -> Sbft_crypto.Field.t
 
 val clear_at_checkpoint : t -> seq:int -> unit
 (** A replica reached the stable checkpoint [seq].  The first call for
-    each checkpoint above the last one clears every memo, [points]
-    included: the requests and blocks at or below it are done, and an
-    entry still in use is recomputed once, with the same value.  The
-    memos then hold about one checkpoint interval of requests, where a
-    cap alone lets them fill to {!points_cap}. *)
+    each checkpoint above the last one clears all five memos: the
+    requests and blocks at or below it are done, and an entry still in
+    use is recomputed once, with the same value.  The memos then hold
+    about one checkpoint interval of requests, where a cap alone lets
+    them fill to {!points_cap}. *)
 
 val request_digest : t -> Types.request -> string
 (** {!Types.request_digest} through the cluster's memo, keyed by the
@@ -76,3 +75,6 @@ val verify_request : t -> Types.request -> bool
 
 val points_cap : int
 (** Each memo holds at most this many entries; it is cleared when full. *)
+
+val points_held : t -> int
+(** Entries in {!hash_to_field}'s memo. *)

@@ -301,29 +301,14 @@ let client_last_timestamp t ~client =
   Option.map (fun ce -> ce.Sbft_store.Block_store.ce_timestamp)
     (Intake.find_row t.intake ~client)
 
-(* Requests as the ledger and the WAL persist them, and back.  Client
-   signatures are not persisted; the block's commit certificate, or the
-   logged promise, stands in for them. *)
-let ops_of_reqs reqs =
-  List.map
-    (fun (r : Types.request) ->
-      { Sbft_store.Block_store.client = r.client; timestamp = r.timestamp; op = r.op })
-    reqs
-
-let reqs_of_ops ops =
-  List.map
-    (fun (o : Sbft_store.Block_store.op) ->
-      { Types.client = o.client; timestamp = o.timestamp; op = o.op; signature = "" })
-    ops
-
-let ledger_reqs (e : Sbft_store.Block_store.entry) = reqs_of_ops e.ops
-
 let committed_block t seq =
   match Hashtbl.find_opt t.slots seq with
   | Some s -> s.committed
   | None ->
-      (* Reconstructed from the persisted ledger after GC. *)
-      Option.map ledger_reqs (Sbft_store.Block_store.find t.blocks seq)
+      (* Read from the persisted ledger after GC. *)
+      Option.map
+        (fun (e : Sbft_store.Block_store.entry) -> e.reqs)
+        (Sbft_store.Block_store.find t.blocks seq)
 
 let slot t seq =
   match Hashtbl.find_opt t.slots seq with
@@ -394,23 +379,6 @@ let combine_stash t ctx ~scheme ~k ~group ~msg stash =
   c.Priced.signature
 
 (* ------------------------------------------------------------------ *)
-(* Commit certificates (§V): every block commits under exactly one —
-   σ(h) on the fast path, or τ(h) plus τ(τ(h)) on the slow path. *)
-
-(* The certificate as the ledger persists it (signature bytes), and
-   back. *)
-let stored_cert = function
-  | Types.Cert_fast sigma -> Sbft_store.Block_store.Fast (Threshold.signature_bytes sigma)
-  | Types.Cert_slow (tau, tau_tau) ->
-      let bytes = Threshold.signature_bytes in
-      Sbft_store.Block_store.Slow { tau = bytes tau; tau_tau = bytes tau_tau }
-
-let ledger_cert = function
-  | Sbft_store.Block_store.Fast sigma -> Types.Cert_fast (Field.of_bytes sigma)
-  | Sbft_store.Block_store.Slow s ->
-      Types.Cert_slow (Field.of_bytes s.tau, Field.of_bytes s.tau_tau)
-
-(* ------------------------------------------------------------------ *)
 (* The slot's view-change report.  A commit proof, once held, is never
    downgraded by a later pre-prepare share or prepare. *)
 
@@ -454,8 +422,7 @@ let promise_block t ctx sl ~view ~reqs ~h ~corrupt =
   let shares = sign_block t ctx sl ~view ~reqs ~h ~corrupt in
   (* The sign share is a promise: persist the accepted block
      before the network can observe it. *)
-  wal_log t ctx
-    (Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops = ops_of_reqs reqs });
+  wal_log t ctx (Sbft_store.Wal.Accepted_pre_prepare { seq; view; reqs });
   wal_sync t ctx;
   send_sign_shares t ctx ~seq ~view shares
 
@@ -777,9 +744,7 @@ and on_prepare t ctx ~seq ~view ~tau =
           if Priced.verify ctx (keys t) (keys t).Keys.tau ~msg:h tau then begin
             sl.prepare_tau <- Some tau;
             note_prepared sl (Types.Slow_prepared { tau; view; reqs });
-            wal_log t ctx
-              (Sbft_store.Wal.Accepted_prepare
-                 { seq; view; tau = Threshold.signature_bytes tau });
+            wal_log t ctx (Sbft_store.Wal.Accepted_prepare { seq; view; tau });
             wal_sync t ctx;
             let share =
               Priced.sign_share ctx (keys t) t.my.Keys.tau_sk ~msg:(Types.tau2_message tau)
@@ -863,14 +828,7 @@ and commit t ctx sl ~reqs ~view ~h cert =
     Intake.note_progress t.intake ctx;
     trace t ctx "commit" (fun () ->
         Printf.sprintf "seq=%d view=%d path=%s" sl.seq view (if fast then "fast" else "slow"));
-    let entry =
-      {
-        Sbft_store.Block_store.seq = sl.seq;
-        view;
-        ops = ops_of_reqs reqs;
-        cert = stored_cert cert;
-      }
-    in
+    let entry = { Sbft_store.Block_store.seq = sl.seq; view; reqs; cert } in
     Priced.persist ctx (Sbft_store.Block_store.entry_size entry);
     Sbft_store.Block_store.add t.blocks entry;
     wal_log t ctx (Sbft_store.Wal.Commit_cert { seq = sl.seq; view; fast });
@@ -1016,9 +974,7 @@ and on_sign_state t ctx ~seq ~digest ~share =
                 sl.exec_proof_sent <- true;
                 Hashtbl.replace t.checkpoint_pis seq (pi, digest);
                 release_pi_shares sl;
-                wal_log t ctx
-                  (Sbft_store.Wal.Stable_checkpoint
-                     { seq; digest; pi = Threshold.signature_bytes pi });
+                wal_log t ctx (Sbft_store.Wal.Stable_checkpoint { seq; digest; pi });
                 wal_sync t ctx;
                 trace t ctx "send:full-execute-proof" (fun () -> Printf.sprintf "seq=%d" seq);
                 broadcast_replicas t ctx (Types.Full_execute_proof { seq; digest; pi });
@@ -1078,9 +1034,7 @@ and on_full_execute_proof t ctx ~seq ~digest ~pi ~src =
   then begin
     Hashtbl.replace t.checkpoint_pis seq (pi, digest);
     Option.iter release_pi_shares (Hashtbl.find_opt t.slots seq);
-    wal_log t ctx
-      (Sbft_store.Wal.Stable_checkpoint
-         { seq; digest; pi = Threshold.signature_bytes pi });
+    wal_log t ctx (Sbft_store.Wal.Stable_checkpoint { seq; digest; pi });
     if seq > t.stable then begin
       t.stable <- seq;
       let candidate = seq - Config.active_window (cfg t) in
@@ -1240,13 +1194,7 @@ and on_get_state t ctx ~upto ~replica =
       for s = from_seq + 1 to last_executed t do
         if not !stop then
           match Sbft_store.Block_store.find t.blocks s with
-          | Some e ->
-              blocks :=
-                ( s,
-                  e.Sbft_store.Block_store.view,
-                  ledger_reqs e,
-                  ledger_cert e.Sbft_store.Block_store.cert )
-                :: !blocks
+          | Some e -> blocks := e :: !blocks
           | None -> stop := true
       done;
       List.rev !blocks
@@ -1286,7 +1234,8 @@ and on_get_state t ctx ~upto ~replica =
                  snap_seq = 0;
                  pi = Field.zero;
                  digest = "";
-                 blocks = List.filter (fun (s, _, _, _) -> s <= upto) blocks;
+                 blocks =
+                   List.filter (fun (e : Sbft_store.Block_store.entry) -> e.seq <= upto) blocks;
                  table = [];
                })
   end
@@ -1300,7 +1249,7 @@ and on_get_state t ctx ~upto ~replica =
 and adopt_block_suffix t ctx blocks =
   let ok = ref true in
   List.iter
-    (fun (s, view, reqs, cert) ->
+    (fun ({ seq = s; view; reqs; cert } : Sbft_store.Block_store.entry) ->
       if !ok && Int.equal s (last_executed t + 1) then begin
         let sl = slot t s in
         if sl.committed = None then begin
@@ -1364,9 +1313,7 @@ and on_state_resp t ctx ~snapshot ~snap_seq ~pi ~digest ~blocks ~table =
           Sbft_store.Block_store.set_checkpoint t.blocks ~seq:snap_seq
             ~snapshot:(lazy snapshot) ~table;
           Priced.persist ctx (String.length snapshot);
-          wal_log t ctx
-            (Sbft_store.Wal.Stable_checkpoint
-               { seq = snap_seq; digest; pi = Threshold.signature_bytes pi });
+          wal_log t ctx (Sbft_store.Wal.Stable_checkpoint { seq = snap_seq; digest; pi });
           List.iter (fun ce -> wal_log t ctx (Sbft_store.Wal.Client_row ce)) table;
           wal_sync t ctx;
           (* Adopt and replay the suffix, verifying each block's commit
@@ -1661,7 +1608,7 @@ let recover t ctx =
       | Sbft_store.Wal.View_change_started v ->
           if v > t.sent_vc_for then t.sent_vc_for <- v
       | Sbft_store.Wal.Stable_checkpoint { seq; digest; pi } ->
-          Hashtbl.replace t.checkpoint_pis seq (Field.of_bytes pi, digest);
+          Hashtbl.replace t.checkpoint_pis seq (pi, digest);
           if seq > t.stable then t.stable <- seq;
           if seq > t.ls then t.ls <- seq
       | _ -> ())
@@ -1672,9 +1619,7 @@ let recover t ctx =
   end;
   (* 3. Ledger replay: quiet re-commit + re-execution of the contiguous
      run above the checkpoint (no network sends, no new WAL records). *)
-  let restore_commit seq (e : Sbft_store.Block_store.entry) =
-    let reqs = ledger_reqs e in
-    let view = e.Sbft_store.Block_store.view in
+  let restore_commit seq ({ view; reqs; _ } : Sbft_store.Block_store.entry) =
     let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
     let sl = slot t seq in
     if sl.committed = None then begin
@@ -1721,12 +1666,11 @@ let recover t ctx =
             (not ahead)
             && not (Intake.executed_before t.intake ~client:ce.ce_client ~timestamp:ce.ce_timestamp)
           then Intake.add_row t.intake ce
-      | Sbft_store.Wal.Accepted_pre_prepare { seq; view; ops } ->
+      | Sbft_store.Wal.Accepted_pre_prepare { seq; view; reqs } ->
           if seq > !promised_seq then promised_seq := seq;
           if Int.equal view t.view && seq > last_executed t then begin
             let sl = slot t seq in
             if sl.pp = None && sl.committed = None then begin
-              let reqs = reqs_of_ops ops in
               let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
               sl.pp <- Some (view, reqs, h);
               (* Honour the logged promise by re-issuing the identical
@@ -1743,7 +1687,6 @@ let recover t ctx =
                for view changes and never sign a conflicting block, but
                do not re-sign (the exact share already went out, or was
                lost with the unsynced send — either is safe). *)
-            let tau = Field.of_bytes tau in
             sl.prepare_tau <- Some tau;
             match sl.pp with
             | Some (v, reqs, _) when Int.equal v view ->

@@ -1,7 +1,7 @@
 open Sbft_crypto
 open Sbft_wire
 
-type request = {
+type request = Sbft_store.Block_store.request = {
   client : int;
   timestamp : int;
   op : string;
@@ -29,10 +29,7 @@ type fast_cert =
 
 type vc_slot = { slot_seq : int; slow : slow_cert; fast : fast_cert }
 
-(* Commit certificate accompanying a state-transferred block: the
-   receiver re-verifies it before adopting, so uncertified blocks from a
-   Byzantine peer can never be executed. *)
-type block_cert =
+type block_cert = Sbft_store.Block_store.cert =
   | Cert_fast of Field.t  (** σ(h) *)
   | Cert_slow of Field.t * Field.t  (** τ(h), τ(τ(h)) *)
 
@@ -102,7 +99,7 @@ type msg =
       snap_seq : int;
       pi : Field.t;
       digest : string;
-      blocks : (int * int * request list * block_cert) list;
+      blocks : Sbft_store.Block_store.entry list;
       table : Sbft_store.Block_store.client_entry list;
           (** Sender's client table as of [snap_seq]: lets the receiver
               resume exactly-once request deduplication (without it, a
@@ -179,13 +176,13 @@ let size = function
   | Get_state _ -> header
   | State_resp { snapshot; blocks; table; _ } ->
       List.fold_left
-        (fun acc (_, _, reqs, cert) ->
+        (fun acc (e : Sbft_store.Block_store.entry) ->
           let cert_size =
-            match cert with
+            match e.cert with
             | Cert_fast _ -> sig_size
             | Cert_slow _ -> 2 * sig_size
           in
-          acc + 16 + cert_size + requests_bytes reqs)
+          acc + 16 + cert_size + requests_bytes e.reqs)
         (header + String.length snapshot + sig_size + 32)
         blocks
       + List.fold_left

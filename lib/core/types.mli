@@ -7,12 +7,14 @@
     computed over a canonical encoding, and every message has a
     realistic {!size} charged to the network model. *)
 
-type request = {
+type request = Sbft_store.Block_store.request = {
   client : int;  (** client node id *)
   timestamp : int;  (** client-monotone timestamp (§V-A) *)
   op : string;  (** opaque service operation *)
   signature : Sbft_crypto.Pki.signature;
 }
+(** Defined in {!Sbft_store.Block_store}, so the ledger and the WAL
+    store the protocol's request lists themselves. *)
 
 val request_digest : request -> string
 (** SHA-256 of the request's client, timestamp and op: what the client
@@ -44,14 +46,13 @@ type fast_cert =
 
 type vc_slot = { slot_seq : int; slow : slow_cert; fast : fast_cert }
 
-type block_cert =
+type block_cert = Sbft_store.Block_store.cert =
   | Cert_fast of Sbft_crypto.Field.t  (** σ(h) *)
   | Cert_slow of Sbft_crypto.Field.t * Sbft_crypto.Field.t
       (** τ(h), τ(τ(h)) *)
-(** Commit certificate shipped alongside a state-transferred block.  The
-    receiver re-verifies it against the block hash before adopting, so a
-    Byzantine peer cannot make an honest replica execute uncertified
-    operations via state transfer. *)
+(** The commit certificate a block is committed under, as the ledger
+    stores it and state transfer ships it (see
+    {!Sbft_store.Block_store.cert}). *)
 
 type view_change = {
   vc_replica : int;
@@ -129,9 +130,9 @@ type msg =
       snap_seq : int;
       pi : Sbft_crypto.Field.t;  (** π(d) over the snapshot's digest *)
       digest : string;
-      blocks : (int * int * request list * block_cert) list;
-          (** (seq, view, reqs, cert) after snap; the receiver verifies
-              each [cert] before adopting the block *)
+      blocks : Sbft_store.Block_store.entry list;
+          (** the sender's ledger entries after snap, as stored; the
+              receiver verifies each [cert] before adopting the block *)
       table : Sbft_store.Block_store.client_entry list;
           (** Sender's client table as of [snap_seq], so the receiver
               resumes exactly-once request deduplication. *)

@@ -1,8 +1,10 @@
-type certificate = Fast of string | Slow of { tau : string; tau_tau : string }
+open Sbft_crypto
 
-type op = { client : int; timestamp : int; op : string }
+type request = { client : int; timestamp : int; op : string; signature : Pki.signature }
 
-type entry = { seq : int; view : int; ops : op list; cert : certificate }
+type cert = Cert_fast of Field.t | Cert_slow of Field.t * Field.t
+
+type entry = { seq : int; view : int; reqs : request list; cert : cert }
 
 type client_entry = {
   ce_client : int;
@@ -66,12 +68,7 @@ let set_checkpoint t ~seq ~snapshot ~table =
 
 let checkpoint t = t.checkpoint
 
+(* A field element counts as the 8 bytes of its encoding. *)
 let entry_size e =
-  let cert_size =
-    match e.cert with
-    | Fast s -> String.length s
-    | Slow { tau; tau_tau } -> String.length tau + String.length tau_tau
-  in
-  List.fold_left
-    (fun acc o -> acc + String.length o.op + 20)
-    (16 + cert_size) e.ops
+  let cert_size = match e.cert with Cert_fast _ -> 8 | Cert_slow _ -> 16 in
+  List.fold_left (fun acc r -> acc + String.length r.op + 20) (16 + cert_size) e.reqs

@@ -3,30 +3,40 @@
     Each replica persists committed blocks (the paper writes them to
     RocksDB); the block store also serves state transfer: a lagging
     replica fetches a checkpoint snapshot plus the blocks after it.
-    Retention is bounded by the checkpoint protocol via {!prune_below}. *)
+    Retention is bounded by the checkpoint protocol via {!prune_below}.
 
-type certificate =
-  | Fast of string  (** σ(h) combined signature bytes *)
-  | Slow of { tau : string; tau_tau : string }
-      (** τ(h) and τ(τ(h)) combined signature bytes.  Both are kept so a
-          served block is independently verifiable: τ(τ(h)) alone cannot
-          be checked without the τ(h) it signs. *)
+    The request record and the commit certificate are defined here and
+    re-exported by [Sbft_core.Types], so an entry holds the protocol's
+    own values: a replica's ledger entry points at the request list it
+    agreed on, and a state-transfer answer ships entries as they are. *)
 
-type op = {
+type request = {
   client : int;  (** issuing client's node id, [-1] for null fillers *)
-  timestamp : int;  (** client request timestamp *)
-  op : string;  (** encoded service operation as proposed (pre-dedup) *)
+  timestamp : int;  (** client-monotone timestamp (§V-A) *)
+  op : string;  (** opaque service operation *)
+  signature : Sbft_crypto.Pki.signature;
 }
-(** Persisted operations keep the issuing client's identity so a replica
-    replaying a transferred block suffix can apply the same
+(** A client request.  Ledger entries keep the issuing client's identity
+    so a replica replaying a transferred block suffix can apply the same
     exactly-once degradation the original executors did (a bare op
     string cannot be deduplicated against the client table). *)
+
+type cert =
+  | Cert_fast of Sbft_crypto.Field.t  (** σ(h) *)
+  | Cert_slow of Sbft_crypto.Field.t * Sbft_crypto.Field.t
+      (** τ(h) and τ(τ(h)).  Both are kept so a served block is
+          independently verifiable: τ(τ(h)) alone cannot be checked
+          without the τ(h) it signs. *)
+(** The commit certificate a block was committed under.  A receiver of
+    a served block re-verifies it against the block hash before
+    adopting, so a Byzantine peer cannot make an honest replica execute
+    uncertified operations via state transfer. *)
 
 type entry = {
   seq : int;
   view : int;
-  ops : op list;
-  cert : certificate;
+  reqs : request list;
+  cert : cert;
 }
 
 type client_entry = {
@@ -78,4 +88,7 @@ val set_checkpoint :
 val checkpoint : t -> checkpoint option
 
 val entry_size : entry -> int
-(** Approximate persisted size in bytes (for disk-cost accounting). *)
+(** Approximate persisted size in bytes (for disk-cost accounting):
+    each request's op plus 20 bytes, 16 bytes of header, and 8 bytes per
+    certificate field element.  Client signatures are not counted: the
+    commit certificate stands in for them. *)

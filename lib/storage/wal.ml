@@ -15,23 +15,27 @@
    and parses it back, checksums and all, so recovery exercises the
    real byte path and its torn-tail handling.  Compaction and rollback
    work on the record list directly, which is the same as going through
-   the bytes because parsing a frame gives back the record it came
-   from.  [corrupt_tail] is the one way raw bytes enter the log: while
-   torn bytes are present, every path goes through the byte image.
+   the bytes because a record and its parsed copy have the same frame.
+   The copy differs in one way: a request's client signature is not
+   logged (the accepted block's promise stands in for it), so parsed
+   requests carry [signature = ""].  [corrupt_tail] is the one way raw
+   bytes enter the log: while torn bytes are present, every path goes
+   through the byte image.
 
    This module is pure storage: it never touches the simulator clock.
    Callers charge [Cost_model.wal_append]/[wal_fsync] for the bytes and
    syncs it reports. *)
 
+open Sbft_crypto
 open Sbft_wire
 
 type record =
   | View_entered of int
   | View_change_started of int
-  | Accepted_pre_prepare of { seq : int; view : int; ops : Block_store.op list }
-  | Accepted_prepare of { seq : int; view : int; tau : string }
+  | Accepted_pre_prepare of { seq : int; view : int; reqs : Block_store.request list }
+  | Accepted_prepare of { seq : int; view : int; tau : Field.t }
   | Commit_cert of { seq : int; view : int; fast : bool }
-  | Stable_checkpoint of { seq : int; digest : string; pi : string }
+  | Stable_checkpoint of { seq : int; digest : string; pi : Field.t }
   | Client_row of Block_store.client_entry
 
 type t = {
@@ -79,8 +83,7 @@ let create () =
    through a zigzag varint so the codec only ever sees naturals.  A
    value whose doubling overflows zigzags to a negative, which the
    codec rejects, except [min_int asr 1], which lands on [max_int];
-   [zag] is the exact inverse there too, so decoding a frame always
-   gives back the record it came from. *)
+   [zag] is the exact inverse there too. *)
 let zigzag v = if v >= 0 then 2 * v else (-2 * v) - 1
 let zig w v = Codec.Writer.varint w (zigzag v)
 
@@ -99,19 +102,32 @@ let varint_len v =
 let zig_len v = varint_len (zigzag v)
 let str_len s = varint_len (String.length s) + String.length s
 
+(* A field element is logged as the string of its 8-byte encoding: a
+   length byte, then the 8 bytes. *)
+let field_len = 9
+let field w x = Codec.Writer.str w (Field.to_bytes x)
+
+exception Malformed
+
+(* The bytes come from the simulated disk: a field string of any other
+   length is no encoding, and [parse] stops at its frame as at a torn
+   one ([Field.of_bytes] would raise on a short string). *)
+let unfield r =
+  let s = Codec.Reader.str r in
+  if String.length s <> 8 then raise Malformed;
+  Field.of_bytes s
+
 let payload_len = function
   | View_entered v | View_change_started v -> 1 + zig_len v
-  | Accepted_pre_prepare { seq; view; ops } ->
+  | Accepted_pre_prepare { seq; view; reqs } ->
       List.fold_left
-        (fun n { Block_store.client; timestamp; op } ->
+        (fun n { Block_store.client; timestamp; op; signature = _ } ->
           n + zig_len client + zig_len timestamp + str_len op)
-        (1 + zig_len seq + zig_len view + varint_len (List.length ops))
-        ops
-  | Accepted_prepare { seq; view; tau } ->
-      1 + zig_len seq + zig_len view + str_len tau
+        (1 + zig_len seq + zig_len view + varint_len (List.length reqs))
+        reqs
+  | Accepted_prepare { seq; view; tau = _ } -> 1 + zig_len seq + zig_len view + field_len
   | Commit_cert { seq; view; fast = _ } -> 2 + zig_len seq + zig_len view
-  | Stable_checkpoint { seq; digest; pi } ->
-      1 + zig_len seq + str_len digest + str_len pi
+  | Stable_checkpoint { seq; digest; pi = _ } -> 1 + zig_len seq + str_len digest + field_len
   | Client_row { ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
       1 + zig_len ce_client + zig_len ce_timestamp + str_len ce_value + zig_len ce_seq
       + zig_len ce_index
@@ -129,21 +145,21 @@ let payload record =
   | View_change_started v ->
       Codec.Writer.u8 w 2;
       zig w v
-  | Accepted_pre_prepare { seq; view; ops } ->
+  | Accepted_pre_prepare { seq; view; reqs } ->
       Codec.Writer.u8 w 3;
       zig w seq;
       zig w view;
       Codec.Writer.list w
-        (fun { Block_store.client; timestamp; op } ->
+        (fun { Block_store.client; timestamp; op; signature = _ } ->
           zig w client;
           zig w timestamp;
           Codec.Writer.str w op)
-        ops
+        reqs
   | Accepted_prepare { seq; view; tau } ->
       Codec.Writer.u8 w 4;
       zig w seq;
       zig w view;
-      Codec.Writer.str w tau
+      field w tau
   | Commit_cert { seq; view; fast } ->
       Codec.Writer.u8 w 5;
       zig w seq;
@@ -153,7 +169,7 @@ let payload record =
       Codec.Writer.u8 w 6;
       zig w seq;
       Codec.Writer.str w digest;
-      Codec.Writer.str w pi
+      field w pi
   | Client_row { ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
       Codec.Writer.u8 w 7;
       zig w ce_client;
@@ -170,18 +186,18 @@ let parse_payload r =
   | 3 ->
       let seq = zag r in
       let view = zag r in
-      let ops =
+      let reqs =
         Codec.Reader.list r (fun r ->
             let client = zag r in
             let timestamp = zag r in
             let op = Codec.Reader.str r in
-            { Block_store.client; timestamp; op })
+            { Block_store.client; timestamp; op; signature = "" })
       in
-      Some (Accepted_pre_prepare { seq; view; ops })
+      Some (Accepted_pre_prepare { seq; view; reqs })
   | 4 ->
       let seq = zag r in
       let view = zag r in
-      let tau = Codec.Reader.str r in
+      let tau = unfield r in
       Some (Accepted_prepare { seq; view; tau })
   | 5 ->
       let seq = zag r in
@@ -191,7 +207,7 @@ let parse_payload r =
   | 6 ->
       let seq = zag r in
       let digest = Codec.Reader.str r in
-      let pi = Codec.Reader.str r in
+      let pi = unfield r in
       Some (Stable_checkpoint { seq; digest; pi })
   | 7 ->
       let ce_client = zag r in
@@ -263,8 +279,8 @@ let sync t =
    frame in append order. *)
 let durable_image t = String.concat "" (t.torn :: List.rev_map frame t.durable)
 
-(* Decode a byte image, stopping at the first truncated or
-   checksum-failing frame. *)
+(* Decode a byte image, stopping at the first truncated,
+   checksum-failing or undecodable frame. *)
 let parse bytes =
   let r = Codec.Reader.of_string bytes in
   let out = ref [] in
@@ -278,13 +294,13 @@ let parse bytes =
        else
          match parse_payload (Codec.Reader.of_string p) with
          | Some record -> out := record :: !out
-         | None -> stop := true
+         | None | (exception Malformed) -> stop := true
      done
    with Codec.Reader.Truncated -> ());
   List.rev !out
 
-(* The durable records in append order.  Parsing a frame gives back
-   the record it came from, so the byte route is needed only while torn
+(* The durable records in append order.  A record and its parsed copy
+   have the same frame, so the byte route is needed only while torn
    bytes are present. *)
 let durable_records t =
   if String.equal t.torn "" then List.rev t.durable else parse (durable_image t)

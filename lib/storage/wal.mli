@@ -8,6 +8,10 @@
     The log keeps the records it is given and reports the exact size of
     their {!frame}s; the byte image is built only when something reads
     the log ([replay], [corrupt_tail], or a rewrite of a torn log).
+    Records hold the protocol's values: a pre-prepare's request list and
+    the certificates' field elements.  The frame encodes each request's
+    client, timestamp and op but not its signature, so {!replay} gives
+    requests back with [signature = ""].
 
     Pure storage — no simulator dependency.  [Sbft_core.Priced] charges
     [Cost_model.wal_append] per appended byte count and
@@ -16,13 +20,13 @@
 type record =
   | View_entered of int
   | View_change_started of int
-  | Accepted_pre_prepare of { seq : int; view : int; ops : Block_store.op list }
-      (** the accepted block's operations, as the ledger stores them *)
-  | Accepted_prepare of { seq : int; view : int; tau : string }
-      (** [tau] is the serialized prepare certificate, so recovery can
-          restore the replica's highest-prepare report for view changes. *)
+  | Accepted_pre_prepare of { seq : int; view : int; reqs : Block_store.request list }
+      (** the accepted block's requests, the slot's own list *)
+  | Accepted_prepare of { seq : int; view : int; tau : Sbft_crypto.Field.t }
+      (** [tau] is the prepare certificate, so recovery can restore the
+          replica's highest-prepare report for view changes. *)
   | Commit_cert of { seq : int; view : int; fast : bool }
-  | Stable_checkpoint of { seq : int; digest : string; pi : string }
+  | Stable_checkpoint of { seq : int; digest : string; pi : Sbft_crypto.Field.t }
   | Client_row of Block_store.client_entry
       (** a client-table row, as checkpoints and state transfer carry it *)
 
@@ -44,7 +48,8 @@ val drop_pending : t -> unit
 
 val replay : t -> record list
 (** Frame the durable prefix and {!parse} it back in append order,
-    stopping at the first truncated or checksum-failing frame.  Records below the
+    stopping at the first truncated, checksum-failing or undecodable
+    frame.  Records below the
     [truncate_below] horizon are filtered out (view records and the
     latest stable checkpoint at or below the horizon survive, the
     checkpoint hoisted to the front), so the replayed history does not
@@ -79,15 +84,18 @@ val rollback_to_checkpoint : t -> before:int -> int
 
 val frame : record -> string
 (** The record's bytes in the log: varint payload length, 4-byte
-    big-endian {!checksum} of the payload, then the payload. *)
+    big-endian {!checksum} of the payload, then the payload.  A field
+    element is encoded as a string of its 8 bytes; a request's signature
+    is not encoded. *)
 
 val checksum : string -> int
 (** FNV-1a over the bytes, folded to 32 bits. *)
 
 val parse : string -> record list
 (** Decode a byte image of frames in order, stopping at the first
-    truncated or checksum-failing frame.  [parse (frame r) = [r]]
-    whenever [frame r] does not raise. *)
+    truncated or checksum-failing frame, or at a frame whose field
+    string is not 8 bytes.  [parse (frame r) = [r]] whenever [frame r]
+    does not raise and every request in [r] has [signature = ""]. *)
 
 val dirty : t -> bool
 (** [true] when appends are pending a sync. *)

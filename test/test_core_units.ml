@@ -319,7 +319,7 @@ let test_points_memo () =
     messages;
   for i = 1 to Keys.points_cap + 10 do
     ignore (Keys.hash_to_field keys (string_of_int i) : Sbft_crypto.Field.t);
-    check "bounded" true (Hashtbl.length keys.Keys.points <= Keys.points_cap)
+    check "bounded" true (Keys.points_held keys <= Keys.points_cap)
   done
 
 (* The request-authentication memo belongs to one cluster's keys: a
@@ -397,7 +397,7 @@ let test_memo_checkpoint_clear () =
   let d = Keys.request_digest keys r in
   let signed = { r with signature = Sbft_crypto.Pki.sign clients.(0) d } in
   let point = Keys.hash_to_field keys "m" in
-  let points () = Hashtbl.length keys.Keys.points in
+  let points () = Keys.points_held keys in
   Keys.clear_at_checkpoint keys ~seq:0;
   check "no new checkpoint: kept" true (Keys.request_digest keys r == d);
   Keys.clear_at_checkpoint keys ~seq:128;

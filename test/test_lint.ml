@@ -420,16 +420,23 @@ let test_r12_adjust_annotation () =
        (check_file ~path:"lib/pbft/foo.ml" (src " [@quorum.adjust 1]")))
 
 let test_r15_cost_model_scope () =
-  (* Every top-level variant table in cost_model.ml is a price table:
-     wildcards are rejected there even without a msg type. *)
+  (* Every top-level variant table in the real price file,
+     lib/crypto/cost_model.ml, is a price table: wildcards are rejected
+     there even though the file is outside the handler scope and has no
+     msg type. *)
   let src = "let price = function Add -> 3 | _ -> 5\n" in
+  let cost_model = "lib/crypto/cost_model.ml" in
   check "wildcard price table flagged" true
     (has_finding ~rule:"R15" ~needle:"wildcard case in price"
-       (check_file ~path:"lib/core/cost_model.ml" src));
-  clean (check_file ~path:"lib/core/cost_model.ml"
-           "let price = function Add -> 3 | Mul -> 5\n");
+       (check_file ~path:cost_model src));
+  clean (check_file ~path:cost_model "let price = function Add -> 3 | Mul -> 5\n");
+  (* R15 alone runs there: an unwrapped timer is no R13 finding. *)
+  clean
+    (check_file ~path:cost_model
+       "let arm e = Engine.set_timer e ~node:0 ~after:1 (fun _ -> ())\n");
   (* The same table outside cost_model.ml is not wire-accounting. *)
-  clean (check_file ~path:"lib/core/foo.ml" src)
+  clean (check_file ~path:"lib/core/foo.ml" src);
+  clean (check_file ~path:"lib/crypto/foo.ml" src)
 
 let test_r12_obligation_report () =
   let report = Discipline.obligation_report Discipline.default_defs in
@@ -530,7 +537,7 @@ let test_replica_baseline () =
 let test_mutation_r9_sign_share () =
   let mutated =
     mutate (Lint.read_file replica_path)
-      ~after:"Accepted_pre_prepare { seq; view; ops = ops_of_reqs reqs });"
+      ~after:"Accepted_pre_prepare { seq; view; reqs });"
       ~needle:"wal_sync t ctx;" ~repl:""
   in
   let kept = lint_replica mutated in

@@ -353,10 +353,12 @@ let test_forged_state_resp_rejected () =
         digest = "";
         blocks =
           [
-            ( before + 1,
-              Replica.view victim,
-              [ forged_req ],
-              Types.Cert_fast (Sbft_crypto.Field.of_int 0xdead) );
+            {
+              seq = before + 1;
+              view = Replica.view victim;
+              reqs = [ forged_req ];
+              cert = Types.Cert_fast (Sbft_crypto.Field.of_int 0xdead);
+            };
           ];
         table = [];
       }
@@ -402,7 +404,15 @@ let test_forged_cert_during_transfer_rejected () =
                      snap_seq = 0;
                      pi = Sbft_crypto.Field.zero;
                      digest = "";
-                     blocks = [ (next, Replica.view victim, [ forged_req ], forged_cert) ];
+                     blocks =
+                       [
+                         {
+                           seq = next;
+                           view = Replica.view victim;
+                           reqs = [ forged_req ];
+                           cert = forged_cert;
+                         };
+                       ];
                      table = [];
                    })));
       Cluster.run_for cluster (Engine.sec 90);

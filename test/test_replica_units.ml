@@ -199,6 +199,49 @@ let test_group_sig_pricing () =
     (List.mem charged [ Cost_model.bls_combine k; Cost_model.bls_combine_cached k ]);
   check "σ proof sent after the failure" true (commit_proofs_sent l ~seq:after > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The ledger stores the protocol's own request list: at n=4,
+   failure-free, every replica's entry for a seq is the very list the
+   primary proposed, not a per-replica copy. *)
+
+let test_ledger_shares_requests () =
+  let cluster =
+    Cluster.create ~seed:3L ~config:(Config.sbft ~f:1 ~c:0) ~num_clients:2
+      ~topology:(fun ~num_nodes -> Topology.lan ~num_nodes)
+      ~service:Cluster.kv_service ()
+  in
+  Cluster.start_clients cluster ~requests_per_client:10 ~make_op:(fun ~client i ->
+      Sbft_store.Kv_service.put ~key:(Printf.sprintf "k%d-%d" client i) ~value:"v");
+  Cluster.run_for cluster (Engine.sec 10);
+  check_int "all requests completed" 20 (Cluster.total_completed cluster);
+  let entries seq =
+    Array.to_list
+      (Array.map
+         (fun (d : Replica.durable) -> Sbft_store.Block_store.find d.blocks seq)
+         cluster.Cluster.durables)
+  in
+  let seqs = Sbft_store.Block_store.sorted_seqs cluster.Cluster.durables.(0).blocks in
+  check "blocks committed" true (seqs <> []);
+  List.iter
+    (fun seq ->
+      match entries seq with
+      | Some first :: rest ->
+          check (Printf.sprintf "seq %d: one request list" seq) true
+            (List.for_all
+               (function
+                 | Some (e : Sbft_store.Block_store.entry) -> e.reqs == first.reqs
+                 | None -> false)
+               rest);
+          Array.iter
+            (fun r ->
+              check (Printf.sprintf "seq %d: the committed list" seq) true
+                (match Replica.committed_block r seq with
+                | Some reqs -> reqs == first.reqs
+                | None -> false))
+            cluster.Cluster.replicas
+      | _ -> Alcotest.fail "replica 0 lost a block")
+    seqs
+
 let () =
   Alcotest.run "replica_units"
     [
@@ -212,4 +255,7 @@ let () =
         ] );
       ( "group sig",
         [ Alcotest.test_case "sigma combine pricing" `Quick test_group_sig_pricing ] );
+      ( "ledger",
+        [ Alcotest.test_case "replicas share each block's requests" `Quick
+            test_ledger_shares_requests ] );
     ]

@@ -623,25 +623,28 @@ let test_bootstrap () =
 (* ------------------------------------------------------------------ *)
 (* Block_store *)
 
-let bop ?(client = 7) ?(timestamp = 1) op = { Block_store.client; timestamp; op }
+let bop ?(client = 7) ?(timestamp = 1) ?(signature = "") op =
+  { Block_store.client; timestamp; op; signature }
+
+let fe = Sbft_crypto.Field.of_int
 
 let test_block_store () =
   let bs = Block_store.create () in
   check_int "empty highest" 0 (Block_store.highest bs);
-  Block_store.add bs { seq = 1; view = 0; ops = [ bop "a" ]; cert = Fast "sig1" };
+  Block_store.add bs { seq = 1; view = 0; reqs = [ bop "a" ]; cert = Cert_fast (fe 1) };
   Block_store.add bs
-    { seq = 3; view = 0; ops = [ bop "b" ]; cert = Slow { tau = "t3"; tau_tau = "tt3" } };
+    { seq = 3; view = 0; reqs = [ bop "b" ]; cert = Cert_slow (fe 3, fe 33) };
   check_int "highest" 3 (Block_store.highest bs);
   check "mem" true (Option.is_some (Block_store.find bs 1));
   check "not mem" false (Option.is_some (Block_store.find bs 2));
   (* First write wins. *)
-  Block_store.add bs { seq = 1; view = 9; ops = [ bop "z" ]; cert = Fast "other" };
+  Block_store.add bs { seq = 1; view = 9; reqs = [ bop "z" ]; cert = Cert_fast (fe 9) };
   (match Block_store.find bs 1 with
   | Some e ->
       check "idempotent" true
-        (match e.ops with [ o ] -> String.equal o.Block_store.op "a" | _ -> false);
+        (match e.reqs with [ o ] -> String.equal o.Block_store.op "a" | _ -> false);
       check "client identity persisted" true
-        (match e.ops with [ o ] -> o.Block_store.client = 7 && o.Block_store.timestamp = 1 | _ -> false)
+        (match e.reqs with [ o ] -> o.Block_store.client = 7 && o.Block_store.timestamp = 1 | _ -> false)
   | None -> Alcotest.fail "missing");
   Block_store.prune_below bs 3;
   check "pruned" false (Option.is_some (Block_store.find bs 1));
@@ -658,7 +661,15 @@ let test_block_store () =
          && cp.Block_store.cp_table = [ row ] -> ()
   | _ -> Alcotest.fail "checkpoint regression");
   check "entry size positive" true
-    (Block_store.entry_size { seq = 1; view = 0; ops = [ bop "abc" ]; cert = Fast "s" } > 0)
+    (Block_store.entry_size { seq = 1; view = 0; reqs = [ bop "abc" ]; cert = Cert_fast (fe 1) } > 0);
+  (* 16 of header, 20 + op per request, 8 per field element; the
+     signature is not counted. *)
+  check_int "fast entry size" 47
+    (Block_store.entry_size
+       { seq = 1; view = 0; reqs = [ bop ~signature:(String.make 256 's') "abc" ]; cert = Cert_fast (fe 1) });
+  check_int "slow entry size" 55
+    (Block_store.entry_size
+       { seq = 1; view = 0; reqs = [ bop "abc" ]; cert = Cert_slow (fe 1, fe 2) })
 
 (* ------------------------------------------------------------------ *)
 (* Wal *)
@@ -678,10 +689,10 @@ let wal_records =
     Wal.View_entered 2;
     Wal.View_change_started 3;
     Wal.Accepted_pre_prepare
-      { seq = 4; view = 2; ops = [ bop "op-a"; bop ~client:(-1) ~timestamp:0 "" ] };
-    Wal.Accepted_prepare { seq = 4; view = 2; tau = "tau-bytes" };
+      { seq = 4; view = 2; reqs = [ bop "op-a"; bop ~client:(-1) ~timestamp:0 "" ] };
+    Wal.Accepted_prepare { seq = 4; view = 2; tau = fe 42 };
     Wal.Commit_cert { seq = 4; view = 2; fast = false };
-    Wal.Stable_checkpoint { seq = 8; digest = "digest"; pi = "pi-bytes" };
+    Wal.Stable_checkpoint { seq = 8; digest = "digest"; pi = fe 43 };
     row ~client:7 ~timestamp:1 ~value:"v" ~seq:4 ~index:0;
   ]
 
@@ -728,9 +739,9 @@ let test_wal_truncate_below () =
     [
       Wal.View_entered 1;
       Wal.Commit_cert { seq = 1; view = 1; fast = true };
-      Wal.Stable_checkpoint { seq = 4; digest = "d4"; pi = "p4" };
+      Wal.Stable_checkpoint { seq = 4; digest = "d4"; pi = fe 4 };
       Wal.Commit_cert { seq = 5; view = 1; fast = false };
-      Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = "p8" };
+      Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = fe 8 };
       Wal.Commit_cert { seq = 9; view = 1; fast = true };
     ];
   ignore (Wal.sync w);
@@ -738,7 +749,7 @@ let test_wal_truncate_below () =
   let kept = Wal.replay w in
   check "view records retained" true (List.mem (Wal.View_entered 1) kept);
   check "latest checkpoint retained" true
-    (List.mem (Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = "p8" }) kept);
+    (List.mem (Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = fe 8 }) kept);
   (* When the retained checkpoint's seq equals the truncation seq it is
      both re-added up front and kept by the [s >= seq] filter; it must
      still appear exactly once or every later truncation carries the
@@ -746,10 +757,10 @@ let test_wal_truncate_below () =
   check_int "retained checkpoint appears exactly once" 1
     (List.length
        (List.filter
-          (fun r -> r = Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = "p8" })
+          (fun r -> r = Wal.Stable_checkpoint { seq = 8; digest = "d8"; pi = fe 8 })
           kept));
   check "older checkpoint dropped" false
-    (List.mem (Wal.Stable_checkpoint { seq = 4; digest = "d4"; pi = "p4" }) kept);
+    (List.mem (Wal.Stable_checkpoint { seq = 4; digest = "d4"; pi = fe 4 }) kept);
   check "pre-checkpoint record dropped" false
     (List.mem (Wal.Commit_cert { seq = 5; view = 1; fast = false }) kept);
   check "post-checkpoint record kept" true
@@ -824,7 +835,7 @@ let synced_once records =
    (the filler row pushes the log past the watermark) must agree with
    the replay of the bytes, where the two copies are distinct values. *)
 let test_wal_duplicate_checkpoint () =
-  let cp = Wal.Stable_checkpoint { seq = 5; digest = "d5"; pi = "p5" } in
+  let cp = Wal.Stable_checkpoint { seq = 5; digest = "d5"; pi = fe 5 } in
   let filler =
     row ~client:1 ~timestamp:1 ~value:(String.make 70_000 'v') ~seq:1 ~index:0
   in
@@ -861,7 +872,7 @@ let test_wal_bytes_across_syncs () =
 
 let test_wal_corrupt_across_syncs () =
   let head = [ Wal.View_entered 1; Wal.Commit_cert { seq = 1; view = 1; fast = true } ] in
-  let last = Wal.Accepted_prepare { seq = 2; view = 1; tau = "tau" } in
+  let last = Wal.Accepted_prepare { seq = 2; view = 1; tau = fe 2 } in
   let build () =
     let w = synced_once head in
     let len = Wal.append w last in
@@ -887,7 +898,7 @@ let test_wal_compaction_across_syncs () =
              Wal.Commit_cert { seq; view = 0; fast = i mod 2 = 0 };
            ]
            @ if seq mod 16 = 0 then
-               [ Wal.Stable_checkpoint { seq; digest = "d"; pi = "p" } ]
+               [ Wal.Stable_checkpoint { seq; digest = "d"; pi = fe seq } ]
              else []))
   in
   let batched = synced_in_batches ~batch:5 records in
@@ -922,14 +933,16 @@ let test_wal_compaction_across_syncs () =
   check_int "same bytes after rollback" (Wal.durable_bytes once) (Wal.durable_bytes batched)
 
 (* Golden frames pin the log's byte format: a pre-prepare with a real
-   request and a [client = -1] filler, and a client-table row. *)
+   request and a [client = -1] filler, a client-table row, and the two
+   records that carry a field element, logged as the string of its 8
+   bytes. *)
 let test_wal_golden_frames () =
   let pre_prepare =
     Wal.Accepted_pre_prepare
       {
         seq = 300;
         view = 2;
-        ops =
+        reqs =
           [
             bop ~timestamp:41 (Kv_service.put ~key:"k1" ~value:"v1");
             bop ~client:(-1) ~timestamp:0 "";
@@ -941,10 +954,71 @@ let test_wal_golden_frames () =
   check_str "Accepted_pre_prepare frame" "12198b072003d80404020e520701026b31027631010000"
     (hex pre_prepare);
   check_str "Client_row frame" "09312b0a60070e52026f6bd80402" (hex client_row);
+  check_str "Accepted_prepare frame" "0c5833c09c040804080000011f71fb04cb"
+    (hex (Wal.Accepted_prepare { seq = 4; view = 2; tau = fe 1234567890123 }));
+  check_str "Stable_checkpoint frame" "12896ec8de06100664696765737408000000003ade68b1"
+    (hex (Wal.Stable_checkpoint { seq = 8; digest = "digest"; pi = fe 987654321 }));
   let w = Wal.create () in
   check_int "append reports the frame length"
     (String.length (Wal.frame pre_prepare))
     (Wal.append w pre_prepare)
+
+(* A request's signature is not logged: a pre-prepare of signed requests
+   costs and frames exactly as the same requests unsigned, and replays
+   unsigned. *)
+let test_wal_signatures_not_logged () =
+  let block signature =
+    Wal.Accepted_pre_prepare
+      {
+        seq = 5;
+        view = 1;
+        reqs =
+          [
+            bop ~signature ~timestamp:3 (Kv_service.put ~key:"k" ~value:"v");
+            bop ~client:(-1) ~timestamp:0 "";
+          ];
+      }
+  in
+  let signed = block (String.make 256 's') and unsigned = block "" in
+  let log r =
+    let w = Wal.create () in
+    let n = Wal.append w r in
+    ignore (Wal.sync w);
+    (w, n)
+  in
+  let ws, ns = log signed and wu, nu = log unsigned in
+  check_int "same append length" nu ns;
+  check_str "same frame" (Wal.frame unsigned) (Wal.frame signed);
+  check_int "same durable bytes" (Wal.durable_bytes wu) (Wal.durable_bytes ws);
+  check "replays unsigned" true (Wal.replay ws = [ unsigned ])
+
+(* A checksum-valid frame whose field string is not 8 bytes is not a
+   record: parsing stops there, as at a torn frame, without raising. *)
+let test_wal_short_field_stops_parse () =
+  let frame_of payload =
+    let w = Codec.Writer.create () in
+    Codec.Writer.varint w (String.length payload);
+    Codec.Writer.u32 w (Wal.checksum payload);
+    Codec.Writer.raw w payload;
+    Codec.Writer.contents w
+  in
+  let checkpoint pi =
+    let w = Codec.Writer.create () in
+    Codec.Writer.u8 w 6;
+    Codec.Writer.varint w 16 (* zigzag of seq 8 *);
+    Codec.Writer.str w "digest";
+    Codec.Writer.str w pi;
+    Codec.Writer.contents w
+  in
+  let good = Wal.Stable_checkpoint { seq = 8; digest = "digest"; pi = fe 987654321 } in
+  check_str "hand-built frame matches the log's"
+    (Wal.frame good)
+    (frame_of (checkpoint (Sbft_crypto.Field.to_bytes (fe 987654321))));
+  let short = frame_of (checkpoint "abc") in
+  let parsed = try Ok (Wal.parse (Wal.frame good ^ short ^ Wal.frame good)) with e -> Error e in
+  check "parse stops at the short field" true (parsed = Ok [ good ]);
+  check "a long field stops it too" true
+    (Wal.parse (frame_of (checkpoint (String.make 9 'x'))) = [])
 
 (* Arbitrary records for the frame-size and model properties: ints
    near the zigzag overflow edges (a doubling that overflows makes
@@ -975,6 +1049,7 @@ let long_str lo hi =
 
 let wal_str_gen = QCheck2.Gen.(frequency [ (3, string_size (int_bound 8)); (1, long_str 1000 12_000) ])
 
+(* Requests are generated unsigned, as the log gives them back. *)
 let wal_record_gen ~ints ~strs ~seqs ~ops =
   QCheck2.Gen.(
     oneof
@@ -982,12 +1057,12 @@ let wal_record_gen ~ints ~strs ~seqs ~ops =
         map (fun v -> Wal.View_entered v) ints;
         map (fun v -> Wal.View_change_started v) ints;
         map3
-          (fun seq view ops -> Wal.Accepted_pre_prepare { seq; view; ops })
+          (fun seq view reqs -> Wal.Accepted_pre_prepare { seq; view; reqs })
           seqs ints
           (list_size ops (map3 (fun client timestamp op -> bop ~client ~timestamp op) ints ints strs));
-        map3 (fun seq view tau -> Wal.Accepted_prepare { seq; view; tau }) seqs ints strs;
+        map3 (fun seq view tau -> Wal.Accepted_prepare { seq; view; tau = fe tau }) seqs ints int;
         map3 (fun seq view fast -> Wal.Commit_cert { seq; view; fast }) seqs ints bool;
-        map3 (fun seq digest pi -> Wal.Stable_checkpoint { seq; digest; pi }) seqs strs strs;
+        map3 (fun seq digest pi -> Wal.Stable_checkpoint { seq; digest; pi = fe pi }) seqs strs int;
         map5
           (fun client timestamp value seq index -> row ~client ~timestamp ~value ~seq ~index)
           ints ints strs seqs ints;
@@ -995,22 +1070,23 @@ let wal_record_gen ~ints ~strs ~seqs ~ops =
 
 let show_record r =
   let str s = Printf.sprintf "%d bytes" (String.length s) in
+  let field = Sbft_crypto.Field.to_int64 in
   match r with
   | Wal.View_entered v -> Printf.sprintf "View_entered %d" v
   | Wal.View_change_started v -> Printf.sprintf "View_change_started %d" v
-  | Wal.Accepted_pre_prepare { seq; view; ops } ->
-      Printf.sprintf "Accepted_pre_prepare seq=%d view=%d ops=[%s]" seq view
+  | Wal.Accepted_pre_prepare { seq; view; reqs } ->
+      Printf.sprintf "Accepted_pre_prepare seq=%d view=%d reqs=[%s]" seq view
         (String.concat "; "
            (List.map
-              (fun { Block_store.client; timestamp; op } ->
-                Printf.sprintf "%d,%d,%s" client timestamp (str op))
-              ops))
+              (fun { Block_store.client; timestamp; op; signature } ->
+                Printf.sprintf "%d,%d,%s,%s" client timestamp (str op) (str signature))
+              reqs))
   | Wal.Accepted_prepare { seq; view; tau } ->
-      Printf.sprintf "Accepted_prepare seq=%d view=%d tau=%s" seq view (str tau)
+      Printf.sprintf "Accepted_prepare seq=%d view=%d tau=%Ld" seq view (field tau)
   | Wal.Commit_cert { seq; view; fast } ->
       Printf.sprintf "Commit_cert seq=%d view=%d fast=%b" seq view fast
   | Wal.Stable_checkpoint { seq; digest; pi } ->
-      Printf.sprintf "Stable_checkpoint seq=%d digest=%s pi=%s" seq (str digest) (str pi)
+      Printf.sprintf "Stable_checkpoint seq=%d digest=%s pi=%Ld" seq (str digest) (field pi)
   | Wal.Client_row { Block_store.ce_client; ce_timestamp; ce_value; ce_seq; ce_index } ->
       Printf.sprintf "Client_row client=%d ts=%d value=%s seq=%d index=%d" ce_client
         ce_timestamp (str ce_value) ce_seq ce_index
@@ -1266,7 +1342,7 @@ let wal_props =
                 {
                   seq = Sbft_sim.Rng.int r 1000;
                   view = Sbft_sim.Rng.int r 10;
-                  ops =
+                  reqs =
                     [
                       bop ~client:(Sbft_sim.Rng.int r 20 - 1)
                         ~timestamp:(Sbft_sim.Rng.int r 50) "x";
@@ -1274,7 +1350,7 @@ let wal_props =
                 }
           | 3 ->
               Wal.Accepted_prepare
-                { seq = Sbft_sim.Rng.int r 1000; view = Sbft_sim.Rng.int r 10; tau = "t" }
+                { seq = Sbft_sim.Rng.int r 1000; view = Sbft_sim.Rng.int r 10; tau = fe 7 }
           | 4 ->
               Wal.Commit_cert
                 {
@@ -1284,7 +1360,7 @@ let wal_props =
                 }
           | 5 ->
               Wal.Stable_checkpoint
-                { seq = Sbft_sim.Rng.int r 1000; digest = "d"; pi = "p" }
+                { seq = Sbft_sim.Rng.int r 1000; digest = "d"; pi = fe 8 }
           | _ ->
               row ~client:(Sbft_sim.Rng.int r 20) ~timestamp:(Sbft_sim.Rng.int r 50)
                 ~value:"v" ~seq:(Sbft_sim.Rng.int r 1000) ~index:(Sbft_sim.Rng.int r 4)
@@ -1343,6 +1419,9 @@ let () =
           Alcotest.test_case "truncation amortized" `Quick test_wal_truncate_amortized;
           Alcotest.test_case "byte counts across syncs" `Quick test_wal_bytes_across_syncs;
           Alcotest.test_case "golden frames" `Quick test_wal_golden_frames;
+          Alcotest.test_case "signatures are not logged" `Quick test_wal_signatures_not_logged;
+          Alcotest.test_case "short field string stops parse" `Quick
+            test_wal_short_field_stops_parse;
           Alcotest.test_case "corrupt tail across syncs" `Quick test_wal_corrupt_across_syncs;
           Alcotest.test_case "compaction across syncs" `Quick
             test_wal_compaction_across_syncs;
