@@ -388,6 +388,14 @@ let note_preprepared sl fast =
 let note_prepared sl slow =
   match sl.slow with Types.Slow_committed _ -> () | _ -> sl.slow <- slow
 
+(* A commit proof is recorded even when the slot already committed: by
+   [commit] from a verified or decided certificate, and by recovery from
+   the one its ledger entry holds. *)
+let note_committed sl ~view ~reqs (cert : Types.block_cert) =
+  match cert with
+  | Cert_fast sigma -> sl.fast <- Types.Fast_committed { sigma; view; reqs }
+  | Cert_slow (tau, tau_tau) -> sl.slow <- Types.Slow_committed { tau; tau_tau; view; reqs }
+
 (* ------------------------------------------------------------------ *)
 (* Sign-share emission (§V-D).
 
@@ -797,19 +805,10 @@ and on_commit t ctx ~seq ~view ~share =
 (* Commit and in-order execution *)
 
 (* Commit [reqs] at [sl] under [cert], which the caller verified (or a
-   new view decided) against the block hash [h].  The certificate is
-   recorded for view-change reports even when the slot already
-   committed. *)
+   new view decided) against the block hash [h]. *)
 and commit t ctx sl ~reqs ~view ~h cert =
-  let fast =
-    match cert with
-    | Types.Cert_fast sigma ->
-        sl.fast <- Types.Fast_committed { sigma; view; reqs };
-        true
-    | Types.Cert_slow (tau, tau_tau) ->
-        sl.slow <- Types.Slow_committed { tau; tau_tau; view; reqs };
-        false
-  in
+  note_committed sl ~view ~reqs cert;
+  let fast = match cert with Types.Cert_fast _ -> true | Types.Cert_slow _ -> false in
   if sl.committed = None then begin
     Sanitizer.record_commit t.san ~seq:sl.seq ~view ~digest:h;
     set_committed sl reqs;
@@ -1618,10 +1617,13 @@ let recover t ctx =
     t.view <- !restored_view
   end;
   (* 3. Ledger replay: quiet re-commit + re-execution of the contiguous
-     run above the checkpoint (no network sends, no new WAL records). *)
-  let restore_commit seq ({ view; reqs; _ } : Sbft_store.Block_store.entry) =
+     run above the checkpoint (no network sends, no new WAL records).
+     The entry's certificate was verified before it was stored, and
+     goes back into the slot's view-change report. *)
+  let restore_commit seq ({ view; reqs; cert; _ } : Sbft_store.Block_store.entry) =
     let h = Keys.block_hash (keys t) ~seq ~view ~reqs in
     let sl = slot t seq in
+    note_committed sl ~view ~reqs cert;
     if sl.committed = None then begin
       Sanitizer.record_commit t.san ~seq ~view ~digest:h;
       sl.pp <- Some (view, reqs, h);

@@ -16,14 +16,14 @@ let keys, replica_keys, _clients = Keys.setup (Rng.create 7L) ~config ~num_clien
 
 type live = { engine : Engine.t; replica : Replica.t; sent : (int * Types.msg) list ref }
 
-let live_replica ?(keys = keys) me =
+let new_durable () =
+  { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () }
+
+let live_replica ?(keys = keys) ?(durable = new_durable ()) me =
   let engine = Engine.create ~num_nodes:5 ~seed:1L () in
   let sent = ref [] in
   let send _ctx ~src:_ ~dst msg = sent := (dst, msg) :: !sent in
   let env = { Replica.engine; trace = Trace.create (); keys; send; exec_cost = (fun _ -> 0) } in
-  let durable =
-    { Replica.wal = Sbft_store.Wal.create (); blocks = Sbft_store.Block_store.create () }
-  in
   let replica =
     Replica.create ~env ~my:replica_keys.(me) ~store:(Sbft_store.Kv_service.create ())
       ~durable
@@ -242,6 +242,65 @@ let test_ledger_shares_requests () =
       | _ -> Alcotest.fail "replica 0 lost a block")
     seqs
 
+(* ------------------------------------------------------------------ *)
+(* Crash-amnesia recovery: a replica rebuilt from its ledger reports the
+   same commit proofs in its view-change message as before the crash. *)
+
+let tau_cert seq =
+  let combine msg =
+    let share (k : Keys.replica_keys) = Threshold.share_sign k.tau_sk ~msg in
+    Threshold.combine_exn keys.Keys.tau ~msg (Array.to_list (Array.map share replica_keys))
+  in
+  let tau = combine (block_hash seq) in
+  (tau, combine (Types.tau2_message tau))
+
+let vc_sent l =
+  match List.find_map (function _, Types.View_change vc -> Some vc | _ -> None) !(l.sent) with
+  | Some vc -> vc
+  | None -> Alcotest.fail "no view-change sent"
+
+(* Each slot's commit proofs, without the pre-prepare share or prepare a
+   live replica also holds. *)
+let commit_proofs (vc : Types.view_change) =
+  List.map
+    (fun (s : Types.vc_slot) ->
+      ( s.slot_seq,
+        (match s.fast with Types.Fast_committed _ -> s.fast | _ -> Types.No_preprepare),
+        match s.slow with Types.Slow_committed _ -> s.slow | _ -> Types.No_commit ))
+    vc.vc_slots
+
+(* Seq 1 commits fast and seq 2 slow; f+1 complaints make the live
+   replica send its view change, and the recovered replica sends its
+   view-discovery probe. *)
+let test_recovered_report () =
+  let durable = new_durable () in
+  let l = live_replica ~durable 1 in
+  let pre_prepare seq = (0, Types.Pre_prepare { seq; view = 0; reqs = null_block }) in
+  let tau, tau_tau = tau_cert 2 in
+  deliver_all l
+    [
+      pre_prepare 1;
+      pre_prepare 2;
+      (0, Types.Full_commit_proof { seq = 1; view = 0; sigma = sigma_cert () });
+      (0, Types.Full_commit_proof_slow { seq = 2; view = 0; tau; tau_tau });
+    ];
+  check_int "both executed" 2 (Replica.last_executed l.replica);
+  let complaint r =
+    ( r,
+      Types.View_change
+        { vc_replica = r; vc_view = 0; vc_ls = 0; vc_checkpoint = None; vc_slots = [] } )
+  in
+  deliver_all l [ complaint 2; complaint 3 ];
+  let live = commit_proofs (vc_sent l) in
+  check_int "the live replica reports both proofs" 2 (List.length live);
+  let r = live_replica ~durable 1 in
+  Engine.dispatch r.engine ~dst:1 ~at:(Engine.now r.engine) (fun ctx ->
+      Replica.recover r.replica ctx);
+  Engine.run_until r.engine (Engine.ms 100);
+  check_int "recovery replayed both" 2 (Replica.last_executed r.replica);
+  check "the recovered replica reports the same proofs" true
+    (commit_proofs (vc_sent r) = live)
+
 let () =
   Alcotest.run "replica_units"
     [
@@ -258,4 +317,7 @@ let () =
       ( "ledger",
         [ Alcotest.test_case "replicas share each block's requests" `Quick
             test_ledger_shares_requests ] );
+      ( "recovery",
+        [ Alcotest.test_case "ledger replay restores commit proofs" `Quick
+            test_recovered_report ] );
     ]
