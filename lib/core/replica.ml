@@ -544,12 +544,9 @@ and try_propose t ctx =
           (set_replica_timer t ~after:Config.batch_timeout (fun ctx ->
                t.batch_timer <- None;
                if is_primary t && not t.in_view_change then begin
-                 let batch = min (Intake.pending_length t.intake) (Intake.batch_size t.intake) in
-                 if
-                   batch > 0
-                   && inflight t < Batching.max_concurrent config
-                   && t.next_seq <= t.ls + config.Config.win
-                 then propose_block t ctx batch;
+                 if can_propose () then
+                   propose_block t ctx
+                     (min (Intake.pending_length t.intake) (Intake.batch_size t.intake));
                  try_propose t ctx
                end))
   end
