@@ -138,6 +138,104 @@ let test_message_sizes () =
   check "request >= signature size" true
     (Types.size (Types.Request (req "x")) >= Sbft_crypto.Pki.signature_size)
 
+(* One fixed sample of every message constructor and the [Types.size]
+   it had when pinned: a change to a message's fields must not move the
+   bytes the network charges for it unnoticed. *)
+let test_pinned_sizes () =
+  let open Sbft_crypto in
+  let reqs = [ req "put k v"; req (String.make 40 'o') ] in
+  let share = { Threshold.signer = 2; value = Field.one } in
+  let s = Field.one in
+  let digest = String.make 32 'd' in
+  let vc =
+    {
+      Types.vc_replica = 1;
+      vc_view = 3;
+      vc_ls = 8;
+      vc_checkpoint = Some (s, digest);
+      vc_slots =
+        [
+          {
+            slot_seq = 9;
+            slow = Types.Slow_committed { tau = s; tau_tau = s; view = 3; reqs };
+            fast = Types.Fast_preprepared { share; view = 3; reqs };
+          };
+          {
+            slot_seq = 10;
+            slow = Types.Slow_prepared { tau = s; view = 2; reqs };
+            fast = Types.Fast_committed { sigma = s; view = 2; reqs };
+          };
+          { slot_seq = 11; slow = Types.No_commit; fast = Types.No_preprepare };
+        ];
+    }
+  in
+  let entry seq cert = { Sbft_store.Block_store.seq; view = 1; reqs; cert } in
+  let row =
+    {
+      Sbft_store.Block_store.ce_client = 4;
+      ce_timestamp = 2;
+      ce_value = "value";
+      ce_seq = 7;
+      ce_index = 0;
+    }
+  in
+  List.iter
+    (fun (name, msg, bytes) -> check_int name bytes (Types.size msg))
+    [
+      ("request", Types.Request (req "put k v"), 283);
+      ("pre-prepare", Types.Pre_prepare { seq = 1; view = 0; reqs }, 623);
+      ( "sign-share",
+        Types.Sign_share { seq = 1; view = 0; sigma_share = share; tau_share = share; replica = 1 },
+        98 );
+      ("full-commit-proof", Types.Full_commit_proof { seq = 1; view = 0; sigma = s }, 57);
+      ("prepare", Types.Prepare { seq = 1; view = 0; tau = s }, 57);
+      ("commit", Types.Commit { seq = 1; view = 0; share }, 61);
+      ( "full-commit-proof-slow",
+        Types.Full_commit_proof_slow { seq = 1; view = 0; tau = s; tau_tau = s },
+        90 );
+      ("sign-state", Types.Sign_state { seq = 1; digest; share }, 93);
+      ("full-execute-proof", Types.Full_execute_proof { seq = 1; digest; pi = s }, 89);
+      ( "execute-ack",
+        Types.Execute_ack
+          {
+            view = 0;
+            seq = 1;
+            index = 2;
+            client = 4;
+            timestamp = 2;
+            value = "value";
+            state_digest = digest;
+            pi = s;
+            proof = String.make 320 'p';
+          },
+        414 );
+      ( "reply",
+        Types.Reply
+          { view = 0; replica = 1; client = 4; timestamp = 2; seq = 1; value = "value"; signature = "" },
+        285 );
+      ("view-change", Types.View_change vc, 2695);
+      ("new-view", Types.New_view { view = 4; proofs = [ vc; { vc with vc_slots = [] } ] }, 2824);
+      ("get-block", Types.Get_block { seq = 1; replica = 1 }, 24);
+      ("block-resp", Types.Block_resp { seq = 1; view = 0; reqs }, 623);
+      ("query", Types.Query { client = 4; qid = 1; query = "get k" }, 285);
+      ( "query-resp",
+        Types.Query_resp
+          { client = 4; qid = 1; seq = 8; digest; pi = s; value = "value"; proof = String.make 512 'p' },
+        606 );
+      ("get-state", Types.Get_state { upto = 20; replica = 1 }, 24);
+      ( "state-resp",
+        Types.State_resp
+          {
+            snapshot = String.make 1000 's';
+            snap_seq = 8;
+            pi = s;
+            digest;
+            blocks = [ entry 9 (Types.Cert_fast s); entry 10 (Types.Cert_slow (s, s)) ];
+            table = [ row; { row with ce_client = 5; ce_value = "" } ];
+          },
+        2487 );
+    ]
+
 let test_kind_strings () =
   check "pre-prepare" true (Types.kind (Types.Pre_prepare { seq = 1; view = 0; reqs = [] }) = "pre-prepare");
   check "request" true (Types.kind (Types.Request (req "x")) = "request")
@@ -843,6 +941,7 @@ let () =
         [
           Alcotest.test_case "block hash" `Quick test_block_hash_sensitivity;
           Alcotest.test_case "sizes" `Quick test_message_sizes;
+          Alcotest.test_case "pinned sizes" `Quick test_pinned_sizes;
           Alcotest.test_case "kinds" `Quick test_kind_strings;
         ] );
       ("keys", [ Alcotest.test_case "request auth" `Quick test_request_authentication ]);

@@ -201,6 +201,33 @@ let test_checkpoint_votes_pruned () =
   vote ~seq:12 2;
   check_int "a vote above 8 is held" 1 (Pbft_replica.checkpoint_vote_sets r)
 
+(* One fixed sample of every message constructor and the
+   [Pbft_types.size] it had when pinned (see test_core_units' SBFT
+   twin). *)
+let test_pinned_sizes () =
+  let req op : Pbft_types.request =
+    { client = 10; timestamp = 1; op; signature = String.make 256 's' }
+  in
+  let reqs = [ req "put k v"; req (String.make 40 'o') ] in
+  let h = String.make 32 'h' in
+  List.iter
+    (fun (name, msg, bytes) -> check_int name bytes (Pbft_types.size msg))
+    [
+      ("request", Pbft_types.Request (req "put k v"), 283);
+      ("pre-prepare", Pbft_types.Pre_prepare { seq = 1; view = 0; reqs }, 879);
+      ("prepare", Pbft_types.Prepare { seq = 1; view = 0; h; replica = 1 }, 312);
+      ("commit", Pbft_types.Commit { seq = 1; view = 0; h; replica = 1 }, 312);
+      ( "reply",
+        Pbft_types.Reply { view = 0; replica = 1; client = 4; timestamp = 2; seq = 1; value = "value" },
+        285 );
+      ("checkpoint", Pbft_types.Checkpoint { seq = 8; digest = h; replica = 1 }, 312);
+      ( "view-change",
+        Pbft_types.View_change
+          { view = 3; ls = 8; prepared = [ (9, 3, reqs); (10, 2, [ req "x" ]) ]; replica = 1 },
+        1252 );
+      ("new-view", Pbft_types.New_view { view = 4; pre_prepares = [ (9, reqs); (10, []) ] }, 911);
+    ]
+
 let () =
   Alcotest.run "sbft_pbft"
     [
@@ -218,5 +245,6 @@ let () =
           Alcotest.test_case "checkpoint votes pruned" `Quick test_checkpoint_votes_pruned;
           Alcotest.test_case "pre-prepare before new-view" `Quick
             test_pre_prepare_before_new_view;
+          Alcotest.test_case "pinned sizes" `Quick test_pinned_sizes;
         ] );
     ]
