@@ -342,7 +342,7 @@ let priced =
     ("Threshold", "verify");
     ("Threshold", "verify_h");
     ("Threshold", "share_verify");
-    ("Threshold", "share_verify_cached");
+    ("Threshold", "share_verify_cached_h");
     ("Threshold", "combine");
     ("Threshold", "combine_verified");
     ("Threshold", "combine_verified_h");
@@ -356,6 +356,7 @@ let priced =
     ("Pki", "verify");
     ("Keys", "verify_request");
     ("View_change", "validate_message");
+    ("View_change", "verify_cert");
     ("Auth_store", "verify_op_proof");
     ("Auth_store", "verify_query_proof");
   ]

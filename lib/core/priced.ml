@@ -51,15 +51,9 @@ let verify ctx keys scheme ~msg s =
   Threshold.verify_h scheme ~h:(Keys.hash_to_field keys msg) s
 
 let verify_cert ctx keys ~h cert =
-  let point msg = Keys.hash_to_field keys msg in
-  match cert with
-  | Types.Cert_fast sigma ->
-      Engine.charge ctx (Tally.note "proof_verify" Cost_model.bls_verify);
-      Threshold.verify_h keys.Keys.sigma ~h:(point h) sigma
-  | Types.Cert_slow (tau, tau_tau) ->
-      Engine.charge ctx (Tally.note "proof_verify" (2 * Cost_model.bls_verify));
-      Threshold.verify_h keys.Keys.tau ~h:(point h) tau
-      && Threshold.verify_h keys.Keys.tau ~h:(point (Types.tau2_message tau)) tau_tau
+  let verifies = match cert with Types.Cert_fast _ -> 1 | Types.Cert_slow _ -> 2 in
+  Engine.charge ctx (Tally.note "proof_verify" (verifies * Cost_model.bls_verify));
+  View_change.verify_cert keys ~h cert
 
 let validate_view_changes ctx keys msgs =
   Engine.charge ctx (Tally.note "proof_verify" (List.length msgs * Cost_model.bls_verify));

@@ -15,18 +15,26 @@ let null_request : Types.request =
   { client = -1; timestamp = 0; op = ""; signature = "" }
 
 (* ------------------------------------------------------------------ *)
-(* Certificate validation *)
+(* Certificate validation.  Every check hashes its message through the
+   cluster's {!Keys.hash_to_field} memo. *)
+
+let verify_cert keys ~h (cert : Types.block_cert) =
+  match cert with
+  | Cert_fast sigma -> Threshold.verify_h keys.Keys.sigma ~h:(Keys.hash_to_field keys h) sigma
+  | Cert_slow (tau, tau_tau) ->
+      Threshold.verify_h keys.Keys.tau ~h:(Keys.hash_to_field keys h) tau
+      && Threshold.verify_h keys.Keys.tau
+           ~h:(Keys.hash_to_field keys (Types.tau2_message tau))
+           tau_tau
 
 let valid_slow_cert keys ~seq (cert : Types.slow_cert) =
   match cert with
   | No_commit -> true
   | Slow_prepared { tau; view; reqs } ->
       let h = Keys.block_hash keys ~seq ~view ~reqs in
-      Threshold.verify keys.Keys.tau ~msg:h tau
+      Threshold.verify_h keys.Keys.tau ~h:(Keys.hash_to_field keys h) tau
   | Slow_committed { tau; tau_tau; view; reqs } ->
-      let h = Keys.block_hash keys ~seq ~view ~reqs in
-      Threshold.verify keys.Keys.tau ~msg:h tau
-      && Threshold.verify keys.Keys.tau ~msg:(Types.tau2_message tau) tau_tau
+      verify_cert keys ~h:(Keys.block_hash keys ~seq ~view ~reqs) (Cert_slow (tau, tau_tau))
 
 let valid_fast_cert keys ~seq ~sender (cert : Types.fast_cert) =
   match cert with
@@ -37,15 +45,15 @@ let valid_fast_cert keys ~seq ~sender (cert : Types.fast_cert) =
       (* A replica re-validating retransmitted view-change messages hits
          the per-(signer, msg, value) verdict cache instead of redoing
          the pairing check. *)
-      && Threshold.share_verify_cached keys.Keys.sigma ~msg:h share
+      && Threshold.share_verify_cached_h keys.Keys.sigma ~h:(Keys.hash_to_field keys h) share
   | Fast_committed { sigma; view; reqs } ->
-      let h = Keys.block_hash keys ~seq ~view ~reqs in
-      Threshold.verify keys.Keys.sigma ~msg:h sigma
+      verify_cert keys ~h:(Keys.block_hash keys ~seq ~view ~reqs) (Cert_fast sigma)
 
 let valid_checkpoint keys ~ls = function
   | None -> ls = 0
   | Some (pi, digest) ->
-      Threshold.verify keys.Keys.pi ~msg:(Types.pi_message ~seq:ls ~digest) pi
+      let msg = Types.pi_message ~seq:ls ~digest in
+      Threshold.verify_h keys.Keys.pi ~h:(Keys.hash_to_field keys msg) pi
 
 let validate_message ~keys (vc : Types.view_change) =
   valid_checkpoint keys ~ls:vc.vc_ls vc.vc_checkpoint

@@ -36,6 +36,12 @@ type decision =
 val null_request : Types.request
 (** The no-op operation used to fill unconstrained slots. *)
 
+val verify_cert : Keys.t -> h:string -> Types.block_cert -> bool
+(** [cert] is a commit certificate for the block hash [h]: σ(h), or
+    τ(h) with τ(τ(h)).  Unpriced: replicas call it through
+    {!Priced.verify_cert}, the view change through {!validate_message}
+    and {!compute}. *)
+
 val validate_message : keys:Keys.t -> Types.view_change -> bool
 (** Structural and cryptographic validity of one view-change message:
     the checkpoint proof verifies and every per-slot certificate's

@@ -102,8 +102,7 @@ let share_verify_memo t ~(h : Field.t) ~fresh (sh : share) =
       Hashtbl.replace t.verify_memo key ok;
       ok
 
-let share_verify_cached t ~msg sh =
-  share_verify_memo t ~h:(hash_to_field msg) ~fresh:(ref 0) sh
+let share_verify_cached_h t ~h sh = share_verify_memo t ~h ~fresh:(ref 0) sh
 
 (* ------------------------------------------------------------------ *)
 (* Lagrange coefficients at zero from the scheme's tables.

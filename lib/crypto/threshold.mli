@@ -42,10 +42,10 @@ val share_sign : signing_key -> msg:string -> share
 val share_sign_h : signing_key -> h:Field.t -> share
 val share_verify : t -> msg:string -> share -> bool
 
-val share_verify_cached : t -> msg:string -> share -> bool
-(** {!share_verify} through the scheme's per-(message point, signer,
-    value) verdict cache: a share the scheme instance has already
-    checked (re-delivery, a second collector on the same node,
+val share_verify_cached_h : t -> h:Field.t -> share -> bool
+(** {!share_verify} on the message point [h], through the scheme's
+    per-(point, signer, value) verdict cache: a share the scheme
+    instance has already checked (re-delivery, a second collector on the same node,
     view-change re-validation) is answered from the cache without
     recomputation.  The cache key includes the claimed share value, so
     a Byzantine signer re-sending a different share always verifies

@@ -573,20 +573,21 @@ let test_share_verify_cache () =
   let r = rng () in
   let scheme, keys = Threshold.setup r ~n:7 ~k:5 in
   let msg = "m" in
+  let h = Threshold.hash_to_field msg in
   let sh = Threshold.share_sign keys.(0) ~msg in
-  check "cached verify agrees (valid)" true (Threshold.share_verify_cached scheme ~msg sh);
+  check "cached verify agrees (valid)" true (Threshold.share_verify_cached_h scheme ~h sh);
   check "cached verify agrees on re-delivery" true
-    (Threshold.share_verify_cached scheme ~msg sh);
+    (Threshold.share_verify_cached_h scheme ~h sh);
   let forged = Threshold.forge_invalid_share ~signer:1 in
   check "cached verify agrees (forged)" false
-    (Threshold.share_verify_cached scheme ~msg forged);
+    (Threshold.share_verify_cached_h scheme ~h forged);
   check "negative verdicts cached too" false
-    (Threshold.share_verify_cached scheme ~msg forged);
+    (Threshold.share_verify_cached_h scheme ~h forged);
   (* The cache key includes the share value: a Byzantine signer
      re-sending a *different* share for the same message is re-checked,
      not answered from the stale verdict. *)
   check "same signer, fresh value, fresh verdict" true
-    (Threshold.share_verify_cached scheme ~msg sh);
+    (Threshold.share_verify_cached_h scheme ~h sh);
   (* Fallback identification over already-cached shares computes zero
      fresh per-share verifications. *)
   let shares =
