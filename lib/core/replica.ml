@@ -1468,18 +1468,13 @@ and on_new_view t ctx ~view ~proofs =
         (fun (seq, decision) ->
           if seq > t.ls then begin
             let sl = slot t seq in
-            (* A decided slot commits under the certificate the proofs
-               carry (validated with them). *)
-            let decided cert ~reqs ~pview =
-              let h = Keys.block_hash (keys t) ~seq ~view:pview ~reqs in
-              sl.pp <- Some (pview, reqs, h);
-              commit t ctx sl ~reqs ~view:pview ~h cert
-            in
             match decision with
-            | View_change.Decide_fast { sigma; reqs; view = pview } ->
-                decided (Types.Cert_fast sigma) ~reqs ~pview
-            | View_change.Decide_slow { tau; tau_tau; reqs; view = pview } ->
-                decided (Types.Cert_slow (tau, tau_tau)) ~reqs ~pview
+            | View_change.Decide { cert; view = pview; reqs } ->
+                (* Commit under the certificate the proofs carry
+                   (validated with them). *)
+                let h = Keys.block_hash (keys t) ~seq ~view:pview ~reqs in
+                sl.pp <- Some (pview, reqs, h);
+                commit t ctx sl ~reqs ~view:pview ~h cert
             | (View_change.Adopt _ | View_change.Fill_null)
               when sl.committed = None ->
                 (* Adopt as a pre-prepare of the new view. *)

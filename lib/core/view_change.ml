@@ -1,13 +1,7 @@
 open Sbft_crypto
 
 type decision =
-  | Decide_fast of { sigma : Field.t; reqs : Types.request list; view : int }
-  | Decide_slow of {
-      tau : Field.t;
-      tau_tau : Field.t;
-      reqs : Types.request list;
-      view : int;
-    }
+  | Decide of { cert : Types.block_cert; view : int; reqs : Types.request list }
   | Adopt of Types.request list
   | Fill_null
 
@@ -92,11 +86,10 @@ let compute_slot keys ~seq entries =
         match (slow, fast) with
         | Slow_committed { tau; tau_tau; view; reqs }, _
           when valid_slow_cert keys ~seq slow ->
-            Some (Decide_slow { tau; tau_tau; reqs; view })
+            Some (Decide { cert = Cert_slow (tau, tau_tau); view; reqs })
         | _, Fast_committed { sigma; view; reqs }
           when valid_fast_cert keys ~seq ~sender:(-1) fast ->
-            ignore view;
-            Some (Decide_fast { sigma; reqs; view })
+            Some (Decide { cert = Cert_fast sigma; view; reqs })
         | _ -> None)
       entries
   in
@@ -210,5 +203,5 @@ let compute ~keys ~new_view msgs =
   (ls, decisions)
 
 let decision_reqs = function
-  | Decide_fast { reqs; _ } | Decide_slow { reqs; _ } | Adopt reqs -> reqs
+  | Decide { reqs; _ } | Adopt reqs -> reqs
   | Fill_null -> [ null_request ]

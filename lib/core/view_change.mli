@@ -21,14 +21,9 @@
     it the unique fast value at the maximal view. *)
 
 type decision =
-  | Decide_fast of { sigma : Sbft_crypto.Field.t; reqs : Types.request list; view : int }
-      (** σ(h) was presented: commit immediately. *)
-  | Decide_slow of {
-      tau : Sbft_crypto.Field.t;
-      tau_tau : Sbft_crypto.Field.t;
-      reqs : Types.request list;
-      view : int;
-    }  (** τ(τ(h)) was presented: commit immediately. *)
+  | Decide of { cert : Types.block_cert; view : int; reqs : Types.request list }
+      (** A commit certificate, σ(h) or τ(τ(h)), was presented for the
+          block [reqs] proposed in [view]: commit it immediately. *)
   | Adopt of Types.request list
       (** Potentially committed: the new view must re-propose it. *)
   | Fill_null  (** No constraint: fill with a no-op. *)

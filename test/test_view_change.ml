@@ -95,8 +95,9 @@ let test_slow_commit_decides () =
       vc ~replica:1 []; vc ~replica:2 [] ]
   in
   match decision_for 1 msgs with
-  | Some (View_change.Decide_slow { reqs; _ }) -> check "reqs a" true (reqs = reqs_a)
-  | _ -> Alcotest.fail "expected Decide_slow"
+  | Some (View_change.Decide { cert = Types.Cert_slow _; reqs; _ }) ->
+      check "reqs a" true (reqs = reqs_a)
+  | _ -> Alcotest.fail "expected a slow-certificate decision"
 
 let test_fast_commit_decides () =
   let sigma = sigma_sig ~seq:1 ~view:0 reqs_a in
@@ -106,8 +107,9 @@ let test_fast_commit_decides () =
       vc ~replica:1 []; vc ~replica:2 [] ]
   in
   match decision_for 1 msgs with
-  | Some (View_change.Decide_fast { reqs; _ }) -> check "reqs a" true (reqs = reqs_a)
-  | _ -> Alcotest.fail "expected Decide_fast"
+  | Some (View_change.Decide { cert = Types.Cert_fast _; reqs; _ }) ->
+      check "reqs a" true (reqs = reqs_a)
+  | _ -> Alcotest.fail "expected a fast-certificate decision"
 
 let test_prepared_adopted () =
   let tau = tau_sig ~seq:1 ~view:2 reqs_a in
@@ -268,7 +270,8 @@ let test_multi_slot_window () =
   check_int "ls" 0 ls;
   check_int "decisions up to slot 4" 4 (List.length ds);
   (match List.assoc 1 ds with
-  | View_change.Decide_slow { reqs; _ } -> check "slot1 committed" true (reqs = reqs_a)
+  | View_change.Decide { cert = Types.Cert_slow _; reqs; _ } ->
+      check "slot1 committed" true (reqs = reqs_a)
   | _ -> Alcotest.fail "slot 1 should decide");
   check "slot2 adopted" true (List.assoc 2 ds = View_change.Adopt reqs_b);
   check "slot3 null (gap)" true (List.assoc 3 ds = View_change.Fill_null);
@@ -423,8 +426,7 @@ let prop_committed_value_survives =
       let _, ds = decide msgs in
       match List.assoc_opt 1 ds with
       | Some (View_change.Adopt reqs) -> reqs = reqs_a
-      | Some (View_change.Decide_fast { reqs; _ })
-      | Some (View_change.Decide_slow { reqs; _ }) -> reqs = reqs_a
+      | Some (View_change.Decide { reqs; _ }) -> reqs = reqs_a
       | _ -> false)
 
 let prop_decisions_deterministic =
