@@ -338,6 +338,13 @@ let broadcast_replicas t ctx msg =
     send t ctx ~dst:r msg
   done
 
+(* A direct reply to a client: a signed server message ([31]), whose
+   per-request signing cost is exactly what ingredient 3 removes. *)
+let send_reply t ctx ~client ~timestamp ~seq ~value =
+  Priced.rsa_sign ctx;
+  send t ctx ~dst:client
+    (Types.Reply { view = t.view; replica = t.id; client; timestamp; seq; value })
+
 (* ------------------------------------------------------------------ *)
 (* Write-ahead logging (crash-amnesia durability).
 
@@ -495,18 +502,8 @@ and on_request t ctx (r : Types.request) =
   Intake.on_request t.intake ctx (keys t) r ~primary:(is_primary t)
     ~reply:(fun (ce : Intake.row) ->
       (* Answer retransmissions of already-executed operations directly. *)
-      Priced.rsa_sign ctx;
-      send t ctx ~dst:r.client
-        (Types.Reply
-           {
-             view = t.view;
-             replica = t.id;
-             client = r.client;
-             timestamp = ce.ce_timestamp;
-             seq = ce.ce_seq;
-             value = ce.ce_value;
-             signature = "";
-           }))
+      send_reply t ctx ~client:r.client ~timestamp:ce.ce_timestamp ~seq:ce.ce_seq
+        ~value:ce.ce_value)
     ~queued:(fun () -> try_propose t ctx)
     ~forward:(fun () -> send t ctx ~dst:(primary_of t t.view) (Types.Request r))
 
@@ -903,21 +900,7 @@ and try_execute t ctx =
                       ce.ce_value
                   | _ -> value
                 in
-                (* Direct replies are signed server messages ([31]);
-                   this per-request signing cost is exactly what
-                   ingredient 3 removes. *)
-                Priced.rsa_sign ctx;
-                send t ctx ~dst:r.client
-                  (Types.Reply
-                     {
-                       view = t.view;
-                       replica = t.id;
-                       client = r.client;
-                       timestamp = r.timestamp;
-                       seq = next;
-                       value;
-                       signature = "";
-                     })
+                send_reply t ctx ~client:r.client ~timestamp:r.timestamp ~seq:next ~value
               end)
             (List.combine reqs outputs);
         (* The E-collector may have combined π before executing. *)

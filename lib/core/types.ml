@@ -75,7 +75,6 @@ type msg =
       timestamp : int;
       seq : int;
       value : string;
-      signature : Pki.signature;
     }
   | View_change of view_change
   | New_view of { view : int; proofs : view_change list }

@@ -106,8 +106,9 @@ type msg =
       timestamp : int;
       seq : int;
       value : string;
-      signature : Sbft_crypto.Pki.signature;
-    }  (** direct f+1 acknowledgement path *)
+    }
+      (** direct f+1 acknowledgement path; {!size} counts the RSA
+          signature a real replica would attach *)
   | View_change of view_change
   | New_view of { view : int; proofs : view_change list }
   | Get_block of { seq : int; replica : int }

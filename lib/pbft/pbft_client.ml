@@ -19,7 +19,7 @@ let create ~(env : Pbft_replica.env) ~id ~keypair ~on_complete =
 let on_message t ctx ~src = function
   | Pbft_types.Reply { view; replica; client; timestamp; seq; value } ->
       Client.on_message t ctx ~src
-        (Types.Reply { view; replica; client; timestamp; seq; value; signature = "" })
+        (Types.Reply { view; replica; client; timestamp; seq; value })
   | _ -> ()
 
 let run_closed_loop = Client.run_closed_loop

@@ -139,6 +139,12 @@ let remove_upto tbl seq =
 let trace t ctx kind detail =
   Trace.emit t.env.trace ~time:(Engine.ctx_now ctx) ~node:t.id ~kind ~detail
 
+(* A client reply: a signed server message. *)
+let send_reply t ctx ~client ~timestamp ~seq ~value =
+  Priced.rsa_sign ctx;
+  send t ctx ~dst:client
+    (Pbft_types.Reply { view = t.view; replica = t.id; client; timestamp; seq; value })
+
 let rec on_message t ctx ~src msg =
   (* Replica-to-replica messages carry the sender's signature. *)
   (match msg with
@@ -158,17 +164,8 @@ let rec on_message t ctx ~src msg =
 and on_request t ctx (r : Types.request) =
   Intake.on_request t.intake ctx t.env.keys r ~primary:(is_primary t)
     ~reply:(fun (ce : Intake.row) ->
-      Priced.rsa_sign ctx;
-      send t ctx ~dst:r.Types.client
-        (Pbft_types.Reply
-           {
-             view = t.view;
-             replica = t.id;
-             client = r.Types.client;
-             timestamp = ce.ce_timestamp;
-             seq = ce.ce_seq;
-             value = ce.ce_value;
-           }))
+      send_reply t ctx ~client:r.Types.client ~timestamp:ce.ce_timestamp ~seq:ce.ce_seq
+        ~value:ce.ce_value)
     ~queued:(fun () -> try_propose t ctx)
     ~forward:(fun () -> send t ctx ~dst:(primary_of t t.view) (Pbft_types.Request r))
 
@@ -333,19 +330,9 @@ and try_execute t ctx =
         List.iter
           (fun ((r : Types.request), value) ->
             Intake.clear_outstanding t.intake r;
-            if r.Types.client >= 0 then begin
-              Priced.rsa_sign ctx;
-              send t ctx ~dst:r.Types.client
-                (Pbft_types.Reply
-                   {
-                     view = t.view;
-                     replica = t.id;
-                     client = r.Types.client;
-                     timestamp = r.Types.timestamp;
-                     seq = next;
-                     value;
-                   })
-            end)
+            if r.Types.client >= 0 then
+              send_reply t ctx ~client:r.Types.client ~timestamp:r.Types.timestamp ~seq:next
+                ~value)
           (List.combine reqs outputs);
         (* Periodic checkpoint: all-to-all digest votes (the quadratic
            protocol SBFT's ingredient 3 replaces). *)

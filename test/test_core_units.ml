@@ -211,7 +211,7 @@ let test_pinned_sizes () =
         414 );
       ( "reply",
         Types.Reply
-          { view = 0; replica = 1; client = 4; timestamp = 2; seq = 1; value = "value"; signature = "" },
+          { view = 0; replica = 1; client = 4; timestamp = 2; seq = 1; value = "value" },
         285 );
       ("view-change", Types.View_change vc, 2695);
       ("new-view", Types.New_view { view = 4; proofs = [ vc; { vc with vc_slots = [] } ] }, 2824);
