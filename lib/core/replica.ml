@@ -403,6 +403,13 @@ let note_committed sl ~view ~reqs (cert : Types.block_cert) =
   | Cert_fast sigma -> sl.fast <- Types.Fast_committed { sigma; view; reqs }
   | Cert_slow (tau, tau_tau) -> sl.slow <- Types.Slow_committed { tau; tau_tau; view; reqs }
 
+(* A [Corrupt_shares] replica sends a forged share in place of each
+   share it signs (the signing cost is paid either way). *)
+let forge_share t share =
+  match t.byz with
+  | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
+  | _ -> share
+
 (* ------------------------------------------------------------------ *)
 (* Sign-share emission (§V-D).
 
@@ -413,14 +420,9 @@ let note_committed sl ~view ~reqs (cert : Types.block_cert) =
 
 let sign_block t ctx sl ~view ~reqs ~h ~corrupt =
   sl.sent_sign_share <- true;
-  let sigma_share, tau_share =
-    let shares = Priced.sign_block ctx (keys t) t.my ~h in
-    match t.byz with
-    | Corrupt_shares when corrupt ->
-        ( Threshold.forge_invalid_share ~signer:(t.id + 1),
-          Threshold.forge_invalid_share ~signer:(t.id + 1) )
-    | _ -> shares
-  in
+  let sigma_share, tau_share = Priced.sign_block ctx (keys t) t.my ~h in
+  let forge share = if corrupt then forge_share t share else share in
+  let sigma_share = forge sigma_share and tau_share = forge tau_share in
   note_preprepared sl (Types.Fast_preprepared { share = sigma_share; view; reqs });
   (sigma_share, tau_share)
 
@@ -749,12 +751,8 @@ and on_prepare t ctx ~seq ~view ~tau =
             wal_log t ctx (Sbft_store.Wal.Accepted_prepare { seq; view; tau });
             wal_sync t ctx;
             let share =
-              Priced.sign_share ctx (keys t) t.my.Keys.tau_sk ~msg:(Types.tau2_message tau)
-            in
-            let share =
-              match t.byz with
-              | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
-              | _ -> share
+              forge_share t
+                (Priced.sign_share ctx (keys t) t.my.Keys.tau_sk ~msg:(Types.tau2_message tau))
             in
             let collectors = Collectors.slow_path_collectors (keys t) ~view ~seq in
             List.iter
@@ -870,13 +868,9 @@ and try_execute t ctx =
             | _ -> digest
           in
           let share =
-            Priced.sign_share ctx (keys t) t.my.Keys.pi_sk
-              ~msg:(Types.pi_message ~seq:next ~digest)
-          in
-          let share =
-            match t.byz with
-            | Corrupt_shares -> Threshold.forge_invalid_share ~signer:(t.id + 1)
-            | _ -> share
+            forge_share t
+              (Priced.sign_share ctx (keys t) t.my.Keys.pi_sk
+                 ~msg:(Types.pi_message ~seq:next ~digest))
           in
           List.iter
             (fun e ->
@@ -1163,60 +1157,40 @@ and on_get_state t ctx ~upto ~replica =
   in
   if allow then begin
     Hashtbl.replace t.st_served replica now;
-    (* Serve blocks after [from_seq] straight from the persisted ledger
-       (contiguous run only: the receiver executes in order anyway).
-       Every served block carries its commit certificate so the receiver
-       can verify it before adopting. *)
-    let suffix_blocks ~from_seq =
-      let blocks = ref [] in
-      let stop = ref false in
-      for s = from_seq + 1 to last_executed t do
-        if not !stop then
-          match Sbft_store.Block_store.find t.blocks s with
-          | Some e -> blocks := e :: !blocks
-          | None -> stop := true
-      done;
-      List.rev !blocks
+    (* The latest π-certified checkpoint, if any.  Without one (early
+       in a run, or the π for the latest snapshot never arrived) the
+       answer is blocks-only, up to [upto], so a lagging replica still
+       catches up: snap_seq = 0 marks that degraded form, and the
+       receiver verifies each block and executes strictly in order. *)
+    let certified =
+      Option.bind (Sbft_store.Block_store.checkpoint t.blocks) (fun cp ->
+          Option.map (fun pi -> (cp, pi)) (Hashtbl.find_opt t.checkpoint_pis cp.cp_seq))
     in
-    let certified_checkpoint =
-      match Sbft_store.Block_store.checkpoint t.blocks with
-      | Some { Sbft_store.Block_store.cp_seq = snap_seq; cp_snapshot; cp_table } -> (
-          match Hashtbl.find_opt t.checkpoint_pis snap_seq with
-          | Some (pi, digest) -> Some (snap_seq, cp_snapshot, cp_table, pi, digest)
-          | None -> None)
-      | None -> None
+    let snapshot, snap_seq, pi, digest, table =
+      match certified with
+      | Some ({ Sbft_store.Block_store.cp_seq; cp_snapshot; cp_table }, (pi, digest)) ->
+          (Lazy.force cp_snapshot, cp_seq, pi, digest, cp_table)
+      | None -> ("", 0, Field.zero, "", [])
     in
-    match certified_checkpoint with
-    | Some (snap_seq, cp_snapshot, cp_table, pi, digest) ->
-        send t ctx ~dst:replica
-          (Types.State_resp
-             {
-               snapshot = Lazy.force cp_snapshot;
-               snap_seq;
-               pi;
-               digest;
-               blocks = suffix_blocks ~from_seq:snap_seq;
-               table = cp_table;
-             })
-    | None ->
-        (* No certified checkpoint (early in a run, or the π for the
-           latest snapshot never arrived): answer blocks-only so a lagging
-           replica still catches up.  snap_seq = 0 marks the degraded
-           form; each block is individually re-checked by the receiver's
-           ordinary commit path semantics (executed strictly in order). *)
-        let blocks = suffix_blocks ~from_seq:0 in
-        if blocks <> [] then
-          send t ctx ~dst:replica
-            (Types.State_resp
-               {
-                 snapshot = "";
-                 snap_seq = 0;
-                 pi = Field.zero;
-                 digest = "";
-                 blocks =
-                   List.filter (fun (e : Sbft_store.Block_store.entry) -> e.seq <= upto) blocks;
-                 table = [];
-               })
+    (* Serve the blocks after [snap_seq] straight from the persisted
+       ledger (contiguous run only: the receiver executes in order
+       anyway).  Every served block carries its commit certificate so
+       the receiver can verify it before adopting. *)
+    let blocks = ref [] in
+    let stop = ref false in
+    for s = snap_seq + 1 to last_executed t do
+      if not !stop then
+        match Sbft_store.Block_store.find t.blocks s with
+        | Some e -> blocks := e :: !blocks
+        | None -> stop := true
+    done;
+    let blocks = List.rev !blocks in
+    if snap_seq > 0 || blocks <> [] then
+      let blocks =
+        if snap_seq > 0 then blocks
+        else List.filter (fun (e : Sbft_store.Block_store.entry) -> e.seq <= upto) blocks
+      in
+      send t ctx ~dst:replica (Types.State_resp { snapshot; snap_seq; pi; digest; blocks; table })
   end
 
 (* Adopt a state-transferred block suffix.  Every block must carry a
