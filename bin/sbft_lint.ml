@@ -7,11 +7,10 @@
    .cmti/.cmt typed trees under _build/default, or under the current
    directory when it is the build tree itself), applies the
    allowlist, prints the surviving findings, and exits non-zero when
-   any remain.  Stale allowlist entries are hard errors unless
-   --stale-allow-warn is given; a listed directory that does not
-   exist, or a linted source without an up-to-date typed tree while
-   there are lib/ interfaces to check, exits 2.  --json
-   FILE also emits a machine-readable report; --obligations FILE
+   any remain.  Stale allowlist entries are hard errors; a listed
+   directory that does not exist, or a linted source without an
+   up-to-date typed tree while there are lib/ interfaces to check,
+   exits 2.  --json FILE also emits a machine-readable report; --obligations FILE
    writes the R12 quorum obligation report CI uploads; under
    GITHUB_ACTIONS findings are echoed as workflow annotations.  Wired
    into the build as [dune build @lint] (and into [dune runtest]). *)
@@ -24,7 +23,7 @@ module Json = Sbft_harness.Report.Json
 let usage () =
   prerr_endline
     "usage: sbft_lint [--root DIR] [--allow FILE] [--json FILE]\n\
-    \                 [--obligations FILE] [--stale-allow-warn] [DIR ...]\n\
+    \                 [--obligations FILE] [DIR ...]\n\
      Lints every .ml under the given directories\n\
      (default: lib bin bench test examples perfbench).";
   exit 2
@@ -63,7 +62,6 @@ let () =
   let allow_file = ref "lint.allow" in
   let json_file = ref None in
   let obligations_file = ref None in
-  let stale_warn = ref false in
   let dirs = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -78,9 +76,6 @@ let () =
         parse_args rest
     | "--obligations" :: file :: rest ->
         obligations_file := Some file;
-        parse_args rest
-    | "--stale-allow-warn" :: rest ->
-        stale_warn := true;
         parse_args rest
     | ("--help" | "-h" | "--root" | "--allow" | "--json" | "--obligations") :: _
       ->
@@ -153,9 +148,7 @@ let () =
   List.iter (fun f -> print_endline (Lint.pp_finding f)) kept;
   List.iter
     (fun entry ->
-      Printf.printf "%s: stale lint.allow entry never matched: %s\n"
-        (if !stale_warn then "warning" else "error")
-        entry)
+      Printf.printf "error: stale lint.allow entry never matched: %s\n" entry)
     stale;
   (match Sys.getenv_opt "GITHUB_ACTIONS" with
   | Some _ -> List.iter annotate kept
@@ -181,7 +174,4 @@ let () =
   Printf.printf "sbft-lint: %d file(s), %d finding(s), %d allowlisted, %d stale allow\n"
     (List.length files) (List.length kept) (List.length allowed)
     (List.length stale);
-  let stale_fail =
-    (not !stale_warn) && match stale with [] -> false | _ -> true
-  in
-  exit (max (Lint.exit_code kept) (if stale_fail then 1 else 0))
+  exit (max (Lint.exit_code kept) (match stale with [] -> 0 | _ -> 1))
