@@ -463,9 +463,10 @@ let record_client_rows t ctx ~seq reqs outputs ~log =
       if log then wal_log t ctx (Sbft_store.Wal.Client_row row))
 
 (* ------------------------------------------------------------------ *)
-(* Forward declarations via mutual recursion: the handler graph is
-   cyclic (commit -> execute -> collector -> ...), so the whole protocol
-   lives in one recursive binding group below. *)
+(* The protocol, in one recursive binding group so that it reads in
+   protocol order: a handler calls helpers defined below it.  The call
+   graph has no cycle through two functions; only [try_propose] and
+   [send_get_state] call themselves, from their timer callbacks. *)
 
 let rec on_message t ctx ~src msg =
   match t.byz with
