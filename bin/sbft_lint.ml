@@ -10,10 +10,11 @@
    any remain.  Stale allowlist entries are hard errors; a listed
    directory that does not exist, or a linted source without an
    up-to-date typed tree while there are lib/ interfaces to check,
-   exits 2.  --json FILE also emits a machine-readable report; --obligations FILE
-   writes the R12 quorum obligation report CI uploads; under
-   GITHUB_ACTIONS findings are echoed as workflow annotations.  Wired
-   into the build as [dune build @lint] (and into [dune runtest]). *)
+   exits 2.  --json FILE also emits a machine-readable report;
+   --obligations FILE writes the R12 quorum obligation report CI
+   uploads; under GITHUB_ACTIONS findings are echoed as workflow
+   annotations.  Wired into the build as [dune build @lint] (and into
+   [dune runtest]). *)
 
 module Lint = Sbft_analysis.Lint
 module Discipline = Sbft_analysis.Discipline
