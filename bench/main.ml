@@ -399,6 +399,25 @@ let () =
   let only, args = opt_value "--only" args in
   let budget_wall_s, args = opt_value "--budget-wall-s" args in
   let sweep_seeds, args = opt_value "--sweep" args in
+  (* A malformed value is a usage error (exit 1), as in [point]. *)
+  let parse_value flag ~want parse = function
+    | None -> None
+    | Some v -> (
+        match parse v with
+        | Some x -> Some x
+        | None ->
+            Printf.eprintf "%s takes %s, got %S\n%!" flag want v;
+            exit 1)
+  in
+  let budget_wall_s =
+    parse_value "--budget-wall-s" ~want:"a number of seconds" float_of_string_opt
+      budget_wall_s
+  in
+  let sweep_seeds =
+    parse_value "--sweep" ~want:"a seed count of at least 1"
+      (fun v -> Option.bind (int_of_string_opt v) (fun n -> if n >= 1 then Some n else None))
+      sweep_seeds
+  in
   let full = List.mem "--full" args in
   let paper = List.mem "--paper" args in
   let update_baseline = List.mem "--update-baseline" args in
@@ -437,9 +456,7 @@ let () =
           | "micro" -> micro ()
           | "regress" ->
               if paper || sweep_seeds <> None then
-                regress_paper ~only
-                  ~budget_wall_s:(Option.map float_of_string budget_wall_s)
-                  ~sweep_seeds:(Option.map int_of_string sweep_seeds)
+                regress_paper ~only ~budget_wall_s ~sweep_seeds
               else regress ~scale ~update_baseline
           | other ->
               Printf.eprintf

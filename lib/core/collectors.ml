@@ -37,6 +37,9 @@ let e_collectors keys ~view ~seq = pick keys ~view ~seq ~salt:2
 let slow_path_collectors keys ~view ~seq =
   c_collectors keys ~view ~seq @ [ primary ~config:keys.Keys.config ~view ]
 
+let exec_path_collectors keys ~view ~seq =
+  e_collectors keys ~view:0 ~seq @ [ primary ~config:keys.Keys.config ~view ]
+
 let rank lst r =
   let rec go i = function
     | [] -> None

@@ -15,10 +15,17 @@ val c_collectors : Keys.t -> view:int -> seq:int -> int list
 (** [c + 1] distinct non-primary replicas (fewer only when n is tiny),
     memoized in the cluster's keys. *)
 
-val e_collectors : Keys.t -> view:int -> seq:int -> int list
-
 val slow_path_collectors : Keys.t -> view:int -> seq:int -> int list
 (** C-collectors with the primary as the final fallback collector. *)
 
+val exec_path_collectors : Keys.t -> view:int -> seq:int -> int list
+(** E-collectors with [view]'s primary as the final fallback collector.
+    The E-collectors are those of view 0: a block's execution collectors
+    do not change across views. *)
+
 val rank : int list -> int -> int option
 (** Activation rank of a replica within a collector list. *)
+
+(** {2 Test hooks} *)
+
+val e_collectors : Keys.t -> view:int -> seq:int -> int list

@@ -63,7 +63,7 @@ type t = {
       (** [None] in every real configuration; see {!mutation}. *)
 }
 
-(** {2 Batching and timers} *)
+(** {2 Batch size and timers} *)
 
 val max_batch : int
 (** 64: operations per decision block, at most. *)

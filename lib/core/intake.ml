@@ -6,7 +6,9 @@ type t = {
   table : (int, row) Hashtbl.t; (* client -> row of its last executed op *)
   pending : Types.request Queue.t;
   pending_keys : (int * int, unit) Hashtbl.t;
-  batching : Batching.t;
+  budget : int; (* blocks the primary keeps in flight *)
+  mutable avg_pending : float; (* decaying average of the queue length *)
+  mutable flush_armed : bool; (* a partial-batch flush is pending *)
   outstanding : (int * int, Types.request) Hashtbl.t; (* awaiting execution *)
   mutable last_progress : Engine.time;
   mutable vc_backoff : int;
@@ -17,7 +19,12 @@ let create config =
     table = Hashtbl.create 64;
     pending = Queue.create ();
     pending_keys = Hashtbl.create 64;
-    batching = Batching.create config;
+    (* The paper sets the batch divisor to half the maximum number of
+       concurrent blocks; that number evaluated to 4 in their
+       experiments, i.e. at most 8 blocks pipeline concurrently. *)
+    budget = max 1 (min (Config.active_window config) 8);
+    avg_pending = 0.0;
+    flush_armed = false;
     outstanding = Hashtbl.create 64;
     last_progress = 0;
     vc_backoff = 0;
@@ -88,7 +95,38 @@ let take t n =
   List.iter (fun r -> Hashtbl.remove t.pending_keys (key r)) reqs;
   reqs
 
-let batch_size t = Batching.batch_size t.batching
+(* Adaptive batching (§V-C, §VIII): the decaying average of the queue
+   length over half the in-flight budget, clamped to [1, max_batch]. *)
+let batch_size t =
+  let b = int_of_float (t.avg_pending /. float_of_int (max 1 (t.budget / 2))) in
+  max 1 (min Config.max_batch b)
+
+let observe_pending t =
+  (* Exponentially decaying average with factor 1/8 per arrival. *)
+  t.avg_pending <-
+    (0.875 *. t.avg_pending) +. (0.125 *. float_of_int (Queue.length t.pending))
+
+(* ------------------------------------------------------------------ *)
+(* Block cutting (primary) *)
+
+let cut_blocks t ctx ~inflight ~room ~propose ~arm =
+  let has_room () = (not (Queue.is_empty t.pending)) && room () && inflight () < t.budget in
+  let rec run ctx =
+    let size = batch_size t in
+    while Queue.length t.pending >= size && has_room () do
+      propose ctx (take t size)
+    done;
+    if (not t.flush_armed) && has_room () then begin
+      t.flush_armed <- true;
+      arm (fun ctx ->
+          (* Cleared before the room check: a flush that finds no room
+             must leave the next cut free to arm another. *)
+          t.flush_armed <- false;
+          if has_room () then propose ctx (take t (batch_size t));
+          run ctx)
+    end
+  in
+  run ctx
 
 (* ------------------------------------------------------------------ *)
 (* Requests awaiting execution *)
@@ -135,7 +173,7 @@ let on_request t ctx keys (r : Types.request) ~primary ~reply ~queued ~forward =
           (* Static authentication and access-control check (§V-C). *)
           if Priced.verify_requests ctx keys [ r ] then begin
             enqueue t r;
-            Batching.observe_pending t.batching (Queue.length t.pending);
+            observe_pending t;
             mark_outstanding t r;
             queued ()
           end

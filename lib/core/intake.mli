@@ -1,10 +1,12 @@
 (** Client-request intake, one implementation for both replica stacks
     (SBFT's {!Replica} and the PBFT baseline): the exactly-once client
-    table, the primary's pending queue, the requests awaiting execution
-    and the progress clock that starts a view change.  None of it is one
-    of SBFT's ingredients, so both stacks share this code and differ only
-    in how they order what it queues.  Every message a request causes is
-    sent by the replica: {!on_request} takes the sends as callbacks. *)
+    table, the primary's pending queue and the rule that cuts it into
+    blocks, the requests awaiting execution and the progress clock that
+    starts a view change.  None of it is one of SBFT's ingredients, so
+    both stacks share this code: Intake decides when the primary
+    proposes a block and how big it is, and each stack orders the block
+    its own way.  Every message and timer a request causes is the
+    replica's: {!on_request} and {!cut_blocks} take them as callbacks. *)
 
 type row = Sbft_store.Block_store.client_entry
 
@@ -41,16 +43,29 @@ val adopt_rows : t -> row list -> unit
 val rows : t -> row list
 (** The table, sorted by client id. *)
 
-(** {2 Pending queue (primary)} *)
+(** {2 Block cutting (primary)} *)
 
-val pending_length : t -> int
-
-val take : t -> int -> Types.request list
-(** Pop up to [n] requests, oldest first, for the next block. *)
-
-val batch_size : t -> int
-(** The adaptive target batch size ({!Batching}), fed by the queue
-    length at each arrival. *)
+val cut_blocks :
+  t ->
+  Sbft_sim.Engine.ctx ->
+  inflight:(unit -> int) ->
+  room:(unit -> bool) ->
+  propose:(Sbft_sim.Engine.ctx -> Types.request list -> unit) ->
+  arm:((Sbft_sim.Engine.ctx -> unit) -> unit) ->
+  unit
+(** The adaptive batching rule (§V-C, §VIII).  The batch size is the
+    decaying average (factor 1/8 per queued arrival) of the pending
+    queue's length over half the in-flight budget, clamped to between 1
+    and {!Config.max_batch}; the budget is the paper's active window,
+    at most 8 blocks.  There is room for a block while requests are
+    pending, the stack's [room] holds (primary, view and window guards)
+    and fewer than the budget's blocks are [inflight].  While there is
+    room and a full batch is pending, [propose] gets the oldest
+    batch-size requests.  Then, with room left, the rule arms at most
+    one partial-batch flush: [arm] schedules it (the replica's guarded
+    {!Config.batch_timeout} timer), and when it fires it proposes up to
+    one batch if there is room and runs the rule again.  The armed flag
+    clears when the flush fires, before its room check. *)
 
 (** {2 Requests awaiting execution} *)
 
@@ -104,3 +119,13 @@ val on_request :
     table ([reply]).  The primary authenticates a new one
     ({!Priced.verify_requests}), queues it and calls [queued]; a backup watches
     it and [forward]s it to the primary, once. *)
+
+(** {2 Test hooks} *)
+
+val pending_length : t -> int
+
+val take : t -> int -> Types.request list
+(** Pop up to [n] requests, oldest first. *)
+
+val batch_size : t -> int
+(** The current adaptive batch size. *)

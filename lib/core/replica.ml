@@ -152,7 +152,6 @@ type t = {
   mutable stable : int; (* highest π-certified checkpoint *)
   slots : (int, slot) Hashtbl.t;
   intake : Intake.t;
-  mutable batch_timer : Engine.timer option;
   mutable in_view_change : bool;
   mutable sent_vc_for : int; (* highest view we issued a view-change for *)
   vc_msgs : (int, (int, Types.view_change) Hashtbl.t) Hashtbl.t;
@@ -215,7 +214,6 @@ let create ~env ~my ~store ~(durable : durable) =
     stable = 0;
     slots = Hashtbl.create 128;
     intake = Intake.create config;
-    batch_timer = None;
     in_view_change = false;
     sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
@@ -465,8 +463,8 @@ let record_client_rows t ctx ~seq reqs outputs ~log =
 (* ------------------------------------------------------------------ *)
 (* The protocol, in one recursive binding group so that it reads in
    protocol order: a handler calls helpers defined below it.  The call
-   graph has no cycle through two functions; only [try_propose] and
-   [send_get_state] call themselves, from their timer callbacks. *)
+   graph has no cycle through two functions; only [send_get_state]
+   calls itself, from its timer callback. *)
 
 let rec on_message t ctx ~src msg =
   match t.byz with
@@ -523,42 +521,23 @@ and inflight t =
   !count
 
 and try_propose t ctx =
-  if is_primary t && not t.in_view_change then begin
-    let config = cfg t in
-    let target = Intake.batch_size t.intake in
-    let can_propose () =
-      Intake.pending_length t.intake > 0
-      && inflight t < Batching.max_concurrent config
+  let config = cfg t in
+  Intake.cut_blocks t.intake ctx
+    ~inflight:(fun () -> inflight t)
+    ~room:(fun () ->
+      is_primary t
+      && (not t.in_view_change)
       && t.next_seq <= t.ls + config.Config.win
-      && t.next_seq <= last_executed t + Config.active_window config
-    in
-    let full_batch () = Intake.pending_length t.intake >= target in
-    while can_propose () && full_batch () do
-      propose_block t ctx target
-    done;
-    (* A partial batch is flushed after the batching timeout. *)
-    if can_propose () && t.batch_timer = None
-    then
-      t.batch_timer <-
-        Some
-          (set_replica_timer t ~after:Config.batch_timeout (fun ctx ->
-               t.batch_timer <- None;
-               if is_primary t && not t.in_view_change then begin
-                 if can_propose () then
-                   propose_block t ctx
-                     (min (Intake.pending_length t.intake) (Intake.batch_size t.intake));
-                 try_propose t ctx
-               end))
-  end
+      && t.next_seq <= last_executed t + Config.active_window config)
+    ~propose:(propose_block t)
+    ~arm:(fun flush -> ignore (set_replica_timer t ~after:Config.batch_timeout flush))
 
-and propose_block t ctx batch =
-  let reqs = Intake.take t.intake batch in
-  let batch = List.length reqs in
+and propose_block t ctx reqs =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   Priced.hash ctx (Types.requests_bytes reqs);
   trace t ctx "send:pre-prepare" (fun () ->
-      Printf.sprintf "seq=%d view=%d batch=%d" seq t.view batch);
+      Printf.sprintf "seq=%d view=%d batch=%d" seq t.view (List.length reqs));
   (match t.byz with
   | Equivocating_primary ->
       (* Send block A to the first half and block B to the second; pad
@@ -876,8 +855,7 @@ and try_execute t ctx =
           List.iter
             (fun e ->
               send t ctx ~dst:e (Types.Sign_state { seq = next; digest; share }))
-            (Collectors.e_collectors (keys t) ~view:0 ~seq:next
-            @ [ primary_of t t.view ])
+            (Collectors.exec_path_collectors (keys t) ~view:t.view ~seq:next)
         end;
         (* Direct f+1 replies when execution acks are off. *)
         if not config.Config.execution_acks then
@@ -925,9 +903,7 @@ and on_sign_state t ctx ~seq ~digest ~share =
     if not (Votes.mem bucket.signers share.Threshold.signer) then begin
       stash_add bucket share.Threshold.signer share;
       if Votes.count bucket.signers >= Config.pi_threshold config then begin
-        let e_list =
-          Collectors.e_collectors (keys t) ~view:0 ~seq @ [ primary_of t t.view ]
-        in
+        let e_list = Collectors.exec_path_collectors (keys t) ~view:t.view ~seq in
         let rank = Option.value (Collectors.rank e_list t.id) ~default:0 in
         (* A staggered callback may fire after a stable checkpoint
            garbage-collected the slot (and its π): the slot must still

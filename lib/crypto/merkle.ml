@@ -6,7 +6,8 @@
 type tree = { levels : string array array; leaves : int }
 (* levels.(0) = leaf hashes; last level = [| root |]. *)
 
-type proof = { leaf_index : int; path : (string * [ `Left | `Right ]) list }
+type path = (string * [ `Left | `Right ]) list
+type proof = { leaf_index : int; path : path }
 
 let leaf_hash data = Sha256.digest_list [ "\x00"; data ]
 let node_hash l r = Sha256.digest_list [ "\x01"; l; r ]
@@ -59,15 +60,26 @@ let implied_root ~leaf proof =
 let verify ~root:expected ~leaf proof =
   String.equal (implied_root ~leaf proof) expected
 
-let encode_proof p =
+let write_path w path =
   let open Sbft_wire in
-  let w = Codec.Writer.create () in
-  Codec.Writer.u32 w p.leaf_index;
   Codec.Writer.list w
     (fun (h, side) ->
       Codec.Writer.u8 w (match side with `Left -> 0 | `Right -> 1);
       Codec.Writer.raw w h)
-    p.path;
+    path
+
+let read_path r =
+  let open Sbft_wire in
+  Codec.Reader.list r (fun r ->
+      let side = if Codec.Reader.u8 r = 0 then `Left else `Right in
+      let h = Codec.Reader.raw r 32 in
+      (h, side))
+
+let encode_proof p =
+  let open Sbft_wire in
+  let w = Codec.Writer.create () in
+  Codec.Writer.u32 w p.leaf_index;
+  write_path w p.path;
   Codec.Writer.contents w
 
 let decode_proof s =
@@ -75,13 +87,7 @@ let decode_proof s =
   match
     let r = Codec.Reader.of_string s in
     let leaf_index = Codec.Reader.u32 r in
-    let path =
-      Codec.Reader.list r (fun r ->
-          let side = if Codec.Reader.u8 r = 0 then `Left else `Right in
-          let h = Codec.Reader.raw r 32 in
-          (h, side))
-    in
-    { leaf_index; path }
+    { leaf_index; path = read_path r }
   with
   | p -> Some p
   | exception Codec.Reader.Truncated -> None

@@ -8,9 +8,11 @@
 
 type tree
 
-type proof = { leaf_index : int; path : (string * [ `Left | `Right ]) list }
+type path = (string * [ `Left | `Right ]) list
 (** Sibling hashes from the leaf up; the tag says on which side the
     sibling sits. *)
+
+type proof = { leaf_index : int; path : path }
 
 val build : string list -> tree
 (** [build leaves] hashes each leaf and builds the tree.  An empty list
@@ -26,6 +28,13 @@ val encode_proof : proof -> string
 (** Canonical wire encoding (paired with {!decode_proof}). *)
 
 val decode_proof : string -> proof option
+
+val write_path : Sbft_wire.Codec.Writer.t -> path -> unit
+(** The proof-path codec both Merkle proofs share: a varint-counted
+    list of (u8 side, 32-byte sibling hash). *)
+
+val read_path : Sbft_wire.Codec.Reader.t -> path
+(** @raise Sbft_wire.Codec.Reader.Truncated on short input. *)
 
 val implied_root : leaf:string -> proof -> string
 (** The root a verifier recomputes from [leaf] along the proof path;

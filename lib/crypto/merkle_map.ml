@@ -123,7 +123,7 @@ let fold f t acc =
   in
   go t.node acc
 
-type proof = { siblings : (string * [ `Left | `Right ]) list }
+type proof = { siblings : Merkle.path }
 (* Sibling hashes from the leaf's parent up to the root, with the side
    the sibling sits on. *)
 
@@ -155,26 +155,12 @@ let verify ~root:expected ~key ~value proof =
   String.equal (implied_root ~key ~value proof) expected
 
 let encode_proof p =
-  let open Sbft_wire in
-  let w = Codec.Writer.create () in
-  Codec.Writer.list w
-    (fun (h, side) ->
-      Codec.Writer.u8 w (match side with `Left -> 0 | `Right -> 1);
-      Codec.Writer.raw w h)
-    p.siblings;
-  Codec.Writer.contents w
+  let w = Sbft_wire.Codec.Writer.create () in
+  Merkle.write_path w p.siblings;
+  Sbft_wire.Codec.Writer.contents w
 
 let decode_proof s =
   let open Sbft_wire in
-  match
-    let r = Codec.Reader.of_string s in
-    let siblings =
-      Codec.Reader.list r (fun r ->
-          let side = if Codec.Reader.u8 r = 0 then `Left else `Right in
-          let h = Codec.Reader.raw r 32 in
-          (h, side))
-    in
-    { siblings }
-  with
-  | p -> Some p
+  match Merkle.read_path (Codec.Reader.of_string s) with
+  | siblings -> Some { siblings }
   | exception Codec.Reader.Truncated -> None

@@ -2,7 +2,6 @@ open Sbft_sim
 module Types = Sbft_core.Types
 module Config = Sbft_core.Config
 module Keys = Sbft_core.Keys
-module Batching = Sbft_core.Batching
 module Intake = Sbft_core.Intake
 module Votes = Sbft_core.Votes
 module Priced = Sbft_core.Priced
@@ -55,7 +54,6 @@ type t = {
   slots : (int, slot) Hashtbl.t;
   intake : Intake.t;
   checkpoints : (int, Votes.t) Hashtbl.t; (* seq -> voters *)
-  mutable batch_timer_armed : bool;
   mutable sent_vc_for : int;
   vc_msgs : (int, (int, (int * int * Types.request list) list) Hashtbl.t) Hashtbl.t;
   mutable n_view_changes : int;
@@ -84,7 +82,6 @@ let create ~env ~id ~store =
     slots = Hashtbl.create 128;
     intake = Intake.create config;
     checkpoints = Hashtbl.create 8;
-    batch_timer_armed = false;
     sent_vc_for = 0;
     vc_msgs = Hashtbl.create 4;
     n_view_changes = 0;
@@ -180,43 +177,20 @@ and inflight t =
   !count
 
 and try_propose t ctx =
-  if is_primary t then begin
-    let config = cfg t in
-    let target = Intake.batch_size t.intake in
-    let can () =
-      Intake.pending_length t.intake > 0
-      && t.next_seq <= t.ls + config.Config.win
-      && inflight t < Batching.max_concurrent config
-    in
-    while can () && Intake.pending_length t.intake >= target do
-      propose t ctx target
-    done;
-    if can () && not t.batch_timer_armed then begin
-      t.batch_timer_armed <- true;
-      ignore
-        (set_replica_timer t ~after:Config.batch_timeout
-           (fun ctx ->
-             t.batch_timer_armed <- false;
-             if is_primary t && Intake.pending_length t.intake > 0
-                && t.next_seq <= t.ls + config.Config.win
-                && inflight t < Batching.max_concurrent config
-             then begin
-               propose t ctx (Intake.pending_length t.intake);
-               try_propose t ctx
-             end))
-    end
-  end
+  let config = cfg t in
+  Intake.cut_blocks t.intake ctx
+    ~inflight:(fun () -> inflight t)
+    ~room:(fun () -> is_primary t && t.next_seq <= t.ls + config.Config.win)
+    ~propose:(propose t)
+    ~arm:(fun flush -> ignore (set_replica_timer t ~after:Config.batch_timeout flush))
 
-and propose t ctx batch =
-  let batch = min batch (min (Intake.pending_length t.intake) Config.max_batch) in
-  if batch > 0 then begin
-    let reqs = Intake.take t.intake batch in
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    Priced.hash ctx (Types.requests_bytes reqs);
-    trace t ctx "send:pre-prepare" (fun () -> Printf.sprintf "seq=%d batch=%d" seq batch);
-    broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
-  end
+and propose t ctx reqs =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Priced.hash ctx (Types.requests_bytes reqs);
+  trace t ctx "send:pre-prepare" (fun () ->
+      Printf.sprintf "seq=%d batch=%d" seq (List.length reqs));
+  broadcast t ctx (Pbft_types.Pre_prepare { seq; view = t.view; reqs })
 
 (* A pre-prepare for a later view can overtake that view's New_view.
    It is verified and kept (one per in-window slot, only from the later

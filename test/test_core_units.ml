@@ -1,7 +1,8 @@
 (* Unit tests for the smaller core-protocol components: configuration
-   arithmetic, collector selection, adaptive batching, message hashing
-   and size accounting, request authentication, client-request intake,
-   and the end-of-run agreement check. *)
+   arithmetic, collector selection, message hashing and size
+   accounting, request authentication, client-request intake with its
+   adaptive batching and block cutting, and the end-of-run agreement
+   check. *)
 
 open Sbft_core
 
@@ -86,22 +87,6 @@ let test_slow_path_primary_last () =
 let test_rank () =
   check "rank found" true (Collectors.rank [ 5; 9; 2 ] 9 = Some 1);
   check "rank missing" true (Collectors.rank [ 5; 9; 2 ] 7 = None)
-
-(* ------------------------------------------------------------------ *)
-(* Batching *)
-
-let test_batching_adapts () =
-  let b = Batching.create (Config.sbft ~f:1 ~c:0) in
-  check_int "starts at 1" 1 (Batching.batch_size b);
-  for _ = 1 to 50 do
-    Batching.observe_pending b 200
-  done;
-  check "grows under load" true (Batching.batch_size b > 10);
-  check "clamped at max" true (Batching.batch_size b <= 64);
-  for _ = 1 to 100 do
-    Batching.observe_pending b 0
-  done;
-  check_int "decays back" 1 (Batching.batch_size b)
 
 (* ------------------------------------------------------------------ *)
 (* Types: hashing and sizes *)
@@ -321,6 +306,85 @@ let test_intake_queue () =
       check "reply carries the executed row" true
         (String.equal ce.Sbft_store.Block_store.ce_value "out" && ce.ce_seq = 3)
   | l -> Alcotest.failf "want one reply, got %d" (List.length l)
+
+(* Queue [n] fresh requests at the primary, client 0's timestamps
+   counting on from [from]. *)
+let arrive t engine keys req ~from n =
+  for ts = from to from + n - 1 do
+    in_handler engine ~at:0 (fun ctx ->
+        Intake.on_request t ctx keys (req 0 ts) ~primary:true ~reply:ignore ~queued:ignore
+          ~forward:ignore)
+  done
+
+(* The adaptive batch size starts at 1, grows with the queue and stays
+   within Config.max_batch, and decays back to 1 once arrivals find the
+   queue empty. *)
+let test_batching_adapts () =
+  let t, engine, keys, req = intake_fixture () in
+  check_int "starts at 1" 1 (Intake.batch_size t);
+  arrive t engine keys req ~from:1 300;
+  check "grows under load" true (Intake.batch_size t > 10);
+  check "clamped at max" true (Intake.batch_size t <= 64);
+  ignore (Intake.take t 300 : Types.request list);
+  for ts = 301 to 400 do
+    arrive t engine keys req ~from:ts 1;
+    ignore (Intake.take t 1 : Types.request list)
+  done;
+  check_int "decays back" 1 (Intake.batch_size t)
+
+(* The cut rule against a fake stack: full blocks at the batch size,
+   one armed flush however often the rule runs, a flush that cuts
+   [min pending batch_size], and an armed flag that clears even when
+   the flush finds no room. *)
+let test_intake_cut_rule () =
+  let t, engine, keys, req = intake_fixture () in
+  let room = ref true and blocks = ref [] and arms = ref 0 and flush = ref None in
+  let cut_blocks () =
+    in_handler engine ~at:0 (fun ctx ->
+        Intake.cut_blocks t ctx
+          ~inflight:(fun () -> 0)
+          ~room:(fun () -> !room)
+          ~propose:(fun _ reqs -> blocks := !blocks @ [ List.length reqs ])
+          ~arm:(fun f ->
+            incr arms;
+            flush := Some f))
+  in
+  let fire () =
+    match !flush with
+    | Some f ->
+        flush := None;
+        in_handler engine ~at:0 f
+    | None -> Alcotest.fail "no flush armed"
+  in
+  arrive t engine keys req ~from:1 300;
+  let size = Intake.batch_size t in
+  cut_blocks ();
+  check "full blocks at the batch size" true (!blocks = List.init (300 / size) (fun _ -> size));
+  cut_blocks ();
+  cut_blocks ();
+  check_int "one flush armed" 1 !arms;
+  blocks := [];
+  fire ();
+  check "the flush cuts the partial batch" true (!blocks = [ 300 mod size ]);
+  check_int "nothing pending, nothing armed" 1 !arms;
+  arrive t engine keys req ~from:301 1;
+  cut_blocks ();
+  check_int "a partial batch arms a flush" 2 !arms;
+  arrive t engine keys req ~from:302 99;
+  let pending = Intake.pending_length t and size = Intake.batch_size t in
+  check "more than a batch pending at the flush" true (pending > size);
+  blocks := [];
+  fire ();
+  check "the flush cuts min pending batch_size, then full blocks" true
+    (!blocks = List.init (pending / size) (fun _ -> size));
+  check_int "the remainder arms the next flush" 3 !arms;
+  room := false;
+  blocks := [];
+  fire ();
+  check "no room, no block" true (!blocks = []);
+  room := true;
+  cut_blocks ();
+  check_int "the flag cleared although the flush found no room" 4 !arms
 
 (* Re-drive goes in (client, timestamp) order whatever the arrival
    order; the primary skips requests already pending. *)
@@ -951,6 +1015,7 @@ let () =
           Alcotest.test_case "re-drive order" `Quick test_intake_redrive;
           Alcotest.test_case "exactly-once" `Quick test_intake_exactly_once;
           Alcotest.test_case "liveness backoff" `Quick test_intake_liveness_backoff;
+          Alcotest.test_case "cut rule" `Quick test_intake_cut_rule;
         ] );
       ( "memos",
         [

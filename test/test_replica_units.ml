@@ -60,7 +60,7 @@ let exec_proofs_sent l ~seq =
 (* The E-collector ranked second for [seq] combines π 50 ms (one
    collector stagger) after its π-threshold of shares arrives. *)
 let staggered_e_collector ~seq =
-  match Collectors.e_collectors keys ~view:0 ~seq @ [ Collectors.primary ~config ~view:0 ] with
+  match Collectors.exec_path_collectors keys ~view:0 ~seq with
   | first :: second :: _ when first <> second -> second
   | _ -> Alcotest.fail "no second-ranked E-collector"
 
