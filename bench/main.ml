@@ -185,7 +185,7 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* One custom scenario: any point of the configuration space, not just
    the paper's experiments.  Exits 2 when the replicas disagree, 1 on a
-   bad flag. *)
+   bad flag or a configuration [Config.validate] rejects. *)
 
 let point_usage =
   Printf.sprintf
@@ -260,12 +260,17 @@ let point args =
         ~seed:(Int64.of_int !seed) ~protocol:!protocol ~f:!f ~workload:!workload
         ~num_clients:!clients ()
     in
-    Printf.printf "running %s, f=%d, %d clients, %d failures...\n%!"
-      (Scenario.protocol_name !protocol) !f !clients !failures;
-    let point = Scenario.run scenario in
-    Report.print_points ~title:"result" [ point ];
-    Option.iter (fun path -> Report.write_csv ~path [ point ]) !csv;
-    if point.Scenario.agreement then 0 else 2
+    match Sbft_core.Config.validate (Scenario.config_of scenario) with
+    | Error e ->
+        prerr_endline ("point: " ^ e);
+        1
+    | Ok () ->
+        Printf.printf "running %s, f=%d, %d clients, %d failures...\n%!"
+          (Scenario.protocol_name !protocol) !f !clients !failures;
+        let point = Scenario.run scenario in
+        Report.print_points ~title:"result" [ point ];
+        Option.iter (fun path -> Report.write_csv ~path [ point ]) !csv;
+        if point.Scenario.agreement then 0 else 2
   end
 
 (* ------------------------------------------------------------------ *)

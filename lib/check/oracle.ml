@@ -24,9 +24,8 @@ type replica_obs = {
   rid : int;
   last_executed : int;
   digest : string;  (* state digest at [last_executed] *)
-  blocks : (int * (int * int * string) list) list;
-      (* committed blocks by sequence number, each request canonicalized
-         to (client, timestamp, op) *)
+  blocks : (int * Types.request list) list;
+      (* committed blocks by sequence number *)
   certified : (int * string) list;  (* π-certified checkpoint digests *)
   counters : int array;  (* per client index: service counter cell *)
   executed_for : int array;
@@ -57,9 +56,6 @@ let expected_op client_index =
 
 let counter_key client_index = "ctr:" ^ string_of_int client_index
 
-let canonical_block reqs =
-  List.map (fun (r : Types.request) -> (r.Types.client, r.Types.timestamp, r.Types.op)) reqs
-
 let observe ctx =
   let n = Cluster.num_replicas ctx.cluster in
   let clients = ctx.cluster.Cluster.clients in
@@ -72,7 +68,7 @@ let observe ctx =
         for seq = max_h downto 1 do
           match Replica.committed_block r seq with
           | None -> ()
-          | Some reqs -> blocks := (seq, canonical_block reqs) :: !blocks
+          | Some reqs -> blocks := (seq, reqs) :: !blocks
         done;
         let state = Sbft_store.Auth_store.state (Replica.store r) in
         {
@@ -111,50 +107,21 @@ let observe ctx =
 (* ------------------------------------------------------------------ *)
 (* Individual oracles.  Each returns (pass, detail). *)
 
-let block_equal a b =
-  List.equal
-    (fun (c1, t1, o1) (c2, t2, o2) ->
-      Int.equal c1 c2 && Int.equal t1 t2 && String.equal o1 o2)
-    a b
-
 (* Theorem VI.1: no two non-faulty replicas commit different blocks at
    the same sequence number; and replicas at equal executed heights have
    equal state digests. *)
 let agreement obs =
   let max_h = List.fold_left (fun acc r -> max acc r.last_executed) 0 obs.replicas in
-  let bad = ref [] in
-  for seq = 1 to max_h do
-    let blocks =
-      List.filter_map (fun r -> Option.map (fun b -> (r.rid, b)) (List.assoc_opt seq r.blocks)) obs.replicas
-    in
-    match blocks with
-    | [] | [ _ ] -> ()
-    | (id0, first) :: rest ->
-        List.iter
-          (fun (id, b) ->
-            if not (block_equal first b) then
-              bad := Printf.sprintf "seq=%d replicas %d/%d committed different blocks" seq id0 id :: !bad)
-          rest
-  done;
-  List.iter
-    (fun ri ->
-      List.iter
-        (fun rj ->
-          if
-            ri.rid < rj.rid
-            && Int.equal ri.last_executed rj.last_executed
-            && ri.last_executed > 0
-            && not (String.equal ri.digest rj.digest)
-          then
-            bad :=
-              Printf.sprintf "digest divergence at height %d between replicas %d/%d"
-                ri.last_executed ri.rid rj.rid
-              :: !bad)
-        obs.replicas)
-    obs.replicas;
-  match List.rev !bad with
-  | [] -> (true, Printf.sprintf "heights<=%d consistent" max_h)
-  | d :: _ -> (false, d)
+  match
+    Cluster.agreement
+      ~id:(fun r -> r.rid)
+      ~last_executed:(fun r -> r.last_executed)
+      ~committed_block:(fun r seq -> List.assoc_opt seq r.blocks)
+      ~state_digest:(fun r -> r.digest)
+      (Array.of_list obs.replicas)
+  with
+  | None -> (true, Printf.sprintf "heights<=%d consistent" max_h)
+  | Some d -> (false, d)
 
 (* Every executed operation traces back to a client request (or is the
    view change's null filler). *)
@@ -166,7 +133,7 @@ let validity obs =
         (fun (seq, block) ->
           if seq >= 1 && seq <= r.last_executed then
             List.iter
-              (fun (client, timestamp, op) ->
+              (fun { Types.client; timestamp; op; _ } ->
                 if client < 0 then begin
                   if not (String.equal op "") then
                     bad := Printf.sprintf "replica %d seq %d: non-null op without client" r.rid seq :: !bad

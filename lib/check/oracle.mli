@@ -36,9 +36,9 @@ type replica_obs = {
   rid : int;
   last_executed : int;
   digest : string;  (** state digest at [last_executed] *)
-  blocks : (int * (int * int * string) list) list;
-      (** committed blocks by sequence number, each request
-          canonicalized to (client, timestamp, op) *)
+  blocks : (int * Sbft_core.Types.request list) list;
+      (** committed blocks by sequence number; the oracles read each
+          request's client, timestamp and op, never its signature *)
   certified : (int * string) list;
       (** π-certified checkpoint (seq, digest) pairs *)
   counters : int array;  (** per client index: service counter cell *)

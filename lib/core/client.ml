@@ -117,7 +117,7 @@ let complete t ctx (p : pending) value =
     next_op t ctx
   end
 
-let note_view t view = t.believed_primary <- view mod num_replicas t
+let note_view t view = t.believed_primary <- Collectors.primary ~config:(config t) ~view
 
 let query t ctx ~key ~callback =
   t.next_qid <- t.next_qid + 1;
@@ -127,7 +127,7 @@ let query t ctx ~key ~callback =
   (* Read from a single replica, chosen round-robin; retry another on
      timeout, give up after one cycle. *)
   let n = num_replicas t in
-  let rec attempt tries =
+  let rec attempt ctx tries =
     if not pending.q_done then begin
       if tries >= n then begin
         pending.q_done <- true;
@@ -140,13 +140,13 @@ let query t ctx ~key ~callback =
         ignore
           (Engine.set_timer t.env.Replica.engine ~node:t.id
              ~after:(Config.client_retry_timeout / 4)
-             (fun ctx -> if not pending.q_done then attempt_ctx ctx (tries + 1)))
+             (fun ctx -> if not pending.q_done then attempt ctx (tries + 1)))
       end
     end
-  and attempt_ctx _ctx tries = attempt tries in
-  attempt 0
+  in
+  attempt ctx 0
 
-let on_message t ctx ~src msg =
+let on_message t ctx ~src:_ msg =
   match msg with
   | Types.Execute_ack { view; seq; index; timestamp; value; state_digest; pi; proof; _ } -> (
       note_view t view;
@@ -164,8 +164,6 @@ let on_message t ctx ~src msg =
           Priced.verify_reply ctx;
           if not (List.mem_assoc replica p.replies) then begin
             p.replies <- (replica, value) :: p.replies;
-            (* Track the responsive primary for future requests. *)
-            ignore src;
             let matching =
               List.length (List.filter (fun (_, v) -> String.equal v value) p.replies)
             in

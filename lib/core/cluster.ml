@@ -185,37 +185,51 @@ let run_for t duration = Engine.run_until t.engine (Engine.now t.engine + durati
 let total_completed t =
   Array.fold_left (fun acc c -> acc + Client.completed c) 0 t.clients
 
-let agreement ~last_executed ~committed_block ~state_digest replicas =
-  (* Compare committed blocks across replicas at every height any
-     replica executed, and state digests at equal executed heights. *)
-  let ok = ref true in
+let same_request (a : Types.request) (b : Types.request) =
+  Int.equal a.client b.client && Int.equal a.timestamp b.timestamp && String.equal a.op b.op
+
+let agreement ~id ~last_executed ~committed_block ~state_digest replicas =
+  let exception Violation of string in
   let max_executed = Array.fold_left (fun acc r -> max acc (last_executed r)) 0 replicas in
-  for seq = 1 to max_executed do
-    let blocks =
-      Array.to_list replicas
-      |> List.filter_map (fun r -> committed_block r seq)
-      |> List.map (List.map (fun (r : Types.request) -> r.Types.op))
-    in
-    match blocks with
-    | [] -> ()
-    | first :: rest ->
-        if not (List.for_all (List.equal String.equal first) rest) then ok := false
-  done;
-  (* Replicas at the same executed height must all match the first one
-     seen there.  Each digest is computed at most once, and only for a
-     replica that shares its height with another. *)
-  let first_at = Hashtbl.create 8 in
-  Array.iter
-    (fun r ->
-      let le = last_executed r in
-      if le > 0 then
-        match Hashtbl.find_opt first_at le with
-        | None -> Hashtbl.replace first_at le (lazy (state_digest r))
-        | Some first ->
-            if not (String.equal (Lazy.force first) (state_digest r)) then ok := false)
-    replicas;
-  !ok
+  (* Each digest is computed at most once, and only for a replica that
+     shares its height with another. *)
+  let digests = Array.map (fun r -> lazy (state_digest r)) replicas in
+  try
+    for seq = 1 to max_executed do
+      let first = ref None in
+      Array.iter
+        (fun r ->
+          match (committed_block r seq, !first) with
+          | None, _ -> ()
+          | Some block, None -> first := Some (r, block)
+          | Some block, Some (r0, block0) ->
+              if not (List.equal same_request block0 block) then
+                raise
+                  (Violation
+                     (Printf.sprintf "seq=%d replicas %d/%d committed different blocks" seq
+                        (id r0) (id r))))
+        replicas
+    done;
+    Array.iteri
+      (fun i ri ->
+        let h = last_executed ri in
+        Array.iteri
+          (fun j rj ->
+            if
+              id ri < id rj && h > 0
+              && Int.equal h (last_executed rj)
+              && not (String.equal (Lazy.force digests.(i)) (Lazy.force digests.(j)))
+            then
+              raise
+                (Violation
+                   (Printf.sprintf "digest divergence at height %d between replicas %d/%d" h
+                      (id ri) (id rj))))
+          replicas)
+      replicas;
+    None
+  with Violation v -> Some v
 
 let agreement_ok t =
-  agreement ~last_executed:Replica.last_executed ~committed_block:Replica.committed_block
-    ~state_digest:Replica.state_digest t.replicas
+  Option.is_none
+    (agreement ~id:Replica.id ~last_executed:Replica.last_executed
+       ~committed_block:Replica.committed_block ~state_digest:Replica.state_digest t.replicas)

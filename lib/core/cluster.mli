@@ -88,15 +88,21 @@ val run_for : t -> Sbft_sim.Engine.time -> unit
 
 val total_completed : t -> int
 val agreement_ok : t -> bool
-(** All replicas that executed a given sequence number executed the same
-    block, and state digests agree at equal heights (the paper's safety
-    property, checked post-hoc). *)
+(** {!agreement} over this cluster's replicas found no violation. *)
 
 val agreement :
+  id:('r -> int) ->
   last_executed:('r -> int) ->
   committed_block:('r -> int -> Types.request list option) ->
   state_digest:('r -> string) ->
   'r array ->
-  bool
-(** The {!agreement_ok} check over any replica implementation (the PBFT
-    baseline shares it). *)
+  string option
+(** The paper's safety property (Theorem VI.1), checked post-hoc over
+    any replica implementation: [None], or the first violation found.
+    At every sequence number up to the highest one executed, each
+    replica's committed block must equal the first one's, request by
+    request in (client, timestamp, op), never the signature; then any
+    two replicas at the same positive executed height must hold the same
+    state digest, read only where heights tie.  {!agreement_ok}, the
+    PBFT baseline and the schedule fuzzer's agreement oracle all call
+    it. *)

@@ -1393,7 +1393,7 @@ and on_new_view t ctx ~view ~proofs =
     let valid = Priced.validate_new_view ctx (keys t) proofs in
     if List.length valid >= Config.quorum_vc config then begin
       Sanitizer.check_quorum t.san Sanitizer.Vc ~count:(List.length valid);
-      let ls, decisions = View_change.compute ~keys:(keys t) ~new_view:view valid in
+      let ls, decisions = View_change.compute ~keys:(keys t) valid in
       (* Keep the evidence for retransmission to stale complainers. *)
       t.last_new_view <- Some (view, valid);
       enter_view t ctx ~view;

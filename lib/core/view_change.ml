@@ -163,8 +163,7 @@ let dedup_senders msgs =
       end)
     msgs
 
-let compute ~keys ~new_view msgs =
-  ignore new_view;
+let compute ~keys msgs =
   let msgs = dedup_senders msgs in
   let ls = select_stable ~keys msgs in
   (* Gather per-slot entries; senders without info for a slot implicitly

@@ -43,9 +43,8 @@ val validate_message : keys:Keys.t -> Types.view_change -> bool
     signature/share verifies for its claimed (seq, view, requests). *)
 
 val compute :
-  keys:Keys.t -> new_view:int -> Types.view_change list ->
-  int * (int * decision) list
-(** [compute ~keys ~new_view msgs] returns [(ls, decisions)]: the
+  keys:Keys.t -> Types.view_change list -> int * (int * decision) list
+(** [compute ~keys msgs] returns [(ls, decisions)]: the
     starting stable sequence number and, for each slot from [ls + 1] up
     to the highest slot any message mentions, the safe decision.
     Invalid certificates inside otherwise processed messages are ignored

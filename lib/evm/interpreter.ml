@@ -476,8 +476,7 @@ and run_code ~ctx ~state ~caller ~address ~value ~data ~gas ~code ~depth =
       { ok_internal = false; state_internal = state; output_internal = "";
         gas_left_internal = 0; logs_internal = [] }
 
-let call ~ctx ~state ~caller ~address ~value ~data ~gas =
-  let r = run_call ~ctx ~state ~caller ~address ~value ~data ~gas ~depth:0 in
+let result_of ~gas ~error r =
   {
     state = r.state_internal;
     success = r.ok_internal;
@@ -485,30 +484,17 @@ let call ~ctx ~state ~caller ~address ~value ~data ~gas =
     gas_used = gas - r.gas_left_internal;
     logs = List.rev r.logs_internal;
     reverted = (not r.ok_internal) && String.length r.output_internal > 0;
-    error = (if r.ok_internal then None else Some "call failed");
+    error = (if r.ok_internal then None else Some error);
   }
+
+let call ~ctx ~state ~caller ~address ~value ~data ~gas =
+  result_of ~gas ~error:"call failed"
+    (run_call ~ctx ~state ~caller ~address ~value ~data ~gas ~depth:0)
 
 let create ~ctx ~state ~caller ~value ~init_code ~gas =
   let r, addr = run_create ~ctx ~state ~caller ~value ~init_code ~gas ~depth:0 in
-  ( {
-      state = r.state_internal;
-      success = r.ok_internal;
-      output = r.output_internal;
-      gas_used = gas - r.gas_left_internal;
-      logs = List.rev r.logs_internal;
-      reverted = (not r.ok_internal) && String.length r.output_internal > 0;
-      error = (if r.ok_internal then None else Some "create failed");
-    },
-    addr )
+  (result_of ~gas ~error:"create failed" r, addr)
 
 let execute_code ~ctx ~state ~caller ~address ~value ~data ~gas ~code =
-  let r = run_code ~ctx ~state ~caller ~address ~value ~data ~gas ~code ~depth:0 in
-  {
-    state = r.state_internal;
-    success = r.ok_internal;
-    output = r.output_internal;
-    gas_used = gas - r.gas_left_internal;
-    logs = List.rev r.logs_internal;
-    reverted = (not r.ok_internal) && String.length r.output_internal > 0;
-    error = (if r.ok_internal then None else Some "execution failed");
-  }
+  result_of ~gas ~error:"execution failed"
+    (run_code ~ctx ~state ~caller ~address ~value ~data ~gas ~code ~depth:0)

@@ -29,11 +29,10 @@ type t = {
 }
 
 let default ?(failures = 0) ?(topology = `Continent) ?(warmup = Engine.ms 750)
-    ?(duration = Engine.ms 1500) ?(seed = 1L) ?(cpu_scale = 0.5)
-    ?(requests_per_client = max_int) ?crash_primary_at ?(tweak = Fun.id)
-    ~protocol ~f ~workload ~num_clients () =
+    ?(duration = Engine.ms 1500) ?(seed = 1L) ?(requests_per_client = max_int)
+    ?crash_primary_at ?(tweak = Fun.id) ~protocol ~f ~workload ~num_clients () =
   { protocol; f; workload; num_clients; failures; topology; warmup; duration; seed;
-    cpu_scale; requests_per_client; crash_primary_at; tweak }
+    cpu_scale = 0.5; requests_per_client; crash_primary_at; tweak }
 
 type point = {
   scenario : t;

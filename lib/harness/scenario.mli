@@ -26,8 +26,8 @@ type t = {
   duration : Sbft_sim.Engine.time;  (** measured window after warmup *)
   seed : int64;
   cpu_scale : float;
-      (** CPU speed factor; 0.5 models the ≈2 cores/replica of the
-          paper's testbed packing. *)
+      (** CPU speed factor, 0.5 in every scenario: it models the ≈2
+          cores/replica of the paper's testbed packing. *)
   requests_per_client : int;
       (** Finite closed-loop request budget per client ([max_int] =
           run until the horizon).  Paper-scale rows use a finite budget
@@ -46,7 +46,6 @@ val default :
   ?warmup:Sbft_sim.Engine.time ->
   ?duration:Sbft_sim.Engine.time ->
   ?seed:int64 ->
-  ?cpu_scale:float ->
   ?requests_per_client:int ->
   ?crash_primary_at:Sbft_sim.Engine.time ->
   ?tweak:(Sbft_core.Config.t -> Sbft_core.Config.t) ->
@@ -78,6 +77,10 @@ type point = {
   minor_words : float;  (** minor-heap words allocated (deterministic) *)
   profile : Sbft_sim.Engine.profile;  (** per-phase event counts *)
 }
+
+val config_of : t -> Sbft_core.Config.t
+(** The configuration the scenario's cluster is built with: the
+    protocol's preset, the topology's fast-path timer, then [tweak]. *)
 
 val run : t -> point
 

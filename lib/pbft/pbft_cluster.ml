@@ -18,6 +18,9 @@ type t = {
 let create ?(seed = 1L) ?(trace = false) ?(cpu_scale = 1.0) ~config ~num_clients
     ~topology ~(service : Cluster.service) () =
   let config = { config with Config.c = 0 } in
+  (match Config.validate config with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Pbft_cluster.create: " ^ e));
   let n = Config.n config in
   let num_nodes = n + num_clients in
   let engine = Engine.create ~num_nodes ~seed () in
@@ -86,6 +89,7 @@ let total_completed t =
   Array.fold_left (fun acc c -> acc + Pbft_client.completed c) 0 t.clients
 
 let agreement_ok t =
-  Cluster.agreement ~last_executed:Pbft_replica.last_executed
-    ~committed_block:Pbft_replica.committed_block ~state_digest:Pbft_replica.state_digest
-    t.replicas
+  Option.is_none
+    (Cluster.agreement ~id:Pbft_replica.id ~last_executed:Pbft_replica.last_executed
+       ~committed_block:Pbft_replica.committed_block ~state_digest:Pbft_replica.state_digest
+       t.replicas)

@@ -22,7 +22,9 @@ val create :
   service:Sbft_core.Cluster.service ->
   unit ->
   t
-(** [config.f] determines n = 3f + 1 (the [c] field is ignored). *)
+(** [config.f] determines n = 3f + 1 (the [c] field is ignored).
+    @raise Invalid_argument if {!Sbft_core.Config.validate} rejects the
+    configuration with [c = 0]. *)
 
 val start_clients :
   t -> requests_per_client:int -> make_op:(client:int -> int -> string) -> unit
@@ -31,3 +33,5 @@ val crash_replicas : t -> int list -> unit
 val run_for : t -> Sbft_sim.Engine.time -> unit
 val total_completed : t -> int
 val agreement_ok : t -> bool
+(** {!Sbft_core.Cluster.agreement} over this cluster's replicas found no
+    violation. *)

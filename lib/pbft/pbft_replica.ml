@@ -90,7 +90,7 @@ let create ~env ~id ~store =
 
 let id t = t.id
 let view t = t.view
-let primary_of t v = v mod n_replicas t
+let primary_of t view = Sbft_core.Collectors.primary ~config:(cfg t) ~view
 let is_primary t = Int.equal (primary_of t t.view) t.id
 let last_executed t = Sbft_store.Auth_store.last_executed t.store
 let state_digest t = Sbft_store.Auth_store.digest t.store
@@ -216,8 +216,7 @@ and on_pre_prepare t ctx ~src ~seq ~view ~reqs =
   end
 
 and accept_pre_prepare t ctx sl ~view ~reqs =
-  Priced.hash ctx (Types.requests_bytes reqs);
-  let h = Pbft_types.block_hash t.env.keys ~seq:sl.seq ~view ~reqs in
+  let h = Priced.block_hash ctx t.env.keys ~seq:sl.seq ~view ~reqs in
   sl.pp <- Some (view, reqs, h);
   List.iter
     (fun (r : Types.request) -> if r.Types.client >= 0 then Intake.mark_outstanding t.intake r)

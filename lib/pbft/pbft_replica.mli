@@ -10,7 +10,7 @@
 type env = {
   engine : Sbft_sim.Engine.t;
   trace : Sbft_sim.Trace.t;
-  keys : Sbft_core.Keys.t;  (** only the PKI part is used *)
+  keys : Sbft_core.Keys.t;  (** PKI keys and the cluster's memos *)
   send : Sbft_sim.Engine.ctx -> src:int -> dst:int -> Pbft_types.msg -> unit;
   exec_cost : Pbft_types.request list -> Sbft_sim.Engine.time;
 }

@@ -1,5 +1,3 @@
-open Sbft_wire
-
 type request = Sbft_core.Types.request
 
 type msg =
@@ -23,16 +21,6 @@ type msg =
       replica : int;
     }
   | New_view of { view : int; pre_prepares : (int * request list) list }
-
-let block_hash keys ~seq ~view ~reqs =
-  let w = Codec.Writer.create () in
-  Codec.Writer.raw w "pbft-block";
-  Codec.Writer.u64 w seq;
-  Codec.Writer.u64 w view;
-  Codec.Writer.list w
-    (fun r -> Codec.Writer.raw w (Sbft_core.Keys.request_digest keys r))
-    reqs;
-  Sbft_crypto.Sha256.digest (Codec.Writer.contents w)
 
 let header = 24
 let rsa = Sbft_crypto.Pki.signature_size

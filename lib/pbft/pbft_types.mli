@@ -27,6 +27,5 @@ type msg =
     }
   | New_view of { view : int; pre_prepares : (int * request list) list }
 
-val block_hash : Sbft_core.Keys.t -> seq:int -> view:int -> reqs:request list -> string
 val size : msg -> int
 val kind : msg -> string

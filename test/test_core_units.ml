@@ -808,10 +808,33 @@ let agreement_prop =
          array_size (int_bound 12)
            (pair (int_bound 3) (map (String.make 1) (char_range 'a' 'c'))))
        (fun replicas ->
-         Cluster.agreement ~last_executed:fst
-           ~committed_block:(fun _ _ -> None)
-           ~state_digest:snd replicas
+         Option.is_none
+           (Cluster.agreement ~id:fst
+              ~last_executed:(fun (_, (le, _)) -> le)
+              ~committed_block:(fun _ _ -> None)
+              ~state_digest:(fun (_, (_, d)) -> d)
+              (Array.mapi (fun i r -> (i, r)) replicas))
          = pairwise_agreement replicas))
+
+(* Two replicas hold the same op at seq 1 under different (client,
+   timestamp): an op-only comparison accepts that, the shared check
+   reports it.  A different signature alone is no violation. *)
+let test_agreement_request_identity () =
+  let run blocks =
+    Cluster.agreement ~id:fst
+      ~last_executed:(fun _ -> 1)
+      ~committed_block:(fun (_, b) seq -> if Int.equal seq 1 then Some [ b ] else None)
+      ~state_digest:(fun _ -> "d")
+      (Array.of_list (List.mapi (fun i b -> (i, b)) blocks))
+  in
+  let x = req "x" in
+  Alcotest.(check (option string))
+    "client and timestamp differ"
+    (Some "seq=1 replicas 0/1 committed different blocks")
+    (run [ x; { x with Types.client = 11; timestamp = 2 } ]);
+  Alcotest.(check (option string))
+    "signatures are not compared" None
+    (run [ x; { x with Types.signature = "t" } ])
 
 (* ------------------------------------------------------------------ *)
 (* Priced: the price table *)
@@ -1037,5 +1060,10 @@ let () =
           Alcotest.test_case "per-call rounding" `Quick test_price_rounding;
         ] );
       ("votes", [ votes_prop ]);
-      ("agreement", [ agreement_prop ]);
+      ( "agreement",
+        [
+          agreement_prop;
+          Alcotest.test_case "requests compared by client, timestamp and op" `Quick
+            test_agreement_request_identity;
+        ] );
     ]

@@ -27,6 +27,8 @@ let check_passes name obs =
   if not v.Oracle.pass then
     Alcotest.failf "oracle %s rejected the healthy trace: %s" name v.Oracle.detail
 
+let req client timestamp op = { Sbft_core.Types.client; timestamp; op; signature = "" }
+
 (* A healthy 4-replica cluster (f=1, c=0 shape) with one client
    (node id 4) that submitted and completed one request, executed at
    seq 1 by the two replicas we observe. *)
@@ -36,7 +38,7 @@ let healthy_replica rid =
     Oracle.rid;
     last_executed = 1;
     digest = "digest-h1";
-    blocks = [ (1, [ (4, 1, Oracle.expected_op 0) ]) ];
+    blocks = [ (1, [ req 4 1 (Oracle.expected_op 0) ]) ];
     certified = [ (0, "digest-genesis") ];
     counters = [| 1 |];
     executed_for = [| 1 |];
@@ -81,7 +83,7 @@ let test_agreement_block_divergence () =
     {
       (healthy_replica 1) with
       Oracle.digest = "digest-h1'";
-      blocks = [ (1, [ (4, 2, Oracle.expected_op 0) ]) ];
+      blocks = [ (1, [ req 4 2 (Oracle.expected_op 0) ]) ];
       executed_for = [| 2 |];
       counters = [| 2 |];
     }
@@ -106,7 +108,7 @@ let test_agreement_digest_divergence () =
 let test_validity () =
   (* Executed operation from a client id that does not exist. *)
   let ghost =
-    { (healthy_replica 0) with Oracle.blocks = [ (1, [ (9, 1, Oracle.expected_op 0) ]) ] }
+    { (healthy_replica 0) with Oracle.blocks = [ (1, [ req 9 1 (Oracle.expected_op 0) ]) ] }
   in
   let behind = { (healthy_replica 1) with Oracle.last_executed = 0; blocks = []; digest = "d0" } in
   let trace = with_replicas [ ghost; behind ] in
@@ -115,16 +117,16 @@ let test_validity () =
   (* Executed operation whose bytes differ from what the client
      submitted. *)
   let forged =
-    { (healthy_replica 0) with Oracle.blocks = [ (1, [ (4, 1, "write x=evil") ]) ] }
+    { (healthy_replica 0) with Oracle.blocks = [ (1, [ req 4 1 "write x=evil" ]) ] }
   in
   check_trips "validity" (with_replicas [ forged; behind ]);
   (* A timestamp the client never issued. *)
   let replayed =
-    { (healthy_replica 0) with Oracle.blocks = [ (1, [ (4, 7, Oracle.expected_op 0) ]) ] }
+    { (healthy_replica 0) with Oracle.blocks = [ (1, [ req 4 7 (Oracle.expected_op 0) ]) ] }
   in
   check_trips "validity" (with_replicas [ replayed; behind ]);
   (* The view change's null filler is legitimate. *)
-  let filler = { (healthy_replica 0) with Oracle.blocks = [ (1, [ (-1, 0, "") ]) ] } in
+  let filler = { (healthy_replica 0) with Oracle.blocks = [ (1, [ req (-1) 0 "" ]) ] } in
   check_passes "validity" (with_replicas [ filler; behind ]);
   check_passes "validity" healthy
 

@@ -23,6 +23,12 @@ let drive ?(reqs = 20) ?(secs = 60) cluster =
   Pbft_cluster.run_for cluster (Engine.sec secs);
   cluster
 
+(* As in Cluster.create, a configuration Config.validate rejects (once c
+   is forced to 0) is refused: f = 0 would be a one-replica "PBFT". *)
+let test_config_validated () =
+  check "f = 0 rejected" true
+    (match make ~f:0 () with _ -> false | exception Invalid_argument _ -> true)
+
 let test_happy_path () =
   let cluster = drive (make ()) in
   check_int "all done" 40 (Pbft_cluster.total_completed cluster);
@@ -129,7 +135,7 @@ let test_vote_dedup () =
       (List.filter (function Pbft_types.Commit _ -> true | _ -> false) !sent)
   in
   let reqs = [ Sbft_core.View_change.null_request ] in
-  let h = Pbft_types.block_hash keys ~seq:1 ~view:0 ~reqs in
+  let h = Sbft_core.Keys.block_hash keys ~seq:1 ~view:0 ~reqs in
   deliver ~src:0 (Pbft_types.Pre_prepare { seq = 1; view = 0; reqs });
   let prepare replica = Pbft_types.Prepare { seq = 1; view = 0; h; replica } in
   let commit replica = Pbft_types.Commit { seq = 1; view = 0; h; replica } in
@@ -173,7 +179,7 @@ let test_pre_prepare_before_new_view () =
   check "the early pre-prepare is replayed" true (prepared 1);
   check "one from a non-primary is not" false (prepared 2);
   check "nor one beyond the window" false (prepared 257);
-  let h = Pbft_types.block_hash keys ~seq:1 ~view:1 ~reqs in
+  let h = Sbft_core.Keys.block_hash keys ~seq:1 ~view:1 ~reqs in
   List.iter
     (fun replica -> deliver ~src:replica (Pbft_types.Prepare { seq = 1; view = 1; h; replica }))
     [ 0; 3 ];
@@ -233,6 +239,7 @@ let () =
     [
       ( "pbft",
         [
+          Alcotest.test_case "config validated" `Quick test_config_validated;
           Alcotest.test_case "happy path" `Quick test_happy_path;
           Alcotest.test_case "f=2" `Quick test_f2;
           Alcotest.test_case "crash backup" `Quick test_crash_backup;

@@ -72,7 +72,7 @@ let vc ?(ls = 0) ?(checkpoint = None) ~replica slots : Types.view_change =
 
 let slot seq slow fast : Types.vc_slot = { slot_seq = seq; slow; fast }
 
-let decide msgs = View_change.compute ~keys ~new_view:1 msgs
+let decide msgs = View_change.compute ~keys msgs
 
 let decision_for seq msgs =
   let _, ds = decide msgs in
